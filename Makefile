@@ -67,12 +67,12 @@ bench:
 	$(GO) run ./cmd/switchml-bench -scale 100
 
 # Hot-path gate: the zero-allocation assertions (packet codec, switch
-# ingress, sharded dispatch, event scheduling, batched socket I/O and
-# the aggregator's stage/flush cycle) plus a smoke run of the hotpath
-# micro-benchmarks. Regenerate the committed baseline with:
+# ingress, sharded dispatch, event scheduling, the rack simulator's
+# per-packet path, batched socket I/O and the aggregator's stage/flush
+# cycle) plus a smoke run of the hotpath micro-benchmarks. Regenerate the committed baseline with:
 #   $(GO) run ./cmd/switchml-bench -scale 1 -artifacts . hotpath
 bench-smoke:
-	$(GO) test -run 'ZeroAlloc|Hotpath' ./internal/packet ./internal/core ./internal/netsim ./internal/netio ./internal/transport ./internal/bench
+	$(GO) test -run 'ZeroAlloc|Hotpath' ./internal/packet ./internal/core ./internal/netsim ./internal/rack ./internal/netio ./internal/transport ./internal/bench
 
 # Observability smoke: switchml-top boots an in-process cluster over
 # loopback UDP, polls its own debug endpoints and validates the JSON

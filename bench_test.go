@@ -8,6 +8,7 @@ package switchml
 
 import (
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -315,21 +316,33 @@ func BenchmarkClusterAllReduce(b *testing.B) {
 	}
 }
 
-// BenchmarkRackSimulation measures simulator throughput: events per
-// second aggregating 1M elements on 8 workers.
+// BenchmarkRackSimulation measures simulator wall-clock speed on the
+// benchmark harness's sim_rack shape — a fresh lossless 8-worker rack
+// aggregating 1M elements per iteration — and reports it the way the
+// harness does: events/op, ns per simulated packet (rack.sim_pkts_per_s
+// inverted) and bytes allocated per element (alloc_bytes_per_elem).
 func BenchmarkRackSimulation(b *testing.B) {
-	u := make([]int32, 1<<20)
+	const elems = 1 << 20
+	u := make([]int32, elems)
+	b.ReportAllocs()
+	var events, pkts uint64
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := rack.NewRack(rack.Config{Workers: 8, LossRecovery: true, Seed: int64(i)})
+		r, err := rack.NewRack(rack.Config{Workers: 8, LossRecovery: true, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := r.AllReduceShared(u)
-		if err != nil {
+		if _, err := r.AllReduceShared(u); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(r.Sim().Processed()), "events/op")
-		_ = res
+		events = r.Sim().Processed()
+		pkts = r.Counters()["packets_sent"]
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	b.ReportMetric(float64(events), "events/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pkts), "ns/simpkt")
+	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(b.N)/elems, "B/elem")
 }

@@ -165,7 +165,9 @@ func funcDisplayName(fn *types.Func) string {
 // staticCallee resolves a call to its target function when that is
 // statically known: a plain function, a package-qualified function,
 // or a method on a concrete receiver. Interface method calls and
-// calls through function values return nil.
+// calls through function values return nil. A method of an
+// instantiated generic type resolves to its generic declaration, so
+// callers can look its body up.
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -183,7 +185,7 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 			if recv := f.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
 				return nil // dynamic dispatch
 			}
-			return f
+			return f.Origin()
 		}
 		f, _ := info.Uses[fun.Sel].(*types.Func) // pkg-qualified
 		return f

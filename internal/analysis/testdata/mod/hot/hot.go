@@ -26,7 +26,17 @@ func Root(n int, s string, dst []byte) []byte {
 	go tick(p)                      // want "go statement allocates a goroutine in hot.Root" // want "goroutine has no shutdown tie"
 	f := func() int { return n }    // want "closure captures n and allocates in hot.Root"
 	helper()
+	var r ring[int]
+	r.push(n)
 	return append(raw, byte(f())) // want "append may grow its backing array in hot.Root"
+}
+
+// ring is a generic container: a call to a method of an instantiated
+// type must still be followed into the generic declaration.
+type ring[T any] struct{ items []T }
+
+func (r *ring[T]) push(v T) {
+	r.items = append(r.items, v) // want "append may grow its backing array in hot.ring.push \\(on the hot path of hot.Root\\)"
 }
 
 type point struct{ x int }

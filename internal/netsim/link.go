@@ -33,6 +33,26 @@ type Node interface {
 	Deliver(msg Message)
 }
 
+// Recycler is told what a link did with a message it will not deliver
+// exactly once, so a sender whose messages are pooled can keep the
+// books. The ownership rule on a link is: Send hands the message to
+// the link, and each delivery hands it on to the destination node. A
+// message the link loses reaches no node, so the link gives it back
+// through Dropped; a message the link duplicates reaches the node
+// twice, so the link asks Duplicate for the message to deliver the
+// second time (a copy, or the same message with one more reference
+// counted). A link without a Recycler delivers the same message twice
+// and forgets dropped ones, which is right for garbage-collected
+// messages.
+type Recycler interface {
+	// Dropped is called once for every message Send loses (loss
+	// process, corruption, blackout).
+	Dropped(msg Message)
+	// Duplicate is called when the duplication fault fires and returns
+	// the message for the extra delivery.
+	Duplicate(msg Message) Message
+}
+
 // NodeFunc adapts a function to the Node interface.
 type NodeFunc func(msg Message)
 
@@ -97,7 +117,19 @@ type Link struct {
 	// nextFree is the virtual time at which the transmitter becomes
 	// idle.
 	nextFree Time
+	// flights are the deliveries in progress. Arrival times never
+	// decrease (nextFree is monotone, prop constant), so they drain in
+	// FIFO order through one callback.
+	flights *Queue[flight]
+	// recycler, when set, learns of dropped and duplicated messages.
+	recycler Recycler
 	stats    LinkStats
+}
+
+// flight is one delivery in progress.
+type flight struct {
+	msg  Message
+	size int
 }
 
 // LinkConfig describes a link to be created.
@@ -144,7 +176,7 @@ func NewLink(sim *Sim, cfg LinkConfig, dst Node) *Link {
 	if loss == nil && cfg.LossRate > 0 {
 		loss = Bernoulli{P: cfg.LossRate}
 	}
-	return &Link{
+	l := &Link{
 		sim:         sim,
 		name:        cfg.Name,
 		bitsPerSec:  cfg.BitsPerSec,
@@ -154,7 +186,13 @@ func NewLink(sim *Sim, cfg LinkConfig, dst Node) *Link {
 		corruptRate: cfg.CorruptRate,
 		dst:         dst,
 	}
+	l.flights = NewQueue(sim, l.deliver)
+	return l
 }
+
+// SetRecycler installs the observer of dropped and duplicated
+// messages; see Recycler for the ownership rule it serves.
+func (l *Link) SetRecycler(r Recycler) { l.recycler = r }
 
 // Name returns the link's diagnostic name.
 func (l *Link) Name() string { return l.name }
@@ -232,7 +270,10 @@ func (l *Link) trace(t telemetry.EventType, ts Time, size int) {
 
 // Send enqueues msg for transmission. It returns the virtual time at
 // which the message will finish serializing (even if it is then
-// dropped), which callers can use for back-to-back pacing.
+// dropped), which callers can use for back-to-back pacing. The link
+// owns msg from here on: the caller must not touch it again.
+//
+//switchml:hotpath
 func (l *Link) Send(msg Message) Time {
 	now := l.sim.Now()
 	start := l.nextFree
@@ -250,43 +291,61 @@ func (l *Link) Send(msg Message) Time {
 	l.trace(telemetry.EvPacketSent, now, size)
 
 	if l.down {
-		l.stats.Dropped++
 		l.stats.Blackholed++
-		l.trace(telemetry.EvPacketDropped, txDone, size)
+		l.drop(msg, txDone, size)
 		return txDone
 	}
-	rm, ok := msg.(ReliableMessage)
-	reliable := ok && rm.Reliable()
+	// Only a link with a fault process needs to ask whether the message
+	// is exempt from it.
+	reliable := false
+	if l.loss != nil || l.corruptRate > 0 || l.dupRate > 0 {
+		rm, ok := msg.(ReliableMessage)
+		reliable = ok && rm.Reliable()
+	}
 	if !reliable && l.loss != nil && l.loss.Drop(l.sim.Rand()) {
-		l.stats.Dropped++
 		// Stamped at txDone: the message occupied the wire before the
 		// loss process ate it.
-		l.trace(telemetry.EvPacketDropped, txDone, size)
+		l.drop(msg, txDone, size)
 		return txDone
 	}
 	if !reliable && l.corruptRate > 0 && l.sim.Rand().Float64() < l.corruptRate {
 		// The mangled frame reaches the receiver, fails the checksum
 		// and is discarded — indistinguishable from a drop above the
 		// link layer (§3.4), but counted separately.
-		l.stats.Dropped++
 		l.stats.Corrupted++
-		l.trace(telemetry.EvPacketDropped, txDone, size)
+		l.drop(msg, txDone, size)
 		return txDone
 	}
-	deliveries := 1
-	if !reliable && l.dupRate > 0 && l.sim.Rand().Float64() < l.dupRate {
-		deliveries = 2
-		l.stats.Duplicated++
-	}
 	arrival := txDone + l.prop
-	for i := 0; i < deliveries; i++ {
-		l.sim.At(arrival, func() {
-			l.stats.Delivered++
-			l.trace(telemetry.EvPacketRecv, arrival, size)
-			l.dst.Deliver(msg)
-		})
+	l.flights.Push(arrival, flight{msg, size})
+	if !reliable && l.dupRate > 0 && l.sim.Rand().Float64() < l.dupRate {
+		l.stats.Duplicated++
+		if l.recycler != nil {
+			msg = l.recycler.Duplicate(msg)
+		}
+		l.flights.Push(arrival, flight{msg, size})
 	}
 	return txDone
+}
+
+// drop accounts for a message lost on the wire and gives it back to
+// the sender's recycler.
+func (l *Link) drop(msg Message, txDone Time, size int) {
+	l.stats.Dropped++
+	l.trace(telemetry.EvPacketDropped, txDone, size)
+	if l.recycler != nil {
+		l.recycler.Dropped(msg)
+	}
+}
+
+// deliver hands an arrived message to the destination; it is the
+// flights queue's callback.
+//
+//switchml:hotpath
+func (l *Link) deliver(f flight) {
+	l.stats.Delivered++
+	l.trace(telemetry.EvPacketRecv, l.sim.Now(), f.size)
+	l.dst.Deliver(f.msg)
 }
 
 // Busy reports whether the transmitter has queued work beyond the

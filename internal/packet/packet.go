@@ -257,6 +257,7 @@ func (p *Packet) SetUpdate(worker uint16, job uint16, ver uint8, idx uint32, off
 	p.Ver = ver
 	p.Idx = idx
 	p.Off = off
+	//switchml:allow hotpath -- guarded grow: a pooled packet's vector reaches the job's SlotElems capacity once, then is reused
 	p.Vector = append(p.Vector[:0], vec...)
 }
 

@@ -411,8 +411,7 @@ func (h *WorkerHost) Crash() {
 	h.crashed = true
 	h.trace(telemetry.EvWorkerCrash, -1, -1)
 	for i := range h.timers {
-		h.timers[i].Cancel()
-		h.timers[i] = netsim.Timer{}
+		h.timers[i].Stop()
 	}
 }
 
@@ -444,8 +443,7 @@ func (h *WorkerHost) resetWorker() {
 		h.coreFree[i] = 0
 	}
 	for i := range h.timers {
-		h.timers[i].Cancel()
-		h.timers[i] = netsim.Timer{}
+		h.timers[i].Stop()
 		h.backoff[i] = 0
 		h.retxed[i] = false
 		h.sentAt[i] = 0
@@ -467,8 +465,7 @@ func (h *WorkerHost) Resume(jobID uint16, off uint64) error {
 		return nil
 	}
 	for i := range h.timers {
-		h.timers[i].Cancel()
-		h.timers[i] = netsim.Timer{}
+		h.timers[i].Stop()
 		h.backoff[i] = 0
 		h.retxed[i] = false
 	}
@@ -482,8 +479,7 @@ func (h *WorkerHost) Resume(jobID uint16, off uint64) error {
 	}
 	h.finished = false
 	for _, p := range pkts {
-		p := p
-		h.sim.At(h.charge(p.Idx), func() { h.transmit(p, false) })
+		h.charge(p.Idx, work{op: opTransmit, p: p})
 	}
 	return nil
 }

@@ -402,7 +402,10 @@ func NewRack(cfg Config) (*Rack, error) {
 		}
 		up := netsim.NewLink(sim, cfg.linkConfig(fmt.Sprintf("w%d->sw", i), rate), sw)
 		down := netsim.NewLink(sim, cfg.linkConfig(fmt.Sprintf("sw->w%d", i), rate), h)
+		up.SetRecycler(updateRecycler{})
+		down.SetRecycler(sw)
 		h.uplink = up
+		h.release = sw.release
 		h.onStall = func(w uint16) {
 			if r.faultErr == nil {
 				r.faultErr = fmt.Errorf("rack: worker %d gave up after %d straight timeouts on one chunk: %w", w, stallLimit, ErrSwitchDown)
@@ -684,6 +687,72 @@ func (r *Rack) Counters() map[string]uint64 {
 	return m
 }
 
+// Packet ownership in the rack. Every packet on the data path is
+// pooled, and exactly one party owns it at any time:
+//
+//   - An update is born in core.Worker (packet.GetPacket) and owned by
+//     its host until uplink.Send, then by the link, then — on delivery
+//     — by the switch, which consumes it inside Deliver and returns it
+//     with packet.PutPacket. A host that cannot send (it crashed while
+//     the packet waited for its core) returns it itself.
+//   - A result is a frame from the switch's free list. The switch
+//     counts one reference per downlink it sends the frame on; each
+//     delivery hands one reference to a host, which reads the packet
+//     (never writes it) when its core gets to it and then gives the
+//     reference back through release — at once if the host is crashed.
+//     The frame returns to the free list with its last reference.
+//   - A link that loses a packet gives it back through its Recycler
+//     (Dropped); a link that duplicates one asks the Recycler for the
+//     second delivery's packet (Duplicate): a pooled copy of an update,
+//     one more reference on a frame.
+//
+// Control packets (probes and their acks) are plain allocations: a
+// probe is consumed like an update, an ack is left to the collector.
+// internal/hier drives WorkerHost over links with no Recycler and with
+// plain packets; there nothing is pooled on the receive side and every
+// release is a no-op.
+
+// frame is a switch-originated result packet in flight to one or more
+// hosts.
+type frame struct {
+	pkt packet.Packet
+	// refs counts the deliveries (or drops) still owed.
+	refs int
+}
+
+// WireSize implements netsim.Message.
+func (f *frame) WireSize() int { return f.pkt.WireSize() }
+
+// updateRecycler keeps the books for pooled packets on an uplink.
+type updateRecycler struct{}
+
+// Dropped returns a lost update (or probe) to the packet pool.
+func (updateRecycler) Dropped(msg netsim.Message) {
+	if p, ok := msg.(*packet.Packet); ok {
+		packet.PutPacket(p)
+	}
+}
+
+// Duplicate gives the second delivery its own pooled copy: the switch
+// returns every packet it is delivered.
+func (updateRecycler) Duplicate(msg netsim.Message) netsim.Message {
+	p, ok := msg.(*packet.Packet)
+	if !ok {
+		return msg
+	}
+	q := packet.GetPacket()
+	vec := append(q.Vector, p.Vector...)
+	*q = *p
+	q.Vector = vec
+	return q
+}
+
+// egress is one response waiting out the switch's pipeline latency.
+type egress struct {
+	f         *frame
+	multicast bool
+}
+
 // switchNode adapts core.Switch to netsim. It hosts the whole
 // aggregation ladder behind one crossbar: the primary program (rung 0)
 // plus Config.StandbySwitches warm standbys, any of which can be
@@ -696,6 +765,13 @@ type switchNode struct {
 	cfg       Config
 	sw        *core.Switch
 	downlinks []*netsim.Link
+	// pipeline holds responses between ingress and egress. The latency
+	// is constant per home rung, so responses leave in arrival order.
+	pipeline *netsim.Queue[egress]
+	// out is the frame the next response is built into; frames is the
+	// free list it is refilled from.
+	out    *frame
+	frames []*frame
 	// standbys are the warm-standby aggregation programs, rungs
 	// 1..len(standbys) of the failover ladder; sbDown marks the killed
 	// ones (faults.KillStandby).
@@ -734,6 +810,7 @@ func newSwitchNode(sim *netsim.Sim, cfg Config) (*switchNode, error) {
 		return nil, err
 	}
 	n := &switchNode{sim: sim, cfg: cfg, sw: sw}
+	n.pipeline = netsim.NewQueue(sim, n.emit)
 	for i := 0; i < cfg.StandbySwitches; i++ {
 		// Standbys share the registry-backed counters with the primary
 		// via name, which would double-count; they report through
@@ -769,21 +846,54 @@ func (s *switchNode) progDown(rank int) bool {
 // rungs is the ladder height: the primary plus every standby.
 func (s *switchNode) rungs() int { return 1 + len(s.standbys) }
 
+// newFrame takes a frame off the free list.
+func (s *switchNode) newFrame() *frame {
+	if n := len(s.frames); n > 0 {
+		f := s.frames[n-1]
+		s.frames = s.frames[:n-1]
+		return f
+	}
+	//switchml:allow hotpath -- free-list miss: the list grows to the peak number of results in flight and is then reused
+	return &frame{pkt: packet.Packet{Vector: make([]int32, 0, s.cfg.SlotElems)}}
+}
+
+// release gives back one reference to a frame; the last one returns
+// it to the free list.
+//
+//switchml:hotpath
+func (s *switchNode) release(f *frame) {
+	if f.refs--; f.refs == 0 {
+		//switchml:allow hotpath -- free-list growth is bounded by the peak number of results in flight
+		s.frames = append(s.frames, f)
+	}
+}
+
+// Dropped implements netsim.Recycler for the downlinks.
+func (s *switchNode) Dropped(msg netsim.Message) {
+	if f, ok := msg.(*frame); ok {
+		s.release(f)
+	}
+}
+
+// Duplicate implements netsim.Recycler for the downlinks: the second
+// delivery shares the read-only frame under one more reference.
+func (s *switchNode) Duplicate(msg netsim.Message) netsim.Message {
+	if f, ok := msg.(*frame); ok {
+		f.refs++
+	}
+	return msg
+}
+
 // Deliver processes an update at line rate and emits responses after
 // the pipeline latency. The traffic manager duplicates multicast
 // results onto every port (Appendix B). Host-to-host fallback bursts
 // are forwarded by the crossbar even while the aggregation program is
 // down — the failure mode the degradation controller exploits.
+//
+//switchml:hotpath
 func (s *switchNode) Deliver(msg netsim.Message) {
 	if pm, ok := msg.(allreduce.PeerMsg); ok {
-		if s.peerDst == nil {
-			return
-		}
-		dl := s.peerDst(pm.PeerDst())
-		if dl == nil {
-			return
-		}
-		s.sim.After(s.cfg.SwitchLatency, func() { dl.Send(msg) })
+		s.forwardPeer(pm)
 		return
 	}
 	p := msg.(*packet.Packet)
@@ -791,21 +901,20 @@ func (s *switchNode) Deliver(msg netsim.Message) {
 		s.seen(int(p.WorkerID))
 	}
 	if p.Kind == packet.KindProbe {
-		// Probes target the primary: they are the fail-up ladder's
-		// evidence that rung 0 is worth returning to.
-		if s.down {
-			return // a dead aggregation program answers nothing
-		}
-		ack := packet.NewControl(packet.KindProbeAck, p.WorkerID, p.JobID, 0, nil)
-		ack.Idx = p.Idx
-		s.sim.After(s.cfg.SwitchLatency, func() { s.downlinks[ack.WorkerID].Send(ack) })
+		s.answerProbe(p)
+		packet.PutPacket(p)
 		return
 	}
 	home := s.home
 	if s.progDown(home) {
+		packet.PutPacket(p)
 		return
 	}
-	resp := s.prog(home).Handle(p)
+	if s.out == nil {
+		s.out = s.newFrame()
+	}
+	resp := s.prog(home).HandleInto(p, &s.out.pkt)
+	packet.PutPacket(p)
 	if resp.Pkt == nil {
 		return
 	}
@@ -815,15 +924,52 @@ func (s *switchNode) Deliver(msg netsim.Message) {
 		// in and on the way back out.
 		delay += 2 * s.cfg.StandbyLatency
 	}
-	s.sim.After(delay, func() {
-		if resp.Multicast {
-			for _, dl := range s.downlinks {
-				dl.Send(resp.Pkt.Clone())
-			}
-			return
-		}
-		s.downlinks[resp.Pkt.WorkerID].Send(resp.Pkt)
-	})
+	s.pipeline.Push(s.sim.Now()+delay, egress{f: s.out, multicast: resp.Multicast})
+	s.out = nil
+}
+
+// forwardPeer passes a host-to-host fallback ring burst through the
+// crossbar.
+//
+//switchml:allow hotpath -- degraded-mode forwarding of host-ring bursts, not the aggregation data path: one closure per burst through the general At API
+func (s *switchNode) forwardPeer(pm allreduce.PeerMsg) {
+	if s.peerDst == nil {
+		return
+	}
+	dl := s.peerDst(pm.PeerDst())
+	if dl == nil {
+		return
+	}
+	s.sim.After(s.cfg.SwitchLatency, func() { dl.Send(pm) })
+}
+
+// answerProbe echoes a health probe. Probes target the primary: they
+// are the fail-up ladder's evidence that rung 0 is worth returning to.
+//
+//switchml:allow hotpath -- health-probe answer: control plane, a few packets per probe period, allocated and scheduled through the general At API
+func (s *switchNode) answerProbe(p *packet.Packet) {
+	if s.down {
+		return // a dead aggregation program answers nothing
+	}
+	ack := packet.NewControl(packet.KindProbeAck, p.WorkerID, p.JobID, 0, nil)
+	ack.Idx = p.Idx
+	s.sim.After(s.cfg.SwitchLatency, func() { s.downlinks[ack.WorkerID].Send(ack) })
+}
+
+// emit puts a response on the wire once it has crossed the pipeline;
+// it is the pipeline queue's callback.
+//
+//switchml:hotpath
+func (s *switchNode) emit(e egress) {
+	if !e.multicast {
+		e.f.refs = 1
+		s.downlinks[e.f.pkt.WorkerID].Send(e.f)
+		return
+	}
+	e.f.refs = len(s.downlinks)
+	for _, dl := range s.downlinks {
+		dl.Send(e.f)
+	}
 }
 
 // WorkerHost adapts core.Worker to netsim: it owns the uplink,
@@ -837,9 +983,15 @@ type WorkerHost struct {
 	// sharded to cores by idx % Cores, mirroring Flow Director
 	// steering with disjoint slot sets per core (Appendix B).
 	coreFree []netsim.Time
-	// timers holds the per-slot retransmission timer; the zero Timer
-	// means none armed.
-	timers []netsim.Timer
+	// cores[c] is virtual core c's run queue: the packets it has been
+	// charged for, each due when its processing completes. coreFree is
+	// monotone, so a core's work completes in the order it was queued.
+	cores []*netsim.Queue[work]
+	// actor names the host in trace events.
+	actor string
+	// timers holds the per-slot retransmission timer, its timeout
+	// callback bound once.
+	timers []netsim.Alarm
 	// backoff counts consecutive timeouts per slot; the RTO doubles
 	// with each (capped), preventing retransmission storms when the
 	// timeout is set below the loaded RTT — the adaptation §6 calls
@@ -888,7 +1040,32 @@ type WorkerHost struct {
 	peerRecv func(allreduce.PeerMsg)
 	// onStall reports a NoFallback stall to the rack.
 	onStall func(worker uint16)
+	// release gives back the host's reference to a result frame once
+	// it has been read; nil when results are not pooled (internal/hier).
+	release func(*frame)
 }
+
+// work is one packet's worth of processing queued on a host core.
+type work struct {
+	op workOp
+	// idx is the slot, for opRetransmit.
+	idx uint32
+	// p is the update to transmit (opTransmit) or the result to absorb
+	// (opResult); f is the pooled frame p lives in, if any.
+	p *packet.Packet
+	f *frame
+}
+
+type workOp uint8
+
+const (
+	// opTransmit sends a freshly built update (initial window, resume).
+	opTransmit workOp = iota
+	// opResult absorbs a result delivered by the switch.
+	opResult
+	// opRetransmit rebuilds and re-sends a timed-out slot's update.
+	opRetransmit
+)
 
 // stallLimit is the consecutive-timeout budget per slot under
 // NoFallback. Reaching it with exponential backoff means the switch
@@ -916,11 +1093,20 @@ func NewWorkerHost(sim *netsim.Sim, cfg Config, id uint16) (*WorkerHost, error) 
 		worker:   w,
 		wcfg:     wcfg,
 		coreFree: make([]netsim.Time, cfg.Cores),
-		timers:   make([]netsim.Timer, cfg.PoolSize),
+		cores:    make([]*netsim.Queue[work], cfg.Cores),
+		actor:    fmt.Sprintf("w%d", id),
+		timers:   make([]netsim.Alarm, cfg.PoolSize),
 		backoff:  make([]uint8, cfg.PoolSize),
 		sentAt:   make([]netsim.Time, cfg.PoolSize),
 		retxed:   make([]bool, cfg.PoolSize),
 		stall:    make([]uint8, cfg.PoolSize),
+	}
+	for c := range h.cores {
+		h.cores[c] = netsim.NewQueue(sim, h.run)
+	}
+	for i := range h.timers {
+		idx := uint32(i)
+		h.timers[i] = sim.NewAlarm(func() { h.timeout(idx) })
 	}
 	if cfg.Metrics != nil {
 		h.rttHist = cfg.Metrics.Histogram("rack_rtt_ns", telemetry.LatencyBuckets)
@@ -935,19 +1121,31 @@ func (h *WorkerHost) trace(t telemetry.EventType, idx int32, off int64) {
 		return
 	}
 	e := telemetry.Ev(t, int64(h.sim.Now()))
-	e.Actor = fmt.Sprintf("w%d", h.worker.Config().ID)
-	e.Worker = int32(h.worker.Config().ID)
+	e.Actor = h.actor
+	e.Worker = int32(h.wcfg.ID)
 	e.Slot = idx
 	e.Off = off
+	h.cfg.Tracer.Emit(e)
+}
+
+// traceTensorStart marks the start of a tensor of n elements.
+func (h *WorkerHost) traceTensorStart(n int) {
+	if h.cfg.Tracer == nil {
+		return
+	}
+	e := telemetry.Ev(telemetry.EvTensorStart, int64(h.sim.Now()))
+	e.Actor = h.actor
+	e.Worker = int32(h.wcfg.ID)
+	e.Size = int32(4 * n)
 	h.cfg.Tracer.Emit(e)
 }
 
 // core returns the virtual core owning a slot.
 func (h *WorkerHost) coreOf(idx uint32) int { return int(idx) % h.cfg.Cores }
 
-// charge occupies the slot's core for one packet's processing and
-// returns the completion time.
-func (h *WorkerHost) charge(idx uint32) netsim.Time {
+// charge occupies slot idx's core for one packet's processing and
+// queues w to run when it completes.
+func (h *WorkerHost) charge(idx uint32, w work) {
 	c := h.coreOf(idx)
 	start := h.coreFree[c]
 	if now := h.sim.Now(); start < now {
@@ -955,7 +1153,32 @@ func (h *WorkerHost) charge(idx uint32) netsim.Time {
 	}
 	done := start + h.cfg.PerPacketCost
 	h.coreFree[c] = done
-	return done
+	h.cores[c].Push(done, w)
+}
+
+// run is the core queues' callback: the core has finished processing
+// the packet behind w.
+//
+//switchml:hotpath
+func (h *WorkerHost) run(w work) {
+	switch w.op {
+	case opTransmit:
+		h.transmit(w.p, false)
+	case opResult:
+		h.absorb(w.p)
+		if w.f != nil {
+			h.release(w.f)
+		}
+	case opRetransmit:
+		// Build the retransmission at transmit time, not at timer-fire
+		// time: the slot's core may still hold an unprocessed result
+		// that advances the slot before the CPU frees up, and a stale
+		// snapshot would then reach the wire *after* the next-phase
+		// update, violating the FIFO ordering the protocol relies on.
+		if rt := h.worker.Retransmit(w.idx); rt != nil {
+			h.transmit(rt, true)
+		}
+	}
 }
 
 // SetUplink attaches the host's transmit link; it must be called
@@ -971,81 +1194,76 @@ func (h *WorkerHost) Worker() *core.Worker { return h.worker }
 func (h *WorkerHost) Start(u []int32, onDone func(netsim.Time)) {
 	h.onDone = onDone
 	h.finished = false
-	if h.cfg.Tracer != nil {
-		e := telemetry.Ev(telemetry.EvTensorStart, int64(h.sim.Now()))
-		e.Actor = fmt.Sprintf("w%d", h.worker.Config().ID)
-		e.Worker = int32(h.worker.Config().ID)
-		e.Size = int32(4 * len(u))
-		h.cfg.Tracer.Emit(e)
-	}
+	h.traceTensorStart(len(u))
 	pkts := h.worker.Start(u)
 	if len(pkts) == 0 {
-		// Empty tensor: complete immediately.
-		t := h.sim.Now()
-		h.sim.At(t, func() {
-			h.finished = true
-			h.trace(telemetry.EvTensorDone, -1, -1)
-			onDone(t)
-		})
+		h.finishEmpty(onDone)
 		return
 	}
 	for _, p := range pkts {
-		p := p
-		h.sim.At(h.charge(p.Idx), func() { h.transmit(p, false) })
+		h.charge(p.Idx, work{op: opTransmit, p: p})
 	}
+}
+
+// finishEmpty completes an empty tensor: immediately, but from inside
+// the event loop like every other completion.
+func (h *WorkerHost) finishEmpty(onDone func(netsim.Time)) {
+	t := h.sim.Now()
+	h.sim.At(t, func() {
+		h.finished = true
+		h.trace(telemetry.EvTensorDone, -1, -1)
+		onDone(t)
+	})
 }
 
 // transmit puts an update on the uplink and arms its retransmission
-// timer.
+// timer. The uplink takes the packet over; a crashed host returns it
+// to the pool instead.
+//
+//switchml:hotpath
 func (h *WorkerHost) transmit(p *packet.Packet, retransmit bool) {
 	if h.crashed {
+		packet.PutPacket(p)
 		return
 	}
+	idx := p.Idx
 	if retransmit {
-		h.trace(telemetry.EvRetransmit, int32(p.Idx), int64(p.Off))
+		h.trace(telemetry.EvRetransmit, int32(idx), int64(p.Off))
 	}
-	h.sentAt[p.Idx] = h.sim.Now()
-	h.retxed[p.Idx] = retransmit
+	h.sentAt[idx] = h.sim.Now()
+	h.retxed[idx] = retransmit
 	h.uplink.Send(p)
-	h.armTimer(p.Idx)
+	h.armTimer(idx)
 }
 
+// armTimer (re)starts slot idx's retransmission timer.
+//
+//switchml:hotpath
 func (h *WorkerHost) armTimer(idx uint32) {
-	h.timers[idx].Cancel()
-	rto := h.rto() << h.backoff[idx]
-	h.timers[idx] = h.sim.After(rto, func() {
-		h.timers[idx] = netsim.Timer{}
-		if !h.worker.Pending(idx) {
+	h.timers[idx].Set(h.sim.Now() + h.rto()<<h.backoff[idx])
+}
+
+// timeout is slot idx's retransmission timer firing.
+func (h *WorkerHost) timeout(idx uint32) {
+	if !h.worker.Pending(idx) {
+		return
+	}
+	h.trace(telemetry.EvTimeoutFired, int32(idx), -1)
+	if h.backoff[idx] < 6 {
+		h.backoff[idx]++
+	}
+	if h.cfg.NoFallback {
+		if h.stall[idx]++; h.stall[idx] >= stallLimit {
+			// Fallback was declined; abandon the step so the
+			// simulation drains and the caller gets the typed error.
+			h.cancelTimers()
+			if h.onStall != nil {
+				h.onStall(h.wcfg.ID)
+			}
 			return
 		}
-		h.trace(telemetry.EvTimeoutFired, int32(idx), -1)
-		if h.backoff[idx] < 6 {
-			h.backoff[idx]++
-		}
-		if h.cfg.NoFallback {
-			if h.stall[idx]++; h.stall[idx] >= stallLimit {
-				// Fallback was declined; abandon the step so the
-				// simulation drains and the caller gets the typed error.
-				h.cancelTimers()
-				if h.onStall != nil {
-					h.onStall(h.wcfg.ID)
-				}
-				return
-			}
-		}
-		// Build the retransmission at transmit time, not at timer-fire
-		// time: the slot's core may still hold an unprocessed result
-		// that advances the slot before the CPU frees up, and a stale
-		// snapshot would then reach the wire *after* the next-phase
-		// update, violating the FIFO ordering the protocol relies on.
-		h.sim.At(h.charge(idx), func() {
-			rt := h.worker.Retransmit(idx)
-			if rt == nil {
-				return
-			}
-			h.transmit(rt, true)
-		})
-	})
+	}
+	h.charge(idx, work{op: opRetransmit, idx: idx})
 }
 
 // rto returns the base retransmission timeout, adapted to the
@@ -1088,21 +1306,10 @@ func (h *WorkerHost) observeRTT(sample netsim.Time) {
 func (h *WorkerHost) startHosted(u []int32, onDone func(netsim.Time)) {
 	h.onDone = onDone
 	h.finished = false
-	if h.cfg.Tracer != nil {
-		e := telemetry.Ev(telemetry.EvTensorStart, int64(h.sim.Now()))
-		e.Actor = fmt.Sprintf("w%d", h.worker.Config().ID)
-		e.Worker = int32(h.worker.Config().ID)
-		e.Size = int32(4 * len(u))
-		h.cfg.Tracer.Emit(e)
-	}
+	h.traceTensorStart(len(u))
 	h.worker.StartHosted(u)
 	if len(u) == 0 {
-		t := h.sim.Now()
-		h.sim.At(t, func() {
-			h.finished = true
-			h.trace(telemetry.EvTensorDone, -1, -1)
-			onDone(t)
-		})
+		h.finishEmpty(onDone)
 	}
 }
 
@@ -1111,8 +1318,7 @@ func (h *WorkerHost) startHosted(u []int32, onDone func(netsim.Time)) {
 // handoff) or rebuilt (failback, resume).
 func (h *WorkerHost) cancelTimers() {
 	for i := range h.timers {
-		h.timers[i].Cancel()
-		h.timers[i] = netsim.Timer{}
+		h.timers[i].Stop()
 		h.backoff[i] = 0
 		h.retxed[i] = false
 		h.stall[i] = 0
@@ -1120,18 +1326,31 @@ func (h *WorkerHost) cancelTimers() {
 }
 
 // Deliver receives a result packet from the switch, a probe answer, or
-// a fallback ring burst forwarded by the crossbar.
+// a fallback ring burst forwarded by the crossbar. A result in a
+// pooled frame arrives with one reference, which the host holds until
+// its core has read the packet.
+//
+//switchml:hotpath
 func (h *WorkerHost) Deliver(msg netsim.Message) {
-	if h.crashed {
-		return
-	}
-	if pm, ok := msg.(allreduce.PeerMsg); ok {
-		if h.peerRecv != nil {
-			h.peerRecv(pm)
+	var p *packet.Packet
+	var f *frame
+	switch m := msg.(type) {
+	case *frame:
+		p, f = &m.pkt, m
+	case *packet.Packet:
+		p = m
+	case allreduce.PeerMsg:
+		if !h.crashed && h.peerRecv != nil {
+			h.peerRecv(m)
 		}
 		return
 	}
-	p := msg.(*packet.Packet)
+	if h.crashed {
+		if f != nil {
+			h.release(f)
+		}
+		return
+	}
 	if p.Kind == packet.KindProbeAck {
 		if h.probeAck != nil {
 			h.probeAck(p)
@@ -1141,46 +1360,49 @@ func (h *WorkerHost) Deliver(msg netsim.Message) {
 	if h.observe != nil {
 		h.observe()
 	}
-	done := h.charge(p.Idx)
-	h.sim.At(done, func() {
-		if h.crashed {
-			return
+	h.charge(p.Idx, work{op: opResult, p: p, f: f})
+}
+
+// absorb feeds a result to the protocol state machine once the slot's
+// core has processed it, and sends the follow-up it unlocks.
+func (h *WorkerHost) absorb(p *packet.Packet) {
+	if h.crashed {
+		return
+	}
+	idx := p.Idx
+	next, finished := h.worker.HandleResult(p)
+	if next == nil && !finished && h.worker.Pending(idx) {
+		// Stale result: the slot is still in flight; leave the
+		// timer armed.
+		return
+	}
+	h.timers[idx].Stop()
+	h.backoff[idx] = 0
+	h.stall[idx] = 0
+	sample := h.sim.Now() - h.sentAt[idx]
+	if h.cfg.AdaptiveRTO && !h.retxed[idx] {
+		// Karn's rule: only unambiguous samples train the
+		// estimator.
+		h.observeRTT(sample)
+	}
+	if h.rttHist != nil && !h.retxed[idx] {
+		h.rttHist.Observe(float64(sample))
+	}
+	if h.cfg.SampleRTT && h.wcfg.ID == 0 {
+		//switchml:allow hotpath -- opt-in RTT sampling (Figure 2) collects every sample by design
+		h.rtts = append(h.rtts, sample)
+	}
+	if next != nil {
+		// Self-clocked follow-up (Algorithm 4 line 17); the CPU
+		// charge for the receive covers the run-to-completion
+		// send.
+		h.transmit(next, false)
+	}
+	if finished {
+		h.finished = true
+		h.trace(telemetry.EvTensorDone, -1, -1)
+		if h.onDone != nil {
+			h.onDone(h.sim.Now())
 		}
-		next, finished := h.worker.HandleResult(p)
-		if next == nil && !finished && h.worker.Pending(p.Idx) {
-			// Stale result: the slot is still in flight; leave the
-			// timer armed.
-			return
-		}
-		h.timers[p.Idx].Cancel()
-		h.timers[p.Idx] = netsim.Timer{}
-		h.backoff[p.Idx] = 0
-		h.stall[p.Idx] = 0
-		if sample := h.sim.Now() - h.sentAt[p.Idx]; true {
-			if h.cfg.AdaptiveRTO && !h.retxed[p.Idx] {
-				// Karn's rule: only unambiguous samples train the
-				// estimator.
-				h.observeRTT(sample)
-			}
-			if h.rttHist != nil && !h.retxed[p.Idx] {
-				h.rttHist.Observe(float64(sample))
-			}
-			if h.cfg.SampleRTT && h.worker.Config().ID == 0 {
-				h.rtts = append(h.rtts, sample)
-			}
-		}
-		if next != nil {
-			// Self-clocked follow-up (Algorithm 4 line 17); the CPU
-			// charge for the receive covers the run-to-completion
-			// send.
-			h.transmit(next, false)
-		}
-		if finished {
-			h.finished = true
-			h.trace(telemetry.EvTensorDone, -1, -1)
-			if h.onDone != nil {
-				h.onDone(h.sim.Now())
-			}
-		}
-	})
+	}
 }
