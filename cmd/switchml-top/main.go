@@ -205,6 +205,11 @@ func runSelftest(asJSON bool) error {
 		if w.RTOMs <= 0 {
 			return fmt.Errorf("worker %d reports no RTO", w.Worker)
 		}
+		// Loopback loses nothing: an early retransmission here means
+		// lap detection fired without a loss.
+		if w.EarlyRetransmissions != 0 {
+			return fmt.Errorf("worker %d: %d early retransmissions on a lossless run", w.Worker, w.EarlyRetransmissions)
+		}
 	}
 	// The view must round-trip as JSON for -json scripting.
 	data, err := json.Marshal(v)
@@ -214,6 +219,19 @@ func runSelftest(asJSON bool) error {
 	var rt top.ClusterView
 	if err := json.Unmarshal(data, &rt); err != nil {
 		return err
+	}
+	var doc struct {
+		Workers []map[string]json.RawMessage `json:"workers"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return err
+	}
+	for i, w := range doc.Workers {
+		for _, key := range []string{"loss_rate", "retransmissions", "early_retransmissions"} {
+			if _, ok := w[key]; !ok {
+				return fmt.Errorf("worker row %d lacks the %q column", i, key)
+			}
+		}
 	}
 	emit(v, asJSON)
 	fmt.Fprintln(os.Stderr, "selftest ok")

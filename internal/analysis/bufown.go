@@ -356,7 +356,8 @@ func isPackageLevel(v *types.Var) bool {
 // checkTrainFlush enforces netio's AppendTrain contract: the block
 // argument must not be reassigned between AppendTrain and the next
 // Flush in the same statement list — in GSO mode the send at Flush
-// reads the caller's storage directly.
+// reads the caller's storage directly. A staged sub-slice (one run of
+// the block) pins the whole block the same way.
 func checkTrainFlush(pkg *Package, fd *ast.FuncDecl, report func(token.Pos, string, ...any)) {
 	var walkList func(list []ast.Stmt)
 	walkList = func(list []ast.Stmt) {
@@ -420,8 +421,8 @@ func stmtCallsMethod(stmt ast.Stmt, name string) bool {
 	return found
 }
 
-// exprPath flattens an ident/selector chain ("sh.block"); "" for
-// anything more complex.
+// exprPath flattens an ident/selector chain, through any slicing
+// ("sh.block[a:b]" is "sh.block"); "" for anything more complex.
 func exprPath(e ast.Expr) string {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:

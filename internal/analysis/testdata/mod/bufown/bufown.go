@@ -120,3 +120,22 @@ func ResetAfterFlush(c *conn, block []byte) {
 	block = block[:0]
 	_ = block
 }
+
+// EarlyResetRun stages only a run of the block — a sub-slice still
+// sends from the block's storage, so the rule follows it.
+func EarlyResetRun(c *conn, block []byte) {
+	c.AppendTrain(block[2:6], 1)
+	block = block[:0] // want "block reassigned between AppendTrain and Flush; the staged train still references it"
+	c.Flush()
+	_ = block
+}
+
+// RunsThenFlush stages the block as two runs around a gap and reuses
+// it after the flush: clean.
+func RunsThenFlush(c *conn, block []byte) {
+	c.AppendTrain(block[:2], 1)
+	c.AppendTrain(block[3:], 1)
+	c.Flush()
+	block = block[:0]
+	_ = block
+}

@@ -23,6 +23,8 @@ type channelHarness struct {
 	done     []bool
 	loss     float64
 	dup      float64
+	// early counts the lap-detected retransmissions the schedule made.
+	early int
 }
 
 func newChannelHarness(t *testing.T, rng *rand.Rand, n, s, k int, loss, dup float64) *channelHarness {
@@ -140,6 +142,13 @@ func (h *channelHarness) deliver(toSwitch bool, w int, p *packet.Packet) {
 	if fin {
 		h.done[w] = true
 	}
+	// Early retransmission, as the UDP client does after every burst:
+	// random schedules and loss lap slots constantly, and the extra
+	// copies must never disturb a sum.
+	for _, idx := range h.workers[w].Lapped(nil) {
+		h.up[w] = append(h.up[w], h.workers[w].Retransmit(idx))
+		h.early++
+	}
 }
 
 func (h *channelHarness) allDone() bool {
@@ -155,7 +164,7 @@ func TestRandomInterleavings(t *testing.T) {
 	// Many random schedules across link interleavings, loss and
 	// duplication: the aggregate must always be exact.
 	rng := rand.New(rand.NewSource(2024))
-	trials := 60
+	trials, early := 60, 0
 	if testing.Short() {
 		trials = 10
 	}
@@ -170,6 +179,10 @@ func TestRandomInterleavings(t *testing.T) {
 		us := randUpdates(rng, n, d)
 		got := h.aggregate(us)
 		checkEqual(t, got, goldenSum(us))
+		early += h.early
+	}
+	if early == 0 {
+		t.Error("no schedule lapped a slot: the early-retransmission path went untested")
 	}
 }
 

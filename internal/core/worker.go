@@ -55,13 +55,22 @@ type pendingSlot struct {
 	elems int
 	// ver is the pool version the chunk was sent with.
 	ver uint8
+	// seq is the worker-wide send number of the packet last produced
+	// for this chunk (sendChunk or Retransmit); retx marks that the
+	// chunk has been retransmitted, so a result for it may answer an
+	// earlier copy and proves nothing about seq (Karn's rule). lapped
+	// marks that Lapped reported this send, so each send is reported
+	// once and Retransmit can tell an early retransmission from a
+	// timer-driven one.
+	seq          uint64
+	retx, lapped bool
 }
 
 // workerCounters are the worker's live atomic counters; WorkerStats
 // is their snapshot view.
 type workerCounters struct {
 	sent, retransmissions, results, staleResults *telemetry.Counter
-	selfCompletions                              *telemetry.Counter
+	selfCompletions, earlyRetransmissions        *telemetry.Counter
 }
 
 // newWorkerCounters binds the counters into reg when non-nil (labeled
@@ -71,16 +80,17 @@ func newWorkerCounters(reg *telemetry.Registry, id uint16) workerCounters {
 		return workerCounters{
 			sent: &telemetry.Counter{}, retransmissions: &telemetry.Counter{},
 			results: &telemetry.Counter{}, staleResults: &telemetry.Counter{},
-			selfCompletions: &telemetry.Counter{},
+			selfCompletions: &telemetry.Counter{}, earlyRetransmissions: &telemetry.Counter{},
 		}
 	}
 	label := []string{"worker", fmt.Sprintf("%d", id)}
 	return workerCounters{
-		sent:            reg.Counter("worker_sent_total", label...),
-		retransmissions: reg.Counter("worker_retransmissions_total", label...),
-		results:         reg.Counter("worker_results_total", label...),
-		staleResults:    reg.Counter("worker_stale_results_total", label...),
-		selfCompletions: reg.Counter("worker_self_completions_total", label...),
+		sent:                 reg.Counter("worker_sent_total", label...),
+		retransmissions:      reg.Counter("worker_retransmissions_total", label...),
+		earlyRetransmissions: reg.Counter("worker_early_retransmissions_total", label...),
+		results:              reg.Counter("worker_results_total", label...),
+		staleResults:         reg.Counter("worker_stale_results_total", label...),
+		selfCompletions:      reg.Counter("worker_self_completions_total", label...),
 	}
 }
 
@@ -88,8 +98,13 @@ func newWorkerCounters(reg *telemetry.Registry, id uint16) workerCounters {
 type WorkerStats struct {
 	// Sent counts update packets produced (excluding retransmissions).
 	Sent uint64
-	// Retransmissions counts packets re-produced by Retransmit.
+	// Retransmissions counts packets re-produced by Retransmit, for
+	// whichever reason.
 	Retransmissions uint64
+	// EarlyRetransmissions counts the subset of Retransmissions made
+	// for a slot Lapped had reported: recovery riding the ack clock
+	// rather than the host's timer.
+	EarlyRetransmissions uint64
 	// Results counts accepted result packets.
 	Results uint64
 	// StaleResults counts ignored results (duplicates from a multicast
@@ -112,7 +127,8 @@ type WorkerStats struct {
 // The Worker performs no I/O and keeps no timers. Hosts call Start to
 // get the initial window, feed results to HandleResult (sending the
 // returned follow-up packet, if any), and call Retransmit for slots
-// whose timers expire.
+// whose timers expire — and, to recover a loss without waiting for
+// the timer, for slots Lapped reports.
 type Worker struct {
 	cfg WorkerConfig
 	// u is the tensor being aggregated (the local model update).
@@ -133,7 +149,10 @@ type Worker struct {
 	// aggregate; the failure-recovery resume path re-sends from the
 	// first gap.
 	chunkDone []bool
-	ctr       workerCounters
+	// seq numbers every update this worker produces; acked is the
+	// highest number a result has vouched for (see Lapped).
+	seq, acked uint64
+	ctr        workerCounters
 }
 
 // NewWorker returns a worker ready for its first Start call.
@@ -157,11 +176,12 @@ func (w *Worker) Config() WorkerConfig { return w.cfg }
 // while the worker handles packets.
 func (w *Worker) Stats() WorkerStats {
 	return WorkerStats{
-		Sent:            w.ctr.sent.Value(),
-		Retransmissions: w.ctr.retransmissions.Value(),
-		Results:         w.ctr.results.Value(),
-		StaleResults:    w.ctr.staleResults.Value(),
-		SelfCompletions: w.ctr.selfCompletions.Value(),
+		Sent:                 w.ctr.sent.Value(),
+		Retransmissions:      w.ctr.retransmissions.Value(),
+		EarlyRetransmissions: w.ctr.earlyRetransmissions.Value(),
+		Results:              w.ctr.results.Value(),
+		StaleResults:         w.ctr.staleResults.Value(),
+		SelfCompletions:      w.ctr.selfCompletions.Value(),
 	}
 }
 
@@ -230,7 +250,8 @@ func (w *Worker) sendChunk(idx uint32, local int) *packet.Packet {
 		ver = w.ver[idx]
 		w.ver[idx] = 1 - ver
 	}
-	w.pend[idx] = pendingSlot{active: true, off: w.base + uint64(local), elems: elems, ver: ver}
+	w.seq++
+	w.pend[idx] = pendingSlot{active: true, off: w.base + uint64(local), elems: elems, ver: ver, seq: w.seq}
 	w.ctr.sent.Inc()
 	// Packets come from the shared pool: hosts that transmit
 	// synchronously (the UDP client) return them after marshalling,
@@ -281,6 +302,9 @@ func (w *Worker) HandleResult(p *packet.Packet) (next *packet.Packet, done bool)
 		return nil, false
 	}
 	w.ctr.results.Inc()
+	if !pd.retx && pd.seq > w.acked {
+		w.acked = pd.seq
+	}
 	w.remaining -= pd.elems
 	w.chunkDone[local/w.cfg.SlotElems] = true
 	pd.active = false
@@ -317,10 +341,49 @@ func (w *Worker) Retransmit(idx uint32) *packet.Packet {
 		return nil
 	}
 	w.ctr.retransmissions.Inc()
+	if pd.lapped {
+		w.ctr.earlyRetransmissions.Inc()
+	}
+	// A fresh number: a lost retransmission is lapped in its own turn.
+	w.seq++
+	pd.seq, pd.retx, pd.lapped = w.seq, true, false
 	local := int(pd.off - w.base)
 	p := packet.GetPacket()
 	p.SetUpdate(w.cfg.ID, w.cfg.JobID, pd.ver, idx, pd.off, w.u[local:local+pd.elems])
 	return p
+}
+
+// Lapped appends to dst the slots whose in-flight packet has been
+// overtaken by a whole window and returns it: a result has been
+// accepted for a never-retransmitted packet this worker sent at least
+// PoolSize sends after the slot's own. Self-clocked, in-order
+// streaming (Algorithm 4) answers packets in the order they were
+// sent and holds at most PoolSize of them in flight, so without a
+// loss no pending packet ever falls that far behind; result
+// reordering of fewer than PoolSize positions cannot fake it. A host
+// that retransmits the reported slots recovers a loss in about one
+// trip round the window instead of one timeout. What no later traffic
+// can lap — the last window of a tensor, a tensor of a single window,
+// a silent switch — is left to the host's timer. Each send is
+// reported at most once; Retransmit renumbers the slot, so a lost
+// retransmission is reported again when it is lapped in its turn.
+// Lapped allocates only if dst must grow beyond PoolSize entries.
+//
+//switchml:hotpath
+func (w *Worker) Lapped(dst []uint32) []uint32 {
+	window := uint64(w.cfg.PoolSize)
+	if w.acked < window {
+		return dst
+	}
+	mark := w.acked - window
+	for i := range w.pend {
+		pd := &w.pend[i]
+		if pd.active && !pd.lapped && pd.seq <= mark {
+			pd.lapped = true
+			dst = append(dst, uint32(i)) //switchml:allow hotpath -- append into the caller's reused buffer; at most PoolSize entries
+		}
+	}
+	return dst
 }
 
 // ChunkCount returns the number of chunks in the current (or last
@@ -587,6 +650,14 @@ func (w *Worker) InstallHostAggregate(off uint64, vals []int32) error {
 // it to decide whether to re-arm timers.
 func (w *Worker) Pending(idx uint32) bool {
 	return int(idx) < len(w.pend) && w.pend[idx].active
+}
+
+// Retransmitted reports whether slot idx's in-flight chunk has been
+// retransmitted: a result for it may answer any of the copies, so its
+// round trip is no RTT sample (Karn's rule) — and, inside the worker,
+// no evidence for Lapped.
+func (w *Worker) Retransmitted(idx uint32) bool {
+	return int(idx) < len(w.pend) && w.pend[idx].active && w.pend[idx].retx
 }
 
 // PendingCount returns the number of in-flight chunks.

@@ -131,6 +131,10 @@ type WorkerView struct {
 	Retransmissions uint64  `json:"retransmissions"`
 	Degrades        uint64  `json:"degrades"`
 	Failbacks       uint64  `json:"failbacks"`
+	// EarlyRetransmissions is the share of Retransmissions triggered
+	// by lap detection rather than an RTO expiry: close to the total
+	// when recovery rides the ack clock, zero when it waits for timers.
+	EarlyRetransmissions uint64 `json:"early_retransmissions"`
 	// SendErrors is the worker's cumulative udp_send_errors counter.
 	SendErrors uint64 `json:"udp_send_errors"`
 }
@@ -278,6 +282,8 @@ func (p *Poller) Poll() (*ClusterView, error) {
 			Degrades:        st.Fallback.Degrades,
 			Failbacks:       st.Fallback.Failbacks,
 			SendErrors:      st.SendErrors,
+			// Of Retransmissions, how many did not wait for the timer.
+			EarlyRetransmissions: st.Stats.EarlyRetransmissions,
 		}
 		if st.Degraded {
 			wv.State = "DEGRADED"
@@ -400,14 +406,14 @@ func Render(w io.Writer, v *ClusterView) {
 		}
 	}
 	if len(v.Workers) > 0 {
-		fmt.Fprintf(w, "%-3s %-9s %-4s %-5s %9s %9s %10s %5s %10s %10s %6s %7s %5s %s\n",
+		fmt.Fprintf(w, "%-3s %-9s %-4s %-5s %9s %9s %10s %5s %10s %10s %6s %7s %7s %5s %s\n",
 			"wrk", "state", "home", "epoch", "srtt", "rto", "frontier", "pend",
-			"rx/s", "tx/s", "loss", "retx", "serr", "deg/fb/rh")
+			"rx/s", "tx/s", "loss", "retx", "early", "serr", "deg/fb/rh")
 		for _, wk := range v.Workers {
-			fmt.Fprintf(w, "%-3d %-9s %-4d %-5d %7.2fms %7.2fms %10d %5d %10.0f %10.0f %5.1f%% %7d %5d %d/%d/%d\n",
+			fmt.Fprintf(w, "%-3d %-9s %-4d %-5d %7.2fms %7.2fms %10d %5d %10.0f %10.0f %5.1f%% %7d %7d %5d %d/%d/%d\n",
 				wk.Worker, wk.State, wk.HomeRank, wk.Epoch, wk.SRTTMs, wk.RTOMs,
 				wk.FrontierOff, wk.PendingChunks, wk.RxRate, wk.TxRate,
-				wk.LossRate*100, wk.Retransmissions, wk.SendErrors, wk.Degrades, wk.Failbacks, wk.Rehomes)
+				wk.LossRate*100, wk.Retransmissions, wk.EarlyRetransmissions, wk.SendErrors, wk.Degrades, wk.Failbacks, wk.Rehomes)
 		}
 	}
 	for _, e := range v.Errors {

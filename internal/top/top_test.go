@@ -102,7 +102,7 @@ func TestPollerRatesAndFlags(t *testing.T) {
 		SRTTNs: 2_000_000, RTONs: 8_000_000,
 		FrontierOff: 8192, PendingChunks: 0,
 		Received: 300, Sent: 350,
-		Stats:      core.WorkerStats{Sent: 310, Retransmissions: 50},
+		Stats:      core.WorkerStats{Sent: 310, Retransmissions: 50, EarlyRetransmissions: 45},
 		Fallback:   transport.FallbackStats{Degrades: 2, Failbacks: 1},
 		SendErrors: 3,
 	}))
@@ -141,6 +141,9 @@ func TestPollerRatesAndFlags(t *testing.T) {
 	if got := wk.LossRate; got != 0.2 {
 		t.Errorf("loss rate = %v, want 0.2", got)
 	}
+	if wk.Retransmissions != 50 || wk.EarlyRetransmissions != 45 {
+		t.Errorf("retransmissions/early = %d/%d, want 50/45", wk.Retransmissions, wk.EarlyRetransmissions)
+	}
 	joined := strings.Join(v2.Flags, " ")
 	if !strings.Contains(joined, "loss-spike(w0") {
 		t.Errorf("flags %v missing loss spike", v2.Flags)
@@ -157,7 +160,7 @@ func TestPollerRatesAndFlags(t *testing.T) {
 	var buf bytes.Buffer
 	Render(&buf, v2)
 	out := buf.String()
-	for _, want := range []string{"DEGRADED", "loss-spike", "rx/s", "agg ", "serr", "io mmsg/32"} {
+	for _, want := range []string{"DEGRADED", "loss-spike", "rx/s", "agg ", "serr", "io mmsg/32", "   retx   early", "     50      45"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q in:\n%s", want, out)
 		}
@@ -172,7 +175,7 @@ func TestPollerRatesAndFlags(t *testing.T) {
 	if err := json.Unmarshal(data, &rt); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Workers[0].LossRate != 0.2 || rt.Agg.ShardImbalance != 3.75 {
+	if rt.Workers[0].LossRate != 0.2 || rt.Agg.ShardImbalance != 3.75 || rt.Workers[0].EarlyRetransmissions != 45 {
 		t.Errorf("JSON round trip lost fields: %+v", rt)
 	}
 }

@@ -84,9 +84,11 @@ type AggregatorConfig struct {
 	Absent []int
 	// Inject, when non-nil, applies seeded loss, duplication and
 	// corruption to outgoing result datagrams — chaos testing on
-	// loopback networks that never misbehave. Control datagrams
-	// (reconfig/resume) are sent clean; on a real network they are
-	// protected by the sweep-period rebroadcast instead.
+	// loopback networks that never misbehave. Verdicts are drawn per
+	// (peer, datagram) as results are staged and flushed, so an
+	// injected run uses the same I/O path as a clean one. Control
+	// datagrams (reconfig/resume) are sent clean; on a real network
+	// they are protected by the sweep-period rebroadcast instead.
 	Inject *faults.InjectorConfig
 	// Metrics receives the aggregator's counters (datagram traffic and
 	// the switch protocol counters). Nil allocates a private registry,
@@ -298,7 +300,7 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	mtu := aggWireMTU(cfg.Switch.SlotElems)
 	for i := 0; i < cfg.Shards; i++ {
 		a.shardCtrs[i] = reg.Counter("agg_shard_datagrams_total", "shard", fmt.Sprintf("%d", i))
-		sh := &aggShard{datagrams: a.shardCtrs[i]}
+		sh := &aggShard{datagrams: a.shardCtrs[i], mangled: make([]byte, 0, mtu)}
 		if cfg.Batch > 1 {
 			nc, werr := netio.Wrap(conns[i%len(conns)], netio.Config{
 				Batch:       cfg.Batch,
@@ -559,12 +561,17 @@ func (a *Aggregator) stageMulticast(sh *aggShard) {
 //switchml:hotpath
 func (a *Aggregator) flushShard(sh *aggShard) {
 	if len(sh.block) > 0 {
-		segs := uint64((len(sh.block) + sh.blockSeg - 1) / sh.blockSeg)
 		for i := range a.peers {
-			if ap := a.peers[i].Load(); ap != nil {
-				sh.nc.AppendTrain(sh.block, sh.blockSeg, *ap)
-				a.sent.Add(segs)
+			ap := a.peers[i].Load()
+			if ap == nil {
+				continue
 			}
+			if a.inj != nil {
+				a.trainInjected(sh, *ap)
+				continue
+			}
+			sh.nc.AppendTrain(sh.block, sh.blockSeg, *ap)
+			a.sent.Add(uint64(len(sh.block) / sh.blockSeg))
 		}
 	}
 	sh.nc.Flush()
@@ -573,6 +580,37 @@ func (a *Aggregator) flushShard(sh *aggShard) {
 	// untouched until the kernel has copied it out.
 	sh.block = sh.block[:0]
 	sh.blockSeg = 0
+}
+
+// trainInjected addresses the shard block to one peer under the fault
+// injector. Every segment draws its own verdict, and the block leaves
+// as the contiguous runs between the segments that are not delivered
+// intact — each run still a zero-copy train from the block's storage.
+// A corrupted segment goes out as a mangled copy, a duplicated one
+// stays in its run and is followed by one extra copy.
+//
+//switchml:hotpath
+func (a *Aggregator) trainInjected(sh *aggShard, peer netip.AddrPort) {
+	seg := sh.blockSeg
+	run := 0 // start of the current intact run
+	for off := 0; off+seg <= len(sh.block); off += seg {
+		switch a.inj.Judge() {
+		case faults.Pass:
+			continue
+		case faults.Duplicate:
+			sh.nc.AppendTo(sh.block[off:off+seg], peer)
+			a.sent.Inc()
+			continue
+		case faults.Corrupt:
+			sh.nc.AppendTo(a.mangle(sh, sh.block[off:off+seg]), peer)
+			a.sent.Inc()
+		}
+		sh.nc.AppendTrain(sh.block[run:off], seg, peer)
+		a.sent.Add(uint64((off - run) / seg))
+		run = off + seg
+	}
+	sh.nc.AppendTrain(sh.block[run:], seg, peer)
+	a.sent.Add(uint64((len(sh.block) - run) / seg))
 }
 
 // reply sends a control datagram back to a packet's source: staged on
@@ -654,7 +692,7 @@ func (a *Aggregator) handleUpdate(sh *aggShard, src netip.AddrPort) {
 	}
 	sh.wire = resp.Pkt.AppendMarshal(sh.wire[:0])
 	if resp.Multicast {
-		if sh.nc != nil && a.inj == nil {
+		if sh.nc != nil {
 			a.stageMulticast(sh)
 			return
 		}
@@ -667,12 +705,7 @@ func (a *Aggregator) handleUpdate(sh *aggShard, src netip.AddrPort) {
 	}
 	if int(resp.Pkt.WorkerID) < len(a.peers) {
 		if ap := a.peers[resp.Pkt.WorkerID].Load(); ap != nil {
-			if sh.nc != nil && a.inj == nil {
-				sh.nc.AppendTo(sh.wire, *ap)
-				a.sent.Inc()
-			} else {
-				a.write(sh, *ap)
-			}
+			a.write(sh, *ap)
 		}
 	}
 }
@@ -720,32 +753,42 @@ func (a *Aggregator) handleProbe(sh *aggShard, src netip.AddrPort) {
 // worker fails back.
 func (a *Aggregator) SetDown(down bool) { a.down.Store(down) }
 
-// write sends the shard's marshalled result datagram, consulting the
-// fault injector.
+// write sends the shard's marshalled result datagram to one peer,
+// consulting the fault injector: staged on the shard's batched socket
+// when it has one, immediate on the shared socket otherwise (Batch 1,
+// the only place a result costs one syscall).
 func (a *Aggregator) write(sh *aggShard, peer netip.AddrPort) {
-	out := sh.wire
-	writes := 1
+	out, copies := sh.wire, 1
 	if a.inj != nil {
 		switch a.inj.Judge() {
 		case faults.Drop:
 			return
 		case faults.Corrupt:
-			// The multicast loop shares sh.wire across peers; mangle a
-			// shard-local copy.
-			sh.mangled = append(sh.mangled[:0], out...)
-			a.inj.Mangle(sh.mangled)
-			out = sh.mangled
+			out = a.mangle(sh, out)
 		case faults.Duplicate:
-			writes = 2
+			copies = 2
 		}
 	}
-	for i := 0; i < writes; i++ {
-		if _, err := a.conn.WriteToUDPAddrPort(out, peer); err != nil {
+	for i := 0; i < copies; i++ {
+		if sh.nc != nil {
+			sh.nc.AppendTo(out, peer)
+		} else if _, err := a.conn.WriteToUDPAddrPort(out, peer); err != nil {
 			a.sendErrs.Inc()
 			continue
 		}
 		a.sent.Inc()
 	}
+}
+
+// mangle returns a corrupted shard-local copy of wire: the original
+// is shared across peers (the multicast block, or sh.wire in the
+// per-packet fan-out) and must stay intact.
+//
+//switchml:hotpath
+func (a *Aggregator) mangle(sh *aggShard, wire []byte) []byte {
+	sh.mangled = append(sh.mangled[:0], wire...) //switchml:allow hotpath -- append into a :0 re-slice preallocated to the wire MTU
+	a.inj.Mangle(sh.mangled)
+	return sh.mangled
 }
 
 // Reset clears the aggregation pools and forgets worker addresses,

@@ -10,13 +10,16 @@ import (
 	"time"
 
 	"switchml/internal/core"
+	"switchml/internal/faults"
 	"switchml/internal/netio"
 	"switchml/internal/telemetry"
 )
 
 // runBatchCluster is runCluster with an explicit I/O burst ceiling on
-// both sides (1 = legacy per-packet loops, 0 = the batched default).
-func runBatchCluster(t *testing.T, n, d, batch int, seed int64) ([][]int32, []int32, *Aggregator, []*Client) {
+// both sides (1 = legacy per-packet loops, 0 = the batched default)
+// and, when inject is non-nil, that fault process on every endpoint
+// (each with its own seed).
+func runBatchCluster(t *testing.T, n, d, batch int, seed int64, inject *faults.InjectorConfig) ([][]int32, []int32, *Aggregator, []*Client) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	updates := make([][]int32, n)
@@ -28,6 +31,14 @@ func runBatchCluster(t *testing.T, n, d, batch int, seed int64) ([][]int32, []in
 			want[j] += updates[i][j]
 		}
 	}
+	seeded := func(id int64) *faults.InjectorConfig {
+		if inject == nil {
+			return nil
+		}
+		cfg := *inject
+		cfg.Seed += id
+		return &cfg
+	}
 	agg, err := NewAggregator(AggregatorConfig{
 		Addr:   "127.0.0.1:0",
 		Shards: 4,
@@ -35,6 +46,7 @@ func runBatchCluster(t *testing.T, n, d, batch int, seed int64) ([][]int32, []in
 		Switch: core.SwitchConfig{
 			Workers: n, PoolSize: 8, SlotElems: 32, LossRecovery: true,
 		},
+		Inject: seeded(0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,6 +68,7 @@ func runBatchCluster(t *testing.T, n, d, batch int, seed int64) ([][]int32, []in
 				},
 				RTO:     20 * time.Millisecond,
 				Timeout: 10 * time.Second,
+				Inject:  seeded(int64(i) + 1),
 			})
 			if err != nil {
 				errs[i] = err
@@ -74,21 +87,22 @@ func runBatchCluster(t *testing.T, n, d, batch int, seed int64) ([][]int32, []in
 	return results, want, agg, clients
 }
 
-// TestBatchedUnbatchedEquivalence runs the identical seeded job
-// through the legacy per-packet loops (Batch=1) and the batched
-// run-to-completion loops (default batch) and demands bit-identical
-// aggregates — the guarantee that batching is purely an I/O change.
-func TestBatchedUnbatchedEquivalence(t *testing.T) {
+// batchedUnbatched runs the identical seeded job through the legacy
+// per-packet loops (Batch=1) and the batched run-to-completion loops
+// (default batch) and demands bit-identical aggregates — the
+// guarantee that batching is purely an I/O change.
+func batchedUnbatched(t *testing.T, inject *faults.InjectorConfig) (aggL, aggB *Aggregator, clL, clB []*Client) {
+	t.Helper()
 	const n, d, seed = 3, 4000, 99
-	legacy, want, aggL, clL := runBatchCluster(t, n, d, 1, seed)
-	defer aggL.Close()
+	legacy, want, aggL, clL := runBatchCluster(t, n, d, 1, seed, inject)
+	t.Cleanup(func() { aggL.Close() })
 	for _, c := range clL {
-		defer c.Close()
+		t.Cleanup(func() { c.Close() })
 	}
-	batched, want2, aggB, clB := runBatchCluster(t, n, d, 0, seed)
-	defer aggB.Close()
+	batched, want2, aggB, clB := runBatchCluster(t, n, d, 0, seed, inject)
+	t.Cleanup(func() { aggB.Close() })
 	for _, c := range clB {
-		defer c.Close()
+		t.Cleanup(func() { c.Close() })
 	}
 	for j := range want {
 		if want[j] != want2[j] {
@@ -103,6 +117,34 @@ func TestBatchedUnbatchedEquivalence(t *testing.T) {
 			}
 		}
 	}
+	return aggL, aggB, clL, clB
+}
+
+// TestFaultBatchedUnbatchedEquivalence is the equivalence under
+// injected loss, duplication and corruption at every endpoint: the
+// verdicts land on different datagrams on the two paths (per packet
+// as handled, per peer as flushed), the aggregates must not differ.
+func TestFaultBatchedUnbatchedEquivalence(t *testing.T) {
+	inject := &faults.InjectorConfig{Seed: 7, DropRate: 0.05, DupRate: 0.03, CorruptRate: 0.03}
+	aggL, aggB, _, clB := batchedUnbatched(t, inject)
+	for name, agg := range map[string]*Aggregator{"legacy": aggL, "batched": aggB} {
+		if st := agg.Stats(); st.ResultRetransmissions == 0 && st.IgnoredDuplicates == 0 {
+			t.Errorf("%s aggregator saw no retransmitted or duplicate update: the injectors did nothing", name)
+		}
+	}
+	var corrupt uint64
+	for _, c := range clB {
+		corrupt += c.DebugState().Corrupted
+	}
+	if corrupt == 0 {
+		t.Error("no batched client rejected a corrupted result: the flush-time injector did nothing")
+	}
+}
+
+// TestBatchedUnbatchedEquivalence is the equivalence on a clean
+// network, plus the debug documents of the two strategies.
+func TestBatchedUnbatchedEquivalence(t *testing.T) {
+	aggL, aggB, clL, clB := batchedUnbatched(t, nil)
 
 	// The debug documents must reflect the strategies actually run.
 	stL := aggL.DebugState(false)
@@ -129,50 +171,68 @@ func TestBatchedUnbatchedEquivalence(t *testing.T) {
 }
 
 // TestShardStageFlushZeroAlloc is the AllocsPerRun gate behind the
-// //switchml:hotpath annotations on stageMulticast and flushShard: a
-// shard accumulating a burst's multicast results and fanning them out
-// to every peer must not touch the heap.
+// //switchml:hotpath annotations on stageMulticast, flushShard and its
+// injected branch: a shard accumulating a burst's multicast results
+// and fanning them out to every peer must not touch the heap — nor
+// when an injector splits the block into runs, mangled copies and
+// duplicates.
 func TestShardStageFlushZeroAlloc(t *testing.T) {
 	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sink.Close()
-	send, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer send.Close()
-	nc, err := netio.Wrap(send, netio.Config{Batch: 8, MTU: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The sink is never read: loopback UDP drops on a full receive
 	// buffer without erroring the sender, so no draining goroutine
 	// (whose own allocations would pollute AllocsPerRun) is needed.
 	ap := sink.LocalAddr().(*net.UDPAddr).AddrPort()
-	reg := telemetry.NewRegistry()
-	a := &Aggregator{
-		sent:     reg.Counter("test_sent"),
-		sendErrs: reg.Counter("test_send_errors"),
-		peers:    make([]atomic.Pointer[netip.AddrPort], 2),
+	inj, err := faults.NewPacketInjector(faults.InjectorConfig{Seed: 3, DropRate: 0.2, DupRate: 0.2, CorruptRate: 0.2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	a.peers[0].Store(&ap)
-	a.peers[1].Store(&ap)
-	sh := &aggShard{
-		nc:    nc,
-		wire:  make([]byte, 128),
-		block: make([]byte, 0, 8*2048),
-	}
-	step := func() {
-		for k := 0; k < 4; k++ {
-			a.stageMulticast(sh)
-		}
-		a.flushShard(sh)
-	}
-	step() // warm the staging arena
-	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
-		t.Errorf("stage+flush cycle allocates %.2f/op in mode %v, want 0", allocs, nc.Mode())
+	for name, inj := range map[string]*faults.PacketInjector{"clean": nil, "injected": inj} {
+		t.Run(name, func(t *testing.T) {
+			send, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer send.Close()
+			nc, err := netio.Wrap(send, netio.Config{Batch: 8, MTU: 2048})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := telemetry.NewRegistry()
+			a := &Aggregator{
+				sent:     reg.Counter("test_sent"),
+				sendErrs: reg.Counter("test_send_errors"),
+				peers:    make([]atomic.Pointer[netip.AddrPort], 2),
+				inj:      inj,
+			}
+			a.peers[0].Store(&ap)
+			a.peers[1].Store(&ap)
+			sh := &aggShard{
+				nc:      nc,
+				wire:    make([]byte, 128),
+				block:   make([]byte, 0, 8*2048),
+				mangled: make([]byte, 0, 2048),
+			}
+			step := func() {
+				for k := 0; k < 4; k++ {
+					a.stageMulticast(sh)
+				}
+				a.write(sh, ap) // a unicast result rides the same flush
+				a.flushShard(sh)
+			}
+			step() // warm the staging arena
+			if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+				t.Errorf("stage+flush cycle allocates %.2f/op in mode %v, want 0", allocs, nc.Mode())
+			}
+			if inj != nil {
+				if st := inj.Stats(); st.Dropped == 0 || st.Duplicated == 0 || st.Corrupted == 0 {
+					t.Errorf("injector verdicts %+v: a branch of the injected flush went unexercised", st)
+				}
+			}
+		})
 	}
 }
 

@@ -44,7 +44,10 @@ type ClientConfig struct {
 	// RTO is the retransmission timeout; zero selects 50 ms, generous
 	// for a LAN (the paper's testbed uses 1 ms; over real kernels a
 	// larger value avoids spurious retransmissions under scheduling
-	// jitter).
+	// jitter). Mid-tensor a loss is repaired within about one trip
+	// round the slot window by the worker's lap detection
+	// (core.Worker.Lapped); the timer is the backstop for the last
+	// window of a tensor and a silent aggregator.
 	RTO time.Duration
 	// AdaptiveRTO estimates the path RTT from clean (never
 	// retransmitted — Karn's rule) chunk round trips and uses
@@ -80,8 +83,9 @@ type ClientConfig struct {
 	BusyPoll bool
 	// Inject, when non-nil, applies seeded loss, duplication and
 	// corruption to outgoing update datagrams — chaos testing on
-	// loopback networks that never misbehave. Control datagrams
-	// (report/heartbeat) are sent clean.
+	// loopback networks that never misbehave. Verdicts are applied as
+	// updates are staged, so an injected run uses the same I/O path as
+	// a clean one. Control datagrams (report/heartbeat) are sent clean.
 	Inject *faults.InjectorConfig
 	// Metrics receives the worker protocol and datagram counters. Nil
 	// allocates a private registry, available through Registry.
@@ -155,10 +159,8 @@ type Client struct {
 	// doubles with each (capped at 64x), preventing retransmission
 	// storms when the configured RTO sits below the path RTT.
 	backoff []uint8
-	// retxed marks slots whose in-flight chunk has been retransmitted:
-	// their round trips are ambiguous and excluded from the RTT
-	// estimator (Karn's rule).
-	retxed []bool
+	// lapped is the reused result buffer of the worker's lap query.
+	lapped []uint32
 	// srtt/rttvar are the Jacobson estimator state when AdaptiveRTO is
 	// on; srtt == 0 means no sample yet.
 	srtt, rttvar time.Duration
@@ -282,7 +284,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		lastSend:   make([]time.Time, cfg.Worker.PoolSize),
 		rbuf:       make([]byte, 65536),
 		backoff:    make([]uint8, cfg.Worker.PoolSize),
-		retxed:     make([]bool, cfg.Worker.PoolSize),
+		lapped:     make([]uint32, 0, cfg.Worker.PoolSize),
 		epoch:      cfg.Worker.JobID,
 		ladder:     ladder,
 		frng:       rand.New(rand.NewSource(jitterSeed(&cfg, 1))),
@@ -462,7 +464,7 @@ func (c *Client) AllReduceInt32(u []int32) ([]int32, error) {
 		}
 	}
 	for _, p := range c.worker.Start(u) {
-		err := c.send(p, false)
+		err := c.send(p)
 		packet.PutPacket(p)
 		if err != nil {
 			return nil, err
@@ -577,6 +579,17 @@ func (c *Client) switchLoop(u []int32, deadline time.Time) ([]int32, error) {
 				return out, nil
 			}
 		}
+		// The burst moved the ack clock: a slot it left a whole window
+		// behind lost its update or its result. Retransmit now, on the
+		// next flush, instead of idling the slot until its RTO — which
+		// stays armed for what no later traffic can lap. An early
+		// retransmission is not a timeout, so the backoff is untouched.
+		c.lapped = c.worker.Lapped(c.lapped[:0])
+		for _, idx := range c.lapped {
+			if err := c.retransmit(idx); err != nil {
+				return nil, err
+			}
+		}
 	}
 }
 
@@ -637,10 +650,9 @@ func (c *Client) handleIncoming(p *packet.Packet) (bool, error) {
 		c.trace(telemetry.EvResume, -1)
 		for i := range c.backoff {
 			c.backoff[i] = 0
-			c.retxed[i] = false
 		}
 		for _, q := range pkts {
-			err := c.send(q, false)
+			err := c.send(q)
 			packet.PutPacket(q)
 			if err != nil {
 				return false, err
@@ -648,7 +660,7 @@ func (c *Client) handleIncoming(p *packet.Packet) (bool, error) {
 		}
 		return false, nil
 	case packet.KindResult, packet.KindResultUnicast:
-		if c.cfg.AdaptiveRTO && int(p.Idx) < len(c.retxed) && !c.retxed[p.Idx] && c.worker.Pending(p.Idx) {
+		if c.cfg.AdaptiveRTO && c.worker.Pending(p.Idx) && !c.worker.Retransmitted(p.Idx) {
 			// A clean (never retransmitted) in-flight chunk's round
 			// trip is an unambiguous RTT sample (Karn's rule).
 			c.observeRTT(time.Since(c.lastSend[p.Idx]))
@@ -662,7 +674,7 @@ func (c *Client) handleIncoming(p *packet.Packet) (bool, error) {
 			}
 		}
 		if next != nil {
-			err := c.send(next, false)
+			err := c.send(next)
 			packet.PutPacket(next)
 			if err != nil {
 				return false, err
@@ -681,33 +693,30 @@ func (c *Client) handleIncoming(p *packet.Packet) (bool, error) {
 // fault injector. An injected drop still stamps the timer — the
 // packet was "lost on the wire", and the retransmission machinery is
 // exactly what recovers it. The wire bytes go through the client's
-// reused send buffer; callers that got p from the packet pool may
-// return it as soon as send returns. retx flags retransmissions,
-// whose round trips the RTT estimator must ignore.
-func (c *Client) send(p *packet.Packet, retx bool) error {
+// reused send buffer, and leave through the window block (stageTx)
+// whether or not an injector is set; only Batch 1 writes them
+// directly. Callers that got p from the packet pool may return it as
+// soon as send returns.
+func (c *Client) send(p *packet.Packet) error {
 	c.lastSend[p.Idx] = time.Now()
-	if int(p.Idx) < len(c.retxed) {
-		c.retxed[p.Idx] = retx
-	}
 	c.sbuf = p.AppendMarshal(c.sbuf[:0])
-	if c.nc != nil && c.inj == nil {
-		c.stageTx()
-		return nil
-	}
-	out := c.sbuf
-	writes := 1
+	copies := 1
 	if c.inj != nil {
 		switch c.inj.Judge() {
 		case faults.Drop:
 			return nil
 		case faults.Corrupt:
-			c.inj.Mangle(out)
+			c.inj.Mangle(c.sbuf)
 		case faults.Duplicate:
-			writes = 2
+			copies = 2
 		}
 	}
-	for i := 0; i < writes; i++ {
-		if _, err := c.conn.Write(out); err != nil {
+	for i := 0; i < copies; i++ {
+		if c.nc != nil {
+			c.stageTx()
+			continue
+		}
+		if _, err := c.conn.Write(c.sbuf); err != nil {
 			if c.canDegrade() && deadDestination(err) {
 				return nil
 			}
@@ -859,14 +868,21 @@ func (c *Client) sweepTimeouts() error {
 			c.backoff[idx]++
 		}
 		c.trace(telemetry.EvTimeoutFired, int32(idx))
-		if p := c.worker.Retransmit(uint32(idx)); p != nil {
-			c.trace(telemetry.EvRetransmit, int32(idx))
-			err := c.send(p, true)
-			packet.PutPacket(p)
-			if err != nil {
-				return err
-			}
+		if err := c.retransmit(uint32(idx)); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// retransmit re-sends slot idx's in-flight chunk, if it still has one.
+func (c *Client) retransmit(idx uint32) error {
+	p := c.worker.Retransmit(idx)
+	if p == nil {
+		return nil
+	}
+	c.trace(telemetry.EvRetransmit, int32(idx))
+	err := c.send(p)
+	packet.PutPacket(p)
+	return err
 }

@@ -164,9 +164,12 @@ type ClientDebugState struct {
 	// SendRetries counts transient kernel pushback (ENOBUFS/EAGAIN)
 	// absorbed by netio's bounded backoff instead of dropping, summed
 	// across socket views retired by re-homes.
-	SendRetries uint64           `json:"udp_send_retries"`
-	Stats       core.WorkerStats `json:"stats"`
-	Fallback    FallbackStats    `json:"fallback"`
+	SendRetries uint64 `json:"udp_send_retries"`
+	// Stats are the worker protocol counters. Retransmissions against
+	// EarlyRetransmissions tells which recovery is at work: lap
+	// detection off the ack clock (early) or the RTO backstop.
+	Stats    core.WorkerStats `json:"stats"`
+	Fallback FallbackStats    `json:"fallback"`
 	// HomeRank is the failover-ladder rung serving the job (0 = the
 	// primary aggregator); Failover the ladder counters.
 	HomeRank int           `json:"home_rank"`

@@ -172,7 +172,7 @@ func (c *Client) holdAtFence(deadline time.Time) (reopened bool, err error) {
 			c.fenceArmed = false
 			c.trace(telemetry.EvResume, -1)
 			for _, q := range pkts {
-				serr := c.send(q, false)
+				serr := c.send(q)
 				packet.PutPacket(q)
 				if serr != nil {
 					return false, serr
@@ -233,7 +233,6 @@ func (c *Client) adoptEpoch(gen uint16) {
 	c.gEpoch.Set(int64(gen))
 	for i := range c.backoff {
 		c.backoff[i] = 0
-		c.retxed[i] = false
 	}
 }
 

@@ -271,7 +271,7 @@ func (c *Client) adoptAt(rank int, deadline time.Time) error {
 			c.lastProgress = time.Now()
 			c.trace(telemetry.EvResume, -1)
 			for _, q := range pkts {
-				serr := c.send(q, false)
+				serr := c.send(q)
 				packet.PutPacket(q)
 				if serr != nil {
 					return serr

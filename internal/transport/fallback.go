@@ -241,7 +241,6 @@ func (c *Client) enterFallback(u []int32, deadline time.Time) ([]int32, error) {
 	c.trace(telemetry.EvDegrade, -1)
 	for i := range c.backoff {
 		c.backoff[i] = 0
-		c.retxed[i] = false
 	}
 	frontier := c.worker.FrontierOff()
 	F, _, err := c.syncRound(frontier, deadline)
@@ -323,10 +322,9 @@ func (c *Client) failback(u []int32, deadline time.Time) ([]int32, error) {
 	c.lastProgress = time.Now()
 	for i := range c.backoff {
 		c.backoff[i] = 0
-		c.retxed[i] = false
 	}
 	for _, p := range pkts {
-		err := c.send(p, false)
+		err := c.send(p)
 		packet.PutPacket(p)
 		if err != nil {
 			return nil, err

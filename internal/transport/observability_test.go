@@ -149,9 +149,23 @@ func TestFaultObservabilityChaos(t *testing.T) {
 	agg.SetDown(true)
 	lockstep(t, clients, elems, 2) // degrade mid-tensor, finish on mesh
 	agg.SetDown(false)
-	lockstep(t, clients, elems, 3) // probe
-	lockstep(t, clients, elems, 4) // streak 1 ≥ probation 1: failback
-	lockstep(t, clients, elems, 5)
+	// Each degraded tensor resolves the previous tensor's probe and
+	// sends the next; an ack that has not arrived by then resets the
+	// streak. Under -race, with the monitors spinning, that happens, so
+	// drive tensors until every worker has failed back rather than
+	// assuming probe + ack take exactly two.
+	step := 3
+	for deadline := time.Now().Add(10 * time.Second); ; step++ {
+		lockstep(t, clients, elems, step)
+		back := true
+		for _, c := range clients {
+			back = back && c.FallbackStats().Failbacks > 0
+		}
+		if back || time.Now().After(deadline) {
+			break
+		}
+	}
+	lockstep(t, clients, elems, step+1) // one more on the switch path
 	close(stop)
 	mon.Wait()
 	close(monErr)

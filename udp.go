@@ -65,7 +65,9 @@ type AggregatorParams struct {
 	// socket before parking in the poller, trading CPU for latency.
 	BusyPoll bool
 	// Inject, when non-nil, applies seeded loss, duplication and
-	// corruption to outgoing result datagrams (chaos testing).
+	// corruption to outgoing result datagrams (chaos testing). It does
+	// not change the I/O path: verdicts are applied as datagrams are
+	// staged for the batched send.
 	Inject *FaultInjection
 	// Flight, when non-nil, arms a fault flight recorder: the last N
 	// protocol events are retained, and every fault transition
@@ -297,7 +299,10 @@ type PeerParams struct {
 	// Scale is the fixed-point factor for float32 all-reduce; zero
 	// disables the float32 methods.
 	Scale float64
-	// RTO is the retransmission timeout (default 50 ms).
+	// RTO is the retransmission timeout (default 50 ms). Mid-tensor a
+	// loss is repaired off the ack clock, within about one trip round
+	// the slot window; the timer is the backstop for the last window
+	// of a tensor and a silent aggregator.
 	RTO time.Duration
 	// Timeout bounds each all-reduce call (default 30 s).
 	Timeout time.Duration
@@ -307,7 +312,9 @@ type PeerParams struct {
 	// aggregator's LivenessParams.SilenceAfter.
 	Heartbeat time.Duration
 	// Inject, when non-nil, applies seeded loss, duplication and
-	// corruption to outgoing update datagrams (chaos testing).
+	// corruption to outgoing update datagrams (chaos testing). It does
+	// not change the I/O path: verdicts are applied as datagrams are
+	// staged for the batched send.
 	Inject *FaultInjection
 	// Batch is the I/O burst ceiling: update sends accumulate into a
 	// window block flushed as one batched write, and each receive
