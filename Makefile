@@ -69,7 +69,8 @@ bench:
 # Hot-path gate: the zero-allocation assertions (packet codec, switch
 # ingress, sharded dispatch, event scheduling, the rack simulator's
 # per-packet path, batched socket I/O, the aggregator's stage/flush
-# cycle with and without a fault injector, and the worker's lap query)
+# cycle and the client's window pump with and without a fault injector,
+# and the worker's lap query)
 # plus a smoke run of the hotpath micro-benchmarks. Regenerate the committed baseline with:
 #   $(GO) run ./cmd/switchml-bench -scale 1 -artifacts . hotpath
 bench-smoke:

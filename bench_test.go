@@ -316,6 +316,48 @@ func BenchmarkClusterAllReduce(b *testing.B) {
 	}
 }
 
+// BenchmarkUDPBulk is the benchmark harness's udp_bulk shape as a
+// testing.B — 2 workers against one aggregator over loopback UDP, 1M
+// int32 elements per step, default pool, batch and shards — so the
+// UDP data path can be profiled with the standard flags:
+//
+//	go test -run '^$' -bench UDPBulk -benchtime 200x -cpuprofile cpu.out .
+//
+// DESIGN.md's "What a packet costs" table is read off such a profile.
+func BenchmarkUDPBulk(b *testing.B) {
+	const n, d = 2, 1 << 20
+	agg, err := ListenAggregator("127.0.0.1:0", AggregatorParams{Workers: n})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer agg.Close()
+	peers := make([]*Peer, n)
+	updates := make([][]int32, n)
+	for i := range peers {
+		if peers[i], err = DialAggregator(agg.Addr(), PeerParams{ID: i, Workers: n}); err != nil {
+			b.Fatal(err)
+		}
+		defer peers[i].Close()
+		updates[i] = make([]int32, d)
+	}
+	b.SetBytes(int64(d * 4))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		for w := range peers {
+			w := w
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := peers[w].AllReduceInt32(updates[w]); err != nil {
+					b.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
 // BenchmarkRackSimulation measures simulator wall-clock speed on the
 // benchmark harness's sim_rack shape — a fresh lossless 8-worker rack
 // aggregating 1M elements per iteration — and reports it the way the

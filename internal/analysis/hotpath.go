@@ -9,23 +9,26 @@ import (
 	"strings"
 )
 
-// Hotpath returns the allocation-freedom analyzer. Functions
-// annotated //switchml:hotpath — the per-packet cycle: the wire
-// codec, the switch ingress, the event loop — and every statically
-// resolvable callee inside the module must not allocate: the 2x
-// packet-rate budget of the pooled path (BENCH_hotpath.json) only
-// holds while the steady state performs zero heap operations. The
-// analyzer flags make/new, growing append, string concatenation and
-// conversion, fmt calls, values boxed into interfaces, capturing
-// closures, map writes, go statements and escaping composite
-// literals. Guarded cold fallbacks (pool-miss grow paths) are
-// suppressed with //switchml:allow hotpath -- <why>, and each
-// annotated function must be backed by a testing.AllocsPerRun test in
-// its package.
+// Hotpath returns the per-packet-cost analyzer. Functions annotated
+// //switchml:hotpath — the per-packet cycle: the wire codec, the
+// switch ingress, the event loop, the UDP endpoints' send and receive
+// handlers — and every statically resolvable callee inside the module
+// must not allocate: the 2x packet-rate budget of the pooled path
+// (BENCH_hotpath.json) only holds while the steady state performs
+// zero heap operations. The analyzer flags make/new, growing append,
+// string concatenation and conversion, fmt calls, values boxed into
+// interfaces, capturing closures, map writes, go statements and
+// escaping composite literals. Nor may they read the wall clock
+// (time.Now, time.Since, time.Until, telemetry.WallClock): a clock
+// read costs as much as decoding the packet, so per-packet code stamps
+// from the reading its loop took for the whole burst. Guarded cold
+// fallbacks (pool-miss grow paths, error returns) are suppressed with
+// //switchml:allow hotpath -- <why>, and each annotated function must
+// be backed by a testing.AllocsPerRun test in its package.
 func Hotpath() *Analyzer {
 	return &Analyzer{
 		Name: "hotpath",
-		Doc:  "//switchml:hotpath functions and their same-module callees must not allocate",
+		Doc:  "//switchml:hotpath functions and their same-module callees must not allocate or read the wall clock",
 		Run:  runHotpath,
 	}
 }
@@ -93,7 +96,10 @@ func runHotpathOpt(m *Module, honorExempt bool) []Diagnostic {
 				return true
 			}
 			if callee := staticCallee(fi.pkg.Info, call); callee != nil {
-				if _, local := funcs[callee]; local {
+				// A wall-clock helper is reported where it is called;
+				// its body would only repeat the finding out of reach
+				// of the caller's suppression.
+				if _, local := funcs[callee]; local && wallClockRead(callee) == "" {
 					walk(callee, root)
 				}
 			}
@@ -247,8 +253,9 @@ func scanAllocs(pkg *Package, decl *ast.FuncDecl, report func(n ast.Node, msg st
 	})
 }
 
-// scanCall flags allocating calls: make/new builtins, append, string
-// conversions, fmt.*, and arguments boxed into interface parameters.
+// scanCall flags allocating calls — make/new builtins, append, string
+// conversions, fmt.*, arguments boxed into interface parameters — and
+// wall-clock reads.
 func scanCall(info *types.Info, call *ast.CallExpr, report func(n ast.Node, msg string)) {
 	tv, ok := info.Types[call.Fun]
 	if !ok {
@@ -285,9 +292,15 @@ func scanCall(info *types.Info, call *ast.CallExpr, report func(n ast.Node, msg 
 		}
 		return
 	}
-	if callee := calleeFunc(info, call); callee != nil && callee.Pkg() != nil && callee.Pkg().Path() == "fmt" {
-		report(call, fmt.Sprintf("fmt.%s allocates", callee.Name()))
-		return
+	if callee := calleeFunc(info, call); callee != nil && callee.Pkg() != nil {
+		if callee.Pkg().Path() == "fmt" {
+			report(call, fmt.Sprintf("fmt.%s allocates", callee.Name()))
+			return
+		}
+		if name := wallClockRead(callee); name != "" {
+			report(call, name+" reads the wall clock per packet; stamp from the burst's one reading")
+			return
+		}
 	}
 	sig, ok := tv.Type.(*types.Signature)
 	if !ok {
@@ -310,6 +323,22 @@ func scanCall(info *types.Info, call *ast.CallExpr, report func(n ast.Node, msg 
 			report(arg, fmt.Sprintf("argument boxes %s into an interface parameter", typeName(info, arg)))
 		}
 	}
+}
+
+// wallClockRead names fn when calling it reads the wall clock: the
+// time package's Now, Since and Until, and the module's own
+// telemetry.WallClock wrapper. It returns "" for everything else.
+func wallClockRead(fn *types.Func) string {
+	pkg := fn.Pkg()
+	if pkg == nil || fn.Type().(*types.Signature).Recv() != nil {
+		return ""
+	}
+	switch {
+	case pkg.Path() == "time" && (fn.Name() == "Now" || fn.Name() == "Since" || fn.Name() == "Until"),
+		pkg.Name() == "telemetry" && fn.Name() == "WallClock":
+		return pkg.Name() + "." + fn.Name()
+	}
+	return ""
 }
 
 // scanReturn flags concrete values returned through interface result

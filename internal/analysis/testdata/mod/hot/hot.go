@@ -3,7 +3,12 @@
 // analyzer's output.
 package hot
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+
+	"vettest/telemetry"
+)
 
 // Sink receives boxed values so boxing sites type-check.
 var Sink any
@@ -80,3 +85,23 @@ func exempted() string {
 }
 
 func cold() { _ = exempted() }
+
+// Stamp is a hot-path root exercising the wall-clock rule: per-packet
+// code takes its time from the burst's one clock reading (the burst
+// argument here), never from the clock itself.
+//
+//switchml:hotpath
+func Stamp(burst, sent time.Time) int64 {
+	now := time.Now()             // want "time.Now reads the wall clock per packet; stamp from the burst's one reading in hot.Stamp"
+	rtt := time.Since(sent)       // want "time.Since reads the wall clock per packet; stamp from the burst's one reading in hot.Stamp"
+	left := time.Until(sent)      // want "time.Until reads the wall clock per packet; stamp from the burst's one reading in hot.Stamp"
+	wall := telemetry.WallClock() // want "telemetry.WallClock reads the wall clock per packet; stamp from the burst's one reading in hot.Stamp"
+	//switchml:allow hotpath -- error path: the failure is stamped for the log, once
+	failed := time.Now()
+	return now.UnixNano() + int64(rtt+left) + wall + failed.UnixNano() + stale(burst).Nanoseconds() + burst.Sub(sent).Nanoseconds()
+}
+
+// stale is reached from Stamp, so its clock read is on the hot path.
+func stale(burst time.Time) time.Duration {
+	return time.Since(burst) // want "time.Since reads the wall clock per packet; stamp from the burst's one reading in hot.stale \\(on the hot path of hot.Stamp\\)"
+}

@@ -429,6 +429,8 @@ func (w *Worker) FrontierOff() uint64 {
 // the current tensor cannot be honored — the data of earlier tensors
 // is no longer buffered — and returns an error so the caller can fail
 // fast instead of deadlocking the collective.
+//
+//switchml:allow hotpath -- recovery entry point: runs once per job generation, when a resume directive arrives, never per packet
 func (w *Worker) ResumeAt(jobID uint16, off uint64) ([]*packet.Packet, error) {
 	if len(w.u) != 0 && w.remaining > 0 && off < w.base {
 		return nil, fmt.Errorf("core: recovery frontier %d precedes current tensor at %d; earlier tensors are not buffered", off, w.base)

@@ -106,7 +106,8 @@ func TestCodecSeedCorpus(t *testing.T) {
 // FuzzCodec drives the codec from the structured side: any packet
 // built from arbitrary field values must marshal and unmarshal back to
 // an identical packet, and its wire image must survive the decoder's
-// validation. This is the `make fuzz` smoke gate.
+// validation, and both directions must agree with the byte-wise
+// reference codec (equiv_test.go). This is the `make fuzz` smoke gate.
 func FuzzCodec(f *testing.F) {
 	for _, s := range codecSeeds {
 		f.Add(uint8(s.kind), s.worker, s.job, s.ver, s.idx, s.off, s.n, s.fill)
@@ -118,15 +119,15 @@ func FuzzCodec(f *testing.F) {
 			n = -n
 		}
 		n %= MTUElems + 1
-		vec := make([]int32, n)
-		for i := range vec {
-			vec[i] = fill + int32(i)
-		}
+		vec := seedVector(n, fill)
 		p := &Packet{Kind: k, WorkerID: worker, JobID: job, Ver: ver, Idx: idx, Off: off, Vector: vec}
 		buf := p.Marshal()
 		if len(buf) != p.MarshalledSize() {
 			t.Fatalf("marshal produced %d bytes, MarshalledSize says %d", len(buf), p.MarshalledSize())
 		}
+		// Differential against the byte-wise reference, at a buffer
+		// offset the inputs pick (odd ones included).
+		checkAgainstReference(t, p, int(idx%5))
 		q, err := Unmarshal(buf)
 		if err != nil {
 			t.Fatalf("decoder rejected encoder output for %v: %v", p, err)

@@ -265,6 +265,8 @@ func (p *Packet) SetUpdate(worker uint16, job uint16, ver uint8, idx uint32, off
 // or heartbeat) addressed to or from the given worker. Off carries the
 // kind-specific argument (chunk frontier); vec, which may be nil, is
 // copied.
+//
+//switchml:allow hotpath -- control-plane constructor: directives and handshakes are built per recovery or membership step, never per update (data-path senders rewrite pooled packets with SetUpdate)
 func NewControl(kind Kind, worker uint16, job uint16, off uint64, vec []int32) *Packet {
 	p := &Packet{}
 	p.SetControl(kind, worker, job, off, vec)
@@ -351,11 +353,54 @@ func (p *Packet) AppendMarshal(dst []byte) []byte {
 	binary.BigEndian.PutUint16(buf[6:8], p.JobID)
 	binary.BigEndian.PutUint32(buf[8:12], p.Idx)
 	binary.BigEndian.PutUint64(buf[12:20], p.Off)
-	for i, v := range p.Vector {
-		binary.BigEndian.PutUint32(buf[marshalHeaderBytes+ElemBytes*i:], uint32(v))
-	}
+	putElems(buf[marshalHeaderBytes:], p.Vector)
 	binary.BigEndian.PutUint32(buf[20:24], bodyChecksum(buf))
 	return dst
+}
+
+// putElems writes vec big-endian into dst, which holds exactly
+// ElemBytes·len(vec) bytes. Elements move eight to a pass through
+// fixed-size array views, so the pass itself carries no bounds check:
+// slicing and checking per element costs more than the byte swap it
+// guards.
+func putElems(dst []byte, vec []int32) {
+	dst = dst[:ElemBytes*len(vec)]
+	for len(vec) >= 8 && len(dst) >= 8*ElemBytes {
+		s, d := (*[8]int32)(vec), (*[8 * ElemBytes]byte)(dst)
+		binary.BigEndian.PutUint32(d[0:4], uint32(s[0]))
+		binary.BigEndian.PutUint32(d[4:8], uint32(s[1]))
+		binary.BigEndian.PutUint32(d[8:12], uint32(s[2]))
+		binary.BigEndian.PutUint32(d[12:16], uint32(s[3]))
+		binary.BigEndian.PutUint32(d[16:20], uint32(s[4]))
+		binary.BigEndian.PutUint32(d[20:24], uint32(s[5]))
+		binary.BigEndian.PutUint32(d[24:28], uint32(s[6]))
+		binary.BigEndian.PutUint32(d[28:32], uint32(s[7]))
+		vec, dst = vec[8:], dst[8*ElemBytes:]
+	}
+	for i, v := range vec {
+		binary.BigEndian.PutUint32(dst[ElemBytes*i:], uint32(v))
+	}
+}
+
+// getElems is putElems' inverse: it fills vec from the
+// ElemBytes·len(vec) big-endian bytes of src.
+func getElems(vec []int32, src []byte) {
+	src = src[:ElemBytes*len(vec)]
+	for len(vec) >= 8 && len(src) >= 8*ElemBytes {
+		d, s := (*[8]int32)(vec), (*[8 * ElemBytes]byte)(src)
+		d[0] = int32(binary.BigEndian.Uint32(s[0:4]))
+		d[1] = int32(binary.BigEndian.Uint32(s[4:8]))
+		d[2] = int32(binary.BigEndian.Uint32(s[8:12]))
+		d[3] = int32(binary.BigEndian.Uint32(s[12:16]))
+		d[4] = int32(binary.BigEndian.Uint32(s[16:20]))
+		d[5] = int32(binary.BigEndian.Uint32(s[20:24]))
+		d[6] = int32(binary.BigEndian.Uint32(s[24:28]))
+		d[7] = int32(binary.BigEndian.Uint32(s[28:32]))
+		vec, src = vec[8:], src[8*ElemBytes:]
+	}
+	for i := range vec {
+		vec[i] = int32(binary.BigEndian.Uint32(src[ElemBytes*i:]))
+	}
 }
 
 // bodyChecksum computes the packet checksum over the header (minus
@@ -430,9 +475,7 @@ func UnmarshalInto(p *Packet, buf []byte) error {
 		//switchml:allow hotpath -- guarded grow fallback: a pooled packet's vector reaches MTU capacity once, then is reused
 		p.Vector = make([]int32, n)
 	}
-	for i := range p.Vector {
-		p.Vector[i] = int32(binary.BigEndian.Uint32(payload[ElemBytes*i:]))
-	}
+	getElems(p.Vector, payload)
 	return nil
 }
 

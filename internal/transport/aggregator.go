@@ -42,7 +42,11 @@ type AggregatorConfig struct {
 	// ":5555".
 	Addr string
 	// Switch is the aggregation pool configuration; LossRecovery
-	// should be true on any real network.
+	// should be true on any real network. A nil Switch.Now selects the
+	// aggregator's burst clock: wall-clock nanoseconds read once per
+	// receive wakeup by each shard, so slot start times and switch
+	// trace events resolve to a burst (tens of microseconds), and a
+	// packet costs no clock read of its own.
 	Switch core.SwitchConfig
 	// Shards is the number of receive goroutines draining the socket,
 	// the software analogue of the paper's Flow Director steering
@@ -146,6 +150,14 @@ type Aggregator struct {
 
 	inj *faults.PacketInjector
 
+	// clock is the wall clock; every shard reads it once per receive
+	// wakeup into coarse (nanoseconds), the burst clock the switch
+	// (cfg.Switch.Now) and the liveness tracker's touches read instead
+	// of paying a clock read per datagram. Tests substitute clock to
+	// count reads.
+	clock  func() time.Time
+	coarse *atomic.Int64
+
 	// peers is the learned worker address table, indexed by worker
 	// id. Entries are written at most once per address change.
 	peers []atomic.Pointer[netip.AddrPort]
@@ -186,8 +198,7 @@ type aggShard struct {
 	buf     []byte        // datagram receive buffer (legacy loop)
 	pkt     packet.Packet // decoded request (vector storage reused)
 	out     packet.Packet // response storage for HandleInto
-	wire    []byte        // marshalled response
-	ctrl    []byte        // marshalled control reply (reconfig/resume)
+	ctrl    []byte        // marshalled one-off reply: control, or a result outside the block
 	mangled []byte        // injector corruption scratch
 	// datagrams is this shard's share of the drain load (atomic; one
 	// captured pointer, so counting stays allocation-free).
@@ -195,19 +206,28 @@ type aggShard struct {
 
 	// Batched-loop state. nc is the shard's batched socket view; occ
 	// its burst-occupancy histogram. block accumulates the burst's
-	// equal-size multicast results so one flush sends the same bytes
-	// to every peer as a segment train (the completed results of a
-	// burst are identical for all workers, so the block is built once
-	// and addressed W times).
+	// equal-size multicast results, each marshalled straight into it,
+	// so one flush sends the same bytes to every peer as a segment
+	// train (the completed results of a burst are identical for all
+	// workers, so the block is built once and addressed W times).
+	// staged counts the datagrams handed to nc since the last flush,
+	// added to the sent counter once per flush.
 	nc       *netio.Conn
 	occ      *telemetry.Histogram
 	block    []byte
 	blockSeg int
+	staged   uint64
 }
 
 // NewAggregator binds the socket(s) and starts the serving
 // goroutines.
 func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
+	return newAggregator(cfg, time.Now)
+}
+
+// newAggregator is NewAggregator over a given wall clock, which has to
+// be in place before the shard goroutines start.
+func newAggregator(cfg AggregatorConfig, clock func() time.Time) (*Aggregator, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
 	}
@@ -220,8 +240,10 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	}
 	cfg.Switch.Metrics = reg
 	cfg.Switch.Tracer = cfg.Tracer
+	coarse := new(atomic.Int64)
+	coarse.Store(clock().UnixNano())
 	if cfg.Switch.Now == nil {
-		cfg.Switch.Now = telemetry.WallClock
+		cfg.Switch.Now = coarse.Load
 	}
 	sw, err := core.NewShardedSwitch(cfg.Switch)
 	if err != nil {
@@ -246,6 +268,8 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 		sw:         sw,
 		reg:        reg,
 		inj:        inj,
+		clock:      clock,
+		coarse:     coarse,
 		netMode:    "per-packet",
 		recvd:      reg.Counter("udp_datagrams_received_total", "role", "aggregator"),
 		corrupt:    reg.Counter("udp_datagrams_corrupted_total", "role", "aggregator"),
@@ -437,6 +461,7 @@ func (a *Aggregator) serve(sh *aggShard) {
 			}
 			continue // transient error: keep serving
 		}
+		a.coarse.Store(a.clock().UnixNano())
 		a.recvd.Inc()
 		sh.datagrams.Inc()
 		if a.down.Load() {
@@ -497,6 +522,7 @@ func (a *Aggregator) serveBatched(sh *aggShard) {
 			}
 			continue // transient error: keep serving
 		}
+		a.coarse.Store(a.clock().UnixNano())
 		sh.occ.Observe(float64(n))
 		a.recvd.Add(uint64(n))
 		sh.datagrams.Add(uint64(n))
@@ -538,20 +564,21 @@ func (a *Aggregator) serveBatched(sh *aggShard) {
 	}
 }
 
-// stageMulticast accumulates the burst's multicast results. Completed
-// slot results are byte-identical for every worker, so the shard
-// builds the block once and flushShard addresses it to each peer as
-// one segment train. A segment-size change or a full block flushes
-// eagerly — correctness never depends on the burst boundary.
+// stageMulticast marshals a multicast result onto the tail of the
+// burst's block. Completed slot results are byte-identical for every
+// worker, so the shard builds the block once and flushShard addresses
+// it to each peer as one segment train. A segment-size change or a
+// full block flushes eagerly — correctness never depends on the burst
+// boundary.
 //
 //switchml:hotpath
-func (a *Aggregator) stageMulticast(sh *aggShard) {
-	if sh.blockSeg != 0 && (sh.blockSeg != len(sh.wire) || len(sh.block)+len(sh.wire) > cap(sh.block)) {
+func (a *Aggregator) stageMulticast(sh *aggShard, p *packet.Packet) {
+	size := p.MarshalledSize()
+	if sh.blockSeg != 0 && (sh.blockSeg != size || len(sh.block)+size > cap(sh.block)) {
 		a.flushShard(sh)
 	}
-	sh.blockSeg = len(sh.wire)
-	sh.block = append(sh.block, sh.wire...) //switchml:allow hotpath -- append into a fixed-capacity block; the flush above guarantees room
-
+	sh.blockSeg = size
+	sh.block = p.AppendMarshal(sh.block)
 }
 
 // flushShard fans the accumulated multicast block out to every known
@@ -571,8 +598,12 @@ func (a *Aggregator) flushShard(sh *aggShard) {
 				continue
 			}
 			sh.nc.AppendTrain(sh.block, sh.blockSeg, *ap)
-			a.sent.Add(uint64(len(sh.block) / sh.blockSeg))
+			sh.staged += uint64(len(sh.block) / sh.blockSeg)
 		}
+	}
+	if sh.staged != 0 {
+		a.sent.Add(sh.staged)
+		sh.staged = 0
 	}
 	sh.nc.Flush()
 	// Reset only after Flush returns: in GSO mode the staged train
@@ -599,18 +630,18 @@ func (a *Aggregator) trainInjected(sh *aggShard, peer netip.AddrPort) {
 			continue
 		case faults.Duplicate:
 			sh.nc.AppendTo(sh.block[off:off+seg], peer)
-			a.sent.Inc()
+			sh.staged++
 			continue
 		case faults.Corrupt:
 			sh.nc.AppendTo(a.mangle(sh, sh.block[off:off+seg]), peer)
-			a.sent.Inc()
+			sh.staged++
 		}
 		sh.nc.AppendTrain(sh.block[run:off], seg, peer)
-		a.sent.Add(uint64((off - run) / seg))
+		sh.staged += uint64((off - run) / seg)
 		run = off + seg
 	}
 	sh.nc.AppendTrain(sh.block[run:], seg, peer)
-	a.sent.Add(uint64((len(sh.block) - run) / seg))
+	sh.staged += uint64((len(sh.block) - run) / seg)
 }
 
 // reply sends a control datagram back to a packet's source: staged on
@@ -620,7 +651,7 @@ func (a *Aggregator) trainInjected(sh *aggShard, peer netip.AddrPort) {
 func (a *Aggregator) reply(sh *aggShard, wire []byte, to netip.AddrPort) {
 	if sh.nc != nil {
 		sh.nc.AppendTo(wire, to)
-		a.sent.Inc()
+		sh.staged++
 		return
 	}
 	a.writeCtrl(wire, to)
@@ -656,8 +687,11 @@ func (a *Aggregator) setPeer(w uint16, src netip.AddrPort) {
 // merely-slow worker learns it was evicted and can fail fast), and
 // stale-generation traffic from a live worker means the resume
 // directive was lost — it is re-sent instead of feeding the pool.
-// The clean path — touch the tracker, aggregate, reply — takes no
-// lock beyond the packet's slot.
+// The clean path — touch the tracker, aggregate, marshal the result
+// into the shard's block — takes no lock beyond the packet's slot and
+// reads no clock: liveness and the switch stamp from the burst clock.
+//
+//switchml:hotpath
 func (a *Aggregator) handleUpdate(sh *aggShard, src netip.AddrPort) {
 	p := &sh.pkt
 	w := int(p.WorkerID)
@@ -670,7 +704,7 @@ func (a *Aggregator) handleUpdate(sh *aggShard, src netip.AddrPort) {
 			a.reply(sh, sh.ctrl, src)
 			return
 		}
-		a.lv.tracker.Touch(w, time.Now().UnixNano())
+		a.lv.tracker.Touch(w, a.coarse.Load())
 		if a.lv.leaveArmed.Load() {
 			// A drain is pending: this update is the progress evidence
 			// its commit waits on (elastic.go).
@@ -690,22 +724,23 @@ func (a *Aggregator) handleUpdate(sh *aggShard, src netip.AddrPort) {
 	if a.cfg.DropResult != nil && a.cfg.DropResult(resp.Pkt) {
 		return
 	}
-	sh.wire = resp.Pkt.AppendMarshal(sh.wire[:0])
+	if resp.Multicast && sh.nc != nil {
+		a.stageMulticast(sh, resp.Pkt)
+		return
+	}
+	// Off the block: a unicast repair, or Batch 1's per-peer fan-out.
+	sh.ctrl = resp.Pkt.AppendMarshal(sh.ctrl[:0])
 	if resp.Multicast {
-		if sh.nc != nil {
-			a.stageMulticast(sh)
-			return
-		}
 		for i := range a.peers {
 			if ap := a.peers[i].Load(); ap != nil {
-				a.write(sh, *ap)
+				a.write(sh, sh.ctrl, *ap)
 			}
 		}
 		return
 	}
 	if int(resp.Pkt.WorkerID) < len(a.peers) {
 		if ap := a.peers[resp.Pkt.WorkerID].Load(); ap != nil {
-			a.write(sh, *ap)
+			a.write(sh, sh.ctrl, *ap)
 		}
 	}
 }
@@ -726,7 +761,7 @@ func (a *Aggregator) handleProbe(sh *aggShard, src netip.AddrPort) {
 		}
 		// Probes are liveness: a worker on the mesh is silent on the
 		// update path but very much alive.
-		a.lv.tracker.Touch(int(p.WorkerID), time.Now().UnixNano())
+		a.lv.tracker.Touch(int(p.WorkerID), a.coarse.Load())
 	}
 	a.setPeer(p.WorkerID, src)
 	if int16(p.JobID-a.epochNow()) > 0 {
@@ -753,12 +788,12 @@ func (a *Aggregator) handleProbe(sh *aggShard, src netip.AddrPort) {
 // worker fails back.
 func (a *Aggregator) SetDown(down bool) { a.down.Store(down) }
 
-// write sends the shard's marshalled result datagram to one peer,
-// consulting the fault injector: staged on the shard's batched socket
-// when it has one, immediate on the shared socket otherwise (Batch 1,
-// the only place a result costs one syscall).
-func (a *Aggregator) write(sh *aggShard, peer netip.AddrPort) {
-	out, copies := sh.wire, 1
+// write sends one marshalled result datagram to one peer, consulting
+// the fault injector: staged on the shard's batched socket when it has
+// one, immediate on the shared socket otherwise (Batch 1, the only
+// place a result costs one syscall).
+func (a *Aggregator) write(sh *aggShard, wire []byte, peer netip.AddrPort) {
+	out, copies := wire, 1
 	if a.inj != nil {
 		switch a.inj.Judge() {
 		case faults.Drop:
@@ -772,16 +807,17 @@ func (a *Aggregator) write(sh *aggShard, peer netip.AddrPort) {
 	for i := 0; i < copies; i++ {
 		if sh.nc != nil {
 			sh.nc.AppendTo(out, peer)
+			sh.staged++
 		} else if _, err := a.conn.WriteToUDPAddrPort(out, peer); err != nil {
 			a.sendErrs.Inc()
-			continue
+		} else {
+			a.sent.Inc()
 		}
-		a.sent.Inc()
 	}
 }
 
 // mangle returns a corrupted shard-local copy of wire: the original
-// is shared across peers (the multicast block, or sh.wire in the
+// is shared across peers (the multicast block, or the datagram of the
 // per-packet fan-out) and must stay intact.
 //
 //switchml:hotpath

@@ -12,6 +12,7 @@ import (
 	"switchml/internal/core"
 	"switchml/internal/faults"
 	"switchml/internal/netio"
+	"switchml/internal/packet"
 	"switchml/internal/telemetry"
 )
 
@@ -172,10 +173,10 @@ func TestBatchedUnbatchedEquivalence(t *testing.T) {
 
 // TestShardStageFlushZeroAlloc is the AllocsPerRun gate behind the
 // //switchml:hotpath annotations on stageMulticast, flushShard and its
-// injected branch: a shard accumulating a burst's multicast results
-// and fanning them out to every peer must not touch the heap — nor
-// when an injector splits the block into runs, mangled copies and
-// duplicates.
+// injected branch: a shard marshalling a burst's multicast results
+// into its block and fanning them out to every peer must not touch the
+// heap — nor when an injector splits the block into runs, mangled
+// copies and duplicates.
 func TestShardStageFlushZeroAlloc(t *testing.T) {
 	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -212,15 +213,17 @@ func TestShardStageFlushZeroAlloc(t *testing.T) {
 			a.peers[1].Store(&ap)
 			sh := &aggShard{
 				nc:      nc,
-				wire:    make([]byte, 128),
 				block:   make([]byte, 0, 8*2048),
 				mangled: make([]byte, 0, 2048),
 			}
+			res := packet.NewUpdate(0, 0, 1, 5, 4096, make([]int32, 26))
+			res.Kind = packet.KindResult
+			wire := res.Marshal()
 			step := func() {
 				for k := 0; k < 4; k++ {
-					a.stageMulticast(sh)
+					a.stageMulticast(sh, res)
 				}
-				a.write(sh, ap) // a unicast result rides the same flush
+				a.write(sh, wire, ap) // a unicast result rides the same flush
 				a.flushShard(sh)
 			}
 			step() // warm the staging arena
@@ -230,6 +233,74 @@ func TestShardStageFlushZeroAlloc(t *testing.T) {
 			if inj != nil {
 				if st := inj.Stats(); st.Dropped == 0 || st.Duplicated == 0 || st.Corrupted == 0 {
 					t.Errorf("injector verdicts %+v: a branch of the injected flush went unexercised", st)
+				}
+			}
+		})
+	}
+}
+
+// TestClientWindowPumpZeroAlloc is the AllocsPerRun gate behind the
+// //switchml:hotpath annotations on the client's handleIncoming, send
+// and stageTx: a burst of results, each answered by the slot's next
+// update marshalled into the window block, and the flush that ends the
+// pass must not touch the heap — nor when an injector truncates,
+// mangles and re-stages segments in the block.
+func TestClientWindowPumpZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the packet pool allocates under the race detector")
+	}
+	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close() // never read: loopback drops on a full buffer without erroring the sender
+	const s, k, runs = 8, 32, 100
+	for name, inj := range map[string]*faults.InjectorConfig{
+		"clean":    nil,
+		"injected": {Seed: 3, DropRate: 0.2, DupRate: 0.2, CorruptRate: 0.2},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, err := NewClient(ClientConfig{
+				Aggregator: sink.LocalAddr().String(),
+				Worker:     core.WorkerConfig{ID: 0, Workers: 1, PoolSize: s, SlotElems: k, LossRecovery: true},
+				Inject:     inj,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			// With one worker a slot's result is its update: answer
+			// every slot of the window, pass after pass, out of a
+			// tensor long enough never to finish.
+			u := make([]int32, (runs+3)*s*k)
+			res := make([]packet.Packet, s)
+			for i, p := range c.worker.Start(u) {
+				res[i] = packet.Packet{Kind: packet.KindResult, Idx: p.Idx, Ver: p.Ver, Off: p.Off, Vector: make([]int32, k)}
+				packet.PutPacket(p)
+			}
+			step := func() {
+				c.tick()
+				for i := range res {
+					if done, err := c.handleIncoming(&res[i]); err != nil || done {
+						t.Fatalf("slot %d: done=%v err=%v", i, done, err)
+					}
+					res[i].Ver ^= 1
+					res[i].Off += s * k
+				}
+				if err := c.flushTx(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step() // warm the packet pool and the staging arena
+			if allocs := testing.AllocsPerRun(runs, step); allocs != 0 {
+				t.Errorf("result→update→flush cycle allocates %.2f/op, want 0", allocs)
+			}
+			if got, want := c.worker.Stats().Results, uint64((runs+2)*s); got != want {
+				t.Errorf("worker accepted %d results, want %d: the cycle did not run", got, want)
+			}
+			if c.inj != nil {
+				if st := c.inj.Stats(); st.Dropped == 0 || st.Duplicated == 0 || st.Corrupted == 0 {
+					t.Errorf("injector verdicts %+v: a branch of the injected send went unexercised", st)
 				}
 			}
 		})

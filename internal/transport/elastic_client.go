@@ -70,6 +70,7 @@ func (c *Client) armFence(p *packet.Packet) error {
 		}
 	}
 	if !member {
+		//switchml:allow hotpath -- cold error return: an eviction ends the job for this worker
 		return fmt.Errorf("transport: worker %d evicted from job (generation %d)",
 			c.cfg.Worker.ID, p.JobID)
 	}
@@ -143,7 +144,7 @@ func (c *Client) holdAtFence(deadline time.Time) (reopened bool, err error) {
 			c.corrupt.Inc()
 			continue
 		}
-		c.lastProgress = time.Now()
+		c.lastProgress = c.tick()
 		//switchml:dispatch
 		switch c.rp.Kind {
 		case packet.KindResume:

@@ -114,13 +114,15 @@ func (c *Client) wrapMain(conn *net.UDPConn) {
 	}
 	c.nc = nil
 	c.ncDbg.Store(nil)
-	c.txb = nil
+	// The window block holds a burst of updates; at Batch 1 it holds
+	// the one being written and its injected duplicate.
+	mtu := aggWireMTU(c.cfg.Worker.SlotElems)
+	c.txb = make([]byte, 0, max(c.cfg.Batch, 2)*mtu)
 	c.txSeg = 0
 	c.stageErr = nil
 	if c.cfg.Batch <= 1 {
 		return
 	}
-	mtu := aggWireMTU(c.cfg.Worker.SlotElems)
 	nc, err := netio.Wrap(conn, netio.Config{
 		Batch:    c.cfg.Batch,
 		MTU:      mtu,
@@ -139,7 +141,6 @@ func (c *Client) wrapMain(conn *net.UDPConn) {
 	}
 	c.nc = nc
 	c.ncDbg.Store(nc)
-	c.txb = make([]byte, 0, c.cfg.Batch*mtu)
 }
 
 // sendRetryTotal sums transient-send retries across the current and
@@ -268,7 +269,7 @@ func (c *Client) adoptAt(rank int, deadline time.Time) error {
 				return fmt.Errorf("transport: adoption resume at %d: %w", p.Off, rerr)
 			}
 			c.adoptEpoch(p.JobID)
-			c.lastProgress = time.Now()
+			c.lastProgress = c.tick()
 			c.trace(telemetry.EvResume, -1)
 			for _, q := range pkts {
 				serr := c.send(q)
@@ -317,7 +318,7 @@ func (c *Client) degradeLadder(u []int32, deadline time.Time) ([]int32, error) {
 				// A fence proposed by the dead rung died with it; the
 				// joiner re-solicits against the new home.
 				c.fenceArmed = false
-				out, err := c.switchLoop(u, deadline)
+				out, err := c.switchLoop(deadline)
 				if errors.Is(err, errSilence) {
 					return c.degradeLadder(u, deadline)
 				}

@@ -82,6 +82,24 @@ func failoverCluster(t *testing.T, o failoverOpts) ([]*Aggregator, []*Client) {
 	return aggs, clients
 }
 
+// revive brings a downed aggregator back once it has discarded
+// everything that was in flight to it. The fail-up probation counts
+// answered probes per worker, and the tests script it tensor by tensor:
+// a probe sent during the outage that a shard only gets to read after
+// the flag flips would be answered, put that worker's streak one
+// tensor ahead of the others', and send it climbing alone.
+func revive(agg *Aggregator) {
+	for last, quiet := agg.recvd.Value(), 0; quiet < 3; {
+		time.Sleep(time.Millisecond)
+		if got := agg.recvd.Value(); got != last {
+			last, quiet = got, 0
+		} else {
+			quiet++
+		}
+	}
+	agg.SetDown(false)
+}
+
 // lockstepAgree runs one collective step and checks every worker holds
 // the bitwise-identical aggregate. Under quorum the value may exclude
 // straggler gradients, so unlike lockstep it asserts agreement, not
@@ -163,7 +181,7 @@ func TestFaultUDPFailoverToStandbyAndFailback(t *testing.T) {
 	}
 	lockstep(t, clients, elems, 4) // full rate on the standby
 
-	primary.SetDown(false)
+	revive(primary)
 	lockstep(t, clients, elems, 5) // stale probe resolved, fresh probe sent
 	lockstep(t, clients, elems, 6) // streak 1
 	lockstep(t, clients, elems, 7) // streak 2
@@ -337,7 +355,7 @@ func TestFaultFailoverWithQuorumStraggler(t *testing.T) {
 	lockstepAgree(t, clients, elems, 4)
 	lockstepAgree(t, clients, elems, 5)
 
-	primary.SetDown(false)
+	revive(primary)
 	for step := 6; step <= 9; step++ { // stale probe + 3-tensor probation
 		lockstepAgree(t, clients, elems, step)
 	}
@@ -389,7 +407,7 @@ func TestFaultUDPFailoverStatsRace(t *testing.T) {
 	lockstep(t, clients, elems, 1)
 	aggs[0].SetDown(true)
 	lockstep(t, clients, elems, 2)
-	aggs[0].SetDown(false)
+	revive(aggs[0])
 	for step := 3; step <= 7; step++ {
 		lockstep(t, clients, elems, step)
 	}

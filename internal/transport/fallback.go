@@ -294,9 +294,7 @@ func (c *Client) meshFinish(u []int32, F uint64, local int, deadline time.Time) 
 	fb.hostRounds.Add(1)
 	fb.hostElems.Add(uint64(len(buf)))
 	c.trace(telemetry.EvTensorDone, -1)
-	out := make([]int32, len(u))
-	copy(out, c.worker.Aggregate())
-	return out, nil
+	return c.worker.Aggregate(), nil
 }
 
 // failback returns the job to the switch path: the collective verdict
@@ -319,7 +317,7 @@ func (c *Client) failback(u []int32, deadline time.Time) ([]int32, error) {
 	c.trace(telemetry.EvFailback, -1)
 	// The progress clock last ticked before the outage; restart it or
 	// the silence detector would re-degrade before the first result.
-	c.lastProgress = time.Now()
+	c.lastProgress = c.tick()
 	for i := range c.backoff {
 		c.backoff[i] = 0
 	}
@@ -330,7 +328,7 @@ func (c *Client) failback(u []int32, deadline time.Time) ([]int32, error) {
 			return nil, err
 		}
 	}
-	out, err := c.switchLoop(u, deadline)
+	out, err := c.switchLoop(deadline)
 	if errors.Is(err, errSilence) {
 		// Flapped again: walk the whole ladder before settling back on
 		// the mesh.

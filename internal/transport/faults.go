@@ -151,6 +151,8 @@ func (a *Aggregator) startRecoveryLocked() {
 }
 
 // survivorsLocked returns the live membership as a packet vector.
+//
+//switchml:allow hotpath -- recovery control plane: the update path calls it only to answer an evicted worker
 func (a *Aggregator) survivorsLocked() []int32 {
 	var vec []int32
 	for w := range a.peers {
@@ -255,7 +257,7 @@ func (a *Aggregator) touch(p *packet.Packet, src netip.AddrPort) {
 	if a.lv.tracker.Dead(int(p.WorkerID)) {
 		return
 	}
-	a.lv.tracker.Touch(int(p.WorkerID), time.Now().UnixNano())
+	a.lv.tracker.Touch(int(p.WorkerID), a.coarse.Load())
 	a.setPeer(p.WorkerID, src)
 }
 

@@ -276,9 +276,16 @@ type AggregatorStats struct {
 
 // Peer is a worker endpoint attached to a remote Aggregator.
 type Peer struct {
-	inner      *transport.Client
-	scale      *quant.FixedPoint
-	n          int
+	inner *transport.Client
+	scale *quant.FixedPoint
+	n     int
+	// qbuf holds the float32 path's quantized inputs, grown on demand
+	// (a Peer runs one all-reduce at a time). Two buffers alternate:
+	// the worker keeps the last completed tensor's update, qbuf[qi],
+	// for a recovery that re-opens it at the next call, so that one
+	// must survive quantizing this call's.
+	qbuf       [2][]int32
+	qi         int
 	rec        *telemetry.FlightRecorder
 	debugClose func() error
 }
@@ -636,14 +643,21 @@ func (p *Peer) AllReduceFloat32(u []float32) ([]float32, error) {
 	if p.scale == nil {
 		return nil, errNoScale
 	}
-	q := make([]int32, len(u))
+	next := p.qi ^ 1
+	if cap(p.qbuf[next]) < len(u) {
+		p.qbuf[next] = make([]int32, len(u))
+	}
+	q := p.qbuf[next][:len(u)]
 	if sat := p.scale.Quantize(q, u); sat > 0 {
 		return nil, fmt.Errorf("switchml: %d elements saturated during quantization; lower the scale (see MaxSafeScale)", sat)
 	}
-	sum, err := p.inner.AllReduceInt32(q)
+	// The sum is the worker's own aggregate buffer: dequantized here,
+	// before the next call can overwrite it, it needs no copy.
+	sum, err := p.inner.AllReduceInt32View(q)
 	if err != nil {
 		return nil, fabricErr(err)
 	}
+	p.qi = next // the worker now holds q as its last update
 	out := make([]float32, len(u))
 	p.scale.Dequantize(out, sum)
 	return out, nil

@@ -76,3 +76,70 @@ func TestUDPPeerValidation(t *testing.T) {
 		t.Error("float32 without scale accepted")
 	}
 }
+
+// TestUDPFloatScratchReuse drives the float32 path the way a training
+// loop does — tensor after tensor of changing size through the same
+// peers — since its quantized inputs now live in per-peer scratch and
+// its sums are read out of the worker's own buffer: every step must
+// still return the exact fixed-point sum, and a saturating input must
+// fail before a single update reaches the aggregator, leaving the next
+// step unharmed.
+func TestUDPFloatScratchReuse(t *testing.T) {
+	const n = 2
+	agg, err := ListenAggregator("127.0.0.1:0", AggregatorParams{Workers: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+	peers := make([]*Peer, n)
+	for i := range peers {
+		if peers[i], err = DialAggregator(agg.Addr(), PeerParams{ID: i, Workers: n, Scale: 1 << 16, Timeout: 10 * time.Second}); err != nil {
+			t.Fatal(err)
+		}
+		defer peers[i].Close()
+	}
+	step := func(d int, bias float32) {
+		t.Helper()
+		outs := make([][]float32, n)
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i := range peers {
+			i := i
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				u := make([]float32, d)
+				for j := range u {
+					u[j] = bias + float32(i) - float32(j%97)*0.5
+				}
+				outs[i], errs[i] = peers[i].AllReduceFloat32(u)
+			}()
+		}
+		wg.Wait()
+		for i := range peers {
+			if errs[i] != nil {
+				t.Fatalf("d=%d peer %d: %v", d, i, errs[i])
+			}
+			if len(outs[i]) != d {
+				t.Fatalf("d=%d peer %d: %d elements back", d, i, len(outs[i]))
+			}
+			for j, got := range outs[i] {
+				want := float64(n)*float64(bias) + 1 - float64(n)*float64(j%97)*0.5
+				if math.Abs(float64(got)-want) > 1e-3 {
+					t.Fatalf("d=%d peer %d elem %d: got %v want %v", d, i, j, got, want)
+				}
+			}
+		}
+	}
+	for i, d := range []int{3000, 100, 5000, 3000, 64} {
+		step(d, float32(i))
+	}
+	before := agg.Stats().Updates
+	if _, err := peers[0].AllReduceFloat32([]float32{1, 1e9, 2}); err == nil {
+		t.Fatal("saturating input accepted")
+	}
+	if got := agg.Stats().Updates; got != before {
+		t.Fatalf("saturating call sent %d updates before failing", got-before)
+	}
+	step(4096, 7)
+}
