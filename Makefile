@@ -70,7 +70,7 @@ bench:
 # ingress, sharded dispatch, event scheduling, the rack simulator's
 # per-packet path, batched socket I/O, the aggregator's stage/flush
 # cycle and the client's window pump with and without a fault injector,
-# and the worker's lap query)
+# the worker's lap query and the recovery pump's per-burst traffic)
 # plus a smoke run of the hotpath micro-benchmarks. Regenerate the committed baseline with:
 #   $(GO) run ./cmd/switchml-bench -scale 1 -artifacts . hotpath
 bench-smoke:

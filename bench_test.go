@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"switchml/internal/bench"
 	"switchml/internal/core"
@@ -324,9 +325,28 @@ func BenchmarkClusterAllReduce(b *testing.B) {
 //	go test -run '^$' -bench UDPBulk -benchtime 200x -cpuprofile cpu.out .
 //
 // DESIGN.md's "What a packet costs" table is read off such a profile.
-func BenchmarkUDPBulk(b *testing.B) {
-	const n, d = 2, 1 << 20
-	agg, err := ListenAggregator("127.0.0.1:0", AggregatorParams{Workers: n})
+func BenchmarkUDPBulk(b *testing.B) { benchUDP(b, 1<<20, 0, 0) }
+
+// BenchmarkUDPLossy is BenchmarkUDPBulk's twin at the harness's
+// udp_lossy shape: 262,144 elements, 1 % of the datagrams dropped each
+// way, RTO 5 ms. It reports which recovery repaired the losses. A CPU
+// profile of it is mostly idle time — the workload waits for losses to
+// be noticed, it does not compute — so read its wall clock first.
+//
+//	go test -run '^$' -bench UDPLossy -benchtime 300x -cpuprofile cpu.out .
+func BenchmarkUDPLossy(b *testing.B) { benchUDP(b, 256<<10, 0.01, 5*time.Millisecond) }
+
+// benchUDP steps a 2-worker loopback job of d elements b.N times, with
+// every datagram dropped with probability drop in each direction.
+func benchUDP(b *testing.B, d int, drop float64, rto time.Duration) {
+	const n = 2
+	inject := func(seed int64) *FaultInjection {
+		if drop == 0 {
+			return nil
+		}
+		return &FaultInjection{Seed: seed, DropRate: drop}
+	}
+	agg, err := ListenAggregator("127.0.0.1:0", AggregatorParams{Workers: n, Inject: inject(1)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -334,7 +354,7 @@ func BenchmarkUDPBulk(b *testing.B) {
 	peers := make([]*Peer, n)
 	updates := make([][]int32, n)
 	for i := range peers {
-		if peers[i], err = DialAggregator(agg.Addr(), PeerParams{ID: i, Workers: n}); err != nil {
+		if peers[i], err = DialAggregator(agg.Addr(), PeerParams{ID: i, Workers: n, RTO: rto, Inject: inject(int64(2 + i))}); err != nil {
 			b.Fatal(err)
 		}
 		defer peers[i].Close()
@@ -356,6 +376,18 @@ func BenchmarkUDPBulk(b *testing.B) {
 		}
 		wg.Wait()
 	}
+	b.StopTimer()
+	var st core.WorkerStats
+	for _, p := range peers {
+		ws := p.inner.Stats()
+		st.Retransmissions += ws.Retransmissions
+		st.EarlyRetransmissions += ws.EarlyRetransmissions
+		st.ProbeRetransmissions += ws.ProbeRetransmissions
+	}
+	steps := float64(b.N)
+	b.ReportMetric(float64(st.EarlyRetransmissions)/steps, "lap/op")
+	b.ReportMetric(float64(st.ProbeRetransmissions)/steps, "probe/op")
+	b.ReportMetric(float64(st.Retransmissions-st.EarlyRetransmissions-st.ProbeRetransmissions)/steps, "timer/op")
 }
 
 // BenchmarkRackSimulation measures simulator wall-clock speed on the

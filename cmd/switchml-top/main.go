@@ -227,7 +227,7 @@ func runSelftest(asJSON bool) error {
 		return err
 	}
 	for i, w := range doc.Workers {
-		for _, key := range []string{"loss_rate", "retransmissions", "early_retransmissions"} {
+		for _, key := range []string{"loss_rate", "retransmissions", "early_retransmissions", "probe_retransmissions", "pto_ms"} {
 			if _, ok := w[key]; !ok {
 				return fmt.Errorf("worker row %d lacks the %q column", i, key)
 			}

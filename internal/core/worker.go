@@ -60,10 +60,11 @@ type pendingSlot struct {
 	// chunk has been retransmitted, so a result for it may answer an
 	// earlier copy and proves nothing about seq (Karn's rule). lapped
 	// marks that Lapped reported this send, so each send is reported
-	// once and Retransmit can tell an early retransmission from a
-	// timer-driven one.
-	seq          uint64
-	retx, lapped bool
+	// once; probed marks that the Pump reported it on overtake or
+	// tail-probe evidence. Retransmit reads both to tell which recovery
+	// it is serving, and clears them.
+	seq                  uint64
+	retx, lapped, probed bool
 }
 
 // workerCounters are the worker's live atomic counters; WorkerStats
@@ -71,6 +72,7 @@ type pendingSlot struct {
 type workerCounters struct {
 	sent, retransmissions, results, staleResults *telemetry.Counter
 	selfCompletions, earlyRetransmissions        *telemetry.Counter
+	probeRetransmissions                         *telemetry.Counter
 }
 
 // newWorkerCounters binds the counters into reg when non-nil (labeled
@@ -81,6 +83,7 @@ func newWorkerCounters(reg *telemetry.Registry, id uint16) workerCounters {
 			sent: &telemetry.Counter{}, retransmissions: &telemetry.Counter{},
 			results: &telemetry.Counter{}, staleResults: &telemetry.Counter{},
 			selfCompletions: &telemetry.Counter{}, earlyRetransmissions: &telemetry.Counter{},
+			probeRetransmissions: &telemetry.Counter{},
 		}
 	}
 	label := []string{"worker", fmt.Sprintf("%d", id)}
@@ -88,6 +91,7 @@ func newWorkerCounters(reg *telemetry.Registry, id uint16) workerCounters {
 		sent:                 reg.Counter("worker_sent_total", label...),
 		retransmissions:      reg.Counter("worker_retransmissions_total", label...),
 		earlyRetransmissions: reg.Counter("worker_early_retransmissions_total", label...),
+		probeRetransmissions: reg.Counter("worker_probe_retransmissions_total", label...),
 		results:              reg.Counter("worker_results_total", label...),
 		staleResults:         reg.Counter("worker_stale_results_total", label...),
 		selfCompletions:      reg.Counter("worker_self_completions_total", label...),
@@ -105,6 +109,11 @@ type WorkerStats struct {
 	// for a slot Lapped had reported: recovery riding the ack clock
 	// rather than the host's timer.
 	EarlyRetransmissions uint64
+	// ProbeRetransmissions counts the subset made for a slot the Pump
+	// had reported as overtaken in time or as the tail probe: recovery
+	// a probe timeout after the loss where nothing was left to lap it.
+	// What remains of Retransmissions after both subsets is the timer's.
+	ProbeRetransmissions uint64
 	// Results counts accepted result packets.
 	Results uint64
 	// StaleResults counts ignored results (duplicates from a multicast
@@ -128,7 +137,8 @@ type WorkerStats struct {
 // get the initial window, feed results to HandleResult (sending the
 // returned follow-up packet, if any), and call Retransmit for slots
 // whose timers expire — and, to recover a loss without waiting for
-// the timer, for slots Lapped reports.
+// the timer, for slots Lapped reports. A Pump does the second half for
+// a host: it keeps the stamps and timers and says which slots are due.
 type Worker struct {
 	cfg WorkerConfig
 	// u is the tensor being aggregated (the local model update).
@@ -140,8 +150,10 @@ type Worker struct {
 	base uint64
 	// remaining counts elements of a not yet received.
 	remaining int
-	// pend tracks the in-flight chunk per slot.
-	pend []pendingSlot
+	// pend tracks the in-flight chunk per slot; inflight counts the
+	// active ones.
+	pend     []pendingSlot
+	inflight int
 	// ver is the next pool version to use per slot, persisting across
 	// tensors.
 	ver []uint8
@@ -152,7 +164,11 @@ type Worker struct {
 	// seq numbers every update this worker produces; acked is the
 	// highest number a result has vouched for (see Lapped).
 	seq, acked uint64
-	ctr        workerCounters
+	// window counts the times everything in flight was discarded
+	// (Resume, JoinAt, InstallHostAggregate): a Pump's per-slot state
+	// belongs to one window and is dropped with it.
+	window uint64
+	ctr    workerCounters
 }
 
 // NewWorker returns a worker ready for its first Start call.
@@ -179,6 +195,7 @@ func (w *Worker) Stats() WorkerStats {
 		Sent:                 w.ctr.sent.Value(),
 		Retransmissions:      w.ctr.retransmissions.Value(),
 		EarlyRetransmissions: w.ctr.earlyRetransmissions.Value(),
+		ProbeRetransmissions: w.ctr.probeRetransmissions.Value(),
 		Results:              w.ctr.results.Value(),
 		StaleResults:         w.ctr.staleResults.Value(),
 		SelfCompletions:      w.ctr.selfCompletions.Value(),
@@ -252,6 +269,7 @@ func (w *Worker) sendChunk(idx uint32, local int) *packet.Packet {
 	}
 	w.seq++
 	w.pend[idx] = pendingSlot{active: true, off: w.base + uint64(local), elems: elems, ver: ver, seq: w.seq}
+	w.inflight++
 	w.ctr.sent.Inc()
 	// Packets come from the shared pool: hosts that transmit
 	// synchronously (the UDP client) return them after marshalling,
@@ -308,6 +326,7 @@ func (w *Worker) HandleResult(p *packet.Packet) (next *packet.Packet, done bool)
 	w.remaining -= pd.elems
 	w.chunkDone[local/w.cfg.SlotElems] = true
 	pd.active = false
+	w.inflight--
 
 	// Algorithm 4 line 13: the slot's next chunk is k·s elements
 	// further into the stream. Chunks already aggregated (possible
@@ -341,12 +360,15 @@ func (w *Worker) Retransmit(idx uint32) *packet.Packet {
 		return nil
 	}
 	w.ctr.retransmissions.Inc()
-	if pd.lapped {
+	switch {
+	case pd.lapped:
 		w.ctr.earlyRetransmissions.Inc()
+	case pd.probed:
+		w.ctr.probeRetransmissions.Inc()
 	}
 	// A fresh number: a lost retransmission is lapped in its own turn.
 	w.seq++
-	pd.seq, pd.retx, pd.lapped = w.seq, true, false
+	pd.seq, pd.retx, pd.lapped, pd.probed = w.seq, true, false, false
 	local := int(pd.off - w.base)
 	p := packet.GetPacket()
 	p.SetUpdate(w.cfg.ID, w.cfg.JobID, pd.ver, idx, pd.off, w.u[local:local+pd.elems])
@@ -364,10 +386,12 @@ func (w *Worker) Retransmit(idx uint32) *packet.Packet {
 // that retransmits the reported slots recovers a loss in about one
 // trip round the window instead of one timeout. What no later traffic
 // can lap — the last window of a tensor, a tensor of a single window,
-// a silent switch — is left to the host's timer. Each send is
-// reported at most once; Retransmit renumbers the slot, so a lost
-// retransmission is reported again when it is lapped in its turn.
-// Lapped allocates only if dst must grow beyond PoolSize entries.
+// a silent switch — needs a clock: a Pump's overtake and tail-probe
+// rules cover the first two a probe timeout after the loss, the host's
+// timer the third. Each send is reported at most once; Retransmit
+// renumbers the slot, so a lost retransmission is reported again when
+// it is lapped in its turn. Lapped allocates only if dst must grow
+// beyond PoolSize entries.
 //
 //switchml:hotpath
 func (w *Worker) Lapped(dst []uint32) []uint32 {
@@ -481,8 +505,8 @@ func (w *Worker) chunkElems(c int) int {
 // be prepared for its completion callback to fire a second time.
 func (w *Worker) Resume(jobID uint16, fromChunk int) []*packet.Packet {
 	w.cfg.JobID = jobID
-	for i := range w.pend {
-		w.pend[i].active = false
+	w.discardWindow()
+	for i := range w.ver {
 		w.ver[i] = 0
 	}
 	chunks := len(w.chunkDone)
@@ -539,8 +563,8 @@ func (w *Worker) JoinAt(jobID uint16, off uint64) {
 	w.u = nil
 	w.a = w.a[:0]
 	w.chunkDone = w.chunkDone[:0]
-	for i := range w.pend {
-		w.pend[i].active = false
+	w.discardWindow()
+	for i := range w.ver {
 		w.ver[i] = 0
 	}
 }
@@ -637,9 +661,7 @@ func (w *Worker) InstallHostAggregate(off uint64, vals []int32) error {
 		return fmt.Errorf("core: host aggregate frontier %d is past this worker's frontier %d: chunk would be torn between fabrics", off, w.FrontierOff())
 	}
 	copy(w.a[local:], vals)
-	for i := range w.pend {
-		w.pend[i].active = false
-	}
+	w.discardWindow()
 	for c := int(local) / w.cfg.SlotElems; c < len(w.chunkDone); c++ {
 		w.chunkDone[c] = true
 	}
@@ -654,21 +676,15 @@ func (w *Worker) Pending(idx uint32) bool {
 	return int(idx) < len(w.pend) && w.pend[idx].active
 }
 
-// Retransmitted reports whether slot idx's in-flight chunk has been
-// retransmitted: a result for it may answer any of the copies, so its
-// round trip is no RTT sample (Karn's rule) — and, inside the worker,
-// no evidence for Lapped.
-func (w *Worker) Retransmitted(idx uint32) bool {
-	return int(idx) < len(w.pend) && w.pend[idx].active && w.pend[idx].retx
-}
-
 // PendingCount returns the number of in-flight chunks.
-func (w *Worker) PendingCount() int {
-	c := 0
+func (w *Worker) PendingCount() int { return w.inflight }
+
+// discardWindow forgets everything in flight: the pool it was sent to
+// is gone or abandoned.
+func (w *Worker) discardWindow() {
+	w.window++
+	w.inflight = 0
 	for i := range w.pend {
-		if w.pend[i].active {
-			c++
-		}
+		w.pend[i].active = false
 	}
-	return c
 }

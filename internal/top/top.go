@@ -120,6 +120,10 @@ type WorkerView struct {
 	Epoch   uint16  `json:"epoch"`
 	SRTTMs  float64 `json:"srtt_ms"`
 	RTOMs   float64 `json:"rto_ms"`
+	// PTOMs is the probe timeout of overtake and tail-probe recovery:
+	// 0 before the first round-trip sample, equal to RTOMs when the
+	// path is too slow to probe ahead of the timer.
+	PTOMs float64 `json:"pto_ms"`
 	// FrontierOff is the contiguous-progress stream offset;
 	// PendingChunks the in-flight count at the last safe publication.
 	FrontierOff   int64   `json:"frontier_off"`
@@ -134,7 +138,12 @@ type WorkerView struct {
 	// EarlyRetransmissions is the share of Retransmissions triggered
 	// by lap detection rather than an RTO expiry: close to the total
 	// when recovery rides the ack clock, zero when it waits for timers.
+	// ProbeRetransmissions is the share triggered a probe timeout after
+	// the loss, by the overtake and tail-probe rules: what repairs the
+	// drained tail of a tensor. The rest waited for the RTO — the
+	// table's timer/lap/probe column shows all three.
 	EarlyRetransmissions uint64 `json:"early_retransmissions"`
+	ProbeRetransmissions uint64 `json:"probe_retransmissions"`
 	// SendErrors is the worker's cumulative udp_send_errors counter.
 	SendErrors uint64 `json:"udp_send_errors"`
 }
@@ -276,6 +285,7 @@ func (p *Poller) Poll() (*ClusterView, error) {
 			Rehomes:         st.Failover.Rehomes,
 			SRTTMs:          float64(st.SRTTNs) / 1e6,
 			RTOMs:           float64(st.RTONs) / 1e6,
+			PTOMs:           float64(st.PTONs) / 1e6,
 			FrontierOff:     st.FrontierOff,
 			PendingChunks:   st.PendingChunks,
 			Retransmissions: st.Stats.Retransmissions,
@@ -284,6 +294,7 @@ func (p *Poller) Poll() (*ClusterView, error) {
 			SendErrors:      st.SendErrors,
 			// Of Retransmissions, how many did not wait for the timer.
 			EarlyRetransmissions: st.Stats.EarlyRetransmissions,
+			ProbeRetransmissions: st.Stats.ProbeRetransmissions,
 		}
 		if st.Degraded {
 			wv.State = "DEGRADED"
@@ -406,14 +417,17 @@ func Render(w io.Writer, v *ClusterView) {
 		}
 	}
 	if len(v.Workers) > 0 {
-		fmt.Fprintf(w, "%-3s %-9s %-4s %-5s %9s %9s %10s %5s %10s %10s %6s %7s %7s %5s %s\n",
-			"wrk", "state", "home", "epoch", "srtt", "rto", "frontier", "pend",
-			"rx/s", "tx/s", "loss", "retx", "early", "serr", "deg/fb/rh")
+		fmt.Fprintf(w, "%-3s %-9s %-4s %-5s %9s %9s %9s %10s %5s %10s %10s %6s %7s %16s %5s %s\n",
+			"wrk", "state", "home", "epoch", "srtt", "pto", "rto", "frontier", "pend",
+			"rx/s", "tx/s", "loss", "retx", "timer/lap/probe", "serr", "deg/fb/rh")
 		for _, wk := range v.Workers {
-			fmt.Fprintf(w, "%-3d %-9s %-4d %-5d %7.2fms %7.2fms %10d %5d %10.0f %10.0f %5.1f%% %7d %7d %5d %d/%d/%d\n",
-				wk.Worker, wk.State, wk.HomeRank, wk.Epoch, wk.SRTTMs, wk.RTOMs,
+			// Which recovery the retransmissions came from, slowest first.
+			by := fmt.Sprintf("%d/%d/%d", wk.Retransmissions-wk.EarlyRetransmissions-wk.ProbeRetransmissions,
+				wk.EarlyRetransmissions, wk.ProbeRetransmissions)
+			fmt.Fprintf(w, "%-3d %-9s %-4d %-5d %7.2fms %7.2fms %7.2fms %10d %5d %10.0f %10.0f %5.1f%% %7d %16s %5d %d/%d/%d\n",
+				wk.Worker, wk.State, wk.HomeRank, wk.Epoch, wk.SRTTMs, wk.PTOMs, wk.RTOMs,
 				wk.FrontierOff, wk.PendingChunks, wk.RxRate, wk.TxRate,
-				wk.LossRate*100, wk.Retransmissions, wk.EarlyRetransmissions, wk.SendErrors, wk.Degrades, wk.Failbacks, wk.Rehomes)
+				wk.LossRate*100, wk.Retransmissions, by, wk.SendErrors, wk.Degrades, wk.Failbacks, wk.Rehomes)
 		}
 	}
 	for _, e := range v.Errors {

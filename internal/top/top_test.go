@@ -99,10 +99,10 @@ func TestPollerRatesAndFlags(t *testing.T) {
 	}))
 	w0Doc.Store(ptrAny(transport.ClientDebugState{
 		Role: "worker", Worker: 0, Epoch: 8, Degraded: true,
-		SRTTNs: 2_000_000, RTONs: 8_000_000,
+		SRTTNs: 2_000_000, RTONs: 8_000_000, PTONs: 6_500_000,
 		FrontierOff: 8192, PendingChunks: 0,
 		Received: 300, Sent: 350,
-		Stats:      core.WorkerStats{Sent: 310, Retransmissions: 50, EarlyRetransmissions: 45},
+		Stats:      core.WorkerStats{Sent: 310, Retransmissions: 50, EarlyRetransmissions: 45, ProbeRetransmissions: 3},
 		Fallback:   transport.FallbackStats{Degrades: 2, Failbacks: 1},
 		SendErrors: 3,
 	}))
@@ -141,8 +141,8 @@ func TestPollerRatesAndFlags(t *testing.T) {
 	if got := wk.LossRate; got != 0.2 {
 		t.Errorf("loss rate = %v, want 0.2", got)
 	}
-	if wk.Retransmissions != 50 || wk.EarlyRetransmissions != 45 {
-		t.Errorf("retransmissions/early = %d/%d, want 50/45", wk.Retransmissions, wk.EarlyRetransmissions)
+	if wk.Retransmissions != 50 || wk.EarlyRetransmissions != 45 || wk.ProbeRetransmissions != 3 || wk.PTOMs != 6.5 {
+		t.Errorf("retransmissions/early/probe = %d/%d/%d at PTO %v ms, want 50/45/3 at 6.5", wk.Retransmissions, wk.EarlyRetransmissions, wk.ProbeRetransmissions, wk.PTOMs)
 	}
 	joined := strings.Join(v2.Flags, " ")
 	if !strings.Contains(joined, "loss-spike(w0") {
@@ -160,7 +160,7 @@ func TestPollerRatesAndFlags(t *testing.T) {
 	var buf bytes.Buffer
 	Render(&buf, v2)
 	out := buf.String()
-	for _, want := range []string{"DEGRADED", "loss-spike", "rx/s", "agg ", "serr", "io mmsg/32", "   retx   early", "     50      45"} {
+	for _, want := range []string{"DEGRADED", "loss-spike", "rx/s", "agg ", "serr", "io mmsg/32", "   6.50ms    8.00ms", "   retx  timer/lap/probe", "     50           2/45/3"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q in:\n%s", want, out)
 		}
@@ -175,7 +175,7 @@ func TestPollerRatesAndFlags(t *testing.T) {
 	if err := json.Unmarshal(data, &rt); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Workers[0].LossRate != 0.2 || rt.Agg.ShardImbalance != 3.75 || rt.Workers[0].EarlyRetransmissions != 45 {
+	if rt.Workers[0].LossRate != 0.2 || rt.Agg.ShardImbalance != 3.75 || rt.Workers[0].EarlyRetransmissions != 45 || rt.Workers[0].ProbeRetransmissions != 3 {
 		t.Errorf("JSON round trip lost fields: %+v", rt)
 	}
 }

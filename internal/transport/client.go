@@ -44,22 +44,28 @@ type ClientConfig struct {
 	// RTO is the retransmission timeout; zero selects 50 ms, generous
 	// for a LAN (the paper's testbed uses 1 ms; over real kernels a
 	// larger value avoids spurious retransmissions under scheduling
-	// jitter). Mid-tensor a loss is repaired within about one trip
-	// round the slot window by the worker's lap detection
-	// (core.Worker.Lapped); the timer is the backstop for the last
-	// window of a tensor and a silent aggregator. Send times are
-	// stamped once per burst, not per datagram, so the timer can fire
-	// early by up to one burst's processing time — tens of
+	// jitter). It is the last rung of the recovery ladder (core.Pump),
+	// not the operating point: mid-tensor a loss is repaired within
+	// about one trip round the slot window by lap detection, and where
+	// nothing is left to lap it — the drained tail of a tensor, a
+	// tensor of one window — within a probe timeout of a few measured
+	// round trips (never above the RTO) by the overtake and tail-probe
+	// rules. The timer is what remains for a loss that took its probes
+	// with it, a path with no round-trip estimate yet, and a silent
+	// aggregator, whose silence detector counts in RTOs. Send times
+	// are stamped once per burst, not per datagram, so the timer can
+	// fire early by up to one burst's processing time — tens of
 	// microseconds, against RTOs of a millisecond and more.
 	RTO time.Duration
-	// AdaptiveRTO estimates the path RTT from clean (never
-	// retransmitted — Karn's rule) chunk round trips and uses
-	// SRTT + 4·RTTVAR as the base timeout, clamped to [RTO, 64×RTO].
-	// The configured RTO then acts as a floor rather than the
-	// operating point, so one setting serves both loopback and a
-	// congested fabric. A sample is the difference of two burst
-	// stamps (the send's and the result's), so it resolves to a
-	// burst's processing time, well under the RTO floor.
+	// AdaptiveRTO uses SRTT + 4·RTTVAR as the base timeout, clamped to
+	// [RTO, 64×RTO]. The configured RTO then acts as a floor rather
+	// than the operating point, so one setting serves both loopback and
+	// a congested fabric. The path RTT is estimated either way — the
+	// probe timeout needs it — from clean (never retransmitted — Karn's
+	// rule) chunk round trips, one sample per received burst; a sample
+	// is the difference of two burst stamps (the send's and the
+	// result's), so it resolves to a burst's processing time, well
+	// under the RTO floor.
 	AdaptiveRTO bool
 	// Fallback, when non-nil, arms the degraded mode: an aggregator
 	// silent past FallbackConfig.SuspectAfter is abandoned mid-tensor
@@ -120,16 +126,18 @@ type Client struct {
 	// flushes report per-datagram through netio's OnSendError).
 	sendErrs *telemetry.Counter
 	// chunkRTT observes clean (never-retransmitted) chunk round trips,
-	// the per-chunk latency view of §7's RTT analysis. A sample is the
-	// difference of two burst stamps, so its resolution is one burst's
-	// processing time (tens of microseconds), not the bucket width.
+	// the per-chunk latency view of §7's RTT analysis: the one sample
+	// per received burst that the pump feeds its estimators. A sample
+	// is the difference of two burst stamps, so its resolution is one
+	// burst's processing time (tens of microseconds), not the bucket
+	// width.
 	chunkRTT *telemetry.Histogram
 	// Monitoring gauges, written by the AllReduce goroutine at safe
 	// points (RTT samples, sweeps, tensor and recovery boundaries) and
 	// read lock-free by DebugState and the sampler. They exist because
 	// the underlying state (srtt, frontier, pending set) belongs to
 	// the AllReduce goroutine and must not be read directly.
-	gSRTT, gRTO, gFrontier, gPending, gEpoch, gDegraded *telemetry.Gauge
+	gSRTT, gRTO, gPTO, gFrontier, gPending, gEpoch, gDegraded *telemetry.Gauge
 	// gHome publishes the failover-ladder rung serving the job (0 =
 	// primary); the failover counters track re-homes, adoption
 	// solicitations, fail-up probes/acks and completed failbacks.
@@ -143,11 +151,16 @@ type Client struct {
 	// three per datagram. Tests substitute clock to count reads.
 	clock func() time.Time
 	now   time.Time
-	// lastSend tracks per-slot transmission times for timeout sweeps,
-	// at burst granularity: the stamp is the clock read of the pass
-	// that staged the send, at most one burst's processing earlier
-	// than the datagram reached the socket.
-	lastSend []time.Time
+	// pump is the loss-recovery machine: send stamps, backoff, the RTT
+	// estimators and every retransmission decision (core.Pump). It runs
+	// on nowNs, the burst clock as nanoseconds since t0, so a send is
+	// stamped with the clock read of the pass that staged it — at most
+	// one burst's processing before the datagram reached the socket.
+	// due is the reused result buffer of its query.
+	pump  *core.Pump
+	t0    time.Time
+	nowNs int64
+	due   []uint32
 	// rbuf/rp/cbuf are the receive buffer, decoded packet and control
 	// wire buffer, reused across datagrams so the steady-state
 	// AllReduce loop performs no heap allocation. They belong to the
@@ -171,15 +184,6 @@ type Client struct {
 	txb      []byte
 	txSeg    int
 	stageErr error
-	// backoff counts consecutive timeouts per slot; the effective RTO
-	// doubles with each (capped at 64x), preventing retransmission
-	// storms when the configured RTO sits below the path RTT.
-	backoff []uint8
-	// lapped is the reused result buffer of the worker's lap query.
-	lapped []uint32
-	// srtt/rttvar are the Jacobson estimator state when AdaptiveRTO is
-	// on; srtt == 0 means no sample yet.
-	srtt, rttvar time.Duration
 	// lastProgress is the last time the aggregator proved it was alive
 	// (a burst with a decodable datagram on the main connection),
 	// stamped once per burst; the fallback's silence detector measures
@@ -293,16 +297,17 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		chunkRTT:   reg.Histogram("worker_chunk_rtt_ns", telemetry.LatencyBuckets, "worker", id),
 		gSRTT:      reg.Gauge("worker_srtt_ns", "worker", id),
 		gRTO:       reg.Gauge("worker_rto_ns", "worker", id),
+		gPTO:       reg.Gauge("worker_pto_ns", "worker", id),
 		gFrontier:  reg.Gauge("worker_frontier_off", "worker", id),
 		gPending:   reg.Gauge("worker_pending_chunks", "worker", id),
 		gEpoch:     reg.Gauge("worker_epoch", "worker", id),
 		gDegraded:  reg.Gauge("worker_degraded", "worker", id),
 		gHome:      reg.Gauge("worker_home_rank", "worker", id),
 		clock:      time.Now,
-		lastSend:   make([]time.Time, cfg.Worker.PoolSize),
+		pump:       core.NewPump(w, int64(cfg.RTO), cfg.AdaptiveRTO),
+		t0:         time.Now(),
+		due:        make([]uint32, 0, cfg.Worker.PoolSize),
 		rbuf:       make([]byte, 65536),
-		backoff:    make([]uint8, cfg.Worker.PoolSize),
-		lapped:     make([]uint32, 0, cfg.Worker.PoolSize),
 		epoch:      cfg.Worker.JobID,
 		ladder:     ladder,
 		frng:       rand.New(rand.NewSource(jitterSeed(&cfg, 1))),
@@ -521,6 +526,7 @@ func (c *Client) AllReduceInt32View(u []int32) ([]int32, error) {
 // blocked hands back to it.
 func (c *Client) tick() time.Time {
 	c.now = c.clock()
+	c.nowNs = int64(c.now.Sub(c.t0))
 	return c.now
 }
 
@@ -566,15 +572,12 @@ func (c *Client) switchLoop(deadline time.Time) ([]int32, error) {
 			return nil, fmt.Errorf("transport: all-reduce timed out after %v (%d chunks outstanding)",
 				c.cfg.Timeout, c.worker.PendingCount())
 		}
-		// Wake at the earliest pending retransmission deadline.
+		// Wake when the pump next has something to retransmit unprompted
+		// — a timeout, or the newest pending packet's probe — and at
+		// least every RTO for the checks above.
 		readDeadline := now.Add(c.cfg.RTO)
-		for idx := range c.lastSend {
-			if !c.worker.Pending(uint32(idx)) {
-				continue
-			}
-			if d := c.lastSend[idx].Add(c.rto(idx)); d.Before(readDeadline) {
-				readDeadline = d
-			}
+		if d := c.pump.Deadline(); d < c.nowNs+int64(c.cfg.RTO) {
+			readDeadline = c.t0.Add(time.Duration(d))
 		}
 		// Retransmissions staged by the previous sweep (and any sends a
 		// prior burst generated) must reach the wire before blocking.
@@ -588,7 +591,13 @@ func (c *Client) switchLoop(deadline time.Time) ([]int32, error) {
 		c.tick()
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				if err := c.sweepTimeouts(); err != nil {
+				// Wake-ups are also the mid-tensor publication point for
+				// the frontier and pending gauges: frequent enough to be
+				// live, rare enough that the O(chunks) frontier scan never
+				// shadows packet handling.
+				c.gPending.Set(int64(c.worker.PendingCount()))
+				c.gFrontier.Set(int64(c.worker.FrontierOff()))
+				if err := c.retransmitDue(); err != nil {
 					return nil, err
 				}
 				continue
@@ -619,6 +628,13 @@ func (c *Client) switchLoop(deadline time.Time) ([]int32, error) {
 				return nil, err
 			}
 			if done {
+				// Nothing is left to retransmit, but the burst's round
+				// trip is still to be sampled: a tensor of one window ends
+				// on its first burst, and would never give the pump an
+				// estimate to probe the next one's losses with.
+				if err := c.retransmitDue(); err != nil {
+					return nil, err
+				}
 				c.trace(telemetry.EvTensorDone, -1)
 				c.gFrontier.Set(int64(c.worker.FrontierOff()))
 				c.gPending.Set(0)
@@ -628,18 +644,44 @@ func (c *Client) switchLoop(deadline time.Time) ([]int32, error) {
 				return c.worker.Aggregate(), nil
 			}
 		}
-		// The burst moved the ack clock: a slot it left a whole window
-		// behind lost its update or its result. Retransmit now, on the
-		// next flush, instead of idling the slot until its RTO — which
-		// stays armed for what no later traffic can lap. An early
-		// retransmission is not a timeout, so the backoff is untouched.
-		c.lapped = c.worker.Lapped(c.lapped[:0])
-		for _, idx := range c.lapped {
-			if err := c.retransmit(idx); err != nil {
-				return nil, err
-			}
+		// The burst moved the ack clock: a slot it left a whole window of
+		// sends, or a whole probe timeout, behind lost its update or its
+		// result. Retransmit now, on the next flush, instead of idling
+		// the slot until its RTO.
+		if err := c.retransmitDue(); err != nil {
+			return nil, err
 		}
 	}
+}
+
+// retransmitDue re-sends what the pump finds due at the pass's clock
+// reading — on lap, overtake or tail-probe evidence, or because a
+// timeout expired (Algorithm 4 lines 20-23) — and publishes the round
+// trip the pump sampled from the burst.
+func (c *Client) retransmitDue() error {
+	c.due = c.pump.Due(c.nowNs, c.due[:0])
+	if rtt := c.pump.Sample(); rtt != 0 {
+		c.chunkRTT.Observe(float64(rtt))
+		c.gSRTT.Set(c.pump.SRTT())
+		c.gRTO.Set(c.pump.RTO())
+		c.gPTO.Set(c.pump.PTO())
+	}
+	for _, idx := range c.due {
+		if c.pump.TimedOut(idx) {
+			c.trace(telemetry.EvTimeoutFired, int32(idx))
+		}
+		p := c.worker.Retransmit(idx)
+		if p == nil {
+			continue
+		}
+		c.trace(telemetry.EvRetransmit, int32(idx))
+		err := c.send(p)
+		packet.PutPacket(p)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // recvBurst blocks for the next burst of result datagrams: up to
@@ -701,9 +743,6 @@ func (c *Client) handleIncoming(p *packet.Packet) (bool, error) {
 		c.epoch = p.JobID
 		c.gEpoch.Set(int64(p.JobID))
 		c.trace(telemetry.EvResume, -1)
-		for i := range c.backoff {
-			c.backoff[i] = 0
-		}
 		for _, q := range pkts {
 			err := c.send(q)
 			packet.PutPacket(q)
@@ -713,19 +752,7 @@ func (c *Client) handleIncoming(p *packet.Packet) (bool, error) {
 		}
 		return false, nil
 	case packet.KindResult, packet.KindResultUnicast:
-		if c.cfg.AdaptiveRTO && c.worker.Pending(p.Idx) && !c.worker.Retransmitted(p.Idx) {
-			// A clean (never retransmitted) in-flight chunk's round
-			// trip is an unambiguous RTT sample (Karn's rule).
-			c.observeRTT(c.now.Sub(c.lastSend[p.Idx]))
-		}
-		next, done := c.worker.HandleResult(p)
-		if next != nil || done || !c.worker.Pending(p.Idx) {
-			// The slot made progress (or is idle): its loss streak is
-			// over, so the backoff resets to the base RTO.
-			if int(p.Idx) < len(c.backoff) {
-				c.backoff[p.Idx] = 0
-			}
-		}
+		next, done := c.pump.Result(p, c.nowNs)
 		if next != nil {
 			err := c.send(next)
 			packet.PutPacket(next)
@@ -754,7 +781,7 @@ func (c *Client) handleIncoming(p *packet.Packet) (bool, error) {
 //
 //switchml:hotpath
 func (c *Client) send(p *packet.Packet) error {
-	c.lastSend[p.Idx] = c.now
+	c.pump.Sent(p.Idx, c.nowNs)
 	start := c.stageTx(p)
 	if c.inj != nil {
 		switch c.inj.Judge() {
@@ -866,89 +893,4 @@ func (c *Client) sendControl(kind packet.Kind, job uint16, off uint64, vec []int
 	}
 	c.sent.Inc()
 	return nil
-}
-
-// rto returns slot idx's effective timeout: the base RTO — adapted to
-// the estimated RTT when configured — with the slot's exponential
-// backoff applied.
-func (c *Client) rto(idx int) time.Duration {
-	base := c.cfg.RTO
-	if c.cfg.AdaptiveRTO && c.srtt > 0 {
-		base = c.srtt + 4*c.rttvar
-		if base < c.cfg.RTO {
-			base = c.cfg.RTO
-		}
-		if max := c.cfg.RTO * 64; base > max {
-			base = max
-		}
-	}
-	return base << c.backoff[idx]
-}
-
-// observeRTT folds a clean round-trip sample into the Jacobson
-// estimator (RFC 6298 constants: α=1/8, β=1/4) and publishes the
-// latency view: the per-chunk RTT histogram and the srtt/rto gauges.
-func (c *Client) observeRTT(sample time.Duration) {
-	if sample <= 0 {
-		return
-	}
-	c.chunkRTT.Observe(float64(sample))
-	if c.srtt == 0 {
-		c.srtt = sample
-		c.rttvar = sample / 2
-	} else {
-		diff := c.srtt - sample
-		if diff < 0 {
-			diff = -diff
-		}
-		c.rttvar += (diff - c.rttvar) / 4
-		c.srtt += (sample - c.srtt) / 8
-	}
-	c.gSRTT.Set(int64(c.srtt))
-	base := c.srtt + 4*c.rttvar
-	if base < c.cfg.RTO {
-		base = c.cfg.RTO
-	}
-	if max := c.cfg.RTO * 64; base > max {
-		base = max
-	}
-	c.gRTO.Set(int64(base))
-}
-
-// sweepTimeouts retransmits every pending chunk whose RTO elapsed
-// (Algorithm 4 lines 20-23), doubling that slot's timeout. Sweeps are
-// also the mid-tensor publication point for the frontier and pending
-// gauges: frequent enough to be live, rare enough that the
-// O(chunks) frontier scan never shadows packet handling.
-func (c *Client) sweepTimeouts() error {
-	c.gPending.Set(int64(c.worker.PendingCount()))
-	c.gFrontier.Set(int64(c.worker.FrontierOff()))
-	for idx := range c.lastSend {
-		if !c.worker.Pending(uint32(idx)) {
-			continue
-		}
-		if c.now.Sub(c.lastSend[idx]) < c.rto(idx) {
-			continue
-		}
-		if c.backoff[idx] < 6 {
-			c.backoff[idx]++
-		}
-		c.trace(telemetry.EvTimeoutFired, int32(idx))
-		if err := c.retransmit(uint32(idx)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// retransmit re-sends slot idx's in-flight chunk, if it still has one.
-func (c *Client) retransmit(idx uint32) error {
-	p := c.worker.Retransmit(idx)
-	if p == nil {
-		return nil
-	}
-	c.trace(telemetry.EvRetransmit, int32(idx))
-	err := c.send(p)
-	packet.PutPacket(p)
-	return err
 }

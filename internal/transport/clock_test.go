@@ -190,19 +190,19 @@ func TestAdaptiveRTOOnBurstClock(t *testing.T) {
 	}
 	lockstep(t, clients, 256<<10, 1)
 	for i, c := range clients {
-		samples := c.chunkRTT.Snapshot().Count
-		t.Logf("worker %d: %d RTT samples, srtt %v, rttvar %v, base timeout %v", i, samples, c.srtt, c.rttvar, time.Duration(c.gRTO.Value()))
-		if samples == 0 || c.srtt <= 0 {
-			t.Errorf("worker %d: no RTT sample from %d results (srtt %v)", i, c.Stats().Results, c.srtt)
+		samples, srtt := c.chunkRTT.Snapshot().Count, time.Duration(c.pump.SRTT())
+		t.Logf("worker %d: %d RTT samples, srtt %v, base timeout %v, probe timeout %v", i, samples, srtt, time.Duration(c.gRTO.Value()), time.Duration(c.gPTO.Value()))
+		if samples == 0 || srtt <= 0 {
+			t.Errorf("worker %d: no RTT sample from %d results (srtt %v)", i, c.Stats().Results, srtt)
 		}
 		if base := time.Duration(c.gRTO.Value()); base < rto || base > 64*rto {
 			t.Errorf("worker %d: published timeout %v outside [%v, %v]", i, base, rto, 64*rto)
 		}
-		for idx := range c.backoff {
-			c.backoff[idx] = 0
-			if d := c.rto(idx); d < rto || d > 64*rto {
-				t.Fatalf("worker %d slot %d: timeout %v outside [%v, %v]", i, idx, d, rto, 64*rto)
-			}
+		if d := time.Duration(c.pump.RTO()); d < rto || d > 64*rto {
+			t.Fatalf("worker %d: timeout %v outside [%v, %v]", i, d, rto, 64*rto)
+		}
+		if pto := time.Duration(c.pump.PTO()); pto <= 0 || pto > time.Duration(c.pump.RTO()) {
+			t.Errorf("worker %d: probe timeout %v outside (0, %v]", i, pto, time.Duration(c.pump.RTO()))
 		}
 	}
 }

@@ -145,10 +145,14 @@ type ClientDebugState struct {
 	// Degraded reports the health state: false = SWITCH path,
 	// true = DEGRADED (host all-reduce mesh).
 	Degraded bool `json:"degraded"`
-	// SRTTNs/RTONs are the RTT estimator's view (0 before the first
-	// clean sample when adaptive RTO is off).
+	// SRTTNs/RTONs/PTONs are the recovery pump's view of the path: the
+	// smoothed round trip (0 before the first clean sample), the base
+	// timeout, and the probe timeout that overtake and tail-probe
+	// recovery run on (0: no estimate yet; equal to RTONs: the path is
+	// too slow for the RTO to leave room for probing).
 	SRTTNs int64 `json:"srtt_ns"`
 	RTONs  int64 `json:"rto_ns"`
+	PTONs  int64 `json:"pto_ns"`
 	// FrontierOff is the stream offset of contiguous progress;
 	// PendingChunks the in-flight count at the last publication point.
 	FrontierOff   int64 `json:"frontier_off"`
@@ -166,8 +170,10 @@ type ClientDebugState struct {
 	// across socket views retired by re-homes.
 	SendRetries uint64 `json:"udp_send_retries"`
 	// Stats are the worker protocol counters. Retransmissions against
-	// EarlyRetransmissions tells which recovery is at work: lap
-	// detection off the ack clock (early) or the RTO backstop.
+	// EarlyRetransmissions and ProbeRetransmissions tells which
+	// recovery is at work: lap detection off the ack clock (early),
+	// overtake and tail probe a PTO after the loss (probe), or — the
+	// remainder — the RTO backstop.
 	Stats    core.WorkerStats `json:"stats"`
 	Fallback FallbackStats    `json:"fallback"`
 	// HomeRank is the failover-ladder rung serving the job (0 = the
@@ -185,6 +191,7 @@ func (c *Client) DebugState() ClientDebugState {
 		Degraded:      c.Degraded(),
 		SRTTNs:        c.gSRTT.Value(),
 		RTONs:         c.gRTO.Value(),
+		PTONs:         c.gPTO.Value(),
 		FrontierOff:   c.gFrontier.Value(),
 		PendingChunks: c.gPending.Value(),
 		Batch:         c.cfg.Batch,

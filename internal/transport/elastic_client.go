@@ -227,14 +227,12 @@ func (c *Client) meshBuf() []byte {
 	return c.mbuf
 }
 
-// adoptEpoch installs a new job generation and resets the
-// retransmission state, as after any resume.
+// adoptEpoch installs a new job generation. The retransmission state
+// needs no reset here: the pump drops it with the window the worker's
+// Resume or JoinAt discarded.
 func (c *Client) adoptEpoch(gen uint16) {
 	c.epoch = gen
 	c.gEpoch.Set(int64(gen))
-	for i := range c.backoff {
-		c.backoff[i] = 0
-	}
 }
 
 // Drain announces a graceful leave and returns once the aggregator

@@ -239,9 +239,6 @@ func (c *Client) enterFallback(u []int32, deadline time.Time) ([]int32, error) {
 	fb.degrades.Add(1)
 	c.gDegraded.Set(1)
 	c.trace(telemetry.EvDegrade, -1)
-	for i := range c.backoff {
-		c.backoff[i] = 0
-	}
 	frontier := c.worker.FrontierOff()
 	F, _, err := c.syncRound(frontier, deadline)
 	if err != nil {
@@ -318,9 +315,6 @@ func (c *Client) failback(u []int32, deadline time.Time) ([]int32, error) {
 	// The progress clock last ticked before the outage; restart it or
 	// the silence detector would re-degrade before the first result.
 	c.lastProgress = c.tick()
-	for i := range c.backoff {
-		c.backoff[i] = 0
-	}
 	for _, p := range pkts {
 		err := c.send(p)
 		packet.PutPacket(p)

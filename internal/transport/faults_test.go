@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math/bits"
 	"net"
 	"sync"
 	"testing"
@@ -236,16 +237,27 @@ func TestFaultClientBackoffResetOnReceive(t *testing.T) {
 		u[j] = int32(j)
 	}
 	c.worker.Start(u)
+	// timeOut expires slot 0's timer n times over on the pump's own
+	// clock; backoff reads the doublings back off its timeout.
+	var clock int64
+	timeOut := func(n int) {
+		for i := 0; i < n; i++ {
+			c.pump.Sent(0, clock)
+			clock += c.pump.Timeout(0)
+			c.pump.Due(clock, nil)
+		}
+	}
+	backoff := func() int { return bits.Len64(uint64(c.pump.Timeout(0)/c.pump.RTO())) - 1 }
 
 	// A version-mismatched result is ignored by the state machine; the
 	// slot is still pending, so the loss streak is not over.
-	c.backoff[0] = 5
+	timeOut(5)
 	stale := &packet.Packet{Kind: packet.KindResult, Ver: 1, Idx: 0, Off: 0, Vector: make([]int32, k)}
 	if _, err := c.handleIncoming(stale); err != nil {
 		t.Fatal(err)
 	}
-	if c.backoff[0] != 5 {
-		t.Errorf("ignored result reset backoff: got %d want 5", c.backoff[0])
+	if got := backoff(); got != 5 {
+		t.Errorf("ignored result reset backoff: got %d want 5", got)
 	}
 
 	// The real result completes the chunk: backoff must reset.
@@ -256,18 +268,17 @@ func TestFaultClientBackoffResetOnReceive(t *testing.T) {
 	if _, err := c.handleIncoming(good); err != nil {
 		t.Fatal(err)
 	}
-	if c.backoff[0] != 0 {
-		t.Errorf("completing result did not reset backoff: got %d want 0", c.backoff[0])
+	if got := backoff(); got != 0 {
+		t.Errorf("completing result did not reset backoff: got %d want 0", got)
 	}
 
-	// A duplicate result for the now-idle slot also resets (the slot
-	// has nothing outstanding, so backing off is meaningless).
-	c.backoff[0] = 3
+	// A duplicate result for the now-idle slot leaves it at the base
+	// RTO (an idle slot cannot time out, so there is no streak to end).
 	if _, err := c.handleIncoming(good); err != nil {
 		t.Fatal(err)
 	}
-	if c.backoff[0] != 0 {
-		t.Errorf("result for idle slot did not reset backoff: got %d want 0", c.backoff[0])
+	if got := backoff(); got != 0 {
+		t.Errorf("result for idle slot left backoff at %d, want 0", got)
 	}
 }
 

@@ -60,9 +60,17 @@ func TestFaultLosslessNoEarlyRetransmit(t *testing.T) {
 	}
 	for w, c := range clients {
 		st := c.Stats()
-		t.Logf("worker %d: %d tensors, %d updates, %d retransmissions", w, steps, st.Sent, st.Retransmissions)
+		t.Logf("worker %d: %d tensors, %d updates, %d retransmissions, %d of them probes (PTO %v)", w, steps, st.Sent, st.Retransmissions,
+			st.ProbeRetransmissions, time.Duration(c.DebugState().PTONs))
 		if st.EarlyRetransmissions != 0 {
 			t.Errorf("worker %d: %d early retransmissions on a lossless run, want 0", w, st.EarlyRetransmissions)
+		}
+		// The tail probe is the one rule that reads the clock, so a
+		// worker descheduled past its PTO duplicates one packet — the
+		// newest — when it wakes. More than one a tensor means a rule
+		// is firing on a healthy run.
+		if st.ProbeRetransmissions > uint64(steps) {
+			t.Errorf("worker %d: %d probe retransmissions over %d lossless tensors, want at most one a tensor", w, st.ProbeRetransmissions, steps)
 		}
 	}
 }
@@ -70,10 +78,11 @@ func TestFaultLosslessNoEarlyRetransmit(t *testing.T) {
 // TestFaultLapRecoveryOnBatchedPath loses 1% of the datagrams each
 // way under an RTO of half a second. Hundreds of losses at one RTO
 // each would take minutes; recovery off the ack clock finishes the
-// tensor in the time of a few timeouts, which only the losses of the
-// final window still wait for. The same run shows the injector no
-// longer forks the I/O path: the aggregator reports the I/O mode of a
-// clean one and drains more than one datagram per wakeup.
+// tensor well inside the time of a few timeouts
+// (TestFaultDrainedTailBeatsRTO holds it to none). The same run shows
+// the injector no longer forks the I/O path: the aggregator reports
+// the I/O mode of a clean one and drains more than one datagram per
+// wakeup.
 func TestFaultLapRecoveryOnBatchedPath(t *testing.T) {
 	const elems = 256 << 10
 	clean, _ := lapCluster(t, 0, nil, nil)
@@ -111,5 +120,50 @@ func TestFaultLapRecoveryOnBatchedPath(t *testing.T) {
 	}
 	if cst := clients[0].DebugState(); cst.NetMode != st.NetMode {
 		t.Errorf("injected client net_mode = %q, aggregator %q", cst.NetMode, st.NetMode)
+	}
+}
+
+// TestFaultDrainedTailBeatsRTO is the same lossy tensor held to the
+// stricter reading: no loss anywhere in it — not in the drained tail,
+// where the last few slots finish alone with nothing behind them to
+// lap a loss — may wait for the half-second timer. A repeat passes if
+// no retransmission was timer-driven and (off the race detector, which
+// alone slows the tensor past it) the whole tensor took less than one
+// RTO; one repeat in five may still draw a loss only the timer sees,
+// such as a probe and its doublings all lost.
+func TestFaultDrainedTailBeatsRTO(t *testing.T) {
+	const elems, repeats, rto = 256 << 10, 5, 500 * time.Millisecond
+	passed, probes := 0, uint64(0)
+	for r := 0; r < repeats; r++ {
+		seed := int64(100 * (r + 1))
+		_, clients := lapCluster(t, rto,
+			&faults.InjectorConfig{Seed: seed, DropRate: 0.01},
+			func(id int) *faults.InjectorConfig {
+				return &faults.InjectorConfig{Seed: seed + 1 + int64(id), DropRate: 0.01}
+			})
+		t0 := time.Now()
+		lockstep(t, clients, elems, r+1)
+		took := time.Since(t0)
+		var st core.WorkerStats
+		for _, c := range clients {
+			ws := c.Stats()
+			st.Retransmissions += ws.Retransmissions
+			st.EarlyRetransmissions += ws.EarlyRetransmissions
+			st.ProbeRetransmissions += ws.ProbeRetransmissions
+			c.Close()
+		}
+		timer := st.Retransmissions - st.EarlyRetransmissions - st.ProbeRetransmissions
+		t.Logf("repeat %d: %v; %d retransmissions: %d lap, %d probe, %d timer (PTO %v)", r, took.Round(time.Millisecond),
+			st.Retransmissions, st.EarlyRetransmissions, st.ProbeRetransmissions, timer, time.Duration(clients[0].DebugState().PTONs))
+		probes += st.ProbeRetransmissions
+		if timer == 0 && (raceEnabled || took < rto) {
+			passed++
+		}
+	}
+	if probes == 0 {
+		t.Errorf("no probe retransmission in %d lossy tensors", repeats)
+	}
+	if passed < repeats-1 {
+		t.Errorf("%d of %d repeats finished without waiting for the %v timer, want at least %d", passed, repeats, rto, repeats-1)
 	}
 }

@@ -306,10 +306,13 @@ type PeerParams struct {
 	// Scale is the fixed-point factor for float32 all-reduce; zero
 	// disables the float32 methods.
 	Scale float64
-	// RTO is the retransmission timeout (default 50 ms). Mid-tensor a
-	// loss is repaired off the ack clock, within about one trip round
-	// the slot window; the timer is the backstop for the last window
-	// of a tensor and a silent aggregator.
+	// RTO is the retransmission timeout (default 50 ms): the backstop,
+	// not the operating point. Mid-tensor a loss is repaired off the
+	// ack clock, within about one trip round the slot window; in the
+	// drained tail of a tensor, or a tensor of one window, within a
+	// probe timeout of a few measured round trips. The timer is left
+	// with a loss whose probes were lost too, a path not measured yet,
+	// and a silent aggregator.
 	RTO time.Duration
 	// Timeout bounds each all-reduce call (default 30 s).
 	Timeout time.Duration
@@ -337,6 +340,8 @@ type PeerParams struct {
 	// estimator (SRTT + 4·RTTVAR, clamped to [RTO, 64×RTO], samples
 	// only from never-retransmitted packets), so the retransmission
 	// timer tracks the deployment's real latency instead of a guess.
+	// The round trip is measured with or without it: the probe timeout
+	// is always adaptive.
 	AdaptiveRTO bool
 	// Standbys ranks warm-standby aggregator addresses behind the
 	// primary: when the silence detector trips, the worker walks this
