@@ -70,11 +70,13 @@ bench:
 # ingress, sharded dispatch, event scheduling, the rack simulator's
 # per-packet path, batched socket I/O, the aggregator's stage/flush
 # cycle and the client's window pump with and without a fault injector,
-# the worker's lap query and the recovery pump's per-burst traffic)
-# plus a smoke run of the hotpath micro-benchmarks. Regenerate the committed baseline with:
+# the worker's lap query and the recovery pump's per-burst traffic),
+# the count-valued gate that a tensor costs the worker and its pump the
+# same in a pool of 1024 slots as in one of 64, plus a smoke run of the
+# hotpath micro-benchmarks. Regenerate the committed baseline with:
 #   $(GO) run ./cmd/switchml-bench -scale 1 -artifacts . hotpath
 bench-smoke:
-	$(GO) test -run 'ZeroAlloc|Hotpath' ./internal/packet ./internal/core ./internal/netsim ./internal/rack ./internal/netio ./internal/transport ./internal/bench
+	$(GO) test -run 'ZeroAlloc|Hotpath|TestPumpCostIndependentOfPoolSize' ./internal/packet ./internal/core ./internal/netsim ./internal/rack ./internal/netio ./internal/transport ./internal/bench
 
 # Observability smoke: switchml-top boots an in-process cluster over
 # loopback UDP, polls its own debug endpoints and validates the JSON

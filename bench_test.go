@@ -7,6 +7,7 @@ package switchml
 // experiments with cmd/switchml-bench -scale 1.
 
 import (
+	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -325,7 +326,7 @@ func BenchmarkClusterAllReduce(b *testing.B) {
 //	go test -run '^$' -bench UDPBulk -benchtime 200x -cpuprofile cpu.out .
 //
 // DESIGN.md's "What a packet costs" table is read off such a profile.
-func BenchmarkUDPBulk(b *testing.B) { benchUDP(b, 1<<20, 0, 0) }
+func BenchmarkUDPBulk(b *testing.B) { benchUDP(b, 2, 0, 1<<20, 0, 0) }
 
 // BenchmarkUDPLossy is BenchmarkUDPBulk's twin at the harness's
 // udp_lossy shape: 262,144 elements, 1 % of the datagrams dropped each
@@ -334,19 +335,40 @@ func BenchmarkUDPBulk(b *testing.B) { benchUDP(b, 1<<20, 0, 0) }
 // be noticed, it does not compute — so read its wall clock first.
 //
 //	go test -run '^$' -bench UDPLossy -benchtime 300x -cpuprofile cpu.out .
-func BenchmarkUDPLossy(b *testing.B) { benchUDP(b, 256<<10, 0.01, 5*time.Millisecond) }
+func BenchmarkUDPLossy(b *testing.B) { benchUDP(b, 2, 0, 256<<10, 0.01, 5*time.Millisecond) }
 
-// benchUDP steps a 2-worker loopback job of d elements b.N times, with
-// every datagram dropped with probability drop in each direction.
-func benchUDP(b *testing.B, d int, drop float64, rto time.Duration) {
-	const n = 2
+// BenchmarkUDPPool is Figure 2 on the UDP path: BenchmarkUDPBulk's
+// shape with the pool size set explicitly, 32 to 4096 slots, instead of
+// tuned — the sweep TunePoolSize's budget was read from (EXPERIMENTS.md
+// "Figure 2"). Beside MB/s it reports which recovery ran (all zero
+// until the window overruns a socket buffer) and drops/op, the
+// datagrams — whole coalesced trains, with segmentation offload — the
+// kernel dropped at full receive buffers. The rule's other axes are
+// sub-benchmarks too: 4 and 8 workers, and tensors of one 64-slot window
+// (2,048 elements) and of 262,144 elements.
+//
+//	go test -run '^$' -bench 'UDPPool/w=2/d=1048576' -benchtime 100x .
+func BenchmarkUDPPool(b *testing.B) {
+	for _, n := range []int{2, 4, 8} {
+		for _, d := range []int{1 << 20, 256 << 10, 2048} {
+			for s := 32; s <= 4096; s *= 2 {
+				b.Run(fmt.Sprintf("w=%d/d=%d/s=%d", n, d, s), func(b *testing.B) { benchUDP(b, n, s, d, 0, 0) })
+			}
+		}
+	}
+}
+
+// benchUDP steps an n-worker loopback job of d elements b.N times over
+// a pool of s slots (0: the tuned size), with every datagram dropped
+// with probability drop in each direction.
+func benchUDP(b *testing.B, n, s, d int, drop float64, rto time.Duration) {
 	inject := func(seed int64) *FaultInjection {
 		if drop == 0 {
 			return nil
 		}
 		return &FaultInjection{Seed: seed, DropRate: drop}
 	}
-	agg, err := ListenAggregator("127.0.0.1:0", AggregatorParams{Workers: n, Inject: inject(1)})
+	agg, err := ListenAggregator("127.0.0.1:0", AggregatorParams{Workers: n, PoolSize: s, Inject: inject(1)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -354,7 +376,7 @@ func benchUDP(b *testing.B, d int, drop float64, rto time.Duration) {
 	peers := make([]*Peer, n)
 	updates := make([][]int32, n)
 	for i := range peers {
-		if peers[i], err = DialAggregator(agg.Addr(), PeerParams{ID: i, Workers: n, RTO: rto, Inject: inject(int64(2 + i))}); err != nil {
+		if peers[i], err = DialAggregator(agg.Addr(), PeerParams{ID: i, Workers: n, PoolSize: s, RTO: rto, Inject: inject(int64(2 + i))}); err != nil {
 			b.Fatal(err)
 		}
 		defer peers[i].Close()
@@ -378,13 +400,16 @@ func benchUDP(b *testing.B, d int, drop float64, rto time.Duration) {
 	}
 	b.StopTimer()
 	var st core.WorkerStats
+	drops := agg.inner.DebugState(false).RcvbufDrops
 	for _, p := range peers {
 		ws := p.inner.Stats()
 		st.Retransmissions += ws.Retransmissions
 		st.EarlyRetransmissions += ws.EarlyRetransmissions
 		st.ProbeRetransmissions += ws.ProbeRetransmissions
+		drops += p.inner.DebugState().RcvbufDrops
 	}
 	steps := float64(b.N)
+	b.ReportMetric(float64(drops)/steps, "drops/op")
 	b.ReportMetric(float64(st.EarlyRetransmissions)/steps, "lap/op")
 	b.ReportMetric(float64(st.ProbeRetransmissions)/steps, "probe/op")
 	b.ReportMetric(float64(st.Retransmissions-st.EarlyRetransmissions-st.ProbeRetransmissions)/steps, "timer/op")

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	switchml-agg -listen :5555 -workers 4 [-pool 64] [-elems 32]
+//	switchml-agg -listen :5555 -workers 4 [-pool 0] [-elems 32]
 //	    [-jobs 1] [-job-base 0] [-metrics :9100] [-debug :6060]
 //	    [-liveness 500ms] [-absent 3] [-quorum 3] [-late-policy drop]
 //	    [-down-after 2s] [-down-for 2s]
@@ -52,7 +52,8 @@ import (
 func main() {
 	listen := flag.String("listen", ":5555", "UDP listen address")
 	workers := flag.Int("workers", 2, "number of workers per aggregation (n)")
-	pool := flag.Int("pool", 64, "aggregator pool size (s)")
+	pool := flag.Int("pool", 0,
+		"aggregator pool size (s); 0 = tuned to -workers and -elems (512 for 2 workers, 256 for 4, 128 for 8, 64 from 9 up)")
 	elems := flag.Int("elems", 32, "elements per packet (k)")
 	jobs := flag.Int("jobs", 1, "number of pools to serve (tenants or worker shards)")
 	jobBase := flag.Uint("job-base", 0, "first job id")
@@ -120,6 +121,7 @@ func main() {
 	var statsFn func() any
 	var debugFn func(string) (string, error)
 	var addr string
+	var poolSize int
 	if *jobs <= 1 {
 		params.JobID = uint16(*jobBase)
 		agg, err := switchml.ListenAggregator(*listen, params)
@@ -127,7 +129,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer agg.Close()
-		addr = agg.Addr()
+		addr, poolSize = agg.Addr(), agg.PoolSize()
 		statsFn = func() any { return agg.Stats() }
 		debugFn = agg.ServeDebug
 		if *downAfter > 0 {
@@ -163,7 +165,7 @@ func main() {
 		if err := m.AdmitShardedJob(uint16(*jobBase), *jobs, params); err != nil {
 			log.Fatal(err)
 		}
-		addr = m.Addr()
+		addr, poolSize = m.Addr(), m.PoolSize(uint16(*jobBase))
 		debugFn = m.ServeDebug
 		statsFn = func() any {
 			out := map[string]any{}
@@ -177,7 +179,7 @@ func main() {
 		}
 	}
 	fmt.Printf("switchml-agg: serving %d pool(s) for %d-worker jobs on %s (pool %d, k=%d)\n",
-		*jobs, *workers, addr, *pool, *elems)
+		*jobs, *workers, addr, poolSize, *elems)
 
 	if *metrics != "" {
 		mux := http.NewServeMux()

@@ -210,6 +210,19 @@ func runSelftest(asJSON bool) error {
 		if w.EarlyRetransmissions != 0 {
 			return fmt.Errorf("worker %d: %d early retransmissions on a lossless run", w.Worker, w.EarlyRetransmissions)
 		}
+		if w.PoolSize != 16 {
+			return fmt.Errorf("worker %d reports a pool of %d slots, want the 16 configured", w.Worker, w.PoolSize)
+		}
+	}
+	// A 16-slot window cannot overrun a socket buffer, and both ends
+	// were given the same pool.
+	for _, f := range v.Flags {
+		if strings.HasPrefix(f, "overrun") || strings.HasPrefix(f, "pool-mismatch") {
+			return fmt.Errorf("anomaly flag %q on a healthy run", f)
+		}
+	}
+	if v.Agg.PoolSize != 16 || v.Agg.RcvbufNeedBytes <= 0 {
+		return fmt.Errorf("aggregator reports pool %d and a receive-buffer need of %d bytes", v.Agg.PoolSize, v.Agg.RcvbufNeedBytes)
 	}
 	// The view must round-trip as JSON for -json scripting.
 	data, err := json.Marshal(v)
@@ -227,7 +240,7 @@ func runSelftest(asJSON bool) error {
 		return err
 	}
 	for i, w := range doc.Workers {
-		for _, key := range []string{"loss_rate", "retransmissions", "early_retransmissions", "probe_retransmissions", "pto_ms"} {
+		for _, key := range []string{"loss_rate", "retransmissions", "early_retransmissions", "probe_retransmissions", "pto_ms", "pool_size", "udp_rcvbuf_drops"} {
 			if _, ok := w[key]; !ok {
 				return fmt.Errorf("worker row %d lacks the %q column", i, key)
 			}

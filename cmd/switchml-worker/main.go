@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	switchml-worker -agg host:5555 -id 0 -workers 4 [-pool 64]
+//	switchml-worker -agg host:5555 -id 0 -workers 4 [-pool 0]
 //	    [-elems-per-tensor 1000000] [-iters 10] [-job 0] [-debug :6061]
 //	    [-adaptive-rto] [-mesh-listen :7001] [-mesh h0:7001,h1:7001,...]
 //	    [-standby host:5556,host2:5555] [-degraded-mode] [-join]
@@ -50,7 +50,8 @@ func main() {
 	aggAddr := flag.String("agg", "127.0.0.1:5555", "aggregator UDP address")
 	id := flag.Int("id", 0, "this worker's id")
 	workers := flag.Int("workers", 2, "number of workers (n)")
-	pool := flag.Int("pool", 64, "pool size (s); must match the aggregator")
+	pool := flag.Int("pool", 0,
+		"pool size (s), at most the aggregator's; 0 selects the size a 0 there does, tuned from -workers")
 	elems := flag.Int("elems-per-tensor", 1_000_000, "tensor length per iteration")
 	iters := flag.Int("iters", 10, "number of all-reduce iterations")
 	job := flag.Uint("job", 0, "job id")
@@ -190,8 +191,8 @@ func main() {
 		os.Exit(1)
 	}()
 
-	fmt.Printf("switchml-worker %d/%d: aggregating %d x %d elements via %s\n",
-		*id, *workers, *iters, *elems, *aggAddr)
+	fmt.Printf("switchml-worker %d/%d: aggregating %d x %d elements via %s (pool %d)\n",
+		*id, *workers, *iters, *elems, *aggAddr, peer.PoolSize())
 
 	var total time.Duration
 	completed := 0

@@ -261,18 +261,27 @@ func (p *Pump) Timeout(idx uint32) int64 { return p.RTO() << p.slots[idx].backof
 // switch that has answered nothing of the tensor more likely waits for
 // a worker that has not started it than lost a whole window. Both are
 // the timeout's to decide.
+//
+// The walk runs from the newest packet back and ends at the first one
+// never probed: a probe renumbers its packet as the newest, so the
+// probed ones are the few it passes on the way.
 func (p *Pump) tail() int {
 	w := p.w
 	if w.remaining == len(w.u) || w.inflight == len(w.pend) {
 		return -1
 	}
 	n := -1
-	for i := range w.pend {
-		switch s := &p.slots[i]; {
-		case !w.pend[i].active, s.backoff != 0:
-		case n < 0, s.probes < p.slots[n].probes,
-			s.probes == p.slots[n].probes && w.pend[i].seq > w.pend[n].seq:
-			n = i
+	for i := w.newest; i >= 0; i = w.pend[i].prev {
+		w.examined++
+		s := &p.slots[i]
+		if s.backoff != 0 {
+			continue
+		}
+		if n < 0 || s.probes < p.slots[n].probes {
+			n = int(i)
+		}
+		if s.probes == 0 {
+			break
 		}
 	}
 	return n
@@ -298,43 +307,60 @@ func (p *Pump) tailSince(s *pumpSlot) int64 {
 // overtake ride the ack clock — and whenever Deadline passes. It
 // allocates only if dst must grow beyond PoolSize entries.
 //
+// Every rule asks which pending packets are old enough, in sends or in
+// time, and the Worker keeps the pending packets in the order they were
+// sent (the host stamps them in that order, on a clock that does not
+// run backwards): Due walks from the oldest and stops at the first
+// packet too young for the timeout and for overtaking, which in a
+// lossless run is the first. Its cost follows what is overdue, not the
+// pool size.
+//
 //switchml:hotpath
 func (p *Pump) Due(now int64, dst []uint32) []uint32 {
 	p.sync()
 	p.fold()
-	dst = p.w.Lapped(dst)
+	w := p.w
+	dst = w.Lapped(dst)
 	rto, pto := p.RTO(), p.PTO()
 	tail := p.tail()
-	for i := range p.slots {
-		pd := &p.w.pend[i]
-		if !pd.active || pd.lapped {
-			continue // idle, or reported just above
+	for i := w.oldest; i >= 0; i = w.pend[i].next {
+		w.examined++
+		pd, s := &w.pend[i], &p.slots[i]
+		if now-s.sentAt < rto && (pto == 0 || p.ackedAt-s.sentAt < pto) {
+			break // nor is anything sent after it
 		}
-		s := &p.slots[i]
-		if now-s.sentAt >= rto<<s.backoff {
+		if pd.lapped {
+			continue // reported just above
+		}
+		switch {
+		case now-s.sentAt >= rto<<s.backoff:
 			if s.backoff < maxBackoff {
 				s.backoff++
 			}
-			dst = append(dst, uint32(i)) //switchml:allow hotpath -- append into the caller's reused buffer; at most PoolSize entries
-			continue
-		}
-		// The probe timeout of this chunk: doubled per probe, with no
-		// bound of its own — once it meets the RTO the timeout above
-		// expires first.
-		d := pto << s.probes
-		switch {
-		case pto == 0:
-			continue
-		case p.ackedAt-s.sentAt >= d:
-			// Overtaken: a clean packet sent d later has been answered.
-		case i == tail && now-p.tailSince(s) >= d:
-			p.probedAt = now
+		case pto != 0 && p.ackedAt-s.sentAt >= pto<<s.probes:
+			// Overtaken: a clean packet sent this chunk's probe timeout
+			// later has been answered. The probe timeout doubles per
+			// probe with no bound of its own — once it meets the RTO the
+			// timeout above expires first.
+			s.probes++
+			pd.probed = true
 		default:
 			continue
 		}
-		s.probes++
-		pd.probed = true
-		dst = append(dst, uint32(i)) //switchml:allow hotpath -- as above
+		if int(i) == tail {
+			tail = -1 // reported; not to be probed as well
+		}
+		dst = append(dst, uint32(i)) //switchml:allow hotpath -- append into the caller's reused buffer; at most PoolSize entries
+	}
+	// The tail probe's packet is the newest or near it, past where the
+	// walk stopped.
+	if tail >= 0 && pto != 0 && !w.pend[tail].lapped {
+		if s := &p.slots[tail]; now-p.tailSince(s) >= pto<<s.probes {
+			p.probedAt = now
+			s.probes++
+			w.pend[tail].probed = true
+			dst = append(dst, uint32(tail)) //switchml:allow hotpath -- as above, one more
+		}
 	}
 	return dst
 }
@@ -350,19 +376,24 @@ func (p *Pump) TimedOut(idx uint32) bool {
 // Deadline returns the earliest time at which Due can return a slot
 // without a further result arriving: the soonest timeout, or the tail
 // probe. Nothing else is worth waking for — lap and overtake fire on
-// results. It returns math.MaxInt64 with nothing in flight.
+// results. It returns math.MaxInt64 with nothing in flight. The soonest
+// timeout is that of the oldest packet that has not backed off, or of
+// one of the backed-off packets still ahead of it in the queue.
 //
 //switchml:hotpath
 func (p *Pump) Deadline() int64 {
 	p.sync()
+	w := p.w
 	d := int64(never)
 	rto := p.RTO()
-	for i := range p.slots {
-		if !p.w.pend[i].active {
-			continue
-		}
-		if t := p.slots[i].sentAt + rto<<p.slots[i].backoff; t < d {
+	for i := w.oldest; i >= 0; i = w.pend[i].next {
+		w.examined++
+		s := &p.slots[i]
+		if t := s.sentAt + rto<<s.backoff; t < d {
 			d = t
+		}
+		if s.backoff == 0 {
+			break
 		}
 	}
 	if tail := p.tail(); tail >= 0 {

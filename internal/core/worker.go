@@ -48,13 +48,8 @@ func (c *WorkerConfig) validate() error {
 
 // pendingSlot tracks one in-flight aggregation on a worker.
 type pendingSlot struct {
-	active bool
 	// off is the stream offset of the in-flight chunk.
 	off uint64
-	// elems is the in-flight chunk length.
-	elems int
-	// ver is the pool version the chunk was sent with.
-	ver uint8
 	// seq is the worker-wide send number of the packet last produced
 	// for this chunk (sendChunk or Retransmit); retx marks that the
 	// chunk has been retransmitted, so a result for it may answer an
@@ -63,7 +58,15 @@ type pendingSlot struct {
 	// once; probed marks that the Pump reported it on overtake or
 	// tail-probe evidence. Retransmit reads both to tell which recovery
 	// it is serving, and clears them.
-	seq                  uint64
+	seq uint64
+	// elems is the in-flight chunk length.
+	elems int
+	// prev and next link the active slots into the worker's send queue
+	// (Worker.oldest, Worker.newest), in seq order; -1 ends it.
+	prev, next int32
+	active     bool
+	// ver is the pool version the chunk was sent with.
+	ver                  uint8
 	retx, lapped, probed bool
 }
 
@@ -164,6 +167,22 @@ type Worker struct {
 	// seq numbers every update this worker produces; acked is the
 	// highest number a result has vouched for (see Lapped).
 	seq, acked uint64
+	// oldest and newest end the send queue: the active slots linked in
+	// the order of their packets' numbers (-1: nothing in flight). Every
+	// send joins at the newest end and a result unlinks its slot wherever
+	// it stands, so the rules that ask which pending packets are old
+	// enough — Lapped here, a Pump's timeout, overtake and tail probe —
+	// walk in from one end and stop at the first that is not: they cost
+	// what is overdue, never what the pool could hold.
+	oldest, newest int32
+	// initNext and initEnd are the slots of the initial window that Next
+	// has yet to hand out (Open).
+	initNext, initEnd int
+	// examined counts the queue entries Lapped and a Pump's walks have
+	// looked at. Nothing reads it but the test that holds their cost
+	// independent of the pool size: a count, where a timing would be
+	// noise.
+	examined uint64
 	// window counts the times everything in flight was discarded
 	// (Resume, JoinAt, InstallHostAggregate): a Pump's per-slot state
 	// belongs to one window and is dropped with it.
@@ -177,10 +196,12 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		return nil, err
 	}
 	return &Worker{
-		cfg:  cfg,
-		pend: make([]pendingSlot, cfg.PoolSize),
-		ver:  make([]uint8, cfg.PoolSize),
-		ctr:  newWorkerCounters(cfg.Metrics, cfg.ID),
+		cfg:    cfg,
+		pend:   make([]pendingSlot, cfg.PoolSize),
+		ver:    make([]uint8, cfg.PoolSize),
+		oldest: -1,
+		newest: -1,
+		ctr:    newWorkerCounters(cfg.Metrics, cfg.ID),
 	}, nil
 }
 
@@ -214,44 +235,50 @@ func (w *Worker) Aggregate() []int32 { return w.a }
 // slot, or fewer if the tensor is smaller than s·k elements. The
 // caller must arm a retransmission timer per returned packet. Start
 // panics if an aggregation is already in progress, which indicates a
-// host sequencing bug.
+// host sequencing bug. Hosts that transmit synchronously use Open and
+// Next instead, and hold one packet at a time.
 func (w *Worker) Start(u []int32) []*packet.Packet {
+	n := w.Open(u)
+	if n == 0 {
+		return nil
+	}
+	pkts := make([]*packet.Packet, 0, n)
+	for p := w.Next(); p != nil; p = w.Next() {
+		pkts = append(pkts, p)
+	}
+	return pkts
+}
+
+// Open is Start without the slice: it begins aggregating u and returns
+// the length of the initial window, which Next then hands out one
+// pooled packet at a time, so a host that marshals each packet and
+// returns it to the pool before asking for the next allocates nothing
+// and never holds a window of packets — whatever the pool size. The
+// whole window must be taken before the first result is fed back.
+func (w *Worker) Open(u []int32) int {
 	if w.remaining > 0 {
 		panic("core: Start called while an aggregation is in progress")
 	}
 	if len(u) == 0 {
+		return 0
+	}
+	w.StartHosted(u)
+	w.initNext, w.initEnd = 0, min(w.cfg.PoolSize, len(w.chunkDone))
+	return w.initEnd
+}
+
+// Next returns the next packet of the window Open began, nil once it
+// has all been handed out.
+func (w *Worker) Next() *packet.Packet {
+	if w.initNext >= w.initEnd {
 		return nil
 	}
-	w.u = u
-	if cap(w.a) >= len(u) {
-		w.a = w.a[:len(u)]
-	} else {
-		w.a = make([]int32, len(u))
-	}
-	w.remaining = len(u)
-
-	window := w.cfg.PoolSize
-	chunks := (len(u) + w.cfg.SlotElems - 1) / w.cfg.SlotElems
-	if chunks < window {
-		window = chunks
-	}
-	if cap(w.chunkDone) >= chunks {
-		w.chunkDone = w.chunkDone[:chunks]
-		for i := range w.chunkDone {
-			w.chunkDone[i] = false
-		}
-	} else {
-		w.chunkDone = make([]bool, chunks)
-	}
-	pkts := make([]*packet.Packet, 0, window)
-	for i := 0; i < window; i++ {
-		// Slot i deterministically owns chunks i, i+s, i+2s, ... — the
-		// implicit coordination of §3.4: every worker maps the same
-		// piece of the update to the same slot with no explicit
-		// agreement.
-		pkts = append(pkts, w.sendChunk(uint32(i), i*w.cfg.SlotElems))
-	}
-	return pkts
+	// Slot i deterministically owns chunks i, i+s, i+2s, ... — the
+	// implicit coordination of §3.4: every worker maps the same piece
+	// of the update to the same slot with no explicit agreement.
+	i := w.initNext
+	w.initNext++
+	return w.sendChunk(uint32(i), i*w.cfg.SlotElems)
 }
 
 // sendChunk builds the update packet for the chunk at local element
@@ -269,6 +296,7 @@ func (w *Worker) sendChunk(idx uint32, local int) *packet.Packet {
 	}
 	w.seq++
 	w.pend[idx] = pendingSlot{active: true, off: w.base + uint64(local), elems: elems, ver: ver, seq: w.seq}
+	w.enqueue(int32(idx))
 	w.inflight++
 	w.ctr.sent.Inc()
 	// Packets come from the shared pool: hosts that transmit
@@ -278,6 +306,34 @@ func (w *Worker) sendChunk(idx uint32, local int) *packet.Packet {
 	p := packet.GetPacket()
 	p.SetUpdate(w.cfg.ID, w.cfg.JobID, ver, idx, w.base+uint64(local), w.u[local:local+elems])
 	return p
+}
+
+// enqueue links slot idx, whose packet was just numbered, at the newest
+// end of the send queue.
+func (w *Worker) enqueue(idx int32) {
+	pd := &w.pend[idx]
+	pd.prev, pd.next = w.newest, -1
+	if w.newest >= 0 {
+		w.pend[w.newest].next = idx
+	} else {
+		w.oldest = idx
+	}
+	w.newest = idx
+}
+
+// unlink takes slot idx out of the send queue.
+func (w *Worker) unlink(idx int32) {
+	pd := &w.pend[idx]
+	if pd.prev >= 0 {
+		w.pend[pd.prev].next = pd.next
+	} else {
+		w.oldest = pd.next
+	}
+	if pd.next >= 0 {
+		w.pend[pd.next].prev = pd.prev
+	} else {
+		w.newest = pd.prev
+	}
 }
 
 // HandleResult consumes a result packet from the switch (Algorithm 4
@@ -326,6 +382,7 @@ func (w *Worker) HandleResult(p *packet.Packet) (next *packet.Packet, done bool)
 	w.remaining -= pd.elems
 	w.chunkDone[local/w.cfg.SlotElems] = true
 	pd.active = false
+	w.unlink(int32(p.Idx))
 	w.inflight--
 
 	// Algorithm 4 line 13: the slot's next chunk is k·s elements
@@ -366,9 +423,12 @@ func (w *Worker) Retransmit(idx uint32) *packet.Packet {
 	case pd.probed:
 		w.ctr.probeRetransmissions.Inc()
 	}
-	// A fresh number: a lost retransmission is lapped in its own turn.
+	// A fresh number, the newest in flight: a lost retransmission is
+	// lapped in its own turn.
 	w.seq++
 	pd.seq, pd.retx, pd.lapped, pd.probed = w.seq, true, false, false
+	w.unlink(int32(idx))
+	w.enqueue(int32(idx))
 	local := int(pd.off - w.base)
 	p := packet.GetPacket()
 	p.SetUpdate(w.cfg.ID, w.cfg.JobID, pd.ver, idx, pd.off, w.u[local:local+pd.elems])
@@ -400,9 +460,15 @@ func (w *Worker) Lapped(dst []uint32) []uint32 {
 		return dst
 	}
 	mark := w.acked - window
-	for i := range w.pend {
+	// Oldest first, up to the first packet the mark has not passed: in a
+	// lossless run that is the first one looked at.
+	for i := w.oldest; i >= 0; i = w.pend[i].next {
 		pd := &w.pend[i]
-		if pd.active && !pd.lapped && pd.seq <= mark {
+		w.examined++
+		if pd.seq > mark {
+			break
+		}
+		if !pd.lapped {
 			pd.lapped = true
 			dst = append(dst, uint32(i)) //switchml:allow hotpath -- append into the caller's reused buffer; at most PoolSize entries
 		}
@@ -684,7 +750,9 @@ func (w *Worker) PendingCount() int { return w.inflight }
 func (w *Worker) discardWindow() {
 	w.window++
 	w.inflight = 0
-	for i := range w.pend {
+	for i := w.oldest; i >= 0; i = w.pend[i].next {
 		w.pend[i].active = false
 	}
+	w.oldest, w.newest = -1, -1
+	w.initNext, w.initEnd = 0, 0
 }

@@ -160,9 +160,17 @@ type Conn struct {
 	// worst-case split of a full burst; Recv never grows it.
 	Msgs []Message
 
+	// ovfl is set when the kernel attaches the socket's receive-queue
+	// drop count to what it delivers (Linux SO_RXQ_OVFL); rcvDrops adds
+	// those counts up. Written by the owning goroutine, read by
+	// introspection.
+	ovfl     bool
+	rcvDrops atomic.Uint64
+
 	// portable staging: copy-in buffers and destinations, flushed one
-	// write syscall per datagram.
+	// write syscall per datagram. poob receives the drop-count cmsg.
 	pbuf   []byte // portable receive buffer
+	poob   []byte
 	sbufs  [][]byte
 	sdst   []netip.AddrPort
 	scount int
@@ -186,6 +194,7 @@ func Wrap(u *net.UDPConn, cfg Config) (*Conn, error) {
 		udp:       u,
 		cfg:       cfg,
 		connected: u.RemoteAddr() != nil,
+		ovfl:      countOverflow(u),
 	}
 	if !cfg.ForcePortable && os.Getenv(NoMmsgEnv) == "" {
 		if err := c.initPlatform(); err != nil {
@@ -194,6 +203,9 @@ func Wrap(u *net.UDPConn, cfg Config) (*Conn, error) {
 	}
 	if c.mode == ModePortable {
 		c.pbuf = make([]byte, recvBufSize(cfg.MTU))
+		if c.ovfl {
+			c.poob = make([]byte, 64)
+		}
 		c.Msgs = make([]Message, 1)
 		c.sbufs = make([][]byte, cfg.Batch)
 		for i := range c.sbufs {
@@ -234,6 +246,33 @@ func (c *Conn) SetReadDeadline(t time.Time) error { return c.udp.SetReadDeadline
 // stream; the counter makes the event visible.
 func (c *Conn) Truncated() uint64 { return c.truncated.Load() }
 
+// RcvbufDrops counts datagrams the kernel dropped because this socket's
+// receive buffer was full, as far as the kernel has said: the count
+// rides on delivered datagrams (Linux SO_RXQ_OVFL), so it trails the
+// drops by one receive and stays 0 where the cmsg is not available.
+// Loss recovery repairs the stream; the counter tells an overrun
+// buffer — a window larger than SO_RCVBUF holds — from a lossy path.
+func (c *Conn) RcvbufDrops() uint64 { return c.rcvDrops.Load() }
+
+// SizeBuffers grows u's kernel receive and send buffers to at least rcv
+// and snd bytes (0 leaves one alone; neither is ever shrunk) and
+// returns the sizes the kernel then reports — what it granted, which a
+// host's limits (Linux rmem_max, wmem_max) may hold below the request
+// and Linux's own accounting doubles — or 0 where they cannot be read
+// back.
+func SizeBuffers(u *net.UDPConn, rcv, snd int) (gotRcv, gotSnd int) {
+	gotRcv, gotSnd = bufferSizes(u)
+	// A refused request leaves the buffer as it was, which the sizes
+	// read back below report: they are the result, not the errors.
+	if rcv > gotRcv {
+		_ = u.SetReadBuffer(rcv)
+	}
+	if snd > gotSnd {
+		_ = u.SetWriteBuffer(snd)
+	}
+	return bufferSizes(u)
+}
+
 // SendErrors counts datagrams whose send failed or was dropped at
 // flush time (also reported, one call per datagram, to OnSendError).
 func (c *Conn) SendErrors() uint64 { return c.sendErrs.Load() }
@@ -261,9 +300,13 @@ func (c *Conn) Recv() (int, error) {
 	if c.mode != ModePortable {
 		return c.sysRecv()
 	}
-	n, addr, err := c.udp.ReadFromUDPAddrPort(c.pbuf)
+	// With a nil poob this is ReadFromUDPAddrPort.
+	n, oobn, _, addr, err := c.udp.ReadMsgUDPAddrPort(c.pbuf, c.poob)
 	if err != nil {
 		return 0, err
+	}
+	if oobn > 0 {
+		c.scanCmsgs(c.poob, oobn)
 	}
 	c.Msgs[0] = Message{Buf: c.pbuf[:n], Addr: addr}
 	return 1, nil

@@ -25,12 +25,15 @@ const (
 	solUDP      = 17   // SOL_UDP
 	udpSegment  = 103  // UDP_SEGMENT: per-send GSO segment size cmsg
 	udpGRO      = 104  // UDP_GRO: enable receive coalescing; segment size cmsg
+	soRxqOvfl   = 40   // SO_RXQ_OVFL: receive-queue drop count cmsg (absent from the frozen syscall package)
 
 	sockaddrLen = syscall.SizeofSockaddrInet6
 )
 
 var (
-	oobSpace    = syscall.CmsgSpace(4) // fits both the u16 GSO and s32 GRO payloads
+	// oobSpace fits the two 4-byte cmsgs a receive can carry (UDP_GRO's
+	// s32, SO_RXQ_OVFL's u32) and the one a send does (UDP_SEGMENT's u16).
+	oobSpace    = 2 * syscall.CmsgSpace(4)
 	cmsgDataOff = syscall.CmsgLen(0)
 )
 
@@ -46,6 +49,10 @@ type platform struct {
 	rc  syscall.RawConn
 	fam int  // socket domain: AF_INET or AF_INET6
 	gso bool // UDP_GRO enabled; sends may carry UDP_SEGMENT trains
+	// lastOvfl is the socket's drop count as the last SO_RXQ_OVFL cmsg
+	// gave it: the kernel reports a running total, the Conn adds up the
+	// differences.
+	lastOvfl uint32
 
 	raddr netip.AddrPort // connected-peer fallback for unnamed datagrams
 
@@ -221,7 +228,7 @@ func (c *Conn) sysRecv() (int, error) {
 	for i := range p.rhdrs {
 		h := &p.rhdrs[i].hdr
 		h.Namelen = sockaddrLen // recvmmsg shrinks it to the written size
-		if p.gso {
+		if p.gso || c.ovfl {
 			h.Control = &p.roob[i*oobSpace]
 			h.Controllen = uint64(oobSpace)
 		}
@@ -250,8 +257,8 @@ func (c *Conn) splitBurst() int {
 		buf := p.rbufs[i]
 		addr := c.srcAddr(i, e.hdr.Namelen)
 		seg := total
-		if p.gso && e.hdr.Controllen > 0 {
-			if g := groSize(p.roob[i*oobSpace:], int(e.hdr.Controllen)); g > 0 {
+		if e.hdr.Controllen > 0 {
+			if g := c.scanCmsgs(p.roob[i*oobSpace:], int(e.hdr.Controllen)); g > 0 {
 				seg = g
 			}
 		}
@@ -299,11 +306,13 @@ func (c *Conn) srcAddr(i int, namelen uint32) netip.AddrPort {
 	return p.raddr // connected sockets may omit the name
 }
 
-// groSize extracts the UDP_GRO segment size from an entry's control
-// buffer, 0 when the datagram was not coalesced.
+// scanCmsgs reads a received entry's control buffer: it returns the
+// UDP_GRO segment size, 0 when the datagram was not coalesced, and adds
+// what an SO_RXQ_OVFL count says the socket has dropped since the last
+// one to the Conn's total.
 //
 //switchml:hotpath
-func groSize(oob []byte, n int) int {
+func (c *Conn) scanCmsgs(oob []byte, n int) (gro int) {
 	if n > len(oob) {
 		n = len(oob)
 	}
@@ -312,14 +321,21 @@ func groSize(oob []byte, n int) int {
 		cm := (*syscall.Cmsghdr)(unsafe.Pointer(&oob[off]))
 		l := int(cm.Len)
 		if l < syscall.SizeofCmsghdr || off+l > n {
-			return 0
+			break
 		}
-		if cm.Level == solUDP && cm.Type == udpGRO && l >= syscall.CmsgLen(4) {
-			return int(*(*int32)(unsafe.Pointer(&oob[off+cmsgDataOff])))
+		if l >= syscall.CmsgLen(4) {
+			switch {
+			case cm.Level == solUDP && cm.Type == udpGRO:
+				gro = int(*(*int32)(unsafe.Pointer(&oob[off+cmsgDataOff])))
+			case cm.Level == syscall.SOL_SOCKET && cm.Type == soRxqOvfl:
+				total := *(*uint32)(unsafe.Pointer(&oob[off+cmsgDataOff]))
+				c.rcvDrops.Add(uint64(total - c.sys.lastOvfl)) // the kernel's counter wraps; so does the difference
+				c.sys.lastOvfl = total
+			}
 		}
 		off += (l + 7) &^ 7 // CMSG_ALIGN on 64-bit
 	}
-	return 0
+	return gro
 }
 
 // sysAppendTo copies one datagram into the staging arena.
@@ -516,6 +532,40 @@ func (c *Conn) dropSendN(err error, n int) {
 
 // errBadAddr is pre-boxed for the hot path.
 var errBadAddr error = errAddrFamily
+
+// countOverflow asks the kernel to attach the socket's receive-queue
+// drop count (SO_RXQ_OVFL) to what it delivers, in every mode; it
+// reports whether the kernel agreed.
+func countOverflow(u *net.UDPConn) bool {
+	rc, err := u.SyscallConn()
+	if err != nil {
+		return false
+	}
+	var serr error
+	if err := rc.Control(func(fd uintptr) {
+		serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, soRxqOvfl, 1)
+	}); err != nil {
+		return false
+	}
+	return serr == nil
+}
+
+// bufferSizes reads back the socket's receive and send buffer sizes as
+// the kernel accounts them, 0 where it will not say.
+func bufferSizes(u *net.UDPConn) (rcv, snd int) {
+	rc, err := u.SyscallConn()
+	if err != nil {
+		return 0, 0
+	}
+	if err := rc.Control(func(fd uintptr) {
+		// A size the kernel will not report stays 0, "unknown".
+		rcv, _ = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF)
+		snd, _ = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_SNDBUF)
+	}); err != nil {
+		return 0, 0
+	}
+	return rcv, snd
+}
 
 // ControlReusePort is a net.ListenConfig.Control hook setting
 // SO_REUSEPORT before bind, letting every aggregator shard own a

@@ -3,6 +3,7 @@
 package netio
 
 import (
+	"net"
 	"net/netip"
 	"syscall"
 )
@@ -24,6 +25,14 @@ func (c *Conn) sysAppendTrain(block []byte, seg int, to netip.AddrPort) {}
 func (c *Conn) sysFlush() {}
 
 func (c *Conn) sysPending() int { return 0 }
+
+func (c *Conn) scanCmsgs(oob []byte, n int) int { return 0 }
+
+// countOverflow refuses: the receive-queue drop count is a Linux cmsg.
+func countOverflow(u *net.UDPConn) bool { return false }
+
+// bufferSizes cannot read the sizes back here and reports them unknown.
+func bufferSizes(u *net.UDPConn) (rcv, snd int) { return 0, 0 }
 
 // ControlReusePort refuses: SO_REUSEPORT load balancing across
 // sockets is a Linux behavior; elsewhere shards share one socket.

@@ -376,3 +376,78 @@ func TestTrainBlockReuseAcrossBursts(t *testing.T) {
 		})
 	}
 }
+
+// TestSizeBuffersGrowsAndReadsBack: a request above what the socket has
+// is granted — as much of it as the host's limits allow — and reported
+// as the kernel accounts it; a request below is left alone, never
+// shrinking a buffer another layer sized.
+func TestSizeBuffersGrowsAndReadsBack(t *testing.T) {
+	lu, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lu.Close()
+	rcv0, snd0 := SizeBuffers(lu, 0, 0)
+	if rcv0 == 0 {
+		t.Skip("this platform does not report socket buffer sizes")
+	}
+	rcv1, snd1 := SizeBuffers(lu, 2*rcv0, 2*snd0)
+	if rcv1 <= rcv0 || snd1 <= snd0 {
+		t.Errorf("buffers %d/%d after asking for twice the initial %d/%d; want both grown", rcv1, snd1, rcv0, snd0)
+	}
+	if rcv2, snd2 := SizeBuffers(lu, 4096, 4096); rcv2 != rcv1 || snd2 != snd1 {
+		t.Errorf("buffers %d/%d after a smaller request, want them left at %d/%d", rcv2, snd2, rcv1, snd1)
+	}
+}
+
+// TestRcvbufDropsCounted overruns a small receive buffer while nobody
+// reads and requires the Conn to report, in every mode, that the kernel
+// dropped datagrams: the count rides on the datagrams that did fit.
+func TestRcvbufDropsCounted(t *testing.T) {
+	for name, cfg := range modeConfigs() {
+		t.Run(name, func(t *testing.T) {
+			srv, cli := pair(t, cfg)
+			if !srv.ovfl {
+				t.Skip("the kernel does not report receive-queue drops here")
+			}
+			if err := srv.UDP().SetReadBuffer(8 << 10); err != nil {
+				t.Fatal(err)
+			}
+			payload := bytes.Repeat([]byte{0xab}, 256)
+			const sent = 400
+			for i := 0; i < sent; i++ {
+				cli.AppendTo(payload, netip.AddrPort{})
+			}
+			cli.Flush()
+			// A last datagram once the queue has room again carries the
+			// final count.
+			got := 0
+			for deadline := time.Now().Add(200 * time.Millisecond); ; {
+				srv.SetReadDeadline(deadline)
+				n, err := srv.Recv()
+				if err != nil {
+					break
+				}
+				got += n
+			}
+			cli.AppendTo(payload, netip.AddrPort{})
+			cli.Flush()
+			srv.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if n, err := srv.Recv(); err != nil || n != 1 {
+				t.Fatalf("recv after the overrun: %d datagrams, %v", n, err)
+			}
+			drops := srv.RcvbufDrops()
+			if got >= sent || drops == 0 {
+				t.Fatalf("mode %v: %d of %d datagrams fit a small receive buffer and %d drops were counted; want an overrun, counted", srv.Mode(), got, sent, drops)
+			}
+			// Without segmentation offload a drop is a datagram, and they
+			// all went somewhere.
+			if srv.Mode() != ModeGSO && uint64(got)+drops != sent {
+				t.Errorf("mode %v: %d received + %d dropped, want %d sent", srv.Mode(), got, drops, sent)
+			}
+			if cli.RcvbufDrops() != 0 {
+				t.Errorf("the sending side counts %d drops at a receive buffer nothing was sent to", cli.RcvbufDrops())
+			}
+		})
+	}
+}

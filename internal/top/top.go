@@ -3,8 +3,9 @@
 // receive rates, RTT estimator state, health mode, loss and
 // retransmission columns, shard balance on the aggregator, and
 // threshold anomaly flags (loss spike, shard imbalance, probation
-// flapping). cmd/switchml-top renders it as a terminal dashboard or a
-// JSON document for scripting.
+// flapping, receive-buffer overrun, pool-size mismatch).
+// cmd/switchml-top renders it as a terminal dashboard or a JSON
+// document for scripting.
 package top
 
 import (
@@ -102,6 +103,22 @@ type AggView struct {
 	Batch      int    `json:"batch"`
 	NetMode    string `json:"net_mode,omitempty"`
 	SendErrors uint64 `json:"udp_send_errors"`
+	// PoolSize is s. RcvbufDrops is the cumulative count of datagrams
+	// (whole trains, with segmentation offload) the kernel dropped at a
+	// shard socket's full receive buffer; RcvbufBytes the buffer it
+	// granted and RcvbufNeedBytes what every worker's window in flight
+	// can occupy. Drops during a poll interval raise the overrun flag.
+	// BeyondPool counts updates for slots the pool does not have — a
+	// worker configured with a larger pool — and raises pool-mismatch.
+	PoolSize        int    `json:"pool_size"`
+	RcvbufDrops     uint64 `json:"udp_rcvbuf_drops"`
+	RcvbufBytes     int    `json:"rcvbuf_bytes"`
+	RcvbufNeedBytes int    `json:"rcvbuf_need_bytes"`
+	BeyondPool      uint64 `json:"updates_beyond_pool"`
+	// NewRcvbufDrops and NewBeyondPool are the two counters' growth
+	// over the poll interval, what the flags fire on.
+	NewRcvbufDrops uint64 `json:"udp_rcvbuf_drops_new"`
+	NewBeyondPool  uint64 `json:"updates_beyond_pool_new"`
 }
 
 // WorkerView is one worker's row of the cluster view.
@@ -146,6 +163,13 @@ type WorkerView struct {
 	ProbeRetransmissions uint64 `json:"probe_retransmissions"`
 	// SendErrors is the worker's cumulative udp_send_errors counter.
 	SendErrors uint64 `json:"udp_send_errors"`
+	// PoolSize is the window this worker keeps in flight; RcvbufDrops
+	// the cumulative count of result datagrams dropped at its socket's
+	// full receive buffer and NewRcvbufDrops its growth over the poll
+	// interval (the overrun flag's worker half).
+	PoolSize       int    `json:"pool_size"`
+	RcvbufDrops    uint64 `json:"udp_rcvbuf_drops"`
+	NewRcvbufDrops uint64 `json:"udp_rcvbuf_drops_new"`
 }
 
 // ClusterView is one poll's assembled cluster state.
@@ -244,6 +268,11 @@ func (p *Poller) Poll() (*ClusterView, error) {
 				Batch:             st.Batch,
 				NetMode:           st.NetMode,
 				SendErrors:        st.SendErrors,
+				PoolSize:          st.Pool.PoolSize,
+				RcvbufDrops:       st.RcvbufDrops,
+				RcvbufBytes:       st.RcvbufBytes,
+				RcvbufNeedBytes:   st.RcvbufNeedBytes,
+				BeyondPool:        st.BeyondPool,
 			}
 			for _, alive := range st.Alive {
 				if alive {
@@ -264,6 +293,8 @@ func (p *Poller) Poll() (*ClusterView, error) {
 				av.RxRate = rate(st.Received, p.prevAgg.Received)
 				av.TxRate = rate(st.Sent, p.prevAgg.Sent)
 				av.ShardImbalance = shardImbalance(st.ShardDatagrams, p.prevAgg.ShardDatagrams)
+				av.NewRcvbufDrops = delta(st.RcvbufDrops, p.prevAgg.RcvbufDrops)
+				av.NewBeyondPool = delta(st.BeyondPool, p.prevAgg.BeyondPool)
 			}
 			v.Agg = av
 		}
@@ -292,6 +323,8 @@ func (p *Poller) Poll() (*ClusterView, error) {
 			Degrades:        st.Fallback.Degrades,
 			Failbacks:       st.Fallback.Failbacks,
 			SendErrors:      st.SendErrors,
+			PoolSize:        st.PoolSize,
+			RcvbufDrops:     st.RcvbufDrops,
 			// Of Retransmissions, how many did not wait for the timer.
 			EarlyRetransmissions: st.Stats.EarlyRetransmissions,
 			ProbeRetransmissions: st.Stats.ProbeRetransmissions,
@@ -305,6 +338,7 @@ func (p *Poller) Poll() (*ClusterView, error) {
 		if prev, ok := p.prevWorkers[url]; ok {
 			wv.RxRate = rate(st.Received, prev.Received)
 			wv.TxRate = rate(st.Sent, prev.Sent)
+			wv.NewRcvbufDrops = delta(st.RcvbufDrops, prev.RcvbufDrops)
 			sent := st.Stats.Sent - prev.Stats.Sent
 			retx := st.Stats.Retransmissions - prev.Stats.Retransmissions
 			if sent > 0 && st.Stats.Sent >= prev.Stats.Sent {
@@ -329,6 +363,15 @@ func (p *Poller) Poll() (*ClusterView, error) {
 		return v, fmt.Errorf("top: no endpoint answered: %s", strings.Join(v.Errors, "; "))
 	}
 	return v, nil
+}
+
+// delta is a cumulative counter's growth since the previous poll, 0
+// across a restart.
+func delta(cur, prev uint64) uint64 {
+	if cur < prev {
+		return 0
+	}
+	return cur - prev
 }
 
 // shardImbalance is max/mean of the per-shard datagram deltas; 0 when
@@ -367,6 +410,22 @@ func (p *Poller) flag(v *ClusterView) {
 		v.Flags = append(v.Flags,
 			fmt.Sprintf("shard-imbalance(%.2fx)", v.Agg.ShardImbalance))
 	}
+	// Any drop at a full receive buffer is an anomaly: the window is
+	// sized to fit, so either the host granted less than was asked
+	// (rmem_max) or the pool was configured past what it can carry.
+	if a := v.Agg; a != nil && a.NewRcvbufDrops > 0 {
+		v.Flags = append(v.Flags,
+			fmt.Sprintf("overrun(agg %d drops, rcvbuf %d of %d needed)", a.NewRcvbufDrops, a.RcvbufBytes, a.RcvbufNeedBytes))
+	}
+	for _, w := range v.Workers {
+		if w.NewRcvbufDrops > 0 {
+			v.Flags = append(v.Flags, fmt.Sprintf("overrun(w%d %d drops)", w.Worker, w.NewRcvbufDrops))
+		}
+	}
+	if a := v.Agg; a != nil && a.NewBeyondPool > 0 {
+		v.Flags = append(v.Flags,
+			fmt.Sprintf("pool-mismatch(%d updates beyond the aggregator's %d slots)", a.NewBeyondPool, a.PoolSize))
+	}
 	for _, w := range v.Workers {
 		var transitions uint64
 		for _, d := range p.flaps[w.Addr] {
@@ -399,9 +458,9 @@ func Render(w io.Writer, v *ClusterView) {
 			adopt = fmt.Sprintf(" adoptions %d", a.Adoptions)
 		}
 		fmt.Fprintf(w,
-			"agg %-24s %-4s epoch %-4d rx %8.0f/s tx %8.0f/s occ %4.0f%% shards %d (imbal %.2f) alive %d/%d serr %d%s%s\n",
-			a.Addr, up, a.Epoch, a.RxRate, a.TxRate, a.Occupancy*100,
-			a.Shards, a.ShardImbalance, a.AliveCount, a.Workers, a.SendErrors, io, adopt)
+			"agg %-24s %-4s epoch %-4d rx %8.0f/s tx %8.0f/s pool %d occ %4.0f%% shards %d (imbal %.2f) alive %d/%d serr %d rdrop %d%s%s\n",
+			a.Addr, up, a.Epoch, a.RxRate, a.TxRate, a.PoolSize, a.Occupancy*100,
+			a.Shards, a.ShardImbalance, a.AliveCount, a.Workers, a.SendErrors, a.RcvbufDrops, io, adopt)
 		if a.DrainingCount > 0 || a.DepartedCount > 0 {
 			// Elastic churn in progress: print the roll call.
 			parts := make([]string, len(a.Membership))
@@ -417,17 +476,17 @@ func Render(w io.Writer, v *ClusterView) {
 		}
 	}
 	if len(v.Workers) > 0 {
-		fmt.Fprintf(w, "%-3s %-9s %-4s %-5s %9s %9s %9s %10s %5s %10s %10s %6s %7s %16s %5s %s\n",
+		fmt.Fprintf(w, "%-3s %-9s %-4s %-5s %9s %9s %9s %10s %5s %10s %10s %6s %7s %16s %5s %5s %s\n",
 			"wrk", "state", "home", "epoch", "srtt", "pto", "rto", "frontier", "pend",
-			"rx/s", "tx/s", "loss", "retx", "timer/lap/probe", "serr", "deg/fb/rh")
+			"rx/s", "tx/s", "loss", "retx", "timer/lap/probe", "serr", "rdrop", "deg/fb/rh")
 		for _, wk := range v.Workers {
 			// Which recovery the retransmissions came from, slowest first.
 			by := fmt.Sprintf("%d/%d/%d", wk.Retransmissions-wk.EarlyRetransmissions-wk.ProbeRetransmissions,
 				wk.EarlyRetransmissions, wk.ProbeRetransmissions)
-			fmt.Fprintf(w, "%-3d %-9s %-4d %-5d %7.2fms %7.2fms %7.2fms %10d %5d %10.0f %10.0f %5.1f%% %7d %16s %5d %d/%d/%d\n",
+			fmt.Fprintf(w, "%-3d %-9s %-4d %-5d %7.2fms %7.2fms %7.2fms %10d %5d %10.0f %10.0f %5.1f%% %7d %16s %5d %5d %d/%d/%d\n",
 				wk.Worker, wk.State, wk.HomeRank, wk.Epoch, wk.SRTTMs, wk.PTOMs, wk.RTOMs,
 				wk.FrontierOff, wk.PendingChunks, wk.RxRate, wk.TxRate,
-				wk.LossRate*100, wk.Retransmissions, by, wk.SendErrors, wk.Degrades, wk.Failbacks, wk.Rehomes)
+				wk.LossRate*100, wk.Retransmissions, by, wk.SendErrors, wk.RcvbufDrops, wk.Degrades, wk.Failbacks, wk.Rehomes)
 		}
 	}
 	for _, e := range v.Errors {

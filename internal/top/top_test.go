@@ -96,6 +96,13 @@ func TestPollerRatesAndFlags(t *testing.T) {
 		Batch:          32,
 		NetMode:        "mmsg",
 		SendErrors:     7,
+		// 2 workers × 2,048 slots against a stock receive buffer: the
+		// kernel shed 40 trains, and one worker was started with -pool
+		// 4096.
+		RcvbufDrops:     40,
+		RcvbufBytes:     212992,
+		RcvbufNeedBytes: 5242880,
+		BeyondPool:      2048,
 	}))
 	w0Doc.Store(ptrAny(transport.ClientDebugState{
 		Role: "worker", Worker: 0, Epoch: 8, Degraded: true,
@@ -105,6 +112,7 @@ func TestPollerRatesAndFlags(t *testing.T) {
 		Stats:      core.WorkerStats{Sent: 310, Retransmissions: 50, EarlyRetransmissions: 45, ProbeRetransmissions: 3},
 		Fallback:   transport.FallbackStats{Degrades: 2, Failbacks: 1},
 		SendErrors: 3,
+		PoolSize:   2048, RcvbufDrops: 5,
 	}))
 	now = now.Add(2 * time.Second)
 	v2, err := p.Poll()
@@ -151,6 +159,18 @@ func TestPollerRatesAndFlags(t *testing.T) {
 	if !strings.Contains(joined, "shard-imbalance") {
 		t.Errorf("flags %v missing shard imbalance", v2.Flags)
 	}
+	// Drops at full receive buffers during the interval, on both roles,
+	// and updates for slots the aggregator does not have.
+	for _, want := range []string{
+		"overrun(agg 40 drops, rcvbuf 212992 of 5242880 needed)", "overrun(w0 5 drops)", "pool-mismatch(2048 updates",
+	} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("flags %v missing %q", v2.Flags, want)
+		}
+	}
+	if v2.Agg.RcvbufDrops != 40 || v2.Agg.NewRcvbufDrops != 40 || wk.RcvbufDrops != 5 || wk.PoolSize != 2048 {
+		t.Errorf("overrun columns: agg %d (+%d), worker %d at pool %d", v2.Agg.RcvbufDrops, v2.Agg.NewRcvbufDrops, wk.RcvbufDrops, wk.PoolSize)
+	}
 	// 3 transitions (2 degrades + 1 failback) within the window.
 	if !strings.Contains(joined, "probation-flap(w0") {
 		t.Errorf("flags %v missing probation flap", v2.Flags)
@@ -160,7 +180,7 @@ func TestPollerRatesAndFlags(t *testing.T) {
 	var buf bytes.Buffer
 	Render(&buf, v2)
 	out := buf.String()
-	for _, want := range []string{"DEGRADED", "loss-spike", "rx/s", "agg ", "serr", "io mmsg/32", "   6.50ms    8.00ms", "   retx  timer/lap/probe", "     50           2/45/3"} {
+	for _, want := range []string{"DEGRADED", "loss-spike", "rx/s", "agg ", "serr", "io mmsg/32", "   6.50ms    8.00ms", "   retx  timer/lap/probe", "     50           2/45/3", "rdrop 40", " rdrop ", "overrun(agg"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q in:\n%s", want, out)
 		}

@@ -32,9 +32,55 @@ import (
 // buffers.
 const DefaultBatch = 32
 
+const (
+	// minPoolSize is the smallest pool TunePoolSize selects: one receive
+	// vector of coalesced trains, and the window every release before
+	// the rule ran on.
+	minPoolSize = 64
+	// inflightBudget is what TunePoolSize lets a job keep in flight
+	// toward one socket, in wire bytes. The pool-size sweep over loopback
+	// (EXPERIMENTS.md "Figure 2", UDP rows) is flat from 512 slots a
+	// worker and loses nothing up to 1,024 datagrams of 32 elements in
+	// flight — 2 workers by 512, 4 by 256, 8 by 128 — on a socket whose
+	// receive buffer was left at the stock 212,992 bytes; at 2,048 that
+	// buffer overruns, every flow of the job having been steered to one
+	// shard socket and the datagrams arriving as coalesced trains, the
+	// cheapest form the kernel charges them in. The budget is the last
+	// size that fit, half the first that did not: what a host that
+	// grants no more than its default can carry. (Each endpoint asks for
+	// its window's worth regardless — sizeSocket — since a datagram that
+	// arrives on its own is charged five times what it is in a train.)
+	inflightBudget = 160 << 10
+)
+
+// TunePoolSize is the pool size s both ends of the UDP transport select
+// when none is configured, from what both already know: the largest
+// power of two that keeps workers×s update datagrams of slotElems
+// elements inside inflightBudget, and never less than minPoolSize.
+// That is 512 for 2 workers of 32-element packets, 256 for 4, 128 for 8
+// — the paper's choice at 10 Gbps — and 64 from 9 workers up.
+//
+// It is §3.6's tuning rule on this substrate's inputs. The pool must
+// cover the path's bandwidth-delay product or the workers idle (Fig. 2's
+// rising edge), and past that more slots buy nothing. rack.TunePoolSize
+// computes the product from a simulated link's rate and latency; over
+// loopback sockets the "delay" is syscalls, wake-ups and the three
+// actors waiting on each other in lock-step, which grows with the
+// window until the receive buffer bounds it, so the rule starts from
+// that bound instead.
+func TunePoolSize(workers, slotElems int) int {
+	perSlot := max(workers, 1) * wireSize(max(slotElems, 1)) // in flight per slot of the pool
+	s := minPoolSize
+	for 2*s*perSlot <= inflightBudget {
+		s *= 2
+	}
+	return s
+}
+
 // BatchOccupancyBuckets bound the batch-occupancy histograms:
-// datagrams drained per receive wakeup.
-var BatchOccupancyBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
+// datagrams drained per receive wakeup, up to the two workers' tuned
+// windows landing on one shard in one burst and beyond.
+var BatchOccupancyBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 
 // AggregatorConfig configures a software aggregator.
 type AggregatorConfig struct {
@@ -135,6 +181,15 @@ type Aggregator struct {
 	// resume kinds); a nonzero value means a peer is confused or a new
 	// kind is missing its arm.
 	unexpected *telemetry.Counter
+	// rcvDrops counts datagrams the kernel dropped at a full receive
+	// buffer (netio.Conn.RcvbufDrops, summed over the shard sockets): a
+	// window larger than the buffer holds, rather than a lossy path.
+	// beyondPool counts updates for a slot index the pool does not have
+	// — a worker configured with a larger pool than this aggregator's,
+	// whose job would otherwise just never finish. bufs is what the
+	// sockets were sized to (the least grant among them).
+	rcvDrops, beyondPool *telemetry.Counter
+	bufs                 sockBuffers
 	// sendErrs counts result/control datagrams whose socket send
 	// failed. UDP stays best-effort — the protocol's loss recovery
 	// owns repair — but a non-zero rate points at dead routes or
@@ -217,6 +272,9 @@ type aggShard struct {
 	block    []byte
 	blockSeg int
 	staged   uint64
+	// drops is nc's receive-buffer drop count as last folded into the
+	// aggregator's counter.
+	drops uint64
 }
 
 // NewAggregator binds the socket(s) and starts the serving
@@ -276,11 +334,21 @@ func newAggregator(cfg AggregatorConfig, clock func() time.Time) (*Aggregator, e
 		sent:       reg.Counter("udp_datagrams_sent_total", "role", "aggregator"),
 		sendErrs:   reg.Counter("udp_send_errors_total", "role", "aggregator"),
 		unexpected: reg.Counter("udp_unexpected_kind_total", "role", "aggregator"),
+		rcvDrops:   reg.Counter("udp_rcvbuf_drops_total", "role", "aggregator"),
+		beyondPool: reg.Counter("udp_updates_beyond_pool_total", "role", "aggregator"),
 		adoptions:  reg.Counter("failover_adoptions_total", "role", "aggregator"),
 		peers:      make([]atomic.Pointer[netip.AddrPort], cfg.Switch.Workers),
 		closed:     make(chan struct{}),
 	}
 	a.epoch.Store(uint32(cfg.Switch.JobID))
+	// Every worker's whole window can be in flight toward one socket:
+	// the kernel's flow hash may steer them all to the same shard.
+	for i, conn := range conns {
+		b := sizeSocket(conn, cfg.Switch.Workers*cfg.Switch.PoolSize, cfg.Switch.SlotElems)
+		if i == 0 || b.rcv < a.bufs.rcv {
+			a.bufs = b
+		}
+	}
 	if len(cfg.Absent) > 0 && cfg.Liveness == nil {
 		closeAll(conns)
 		return nil, fmt.Errorf("transport: Absent workers need Liveness (elastic membership rides on the failure detector)")
@@ -344,7 +412,9 @@ func newAggregator(cfg AggregatorConfig, clock func() time.Time) (*Aggregator, e
 			a.sncs = append(a.sncs, nc)
 			sh.occ = reg.Histogram("agg_batch_occupancy", BatchOccupancyBuckets, "shard", fmt.Sprintf("%d", i))
 			a.shardOcc[i] = sh.occ
-			sh.block = make([]byte, 0, cfg.Batch*mtu)
+			// One burst can complete every slot of the pool: the block
+			// holds them all, so they leave in one flush.
+			sh.block = make([]byte, 0, max(cfg.Batch, cfg.Switch.PoolSize)*wireSize(cfg.Switch.SlotElems))
 			a.netMode = nc.Mode().String()
 			a.wg.Add(1)
 			go a.serveBatched(sh)
@@ -360,11 +430,7 @@ func newAggregator(cfg AggregatorConfig, clock func() time.Time) (*Aggregator, e
 // aggWireMTU sizes shard arenas from the largest result packet the
 // pool can emit.
 func aggWireMTU(slotElems int) int {
-	probe := packet.Packet{Vector: make([]int32, slotElems)}
-	if m := probe.MarshalledSize() + 16; m > 2048 {
-		return m
-	}
-	return 2048
+	return max(wireSize(slotElems)+16, 2048)
 }
 
 // closeAll releases every bound socket.
@@ -526,6 +592,7 @@ func (a *Aggregator) serveBatched(sh *aggShard) {
 		sh.occ.Observe(float64(n))
 		a.recvd.Add(uint64(n))
 		sh.datagrams.Add(uint64(n))
+		foldRcvbufDrops(sh.nc, &sh.drops, a.rcvDrops)
 		if a.down.Load() {
 			continue // the aggregation program is "dead": pure silence
 		}
@@ -717,6 +784,9 @@ func (a *Aggregator) handleUpdate(sh *aggShard, src netip.AddrPort) {
 		}
 	}
 	a.setPeer(p.WorkerID, src)
+	if int(p.Idx) >= a.cfg.Switch.PoolSize {
+		a.beyondPool.Inc() // and the switch rejects it
+	}
 	resp := a.sw.HandleInto(p, &sh.out)
 	if resp.Pkt == nil {
 		return

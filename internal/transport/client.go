@@ -125,6 +125,14 @@ type Client struct {
 	// sendErrs counts datagrams whose socket send failed (batched
 	// flushes report per-datagram through netio's OnSendError).
 	sendErrs *telemetry.Counter
+	// rcvDrops counts result datagrams the kernel dropped at this
+	// socket's full receive buffer (netio.Conn.RcvbufDrops; ncDrops is
+	// the current view's count as last folded in); gRcvbuf and
+	// gRcvbufNeed publish the receive buffer the kernel granted and the
+	// one the window needs (sizeSocket).
+	rcvDrops             *telemetry.Counter
+	ncDrops              uint64
+	gRcvbuf, gRcvbufNeed *telemetry.Gauge
 	// chunkRTT observes clean (never-retransmitted) chunk round trips,
 	// the per-chunk latency view of §7's RTT analysis: the one sample
 	// per received burst that the pump feeds its estimators. A sample
@@ -283,35 +291,38 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	id := fmt.Sprintf("%d", cfg.Worker.ID)
 	c := &Client{
-		cfg:        cfg,
-		conn:       conn,
-		worker:     w,
-		reg:        reg,
-		actor:      "w" + id,
-		inj:        inj,
-		recvd:      reg.Counter("udp_datagrams_received_total", "role", "worker", "worker", id),
-		corrupt:    reg.Counter("udp_datagrams_corrupted_total", "role", "worker", "worker", id),
-		sent:       reg.Counter("udp_datagrams_sent_total", "role", "worker", "worker", id),
-		sendErrs:   reg.Counter("udp_send_errors_total", "role", "worker", "worker", id),
-		unexpected: reg.Counter("udp_unexpected_kind_total", "role", "worker", "worker", id),
-		chunkRTT:   reg.Histogram("worker_chunk_rtt_ns", telemetry.LatencyBuckets, "worker", id),
-		gSRTT:      reg.Gauge("worker_srtt_ns", "worker", id),
-		gRTO:       reg.Gauge("worker_rto_ns", "worker", id),
-		gPTO:       reg.Gauge("worker_pto_ns", "worker", id),
-		gFrontier:  reg.Gauge("worker_frontier_off", "worker", id),
-		gPending:   reg.Gauge("worker_pending_chunks", "worker", id),
-		gEpoch:     reg.Gauge("worker_epoch", "worker", id),
-		gDegraded:  reg.Gauge("worker_degraded", "worker", id),
-		gHome:      reg.Gauge("worker_home_rank", "worker", id),
-		clock:      time.Now,
-		pump:       core.NewPump(w, int64(cfg.RTO), cfg.AdaptiveRTO),
-		t0:         time.Now(),
-		due:        make([]uint32, 0, cfg.Worker.PoolSize),
-		rbuf:       make([]byte, 65536),
-		epoch:      cfg.Worker.JobID,
-		ladder:     ladder,
-		frng:       rand.New(rand.NewSource(jitterSeed(&cfg, 1))),
-		closed:     make(chan struct{}),
+		cfg:         cfg,
+		conn:        conn,
+		worker:      w,
+		reg:         reg,
+		actor:       "w" + id,
+		inj:         inj,
+		recvd:       reg.Counter("udp_datagrams_received_total", "role", "worker", "worker", id),
+		corrupt:     reg.Counter("udp_datagrams_corrupted_total", "role", "worker", "worker", id),
+		sent:        reg.Counter("udp_datagrams_sent_total", "role", "worker", "worker", id),
+		sendErrs:    reg.Counter("udp_send_errors_total", "role", "worker", "worker", id),
+		unexpected:  reg.Counter("udp_unexpected_kind_total", "role", "worker", "worker", id),
+		rcvDrops:    reg.Counter("udp_rcvbuf_drops_total", "role", "worker", "worker", id),
+		gRcvbuf:     reg.Gauge("worker_rcvbuf_bytes", "worker", id),
+		gRcvbufNeed: reg.Gauge("worker_rcvbuf_need_bytes", "worker", id),
+		chunkRTT:    reg.Histogram("worker_chunk_rtt_ns", telemetry.LatencyBuckets, "worker", id),
+		gSRTT:       reg.Gauge("worker_srtt_ns", "worker", id),
+		gRTO:        reg.Gauge("worker_rto_ns", "worker", id),
+		gPTO:        reg.Gauge("worker_pto_ns", "worker", id),
+		gFrontier:   reg.Gauge("worker_frontier_off", "worker", id),
+		gPending:    reg.Gauge("worker_pending_chunks", "worker", id),
+		gEpoch:      reg.Gauge("worker_epoch", "worker", id),
+		gDegraded:   reg.Gauge("worker_degraded", "worker", id),
+		gHome:       reg.Gauge("worker_home_rank", "worker", id),
+		clock:       time.Now,
+		pump:        core.NewPump(w, int64(cfg.RTO), cfg.AdaptiveRTO),
+		t0:          time.Now(),
+		due:         make([]uint32, 0, cfg.Worker.PoolSize),
+		rbuf:        make([]byte, 65536),
+		epoch:       cfg.Worker.JobID,
+		ladder:      ladder,
+		frng:        rand.New(rand.NewSource(jitterSeed(&cfg, 1))),
+		closed:      make(chan struct{}),
 	}
 	c.failRehomes = reg.Counter("failover_rehomes_total", "worker", id)
 	c.failAdopts = reg.Counter("failover_adopt_requests_total", "worker", id)
@@ -504,7 +515,8 @@ func (c *Client) AllReduceInt32View(u []int32) ([]int32, error) {
 		// not be that old.
 		c.tick()
 	}
-	for _, p := range c.worker.Start(u) {
+	c.worker.Open(u)
+	for p := c.worker.Next(); p != nil; p = c.worker.Next() {
 		err := c.send(p)
 		packet.PutPacket(p)
 		if err != nil {
@@ -613,6 +625,9 @@ func (c *Client) switchLoop(deadline time.Time) ([]int32, error) {
 			return nil, err
 		}
 		c.recvd.Add(uint64(nm))
+		if c.nc != nil {
+			foldRcvbufDrops(c.nc, &c.ncDrops, c.rcvDrops)
+		}
 		for i := 0; i < nm; i++ {
 			buf := c.rbuf[:c.rlen]
 			if c.nc != nil {

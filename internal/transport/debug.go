@@ -37,6 +37,22 @@ type AggDebugState struct {
 	// dropping, summed across the shard socket views.
 	SendErrors  uint64 `json:"udp_send_errors"`
 	SendRetries uint64 `json:"udp_send_retries"`
+	// RcvbufDrops counts update datagrams the kernel dropped at a shard
+	// socket's full receive buffer (SO_RXQ_OVFL; 0 on the per-packet
+	// loop and off Linux, which cannot see them). RcvbufBytes is the
+	// receive buffer the kernel granted the shard sockets (the least of
+	// them; 0 where it cannot be read back) and RcvbufNeedBytes what
+	// every worker's window in flight toward one of them can occupy:
+	// drops with a grant below the need are the window overrunning the
+	// buffer — raise rmem_max or configure a smaller pool — not the path
+	// losing packets.
+	RcvbufDrops     uint64 `json:"udp_rcvbuf_drops"`
+	RcvbufBytes     int    `json:"rcvbuf_bytes"`
+	RcvbufNeedBytes int    `json:"rcvbuf_need_bytes"`
+	// BeyondPool counts updates for a slot index at or past the pool
+	// size: some worker was configured with a larger pool than this
+	// aggregator, and its job cannot finish.
+	BeyondPool uint64 `json:"updates_beyond_pool"`
 	// Adoptions counts warm-standby adoption roll calls this
 	// aggregator has committed: jobs it inherited from a dead rung
 	// through the KindAdoptJob handshake.
@@ -65,22 +81,26 @@ type AggDebugState struct {
 // seen bitmap), the level of detail incident files want.
 func (a *Aggregator) DebugState(withSlots bool) AggDebugState {
 	st := AggDebugState{
-		Role:           "aggregator",
-		Epoch:          a.epochNow(),
-		Down:           a.down.Load(),
-		Shards:         len(a.shardCtrs),
-		Batch:          a.cfg.Batch,
-		NetMode:        a.netMode,
-		ShardDatagrams: make([]uint64, len(a.shardCtrs)),
-		Received:       a.recvd.Value(),
-		Corrupted:      a.corrupt.Value(),
-		Sent:           a.sent.Value(),
-		SendErrors:     a.sendErrs.Value(),
-		Adoptions:      a.adoptions.Value(),
-		Switch:         a.sw.Stats(),
-		Pool:           a.sw.PoolState(withSlots),
-		Peers:          make([]string, len(a.peers)),
-		Alive:          make([]bool, len(a.peers)),
+		Role:            "aggregator",
+		Epoch:           a.epochNow(),
+		Down:            a.down.Load(),
+		Shards:          len(a.shardCtrs),
+		Batch:           a.cfg.Batch,
+		NetMode:         a.netMode,
+		ShardDatagrams:  make([]uint64, len(a.shardCtrs)),
+		Received:        a.recvd.Value(),
+		Corrupted:       a.corrupt.Value(),
+		Sent:            a.sent.Value(),
+		SendErrors:      a.sendErrs.Value(),
+		RcvbufDrops:     a.rcvDrops.Value(),
+		RcvbufBytes:     a.bufs.rcv,
+		RcvbufNeedBytes: a.bufs.need,
+		BeyondPool:      a.beyondPool.Value(),
+		Adoptions:       a.adoptions.Value(),
+		Switch:          a.sw.Stats(),
+		Pool:            a.sw.PoolState(withSlots),
+		Peers:           make([]string, len(a.peers)),
+		Alive:           make([]bool, len(a.peers)),
 	}
 	for i, c := range a.shardCtrs {
 		st.ShardDatagrams[i] = c.Value()
@@ -169,6 +189,15 @@ type ClientDebugState struct {
 	// absorbed by netio's bounded backoff instead of dropping, summed
 	// across socket views retired by re-homes.
 	SendRetries uint64 `json:"udp_send_retries"`
+	// PoolSize is s, configured or tuned (TunePoolSize): the window this
+	// worker keeps in flight. RcvbufDrops, RcvbufBytes and
+	// RcvbufNeedBytes are the aggregator-side fields' twins for the
+	// result datagrams flowing back: drops at this socket's full receive
+	// buffer, the buffer granted, and what one window can occupy.
+	PoolSize        int    `json:"pool_size"`
+	RcvbufDrops     uint64 `json:"udp_rcvbuf_drops"`
+	RcvbufBytes     int64  `json:"rcvbuf_bytes"`
+	RcvbufNeedBytes int64  `json:"rcvbuf_need_bytes"`
 	// Stats are the worker protocol counters. Retransmissions against
 	// EarlyRetransmissions and ProbeRetransmissions tells which
 	// recovery is at work: lap detection off the ack clock (early),
@@ -185,26 +214,30 @@ type ClientDebugState struct {
 // DebugState assembles the worker's introspection document.
 func (c *Client) DebugState() ClientDebugState {
 	return ClientDebugState{
-		Role:          "worker",
-		Worker:        int(c.cfg.Worker.ID),
-		Epoch:         uint16(c.gEpoch.Value()),
-		Degraded:      c.Degraded(),
-		SRTTNs:        c.gSRTT.Value(),
-		RTONs:         c.gRTO.Value(),
-		PTONs:         c.gPTO.Value(),
-		FrontierOff:   c.gFrontier.Value(),
-		PendingChunks: c.gPending.Value(),
-		Batch:         c.cfg.Batch,
-		NetMode:       c.netMode(),
-		Received:      c.recvd.Value(),
-		Corrupted:     c.corrupt.Value(),
-		Sent:          c.sent.Value(),
-		SendErrors:    c.sendErrs.Value(),
-		SendRetries:   c.sendRetryTotal(),
-		Stats:         c.worker.Stats(),
-		Fallback:      c.FallbackStats(),
-		HomeRank:      c.HomeRank(),
-		Failover:      c.FailoverStats(),
+		Role:            "worker",
+		Worker:          int(c.cfg.Worker.ID),
+		Epoch:           uint16(c.gEpoch.Value()),
+		Degraded:        c.Degraded(),
+		SRTTNs:          c.gSRTT.Value(),
+		RTONs:           c.gRTO.Value(),
+		PTONs:           c.gPTO.Value(),
+		FrontierOff:     c.gFrontier.Value(),
+		PendingChunks:   c.gPending.Value(),
+		Batch:           c.cfg.Batch,
+		NetMode:         c.netMode(),
+		Received:        c.recvd.Value(),
+		Corrupted:       c.corrupt.Value(),
+		Sent:            c.sent.Value(),
+		SendErrors:      c.sendErrs.Value(),
+		SendRetries:     c.sendRetryTotal(),
+		PoolSize:        c.cfg.Worker.PoolSize,
+		RcvbufDrops:     c.rcvDrops.Value(),
+		RcvbufBytes:     c.gRcvbuf.Value(),
+		RcvbufNeedBytes: c.gRcvbufNeed.Value(),
+		Stats:           c.worker.Stats(),
+		Fallback:        c.FallbackStats(),
+		HomeRank:        c.HomeRank(),
+		Failover:        c.FailoverStats(),
 	}
 }
 

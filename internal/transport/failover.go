@@ -114,10 +114,17 @@ func (c *Client) wrapMain(conn *net.UDPConn) {
 	}
 	c.nc = nil
 	c.ncDbg.Store(nil)
-	// The window block holds a burst of updates; at Batch 1 it holds
-	// the one being written and its injected duplicate.
+	c.ncDrops = 0
+	// A window of results can be in flight toward this socket, and a
+	// window of updates leaves it at once.
+	b := sizeSocket(conn, c.cfg.Worker.PoolSize, c.cfg.Worker.SlotElems)
+	c.gRcvbuf.Set(int64(b.rcv))
+	c.gRcvbufNeed.Set(int64(b.need))
+	// The window block holds the whole window, so that it leaves in one
+	// batched send; at Batch 1 it holds the update being written and its
+	// injected duplicate.
 	mtu := aggWireMTU(c.cfg.Worker.SlotElems)
-	c.txb = make([]byte, 0, max(c.cfg.Batch, 2)*mtu)
+	c.txb = make([]byte, 0, max(c.cfg.Worker.PoolSize, 2)*wireSize(c.cfg.Worker.SlotElems))
 	c.txSeg = 0
 	c.stageErr = nil
 	if c.cfg.Batch <= 1 {

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"switchml/internal/core"
+	"switchml/internal/netio"
 	"switchml/internal/packet"
 	"switchml/internal/telemetry"
 )
@@ -81,7 +82,25 @@ func (m *MultiAggregator) AdmitJob(cfg core.SwitchConfig) error {
 		return err
 	}
 	m.peers[cfg.JobID] = make([]netip.AddrPort, cfg.Workers)
+	// The one socket takes every admitted job's window at once.
+	need := 0
+	for _, id := range m.ms.Jobs() {
+		c := m.ms.Job(id).Config()
+		need += windowBytes(c.Workers*c.PoolSize, c.SlotElems)
+	}
+	netio.SizeBuffers(m.conn, need, need)
 	return nil
+}
+
+// PoolSize returns an admitted job's pool size s, 0 for a job that was
+// not admitted.
+func (m *MultiAggregator) PoolSize(job uint16) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if sw := m.ms.Job(job); sw != nil {
+		return sw.Config().PoolSize
+	}
+	return 0
 }
 
 // ReleaseJob frees a job's pool.

@@ -1,0 +1,196 @@
+package transport
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"switchml/internal/core"
+	"switchml/internal/netio"
+)
+
+// TestTunePoolSize pins the rule: a power of two, never below
+// minPoolSize, never growing with the worker count or the packet size,
+// and the sizes the sweep fixed for 32-element packets.
+func TestTunePoolSize(t *testing.T) {
+	for _, tc := range []struct{ workers, k, want int }{
+		{1, 32, 1024}, {2, 32, 512}, {3, 32, 256}, {4, 32, 256}, {5, 32, 128},
+		{8, 32, 128}, {9, 32, 64}, {16, 32, 64}, {64, 32, 64}, {512, 32, 64},
+		{2, 64, 256}, {2, 128, 128}, {2, 256, 64}, {8, 256, 64},
+	} {
+		if got := TunePoolSize(tc.workers, tc.k); got != tc.want {
+			t.Errorf("TunePoolSize(%d workers, %d elements) = %d, want %d", tc.workers, tc.k, got, tc.want)
+		}
+	}
+	for _, k := range []int{1, 8, 32, 33, 64, 100, 256, 360} {
+		prev := 0
+		for workers := 1; workers <= 300; workers++ {
+			s := TunePoolSize(workers, k)
+			switch {
+			case s < minPoolSize || s&(s-1) != 0:
+				t.Fatalf("TunePoolSize(%d, %d) = %d, want a power of two of at least %d", workers, k, s, minPoolSize)
+			case prev != 0 && s > prev:
+				t.Fatalf("TunePoolSize(%d, %d) = %d, above the %d of one worker fewer", workers, k, s, prev)
+			case s > minPoolSize && workers*s*wireSize(k) > inflightBudget:
+				t.Fatalf("TunePoolSize(%d, %d) = %d puts %d bytes in flight, over the budget of %d", workers, k, s, workers*s*wireSize(k), inflightBudget)
+			}
+			prev = s
+		}
+	}
+	// Inputs no configuration would validate still terminate.
+	if got := TunePoolSize(0, 0); got < minPoolSize {
+		t.Errorf("TunePoolSize(0, 0) = %d", got)
+	}
+}
+
+// windowCluster is a 2-worker job of 32-element packets with s slots,
+// default shards and batch, on whatever I/O mode the environment
+// selects.
+func windowCluster(t *testing.T, s int, rto time.Duration) (*Aggregator, []*Client) {
+	t.Helper()
+	const n, k = 2, 32
+	agg, err := NewAggregator(AggregatorConfig{
+		Addr:   "127.0.0.1:0",
+		Switch: core.SwitchConfig{Workers: n, PoolSize: s, SlotElems: k, LossRecovery: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { agg.Close() })
+	clients := make([]*Client, n)
+	for i := range clients {
+		c, err := NewClient(ClientConfig{
+			Aggregator: agg.Addr().String(),
+			Worker:     core.WorkerConfig{ID: uint16(i), Workers: n, PoolSize: s, SlotElems: k, LossRecovery: true},
+			RTO:        rto,
+			Timeout:    60 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		clients[i] = c
+	}
+	return agg, clients
+}
+
+// TestFaultWindowFitsReceiveBuffer runs lossless 1M-element tensors at
+// the tuned pool size in each I/O mode and requires that the window
+// fits the socket buffers the endpoints sized for it: no datagram
+// dropped at a full receive queue, nothing recovered by lap or by
+// timer. The modes without segmentation offload are the point — there
+// every datagram is charged a whole sk_buff, and 1,024 of them overrun
+// a stock buffer several times over. (The tail probe may duplicate the
+// newest packet of a tensor when the box stalls a worker past its PTO,
+// as in TestFaultLosslessNoEarlyRetransmit: at most one a tensor.)
+func TestFaultWindowFitsReceiveBuffer(t *testing.T) {
+	for _, mode := range []struct{ name, env string }{
+		{"gso", ""}, {"mmsg", netio.NoGSOEnv}, {"portable", netio.NoMmsgEnv},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			if mode.env != "" {
+				t.Setenv(mode.env, "1")
+			}
+			s := TunePoolSize(2, 32)
+			agg, clients := windowCluster(t, s, time.Second)
+			ds := agg.DebugState(false)
+			if ds.RcvbufBytes == 0 {
+				t.Skip("this platform does not report socket buffer sizes")
+			}
+			if ds.RcvbufBytes < ds.RcvbufNeedBytes {
+				t.Skipf("the kernel granted a %d-byte receive buffer, under the %d the window needs (rmem_max)", ds.RcvbufBytes, ds.RcvbufNeedBytes)
+			}
+			if mode.env == "" && ds.NetMode != "gso" {
+				t.Skipf("no segmentation offload here (mode %s)", ds.NetMode)
+			}
+			steps := 0
+			for t0 := time.Now(); steps < 6 && (steps < 2 || time.Since(t0) < 5*time.Second); steps++ {
+				lockstep(t, clients, 1<<20, steps+1)
+			}
+			ds = agg.DebugState(false)
+			t.Logf("%s, pool %d: %d tensors, shard receive buffer %d bytes for a need of %d, occupancy p50 %.0f",
+				ds.NetMode, s, steps, ds.RcvbufBytes, ds.RcvbufNeedBytes, ds.BatchOccupancyP50)
+			if ds.RcvbufDrops != 0 {
+				t.Errorf("aggregator: %d datagrams dropped at a full receive buffer, want 0", ds.RcvbufDrops)
+			}
+			for w, c := range clients {
+				cs := c.DebugState()
+				st := cs.Stats
+				timer := st.Retransmissions - st.EarlyRetransmissions - st.ProbeRetransmissions
+				if cs.RcvbufDrops != 0 || st.EarlyRetransmissions != 0 || timer != 0 || st.ProbeRetransmissions > uint64(steps) {
+					t.Errorf("worker %d: %d drops at the receive buffer (%d bytes for a need of %d), %d lap, %d timer and %d probe retransmissions over %d lossless tensors; want none but a probe a tensor",
+						w, cs.RcvbufDrops, cs.RcvbufBytes, cs.RcvbufNeedBytes, st.EarlyRetransmissions, timer, st.ProbeRetransmissions, steps)
+				}
+			}
+		})
+	}
+}
+
+// TestFaultReceiveBufferOverrun is the other side: a pool four times
+// the tuned size against shard sockets whose receive buffers were cut
+// to a fraction of one window. The kernel drops most of every window;
+// the aggregate must still be exact, the drops must be counted where an
+// operator can see them, and recovery must ride the ack clock — a lap
+// or a probe per loss — rather than wait out timers.
+func TestFaultReceiveBufferOverrun(t *testing.T) {
+	const s = 2048
+	if runtime.GOOS != "linux" {
+		t.Skip("receive-queue drops are reported through a Linux cmsg (SO_RXQ_OVFL)")
+	}
+	agg, clients := windowCluster(t, s, time.Second)
+	for _, conn := range agg.conns {
+		if err := conn.SetReadBuffer(104 << 10); err != nil { // granted twice that: the stock 212,992
+			t.Fatal(err)
+		}
+	}
+	const steps = 2
+	for step := 1; step <= steps; step++ {
+		lockstep(t, clients, 1<<20, step) // checks every element of every worker's sum
+	}
+	ds := agg.DebugState(false)
+	if ds.RcvbufDrops == 0 {
+		t.Errorf("aggregator: no receive-buffer drops counted with %d datagrams in flight toward stock-sized buffers", 2*s)
+	}
+	var lap, probe, timer uint64
+	for _, c := range clients {
+		st := c.Stats()
+		lap += st.EarlyRetransmissions
+		probe += st.ProbeRetransmissions
+		timer += st.Retransmissions - st.EarlyRetransmissions - st.ProbeRetransmissions
+	}
+	t.Logf("%s: %d drops counted; recovered %d by lap, %d by probe, %d by timer", ds.NetMode, ds.RcvbufDrops, lap, probe, timer)
+	if lap == 0 || timer > lap {
+		t.Errorf("recovered %d by lap and %d by timer, want the ack clock to carry the recovery", lap, timer)
+	}
+}
+
+// TestUpdatesBeyondPoolCounted: a worker configured with a larger pool
+// than its aggregator used to hang with nothing to show for it. The job
+// still cannot finish, but the aggregator now counts the updates whose
+// slot it does not have.
+func TestUpdatesBeyondPoolCounted(t *testing.T) {
+	agg, err := NewAggregator(AggregatorConfig{
+		Addr:   "127.0.0.1:0",
+		Switch: core.SwitchConfig{Workers: 1, PoolSize: 16, SlotElems: 32, LossRecovery: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+	c, err := NewClient(ClientConfig{
+		Aggregator: agg.Addr().String(),
+		Worker:     core.WorkerConfig{Workers: 1, PoolSize: 64, SlotElems: 32, LossRecovery: true},
+		RTO:        20 * time.Millisecond,
+		Timeout:    300 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.AllReduceInt32(make([]int32, 64*32)); err == nil {
+		t.Fatal("a 64-slot worker finished a tensor against a 16-slot aggregator")
+	}
+	if got := agg.DebugState(false).BeyondPool; got < 48 {
+		t.Errorf("%d updates counted beyond the pool, want the 48 the first window sent at least", got)
+	}
+}

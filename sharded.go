@@ -65,7 +65,11 @@ func (m *MultiAggregator) Close() error {
 	return m.inner.Close()
 }
 
-// AdmitJob allocates a pool for one job.
+// AdmitJob allocates a pool for one job. A zero params.PoolSize
+// selects the size ListenAggregator does, so a Peer dialed with the
+// job's id and a zero PoolSize agrees with it; a ShardedPeer's 64 slots
+// a shard use the front of that pool, a worker's window only having to
+// fit inside its aggregator's.
 func (m *MultiAggregator) AdmitJob(job uint16, params AggregatorParams) error {
 	params.fill()
 	return m.inner.AdmitJob(core.SwitchConfig{
@@ -90,6 +94,10 @@ func (m *MultiAggregator) AdmitShardedJob(jobBase uint16, shards int, params Agg
 	}
 	return nil
 }
+
+// PoolSize returns an admitted job's s, as configured or as tuned; 0
+// for a job that was not admitted.
+func (m *MultiAggregator) PoolSize(job uint16) int { return m.inner.PoolSize(job) }
 
 // ReleaseJob frees one job's pool.
 func (m *MultiAggregator) ReleaseJob(job uint16) error { return m.inner.ReleaseJob(job) }
@@ -130,7 +138,8 @@ type ShardedPeerParams struct {
 	// JobBase is the first shard's job id; shard s uses JobBase+s.
 	// Must match the aggregator's AdmitShardedJob call.
 	JobBase uint16
-	// PoolSize is s per shard (default 64).
+	// PoolSize is s per shard (default 64), at most what the shards'
+	// jobs were admitted with.
 	PoolSize int
 	// SlotElems is k (default 32).
 	SlotElems int

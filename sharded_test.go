@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"switchml/internal/transport"
 )
 
 func TestShardedPeerAllReduce(t *testing.T) {
@@ -141,5 +143,81 @@ func TestShardedPeerValidation(t *testing.T) {
 	}
 	if out, err := sp.AllReduceInt32(nil); out != nil || err != nil {
 		t.Errorf("empty = %v, %v", out, err)
+	}
+}
+
+// TestMultiAggregatorTunedPoolAgrees: a job admitted with PoolSize left
+// zero serves both kinds of worker that leave theirs zero — a Peer
+// dialed with the job's id, which selects the tuned window and reaches
+// its last slot in a tensor of more than two windows, and a ShardedPeer,
+// whose 64 slots a shard use the front of the larger pool — with exact
+// sums and nothing rejected.
+func TestMultiAggregatorTunedPoolAgrees(t *testing.T) {
+	for _, n := range []int{2, 3} {
+		m, err := ListenMultiAggregator("127.0.0.1:0", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const job, shardBase, shards = 7, 20, 2
+		if err := m.AdmitJob(job, AggregatorParams{Workers: n}); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.AdmitShardedJob(shardBase, shards, AggregatorParams{Workers: n}); err != nil {
+			t.Fatal(err)
+		}
+		tuned := transport.TunePoolSize(n, 32)
+		if got := m.PoolSize(job); got != tuned {
+			t.Fatalf("%d workers: admitted with %d slots, want the tuned %d", n, got, tuned)
+		}
+		d := 2*32*tuned + 5
+		outs := make([][2][]int32, n)
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			i := i
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				u := make([]int32, d)
+				for j := range u {
+					u[j] = int32(i*d + j)
+				}
+				peer, err := DialAggregator(m.Addr(), PeerParams{ID: i, Workers: n, JobID: job, Timeout: 10 * time.Second})
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				defer peer.Close()
+				sp, err := DialSharded(m.Addr(), ShardedPeerParams{ID: i, Workers: n, Shards: shards, JobBase: shardBase, Timeout: 10 * time.Second})
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				defer sp.Close()
+				if outs[i][0], errs[i] = peer.AllReduceInt32(u); errs[i] != nil {
+					return
+				}
+				outs[i][1], errs[i] = sp.AllReduceInt32(u)
+			}()
+		}
+		wg.Wait()
+		for i := 0; i < n; i++ {
+			if errs[i] != nil {
+				t.Fatalf("%d workers: worker %d: %v", n, i, errs[i])
+			}
+			for k, out := range outs[i] {
+				for j := 0; j < d; j++ {
+					if want := int32(n*(n-1)/2*d + n*j); out[j] != want {
+						t.Fatalf("%d workers: worker %d, collective %d, elem %d: got %d want %d", n, i, k, j, out[j], want)
+					}
+				}
+			}
+		}
+		for _, id := range []uint16{job, shardBase, shardBase + shards - 1} {
+			if st, ok := m.JobStats(id); !ok || st.Rejected != 0 || st.Completions == 0 {
+				t.Errorf("%d workers: job %d: admitted %v, %d completions, %d updates rejected; want completions and nothing rejected", n, id, ok, st.Completions, st.Rejected)
+			}
+		}
+		m.Close()
 	}
 }

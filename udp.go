@@ -20,6 +20,7 @@ import (
 // Aggregator is a UDP software aggregator hosting one job's pool.
 type Aggregator struct {
 	inner      *transport.Aggregator
+	poolSize   int
 	rec        *telemetry.FlightRecorder
 	debugClose func() error
 }
@@ -28,7 +29,12 @@ type Aggregator struct {
 type AggregatorParams struct {
 	// Workers is n; every slot completes after n contributions.
 	Workers int
-	// PoolSize is s (default 64).
+	// PoolSize is s, the slots of the pool and so the window each worker
+	// keeps in flight. Zero selects the tuned size — §3.6's rule on this
+	// transport: the largest power of two that keeps Workers×s datagrams
+	// of SlotElems elements inside what a stock socket buffer carries,
+	// 512 for 2 workers, 256 for 4, 128 for 8, 64 from 9 up (DESIGN.md
+	// "Pool size s vs BDP"). Workers leaving theirs zero select the same.
 	PoolSize int
 	// SlotElems is k (default 32).
 	SlotElems int
@@ -108,11 +114,11 @@ func (f *FlightParams) config(reg *telemetry.Registry, prefix string) telemetry.
 }
 
 func (p *AggregatorParams) fill() {
-	if p.PoolSize == 0 {
-		p.PoolSize = 64
-	}
 	if p.SlotElems == 0 {
 		p.SlotElems = packet.DefaultElems
+	}
+	if p.PoolSize == 0 {
+		p.PoolSize = transport.TunePoolSize(p.Workers, p.SlotElems)
 	}
 }
 
@@ -151,8 +157,11 @@ func ListenAggregator(addr string, params AggregatorParams) (*Aggregator, error)
 		inner := inner
 		rec.SetState(func() any { return inner.DebugState(true) })
 	}
-	return &Aggregator{inner: inner, rec: rec}, nil
+	return &Aggregator{inner: inner, poolSize: params.PoolSize, rec: rec}, nil
 }
+
+// PoolSize returns s, as configured or as tuned.
+func (a *Aggregator) PoolSize() int { return a.poolSize }
 
 // Addr returns the bound address, "host:port".
 func (a *Aggregator) Addr() string { return a.inner.Addr().String() }
@@ -279,6 +288,8 @@ type Peer struct {
 	inner *transport.Client
 	scale *quant.FixedPoint
 	n     int
+	// poolSize is s, as configured or as tuned.
+	poolSize int
 	// qbuf holds the float32 path's quantized inputs, grown on demand
 	// (a Peer runs one all-reduce at a time). Two buffers alternate:
 	// the worker keeps the last completed tensor's update, qbuf[qi],
@@ -297,7 +308,11 @@ type PeerParams struct {
 	ID int
 	// Workers is n.
 	Workers int
-	// PoolSize is s (default 64).
+	// PoolSize is s; zero selects the size AggregatorParams.PoolSize
+	// describes, which depends on Workers and SlotElems only, so an
+	// aggregator (ListenAggregator or MultiAggregator.AdmitJob) and its
+	// workers that all leave it zero agree. A worker's must not exceed
+	// its aggregator's.
 	PoolSize int
 	// SlotElems is k (default 32).
 	SlotElems int
@@ -447,11 +462,11 @@ type FallbackStats struct {
 // DialAggregator connects a worker to an aggregator.
 func DialAggregator(addr string, params PeerParams) (*Peer, error) {
 	poolSize, slotElems := params.PoolSize, params.SlotElems
-	if poolSize == 0 {
-		poolSize = 64
-	}
 	if slotElems == 0 {
 		slotElems = packet.DefaultElems
+	}
+	if poolSize == 0 {
+		poolSize = transport.TunePoolSize(params.Workers, slotElems)
 	}
 	var scale *quant.FixedPoint
 	if params.Scale != 0 {
@@ -496,8 +511,11 @@ func DialAggregator(addr string, params PeerParams) (*Peer, error) {
 		inner := inner
 		rec.SetState(func() any { return inner.DebugState() })
 	}
-	return &Peer{inner: inner, scale: scale, n: params.Workers, rec: rec}, nil
+	return &Peer{inner: inner, scale: scale, n: params.Workers, poolSize: poolSize, rec: rec}, nil
 }
+
+// PoolSize returns s, as configured or as tuned.
+func (p *Peer) PoolSize() int { return p.poolSize }
 
 // ServeDebug starts an HTTP introspection listener on addr serving
 // /metrics (Prometheus text), /debug/vars, /debug/pprof/,

@@ -143,3 +143,63 @@ func TestUDPFloatScratchReuse(t *testing.T) {
 	}
 	step(4096, 7)
 }
+
+// TestUDPTunedPoolAgrees: an aggregator and its workers that all leave
+// PoolSize zero select the same pool from Workers alone — no handshake
+// carries it — and it is the tuned one; a tensor of more than two
+// windows, whose chunks reach the last slot, sums exactly. An explicit
+// PoolSize is taken as given on both ends.
+func TestUDPTunedPoolAgrees(t *testing.T) {
+	for _, tc := range []struct{ n, explicit, want int }{
+		{2, 0, 512}, {3, 0, 256}, {8, 0, 128}, {2, 24, 24},
+	} {
+		n, want := tc.n, tc.want
+		agg, err := ListenAggregator("127.0.0.1:0", AggregatorParams{Workers: n, PoolSize: tc.explicit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := agg.inner.DebugState(false).Pool.PoolSize; got != want || agg.PoolSize() != want {
+			t.Errorf("%d workers, PoolSize %d: the aggregator's pool has %d slots, want %d", n, tc.explicit, got, want)
+		}
+		d := 2*want*32 + 5
+		outs := make([][]int32, n)
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			i := i
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				peer, err := DialAggregator(agg.Addr(), PeerParams{ID: i, Workers: n, PoolSize: tc.explicit, Timeout: 20 * time.Second})
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				defer peer.Close()
+				if got := peer.inner.DebugState().PoolSize; got != want || peer.PoolSize() != want {
+					t.Errorf("%d workers, PoolSize %d: worker %d keeps %d slots in flight, want %d", n, tc.explicit, i, got, want)
+				}
+				u := make([]int32, d)
+				for j := range u {
+					u[j] = int32(i*d + j)
+				}
+				outs[i], errs[i] = peer.AllReduceInt32(u)
+			}()
+		}
+		wg.Wait()
+		for i := 0; i < n; i++ {
+			if errs[i] != nil {
+				t.Fatalf("%d workers: peer %d: %v", n, i, errs[i])
+			}
+			for j := 0; j < d; j++ {
+				if want := int32(n*(n-1)/2*d + n*j); outs[i][j] != want {
+					t.Fatalf("%d workers: peer %d elem %d: got %d want %d", n, i, j, outs[i][j], want)
+				}
+			}
+		}
+		if ds := agg.inner.DebugState(false); ds.BeyondPool != 0 || ds.RcvbufDrops != 0 {
+			t.Errorf("%d workers: %d updates beyond the pool, %d receive-buffer drops; want 0 and 0", n, ds.BeyondPool, ds.RcvbufDrops)
+		}
+		agg.Close()
+	}
+}
