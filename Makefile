@@ -58,9 +58,12 @@ chaos:
 	$(GO) test -race -run Fault ./internal/rack ./internal/transport .
 
 # Short fuzz pass over the wire-format codec; corrupted and adversarial
-# datagrams must never crash or round-trip incorrectly.
+# datagrams must never crash or round-trip incorrectly, and the worker's
+# header-first decode must agree with the whole-packet one. Go fuzzes
+# one target per invocation.
 fuzz:
 	$(GO) test -fuzz=FuzzCodec -fuzztime=10s ./internal/packet
+	$(GO) test -fuzz=FuzzParseHeader -fuzztime=10s ./internal/packet
 
 # Quick-look evaluation run (scaled-down tensors).
 bench:

@@ -155,14 +155,30 @@ func (p *Pump) Sent(idx uint32, now int64) {
 // result that moves its slot on (or shows it idle) ends that slot's
 // loss streak. A result the Worker ignores changes nothing.
 //
+// The result arrives as it does off the wire: header h, as
+// packet.ParseHeader decoded it, and payload, its elements where they
+// lie in the datagram. The Worker makes every check HandleResult makes
+// on the header and the payload's length first; only a result that
+// passes them all is decoded, straight into the aggregate, so an
+// ignored one writes nothing. The follow-up is the Worker's Send, nil
+// when there is none, for the host to encode from the tensor before it
+// next calls the Worker.
+//
 //switchml:hotpath
-func (p *Pump) Result(pkt *packet.Packet, now int64) (next *packet.Packet, done bool) {
+func (p *Pump) Result(h *packet.Header, payload []byte, now int64) (next *Send, done bool) {
 	p.sync()
-	idx := pkt.Idx
-	clean := p.w.Pending(idx) && !p.w.pend[idx].retx
-	first := p.w.remaining == len(p.w.u)
-	next, done = p.w.HandleResult(pkt)
-	if int(idx) >= len(p.slots) || (next == nil && !done && p.w.Pending(idx)) {
+	w, idx := p.w, h.Idx
+	clean := w.Pending(idx) && !w.pend[idx].retx
+	first := w.remaining == len(w.u)
+	dst, ok := w.admit(h.Kind, h.JobID, idx, h.Off, h.Ver, len(payload)/packet.ElemBytes)
+	if ok {
+		// Retire the slot first: its counters are atomic adds, which
+		// would otherwise wait for the elements' stores to the aggregate
+		// to drain. complete reads nothing of the span admit returned.
+		next, done = w.complete(idx)
+		packet.DecodeElems(dst, payload)
+	}
+	if int(idx) >= len(p.slots) || (!ok && w.Pending(idx)) {
 		return next, done
 	}
 	s := &p.slots[idx]

@@ -29,6 +29,7 @@ func TestPumpCostIndependentOfPoolSize(t *testing.T) {
 		due := make([]uint32, 0, s)
 		sent := make([]packet.Packet, chunks)
 		var res packet.Packet
+		var wire onWire
 		now := int64(0)
 		tensor := func() {
 			now += rtt
@@ -46,7 +47,7 @@ func TestPumpCostIndependentOfPoolSize(t *testing.T) {
 				}
 				q := &sent[i]
 				res.Kind, res.Idx, res.Ver, res.Off, res.Vector = packet.KindResult, q.Idx, q.Ver, q.Off, u[i:i+1]
-				next, done := p.Result(&res, now)
+				next, done := wire.result(p, &res, now)
 				if next != nil || done != (i == chunks-1) {
 					t.Fatalf("pool %d, chunk %d: next %v done %v", s, i, next, done)
 				}
@@ -190,6 +191,7 @@ func scanDeadline(p *Pump) int64 {
 func TestPumpQueueMatchesFullScan(t *testing.T) {
 	const s = 8
 	var all WorkerStats
+	var wire onWire
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		type twin struct {
@@ -272,7 +274,7 @@ func TestPumpQueueMatchesFullScan(t *testing.T) {
 					var next [2]*packet.Packet
 					var done [2]bool
 					for i := range tw {
-						next[i], done[i] = tw[i].p.Result(result(q, q.Vector), now)
+						next[i], done[i] = wire.result(tw[i].p, result(q, q.Vector), now)
 					}
 					if done[0] != done[1] {
 						t.Fatalf("seed %d, t=%d: the twins disagree on completion", seed, now)

@@ -29,6 +29,7 @@ type pumpDriver struct {
 	now    int64
 	base   uint64
 	flight map[uint32]*packet.Packet
+	wire   onWire
 	// sends logs every transmission: which chunk, when, and whether Due
 	// had returned it for an expired timeout.
 	sends []pumpSend
@@ -83,6 +84,26 @@ func (d *pumpDriver) sent(p *packet.Packet, retx, timer bool) {
 	d.sends = append(d.sends, pumpSend{p.Off - d.base, d.now, retx, timer})
 }
 
+// onWire is the road a result takes into Pump.Result: marshalled into
+// a reused buffer and parsed back, header first, as the UDP client
+// receives it.
+type onWire struct {
+	buf []byte
+	h   packet.Header
+}
+
+// result feeds p the result r in wire form and returns the follow-up as
+// a pooled packet, nil for none.
+func (o *onWire) result(p *Pump, r *packet.Packet, now int64) (*packet.Packet, bool) {
+	o.buf = r.AppendMarshal(o.buf[:0])
+	payload, err := packet.ParseHeader(&o.h, o.buf)
+	if err != nil {
+		panic(err)
+	}
+	next, done := p.Result(&o.h, payload, now)
+	return next.Packet(), done
+}
+
 // inOrder lists the slots in flight by the stream offset of their
 // chunk, which is the order the chunks were first sent in.
 func (d *pumpDriver) inOrder() []uint32 {
@@ -103,7 +124,7 @@ func (d *pumpDriver) answer(idx uint32) (done bool) {
 		d.t.Fatalf("slot %d has nothing in flight", idx)
 	}
 	delete(d.flight, idx)
-	next, done := d.p.Result(result(p, p.Vector), d.now)
+	next, done := d.wire.result(d.p, result(p, p.Vector), d.now)
 	if next != nil {
 		d.sent(next, false, false)
 	}
@@ -607,7 +628,7 @@ func TestPumpDueZeroAlloc(t *testing.T) {
 		for idx := uint32(0); idx < s; idx++ {
 			p := d.flight[idx]
 			res.Kind, res.Idx, res.Ver, res.Off, res.Vector = packet.KindResult, p.Idx, p.Ver, p.Off, p.Vector
-			next, _ := d.p.Result(&res, d.now)
+			next, _ := d.wire.result(d.p, &res, d.now)
 			packet.PutPacket(p)
 			d.p.Sent(next.Idx, d.now)
 			d.flight[idx] = next
@@ -635,5 +656,92 @@ func TestPumpDueZeroAlloc(t *testing.T) {
 	}
 	if reports != 101*s { // AllocsPerRun warms up with one extra run
 		t.Errorf("%d slots reported by 101 expiries of a window of %d", reports, s)
+	}
+}
+
+// TestPumpIgnoredResultWritesNothing runs every result the Worker
+// ignores through Pump.Result, the path that decodes a result's
+// elements straight from the datagram into the aggregate: wrong kind,
+// wrong job, a slot beyond the pool, a slot with nothing pending, an
+// offset or version that is not the pending chunk's, and a payload one
+// element short or long. Each carries a poison payload aimed at a span
+// of the aggregate, and each must leave Aggregate() bit-identical, send
+// nothing, count as stale and leave the pending chunk to the real result,
+// which then completes the tensor with the right values.
+func TestPumpIgnoredResultWritesNothing(t *testing.T) {
+	const s, k = 2, 4
+	w := newTestWorker(t, 0, 1, s, k)
+	p := NewPump(w, prto, false)
+	var wire onWire
+	// Three chunks on two slots: chunk 0 answered moves slot 0 on to
+	// chunk 2 (version 1); chunk 1 answered leaves slot 1 idle.
+	u := []int32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+	pkts := w.Start(u)
+	for _, q := range pkts {
+		p.Sent(q.Idx, 0)
+	}
+	next, _ := wire.result(p, result(pkts[0], pkts[0].Vector), rtt)
+	if next == nil || next.Idx != 0 || next.Off != 2*k || next.Ver != 1 {
+		t.Fatalf("follow-up of chunk 0 = %v, want chunk 2 on slot 0 at version 1", next)
+	}
+	if n, _ := wire.result(p, result(pkts[1], pkts[1].Vector), rtt); n != nil {
+		t.Fatalf("chunk 1 answered: follow-up %v, want none", n)
+	}
+	poison := func(n int) []int32 {
+		v := make([]int32, n)
+		for i := range v {
+			v[i] = 0x7EADBEEF - int32(i)
+		}
+		return v
+	}
+	pending := func() *packet.Packet {
+		return &packet.Packet{Kind: packet.KindResult, Ver: 1, Idx: 0, Off: 2 * k, Vector: poison(k)}
+	}
+	cases := []struct {
+		name string
+		edit func(r *packet.Packet)
+	}{
+		{"wrong kind", func(r *packet.Packet) { r.Kind = packet.KindUpdate }},
+		{"wrong job", func(r *packet.Packet) { r.JobID = 1 }},
+		{"slot beyond the pool", func(r *packet.Packet) { r.Idx = s }},
+		{"slot not pending", func(r *packet.Packet) { r.Idx, r.Off, r.Ver = 1, k, 0 }},
+		{"offset mismatch", func(r *packet.Packet) { r.Off = 0 }},
+		{"version mismatch", func(r *packet.Packet) { r.Ver = 0 }},
+		{"one element short", func(r *packet.Packet) { r.Vector = r.Vector[:k-1] }},
+		{"one element long", func(r *packet.Packet) { r.Vector = poison(k + 1) }},
+	}
+	for _, c := range cases {
+		before := append([]int32(nil), w.Aggregate()...)
+		st := w.Stats()
+		r := pending()
+		c.edit(r)
+		next, done := wire.result(p, r, 2*rtt)
+		if next != nil || done {
+			t.Errorf("%s: follow-up %v, done %v; want neither", c.name, next, done)
+		}
+		for i, v := range w.Aggregate() {
+			if v != before[i] {
+				t.Fatalf("%s: aggregate[%d] = %#x, was %#x: an ignored result wrote the aggregate", c.name, i, v, before[i])
+			}
+		}
+		if got := w.Stats(); got.StaleResults != st.StaleResults+1 || got.Results != st.Results {
+			t.Errorf("%s: stale %d → %d, accepted %d → %d; want one more stale, no more accepted",
+				c.name, st.StaleResults, got.StaleResults, st.Results, got.Results)
+		}
+		if !w.Pending(0) || w.Pending(1) {
+			t.Fatalf("%s: pending slots changed", c.name)
+		}
+	}
+	agg := []int32{10, 20, 30, 40}
+	r := pending()
+	r.Vector = agg
+	if next, done := wire.result(p, r, 3*rtt); next != nil || !done {
+		t.Fatalf("the real result for chunk 2: follow-up %v, done %v; want none and done", next, done)
+	}
+	want := append(append([]int32(nil), u[:2*k]...), agg...)
+	for i, v := range w.Aggregate() {
+		if v != want[i] {
+			t.Fatalf("aggregate[%d] = %d, want %d", i, v, want[i])
+		}
 	}
 }

@@ -188,6 +188,9 @@ type Worker struct {
 	// belongs to one window and is dropped with it.
 	window uint64
 	ctr    workerCounters
+	// out is the Send that NextSend, RetransmitSend and a result's
+	// follow-up hand out.
+	out Send
 }
 
 // NewWorker returns a worker ready for its first Start call.
@@ -255,6 +258,14 @@ func (w *Worker) Start(u []int32) []*packet.Packet {
 // returns it to the pool before asking for the next allocates nothing
 // and never holds a window of packets — whatever the pool size. The
 // whole window must be taken before the first result is fed back.
+//
+// The Worker borrows u rather than copying it, and for longer than the
+// aggregation: it reads u at every send of a chunk (the window, each
+// follow-up, every retransmission) and when a quorum "gone" reply
+// completes a chunk from it, and it keeps u after the tensor completes,
+// because a §5.6 recovery may re-open a tensor that completed locally
+// (Resume) and re-send its chunks from u. The caller must leave u
+// unchanged until the next Open, StartHosted or JoinAt replaces it.
 func (w *Worker) Open(u []int32) int {
 	if w.remaining > 0 {
 		panic("core: Start called while an aggregation is in progress")
@@ -269,7 +280,11 @@ func (w *Worker) Open(u []int32) int {
 
 // Next returns the next packet of the window Open began, nil once it
 // has all been handed out.
-func (w *Worker) Next() *packet.Packet {
+func (w *Worker) Next() *packet.Packet { return w.NextSend().Packet() }
+
+// NextSend is Next without the packet: the next update of the window
+// Open began, nil once it has all been handed out.
+func (w *Worker) NextSend() *Send {
 	if w.initNext >= w.initEnd {
 		return nil
 	}
@@ -281,9 +296,38 @@ func (w *Worker) Next() *packet.Packet {
 	return w.sendChunk(uint32(i), i*w.cfg.SlotElems)
 }
 
-// sendChunk builds the update packet for the chunk at local element
-// offset local, assigns it to slot idx, and records it as pending.
-func (w *Worker) sendChunk(idx uint32, local int) *packet.Packet {
+// Send is one update packet the Worker has decided to send: its header
+// and its elements, which are a view of the tensor being aggregated, not
+// a copy. The Worker hands out a pointer to its own Send, which the next
+// call that decides a send overwrites: a host that encodes synchronously
+// marshals it straight from the tensor (packet.AppendWire) before it
+// calls the Worker again, and Packet builds the pooled packet form for a
+// host that keeps packets in flight. It is a pointer, not a value,
+// because a header and a slice do not fit in return registers, and per
+// packet a copy of a struct just written field by field costs a
+// store-forwarding stall — more than copying the elements would.
+type Send struct {
+	Header packet.Header
+	Vec    []int32
+}
+
+// Packet returns s as a pooled packet with its own copy of the
+// elements, nil for a nil s. Hosts that transmit synchronously return
+// it to the pool after marshalling; hosts that keep packets in flight
+// (the simulator) simply never return it.
+func (s *Send) Packet() *packet.Packet {
+	if s == nil {
+		return nil
+	}
+	p := packet.GetPacket()
+	h := &s.Header
+	p.SetUpdate(h.WorkerID, h.JobID, h.Ver, h.Idx, h.Off, s.Vec)
+	return p
+}
+
+// sendChunk builds the update for the chunk at local element offset
+// local, assigns it to slot idx, and records it as pending.
+func (w *Worker) sendChunk(idx uint32, local int) *Send {
 	elems := len(w.u) - local
 	if elems > w.cfg.SlotElems {
 		elems = w.cfg.SlotElems
@@ -295,17 +339,28 @@ func (w *Worker) sendChunk(idx uint32, local int) *packet.Packet {
 		w.ver[idx] = 1 - ver
 	}
 	w.seq++
-	w.pend[idx] = pendingSlot{active: true, off: w.base + uint64(local), elems: elems, ver: ver, seq: w.seq}
+	// Field by field rather than a pendingSlot literal, which compiles
+	// to a stack temporary copied in 16-byte moves over fields just
+	// written one by one: a store-forwarding stall per packet. prev and
+	// next are enqueue's.
+	pd := &w.pend[idx]
+	pd.off, pd.seq, pd.elems, pd.ver = w.base+uint64(local), w.seq, elems, ver
+	pd.active, pd.retx, pd.lapped, pd.probed = true, false, false, false
 	w.enqueue(int32(idx))
 	w.inflight++
 	w.ctr.sent.Inc()
-	// Packets come from the shared pool: hosts that transmit
-	// synchronously (the UDP client) return them after marshalling,
-	// making the steady-state send path allocation-free. Hosts that
-	// keep packets in flight (the simulator) simply never return them.
-	p := packet.GetPacket()
-	p.SetUpdate(w.cfg.ID, w.cfg.JobID, ver, idx, w.base+uint64(local), w.u[local:local+elems])
-	return p
+	return w.send(idx, pd)
+}
+
+// send fills the Worker's Send with the update for slot idx's in-flight
+// chunk pd, field by field, and returns it.
+func (w *Worker) send(idx uint32, pd *pendingSlot) *Send {
+	local := int(pd.off - w.base)
+	s, h := &w.out, &w.out.Header
+	h.Kind, h.WorkerID, h.JobID = packet.KindUpdate, w.cfg.ID, w.cfg.JobID
+	h.Ver, h.Idx, h.Off = pd.ver, idx, pd.off
+	s.Vec = w.u[local : local+pd.elems]
+	return s
 }
 
 // enqueue links slot idx, whose packet was just numbered, at the newest
@@ -342,39 +397,64 @@ func (w *Worker) unlink(idx int32) {
 // whether the whole aggregation just completed. Stale or alien
 // results are ignored with (nil, false).
 func (w *Worker) HandleResult(p *packet.Packet) (next *packet.Packet, done bool) {
-	if p.Kind != packet.KindResult && p.Kind != packet.KindResultUnicast {
+	dst, ok := w.admit(p.Kind, p.JobID, p.Idx, p.Off, p.Ver, len(p.Vector))
+	if !ok {
+		return nil, false
+	}
+	s, done := w.complete(p.Idx) // before the copy, as in Pump.Result
+	copy(dst, p.Vector)
+	return s.Packet(), done
+}
+
+// admit makes HandleResult's checks on a result of the given kind, job,
+// slot, offset and version carrying n elements — kind, job, slot in the
+// pool, slot pending, offset, version, length — counting a result that
+// fails one as stale. For a result that passes it returns the span of
+// the aggregate the elements belong in, for the caller to write once it
+// has called complete. The empty result needs no span: it is the
+// switch's "gone" reply (quorum mode) — the phase completed and was
+// evicted without this worker's contribution, so no aggregate exists
+// for it to read — and admit completes the chunk from the local update
+// itself; the rest of the membership already excluded this gradient.
+// Updates always carry at least one element, so a genuine aggregate can
+// never be empty. The fields come as arguments rather than as a
+// packet.Header: a header copied out of a packet per result costs a
+// store-forwarding stall.
+func (w *Worker) admit(kind packet.Kind, job uint16, idx uint32, off uint64, ver uint8, n int) ([]int32, bool) {
+	if kind != packet.KindResult && kind != packet.KindResultUnicast {
 		w.ctr.staleResults.Inc()
 		return nil, false
 	}
-	if p.JobID != w.cfg.JobID || int(p.Idx) >= w.cfg.PoolSize {
+	if job != w.cfg.JobID || int(idx) >= w.cfg.PoolSize {
 		w.ctr.staleResults.Inc()
 		return nil, false
 	}
-	pd := &w.pend[p.Idx]
-	if !pd.active || pd.off != p.Off || pd.ver != p.Ver {
+	pd := &w.pend[idx]
+	if !pd.active || pd.off != off || pd.ver != ver {
 		// Duplicate (multicast racing a unicast reply), a leftover
 		// from a previous tensor, or garbage.
 		w.ctr.staleResults.Inc()
 		return nil, false
 	}
-	local := int(p.Off - w.base)
-	switch {
-	case len(p.Vector) == 0:
-		// An empty result is the switch's "gone" reply (quorum mode):
-		// the phase completed and was evicted without this worker's
-		// contribution, so no aggregate exists for it to read. Complete
-		// the chunk from the local update — the rest of the membership
-		// already excluded this gradient — and keep streaming. Updates
-		// always carry at least one element, so a genuine aggregate can
-		// never be empty.
+	local := int(off - w.base)
+	switch n {
+	case 0:
 		copy(w.a[local:local+pd.elems], w.u[local:local+pd.elems])
 		w.ctr.selfCompletions.Inc()
-	case len(p.Vector) == pd.elems:
-		copy(w.a[local:local+pd.elems], p.Vector)
-	default:
-		w.ctr.staleResults.Inc()
-		return nil, false
+		return nil, true
+	case pd.elems:
+		return w.a[local : local+pd.elems], true
 	}
+	w.ctr.staleResults.Inc()
+	return nil, false
+}
+
+// complete retires slot idx's chunk once admit accepted its result, and
+// returns the slot's follow-up update (Algorithm 4 lines 13-18), nil if
+// there is none, and whether the aggregation just completed.
+func (w *Worker) complete(idx uint32) (next *Send, done bool) {
+	pd := &w.pend[idx]
+	local := int(pd.off - w.base)
 	w.ctr.results.Inc()
 	if !pd.retx && pd.seq > w.acked {
 		w.acked = pd.seq
@@ -382,7 +462,7 @@ func (w *Worker) HandleResult(p *packet.Packet) (next *packet.Packet, done bool)
 	w.remaining -= pd.elems
 	w.chunkDone[local/w.cfg.SlotElems] = true
 	pd.active = false
-	w.unlink(int32(p.Idx))
+	w.unlink(int32(idx))
 	w.inflight--
 
 	// Algorithm 4 line 13: the slot's next chunk is k·s elements
@@ -394,7 +474,7 @@ func (w *Worker) HandleResult(p *packet.Packet) (next *packet.Packet, done bool)
 		nextLocal += w.cfg.SlotElems * w.cfg.PoolSize
 	}
 	if nextLocal < len(w.u) {
-		next = w.sendChunk(p.Idx, nextLocal)
+		next = w.sendChunk(idx, nextLocal)
 	}
 	if w.remaining == 0 {
 		// Stream advances only once the tensor is fully aggregated.
@@ -408,7 +488,11 @@ func (w *Worker) HandleResult(p *packet.Packet) (next *packet.Packet, done bool)
 // retransmission timer expired (Algorithm 4 lines 20-23). It returns
 // nil if the slot has no in-flight chunk (the result arrived between
 // the timeout firing and this call).
-func (w *Worker) Retransmit(idx uint32) *packet.Packet {
+func (w *Worker) Retransmit(idx uint32) *packet.Packet { return w.RetransmitSend(idx).Packet() }
+
+// RetransmitSend is Retransmit without the packet: the slot's update,
+// nil if the slot has no in-flight chunk.
+func (w *Worker) RetransmitSend(idx uint32) *Send {
 	if int(idx) >= len(w.pend) {
 		return nil
 	}
@@ -429,10 +513,7 @@ func (w *Worker) Retransmit(idx uint32) *packet.Packet {
 	pd.seq, pd.retx, pd.lapped, pd.probed = w.seq, true, false, false
 	w.unlink(int32(idx))
 	w.enqueue(int32(idx))
-	local := int(pd.off - w.base)
-	p := packet.GetPacket()
-	p.SetUpdate(w.cfg.ID, w.cfg.JobID, pd.ver, idx, pd.off, w.u[local:local+pd.elems])
-	return p
+	return w.send(idx, pd)
 }
 
 // Lapped appends to dst the slots whose in-flight packet has been
@@ -609,7 +690,7 @@ func (w *Worker) Resume(jobID uint16, fromChunk int) []*packet.Packet {
 		// in slot c mod s), so survivors resuming from the same
 		// frontier land every chunk in the same slot with the same
 		// version, restoring the implicit coordination of §3.4.
-		pkts = append(pkts, w.sendChunk(uint32(c%w.cfg.PoolSize), c*w.cfg.SlotElems))
+		pkts = append(pkts, w.sendChunk(uint32(c%w.cfg.PoolSize), c*w.cfg.SlotElems).Packet())
 	}
 	return pkts
 }

@@ -13,19 +13,17 @@ import (
 // the fast paths to it byte for byte.
 func refMarshal(p *Packet) []byte {
 	buf := make([]byte, marshalHeaderBytes+ElemBytes*len(p.Vector))
-	binary.BigEndian.PutUint16(buf[0:2], magic)
-	buf[2] = byte(p.Kind)
-	buf[3] = p.Ver
-	binary.BigEndian.PutUint16(buf[4:6], p.WorkerID)
-	binary.BigEndian.PutUint16(buf[6:8], p.JobID)
-	binary.BigEndian.PutUint32(buf[8:12], p.Idx)
-	binary.BigEndian.PutUint64(buf[12:20], p.Off)
+	binary.BigEndian.PutUint16(buf[4:6], magic)
+	buf[6] = byte(p.Kind)
+	buf[7] = p.Ver
+	binary.BigEndian.PutUint16(buf[8:10], p.WorkerID)
+	binary.BigEndian.PutUint16(buf[10:12], p.JobID)
+	binary.BigEndian.PutUint32(buf[12:16], p.Idx)
+	binary.BigEndian.PutUint64(buf[16:24], p.Off)
 	for i, v := range p.Vector {
 		binary.BigEndian.PutUint32(buf[marshalHeaderBytes+ElemBytes*i:], uint32(v))
 	}
-	crc := crc32.ChecksumIEEE(buf[:20])
-	crc = crc32.Update(crc, crc32.IEEETable, buf[marshalHeaderBytes:])
-	binary.BigEndian.PutUint32(buf[20:24], crc)
+	binary.BigEndian.PutUint32(buf[0:4], crc32.ChecksumIEEE(buf[4:]))
 	return buf
 }
 
@@ -38,6 +36,33 @@ func refVector(buf []byte) []int32 {
 		vec[i] = int32(binary.BigEndian.Uint32(payload[ElemBytes*i:]))
 	}
 	return vec
+}
+
+// refUnmarshal is the reference decoder: the layout documented on
+// Marshal read back one field at a time, with the checks in the order
+// UnmarshalInto documents and the same sentinels.
+func refUnmarshal(buf []byte) (Header, []int32, error) {
+	switch {
+	case len(buf) < marshalHeaderBytes:
+		return Header{}, nil, ErrShortBuffer
+	case binary.BigEndian.Uint16(buf[4:6]) != magic:
+		return Header{}, nil, ErrBadMagic
+	case (len(buf)-marshalHeaderBytes)%ElemBytes != 0:
+		return Header{}, nil, ErrBadLength
+	case crc32.ChecksumIEEE(buf[4:]) != binary.BigEndian.Uint32(buf[0:4]):
+		return Header{}, nil, ErrChecksum
+	case Kind(buf[6]) > KindAdoptJob:
+		return Header{}, nil, ErrBadKind
+	}
+	h := Header{
+		Kind:     Kind(buf[6]),
+		Ver:      buf[7],
+		WorkerID: binary.BigEndian.Uint16(buf[8:10]),
+		JobID:    binary.BigEndian.Uint16(buf[10:12]),
+		Idx:      binary.BigEndian.Uint32(buf[12:16]),
+		Off:      binary.BigEndian.Uint64(buf[16:24]),
+	}
+	return h, refVector(buf), nil
 }
 
 // checkAgainstReference marshals p at the given byte offset into a

@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 )
 
@@ -26,6 +27,65 @@ func FuzzUnmarshal(f *testing.F) {
 		out := p.Marshal()
 		if !bytes.Equal(out, data) {
 			t.Fatalf("accepted buffer does not round-trip:\n in: %x\nout: %x", data, out)
+		}
+	})
+}
+
+// FuzzParseHeader holds the two-step decode a worker uses on results —
+// ParseHeader, then DecodeElems into a destination of its own — to
+// UnmarshalInto and to the byte-wise reference decoder (equiv_test.go)
+// over arbitrary bytes: all three reject with the same sentinel, or all
+// accept and yield identical fields and elements. The destination is
+// filled with a marker and has one guard element past its end, so a
+// decode that writes too little or too much shows. Seeded from
+// codecSeeds' wire images, the previous layout's golden and a few
+// malformed buffers.
+func FuzzParseHeader(f *testing.F) {
+	for _, s := range codecSeeds {
+		p := &Packet{Kind: s.kind, WorkerID: s.worker, JobID: s.job, Ver: s.ver, Idx: s.idx, Off: s.off, Vector: seedVector(s.n, s.fill)}
+		f.Add(p.Marshal())
+	}
+	if old, err := hex.DecodeString(goldenFullUpdateOldLayout); err == nil {
+		f.Add(old)
+	}
+	f.Add([]byte{})
+	f.Add(make([]byte, marshalHeaderBytes-1))
+	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var h Header
+		payload, err := ParseHeader(&h, data)
+		var p Packet
+		perr := UnmarshalInto(&p, data)
+		rh, rvec, rerr := refUnmarshal(data)
+		if err != perr || err != rerr {
+			t.Fatalf("ParseHeader = %v, UnmarshalInto = %v, reference = %v", err, perr, rerr)
+		}
+		if err != nil {
+			if h != (Header{}) {
+				t.Fatalf("a rejected buffer wrote the header: %+v", h)
+			}
+			return
+		}
+		if h != rh || p.Header() != rh {
+			t.Fatalf("ParseHeader %+v, UnmarshalInto %+v, reference %+v", h, p.Header(), rh)
+		}
+		if len(payload) != ElemBytes*len(rvec) || len(p.Vector) != len(rvec) {
+			t.Fatalf("payload of %d bytes and %d elements decoded, reference %d elements", len(payload), len(p.Vector), len(rvec))
+		}
+		const marker = 0x5EED
+		dst := make([]int32, len(rvec)+1)
+		for i := range dst {
+			dst[i] = marker
+		}
+		DecodeElems(dst[:len(rvec)], payload)
+		for i, v := range rvec {
+			if dst[i] != v || p.Vector[i] != v {
+				t.Fatalf("element %d: %d decoded in place, %d by UnmarshalInto, reference %d", i, dst[i], p.Vector[i], v)
+			}
+		}
+		if dst[len(rvec)] != marker {
+			t.Fatalf("DecodeElems wrote past its destination")
 		}
 	})
 }
@@ -107,7 +167,8 @@ func TestCodecSeedCorpus(t *testing.T) {
 // built from arbitrary field values must marshal and unmarshal back to
 // an identical packet, and its wire image must survive the decoder's
 // validation, and both directions must agree with the byte-wise
-// reference codec (equiv_test.go). This is the `make fuzz` smoke gate.
+// reference codec (equiv_test.go). With FuzzParseHeader it is the
+// `make fuzz` smoke gate.
 func FuzzCodec(f *testing.F) {
 	for _, s := range codecSeeds {
 		f.Add(uint8(s.kind), s.worker, s.job, s.ver, s.idx, s.off, s.n, s.fill)

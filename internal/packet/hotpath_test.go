@@ -78,6 +78,34 @@ func TestRoundTripZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestWireInPlaceZeroAlloc is the AllocsPerRun gate behind the
+// //switchml:hotpath annotations on AppendWire and ParseHeader: encoding
+// a header beside the sender's own elements, and decoding a header and
+// then its elements into the receiver's own buffer, touch no heap.
+func TestWireInPlaceZeroAlloc(t *testing.T) {
+	src, dst := make([]int32, DefaultElems), make([]int32, DefaultElems)
+	for i := range src {
+		src[i] = int32(i) - 7
+	}
+	h := Header{Kind: KindResult, WorkerID: 3, Ver: 1, Idx: 42, Off: 4096}
+	wire := make([]byte, 0, WireLen(len(src)))
+	var got Header
+	allocs := testing.AllocsPerRun(100, func() {
+		wire = AppendWire(wire[:0], &h, src)
+		payload, err := ParseHeader(&got, wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		DecodeElems(dst, payload)
+	})
+	if allocs != 0 {
+		t.Errorf("in-place encode/decode allocates %.1f/op, want 0", allocs)
+	}
+	if got != h || dst[0] != src[0] || dst[DefaultElems-1] != src[DefaultElems-1] {
+		t.Errorf("round trip decoded %+v %v, sent %+v %v", got, dst, h, src)
+	}
+}
+
 // TestSetUpdateZeroAlloc covers the pooled-sender path: rewriting a
 // packet in place with a same-size vector must not allocate.
 func TestSetUpdateZeroAlloc(t *testing.T) {

@@ -16,9 +16,10 @@
 //     frames carry 32), so that goodput and timing in the simulator
 //     match the paper's accounting exactly.
 //   - Marshal/Unmarshal produce the byte representation used by the
-//     real UDP transport. That header is self-describing (24 bytes
-//     plus a CRC32 of the payload) and does not need to match the
-//     simulated budget because the kernel supplies IP/UDP framing.
+//     real UDP transport. That header is self-describing (24 bytes,
+//     led by a CRC32 over the rest of the datagram) and does not need
+//     to match the simulated budget because the kernel supplies IP/UDP
+//     framing.
 //
 //switchml:deterministic
 package packet
@@ -55,6 +56,10 @@ const (
 	// marshalHeaderBytes is the size of the self-describing header
 	// produced by Marshal (excludes the vector payload).
 	marshalHeaderBytes = 24
+
+	// crcBytes is the checksum field that leads the datagram; it covers
+	// every byte after it.
+	crcBytes = 4
 
 	// magic identifies marshalled SwitchML packets.
 	magic = 0x534D // "SM"
@@ -239,6 +244,27 @@ type Packet struct {
 	Vector []int32
 }
 
+// Header is a packet's protocol fields: everything but the vector. It
+// is what a receiver checks before it knows where, if anywhere, the
+// elements belong, and what a sender stamps beside elements that stay
+// in its own buffer: ParseHeader decodes it and leaves the payload on
+// the wire, AppendWire encodes it in front of the caller's elements, so
+// a host can move elements between the wire and its own tensors with no
+// Packet in between. The field widths are Packet's.
+type Header struct {
+	Kind     Kind   //switchml:wire bits=4
+	Ver      uint8  //switchml:wire bits=1
+	WorkerID uint16 //switchml:wire bits=16
+	JobID    uint16 //switchml:wire bits=16
+	Idx      uint32 //switchml:wire bits=32
+	Off      uint64 //switchml:wire bits=64
+}
+
+// Header returns p's protocol fields.
+func (p *Packet) Header() Header {
+	return Header{Kind: p.Kind, Ver: p.Ver, WorkerID: p.WorkerID, JobID: p.JobID, Idx: p.Idx, Off: p.Off}
+}
+
 // NewUpdate builds an update packet for the given worker, slot and
 // offset, copying vec so the caller may reuse its buffer.
 func NewUpdate(worker uint16, job uint16, ver uint8, idx uint32, off uint64, vec []int32) *Packet {
@@ -308,23 +334,31 @@ func (p *Packet) String() string {
 
 // MarshalledSize returns the length of the buffer Marshal will
 // produce.
-func (p *Packet) MarshalledSize() int {
-	return marshalHeaderBytes + ElemBytes*len(p.Vector)
-}
+func (p *Packet) MarshalledSize() int { return WireLen(len(p.Vector)) }
+
+// WireLen returns the marshalled length of a packet carrying elems
+// elements.
+func WireLen(elems int) int { return marshalHeaderBytes + ElemBytes*elems }
 
 // Marshal serializes the packet into the self-describing byte format
 // used by the real transport. The layout is fixed-width, big-endian:
 //
 //	offset size field
-//	0      2    magic "SM"
-//	2      1    kind
-//	3      1    ver
-//	4      2    worker id
-//	6      2    job id
-//	8      4    idx
-//	12     8    off
-//	20     4    crc32 (IEEE) of bytes [0,20) and the payload
+//	0      4    crc32 (IEEE) of bytes [4,len): the header below and the payload
+//	4      2    magic "SM"
+//	6      1    kind
+//	7      1    ver
+//	8      2    worker id
+//	10     2    job id
+//	12     4    idx
+//	16     8    off
 //	24     4*n  vector elements
+//
+// The checksum leads so that what it covers is one contiguous run of
+// bytes: one crc32 call per datagram. A datagram from an endpoint on
+// the earlier layout, which kept the magic at [0,2) and the checksum at
+// [20,24), fails the magic check (ErrBadMagic), so a mixed-version
+// deployment counts it corrupted instead of misparsing it.
 func (p *Packet) Marshal() []byte {
 	return p.AppendMarshal(make([]byte, 0, p.MarshalledSize()))
 }
@@ -336,8 +370,26 @@ func (p *Packet) Marshal() []byte {
 //
 //switchml:hotpath
 func (p *Packet) AppendMarshal(dst []byte) []byte {
+	return appendWire(dst, p.Kind, p.Ver, p.WorkerID, p.JobID, p.Idx, p.Off, p.Vector)
+}
+
+// AppendWire appends the wire form of a packet with header *h and
+// vector vec to dst and returns the extended slice — AppendMarshal for a
+// sender whose elements live in its own buffer rather than a Packet's.
+// Like AppendMarshal it allocates only when dst lacks the capacity.
+//
+//switchml:hotpath
+func AppendWire(dst []byte, h *Header, vec []int32) []byte {
+	return appendWire(dst, h.Kind, h.Ver, h.WorkerID, h.JobID, h.Idx, h.Off, vec)
+}
+
+// appendWire is both encoders. The header arrives as fields, not as a
+// Header value: per packet, copying a struct that was just written
+// field by field — a Header built from a Packet, say — costs a
+// store-forwarding stall, more than the rest of the header's encoding.
+func appendWire(dst []byte, kind Kind, ver uint8, worker, job uint16, idx uint32, off uint64, vec []int32) []byte {
 	base := len(dst)
-	size := p.MarshalledSize()
+	size := WireLen(len(vec))
 	if cap(dst)-base < size {
 		//switchml:allow hotpath -- guarded grow fallback: pooled buffers retain MTU capacity, so steady state never enters
 		grown := make([]byte, base, base+size)
@@ -346,15 +398,15 @@ func (p *Packet) AppendMarshal(dst []byte) []byte {
 	}
 	dst = dst[:base+size]
 	buf := dst[base:]
-	binary.BigEndian.PutUint16(buf[0:2], magic)
-	buf[2] = byte(p.Kind)
-	buf[3] = p.Ver
-	binary.BigEndian.PutUint16(buf[4:6], p.WorkerID)
-	binary.BigEndian.PutUint16(buf[6:8], p.JobID)
-	binary.BigEndian.PutUint32(buf[8:12], p.Idx)
-	binary.BigEndian.PutUint64(buf[12:20], p.Off)
-	putElems(buf[marshalHeaderBytes:], p.Vector)
-	binary.BigEndian.PutUint32(buf[20:24], bodyChecksum(buf))
+	binary.BigEndian.PutUint16(buf[4:6], magic)
+	buf[6] = byte(kind)
+	buf[7] = ver
+	binary.BigEndian.PutUint16(buf[8:10], worker)
+	binary.BigEndian.PutUint16(buf[10:12], job)
+	binary.BigEndian.PutUint32(buf[12:16], idx)
+	binary.BigEndian.PutUint64(buf[16:24], off)
+	putElems(buf[marshalHeaderBytes:], vec)
+	binary.BigEndian.PutUint32(buf[0:crcBytes], bodyChecksum(buf))
 	return dst
 }
 
@@ -382,9 +434,11 @@ func putElems(dst []byte, vec []int32) {
 	}
 }
 
-// getElems is putElems' inverse: it fills vec from the
-// ElemBytes·len(vec) big-endian bytes of src.
-func getElems(vec []int32, src []byte) {
+// DecodeElems is putElems' inverse: it fills vec from the first
+// ElemBytes·len(vec) big-endian bytes of src, which must hold that
+// many — a payload ParseHeader returned holds exactly its packet's
+// elements.
+func DecodeElems(vec []int32, src []byte) {
 	src = src[:ElemBytes*len(vec)]
 	for len(vec) >= 8 && len(src) >= 8*ElemBytes {
 		d, s := (*[8]int32)(vec), (*[8 * ElemBytes]byte)(src)
@@ -403,11 +457,10 @@ func getElems(vec []int32, src []byte) {
 	}
 }
 
-// bodyChecksum computes the packet checksum over the header (minus
-// the checksum field itself) and the payload of a marshalled buffer.
+// bodyChecksum computes the packet checksum of a marshalled buffer:
+// one pass over everything after the checksum field.
 func bodyChecksum(buf []byte) uint32 {
-	crc := crc32.ChecksumIEEE(buf[:20])
-	return crc32.Update(crc, crc32.IEEETable, buf[marshalHeaderBytes:])
+	return crc32.ChecksumIEEE(buf[crcBytes:])
 }
 
 // PatchWorkerID rewrites the worker-id field of a marshalled packet
@@ -418,8 +471,8 @@ func PatchWorkerID(buf []byte, worker uint16) error {
 	if len(buf) < marshalHeaderBytes {
 		return ErrShortBuffer
 	}
-	binary.BigEndian.PutUint16(buf[4:6], worker)
-	binary.BigEndian.PutUint32(buf[20:24], bodyChecksum(buf))
+	binary.BigEndian.PutUint16(buf[8:10], worker)
+	binary.BigEndian.PutUint32(buf[0:crcBytes], bodyChecksum(buf))
 	return nil
 }
 
@@ -445,29 +498,12 @@ func Unmarshal(buf []byte) (*Packet, error) {
 //
 //switchml:hotpath
 func UnmarshalInto(p *Packet, buf []byte) error {
-	if len(buf) < marshalHeaderBytes {
-		return ErrShortBuffer
+	var h Header
+	payload, err := ParseHeader(&h, buf)
+	if err != nil {
+		return err
 	}
-	if binary.BigEndian.Uint16(buf[0:2]) != magic {
-		return ErrBadMagic
-	}
-	payload := buf[marshalHeaderBytes:]
-	if len(payload)%ElemBytes != 0 {
-		return ErrBadLength
-	}
-	if bodyChecksum(buf) != binary.BigEndian.Uint32(buf[20:24]) {
-		return ErrChecksum
-	}
-	k := Kind(buf[2])
-	if k > KindAdoptJob {
-		return ErrBadKind
-	}
-	p.Kind = k
-	p.Ver = buf[3]
-	p.WorkerID = binary.BigEndian.Uint16(buf[4:6])
-	p.JobID = binary.BigEndian.Uint16(buf[6:8])
-	p.Idx = binary.BigEndian.Uint32(buf[8:12])
-	p.Off = binary.BigEndian.Uint64(buf[12:20])
+	p.Kind, p.Ver, p.WorkerID, p.JobID, p.Idx, p.Off = h.Kind, h.Ver, h.WorkerID, h.JobID, h.Idx, h.Off
 	n := len(payload) / ElemBytes
 	if cap(p.Vector) >= n {
 		p.Vector = p.Vector[:n]
@@ -475,8 +511,43 @@ func UnmarshalInto(p *Packet, buf []byte) error {
 		//switchml:allow hotpath -- guarded grow fallback: a pooled packet's vector reaches MTU capacity once, then is reused
 		p.Vector = make([]int32, n)
 	}
-	getElems(p.Vector, payload)
+	DecodeElems(p.Vector, payload)
 	return nil
+}
+
+// ParseHeader is UnmarshalInto up to the vector: the same checks in the
+// same order — length, magic, payload alignment, checksum, kind — with
+// the same sentinels, then the header decoded into h and the payload,
+// the vector's ElemBytes-aligned big-endian elements, returned where
+// they lie in buf. On error h is left unmodified. A receiver that must
+// check a packet's fields before it knows where the elements belong (a
+// worker's result) decodes them afterwards with DecodeElems, straight
+// into their destination, or not at all.
+//
+//switchml:hotpath
+func ParseHeader(h *Header, buf []byte) ([]byte, error) {
+	if len(buf) < marshalHeaderBytes {
+		return nil, ErrShortBuffer
+	}
+	if binary.BigEndian.Uint16(buf[4:6]) != magic {
+		return nil, ErrBadMagic
+	}
+	payload := buf[marshalHeaderBytes:]
+	if len(payload)%ElemBytes != 0 {
+		return nil, ErrBadLength
+	}
+	if bodyChecksum(buf) != binary.BigEndian.Uint32(buf[0:crcBytes]) {
+		return nil, ErrChecksum
+	}
+	k := Kind(buf[6])
+	if k > KindAdoptJob {
+		return nil, ErrBadKind
+	}
+	// Field by field, like AppendWire's reads: no struct copy per packet.
+	h.Kind, h.Ver = k, buf[7]
+	h.WorkerID, h.JobID = binary.BigEndian.Uint16(buf[8:10]), binary.BigEndian.Uint16(buf[10:12])
+	h.Idx, h.Off = binary.BigEndian.Uint32(buf[12:16]), binary.BigEndian.Uint64(buf[16:24])
+	return payload, nil
 }
 
 // Packet and buffer pools for the hot path. Senders get a packet (or

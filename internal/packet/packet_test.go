@@ -124,12 +124,12 @@ func TestUnmarshalRejectsBadMagicAndKind(t *testing.T) {
 	p := NewUpdate(0, 0, 0, 0, 0, nil)
 	buf := p.Marshal()
 	bad := append([]byte(nil), buf...)
-	binary.BigEndian.PutUint16(bad[0:2], 0x1234)
+	binary.BigEndian.PutUint16(bad[4:6], 0x1234)
 	if _, err := Unmarshal(bad); err == nil {
 		t.Error("bad magic accepted")
 	}
 	bad = append([]byte(nil), buf...)
-	bad[2] = 99
+	bad[6] = 99
 	// Re-seal the checksum so only the kind is invalid.
 	reSeal(bad)
 	if _, err := Unmarshal(bad); err == nil {
@@ -144,13 +144,12 @@ func reSeal(buf []byte) {
 	_ = q
 	// Mirror Marshal's checksum computation.
 	crc := crcOf(buf)
-	binary.BigEndian.PutUint32(buf[20:24], crc)
+	binary.BigEndian.PutUint32(buf[0:4], crc)
 }
 
 func crcOf(buf []byte) uint32 {
 	h := newCRC()
-	h.Write(buf[:20])
-	h.Write(buf[24:])
+	h.Write(buf[4:])
 	return h.Sum32()
 }
 

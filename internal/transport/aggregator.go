@@ -69,7 +69,7 @@ const (
 // window until the receive buffer bounds it, so the rule starts from
 // that bound instead.
 func TunePoolSize(workers, slotElems int) int {
-	perSlot := max(workers, 1) * wireSize(max(slotElems, 1)) // in flight per slot of the pool
+	perSlot := max(workers, 1) * packet.WireLen(max(slotElems, 1)) // in flight per slot of the pool
 	s := minPoolSize
 	for 2*s*perSlot <= inflightBudget {
 		s *= 2
@@ -396,7 +396,7 @@ func newAggregator(cfg AggregatorConfig, clock func() time.Time) (*Aggregator, e
 			mangled:   make([]byte, 0, mtu),
 			nc:        nc,
 			occ:       reg.Histogram("agg_batch_occupancy", BatchOccupancyBuckets, "shard", fmt.Sprintf("%d", i)),
-			block:     make([]byte, 0, max(DefaultBatch, cfg.Switch.PoolSize)*wireSize(cfg.Switch.SlotElems)),
+			block:     make([]byte, 0, max(DefaultBatch, cfg.Switch.PoolSize)*packet.WireLen(cfg.Switch.SlotElems)),
 		}
 		a.sncs = append(a.sncs, nc)
 		a.shardOcc[i] = sh.occ
@@ -409,7 +409,7 @@ func newAggregator(cfg AggregatorConfig, clock func() time.Time) (*Aggregator, e
 // aggWireMTU sizes shard arenas from the largest result packet the
 // pool can emit.
 func aggWireMTU(slotElems int) int {
-	return max(wireSize(slotElems)+16, 2048)
+	return max(packet.WireLen(slotElems)+16, 2048)
 }
 
 // closeAll releases every bound socket.

@@ -309,6 +309,82 @@ func TestClientWindowPumpZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestClientResultDatagramZeroAlloc is the AllocsPerRun gate behind the
+// //switchml:hotpath annotations on handleDatagram and handleResult: a
+// burst of result datagrams as they come off the socket — header
+// checked, elements decoded into the worker's aggregate, the follow-up
+// encoded from the caller's tensor into the window block — a corrupted
+// datagram rejected on the way, and the flush that ends the pass must
+// not touch the heap. No packet pool is involved, so the gate holds
+// under the race detector too.
+func TestClientResultDatagramZeroAlloc(t *testing.T) {
+	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close() // never read: loopback drops on a full buffer without erroring the sender
+	const s, k, runs = 8, 32, 100
+	c, err := NewClient(ClientConfig{
+		Aggregator: sink.LocalAddr().String(),
+		Worker:     core.WorkerConfig{ID: 0, Workers: 1, PoolSize: s, SlotElems: k, LossRecovery: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// With one worker a slot's result is its update: answer every slot of
+	// the window, pass after pass, out of a tensor long enough never to
+	// finish.
+	u := make([]int32, (runs+3)*s*k)
+	for i := range u {
+		u[i] = int32(i % 1000)
+	}
+	c.tick()
+	c.worker.Open(u)
+	res := make([]packet.Packet, s)
+	for sd := c.worker.NextSend(); sd != nil; sd = c.worker.NextSend() {
+		h := &sd.Header
+		res[h.Idx] = packet.Packet{Kind: packet.KindResult, Idx: h.Idx, Ver: h.Ver, Off: h.Off, Vector: sd.Vec}
+		c.send(sd)
+	}
+	wire := make([]byte, 0, packet.WireLen(k))
+	bad := res[0].Marshal()
+	bad[len(bad)-1] ^= 0xFF
+	step := func() {
+		c.tick()
+		for i := range res {
+			wire = res[i].AppendMarshal(wire[:0])
+			if done, err := c.handleDatagram(wire); err != nil || done {
+				t.Fatalf("slot %d: done=%v err=%v", i, done, err)
+			}
+			res[i].Ver ^= 1
+			res[i].Off += s * k
+			res[i].Vector = u[res[i].Off : res[i].Off+k]
+		}
+		if done, err := c.handleDatagram(bad); err != nil || done {
+			t.Fatalf("corrupted datagram: done=%v err=%v", done, err)
+		}
+		if err := c.flushTx(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step() // warm the staging arena
+	if allocs := testing.AllocsPerRun(runs, step); allocs != 0 {
+		t.Errorf("result datagram→update→flush cycle allocates %.2f/op, want 0", allocs)
+	}
+	if got, want := c.worker.Stats().Results, uint64((runs+2)*s); got != want {
+		t.Errorf("worker accepted %d results, want %d: the cycle did not run", got, want)
+	}
+	if got, want := c.corrupt.Value(), uint64(runs+2); got != want {
+		t.Errorf("%d datagrams counted corrupted, want %d", got, want)
+	}
+	for i, v := range c.worker.Aggregate()[:(runs+2)*s*k] {
+		if v != u[i] {
+			t.Fatalf("aggregate[%d] = %d, want %d", i, v, u[i])
+		}
+	}
+}
+
 // TestBatchedDebugStateRace hammers the debug documents — including
 // the merged occupancy snapshot and the pooled mesh buffer owner —
 // while a batched job runs, for the race detector.

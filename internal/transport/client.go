@@ -159,10 +159,12 @@ type Client struct {
 	due   []uint32
 	// rbuf/rp/cbuf are the receive buffer of the reads made outside
 	// the window pump (control handshakes, the mesh), the decoded
-	// packet and the control wire buffer, reused across datagrams so
-	// the steady-state AllReduce loop performs no heap allocation. They
-	// belong to the AllReduce goroutine (the client is documented as
-	// not safe for concurrent use).
+	// packet (also where the window pump decodes the control kinds it
+	// receives; results it never decodes whole) and the control wire
+	// buffer, reused across datagrams so the steady-state AllReduce loop
+	// performs no heap allocation. They belong to the AllReduce
+	// goroutine (the client is documented as not safe for concurrent
+	// use).
 	rbuf []byte
 	rp   packet.Packet
 	cbuf []byte
@@ -442,7 +444,8 @@ func (c *Client) trace(t telemetry.EventType, idx int32) {
 // survives aggregator death: the tensor is finished (and subsequent
 // ones run) over the worker mesh instead of failing; without one, an
 // aggregator silent for SuspectAfter-equivalent (8×RTO) turns the
-// timeout into a typed, retryable ErrAggregatorSilent.
+// timeout into a typed, retryable ErrAggregatorSilent. u is borrowed
+// past the return; see AllReduceInt32View.
 func (c *Client) AllReduceInt32(u []int32) ([]int32, error) {
 	sum, err := c.AllReduceInt32View(u)
 	if err != nil || sum == nil {
@@ -457,6 +460,13 @@ func (c *Client) AllReduceInt32(u []int32) ([]int32, error) {
 // returned slice is the worker's own aggregate buffer, valid until the
 // next call on this client. Callers that convert the sum on the spot
 // (the float32 path dequantizes it) save a tensor-sized allocation.
+//
+// Both forms borrow u past their return (core.Worker.Open): it is read
+// at every send and retransmission of the call, and a §5.6 recovery
+// that re-opens the tensor after it completed locally re-reads it
+// during the next call, which drives the re-opened tensor to completion
+// (holdAtFence, then switchLoop) before it opens its own. The caller
+// must leave u unchanged until the next call on this client returns.
 func (c *Client) AllReduceInt32View(u []int32) ([]int32, error) {
 	if len(u) == 0 {
 		return nil, nil
@@ -505,9 +515,8 @@ func (c *Client) AllReduceInt32View(u []int32) ([]int32, error) {
 		c.tick()
 	}
 	c.worker.Open(u)
-	for p := c.worker.Next(); p != nil; p = c.worker.Next() {
-		c.send(p)
-		packet.PutPacket(p)
+	for s := c.worker.NextSend(); s != nil; s = c.worker.NextSend() {
+		c.send(s)
 	}
 	if err := c.flushTx(); err != nil {
 		return nil, err
@@ -611,12 +620,7 @@ func (c *Client) switchLoop(deadline time.Time) ([]int32, error) {
 		c.recvd.Add(uint64(nm))
 		foldRcvbufDrops(c.nc, &c.ncDrops, c.rcvDrops)
 		for i := 0; i < nm; i++ {
-			if err := packet.UnmarshalInto(&c.rp, c.nc.Msgs[i].Buf); err != nil {
-				c.corrupt.Inc()
-				continue // corrupted datagram
-			}
-			c.lastProgress = c.now
-			done, err := c.handleIncoming(&c.rp)
+			done, err := c.handleDatagram(c.nc.Msgs[i].Buf)
 			if err != nil {
 				return nil, err
 			}
@@ -659,19 +663,63 @@ func (c *Client) retransmitDue() {
 		if c.pump.TimedOut(idx) {
 			c.trace(telemetry.EvTimeoutFired, int32(idx))
 		}
-		p := c.worker.Retransmit(idx)
-		if p == nil {
+		s := c.worker.RetransmitSend(idx)
+		if s == nil {
 			continue
 		}
 		c.trace(telemetry.EvRetransmit, int32(idx))
-		c.send(p)
-		packet.PutPacket(p)
+		c.send(s)
 	}
 }
 
-// handleIncoming dispatches one datagram from the aggregator. Results
-// feed the protocol state machine; reconfigure and resume directives
-// run the worker's half of the §5.6 recovery handshake.
+// handleDatagram takes one datagram of a receive burst. A result —
+// nearly every datagram — is checked on its header alone and its
+// elements decoded straight from the receive arena into the worker's
+// aggregate, or nowhere if the worker ignores it; anything else is
+// decoded whole for handleIncoming. A datagram that fails the codec's
+// checks (a corrupted one, or one in another wire layout) is counted
+// and dropped (§3.4).
+//
+//switchml:hotpath
+func (c *Client) handleDatagram(buf []byte) (bool, error) {
+	var h packet.Header
+	payload, err := packet.ParseHeader(&h, buf)
+	if err != nil {
+		c.corrupt.Inc()
+		return false, nil
+	}
+	c.lastProgress = c.now
+	if h.Kind == packet.KindResult || h.Kind == packet.KindResultUnicast {
+		return c.handleResult(&h, payload), nil
+	}
+	// The rare control kinds are decoded whole, checks and all.
+	if packet.UnmarshalInto(&c.rp, buf) != nil {
+		c.corrupt.Inc()
+		return false, nil
+	}
+	return c.handleIncoming(&c.rp)
+}
+
+// handleResult feeds one result to the pump and sends the follow-up
+// update it unlocks, encoded from the caller's tensor straight into the
+// window block. It reports whether the tensor completed.
+//
+//switchml:hotpath
+func (c *Client) handleResult(h *packet.Header, payload []byte) bool {
+	next, done := c.pump.Result(h, payload, c.nowNs)
+	if next != nil {
+		c.send(next)
+	}
+	return done
+}
+
+// handleIncoming dispatches one decoded packet from the aggregator.
+// Results feed the protocol state machine; reconfigure and resume
+// directives run the worker's half of the §5.6 recovery handshake. The
+// receive loop hands results to handleResult in wire form and only the
+// other kinds here; a result that arrives decoded is put back in wire
+// form (in the control buffer, free between control sends) so that
+// every result takes the one path.
 //
 //switchml:hotpath
 func (c *Client) handleIncoming(p *packet.Packet) (bool, error) {
@@ -713,18 +761,12 @@ func (c *Client) handleIncoming(p *packet.Packet) (bool, error) {
 		c.epoch = p.JobID
 		c.gEpoch.Set(int64(p.JobID))
 		c.trace(telemetry.EvResume, -1)
-		for _, q := range pkts {
-			c.send(q)
-			packet.PutPacket(q)
-		}
+		c.sendPackets(pkts)
 		return false, nil
 	case packet.KindResult, packet.KindResultUnicast:
-		next, done := c.pump.Result(p, c.nowNs)
-		if next != nil {
-			c.send(next)
-			packet.PutPacket(next)
-		}
-		return done, nil
+		h := p.Header()
+		c.cbuf = packet.AppendWire(c.cbuf[:0], &h, p.Vector)
+		return c.handleResult(&h, c.cbuf[packet.WireLen(0):]), nil
 	default:
 		// Aggregators never send update/report/heartbeat kinds; count
 		// the drop so a confused aggregator is visible.
@@ -740,13 +782,14 @@ func (c *Client) handleIncoming(p *packet.Packet) (bool, error) {
 // wire", and the retransmission machinery is exactly what recovers
 // it), a corruption mangles it, a duplicate stages it again. Injected
 // or not, the bytes leave by the same route. A send failure surfaces
-// at the next flushTx. Callers that got p from the packet pool may
-// return it as soon as send returns.
+// at the next flushTx. The update's elements are read once, as they
+// are encoded; neither s nor the worker's tensor is referenced after
+// send returns.
 //
 //switchml:hotpath
-func (c *Client) send(p *packet.Packet) {
-	c.pump.Sent(p.Idx, c.nowNs)
-	start := c.stageTx(p)
+func (c *Client) send(s *core.Send) {
+	c.pump.Sent(s.Header.Idx, c.nowNs)
+	start := c.stageTx(s)
 	if c.inj != nil {
 		switch c.inj.Judge() {
 		case faults.Drop:
@@ -754,26 +797,37 @@ func (c *Client) send(p *packet.Packet) {
 		case faults.Corrupt:
 			c.inj.Mangle(c.txb[start:])
 		case faults.Duplicate:
-			c.stageTx(p)
+			c.stageTx(s)
 		}
 	}
 }
 
-// stageTx marshals p onto the tail of the window block and returns
-// the offset its segment starts at. Updates are equal-size in the
-// steady state (every full chunk marshals to the same wire length), so
-// the block flushes as one segment train; a size change or a full
-// block flushes eagerly first.
+// sendPackets sends a window the worker built in packet form — the
+// recovery paths (resume, adoption, failback, fence) use Resume and
+// ResumeAt — and returns the packets to the pool.
+func (c *Client) sendPackets(pkts []*packet.Packet) {
+	for _, p := range pkts {
+		s := core.Send{Header: p.Header(), Vec: p.Vector}
+		c.send(&s)
+		packet.PutPacket(p)
+	}
+}
+
+// stageTx encodes s onto the tail of the window block, its elements
+// straight from the worker's tensor, and returns the offset its segment
+// starts at. Updates are equal-size in the steady state (every full
+// chunk marshals to the same wire length), so the block flushes as one
+// segment train; a size change or a full block flushes eagerly first.
 //
 //switchml:hotpath
-func (c *Client) stageTx(p *packet.Packet) int {
-	size := p.MarshalledSize()
+func (c *Client) stageTx(s *core.Send) int {
+	size := packet.WireLen(len(s.Vec))
 	if c.txSeg != 0 && (size != c.txSeg || len(c.txb)+size > cap(c.txb)) {
 		c.flushTxBlock()
 	}
 	c.txSeg = size
 	start := len(c.txb)
-	c.txb = p.AppendMarshal(c.txb)
+	c.txb = packet.AppendWire(c.txb, &s.Header, s.Vec)
 	return start
 }
 

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"encoding/hex"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -42,6 +44,111 @@ func TestAggregatorCountsUnexpectedKinds(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// previousLayoutUpdate is a full update in the wire layout before the
+// checksum moved to the front (magic at [0,2), checksum at [20,24)):
+// internal/packet's frozen goldenFullUpdateOldLayout.
+const previousLayoutUpdate = "534d0001000100070000000500000001000000a0a9bccfe2ffffff9cffffff9d" +
+	"ffffffa0ffffffa5ffffffacffffffb5ffffffc0ffffffcdffffffdcffffffed" +
+	"00000000000000150000002c00000045000000600000007d0000009c000000bd" +
+	"000000e0000001050000012c0000015500000180000001ad000001dc0000020d" +
+	"0000024000000275000002ac000002e50000032080000000"
+
+// TestPreviousLayoutCountedCorrupted pins what a mixed-version
+// deployment looks like: a datagram from an endpoint still on the
+// previous wire layout fails the codec's magic check at either end, is
+// counted in udp_datagrams_corrupted_total and dropped — never
+// misparsed as an update or a result.
+func TestPreviousLayoutCountedCorrupted(t *testing.T) {
+	old, err := hex.DecodeString(previousLayoutUpdate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := packet.Unmarshal(old); !errors.Is(err, packet.ErrBadMagic) {
+		t.Fatalf("Unmarshal(previous layout) = %v, want %v", err, packet.ErrBadMagic)
+	}
+
+	t.Run("aggregator", func(t *testing.T) {
+		agg, err := NewAggregator(AggregatorConfig{
+			Addr:   "127.0.0.1:0",
+			Switch: core.SwitchConfig{Workers: 2, PoolSize: 8, SlotElems: 32},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer agg.Close()
+		conn, err := net.DialUDP("udp", nil, agg.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		ctr := agg.Registry().Counter("udp_datagrams_corrupted_total", "role", "aggregator")
+		deadline := time.Now().Add(5 * time.Second)
+		for ctr.Value() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("the aggregator never counted the previous layout's datagram as corrupted")
+			}
+			if _, err := conn.Write(old); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if st := agg.Stats(); st.Updates != 0 {
+			t.Errorf("aggregator accepted %d updates from previous-layout datagrams", st.Updates)
+		}
+	})
+
+	t.Run("worker", func(t *testing.T) {
+		// A one-worker "aggregator" answers every update with the
+		// previous layout's datagram first, then the real result.
+		sock, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sock.Close()
+		go func() {
+			buf := make([]byte, 2048)
+			var p packet.Packet
+			for {
+				n, src, err := sock.ReadFromUDPAddrPort(buf)
+				if err != nil {
+					return
+				}
+				if packet.UnmarshalInto(&p, buf[:n]) != nil || p.Kind != packet.KindUpdate {
+					continue
+				}
+				sock.WriteToUDPAddrPort(old, src)
+				p.Kind = packet.KindResult
+				sock.WriteToUDPAddrPort(p.Marshal(), src)
+			}
+		}()
+		c, err := NewClient(ClientConfig{
+			Aggregator: sock.LocalAddr().String(),
+			Worker:     core.WorkerConfig{ID: 0, Workers: 1, PoolSize: 4, SlotElems: 8, LossRecovery: true},
+			Timeout:    10 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		u := make([]int32, 16) // two chunks, two previous-layout datagrams ahead of their results
+		for i := range u {
+			u[i] = int32(3*i) - 20
+		}
+		got, err := c.AllReduceInt32(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range u {
+			if got[i] != u[i] {
+				t.Fatalf("element %d = %d, want %d", i, got[i], u[i])
+			}
+		}
+		if n := c.Registry().Counter("udp_datagrams_corrupted_total", "role", "worker", "worker", "0").Value(); n < 2 {
+			t.Errorf("worker counted %d corrupted datagrams, want at least the 2 sent ahead of the results", n)
+		}
+	})
 }
 
 // TestClientCountsUnexpectedKind pins the worker-side dispatch

@@ -172,10 +172,7 @@ func (c *Client) holdAtFence(deadline time.Time) (reopened bool, err error) {
 			c.adoptEpoch(p.JobID)
 			c.fenceArmed = false
 			c.trace(telemetry.EvResume, -1)
-			for _, q := range pkts {
-				c.send(q)
-				packet.PutPacket(q)
-			}
+			c.sendPackets(pkts)
 			return true, nil
 		case packet.KindReconfig:
 			p := &c.rp

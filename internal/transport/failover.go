@@ -136,7 +136,7 @@ func (c *Client) wrapMain(conn *net.UDPConn) error {
 	c.gRcvbufNeed.Set(int64(b.need))
 	// The window block holds the whole window, so that it leaves in one
 	// batched send.
-	c.txb = make([]byte, 0, c.cfg.Worker.PoolSize*wireSize(c.cfg.Worker.SlotElems))
+	c.txb = make([]byte, 0, c.cfg.Worker.PoolSize*packet.WireLen(c.cfg.Worker.SlotElems))
 	c.txSeg = 0
 	c.stageErr = nil
 	return nil
@@ -269,10 +269,7 @@ func (c *Client) adoptAt(rank int, deadline time.Time) error {
 			c.adoptEpoch(p.JobID)
 			c.lastProgress = c.tick()
 			c.trace(telemetry.EvResume, -1)
-			for _, q := range pkts {
-				c.send(q)
-				packet.PutPacket(q)
-			}
+			c.sendPackets(pkts)
 			return c.flushTx()
 		case packet.KindReconfig:
 			// A liveness-equipped rung running its own §5.6 pass mid-

@@ -315,10 +315,7 @@ func (c *Client) failback(u []int32, deadline time.Time) ([]int32, error) {
 	// The progress clock last ticked before the outage; restart it or
 	// the silence detector would re-degrade before the first result.
 	c.lastProgress = c.tick()
-	for _, p := range pkts {
-		c.send(p)
-		packet.PutPacket(p)
-	}
+	c.sendPackets(pkts)
 	out, err := c.switchLoop(deadline)
 	if errors.Is(err, errSilence) {
 		// Flapped again: walk the whole ladder before settling back on

@@ -14,12 +14,6 @@ import (
 // hold a window — socket buffers, the staging blocks — is derived from
 // workers, s and k, where the protocol configuration already fixes it.
 
-// wireSize is the marshalled size of a full packet of slotElems
-// elements, update or result.
-func wireSize(slotElems int) int {
-	return (&packet.Packet{Vector: make([]int32, slotElems)}).MarshalledSize()
-}
-
 // skbCharge is what the kernel charges a socket buffer for one datagram
 // of wire bytes travelling on its own rather than in a segment train:
 // the sk_buff itself and a power-of-two data area holding the payload,
@@ -55,7 +49,7 @@ func sizeSocket(conn *net.UDPConn, datagrams, slotElems int) sockBuffers {
 // windowBytes is what datagrams packets of slotElems elements, none of
 // them coalesced, are charged to a socket buffer.
 func windowBytes(datagrams, slotElems int) int {
-	return datagrams * skbCharge(wireSize(slotElems))
+	return datagrams * skbCharge(packet.WireLen(slotElems))
 }
 
 // foldRcvbufDrops adds what nc's socket has dropped at a full receive

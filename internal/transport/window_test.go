@@ -7,6 +7,7 @@ import (
 
 	"switchml/internal/core"
 	"switchml/internal/netio"
+	"switchml/internal/packet"
 )
 
 // TestTunePoolSize pins the rule: a power of two, never below
@@ -31,8 +32,8 @@ func TestTunePoolSize(t *testing.T) {
 				t.Fatalf("TunePoolSize(%d, %d) = %d, want a power of two of at least %d", workers, k, s, minPoolSize)
 			case prev != 0 && s > prev:
 				t.Fatalf("TunePoolSize(%d, %d) = %d, above the %d of one worker fewer", workers, k, s, prev)
-			case s > minPoolSize && workers*s*wireSize(k) > inflightBudget:
-				t.Fatalf("TunePoolSize(%d, %d) = %d puts %d bytes in flight, over the budget of %d", workers, k, s, workers*s*wireSize(k), inflightBudget)
+			case s > minPoolSize && workers*s*packet.WireLen(k) > inflightBudget:
+				t.Fatalf("TunePoolSize(%d, %d) = %d puts %d bytes in flight, over the budget of %d", workers, k, s, workers*s*packet.WireLen(k), inflightBudget)
 			}
 			prev = s
 		}

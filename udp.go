@@ -630,6 +630,15 @@ func (p *Peer) FallbackStats() FallbackStats {
 // AllReduceInt32 sums u across all workers of the job. If the
 // aggregator dies mid-tensor and no fallback is armed, the error
 // matches ErrSwitchUnavailable (retryable — the input was fine).
+//
+// u is borrowed, not copied, and past the return: the worker reads it
+// at every send and retransmission, and a membership recovery that
+// re-opens this tensor after it completed here re-reads it during the
+// next call. Leave u unchanged until the next AllReduceInt32 or
+// AllReduceFloat32 on this peer returns; a training loop that refills
+// one gradient buffer every step must alternate two.
+// AllReduceFloat32 needs no such care: it hands the worker its own
+// quantized copy, double-buffered for exactly this reason (qbuf).
 func (p *Peer) AllReduceInt32(u []int32) ([]int32, error) {
 	out, err := p.inner.AllReduceInt32(u)
 	return out, fabricErr(err)
