@@ -214,18 +214,19 @@ type Aggregator struct {
 	// per-packet path, written under mu by recovery.
 	epoch atomic.Uint32
 
-	mu sync.Mutex // guards the recovery state machine (lv)
+	mu sync.Mutex // guards the control plane below and lv's bookkeeping
 	lv *liveness  // nil unless cfg.Liveness is set
 
-	// Warm-standby adoption state (failover.go), guarded by mu: adopt
-	// is the open roll call; adoptGen/adoptFrontier/adoptDone record
-	// the last committed adoption so a lost release is re-sent on a
-	// duplicate request. adoptions counts committed adoptions.
-	adopt         *adoptFence
-	adoptGen      uint16
-	adoptFrontier uint64
-	adoptDone     bool
-	adoptions     *telemetry.Counter
+	// The control plane (rollcall.go). evict, join and adopt are the
+	// open roll calls — a §5.6 eviction and an elastic join need lv, a
+	// warm-standby adoption does not — and cbuf the buffer their
+	// directives and releases are marshalled into, all guarded by mu.
+	// rel is the last release, which the shard loops read lock-free to
+	// repair one that was lost. adoptions counts committed adoptions.
+	evict, join, adopt *rollCall
+	cbuf               []byte
+	rel                atomic.Pointer[release]
+	adoptions          *telemetry.Counter
 
 	// sncs collects the shards' socket views for introspection (I/O
 	// mode, burst ceiling, transient-send retry totals), one per shard.
@@ -343,7 +344,6 @@ func newAggregator(cfg AggregatorConfig, clock func() time.Time) (*Aggregator, e
 		a.lv = &liveness{
 			cfg:       lc,
 			tracker:   faults.NewTracker(cfg.Switch.Workers, int64(lc.SilenceAfter)),
-			reported:  make([]bool, cfg.Switch.Workers),
 			leavePend: make([]bool, cfg.Switch.Workers),
 			leaveOff:  make([]uint64, cfg.Switch.Workers),
 			maxOff:    make([]atomic.Uint64, cfg.Switch.Workers),
@@ -537,13 +537,13 @@ func (a *Aggregator) serve(sh *aggShard) {
 			case packet.KindHeartbeat:
 				a.touch(&sh.pkt, m.Addr)
 			case packet.KindReport:
-				a.handleReport(&sh.pkt, m.Addr)
+				a.handleReport(sh, m.Addr)
 			case packet.KindProbe:
 				a.handleProbe(sh, m.Addr)
 			case packet.KindJoin:
-				a.handleJoin(&sh.pkt, m.Addr)
+				a.handleJoin(sh, m.Addr)
 			case packet.KindLeave:
-				a.handleLeave(&sh.pkt, m.Addr)
+				a.handleLeave(sh, m.Addr)
 			case packet.KindAdoptJob:
 				a.handleAdopt(sh, m.Addr)
 			default:
@@ -672,11 +672,12 @@ func (a *Aggregator) setPeer(w uint16, src netip.AddrPort) {
 // detector attached it also polices membership: traffic from a
 // retired worker is answered with the reconfigure directive (so a
 // merely-slow worker learns it was evicted and can fail fast), and
-// stale-generation traffic from a live worker means the resume
-// directive was lost — it is re-sent instead of feeding the pool.
-// The clean path — touch the tracker, aggregate, marshal the result
-// into the shard's block — takes no lock beyond the packet's slot and
-// reads no clock: liveness and the switch stamp from the burst clock.
+// traffic from a live worker under another generation than the last
+// release's means that release was lost — it is re-sent instead of
+// feeding the pool. The clean path — touch the tracker, aggregate,
+// marshal the result into the shard's block — takes no lock beyond the
+// packet's slot and reads no clock: liveness and the switch stamp from
+// the burst clock, and the release is read lock-free.
 //
 //switchml:hotpath
 func (a *Aggregator) handleUpdate(sh *aggShard, src netip.AddrPort) {
@@ -685,7 +686,7 @@ func (a *Aggregator) handleUpdate(sh *aggShard, src netip.AddrPort) {
 	if a.lv != nil {
 		if a.lv.tracker.Dead(w) {
 			a.mu.Lock()
-			vec := a.survivorsLocked()
+			vec := a.membersLocked(-1)
 			a.mu.Unlock()
 			sh.ctrl = packet.NewControl(packet.KindReconfig, p.WorkerID, a.epochNow(), 0, vec).AppendMarshal(sh.ctrl[:0])
 			a.reply(sh, sh.ctrl, src)
@@ -697,9 +698,8 @@ func (a *Aggregator) handleUpdate(sh *aggShard, src netip.AddrPort) {
 			// its commit waits on (elastic.go).
 			a.lv.bumpMaxOff(w, p.Off)
 		}
-		if p.JobID != a.epochNow() && a.lv.resumeReady.Load() {
-			sh.ctrl = packet.NewControl(packet.KindResume, p.WorkerID, a.epochNow(), a.lv.frontier.Load(), nil).AppendMarshal(sh.ctrl[:0])
-			a.reply(sh, sh.ctrl, src)
+		if r := a.rel.Load(); r != nil && p.JobID != r.gen {
+			a.rerelease(sh, src)
 			return
 		}
 	}
@@ -748,11 +748,8 @@ func (a *Aggregator) handleProbe(sh *aggShard, src netip.AddrPort) {
 	a.setPeer(p.WorkerID, src)
 	if int16(p.JobID-a.epochNow()) > 0 {
 		a.mu.Lock()
-		if prop := p.JobID; int16(prop-a.epochNow()) > 0 {
-			if a.sw.Reconfigure(nil, prop) == nil {
-				a.epoch.Store(uint32(prop))
-				a.traceCtrl(telemetry.EvReconfigure, int32(p.WorkerID), int64(prop))
-			}
+		if int16(p.JobID-a.epochNow()) > 0 {
+			_ = a.installLocked(nil, p.JobID) // keeping the membership cannot fail
 		}
 		a.mu.Unlock()
 	}
@@ -812,23 +809,18 @@ func (a *Aggregator) Reset() {
 	for i := range a.peers {
 		a.peers[i].Store(nil)
 	}
-	a.adopt = nil
-	a.adoptGen, a.adoptFrontier, a.adoptDone = 0, 0, false
+	a.evict, a.join, a.adopt = nil, nil, nil
+	a.rel.Store(nil)
 	if a.lv != nil {
 		// Back to "never seen" for every worker, so a host that does
 		// not rejoin the restarted job is simply ignored rather than
 		// suspected.
 		a.lv.tracker.Reset()
-		for i := range a.lv.reported {
-			a.lv.reported[i] = false
+		for i := range a.lv.leavePend {
 			a.lv.leavePend[i] = false
 			a.lv.leaveOff[i] = 0
 			a.lv.maxOff[i].Store(0)
 		}
-		a.lv.fence = nil
 		a.lv.leaveArmed.Store(false)
-		a.lv.recovering = false
-		a.lv.resumeReady.Store(false)
-		a.lv.frontier.Store(0)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -208,20 +209,18 @@ type Client struct {
 	// Warm-standby failover state (failover.go). ladder holds the
 	// resolved aggregator addresses in preference order (rank 0 is the
 	// primary, then cfg.Standbys); homeRank is the rung currently
-	// serving the job. upSeq/upAwait/upStreak run the fail-up
-	// probation against rank 0 while the job lives on a standby, over
-	// the dedicated upConn socket. frng jitters the AllReduce
-	// goroutine's control timers (the heartbeat goroutine seeds its
-	// own stream). All belong to the AllReduce goroutine except the
-	// atomics: hbConn is the heartbeat goroutine's view of the main
-	// connection, swapped on re-home; upConn and ncDbg are also read
-	// by Close and DebugState; retiredRetries accumulates the send
-	// retries of socket views retired by re-homes.
+	// serving the job. up is the fail-up probation against rank 0 while
+	// the job lives on a standby, run over the dedicated upConn socket.
+	// frng jitters the AllReduce goroutine's control timers (the
+	// heartbeat goroutine seeds its own stream). All belong to the
+	// AllReduce goroutine except the atomics: hbConn is the heartbeat
+	// goroutine's view of the main connection, swapped on re-home;
+	// upConn and ncDbg are also read by Close and DebugState;
+	// retiredRetries accumulates the send retries of socket views
+	// retired by re-homes.
 	ladder         []*net.UDPAddr
 	homeRank       int
-	upSeq          uint32
-	upAwait        bool
-	upStreak       int
+	up             probation
 	frng           *rand.Rand
 	hbConn         atomic.Pointer[net.UDPConn]
 	upConn         atomic.Pointer[net.UDPConn]
@@ -399,7 +398,7 @@ func (c *Client) heartbeatLoop() {
 	rng := rand.New(rand.NewSource(jitterSeed(&c.cfg, 2)))
 	t := time.NewTimer(jitterDur(rng, c.cfg.Heartbeat))
 	defer t.Stop()
-	hb := packet.NewControl(packet.KindHeartbeat, c.cfg.Worker.ID, c.cfg.Worker.JobID, 0, nil).Marshal()
+	hb := packet.NewControl(packet.KindHeartbeat, c.cfg.Worker.ID, c.cfg.Worker.JobID, 0, nil).AppendMarshal(nil)
 	for {
 		select {
 		case <-c.closed:
@@ -731,20 +730,9 @@ func (c *Client) handleIncoming(p *packet.Packet) (bool, error) {
 			// hold at the boundary (elastic_client.go).
 			return false, c.armFence(p)
 		}
-		// A membership change is in effect. A worker absent from the
-		// survivor vector has been declared failed: its updates will
-		// never be aggregated again, so failing fast beats timing out.
-		member := false
-		for _, w := range p.Vector {
-			if w == int32(c.cfg.Worker.ID) {
-				member = true
-				break
-			}
-		}
-		if !member {
-			//switchml:allow hotpath -- cold error return: an eviction ends the job for this worker
-			return false, fmt.Errorf("transport: worker %d evicted from job (generation %d)",
-				c.cfg.Worker.ID, p.JobID)
+		// A membership change is in effect.
+		if err := c.evicted(p); err != nil {
+			return false, err
 		}
 		// Report the progress frontier; the directive may arrive again
 		// if this report is lost, and reporting is idempotent.
@@ -773,6 +761,20 @@ func (c *Client) handleIncoming(p *packet.Packet) (bool, error) {
 		c.unexpected.Inc()
 		return false, nil
 	}
+}
+
+// isMember reports whether a membership vector includes this worker.
+func (c *Client) isMember(vec []int32) bool { return slices.Contains(vec, int32(c.cfg.Worker.ID)) }
+
+// evicted is the verdict on a membership directive: a worker absent
+// from it has been declared failed, and since its updates will never
+// be aggregated again, failing fast beats timing out.
+func (c *Client) evicted(p *packet.Packet) error {
+	if c.isMember(p.Vector) {
+		return nil
+	}
+	//switchml:allow hotpath -- cold error return: an eviction ends the job for this worker
+	return fmt.Errorf("transport: worker %d evicted from job (generation %d)", c.cfg.Worker.ID, p.JobID)
 }
 
 // send stages an update in the window block and stamps its slot

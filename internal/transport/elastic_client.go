@@ -62,17 +62,8 @@ func (c *Client) Drained() bool { return c.drained }
 // Being absent from the future membership means eviction, exactly as
 // with the Ver=0 directive.
 func (c *Client) armFence(p *packet.Packet) error {
-	member := false
-	for _, w := range p.Vector {
-		if w == int32(c.cfg.Worker.ID) {
-			member = true
-			break
-		}
-	}
-	if !member {
-		//switchml:allow hotpath -- cold error return: an eviction ends the job for this worker
-		return fmt.Errorf("transport: worker %d evicted from job (generation %d)",
-			c.cfg.Worker.ID, p.JobID)
+	if err := c.evicted(p); err != nil {
+		return err
 	}
 	c.fenceArmed = true
 	c.fenceGen = p.JobID
@@ -188,16 +179,8 @@ func (c *Client) holdAtFence(deadline time.Time) (reopened bool, err error) {
 			// §5.6 recovery mid-fence: the fence is aborted aggregator-
 			// side. Report our frontier (the boundary) and keep holding
 			// for the recovery's resume, which releases us above.
-			member := false
-			for _, w := range p.Vector {
-				if w == int32(c.cfg.Worker.ID) {
-					member = true
-					break
-				}
-			}
-			if !member {
-				return false, fmt.Errorf("transport: worker %d evicted from job (generation %d)",
-					c.cfg.Worker.ID, p.JobID)
+			if err := c.evicted(p); err != nil {
+				return false, err
 			}
 			if err := c.sendControl(packet.KindReport, p.JobID, hold, nil); err != nil {
 				return false, err
@@ -325,18 +308,8 @@ func (c *Client) JoinCluster() ([]int32, error) {
 		switch c.rp.Kind {
 		case packet.KindReconfig:
 			p := &c.rp
-			if p.Ver != 1 {
-				continue
-			}
-			member := false
-			for _, w := range p.Vector {
-				if w == int32(c.cfg.Worker.ID) {
-					member = true
-					break
-				}
-			}
-			if !member {
-				continue // a fence for someone else; keep soliciting
+			if p.Ver != 1 || !c.isMember(p.Vector) {
+				continue // not a fence, or one for someone else; keep soliciting
 			}
 			gen = p.JobID
 			confirms = 0
@@ -405,8 +378,8 @@ func (c *Client) fetchState(deadline time.Time) ([]int32, error) {
 			if time.Now().After(deadline) {
 				return nil, fmt.Errorf("transport: state fetch timed out at offset %d", off)
 			}
-			req := packet.NewControl(packet.KindStateReq, c.cfg.Worker.ID, 0, uint64(off), nil)
-			if _, err := c.fb.mesh.WriteToUDP(req.Marshal(), peer); err != nil {
+			c.cbuf = packet.NewControl(packet.KindStateReq, c.cfg.Worker.ID, 0, uint64(off), nil).AppendMarshal(c.cbuf[:0])
+			if _, err := c.fb.mesh.WriteToUDP(c.cbuf, peer); err != nil {
 				c.sendErrs.Inc()
 				continue
 			}
@@ -479,7 +452,8 @@ func (c *Client) serveState(state []int32) {
 			Off:      uint64(off),
 			Vector:   state[off : off+seg],
 		}
-		if _, err := c.fb.mesh.WriteToUDP(out.Marshal(), src); err != nil {
+		c.fb.sbuf = out.AppendMarshal(c.fb.sbuf[:0])
+		if _, err := c.fb.mesh.WriteToUDP(c.fb.sbuf, src); err != nil {
 			c.sendErrs.Inc()
 		}
 	}

@@ -14,23 +14,22 @@
 // whom detect the same outage on their own silence clocks. The rung
 // commits once the roll call is complete — pool wiped under the
 // proposed generation, membership inherited — and releases everyone
-// with KindResume at the minimum adopted frontier, exactly the §5.6
-// reconfigure/report/resume shape with the roll call standing in for
-// the report quorum. Only when every rung is silent does the job drop
-// to the host mesh (fallback.go), and while it lives on a standby a
-// per-tensor probe of the primary runs the same probation window the
-// mesh uses, so the job climbs back to rank 0 once the primary has
-// answered probes for Probation consecutive tensors.
+// with KindResume at the minimum adopted frontier: the §5.6 roll call
+// (rollcall.go) with the adoption requests as its votes. Only when
+// every rung is silent does the job drop to the host mesh
+// (fallback.go), and while it lives on a standby a per-tensor probe of
+// the primary runs its own instance of the mesh's probation window, so
+// the job climbs back to rank 0 once the primary has answered probes
+// for Probation consecutive tensors.
 //
 // The aggregator half is the adoption roll call. A standby comes up
-// cold: empty pool, no peers, the same worker universe. Adoption
-// requests are collected under the control mutex; the commit reuses
-// the probe fence's pool wipe (Reconfigure under the proposed
-// generation) so nothing aggregated before the outage can leak into
-// post-failover slots, and arms the stale-generation repair path so a
-// lost release is re-sent. A worker whose climb raced a flapping
-// primary simply falls back down the ladder — the handshake is
-// idempotent and generation-fenced at every step.
+// cold: empty pool, no peers, the same worker universe, so every
+// worker not retired must vote. The commit installs the proposed
+// generation over the inherited membership, so nothing aggregated
+// before the outage can leak into post-failover slots, and its release
+// is the one every lost-release repair path repeats. A worker whose
+// climb raced a flapping primary simply falls back down the ladder —
+// the handshake is idempotent and generation-fenced at every step.
 package transport
 
 import (
@@ -41,6 +40,7 @@ import (
 	"net/netip"
 	"time"
 
+	"switchml/internal/faults"
 	"switchml/internal/netio"
 	"switchml/internal/packet"
 	"switchml/internal/telemetry"
@@ -366,38 +366,12 @@ func (c *Client) failUpTick(deadline time.Time) error {
 		c.upConn.Store(uc)
 	}
 	uc := c.upConn.Load()
-	if c.upAwait {
-		// A short real deadline, not an expired one: Go fails reads on
-		// an already-passed deadline without delivering buffered
-		// datagrams.
-		uc.SetReadDeadline(time.Now().Add(jitterDur(c.frng, c.cfg.RTO/8)))
-		for {
-			n, err := uc.Read(c.rbuf)
-			if err != nil {
-				break
-			}
-			c.recvd.Inc()
-			if packet.UnmarshalInto(&c.rp, c.rbuf[:n]) != nil {
-				c.corrupt.Inc()
-				continue
-			}
-			if c.rp.Kind == packet.KindProbeAck && c.rp.Idx == c.upSeq {
-				c.upAwait = false
-				c.upStreak++
-				c.failProbeAcks.Inc()
-				c.trace(telemetry.EvProbeAck, int32(c.rp.Idx))
-			}
-		}
-		if c.upAwait {
-			// The probe went unanswered: the primary is still gone (or
-			// flapping); either way the probation clock restarts.
-			c.upAwait = false
-			c.upStreak = 0
-		}
+	if c.up.await && c.resolveProbe(&c.up, uc, jitterDur(c.frng, c.cfg.RTO/8)) {
+		c.failProbeAcks.Inc()
 	}
-	if c.upStreak >= prob {
+	if c.up.streak >= prob {
 		prev := c.homeRank
-		c.upStreak = 0
+		c.up.restart()
 		if err := c.adoptAt(0, deadline); err != nil {
 			if errors.Is(err, ErrAggregatorSilent) {
 				return c.rehome(prev)
@@ -408,153 +382,67 @@ func (c *Client) failUpTick(deadline time.Time) error {
 		c.trace(telemetry.EvFailback, -1)
 		return nil
 	}
-	c.upSeq++
-	c.upAwait = true
-	p := packet.NewControl(packet.KindProbe, c.cfg.Worker.ID, c.epoch, 0, nil)
-	p.Idx = c.upSeq
-	c.cbuf = p.AppendMarshal(c.cbuf[:0])
-	if _, err := uc.Write(c.cbuf); err == nil {
-		c.sent.Inc()
-	}
+	c.sendProbe(&c.up, uc, c.epoch)
 	c.failProbes.Inc()
-	c.trace(telemetry.EvProbe, int32(c.upSeq))
 	return nil
 }
 
 // --- Aggregator half: the adoption roll call ---
 
-// adoptFence is an open adoption roll call, guarded by the aggregator
-// mutex. Unlike the elastic memberFence (one joiner fenced in at a
-// boundary) it collects the whole membership arriving from a dead
-// rung, each member carrying its own frontier.
-type adoptFence struct {
-	// gen is the proposed job generation (the voters' epoch + 1; a
-	// strictly newer proposal supersedes an open roll call).
-	gen uint16
-	// seen marks workers whose adoption request arrived; count is the
-	// number of distinct voters.
-	seen  []bool
-	count int
-	// frontier is the minimum proposed chunk frontier — where the
-	// whole membership can provably resume from.
-	frontier uint64
-}
-
-// handleAdopt processes one KindAdoptJob solicitation: open (or join)
-// the roll call for the proposed generation, echo the request with
-// Ver=1 while the roll call is short of the membership, and commit —
-// wiping the pool under the proposed generation and releasing every
-// voter at the minimum frontier — when the last member arrives. A
-// duplicate for an already-committed generation gets the release
-// re-sent, so a lost KindResume never wedges a voter.
+// handleAdopt takes one KindAdoptJob vote: open (or join) the roll
+// call for the proposed generation, echo the request with Ver=1 while
+// the roll call is short of the membership, and commit when the last
+// member arrives. A duplicate for the generation already released gets
+// the release again, so a lost KindResume never wedges a voter.
 func (a *Aggregator) handleAdopt(sh *aggShard, src netip.AddrPort) {
 	p := &sh.pkt
 	w := int(p.WorkerID)
+	var tr *faults.Tracker
 	if a.lv != nil {
 		// Adoption traffic is liveness — and a worker this standby's own
 		// detector wrote off while the job lived elsewhere is plainly
 		// back.
-		a.lv.tracker.MarkAlive(w, time.Now().UnixNano())
+		tr = a.lv.tracker
+		tr.MarkAlive(w, time.Now().UnixNano())
 	}
 	a.setPeer(p.WorkerID, src)
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	if int16(p.JobID-a.epochNow()) <= 0 {
-		// Stale proposal, or a duplicate for a committed adoption whose
-		// release was lost.
-		done, gen, frontier := a.adoptDone, a.adoptGen, a.adoptFrontier
-		a.mu.Unlock()
-		if done && p.JobID == gen {
-			sh.ctrl = packet.NewControl(packet.KindResume, p.WorkerID, gen, frontier, nil).AppendMarshal(sh.ctrl[:0])
-			a.reply(sh, sh.ctrl, src)
+		// A stale proposal, or a duplicate whose release was lost.
+		if r := a.rel.Load(); r != nil && p.JobID == r.gen {
+			a.rerelease(sh, src)
 		}
 		return
 	}
-	f := a.adopt
-	if f == nil || int16(p.JobID-f.gen) > 0 {
-		// A fresh roll call, or one for a strictly newer generation —
-		// which supersedes the old: its voters re-send at their RTO.
-		f = &adoptFence{gen: p.JobID, seen: make([]bool, len(a.peers)), frontier: ^uint64(0)}
-		a.adopt = f
+	if a.adopt.supersededBy(p.JobID) {
+		// A fresh roll call, or one for a strictly newer generation: its
+		// voters re-send at their RTO. A rung adopting a job has heard
+		// from no one, so every worker not retired must answer.
+		a.adopt = newRollCall(p.JobID, len(a.peers), tr, true, -1)
 	}
-	if !f.seen[w] {
-		f.seen[w] = true
-		f.count++
-	}
-	if p.Off < f.frontier {
-		f.frontier = p.Off
-	}
-	if f.count >= a.adoptQuorumLocked() {
-		a.commitAdoptLocked(f)
-		a.mu.Unlock()
+	if a.adopt.vote(w, p.Off) {
+		a.commitAdoptLocked()
 		return
 	}
-	gen := f.gen
-	a.mu.Unlock()
-	echo := packet.NewControl(packet.KindAdoptJob, p.WorkerID, gen, p.Off, nil)
+	echo := packet.NewControl(packet.KindAdoptJob, p.WorkerID, a.adopt.gen, p.Off, nil)
 	echo.Ver = 1
 	sh.ctrl = echo.AppendMarshal(sh.ctrl[:0])
 	a.reply(sh, sh.ctrl, src)
 }
 
-// adoptQuorumLocked is the roll-call size a rung waits for before
-// committing an adoption: the full worker universe without a failure
-// detector, the non-retired set with one (graceful leavers and
-// evicted workers stay excused).
-func (a *Aggregator) adoptQuorumLocked() int {
-	if a.lv == nil {
-		return len(a.peers)
-	}
-	n := 0
-	for w := range a.peers {
-		if !a.lv.tracker.Dead(w) {
-			n++
-		}
-	}
-	return n
-}
-
-// commitAdoptLocked installs the adopted job: pool wiped under the
-// proposed generation (the probe-fence wipe, so nothing aggregated
-// before the outage leaks into post-failover slots), the §5.6 repair
-// state armed so a lost release is re-sent on stale-generation
-// traffic, and every voter released at the minimum adopted frontier
-// (marshalled once, worker id patched per peer).
-func (a *Aggregator) commitAdoptLocked(f *adoptFence) {
-	if err := a.sw.Reconfigure(nil, f.gen); err != nil {
-		return
-	}
-	a.epoch.Store(uint32(f.gen))
-	a.adopt = nil
-	a.adoptGen, a.adoptFrontier, a.adoptDone = f.gen, f.frontier, true
-	if a.lv != nil {
-		// An adoption supersedes any recovery or membership fence this
-		// rung had in flight.
-		a.lv.fence = nil
-		a.lv.recovering = false
-		a.lv.resumeReady.Store(true)
-		a.lv.frontier.Store(f.frontier)
-		for i := range a.lv.reported {
-			a.lv.reported[i] = false
-		}
-	}
+// commitAdoptLocked installs the adopted job — pool wiped under the
+// proposed generation, membership kept, so nothing aggregated before
+// the outage leaks into post-failover slots — and releases every voter
+// at the minimum adopted frontier. An adoption supersedes any recovery
+// or membership fence this rung had in flight.
+func (a *Aggregator) commitAdoptLocked() {
+	rc := a.adopt
+	a.adopt, a.evict, a.join = nil, nil, nil
 	a.adoptions.Inc()
-	a.traceCtrl(telemetry.EvAdopt, -1, int64(f.frontier))
-	a.traceCtrl(telemetry.EvReconfigure, -1, int64(f.gen))
-	var wire []byte
-	for i := range a.peers {
-		if !f.seen[i] {
-			continue
-		}
-		ap := a.peers[i].Load()
-		if ap == nil {
-			continue
-		}
-		if wire == nil {
-			wire = packet.NewControl(packet.KindResume, uint16(i), f.gen, f.frontier, nil).Marshal()
-		} else if err := packet.PatchWorkerID(wire, uint16(i)); err != nil {
-			continue
-		}
-		a.writeCtrl(wire, *ap)
+	a.traceCtrl(telemetry.EvAdopt, -1, int64(rc.lo))
+	if a.installLocked(nil, rc.gen) == nil {
+		a.releaseLocked(rc, rc.lo)
 	}
 }
 

@@ -124,11 +124,9 @@ type fallback struct {
 	// prevRecvTotal is the previous round's receive-schedule length,
 	// echoed as a "round complete" ack to a stuck stale sender.
 	prevRecvTotal int
-	// probeSeq/probeAwait/streak implement the probation window:
-	// streak counts consecutive rounds whose probe was answered.
-	probeSeq   uint32
-	probeAwait bool
-	streak     int
+	// prob is the failback probation window, probing the aggregator
+	// over the main connection.
+	prob probation
 	// nc is the socket view over mesh, staging the ring's window-fill
 	// and go-back-N bursts for single-syscall flushes. Only segment
 	// sends go through it — mesh receives, acks and syncs stay on the
@@ -231,8 +229,7 @@ func (c *Client) enterFallback(u []int32, deadline time.Time) ([]int32, error) {
 		return nil, err
 	}
 	fb.degraded.Store(true)
-	fb.streak = 0
-	fb.probeAwait = false
+	fb.prob.restart()
 	// A pending membership fence dies with the aggregator that
 	// proposed it; the joiner re-solicits after failback.
 	c.fenceArmed = false
@@ -258,8 +255,15 @@ func (c *Client) degradedAllReduce(u []int32, deadline time.Time) ([]int32, erro
 	if err := fb.checkPeers(n, int(c.cfg.Worker.ID)); err != nil {
 		return nil, err
 	}
-	c.drainProbeAcks()
-	c.sendProbe()
+	// Anything else that piled up on the main connection while the job
+	// lived on the mesh (stale results, recovery directives from the old
+	// generation) is discarded with the drain: the probe fence makes it
+	// meaningless. The probe proposes the post-failback generation.
+	if c.resolveProbe(&fb.prob, c.conn, c.cfg.RTO/8) {
+		fb.probeAcks.Add(1)
+	}
+	c.sendProbe(&fb.prob, c.conn, c.epoch+1)
+	fb.probes.Add(1)
 	c.worker.StartHosted(u)
 	frontier := c.worker.FrontierOff()
 	F, minStreak, err := c.syncRound(frontier, deadline)
@@ -303,8 +307,7 @@ func (c *Client) meshFinish(u []int32, F uint64, local int, deadline time.Time) 
 func (c *Client) failback(u []int32, deadline time.Time) ([]int32, error) {
 	fb := c.fb
 	fb.degraded.Store(false)
-	fb.streak = 0
-	fb.probeAwait = false
+	fb.prob.restart()
 	fb.failbacks.Add(1)
 	c.gDegraded.Set(0)
 	newEpoch := c.epoch + 1
@@ -325,35 +328,46 @@ func (c *Client) failback(u []int32, deadline time.Time) ([]int32, error) {
 	return out, err
 }
 
-// sendProbe asks the aggregator whether it is back, proposing the
-// post-failback generation. Probes ride the main connection; loss is
-// absorbed by the probation streak (an unanswered probe resets it).
-func (c *Client) sendProbe() {
-	fb := c.fb
-	fb.probeSeq++
-	fb.probeAwait = true
-	p := packet.NewControl(packet.KindProbe, c.cfg.Worker.ID, c.epoch+1, 0, nil)
-	p.Idx = fb.probeSeq
-	c.cbuf = p.AppendMarshal(c.cbuf[:0])
-	if _, err := c.conn.Write(c.cbuf); err == nil {
-		c.sent.Inc()
-	}
-	fb.probes.Add(1)
-	c.trace(telemetry.EvProbe, int32(fb.probeSeq))
+// probation is one failback probation window: each round, at a tensor
+// boundary, resolves the previous round's probe and sends the next; an
+// answered probe extends the streak and one still unanswered when its
+// round is resolved restarts it. The mesh failback and the standby
+// fail-up (failover.go) each run one, on their own socket and proposed
+// generation; loss is absorbed by the streak.
+type probation struct {
+	seq    uint32
+	await  bool
+	streak int
 }
 
-// drainProbeAcks empties the main connection, resolving the previous
-// round's probe. Anything else that piled up while the job lived on
-// the mesh (stale results, recovery directives from the old
-// generation) is discarded — the probe fence makes it meaningless.
-func (c *Client) drainProbeAcks() {
-	fb := c.fb
+// restart forgets the streak and any probe in flight.
+func (pr *probation) restart() { pr.await, pr.streak = false, 0 }
+
+// sendProbe opens pr's next round: a KindProbe carrying the round's
+// sequence number and the proposed generation gen, sent on conn.
+func (c *Client) sendProbe(pr *probation, conn *net.UDPConn, gen uint16) {
+	pr.seq++
+	pr.await = true
+	p := packet.NewControl(packet.KindProbe, c.cfg.Worker.ID, gen, 0, nil)
+	p.Idx = pr.seq
+	c.cbuf = p.AppendMarshal(c.cbuf[:0])
+	if _, err := conn.Write(c.cbuf); err == nil {
+		c.sent.Inc()
+	}
+	c.trace(telemetry.EvProbe, int32(pr.seq))
+}
+
+// resolveProbe closes pr's round: it drains conn for up to wait,
+// counting the ack that answers the open probe, and restarts the streak
+// if none did. It reports whether the probe was answered.
+func (c *Client) resolveProbe(pr *probation, conn *net.UDPConn, wait time.Duration) bool {
 	// A short real deadline, not an expired one: Go fails reads on an
 	// already-passed deadline without delivering buffered datagrams, so
 	// a zero-length poll would never see the queued ack.
-	c.conn.SetReadDeadline(time.Now().Add(c.cfg.RTO / 8))
+	conn.SetReadDeadline(time.Now().Add(wait))
+	acked := false
 	for {
-		n, err := c.conn.Read(c.rbuf)
+		n, err := conn.Read(c.rbuf)
 		if err != nil {
 			break
 		}
@@ -362,19 +376,19 @@ func (c *Client) drainProbeAcks() {
 			c.corrupt.Inc()
 			continue
 		}
-		if c.rp.Kind == packet.KindProbeAck && fb.probeAwait && c.rp.Idx == fb.probeSeq {
-			fb.probeAwait = false
-			fb.streak++
-			fb.probeAcks.Add(1)
+		if c.rp.Kind == packet.KindProbeAck && pr.await && c.rp.Idx == pr.seq {
+			pr.await = false
+			pr.streak++
+			acked = true
 			c.trace(telemetry.EvProbeAck, int32(c.rp.Idx))
 		}
 	}
-	if fb.probeAwait {
-		// Last round's probe went unanswered: the switch is still gone
-		// (or flapping); either way the probation clock restarts.
-		fb.probeAwait = false
-		fb.streak = 0
+	if pr.await {
+		// The probe went unanswered: the aggregator is still gone (or
+		// flapping); either way the probation clock restarts.
+		pr.restart()
 	}
+	return acked
 }
 
 // syncRound is the degraded path's barrier: every worker broadcasts
@@ -388,10 +402,7 @@ func (c *Client) syncRound(frontier uint64, deadline time.Time) (F uint64, minSt
 	n := c.cfg.Worker.Workers
 	self := int(c.cfg.Worker.ID)
 	fb.round++
-	streak := fb.streak
-	if streak > 255 {
-		streak = 255
-	}
+	streak := min(fb.prob.streak, 255)
 	p := packet.NewControl(packet.KindFallbackSync, c.cfg.Worker.ID, fb.round, frontier, nil)
 	p.Ver = uint8(streak)
 	fb.prevSyncWire = append(fb.prevSyncWire[:0], fb.syncWire...)

@@ -35,29 +35,15 @@ func (c *LivenessConfig) fillDefaults() {
 	}
 }
 
-// liveness is the aggregator's recovery state. The tracker is
-// internally atomic, and resumeReady/frontier are read lock-free by
-// the shard goroutines' stale-generation fast path; everything else
-// is guarded by the aggregator mutex.
+// liveness is the aggregator's failure detector and drain bookkeeping.
+// The tracker is internally atomic; leavePend/leaveOff are guarded by
+// the aggregator mutex. The eviction and join roll calls it makes
+// possible live on the Aggregator, beside the adoption's (rollcall.go).
 type liveness struct {
 	cfg     LivenessConfig
 	tracker *faults.Tracker
-	// recovering means a reconfiguration is in flight: KindReconfig is
-	// (re)broadcast until every live worker has reported its frontier.
-	recovering bool
-	// resumeReady means the global frontier is final and KindResume
-	// has been issued; stale-generation traffic triggers re-sends.
-	resumeReady atomic.Bool
-	// frontier is the minimum reported stream offset. Only meaningful
-	// once resumeReady is set; written under the aggregator mutex.
-	frontier atomic.Uint64
-	// reported marks workers whose KindReport arrived this generation.
-	reported []bool
-
-	// Elastic membership (elastic.go). fence is the open join fence,
-	// nil when none; leavePend/leaveOff record announced drains and
-	// their boundaries. All three are guarded by the aggregator mutex.
-	fence     *memberFence
+	// leavePend/leaveOff record announced drains and their boundaries
+	// (elastic.go).
 	leavePend []bool
 	leaveOff  []uint64
 	// leaveArmed gates the per-update maxOff bookkeeping so the hot
@@ -115,135 +101,71 @@ func (a *Aggregator) sweep(now int64) {
 		a.startRecoveryLocked()
 		return
 	}
-	if a.lv.recovering {
+	if a.evict != nil {
 		// Control datagrams are as losable as any other; rebroadcast
-		// to the workers that have not reported yet.
-		a.sendReconfigLocked()
+		// to the survivors that have not reported yet.
+		a.directLocked(a.evict)
 	}
 	a.elasticSweepLocked()
 }
 
-// startRecoveryLocked bumps the job generation, installs the shrunken
-// membership (draining the pool, so no slot can mix generations), and
-// opens the report quorum.
+// startRecoveryLocked installs the shrunken membership under the next
+// generation (draining the pool, so no slot can mix generations) and
+// opens the eviction roll call: every survivor the detector has heard
+// from reports its frontier, and all resume at the minimum.
 func (a *Aggregator) startRecoveryLocked() {
-	a.epoch.Store(uint32(a.epochNow() + 1))
-	active := make([]bool, len(a.peers))
-	for i := range active {
-		active[i] = !a.lv.tracker.Dead(i)
+	gen := a.epochNow() + 1
+	if a.installLocked(a.membersLocked(-1), gen) != nil {
+		return // unreachable: the sweep never retires the last worker
 	}
-	if err := a.sw.Reconfigure(active, a.epochNow()); err != nil {
-		// Unreachable: the sweep never retires the last worker.
-		return
-	}
-	a.traceCtrl(telemetry.EvReconfigure, -1, int64(a.epochNow()))
 	// Crash recovery cannot wait for a membership fence: abort it (the
 	// joiner retransmits its solicitation and gets a fresh fence once
 	// the survivors have resumed).
-	a.lv.fence = nil
-	a.lv.recovering = true
-	a.lv.resumeReady.Store(false)
-	a.lv.frontier.Store(^uint64(0))
-	for i := range a.lv.reported {
-		a.lv.reported[i] = false
-	}
-	a.sendReconfigLocked()
+	a.join = nil
+	a.evict = newRollCall(gen, len(a.peers), a.lv.tracker, false, -1)
+	a.directLocked(a.evict)
 }
 
-// survivorsLocked returns the live membership as a packet vector.
-//
-//switchml:allow hotpath -- recovery control plane: the update path calls it only to answer an evicted worker
-func (a *Aggregator) survivorsLocked() []int32 {
-	var vec []int32
-	for w := range a.peers {
-		if !a.lv.tracker.Dead(w) {
-			vec = append(vec, int32(w))
-		}
-	}
-	return vec
-}
-
-// sendReconfigLocked (re)sends the reconfigure directive to live
-// workers that have not reported their frontier yet. The directive
-// differs between recipients only in its worker-id field, so it is
-// marshalled once and the id patched per peer.
-func (a *Aggregator) sendReconfigLocked() {
-	vec := a.survivorsLocked()
-	var wire []byte
-	for w := range a.peers {
-		if a.lv.tracker.Dead(w) || a.lv.reported[w] {
-			continue
-		}
-		ap := a.peers[w].Load()
-		if ap == nil {
-			continue
-		}
-		if wire == nil {
-			wire = packet.NewControl(packet.KindReconfig, uint16(w), a.epochNow(), 0, vec).Marshal()
-		} else if err := packet.PatchWorkerID(wire, uint16(w)); err != nil {
-			continue
-		}
-		a.writeCtrl(wire, *ap)
-	}
-}
-
-// handleReport folds one worker's frontier into the quorum; when the
-// last live worker reports, the resume directive goes out with the
-// global minimum. A report arriving after that (its resume was lost)
-// just gets the directive repeated.
-func (a *Aggregator) handleReport(p *packet.Packet, src netip.AddrPort) {
+// handleReport takes a vote in a fence. A Ver=0 KindReport is a
+// survivor's frontier in the eviction roll call, released at the
+// minimum; a Ver=1 one is an incumbent's boundary, or the joiner's
+// readiness, in the join fence (elastic.go), released at the boundary —
+// the maximum, the joiner's offset not counting. A vote whose fence has
+// committed already means the voter missed the release: it is repeated.
+func (a *Aggregator) handleReport(sh *aggShard, src netip.AddrPort) {
 	if a.lv == nil {
 		return
 	}
-	if p.Ver == 1 {
-		// A membership-fence boundary confirmation, not a recovery
-		// frontier report (elastic.go).
-		a.handleFenceReport(p, src)
-		return
-	}
+	p := &sh.pkt
+	w := int(p.WorkerID)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	w := int(p.WorkerID)
-	if p.JobID != a.epochNow() || a.lv.tracker.Dead(w) {
+	rc := a.evict
+	if p.Ver == 1 {
+		rc = a.join
+	}
+	if rc == nil || p.JobID != rc.gen || (w != rc.joiner && a.lv.tracker.Dead(w)) {
+		if p.JobID == a.epochNow() && !a.lv.tracker.Dead(w) {
+			a.rerelease(sh, src)
+		}
 		return
 	}
 	a.lv.tracker.Touch(w, time.Now().UnixNano())
 	a.setPeer(p.WorkerID, src)
-	if p.Off < a.lv.frontier.Load() {
-		a.lv.frontier.Store(p.Off)
+	if p.Ver == 1 && w != rc.joiner {
+		// A confirm at the boundary proves everything before it is
+		// complete — it counts toward any pending drain commit, or a
+		// holder that stopped sending updates could stall a leave.
+		a.lv.bumpMaxOff(w, p.Off)
 	}
-	a.lv.reported[w] = true
-	if a.lv.resumeReady.Load() {
-		out := packet.NewControl(packet.KindResume, p.WorkerID, a.epochNow(), a.lv.frontier.Load(), nil).Marshal()
-		a.writeCtrl(out, src)
-		return
-	}
-	for i := range a.peers {
-		if a.lv.tracker.Dead(i) || a.lv.tracker.LastSeen(i) < 0 {
-			continue // never joined; it cannot report
-		}
-		if a.peers[i].Load() == nil || !a.lv.reported[i] {
-			return // quorum incomplete; the sweeper keeps rebroadcasting
-		}
-	}
-	a.lv.recovering = false
-	a.lv.resumeReady.Store(true)
-	a.traceCtrl(telemetry.EvResume, -1, int64(a.lv.frontier.Load()))
-	var wire []byte
-	for i := range a.peers {
-		if a.lv.tracker.Dead(i) {
-			continue
-		}
-		ap := a.peers[i].Load()
-		if ap == nil {
-			continue
-		}
-		if wire == nil {
-			wire = packet.NewControl(packet.KindResume, uint16(i), a.epochNow(), a.lv.frontier.Load(), nil).Marshal()
-		} else if err := packet.PatchWorkerID(wire, uint16(i)); err != nil {
-			continue
-		}
-		a.writeCtrl(wire, *ap)
+	switch {
+	case !rc.vote(w, p.Off):
+		// The sweeper keeps rebroadcasting the directive.
+	case rc == a.evict:
+		a.evict = nil
+		a.releaseLocked(rc, rc.lo)
+	default:
+		a.commitJoinLocked(rc)
 	}
 }
 

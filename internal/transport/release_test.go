@@ -1,0 +1,255 @@
+package transport
+
+import (
+	"net"
+	"sync"
+	"testing"
+	"time"
+
+	"switchml/internal/core"
+	"switchml/internal/packet"
+)
+
+// rawWorker is one worker's socket driven by hand: the test writes the
+// worker's datagrams and reads what the aggregator answers.
+type rawWorker struct {
+	t    *testing.T
+	id   uint16
+	conn *net.UDPConn
+}
+
+func dialRaw(t *testing.T, agg *Aggregator, id uint16) *rawWorker {
+	t.Helper()
+	conn, err := net.DialUDP("udp", nil, agg.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return &rawWorker{t: t, id: id, conn: conn}
+}
+
+// send writes one datagram of the given kind from this worker.
+func (r *rawWorker) send(kind packet.Kind, ver uint8, gen uint16, off uint64) {
+	r.t.Helper()
+	p := packet.NewControl(kind, r.id, gen, off, nil)
+	p.Ver = ver
+	if kind == packet.KindUpdate {
+		p.Vector = make([]int32, 8)
+	}
+	if _, err := r.conn.Write(p.AppendMarshal(nil)); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+// await reads until a datagram of the given kind and version arrives,
+// skipping anything else, and fails the test after five seconds.
+func (r *rawWorker) await(kind packet.Kind, ver uint8) packet.Packet {
+	r.t.Helper()
+	buf := make([]byte, 2048)
+	var p packet.Packet
+	r.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for {
+		n, err := r.conn.Read(buf)
+		if err != nil {
+			r.t.Fatalf("worker %d: no %v (ver %d) from the aggregator: %v", r.id, kind, ver, err)
+		}
+		if packet.UnmarshalInto(&p, buf[:n]) == nil && p.Kind == kind && p.Ver == ver {
+			return p
+		}
+	}
+}
+
+// awaitRelease reads the KindResume this worker is due and checks it
+// carries the committed generation and offset.
+func (r *rawWorker) awaitRelease(gen uint16, off uint64) {
+	r.t.Helper()
+	if p := r.await(packet.KindResume, 0); p.JobID != gen || p.Off != off {
+		r.t.Fatalf("worker %d released at (generation %d, offset %d), want (%d, %d)", r.id, p.JobID, p.Off, gen, off)
+	}
+}
+
+// quiet fails the test if a KindResume reaches this worker within d.
+func (r *rawWorker) quiet(d time.Duration) {
+	r.t.Helper()
+	buf := make([]byte, 2048)
+	var p packet.Packet
+	r.conn.SetReadDeadline(time.Now().Add(d))
+	for {
+		n, err := r.conn.Read(buf)
+		if err != nil {
+			return
+		}
+		if packet.UnmarshalInto(&p, buf[:n]) == nil && p.Kind == packet.KindResume {
+			r.t.Fatalf("worker %d got KindResume (generation %d, offset %d) after Reset", r.id, p.JobID, p.Off)
+		}
+	}
+}
+
+// released is a job whose roll call has committed: its workers were
+// released under gen at off.
+type released struct {
+	agg *Aggregator
+	w   []*rawWorker
+	gen uint16
+	off uint64
+}
+
+func releaseAggregator(t *testing.T, workers int, lv LivenessConfig, absent []int) (*Aggregator, []*rawWorker) {
+	t.Helper()
+	agg, err := NewAggregator(AggregatorConfig{
+		Addr:     "127.0.0.1:0",
+		Switch:   core.SwitchConfig{Workers: workers, PoolSize: 4, SlotElems: 8, LossRecovery: true},
+		Liveness: &lv,
+		Absent:   absent,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { agg.Close() })
+	w := make([]*rawWorker, workers)
+	for i := range w {
+		w[i] = dialRaw(t, agg, uint16(i))
+	}
+	return agg, w
+}
+
+// awaitPeers waits until the aggregator has learned each worker's
+// address from its heartbeats.
+func awaitPeers(t *testing.T, agg *Aggregator, w ...*rawWorker) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		st := agg.DebugState(false)
+		known := true
+		for _, r := range w {
+			known = known && st.Peers[r.id] != ""
+		}
+		if known {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the aggregator never learned the workers' addresses")
+		}
+		for _, r := range w {
+			r.send(packet.KindHeartbeat, 0, 0, 0)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// evictionReleased runs a §5.6 eviction to its release: worker 2 goes
+// silent while workers 0 and 1 keep beating, the detector evicts it,
+// and the survivors report frontiers 64 and 32 — released at 32 under
+// generation 1.
+func evictionReleased(t *testing.T) released {
+	agg, w := releaseAggregator(t, 3, LivenessConfig{SilenceAfter: 150 * time.Millisecond, CheckEvery: 25 * time.Millisecond}, nil)
+	awaitPeers(t, agg, w...)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(20 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				for _, r := range w[:2] {
+					r.conn.Write(packet.NewControl(packet.KindHeartbeat, r.id, 0, 0, nil).AppendMarshal(nil))
+				}
+			}
+		}
+	}()
+	t.Cleanup(func() { close(stop); wg.Wait() })
+	w[0].await(packet.KindReconfig, 0)
+	w[1].await(packet.KindReconfig, 0)
+	w[0].send(packet.KindReport, 0, 1, 64)
+	w[1].send(packet.KindReport, 0, 1, 32)
+	w[0].awaitRelease(1, 32)
+	w[1].awaitRelease(1, 32)
+	return released{agg: agg, w: w, gen: 1, off: 32}
+}
+
+// joinReleased admits worker 2 through the join fence: the incumbents
+// confirm the boundary 64, the joiner confirms, and the commit releases
+// all three at 64 under generation 1.
+func joinReleased(t *testing.T) released {
+	agg, w := releaseAggregator(t, 3, LivenessConfig{SilenceAfter: 5 * time.Second}, []int{2})
+	awaitPeers(t, agg, w[:2]...)
+	w[2].send(packet.KindJoin, 0, 0, 0)
+	for _, r := range w {
+		r.await(packet.KindReconfig, 1)
+	}
+	w[0].send(packet.KindReport, 1, 1, 64)
+	w[1].send(packet.KindReport, 1, 1, 64)
+	w[2].send(packet.KindReport, 1, 1, 0)
+	for _, r := range w {
+		r.awaitRelease(1, 64)
+	}
+	return released{agg: agg, w: w, gen: 1, off: 64}
+}
+
+// adoptionReleased adopts a two-worker job: the workers propose
+// generation 1 with frontiers 48 and 16, and the commit releases both at
+// 16.
+func adoptionReleased(t *testing.T) released {
+	agg, w := releaseAggregator(t, 2, LivenessConfig{SilenceAfter: 5 * time.Second}, nil)
+	w[0].send(packet.KindAdoptJob, 0, 1, 48)
+	w[0].await(packet.KindAdoptJob, 1)
+	w[1].send(packet.KindAdoptJob, 0, 1, 16)
+	for _, r := range w {
+		r.awaitRelease(1, 16)
+	}
+	return released{agg: agg, w: w, gen: 1, off: 16}
+}
+
+// TestLostReleaseRepair covers every path that repairs a lost release:
+// a worker that missed the KindResume ending a roll call — and so keeps
+// speaking for the generation before it, or repeats its vote — is sent
+// the committed generation and offset again. After Reset no release
+// stands, and none of them is answered.
+func TestLostReleaseRepair(t *testing.T) {
+	rows := []struct {
+		name  string
+		setup func(*testing.T) released
+		// lost is what the worker that missed the release sends next.
+		lost func(r released) *rawWorker
+	}{
+		{"stale-generation update after a resume", evictionReleased, func(r released) *rawWorker {
+			r.w[0].send(packet.KindUpdate, 0, r.gen-1, 0)
+			return r.w[0]
+		}},
+		{"late report after a resume", evictionReleased, func(r released) *rawWorker {
+			r.w[1].send(packet.KindReport, 0, r.gen, 32)
+			return r.w[1]
+		}},
+		{"member re-join after a join commit", joinReleased, func(r released) *rawWorker {
+			r.w[0].send(packet.KindJoin, 0, 0, 0)
+			return r.w[0]
+		}},
+		{"repeated confirm after a join commit", joinReleased, func(r released) *rawWorker {
+			r.w[1].send(packet.KindReport, 1, r.gen, r.off)
+			return r.w[1]
+		}},
+		{"duplicate adopt after an adoption commit", adoptionReleased, func(r released) *rawWorker {
+			r.w[0].send(packet.KindAdoptJob, 0, r.gen, 48)
+			return r.w[0]
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			r := row.setup(t)
+			row.lost(r).awaitRelease(r.gen, r.off)
+		})
+	}
+	t.Run("after Reset", func(t *testing.T) {
+		for _, row := range rows {
+			t.Run(row.name, func(t *testing.T) {
+				r := row.setup(t)
+				r.agg.Reset()
+				row.lost(r).quiet(150 * time.Millisecond)
+			})
+		}
+	})
+}
