@@ -158,12 +158,12 @@ type Client struct {
 	t0    time.Time
 	nowNs int64
 	due   []uint32
-	// rbuf/rp/cbuf are the receive buffer of the reads made outside
-	// the window pump (control handshakes, the mesh), the decoded
-	// packet (also where the window pump decodes the control kinds it
-	// receives; results it never decodes whole) and the control wire
-	// buffer, reused across datagrams so the steady-state AllReduce loop
-	// performs no heap allocation. They belong to the AllReduce
+	// rbuf/rp/cbuf are the receive buffer of the reads made off the
+	// aggregator socket (the mesh, the fail-up probe's socket), the
+	// decoded packet (also where the client loop decodes the control
+	// kinds it receives; results it never decodes whole) and the control
+	// wire buffer, reused across datagrams so the steady-state AllReduce
+	// loop performs no heap allocation. They belong to the AllReduce
 	// goroutine (the client is documented as not safe for concurrent
 	// use).
 	rbuf []byte
@@ -195,16 +195,30 @@ type Client struct {
 	fb *fallback
 	// Elastic-membership state (elastic_client.go): fenceArmed/fenceGen
 	// record a proposed membership change to hold for at the next
-	// tensor boundary; drained means Drain completed and every later
-	// AllReduce fails fast; stateProvider is the model snapshot served
-	// to joiners over the mesh; mbuf/mp are the mesh-serving receive
-	// buffer and decoded packet. All belong to the AllReduce goroutine.
+	// tensor boundary (for a joiner: the fence that admits it); drained
+	// means Drain completed and every later AllReduce fails fast;
+	// stateProvider is the model snapshot served to joiners over the
+	// mesh; mbuf/mp are the mesh-serving receive buffer and decoded
+	// packet. All belong to the AllReduce goroutine.
 	fenceArmed    bool
 	fenceGen      uint16
 	drained       bool
 	stateProvider func() []int32
 	mbuf          []byte
 	mp            packet.Packet
+
+	// The client loop's mode (run): what it is doing on the aggregator
+	// socket, when it entered it, when its periodic send is next due,
+	// and the handshake facts its exit rules read — fence confirms sent
+	// by a joiner, an adoption request echoed, the joiner's state fetch
+	// made, and the model snapshot fetched (join) or served (fence).
+	mode     mode
+	modeAt   time.Time
+	nextTx   time.Time
+	confirms int
+	echoed   bool
+	fetched  bool
+	snapshot []int32
 
 	// Warm-standby failover state (failover.go). ladder holds the
 	// resolved aggregator addresses in preference order (rank 0 is the
@@ -463,9 +477,10 @@ func (c *Client) AllReduceInt32(u []int32) ([]int32, error) {
 // Both forms borrow u past their return (core.Worker.Open): it is read
 // at every send and retransmission of the call, and a §5.6 recovery
 // that re-opens the tensor after it completed locally re-reads it
-// during the next call, which drives the re-opened tensor to completion
-// (holdAtFence, then switchLoop) before it opens its own. The caller
-// must leave u unchanged until the next call on this client returns.
+// during the next call, whose fence hold drives the re-opened tensor to
+// completion in the client loop's data mode before it opens its own.
+// The caller must leave u unchanged until the next call on this client
+// returns.
 func (c *Client) AllReduceInt32View(u []int32) ([]int32, error) {
 	if len(u) == 0 {
 		return nil, nil
@@ -497,39 +512,36 @@ func (c *Client) AllReduceInt32View(u []int32) ([]int32, error) {
 		// A membership change is pending and this call sits exactly at
 		// the tensor boundary: hold until the fence commits. A §5.6
 		// recovery superseding the fence may re-open the previous
-		// tensor; drive it back to completion (the re-aggregated result
-		// is the survivors', already superseded for this worker) before
-		// starting the new one.
-		reopened, err := c.holdAtFence(deadline)
-		if err != nil {
+		// tensor; the loop drives it back to completion (the
+		// re-aggregated result is the survivors', already superseded for
+		// this worker) before the new one starts.
+		if err := c.run(modeFence, deadline); err != nil {
 			return nil, err
 		}
-		if reopened {
-			if _, err := c.switchLoop(deadline); err != nil {
-				return nil, err
-			}
-		}
-		// The hold may have lasted long; the window's send stamps must
-		// not be that old.
-		c.tick()
 	}
 	c.worker.Open(u)
 	for s := c.worker.NextSend(); s != nil; s = c.worker.NextSend() {
 		c.send(s)
 	}
-	if err := c.flushTx(); err != nil {
-		return nil, err
-	}
-	out, err := c.switchLoop(deadline)
+	return c.settle(u, deadline, c.run(modeData, deadline))
+}
+
+// settle turns the data mode's verdict on the open tensor into the
+// call's result: the worker's aggregate buffer (not a copy) or, on the
+// silence verdict, the next rung of the failover ladder.
+func (c *Client) settle(u []int32, deadline time.Time, err error) ([]int32, error) {
 	if errors.Is(err, errSilence) {
 		return c.degradeLadder(u, deadline)
 	}
-	return out, err
+	if err != nil {
+		return nil, err
+	}
+	return c.worker.Aggregate(), nil
 }
 
-// tick reads the clock into now: once per call and once per pass of
-// the receive loop on the data path, and wherever a control loop that
-// blocked hands back to it.
+// tick reads the clock into now: once per call, once per pass of the
+// client loop, and wherever code that blocked off the aggregator socket
+// hands back to it.
 func (c *Client) tick() time.Time {
 	c.now = c.clock()
 	c.nowNs = int64(c.now.Sub(c.t0))
@@ -551,99 +563,234 @@ func (c *Client) silenceAfter() time.Duration {
 	return 8 * c.cfg.RTO
 }
 
-// switchLoop drives the started tensor over the aggregator path until
-// completion, timeout, or — with a Fallback configured — the silence
-// verdict (returned as errSilence for the caller to degrade on). The
-// result is the worker's aggregate buffer, not a copy. Each pass reads
-// the clock once, when the receive returns; the checks at the top of
-// the next pass and every stamp made while the burst is handled use
-// that reading.
-func (c *Client) switchLoop(deadline time.Time) ([]int32, error) {
+// mode is what the client loop is doing on the aggregator socket. The
+// data mode is the window pump; every other mode is one side of a
+// control handshake, and supplies only a periodic send (announce) and
+// an exit and give-up rule (pace, and the handleIncoming arm that ends
+// it). DESIGN.md "The client loop" tabulates them.
+type mode uint8
+
+const (
+	modeData  mode = iota // drive the open tensor's window to completion
+	modeFence             // hold at the tensor boundary until the membership fence releases
+	modeJoin              // solicit admission, then confirm it, until the join commits
+	modeDrain             // announce the leave until the aggregator echoes it
+	modeAdopt             // vote the job onto a ladder rung until it releases it
+	modeProbe             // drain the socket for the failback probe's ack
+)
+
+// drainTries is Drain's budget: announcements, one every RTO.
+const drainTries = 64
+
+// run is the client loop, the only reader of the aggregator socket. It
+// drives mode m until the mode ends — the open tensor completes, a
+// handshake is released — or gives up, or the silence verdict comes
+// (errSilence, for settle to degrade on). A handshake release that
+// re-opens a tensor switches the loop to the data mode, which drives it
+// to completion. Each pass reads the clock once, when the receive
+// returns; the checks at the top of the next pass and every stamp made
+// while the burst is handled use that reading.
+func (c *Client) run(m mode, deadline time.Time) error {
+	c.mode, c.modeAt, c.nextTx = m, c.now, time.Time{}
+	c.echoed, c.fetched, c.snapshot = false, false, nil
 	for {
-		now := c.now
-		if silence := now.Sub(c.lastProgress); silence >= c.silenceAfter() {
-			if c.fb != nil || len(c.ladder) > 1 {
-				// Someone can take over: a host mesh, a standby ladder,
-				// or both. Deliver the silence verdict and let
-				// degradeLadder pick the next rung.
-				c.trace(telemetry.EvSwitchSuspect, -1)
-				return nil, errSilence
-			}
-			if now.After(deadline) {
-				return nil, fmt.Errorf("transport: all-reduce timed out after %v with the aggregator silent for %v (%d chunks outstanding): %w",
-					c.cfg.Timeout, silence.Round(time.Millisecond), c.worker.PendingCount(), ErrAggregatorSilent)
-			}
-		}
-		if now.After(deadline) {
-			return nil, fmt.Errorf("transport: all-reduce timed out after %v (%d chunks outstanding)",
-				c.cfg.Timeout, c.worker.PendingCount())
-		}
-		// Wake when the pump next has something to retransmit unprompted
-		// — a timeout, or the newest pending packet's probe — and at
-		// least every RTO for the checks above.
-		readDeadline := now.Add(c.cfg.RTO)
-		if d := c.pump.Deadline(); d < c.nowNs+int64(c.cfg.RTO) {
-			readDeadline = c.t0.Add(time.Duration(d))
+		wake, done, err := c.pace(deadline)
+		if done || err != nil {
+			return err
 		}
 		// Retransmissions staged by the previous sweep (and any sends a
 		// prior burst generated) must reach the wire before blocking.
 		if err := c.flushTx(); err != nil {
-			return nil, err
+			return err
 		}
-		if err := c.conn.SetReadDeadline(readDeadline); err != nil {
-			return nil, err
+		if err := c.conn.SetReadDeadline(wake); err != nil {
+			return err
 		}
 		nm, err := c.nc.Recv()
 		c.tick()
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				// Wake-ups are also the mid-tensor publication point for
-				// the frontier and pending gauges: frequent enough to be
-				// live, rare enough that the O(chunks) frontier scan never
-				// shadows packet handling.
-				c.gPending.Set(int64(c.worker.PendingCount()))
-				c.gFrontier.Set(int64(c.worker.FrontierOff()))
-				c.retransmitDue()
+				if c.mode == modeData {
+					// Wake-ups are also the mid-tensor publication point
+					// for the frontier and pending gauges: frequent enough
+					// to be live, rare enough that the O(chunks) frontier
+					// scan never shadows packet handling.
+					c.gPending.Set(int64(c.worker.PendingCount()))
+					c.gFrontier.Set(int64(c.worker.FrontierOff()))
+					c.retransmitDue()
+				}
 				continue
 			}
-			if c.canDegrade() {
-				// A refused or unreachable destination is death
-				// evidence, not a caller error: let the silence clock
-				// decide, pacing the retry loop meanwhile.
-				time.Sleep(c.cfg.RTO / 8)
-				c.tick()
-				continue
+			if !c.canDegrade() || !deadDestination(err) {
+				return err
 			}
-			return nil, err
+			if c.mode == modeAdopt {
+				// The rung's port is provably closed; fail it without
+				// waiting out the patience window.
+				return fmt.Errorf("transport: ladder rung %d unreachable: %w", c.homeRank, ErrAggregatorSilent)
+			}
+			// A refused or unreachable destination is death evidence,
+			// not a caller error: let the silence clock and the modes'
+			// give-up rules decide, pacing the loop meanwhile.
+			time.Sleep(c.cfg.RTO / 8)
+			c.tick()
+			continue
 		}
 		c.recvd.Add(uint64(nm))
 		foldRcvbufDrops(c.nc, &c.ncDrops, c.rcvDrops)
 		for i := 0; i < nm; i++ {
 			done, err := c.handleDatagram(c.nc.Msgs[i].Buf)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if done {
+			if !done {
+				continue
+			}
+			if c.mode == modeData {
 				// Nothing is left to retransmit, but the burst's round
-				// trip is still to be sampled: a tensor of one window ends
-				// on its first burst, and would never give the pump an
-				// estimate to probe the next one's losses with.
+				// trip is still to be sampled: a tensor of one window
+				// ends on its first burst, and would never give the pump
+				// an estimate to probe the next one's losses with.
 				c.retransmitDue()
 				c.trace(telemetry.EvTensorDone, -1)
 				c.gFrontier.Set(int64(c.worker.FrontierOff()))
 				c.gPending.Set(0)
-				if err := c.flushTx(); err != nil {
-					return nil, err
-				}
-				return c.worker.Aggregate(), nil
 			}
+			return c.flushTx()
 		}
-		// The burst moved the ack clock: a slot it left a whole window of
-		// sends, or a whole probe timeout, behind lost its update or its
-		// result. Retransmit now, on the next flush, instead of idling
-		// the slot until its RTO.
-		c.retransmitDue()
+		if c.mode == modeData {
+			// The burst moved the ack clock: a slot it left a whole
+			// window of sends, or a whole probe timeout, behind lost its
+			// update or its result. Retransmit now, on the next flush,
+			// instead of idling the slot until its RTO.
+			c.retransmitDue()
+		}
 	}
+}
+
+// pace applies the mode's rules at the pass's clock reading, before the
+// loop blocks: the silence verdict (data), the deadline, the give-up
+// rules (fence silence, adoption patience), then the periodic send. It
+// returns when the loop must next wake — at least every RTO — and done
+// when the mode ended without a datagram to end it.
+func (c *Client) pace(deadline time.Time) (wake time.Time, done bool, err error) {
+	now := c.now
+	if silence := now.Sub(c.lastProgress); c.mode == modeData && silence >= c.silenceAfter() {
+		if c.canDegrade() {
+			// Someone can take over: a host mesh, a standby ladder, or
+			// both. Deliver the silence verdict and let degradeLadder
+			// pick the next rung.
+			c.trace(telemetry.EvSwitchSuspect, -1)
+			return now, false, errSilence
+		}
+		if now.After(deadline) {
+			return now, false, fmt.Errorf("transport: all-reduce timed out after %v with the aggregator silent for %v (%d chunks outstanding): %w",
+				c.cfg.Timeout, silence.Round(time.Millisecond), c.worker.PendingCount(), ErrAggregatorSilent)
+		}
+	}
+	if now.After(deadline) {
+		return now, c.mode == modeProbe, c.expired()
+	}
+	wake = now.Add(c.cfg.RTO)
+	switch c.mode {
+	case modeData:
+		// Wake when the pump next has something to retransmit unprompted
+		// — a timeout, or the newest pending packet's probe.
+		if d := c.pump.Deadline(); d < c.nowNs+int64(c.cfg.RTO) {
+			wake = c.t0.Add(time.Duration(d))
+		}
+		return wake, false, nil
+	case modeProbe:
+		if deadline.Before(wake) {
+			wake = deadline
+		}
+		return wake, false, nil
+	case modeFence:
+		if now.Sub(c.lastProgress) >= c.silenceAfter() {
+			// The aggregator went silent mid-fence: abandon the hold and
+			// let the data mode's silence detector deliver its verdict.
+			c.fenceArmed = false
+			return now, true, nil
+		}
+		if c.stateProvider != nil && c.fb != nil {
+			// Serve the joiner the boundary-aligned snapshot, polling the
+			// mesh at least every half RTO.
+			if c.snapshot == nil {
+				c.snapshot = c.stateProvider()
+			}
+			c.serveState(c.snapshot)
+			wake = now.Add(c.cfg.RTO / 2)
+		}
+	case modeAdopt:
+		// A rung that never echoes the request is written off quickly;
+		// once the echo proves the roll call open, the wait stretches to
+		// two silence windows — a member that was between tensors notices
+		// the outage a full window later than the rest — plus handshake
+		// round trips.
+		if wait := now.Sub(c.modeAt); (!c.echoed && wait >= 8*c.cfg.RTO) || wait >= 2*c.silenceAfter()+8*c.cfg.RTO {
+			return now, false, fmt.Errorf("transport: ladder rung %d silent through the adoption handshake (echoed=%v): %w", c.homeRank, c.echoed, ErrAggregatorSilent)
+		}
+	}
+	if !now.Before(c.nextTx) {
+		period, err := c.announce(deadline)
+		if err != nil {
+			return now, false, err
+		}
+		c.nextTx = now.Add(period)
+	}
+	if c.nextTx.Before(wake) {
+		wake = c.nextTx
+	}
+	return wake, false, nil
+}
+
+// expired is the mode's verdict on its deadline: the call's, for the
+// data and fence modes and adoption; the handshake's own for a join, a
+// drain and a probe wait, which ends without error.
+func (c *Client) expired() error {
+	switch c.mode {
+	case modeData:
+		return fmt.Errorf("transport: all-reduce timed out after %v (%d chunks outstanding)", c.cfg.Timeout, c.worker.PendingCount())
+	case modeFence:
+		return fmt.Errorf("transport: membership fence (generation %d) timed out holding at offset %d", c.fenceGen, c.worker.FrontierOff())
+	case modeJoin:
+		return fmt.Errorf("transport: join timed out after %v", c.cfg.Timeout)
+	case modeDrain:
+		return fmt.Errorf("transport: drain announcement unacknowledged after %d attempts", drainTries)
+	case modeAdopt:
+		return fmt.Errorf("transport: adoption at ladder rung %d timed out: %w", c.homeRank, ErrAggregatorSilent)
+	}
+	return nil
+}
+
+// announce makes the mode's periodic send and returns the period to the
+// next one: the fence confirm (Ver=1 KindReport at the boundary) or the
+// joiner's solicit, the leave announcement, the adoption request at a
+// jittered RTO. A joiner whose fence stays quiet for 16 confirms was
+// aborted by a crash recovery and solicits a fresh one; admitted, it
+// first fetches model state from an incumbent over the mesh (best
+// effort: an incumbent without a state provider never answers, and the
+// join proceeds stateless).
+func (c *Client) announce(deadline time.Time) (time.Duration, error) {
+	switch c.mode {
+	case modeDrain:
+		return c.cfg.RTO, c.sendCtl(c.conn, packet.KindLeave, c.epoch, 0, c.worker.FrontierOff(), 0)
+	case modeAdopt:
+		c.failAdopts.Inc()
+		return jitterDur(c.frng, c.cfg.RTO), c.sendCtl(c.conn, packet.KindAdoptJob, c.epoch+1, 0, c.worker.FrontierOff(), 0)
+	}
+	if c.mode == modeJoin && c.fenceArmed {
+		if c.confirms++; c.confirms > 16 {
+			c.fenceArmed = false
+		} else if !c.fetched && c.fb != nil {
+			c.fetched = true
+			c.snapshot, _ = c.fetchState(deadline)
+		}
+	}
+	if !c.fenceArmed {
+		return c.cfg.RTO, c.sendCtl(c.conn, packet.KindJoin, c.cfg.Worker.JobID, 0, 0, 0)
+	}
+	return c.cfg.RTO, c.sendCtl(c.conn, packet.KindReport, c.fenceGen, 0, c.worker.FrontierOff(), 1)
 }
 
 // retransmitDue re-sends what the pump finds due at the pass's clock
@@ -712,44 +859,98 @@ func (c *Client) handleResult(h *packet.Header, payload []byte) bool {
 	return done
 }
 
-// handleIncoming dispatches one decoded packet from the aggregator.
-// Results feed the protocol state machine; reconfigure and resume
-// directives run the worker's half of the §5.6 recovery handshake. The
-// receive loop hands results to handleResult in wire form and only the
-// other kinds here; a result that arrives decoded is put back in wire
-// form (in the control buffer, free between control sends) so that
-// every result takes the one path.
+// handleIncoming dispatches one decoded packet from the aggregator, in
+// whatever mode the client loop is in, and reports whether the mode
+// ended: the tensor completed, or the handshake was released. Results
+// feed the protocol state machine; reconfigure and resume directives
+// run the worker's half of the §5.6 recovery handshake and of the
+// membership and adoption roll calls. The receive loop hands results to
+// handleResult in wire form and only the other kinds here; a result
+// that arrives decoded is put back in wire form (in the control buffer,
+// free between control sends) so that every result takes the one path.
 //
 //switchml:hotpath
 func (c *Client) handleIncoming(p *packet.Packet) (bool, error) {
+	if (c.mode == modeProbe && p.Kind != packet.KindProbeAck) || (c.mode == modeDrain && p.Kind != packet.KindLeave) {
+		// Two modes wait for one kind and drain the rest: the probe
+		// fence makes whatever piled up while the job lived on the mesh
+		// meaningless, and a leaver's collectives are over.
+		return false, nil
+	}
 	//switchml:dispatch
 	switch p.Kind {
 	case packet.KindReconfig:
-		if p.Ver == 1 {
-			// An elastic-membership fence: finish this tensor, then
-			// hold at the boundary (elastic_client.go).
+		switch {
+		case p.Ver == 1 && c.mode == modeAdopt:
+			// An adoption supersedes any fence the dead rung proposed.
+		case p.Ver == 1 && (c.mode != modeJoin || c.isMember(p.Vector)):
+			// An elastic-membership fence: finish this tensor, then hold
+			// at the boundary — or, for a joiner, the fence admitting it.
 			return false, c.armFence(p)
+		case p.Ver == 0 && c.mode != modeJoin:
+			// A membership change is in effect; report the progress
+			// frontier (a fence hold's boundary, an adopter's handoff
+			// point). The directive may arrive again if this report is
+			// lost, and reporting is idempotent.
+			if err := c.evicted(p); err != nil {
+				return false, err
+			}
+			return false, c.sendCtl(c.conn, packet.KindReport, p.JobID, 0, c.worker.FrontierOff(), 0)
 		}
-		// A membership change is in effect.
-		if err := c.evicted(p); err != nil {
-			return false, err
-		}
-		// Report the progress frontier; the directive may arrive again
-		// if this report is lost, and reporting is idempotent.
-		return false, c.sendControl(packet.KindReport, p.JobID, c.worker.FrontierOff(), nil)
+		return false, nil // someone else's fence, or a recovery a joiner is not part of
 	case packet.KindResume:
-		if p.JobID == c.epoch {
+		if c.mode != modeJoin && p.JobID == c.epoch {
 			return false, nil // repeated directive for an adopted generation
 		}
+		// Every release supersedes the fence: a commit, an abort by a
+		// §5.6 recovery, an adoption.
+		c.fenceArmed = false
+		if c.mode == modeJoin {
+			c.worker.JoinAt(p.JobID, p.Off)
+			c.adoptEpoch(p.JobID)
+			c.gFrontier.Set(int64(p.Off))
+			c.trace(telemetry.EvWorkerJoin, -1)
+			return true, nil
+		}
+		// At the boundary ResumeAt only installs the generation; below
+		// it, it re-opens the tensor, and the loop drives it in the
+		// data mode.
 		pkts, err := c.worker.ResumeAt(p.JobID, p.Off)
 		if err != nil {
 			//switchml:allow hotpath -- cold error return: an unhonourable recovery frontier fails the call
 			return false, fmt.Errorf("transport: resume at %d: %w", p.Off, err)
 		}
-		c.epoch = p.JobID
-		c.gEpoch.Set(int64(p.JobID))
+		c.adoptEpoch(p.JobID)
 		c.trace(telemetry.EvResume, -1)
 		c.sendPackets(pkts)
+		if c.worker.Busy() {
+			c.mode = modeData
+			return false, nil
+		}
+		return true, nil
+	case packet.KindLeave:
+		if c.mode != modeDrain {
+			c.unexpected.Inc()
+			return false, nil
+		}
+		c.drained = true
+		c.trace(telemetry.EvWorkerLeave, -1)
+		return true, nil
+	case packet.KindAdoptJob:
+		if c.mode != modeAdopt {
+			c.unexpected.Inc()
+		} else if p.Ver == 1 {
+			// The echo: the rung is alive and collecting the roll call;
+			// hold for the rest of the membership.
+			c.echoed = true
+		}
+		return false, nil
+	case packet.KindProbeAck:
+		if c.mode != modeProbe {
+			c.unexpected.Inc()
+		} else if c.ackProbe(&c.fb.prob, p.Idx) {
+			c.fb.probeAcks.Add(1)
+		}
 		return false, nil
 	case packet.KindResult, packet.KindResultUnicast:
 		h := p.Header()
@@ -879,12 +1080,20 @@ func deadDestination(err error) bool {
 		errors.Is(err, syscall.ENETUNREACH)
 }
 
-// sendControl transmits a control datagram (report, heartbeat)
-// bypassing the fault injector: on a real network control loss is
-// repaired by the aggregator's sweep-period rebroadcast.
-func (c *Client) sendControl(kind packet.Kind, job uint16, off uint64, vec []int32) error {
-	c.cbuf = packet.NewControl(kind, c.cfg.Worker.ID, job, off, vec).AppendMarshal(c.cbuf[:0])
-	if _, err := c.conn.Write(c.cbuf); err != nil {
+// sendCtl transmits one control datagram — a report or fence confirm,
+// a join, a leave, an adoption request, a probe (idx carries its
+// sequence number) — on conn, bypassing the fault injector: on a real
+// network control loss is repaired by the handshakes' own repetition
+// and the aggregator's sweep-period rebroadcast. A failed send is
+// counted; a dead destination is forgiven when someone can take over
+// (the silence clock and the modes' give-up rules decide), and any
+// other failure fails the call.
+func (c *Client) sendCtl(conn *net.UDPConn, kind packet.Kind, gen uint16, idx uint32, off uint64, ver uint8) error {
+	p := packet.NewControl(kind, c.cfg.Worker.ID, gen, off, nil)
+	p.Idx, p.Ver = idx, ver
+	c.cbuf = p.AppendMarshal(c.cbuf[:0])
+	if _, err := conn.Write(c.cbuf); err != nil {
+		c.sendErrs.Inc()
 		if c.canDegrade() && deadDestination(err) {
 			return nil
 		}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -204,5 +205,71 @@ func TestAdaptiveRTOOnBurstClock(t *testing.T) {
 		if pto := time.Duration(c.pump.PTO()); pto <= 0 || pto > time.Duration(c.pump.RTO()) {
 			t.Errorf("worker %d: probe timeout %v outside (0, %v]", i, pto, time.Duration(c.pump.RTO()))
 		}
+	}
+}
+
+// TestClientModesFollowInjectedClock extends the clock seam from the
+// window pump to the handshake modes of the client loop: each row
+// enters a mode against peers that never answer, then moves the
+// client's clock past the call's deadline, and the call must return
+// that mode's timeout error within two RTOs of wall time — not at the
+// real deadline, an hour away.
+func TestClientModesFollowInjectedClock(t *testing.T) {
+	const rto = 50 * time.Millisecond
+	for _, tc := range []struct {
+		name  string
+		enter func(c *Client) error
+		want  string
+	}{
+		{"fence-hold", func(c *Client) error {
+			c.fenceArmed, c.fenceGen = true, 1
+			_, err := c.AllReduceInt32(make([]int32, 8))
+			return err
+		}, "membership fence (generation 1) timed out"},
+		{"join", func(c *Client) error {
+			_, err := c.JoinCluster()
+			return err
+		}, "join timed out"},
+		{"adopt", func(c *Client) error {
+			return c.adoptAt(1, c.tick().Add(c.cfg.Timeout))
+		}, "adoption at ladder rung 1 timed out"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			silent := func() string {
+				sock, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { sock.Close() })
+				return sock.LocalAddr().String()
+			}
+			c, err := NewClient(ClientConfig{
+				Aggregator: silent(),
+				Standbys:   []string{silent()},
+				Worker:     core.WorkerConfig{ID: 0, Workers: 1, PoolSize: 4, SlotElems: 8, LossRecovery: true},
+				RTO:        rto,
+				Timeout:    time.Hour,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			var skew atomic.Int64
+			c.clock = func() time.Time { return time.Now().Add(time.Duration(skew.Load())) }
+			errc := make(chan error, 1)
+			go func() { errc <- tc.enter(c) }()
+			time.Sleep(2 * rto) // in the mode, sending into the silence
+			skew.Store(int64(2 * time.Hour))
+			jumped := time.Now()
+			select {
+			case err := <-errc:
+				if waited := time.Since(jumped); err == nil || !strings.Contains(err.Error(), tc.want) || waited > 2*rto {
+					t.Fatalf("returned %v after %v on the moved clock, want %q within %v", err, waited, tc.want, 2*rto)
+				}
+			case <-time.After(4 * rto):
+				c.Close()
+				t.Fatalf("still in the mode %v after the clock passed its deadline (then: %v)", 4*rto, <-errc)
+			}
+		})
 	}
 }

@@ -13,26 +13,30 @@ import (
 // Elastic membership: the worker-side half of graceful join and leave
 // (the aggregator half lives in elastic.go).
 //
+// The fence hold, the drain and the join below are modes of the client
+// loop (run, in client.go; DESIGN.md "The client loop"), which reads
+// the aggregator socket for them as it does for the window pump.
+//
 // An incumbent's whole obligation is the fence hold: when a Ver=1
 // KindReconfig announces a membership change, the client finishes its
-// in-flight tensor as usual, and the next AllReduce call first parks
-// at the tensor boundary — confirming the boundary offset with a
-// Ver=1 KindReport at its RTO, serving model-state segments to the
-// joiner over the fallback mesh if a state provider is installed —
-// until the commit's KindResume releases it under the new generation.
+// in-flight tensor as usual, and the next AllReduce call first holds
+// at the tensor boundary (the fence mode) — confirming the boundary
+// offset with a Ver=1 KindReport at its RTO, serving model-state
+// segments to the joiner over the fallback mesh if a state provider is
+// installed — until a KindResume releases it under the new generation.
 // All of that happens inside AllReduceInt32; callers see nothing but
 // a slightly longer step.
 //
-// A leaver calls Drain between AllReduce calls: the drain boundary
-// (the worker's stream frontier) rides on a KindLeave that is
-// retransmitted until the aggregator echoes it, after which the
+// A leaver calls Drain between AllReduce calls (the drain mode): the
+// drain boundary (the worker's stream frontier) rides on a KindLeave
+// that is retransmitted until the aggregator echoes it, after which the
 // client is done — every later AllReduce fails fast with ErrDrained.
 //
-// A joiner calls JoinCluster before its first AllReduce: KindJoin is
-// retransmitted until the fence opens, model state is fetched from an
-// incumbent over the mesh (when one is configured), readiness is
-// confirmed, and the commit's KindResume seeds the stream cursor at
-// the boundary every incumbent is holding at.
+// A joiner calls JoinCluster before its first AllReduce (the join
+// mode): KindJoin is retransmitted until the fence opens, model state
+// is fetched from an incumbent over the mesh (when one is configured),
+// readiness is confirmed, and the commit's KindResume seeds the stream
+// cursor at the boundary every incumbent is holding at.
 
 // ErrDrained is returned by AllReduceInt32 after a successful Drain:
 // the worker has left the job and its collectives are over.
@@ -58,139 +62,19 @@ func (c *Client) Frontier() uint64 { return c.worker.FrontierOff() }
 func (c *Client) Drained() bool { return c.drained }
 
 // armFence records a Ver=1 reconfigure directive: a membership change
-// is proposed, and this worker must hold at its next tensor boundary.
-// Being absent from the future membership means eviction, exactly as
-// with the Ver=0 directive.
+// is proposed, and this worker must hold at its next tensor boundary
+// (a joiner: it is admitted, and confirms). Being absent from the
+// future membership means eviction, exactly as with the Ver=0
+// directive. The directive is confirmed at once, and a rebroadcast
+// (possibly a fresh fence after an abort) restarts the joiner's count
+// of unanswered confirms.
 func (c *Client) armFence(p *packet.Packet) error {
 	if err := c.evicted(p); err != nil {
 		return err
 	}
-	c.fenceArmed = true
-	c.fenceGen = p.JobID
+	c.fenceArmed, c.fenceGen = true, p.JobID
+	c.confirms, c.nextTx = 0, time.Time{}
 	return nil
-}
-
-// sendFenceConfirm emits the Ver=1 boundary confirmation.
-func (c *Client) sendFenceConfirm(gen uint16, off uint64) error {
-	pk := packet.NewControl(packet.KindReport, c.cfg.Worker.ID, gen, off, nil)
-	pk.Ver = 1
-	c.cbuf = pk.AppendMarshal(c.cbuf[:0])
-	if _, err := c.conn.Write(c.cbuf); err != nil {
-		if c.fb != nil && deadDestination(err) {
-			return nil
-		}
-		return fmt.Errorf("transport: send: %w", err)
-	}
-	c.sent.Inc()
-	return nil
-}
-
-// holdAtFence parks the worker at its tensor boundary until the
-// membership fence commits (or is superseded by a §5.6 recovery).
-// It returns reopened=true when a recovery resumed the previous
-// tensor below the boundary: the caller must drive that tensor back
-// to completion before starting the next one. An aggregator that goes
-// silent mid-fence abandons the hold and lets the normal path's
-// silence detector deliver its verdict.
-func (c *Client) holdAtFence(deadline time.Time) (reopened bool, err error) {
-	hold := c.worker.FrontierOff()
-	var state []int32
-	if c.stateProvider != nil && c.fb != nil {
-		state = c.stateProvider()
-	}
-	var lastConfirm time.Time
-	for {
-		if time.Now().After(deadline) {
-			return false, fmt.Errorf("transport: membership fence (generation %d) timed out holding at offset %d", c.fenceGen, hold)
-		}
-		if silence := time.Since(c.lastProgress); silence >= c.silenceAfter() {
-			c.fenceArmed = false
-			return false, nil
-		}
-		if time.Since(lastConfirm) >= c.cfg.RTO {
-			if err := c.sendFenceConfirm(c.fenceGen, hold); err != nil {
-				return false, err
-			}
-			lastConfirm = time.Now()
-		}
-		if state != nil {
-			c.serveState(state)
-		}
-		if err := c.conn.SetReadDeadline(time.Now().Add(c.cfg.RTO / 2)); err != nil {
-			return false, err
-		}
-		n, err := c.conn.Read(c.rbuf)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			if c.fb != nil {
-				time.Sleep(c.cfg.RTO / 8)
-				continue
-			}
-			return false, err
-		}
-		c.recvd.Inc()
-		if packet.UnmarshalInto(&c.rp, c.rbuf[:n]) != nil {
-			c.corrupt.Inc()
-			continue
-		}
-		c.lastProgress = c.tick()
-		//switchml:dispatch
-		switch c.rp.Kind {
-		case packet.KindResume:
-			p := &c.rp
-			if p.JobID == c.epoch {
-				continue // repeated directive for an adopted generation
-			}
-			if p.Off == hold {
-				// The fence committed (or a recovery landed exactly on
-				// our boundary): adopt the generation with per-slot
-				// versions reset to match the wiped pool.
-				c.worker.Resume(p.JobID, c.worker.ChunkCount())
-				c.adoptEpoch(p.JobID)
-				c.fenceArmed = false
-				return false, nil
-			}
-			// A §5.6 recovery superseded the fence with a frontier
-			// below our boundary: some survivor still needs chunks of
-			// the previous tensor re-aggregated, so re-open it and let
-			// the caller drive it back to completion.
-			pkts, rerr := c.worker.ResumeAt(p.JobID, p.Off)
-			if rerr != nil {
-				return false, fmt.Errorf("transport: fence superseded: %w", rerr)
-			}
-			c.adoptEpoch(p.JobID)
-			c.fenceArmed = false
-			c.trace(telemetry.EvResume, -1)
-			c.sendPackets(pkts)
-			return true, nil
-		case packet.KindReconfig:
-			p := &c.rp
-			if p.Ver == 1 {
-				// Fence rebroadcast (possibly a fresh fence after an
-				// abort): refresh the proposed generation.
-				if err := c.armFence(p); err != nil {
-					return false, err
-				}
-				lastConfirm = time.Time{} // confirm the new generation now
-				continue
-			}
-			// §5.6 recovery mid-fence: the fence is aborted aggregator-
-			// side. Report our frontier (the boundary) and keep holding
-			// for the recovery's resume, which releases us above.
-			if err := c.evicted(p); err != nil {
-				return false, err
-			}
-			if err := c.sendControl(packet.KindReport, p.JobID, hold, nil); err != nil {
-				return false, err
-			}
-		default:
-			// Stale results from the finished tensor; count the drops
-			// so a wedged fence is diagnosable from the counters.
-			c.unexpected.Inc()
-		}
-	}
 }
 
 // meshBuf returns the pooled 64 KiB mesh receive buffer, allocated on
@@ -223,34 +107,8 @@ func (c *Client) Drain() error {
 	if c.drained {
 		return nil
 	}
-	off := c.worker.FrontierOff()
 	c.trace(telemetry.EvDrainStart, -1)
-	const tries = 64
-	for try := 0; try < tries; try++ {
-		if err := c.sendControl(packet.KindLeave, c.epoch, off, nil); err != nil {
-			return err
-		}
-		if err := c.conn.SetReadDeadline(time.Now().Add(c.cfg.RTO)); err != nil {
-			return err
-		}
-		for {
-			n, err := c.conn.Read(c.rbuf)
-			if err != nil {
-				break // deadline (or transient): re-announce
-			}
-			c.recvd.Inc()
-			if packet.UnmarshalInto(&c.rp, c.rbuf[:n]) != nil {
-				c.corrupt.Inc()
-				continue
-			}
-			if c.rp.Kind == packet.KindLeave {
-				c.drained = true
-				c.trace(telemetry.EvWorkerLeave, -1)
-				return nil
-			}
-		}
-	}
-	return fmt.Errorf("transport: drain announcement unacknowledged after %d attempts", tries)
+	return c.run(modeDrain, c.tick().Add(drainTries*c.cfg.RTO))
 }
 
 // JoinCluster runs the graceful-join handshake: solicit admission,
@@ -261,82 +119,10 @@ func (c *Client) Drain() error {
 // installs it and derives the resume step from Frontier. Call it
 // before the first AllReduce.
 func (c *Client) JoinCluster() ([]int32, error) {
-	deadline := time.Now().Add(c.cfg.Timeout)
-	var state []int32
-	fetched := false
-	admitted := false
-	confirms := 0
-	var gen uint16
-	for {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("transport: join timed out after %v", c.cfg.Timeout)
-		}
-		if admitted {
-			// A fence that went quiet was aborted by a crash recovery;
-			// go back to soliciting and get a fresh one.
-			if confirms++; confirms > 16 {
-				admitted = false
-			}
-		}
-		if !admitted {
-			if err := c.sendControl(packet.KindJoin, c.cfg.Worker.JobID, 0, nil); err != nil {
-				return nil, err
-			}
-		} else if err := c.sendFenceConfirm(gen, 0); err != nil {
-			return nil, err
-		}
-		if err := c.conn.SetReadDeadline(time.Now().Add(c.cfg.RTO)); err != nil {
-			return nil, err
-		}
-		n, err := c.conn.Read(c.rbuf)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			if c.fb != nil {
-				time.Sleep(c.cfg.RTO / 8)
-				continue
-			}
-			return nil, err
-		}
-		c.recvd.Inc()
-		if packet.UnmarshalInto(&c.rp, c.rbuf[:n]) != nil {
-			c.corrupt.Inc()
-			continue
-		}
-		//switchml:dispatch
-		switch c.rp.Kind {
-		case packet.KindReconfig:
-			p := &c.rp
-			if p.Ver != 1 || !c.isMember(p.Vector) {
-				continue // not a fence, or one for someone else; keep soliciting
-			}
-			gen = p.JobID
-			confirms = 0
-			if !fetched {
-				fetched = true
-				if c.fb != nil {
-					// Best effort: an incumbent without a state
-					// provider just never answers, and the join
-					// proceeds stateless.
-					state, _ = c.fetchState(deadline)
-				}
-			}
-			admitted = true
-		case packet.KindResume:
-			p := &c.rp
-			c.worker.JoinAt(p.JobID, p.Off)
-			c.adoptEpoch(p.JobID)
-			c.gFrontier.Set(int64(p.Off))
-			c.trace(telemetry.EvWorkerJoin, -1)
-			return state, nil
-		default:
-			// The joiner's socket sees ordinary job traffic (results,
-			// heartbeat acks) until the fence commits; count it rather
-			// than silently spinning.
-			c.unexpected.Inc()
-		}
+	if err := c.run(modeJoin, c.tick().Add(c.cfg.Timeout)); err != nil {
+		return nil, err
 	}
+	return c.snapshot, nil
 }
 
 // statePeer picks the incumbent to fetch model state from: the
@@ -368,8 +154,7 @@ func (c *Client) fetchState(deadline time.Time) ([]int32, error) {
 	// incumbent, inside its fence hold) are the only users, both on
 	// the single goroutine driving the client — they can never run
 	// concurrently on one client, so sharing the pool is safe. c.rbuf
-	// stays distinct: it belongs to the aggregator-socket read path,
-	// which a fence hold interleaves with mesh serving.
+	// stays distinct: the degraded path's mesh loops read into it.
 	buf := c.meshBuf()
 	p := &c.mp
 	for total < 0 || off < total {

@@ -8,14 +8,16 @@
 // The client half: ClientConfig.Standbys ranks backup aggregators
 // behind the primary. When the silence detector trips, the worker
 // walks the ladder — re-dialing the next rung and running the
-// KindAdoptJob handshake: it proposes the bumped job generation with
-// its chunk frontier, and the rung echoes the request (Ver=1) while
-// it collects the same roll call from every other member, all of
-// whom detect the same outage on their own silence clocks. The rung
-// commits once the roll call is complete — pool wiped under the
-// proposed generation, membership inherited — and releases everyone
-// with KindResume at the minimum adopted frontier: the §5.6 roll call
-// (rollcall.go) with the adoption requests as its votes. Only when
+// KindAdoptJob handshake as the client loop's adopt mode (run, in
+// client.go): it proposes the bumped job generation with its chunk
+// frontier, and the rung echoes the request (Ver=1) while it collects
+// the same roll call from every other member, all of whom detect the
+// same outage on their own silence clocks. The rung commits once the
+// roll call is complete — pool wiped under the proposed generation,
+// membership inherited — and releases everyone with KindResume at the
+// minimum adopted frontier, from which the same loop drives the
+// re-opened tensor to completion: the §5.6 roll call (rollcall.go)
+// with the adoption requests as its votes. Only when
 // every rung is silent does the job drop to the host mesh
 // (fallback.go), and while it lives on a standby a per-tensor probe of
 // the primary runs its own instance of the mesh's probation window, so
@@ -184,117 +186,29 @@ func (c *Client) rehome(rank int) error {
 }
 
 // adoptAt re-homes to ladder rung rank and runs the adoption
-// handshake to completion: KindAdoptJob (proposing the bumped
-// generation with this worker's chunk frontier) is retransmitted at a
-// jittered RTO until the rung's KindResume releases the job at the
-// collective minimum frontier. A rung that never even echoes the
-// request within ackPatience is written off quickly; once the echo
-// proves the roll call is open, the wait stretches to commitPatience
-// so members whose own silence clocks have not yet expired can
-// arrive. Both verdicts come back wrapped in ErrAggregatorSilent so
-// the caller can try the next rung.
+// handshake in the client loop's adopt mode: KindAdoptJob (proposing
+// the bumped generation with this worker's chunk frontier) is
+// retransmitted at a jittered RTO until the rung's KindResume releases
+// the job at the collective minimum frontier, and the loop then drives
+// any tensor the release re-opened to completion in the data mode. A
+// rung that never echoes the request within 8 RTOs, or whose roll call
+// does not commit within two silence windows, or whose port is closed,
+// is written off with an error wrapping ErrAggregatorSilent, so the
+// caller can try the next rung.
 func (c *Client) adoptAt(rank int, deadline time.Time) error {
 	if err := c.rehome(rank); err != nil {
 		return err
 	}
-	prop := c.epoch + 1
-	frontier := c.worker.FrontierOff()
-	req := packet.NewControl(packet.KindAdoptJob, c.cfg.Worker.ID, prop, frontier, nil)
-	ackPatience := 8 * c.cfg.RTO
-	// Two silence windows cover the straggling detector (a member that
-	// was between tensors notices the outage one full SuspectAfter
-	// later than the rest), plus handshake round trips.
-	commitPatience := 2*c.silenceAfter() + 8*c.cfg.RTO
-	started := time.Now()
-	acked := false
-	var lastTx time.Time
-	for {
-		select {
-		case <-c.closed:
-			return net.ErrClosed
-		default:
-		}
-		now := time.Now()
-		if now.After(deadline) {
-			return fmt.Errorf("transport: adoption at ladder rung %d timed out: %w", rank, ErrAggregatorSilent)
-		}
-		if wait := now.Sub(started); (!acked && wait >= ackPatience) || wait >= commitPatience {
-			return fmt.Errorf("transport: ladder rung %d silent through the adoption handshake (echoed=%v): %w", rank, acked, ErrAggregatorSilent)
-		}
-		if now.Sub(lastTx) >= jitterDur(c.frng, c.cfg.RTO) {
-			c.cbuf = req.AppendMarshal(c.cbuf[:0])
-			if _, err := c.conn.Write(c.cbuf); err == nil {
-				c.sent.Inc()
-			}
-			c.failAdopts.Inc()
-			lastTx = now
-		}
-		if err := c.conn.SetReadDeadline(now.Add(c.cfg.RTO / 2)); err != nil {
-			return err
-		}
-		n, err := c.conn.Read(c.rbuf)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			if deadDestination(err) {
-				// The rung's port is provably closed; fail it without
-				// waiting out the patience window.
-				return fmt.Errorf("transport: ladder rung %d unreachable: %w", rank, ErrAggregatorSilent)
-			}
-			return err
-		}
-		c.recvd.Inc()
-		if packet.UnmarshalInto(&c.rp, c.rbuf[:n]) != nil {
-			c.corrupt.Inc()
-			continue
-		}
-		p := &c.rp
-		//switchml:dispatch
-		switch p.Kind {
-		case packet.KindAdoptJob:
-			// The Ver=1 echo: the rung is alive and collecting the roll
-			// call; hold for the rest of the membership.
-			if p.Ver == 1 {
-				acked = true
-			}
-		case packet.KindResume:
-			if p.JobID == c.epoch {
-				continue // stale directive for an already-adopted generation
-			}
-			pkts, rerr := c.worker.ResumeAt(p.JobID, p.Off)
-			if rerr != nil {
-				return fmt.Errorf("transport: adoption resume at %d: %w", p.Off, rerr)
-			}
-			c.adoptEpoch(p.JobID)
-			c.lastProgress = c.tick()
-			c.trace(telemetry.EvResume, -1)
-			c.sendPackets(pkts)
-			return c.flushTx()
-		case packet.KindReconfig:
-			// A liveness-equipped rung running its own §5.6 pass mid-
-			// adoption: answer the Ver=0 directive with our frontier so
-			// its quorum can close (the resume it ends with releases us
-			// above). Ver=1 membership fences are ignored — an adoption
-			// supersedes any fence the dead rung had proposed.
-			if p.Ver == 0 {
-				if err := c.sendControl(packet.KindReport, p.JobID, frontier, nil); err != nil {
-					return err
-				}
-			}
-		default:
-			// Stale results from the previous rung cannot arrive on the
-			// fresh socket; anything else is a confused peer.
-			c.unexpected.Inc()
-		}
-	}
+	return c.run(modeAdopt, deadline)
 }
 
 // degradeLadder is the silence verdict's escalation path: walk the
 // standby ladder (preferring the primary when the job was living on a
 // standby), adopting the job onto the first rung that answers; drop
 // to the host mesh only when every rung is silent, and surface a
-// typed retryable error when there is no mesh either.
+// typed retryable error when there is no mesh either. A fence proposed
+// by a dead rung dies with it: the adoption's release disarms it, and
+// the joiner re-solicits against the new home.
 func (c *Client) degradeLadder(u []int32, deadline time.Time) ([]int32, error) {
 	if len(c.ladder) > 1 {
 		prev := c.homeRank
@@ -302,24 +216,13 @@ func (c *Client) degradeLadder(u []int32, deadline time.Time) ([]int32, error) {
 			if rank == prev {
 				continue // the rung that just went silent scores last
 			}
-			if time.Now().After(deadline) {
+			if c.now.After(deadline) {
 				return nil, fmt.Errorf("transport: all-reduce timed out descending the failover ladder: %w", ErrAggregatorSilent)
 			}
-			err := c.adoptAt(rank, deadline)
-			if err == nil {
-				// A fence proposed by the dead rung died with it; the
-				// joiner re-solicits against the new home.
-				c.fenceArmed = false
-				out, err := c.switchLoop(deadline)
-				if errors.Is(err, errSilence) {
-					return c.degradeLadder(u, deadline)
-				}
-				return out, err
+			if err := c.adoptAt(rank, deadline); !errors.Is(err, ErrAggregatorSilent) {
+				return c.settle(u, deadline, err)
 			}
-			if errors.Is(err, ErrAggregatorSilent) {
-				continue // this rung is down too; keep descending
-			}
-			return nil, err
+			// This rung is down too; keep descending.
 		}
 		// Every rung is silent. Re-home to the primary so the degraded
 		// path's probes — and its eventual failback — target rank 0.
@@ -366,7 +269,7 @@ func (c *Client) failUpTick(deadline time.Time) error {
 		c.upConn.Store(uc)
 	}
 	uc := c.upConn.Load()
-	if c.up.await && c.resolveProbe(&c.up, uc, jitterDur(c.frng, c.cfg.RTO/8)) {
+	if c.up.await && c.resolveUpProbe(uc, jitterDur(c.frng, c.cfg.RTO/8)) {
 		c.failProbeAcks.Inc()
 	}
 	if c.up.streak >= prob {
@@ -382,9 +285,8 @@ func (c *Client) failUpTick(deadline time.Time) error {
 		c.trace(telemetry.EvFailback, -1)
 		return nil
 	}
-	c.sendProbe(&c.up, uc, c.epoch)
 	c.failProbes.Inc()
-	return nil
+	return c.sendProbe(&c.up, uc, c.epoch)
 }
 
 // --- Aggregator half: the adoption roll call ---

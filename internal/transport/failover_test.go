@@ -234,6 +234,33 @@ func TestFaultUDPFailoverSecondRung(t *testing.T) {
 	lockstep(t, clients, elems, 3)
 }
 
+// TestFaultUDPFenceHoldPrimaryClosedWalksLadder holds both workers at a
+// membership fence when the primary's port closes. They have a standby
+// and no mesh: the refused fence confirms are death evidence, not a
+// caller error, so the hold gives way to the silence verdict and the
+// step completes on the standby.
+func TestFaultUDPFenceHoldPrimaryClosedWalksLadder(t *testing.T) {
+	const n, elems = 2, 2000
+	aggs, clients := failoverCluster(t, failoverOpts{workers: n, standbys: 1, timeout: 10 * time.Second})
+
+	lockstep(t, clients, elems, 1)
+	for _, c := range clients {
+		// What a Ver=1 directive from the primary leaves behind: a
+		// membership change to hold for at the next tensor boundary.
+		c.fenceArmed, c.fenceGen = true, 1
+	}
+	aggs[0].Close() // the port closes: loopback answers with ICMP port-unreachable
+	lockstep(t, clients, elems, 2)
+	for w, c := range clients {
+		if st := c.FailoverStats(); st.Rehomes < 1 || c.HomeRank() != 1 {
+			t.Fatalf("worker %d: %d re-homes, home rank %d; want the step completed on the standby", w, st.Rehomes, c.HomeRank())
+		}
+	}
+	if got := aggs[1].Adoptions(); got != 1 {
+		t.Fatalf("standby adoptions = %d, want 1", got)
+	}
+}
+
 // TestFaultUDPFailoverLadderDescentToMesh kills every rung: the
 // workers walk the whole ladder, find it silent, and only then drop to
 // the host mesh — still producing exact sums — before failing back up

@@ -255,15 +255,20 @@ func (c *Client) degradedAllReduce(u []int32, deadline time.Time) ([]int32, erro
 	if err := fb.checkPeers(n, int(c.cfg.Worker.ID)); err != nil {
 		return nil, err
 	}
-	// Anything else that piled up on the main connection while the job
-	// lived on the mesh (stale results, recovery directives from the old
-	// generation) is discarded with the drain: the probe fence makes it
-	// meaningless. The probe proposes the post-failback generation.
-	if c.resolveProbe(&fb.prob, c.conn, c.cfg.RTO/8) {
-		fb.probeAcks.Add(1)
+	// Resolve the previous round's probe: the client loop's probe mode
+	// drains the main connection for RTO/8, counting the ack and
+	// discarding whatever else piled up while the job lived on the mesh
+	// (stale results, recovery directives from the old generation — the
+	// probe fence makes them meaningless). The next probe proposes the
+	// post-failback generation.
+	if err := c.run(modeProbe, c.tick().Add(c.cfg.RTO/8)); err != nil {
+		return nil, err
 	}
-	c.sendProbe(&fb.prob, c.conn, c.epoch+1)
+	fb.prob.resolve()
 	fb.probes.Add(1)
+	if err := c.sendProbe(&fb.prob, c.conn, c.epoch+1); err != nil {
+		return nil, err
+	}
 	c.worker.StartHosted(u)
 	frontier := c.worker.FrontierOff()
 	F, minStreak, err := c.syncRound(frontier, deadline)
@@ -319,13 +324,9 @@ func (c *Client) failback(u []int32, deadline time.Time) ([]int32, error) {
 	// the silence detector would re-degrade before the first result.
 	c.lastProgress = c.tick()
 	c.sendPackets(pkts)
-	out, err := c.switchLoop(deadline)
-	if errors.Is(err, errSilence) {
-		// Flapped again: walk the whole ladder before settling back on
-		// the mesh.
-		return c.degradeLadder(u, deadline)
-	}
-	return out, err
+	// Flapped again: the silence verdict walks the whole ladder before
+	// settling back on the mesh.
+	return c.settle(u, deadline, c.run(modeData, deadline))
 }
 
 // probation is one failback probation window: each round, at a tensor
@@ -343,28 +344,45 @@ type probation struct {
 // restart forgets the streak and any probe in flight.
 func (pr *probation) restart() { pr.await, pr.streak = false, 0 }
 
-// sendProbe opens pr's next round: a KindProbe carrying the round's
-// sequence number and the proposed generation gen, sent on conn.
-func (c *Client) sendProbe(pr *probation, conn *net.UDPConn, gen uint16) {
-	pr.seq++
-	pr.await = true
-	p := packet.NewControl(packet.KindProbe, c.cfg.Worker.ID, gen, 0, nil)
-	p.Idx = pr.seq
-	c.cbuf = p.AppendMarshal(c.cbuf[:0])
-	if _, err := conn.Write(c.cbuf); err == nil {
-		c.sent.Inc()
+// resolve closes the round: a probe still unanswered means the
+// aggregator is still gone (or flapping); either way the probation
+// clock restarts.
+func (pr *probation) resolve() {
+	if pr.await {
+		pr.restart()
 	}
-	c.trace(telemetry.EvProbe, int32(pr.seq))
 }
 
-// resolveProbe closes pr's round: it drains conn for up to wait,
-// counting the ack that answers the open probe, and restarts the streak
-// if none did. It reports whether the probe was answered.
-func (c *Client) resolveProbe(pr *probation, conn *net.UDPConn, wait time.Duration) bool {
+// sendProbe opens pr's next round: a KindProbe carrying the round's
+// sequence number and the proposed generation gen, sent on conn.
+func (c *Client) sendProbe(pr *probation, conn *net.UDPConn, gen uint16) error {
+	pr.seq++
+	pr.await = true
+	c.trace(telemetry.EvProbe, int32(pr.seq))
+	return c.sendCtl(conn, packet.KindProbe, gen, pr.seq, 0, 0)
+}
+
+// ackProbe takes a KindProbeAck for pr: the ack answering its open
+// probe extends the streak. It reports whether it did.
+func (c *Client) ackProbe(pr *probation, seq uint32) bool {
+	if !pr.await || seq != pr.seq {
+		return false
+	}
+	pr.await = false
+	pr.streak++
+	c.trace(telemetry.EvProbeAck, int32(seq))
+	return true
+}
+
+// resolveUpProbe closes the fail-up round (failover.go) on its own
+// socket: it drains conn for up to wait, counting the ack that answers
+// the open probe, and resolves the round. It reports whether the probe
+// was answered.
+func (c *Client) resolveUpProbe(conn *net.UDPConn, wait time.Duration) bool {
 	// A short real deadline, not an expired one: Go fails reads on an
 	// already-passed deadline without delivering buffered datagrams, so
 	// a zero-length poll would never see the queued ack.
-	conn.SetReadDeadline(time.Now().Add(wait))
+	conn.SetReadDeadline(c.tick().Add(wait))
 	acked := false
 	for {
 		n, err := conn.Read(c.rbuf)
@@ -376,18 +394,11 @@ func (c *Client) resolveProbe(pr *probation, conn *net.UDPConn, wait time.Durati
 			c.corrupt.Inc()
 			continue
 		}
-		if c.rp.Kind == packet.KindProbeAck && pr.await && c.rp.Idx == pr.seq {
-			pr.await = false
-			pr.streak++
+		if c.rp.Kind == packet.KindProbeAck && c.ackProbe(&c.up, c.rp.Idx) {
 			acked = true
-			c.trace(telemetry.EvProbeAck, int32(c.rp.Idx))
 		}
 	}
-	if pr.await {
-		// The probe went unanswered: the aggregator is still gone (or
-		// flapping); either way the probation clock restarts.
-		pr.restart()
-	}
+	c.up.resolve()
 	return acked
 }
 

@@ -206,150 +206,166 @@ func TestFaultUDPWorkerCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestFaultRetainedSliceReopen checks the int32 path's borrowing
-// contract across a §5.6 re-open. Three workers aggregate one tensor of
-// four chunks while a fourth solicits a join, so the two live workers
-// arm the membership fence. Chunk 3's result is withheld from worker 1
-// (the laggard) until the generation moves; worker 0 (the leader)
-// completes the tensor and its caller reuses u. The leader's next call
-// holds at the fence; worker 2 goes silent and is evicted, the recovery
-// aborts the fence and releases both survivors at chunk 3 — below the
-// leader's boundary — so the leader re-opens a tensor it had already
-// returned, and chunk 3 is re-aggregated from whatever its u holds now.
-// The laggard's result must be the exact survivors' sum of what the
-// callers passed.
+// TestFaultRetainedSliceReopen checks the int32 path across a §5.6
+// re-open that aborts a membership fence. Three workers aggregate one
+// tensor of four chunks while a fourth solicits a join, so the two live
+// workers arm the membership fence. Chunk 3's result is withheld from
+// worker 1 (the laggard) until the generation moves; worker 0 (the
+// leader) completes the tensor. The leader's next call holds at the
+// fence; worker 2 goes silent and is evicted, the recovery aborts the
+// fence and releases both survivors at chunk 3 — below the leader's
+// boundary — so the leader re-opens a tensor it had already returned,
+// and chunk 3 is re-aggregated from whatever its u holds now. The
+// laggard's result must be the exact survivors' sum of what the callers
+// passed, and its next call must not hold at the aborted fence: the
+// release that aborted it disarmed it. The rows differ in what the
+// leader's caller does with u once its call returns.
 func TestFaultRetainedSliceReopen(t *testing.T) {
-	t.Skip("finding (ROADMAP item 6): the leader's re-open re-reads the caller's reused u, so the laggard's " +
-		"chunk 3 carries the mutated values instead of the survivors' sum; and the laggard, whose armed fence " +
-		"the recovery aborted mid-tensor, holds at that fence on its next call until the timeout")
-	const n, s, k, d = 4, 4, 8, 32
-	agg, err := NewAggregator(AggregatorConfig{
-		Addr: "127.0.0.1:0",
-		Switch: core.SwitchConfig{
-			Workers: n, PoolSize: s, SlotElems: k, LossRecovery: true,
-		},
-		Liveness: &LivenessConfig{SilenceAfter: 300 * time.Millisecond, CheckEvery: 30 * time.Millisecond},
-		Absent:   []int{3},
-		// Generation 0's results for slot 3 reach only the leader's own
-		// retransmission.
-		DropResult: func(p *packet.Packet) bool {
-			return p.JobID == 0 && p.Idx == 3 && (p.Kind != packet.KindResultUnicast || p.WorkerID != 0)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer agg.Close()
+	for _, tc := range []struct {
+		name  string
+		reuse bool // refill the leader's u for the next step
+		skip  string
+	}{
+		{name: "aborted fence"},
+		{name: "reused u", reuse: true, skip: "finding (ROADMAP item 6(a)): the leader's re-open re-reads the caller's reused u, " +
+			"so the laggard's chunk 3 carries the mutated values instead of the survivors' sum"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.skip != "" {
+				t.Skip(tc.skip)
+			}
+			const n, s, k, d = 4, 4, 8, 32
+			agg, err := NewAggregator(AggregatorConfig{
+				Addr: "127.0.0.1:0",
+				Switch: core.SwitchConfig{
+					Workers: n, PoolSize: s, SlotElems: k, LossRecovery: true,
+				},
+				Liveness: &LivenessConfig{SilenceAfter: 300 * time.Millisecond, CheckEvery: 30 * time.Millisecond},
+				Absent:   []int{3},
+				// Generation 0's results for slot 3 reach only the leader's own
+				// retransmission.
+				DropResult: func(p *packet.Packet) bool {
+					return p.JobID == 0 && p.Idx == 3 && (p.Kind != packet.KindResultUnicast || p.WorkerID != 0)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer agg.Close()
 
-	clients := make([]*Client, 2)
-	for i := range clients {
-		c, err := NewClient(ClientConfig{
-			Aggregator: agg.Addr().String(),
-			Worker:     core.WorkerConfig{ID: uint16(i), Workers: n, PoolSize: s, SlotElems: k, LossRecovery: true},
-			RTO:        100 * time.Millisecond,
-			Timeout:    20 * time.Second,
-			Heartbeat:  50 * time.Millisecond,
+			clients := make([]*Client, 2)
+			for i := range clients {
+				c, err := NewClient(ClientConfig{
+					Aggregator: agg.Addr().String(),
+					Worker:     core.WorkerConfig{ID: uint16(i), Workers: n, PoolSize: s, SlotElems: k, LossRecovery: true},
+					RTO:        100 * time.Millisecond,
+					Timeout:    5 * time.Second,
+					Heartbeat:  50 * time.Millisecond,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				clients[i] = c
+			}
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+				if st := agg.DebugState(false); st.Peers[0] != "" && st.Peers[1] != "" {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the workers' heartbeats never reached the aggregator")
+				}
+			}
+			// The join fence's directive is broadcast to every known member in
+			// worker order, so once the joiner holds it the live workers have it
+			// queued ahead of the tensor they are about to start.
+			joiner := dialRaw(t, agg, 3)
+			joiner.send(packet.KindJoin, 0, 0, 0)
+			joiner.await(packet.KindReconfig, 1)
+
+			ghost, err := core.NewWorker(core.WorkerConfig{ID: 2, Workers: n, PoolSize: s, SlotElems: k, LossRecovery: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ghostU := make([]int32, d)
+			for j := range ghostU {
+				ghostU[j] = 7
+			}
+			gconn := dialRaw(t, agg, 2).conn
+			for _, p := range ghost.Start(ghostU) {
+				if _, err := gconn.Write(p.Marshal()); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			us := make([][]int32, 2)
+			for i := range us {
+				us[i] = make([]int32, d)
+				for j := range us[i] {
+					us[i][j] = int32((i+1)*100 + j)
+				}
+			}
+			want := make([]int32, d)
+			for j := range want {
+				want[j] = us[0][j] + us[1][j]
+				if j < 3*k {
+					want[j] += ghostU[j]
+				}
+			}
+			type result struct {
+				sum []int32
+				err error
+			}
+			leaderT, laggardT := make(chan result, 1), make(chan result, 1)
+			go func() { sum, err := clients[0].AllReduceInt32(us[0]); leaderT <- result{sum, err} }()
+			go func() { sum, err := clients[1].AllReduceInt32(us[1]); laggardT <- result{sum, err} }()
+
+			r := <-leaderT
+			if r.err != nil {
+				t.Fatalf("leader: %v", r.err)
+			}
+			for j := range r.sum {
+				if full := us[0][j] + us[1][j] + ghostU[j]; r.sum[j] != full {
+					t.Fatalf("leader elem %d = %d, want the full sum %d", j, r.sum[j], full)
+				}
+			}
+			// The leader's caller moves on, and the next call holds at the fence.
+			// A training loop reuses its gradient buffer for the next step.
+			if tc.reuse {
+				for j := range us[0] {
+					us[0][j] = -1 << 20
+				}
+			}
+			next := [][]int32{stepUpdate(0, 2, d), stepUpdate(1, 2, d)}
+			leaderNext := make(chan result, 1)
+			go func() { sum, err := clients[0].AllReduceInt32(next[0]); leaderNext <- result{sum, err} }()
+
+			r = <-laggardT
+			if r.err != nil {
+				t.Fatalf("laggard: %v", r.err)
+			}
+			if agg.Alive(2) {
+				t.Fatal("worker 2 was never evicted: the release did not come from the §5.6 recovery")
+			}
+			for j := range want {
+				if r.sum[j] != want[j] {
+					t.Errorf("laggard elem %d = %d, want %d (full sums before chunk 3, survivors' sums from it)", j, r.sum[j], want[j])
+				}
+			}
+			laggardSum, err := clients[1].AllReduceInt32(next[1])
+			if err != nil {
+				t.Fatalf("laggard, next step: %v", err)
+			}
+			r = <-leaderNext
+			if r.err != nil {
+				t.Fatalf("leader, next step: %v", r.err)
+			}
+			for j, v := range stepSum([]int{0, 1}, 2, d) {
+				if r.sum[j] != v || laggardSum[j] != v {
+					t.Fatalf("next step elem %d: leader %d, laggard %d, want %d", j, r.sum[j], laggardSum[j], v)
+				}
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		clients[i] = c
-	}
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		if st := agg.DebugState(false); st.Peers[0] != "" && st.Peers[1] != "" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the workers' heartbeats never reached the aggregator")
-		}
-	}
-	// The join fence's directive is broadcast to every known member in
-	// worker order, so once the joiner holds it the live workers have it
-	// queued ahead of the tensor they are about to start.
-	joiner := dialRaw(t, agg, 3)
-	joiner.send(packet.KindJoin, 0, 0, 0)
-	joiner.await(packet.KindReconfig, 1)
-
-	ghost, err := core.NewWorker(core.WorkerConfig{ID: 2, Workers: n, PoolSize: s, SlotElems: k, LossRecovery: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ghostU := make([]int32, d)
-	for j := range ghostU {
-		ghostU[j] = 7
-	}
-	gconn := dialRaw(t, agg, 2).conn
-	for _, p := range ghost.Start(ghostU) {
-		if _, err := gconn.Write(p.Marshal()); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	us := make([][]int32, 2)
-	for i := range us {
-		us[i] = make([]int32, d)
-		for j := range us[i] {
-			us[i][j] = int32((i+1)*100 + j)
-		}
-	}
-	want := make([]int32, d)
-	for j := range want {
-		want[j] = us[0][j] + us[1][j]
-		if j < 3*k {
-			want[j] += ghostU[j]
-		}
-	}
-	type result struct {
-		sum []int32
-		err error
-	}
-	leaderT, laggardT := make(chan result, 1), make(chan result, 1)
-	go func() { sum, err := clients[0].AllReduceInt32(us[0]); leaderT <- result{sum, err} }()
-	go func() { sum, err := clients[1].AllReduceInt32(us[1]); laggardT <- result{sum, err} }()
-
-	r := <-leaderT
-	if r.err != nil {
-		t.Fatalf("leader: %v", r.err)
-	}
-	for j := range r.sum {
-		if full := us[0][j] + us[1][j] + ghostU[j]; r.sum[j] != full {
-			t.Fatalf("leader elem %d = %d, want the full sum %d", j, r.sum[j], full)
-		}
-	}
-	// The leader's caller moves on: its gradient buffer is refilled for
-	// the next step, and the next call holds at the fence.
-	for j := range us[0] {
-		us[0][j] = -1 << 20
-	}
-	next := [][]int32{stepUpdate(0, 2, d), stepUpdate(1, 2, d)}
-	leaderNext := make(chan result, 1)
-	go func() { sum, err := clients[0].AllReduceInt32(next[0]); leaderNext <- result{sum, err} }()
-
-	r = <-laggardT
-	if r.err != nil {
-		t.Fatalf("laggard: %v", r.err)
-	}
-	if agg.Alive(2) {
-		t.Fatal("worker 2 was never evicted: the release did not come from the §5.6 recovery")
-	}
-	for j := range want {
-		if r.sum[j] != want[j] {
-			t.Errorf("laggard elem %d = %d, want %d (full sums before chunk 3, survivors' sums from it)", j, r.sum[j], want[j])
-		}
-	}
-	laggardSum, err := clients[1].AllReduceInt32(next[1])
-	if err != nil {
-		t.Fatalf("laggard, next step: %v", err)
-	}
-	r = <-leaderNext
-	if r.err != nil {
-		t.Fatalf("leader, next step: %v", r.err)
-	}
-	for j, v := range stepSum([]int{0, 1}, 2, d) {
-		if r.sum[j] != v || laggardSum[j] != v {
-			t.Fatalf("next step elem %d: leader %d, laggard %d, want %d", j, r.sum[j], laggardSum[j], v)
-		}
 	}
 }
 
