@@ -158,15 +158,13 @@ type Client struct {
 	t0    time.Time
 	nowNs int64
 	due   []uint32
-	// rbuf/rp/cbuf are the receive buffer of the reads made off the
-	// aggregator socket (the mesh, the fail-up probe's socket), the
-	// decoded packet (also where the client loop decodes the control
-	// kinds it receives; results it never decodes whole) and the control
-	// wire buffer, reused across datagrams so the steady-state AllReduce
-	// loop performs no heap allocation. They belong to the AllReduce
-	// goroutine (the client is documented as not safe for concurrent
-	// use).
-	rbuf []byte
+	// rp/cbuf are the decoded packet — where the client loop decodes the
+	// control kinds and mesh datagrams it receives (aggregator results it
+	// never decodes whole) — and the control wire buffer, reused across
+	// datagrams so the steady-state AllReduce loop performs no heap
+	// allocation; every receive buffer belongs to a socket view (nc,
+	// fb.nc, upNC). They belong to the AllReduce goroutine (the client is
+	// documented as not safe for concurrent use).
 	rp   packet.Packet
 	cbuf []byte
 	// nc is the socket view over conn, the window pump's only datagram
@@ -198,33 +196,36 @@ type Client struct {
 	// tensor boundary (for a joiner: the fence that admits it); drained
 	// means Drain completed and every later AllReduce fails fast;
 	// stateProvider is the model snapshot served to joiners over the
-	// mesh; mbuf/mp are the mesh-serving receive buffer and decoded
-	// packet. All belong to the AllReduce goroutine.
+	// mesh. All belong to the AllReduce goroutine.
 	fenceArmed    bool
 	fenceGen      uint16
 	drained       bool
 	stateProvider func() []int32
-	mbuf          []byte
-	mp            packet.Packet
 
-	// The client loop's mode (run): what it is doing on the aggregator
-	// socket, when it entered it, when its periodic send is next due,
-	// and the handshake facts its exit rules read — fence confirms sent
-	// by a joiner, an adoption request echoed, the joiner's state fetch
-	// made, and the model snapshot fetched (join) or served (fence).
+	// The client loop's mode (run): what it is doing, when it entered it,
+	// when its periodic send is next due, and the facts its exit rules
+	// and socket choice (recv) read — fence confirms sent by a joiner, an
+	// adoption request echoed, the joiner's state fetch (made once it
+	// names an incumbent), the model snapshot fetched (join) or served
+	// (fence), when a fence hold's mesh turn ends (zero between turns),
+	// and the probation a probe wait resolves on socket pnc.
 	mode     mode
 	modeAt   time.Time
 	nextTx   time.Time
 	confirms int
 	echoed   bool
-	fetched  bool
+	fetch    stateFetch
 	snapshot []int32
+	meshEnd  time.Time
+	prob     *probation
+	pnc      *netio.Conn
 
 	// Warm-standby failover state (failover.go). ladder holds the
 	// resolved aggregator addresses in preference order (rank 0 is the
 	// primary, then cfg.Standbys); homeRank is the rung currently
 	// serving the job. up is the fail-up probation against rank 0 while
-	// the job lives on a standby, run over the dedicated upConn socket.
+	// the job lives on a standby, run over the dedicated upConn socket
+	// (upNC is the client loop's view of it).
 	// frng jitters the AllReduce goroutine's control timers (the
 	// heartbeat goroutine seeds its own stream). All belong to the
 	// AllReduce goroutine except the atomics: hbConn is the heartbeat
@@ -235,6 +236,7 @@ type Client struct {
 	ladder         []*net.UDPAddr
 	homeRank       int
 	up             probation
+	upNC           *netio.Conn
 	frng           *rand.Rand
 	hbConn         atomic.Pointer[net.UDPConn]
 	upConn         atomic.Pointer[net.UDPConn]
@@ -318,7 +320,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		pump:        core.NewPump(w, int64(cfg.RTO), cfg.AdaptiveRTO),
 		t0:          time.Now(),
 		due:         make([]uint32, 0, cfg.Worker.PoolSize),
-		rbuf:        make([]byte, 65536),
 		epoch:       cfg.Worker.JobID,
 		ladder:      ladder,
 		frng:        rand.New(rand.NewSource(jitterSeed(&cfg, 1))),
@@ -345,20 +346,19 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 				return nil, fmt.Errorf("transport: mesh listen address: %w", err)
 			}
 		}
+		c.fb = &fallback{cfg: fc}
+		if err := c.fb.resolvePeers(fc.Peers, int(cfg.Worker.ID)); err != nil {
+			conn.Close()
+			return nil, err
+		}
 		mesh, err := net.ListenUDP("udp", laddr)
 		if err != nil {
 			conn.Close()
 			return nil, fmt.Errorf("transport: bind mesh socket: %w", err)
 		}
-		c.fb = &fallback{cfg: fc, mesh: mesh}
-		if err := c.fb.resolvePeers(fc.Peers, int(cfg.Worker.ID)); err != nil {
-			mesh.Close()
-			conn.Close()
-			return nil, err
-		}
 		c.fb.nc, err = netio.Wrap(mesh, netio.Config{
 			Batch: DefaultBatch,
-			MTU:   aggWireMTU(fc.SegElems),
+			MTU:   meshMTU(fc.SegElems),
 			OnSendError: func(err error, n int) {
 				c.sendErrs.Add(uint64(n))
 			},
@@ -392,7 +392,7 @@ func (c *Client) Close() error {
 			uc.Close()
 		}
 		if c.fb != nil {
-			c.fb.mesh.Close()
+			c.fb.nc.UDP().Close()
 		}
 		c.wg.Wait()
 	})
@@ -563,11 +563,12 @@ func (c *Client) silenceAfter() time.Duration {
 	return 8 * c.cfg.RTO
 }
 
-// mode is what the client loop is doing on the aggregator socket. The
-// data mode is the window pump; every other mode is one side of a
-// control handshake, and supplies only a periodic send (announce) and
-// an exit and give-up rule (pace, and the handleIncoming arm that ends
-// it). DESIGN.md "The client loop" tabulates them.
+// mode is what the client loop is doing, and on which socket (recv).
+// The data mode is the window pump; every other mode is one side of a
+// control handshake or a step of the host mesh's collective, and
+// supplies only a periodic send (announce) and an exit and give-up rule
+// (pace, and the handleIncoming or handleMesh arm that ends it).
+// DESIGN.md "The client loop" tabulates them.
 type mode uint8
 
 const (
@@ -576,23 +577,28 @@ const (
 	modeJoin              // solicit admission, then confirm it, until the join commits
 	modeDrain             // announce the leave until the aggregator echoes it
 	modeAdopt             // vote the job onto a ladder rung until it releases it
-	modeProbe             // drain the socket for the failback probe's ack
+	modeProbe             // drain a probed aggregator's socket for the probe's ack
+	modeSync              // the mesh barrier: collect every peer's frontier and streak
+	modeRing              // the mesh ring: go-back-N over the ring schedule
+	modeFetch             // a joiner's model-state fetch from an incumbent
 )
 
 // drainTries is Drain's budget: announcements, one every RTO.
 const drainTries = 64
 
-// run is the client loop, the only reader of the aggregator socket. It
-// drives mode m until the mode ends — the open tensor completes, a
-// handshake is released — or gives up, or the silence verdict comes
-// (errSilence, for settle to degrade on). A handshake release that
-// re-opens a tensor switches the loop to the data mode, which drives it
-// to completion. Each pass reads the clock once, when the receive
-// returns; the checks at the top of the next pass and every stamp made
-// while the burst is handled use that reading.
+// run is the client loop, the only reader of every socket the client
+// owns. It drives mode m until the mode ends — the open tensor
+// completes, a handshake is released, the barrier or the ring completes
+// — or gives up, or the silence verdict comes (errSilence, for settle to
+// degrade on). A handshake release that re-opens a tensor switches the
+// loop to the data mode, which drives it to completion; an admitted
+// joiner switches to the state fetch and back. Each pass reads the
+// socket the mode names and then the clock, once; the checks at the top
+// of the next pass and every stamp made while the burst is handled use
+// that reading.
 func (c *Client) run(m mode, deadline time.Time) error {
 	c.mode, c.modeAt, c.nextTx = m, c.now, time.Time{}
-	c.echoed, c.fetched, c.snapshot = false, false, nil
+	c.echoed, c.fetch, c.meshEnd, c.snapshot = false, stateFetch{}, time.Time{}, nil
 	for {
 		wake, done, err := c.pace(deadline)
 		if done || err != nil {
@@ -603,11 +609,7 @@ func (c *Client) run(m mode, deadline time.Time) error {
 		if err := c.flushTx(); err != nil {
 			return err
 		}
-		if err := c.conn.SetReadDeadline(wake); err != nil {
-			return err
-		}
-		nm, err := c.nc.Recv()
-		c.tick()
+		msgs, mesh, err := c.recv(wake)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				if c.mode == modeData {
@@ -636,15 +638,27 @@ func (c *Client) run(m mode, deadline time.Time) error {
 			c.tick()
 			continue
 		}
-		c.recvd.Add(uint64(nm))
-		foldRcvbufDrops(c.nc, &c.ncDrops, c.rcvDrops)
-		for i := 0; i < nm; i++ {
-			done, err := c.handleDatagram(c.nc.Msgs[i].Buf)
+		for i := range msgs {
+			// Only an aggregator's datagrams reach handleDatagram, which
+			// stamps lastProgress: mesh traffic must never hide a silent
+			// aggregator from the silence rules.
+			var done bool
+			if mesh {
+				done, err = c.handleMesh(&msgs[i])
+			} else {
+				done, err = c.handleDatagram(msgs[i].Buf)
+			}
 			if err != nil {
 				return err
 			}
 			if !done {
 				continue
+			}
+			if mesh {
+				// The rest of the burst is the next mesh mode's: the ring's
+				// first segments behind the barrier's last sync, a peer's
+				// next sync behind the ring's last ack.
+				c.fb.unread = msgs[i+1:]
 			}
 			if c.mode == modeData {
 				// Nothing is left to retransmit, but the burst's round
@@ -668,11 +682,52 @@ func (c *Client) run(m mode, deadline time.Time) error {
 	}
 }
 
+// recv returns the pass's burst from the socket the mode reads — the
+// mesh for the mesh modes and a state-serving fence hold's mesh turns,
+// the probed aggregator's for a probe wait, the home aggregator's for
+// the rest — and whether that is the mesh. The rest of a mesh burst an
+// earlier mode ended in the middle of comes first; otherwise the socket
+// is read under the wake deadline, and then the clock.
+func (c *Client) recv(wake time.Time) ([]netio.Message, bool, error) {
+	nc := c.nc
+	switch c.mode {
+	case modeSync, modeRing, modeFetch:
+		nc = c.fb.nc
+	case modeFence:
+		if !c.meshEnd.IsZero() {
+			nc = c.fb.nc
+		}
+	case modeProbe:
+		nc = c.pnc
+	}
+	mesh := c.fb != nil && nc == c.fb.nc
+	if mesh && len(c.fb.unread) > 0 {
+		msgs := c.fb.unread
+		c.fb.unread = nil
+		return msgs, true, nil
+	}
+	if err := nc.SetReadDeadline(wake); err != nil {
+		return nil, mesh, err
+	}
+	n, err := nc.Recv()
+	c.tick()
+	if err != nil {
+		return nil, mesh, err
+	}
+	if !mesh { // the datagram counters count aggregator traffic only
+		c.recvd.Add(uint64(n))
+	}
+	foldRcvbufDrops(c.nc, &c.ncDrops, c.rcvDrops)
+	return nc.Msgs[:n], mesh, nil
+}
+
 // pace applies the mode's rules at the pass's clock reading, before the
 // loop blocks: the silence verdict (data), the deadline, the give-up
-// rules (fence silence, adoption patience), then the periodic send. It
-// returns when the loop must next wake — at least every RTO — and done
-// when the mode ended without a datagram to end it.
+// rules (fence silence, adoption patience, an unanswered state fetch),
+// the mode switches no datagram makes (an admitted joiner's fetch), the
+// ring's window refill, then the periodic send. It returns when the loop
+// must next wake — at least every RTO — and done when the mode ended
+// without a datagram to end it.
 func (c *Client) pace(deadline time.Time) (wake time.Time, done bool, err error) {
 	now := c.now
 	if silence := now.Sub(c.lastProgress); c.mode == modeData && silence >= c.silenceAfter() {
@@ -713,13 +768,38 @@ func (c *Client) pace(deadline time.Time) (wake time.Time, done bool, err error)
 			return now, true, nil
 		}
 		if c.stateProvider != nil && c.fb != nil {
-			// Serve the joiner the boundary-aligned snapshot, polling the
-			// mesh at least every half RTO.
+			// Serve the joiner the boundary-aligned snapshot in mesh turns.
+			// A turn lasts while requests land within 1 ms of each other
+			// (serveState moves meshEnd; the joiner asks again as soon as
+			// a reply lands), until the next confirm is due. The aggregator
+			// pass after it polls for 1 ms if the joiner was still asking,
+			// and waits up to RTO/2 otherwise.
 			if c.snapshot == nil {
 				c.snapshot = c.stateProvider()
 			}
-			c.serveState(c.snapshot)
-			wake = now.Add(c.cfg.RTO / 2)
+			switch busy := now.Before(c.meshEnd); {
+			case c.meshEnd.IsZero():
+				c.meshEnd = now.Add(time.Millisecond)
+				wake = c.meshEnd
+			case busy && now.Before(c.nextTx):
+				wake = c.meshEnd
+			case busy:
+				c.meshEnd, wake = time.Time{}, now.Add(min(time.Millisecond, c.cfg.RTO/2))
+			default:
+				c.meshEnd, wake = time.Time{}, now.Add(c.cfg.RTO/2)
+			}
+		}
+	case modeJoin:
+		if c.fenceArmed && c.fb != nil && !c.fetch.from.IsValid() {
+			// Admitted: fetch model state from an incumbent before the
+			// first confirm (best effort: see the fetch mode's give-up).
+			c.startFetch()
+		}
+	case modeFetch:
+		if c.fetch.tries >= 16 && !now.Before(c.nextTx) {
+			// 16 requests at one offset went unanswered (an incumbent
+			// without a state provider never answers): join stateless.
+			c.mode, c.snapshot, c.nextTx = modeJoin, nil, time.Time{}
 		}
 	case modeAdopt:
 		// A rung that never echoes the request is written off quickly;
@@ -730,9 +810,11 @@ func (c *Client) pace(deadline time.Time) (wake time.Time, done bool, err error)
 		if wait := now.Sub(c.modeAt); (!c.echoed && wait >= 8*c.cfg.RTO) || wait >= 2*c.silenceAfter()+8*c.cfg.RTO {
 			return now, false, fmt.Errorf("transport: ladder rung %d silent through the adoption handshake (echoed=%v): %w", c.homeRank, c.echoed, ErrAggregatorSilent)
 		}
+	case modeRing:
+		c.ringFill()
 	}
 	if !now.Before(c.nextTx) {
-		period, err := c.announce(deadline)
+		period, err := c.announce()
 		if err != nil {
 			return now, false, err
 		}
@@ -745,20 +827,27 @@ func (c *Client) pace(deadline time.Time) (wake time.Time, done bool, err error)
 }
 
 // expired is the mode's verdict on its deadline: the call's, for the
-// data and fence modes and adoption; the handshake's own for a join, a
-// drain and a probe wait, which ends without error.
+// data and fence modes, adoption and the mesh's barrier and ring; the
+// handshake's own for a join (its state fetch included), a drain and a
+// probe wait, which ends without error.
 func (c *Client) expired() error {
 	switch c.mode {
 	case modeData:
 		return fmt.Errorf("transport: all-reduce timed out after %v (%d chunks outstanding)", c.cfg.Timeout, c.worker.PendingCount())
 	case modeFence:
 		return fmt.Errorf("transport: membership fence (generation %d) timed out holding at offset %d", c.fenceGen, c.worker.FrontierOff())
-	case modeJoin:
+	case modeJoin, modeFetch:
 		return fmt.Errorf("transport: join timed out after %v", c.cfg.Timeout)
 	case modeDrain:
 		return fmt.Errorf("transport: drain announcement unacknowledged after %d attempts", drainTries)
 	case modeAdopt:
 		return fmt.Errorf("transport: adoption at ladder rung %d timed out: %w", c.homeRank, ErrAggregatorSilent)
+	case modeSync:
+		return fmt.Errorf("transport: fallback barrier timed out with %d of %d peers silent: %w", c.fb.remaining, c.cfg.Worker.Workers-1, ErrAggregatorSilent)
+	case modeRing:
+		r := &c.fb.ring
+		return fmt.Errorf("transport: mesh ring timed out (%d/%d sent-acked, %d/%d received): %w",
+			r.cumAck, r.sendStart[r.G], r.recvSeq, r.recvStart[r.G], ErrAggregatorSilent)
 	}
 	return nil
 }
@@ -766,25 +855,41 @@ func (c *Client) expired() error {
 // announce makes the mode's periodic send and returns the period to the
 // next one: the fence confirm (Ver=1 KindReport at the boundary) or the
 // joiner's solicit, the leave announcement, the adoption request at a
-// jittered RTO. A joiner whose fence stays quiet for 16 confirms was
-// aborted by a crash recovery and solicits a fresh one; admitted, it
-// first fetches model state from an incumbent over the mesh (best
-// effort: an incumbent without a state provider never answers, and the
-// join proceeds stateless).
-func (c *Client) announce(deadline time.Time) (time.Duration, error) {
+// jittered RTO, and on the mesh the barrier sync to every silent peer,
+// the ring's go-back-N replay and the state fetch's request. A joiner
+// whose fence stays quiet for 16 confirms was aborted by a crash
+// recovery and solicits a fresh one.
+func (c *Client) announce() (time.Duration, error) {
 	switch c.mode {
 	case modeDrain:
 		return c.cfg.RTO, c.sendCtl(c.conn, packet.KindLeave, c.epoch, 0, c.worker.FrontierOff(), 0)
 	case modeAdopt:
 		c.failAdopts.Inc()
 		return jitterDur(c.frng, c.cfg.RTO), c.sendCtl(c.conn, packet.KindAdoptJob, c.epoch+1, 0, c.worker.FrontierOff(), 0)
+	case modeSync:
+		for w, got := range c.fb.got {
+			if !got {
+				c.meshSend(c.fb.syncWire, w)
+			}
+		}
+		return c.cfg.RTO, nil
+	case modeRing:
+		// Go-back-N: replay from the ack point, capped to keep a long
+		// outage from bursting.
+		for r, s := &c.fb.ring, c.fb.ring.cumAck; s < min(r.nextSend, r.cumAck+16); s++ {
+			c.sendSeg(s)
+			c.fb.meshRetx.Add(1)
+		}
+		return c.cfg.RTO, nil
+	case modeFetch:
+		c.fetch.tries++
+		c.fb.sbuf = packet.NewControl(packet.KindStateReq, c.cfg.Worker.ID, 0, uint64(c.fetch.off), nil).AppendMarshal(c.fb.sbuf[:0])
+		c.fb.nc.AppendTo(c.fb.sbuf, c.fetch.from)
+		return c.cfg.RTO, nil
 	}
 	if c.mode == modeJoin && c.fenceArmed {
 		if c.confirms++; c.confirms > 16 {
 			c.fenceArmed = false
-		} else if !c.fetched && c.fb != nil {
-			c.fetched = true
-			c.snapshot, _ = c.fetchState(deadline)
 		}
 	}
 	if !c.fenceArmed {
@@ -946,10 +1051,12 @@ func (c *Client) handleIncoming(p *packet.Packet) (bool, error) {
 		}
 		return false, nil
 	case packet.KindProbeAck:
-		if c.mode != modeProbe {
+		if pr := c.prob; c.mode != modeProbe {
 			c.unexpected.Inc()
-		} else if c.ackProbe(&c.fb.prob, p.Idx) {
-			c.fb.probeAcks.Add(1)
+		} else if pr.await && p.Idx == pr.seq {
+			pr.await = false
+			pr.streak++
+			c.trace(telemetry.EvProbeAck, int32(p.Idx))
 		}
 		return false, nil
 	case packet.KindResult, packet.KindResultUnicast:
@@ -1049,12 +1156,16 @@ func (c *Client) flushTxBlock() {
 	c.txSeg = 0
 }
 
-// flushTx drains the staged window and surfaces the first send error
-// since the last flush. With a fallback armed, a provably-dead
-// destination is death evidence for the silence clock rather than a
-// caller error.
+// flushTx drains the staged window and the staged mesh datagrams, and
+// surfaces the first send error on the aggregator socket since the last
+// flush (a failed mesh send is only counted: the mesh's own repetition
+// repairs it). With a fallback armed, a provably-dead destination is
+// death evidence for the silence clock rather than a caller error.
 func (c *Client) flushTx() error {
 	c.flushTxBlock()
+	if c.fb != nil {
+		c.fb.nc.Flush()
+	}
 	if err := c.stageErr; err != nil {
 		c.stageErr = nil
 		if c.canDegrade() && deadDestination(err) {

@@ -209,30 +209,42 @@ func TestAdaptiveRTOOnBurstClock(t *testing.T) {
 }
 
 // TestClientModesFollowInjectedClock extends the clock seam from the
-// window pump to the handshake modes of the client loop: each row
-// enters a mode against peers that never answer, then moves the
-// client's clock past the call's deadline, and the call must return
-// that mode's timeout error within two RTOs of wall time — not at the
-// real deadline, an hour away.
+// window pump to the other modes of the client loop: each row enters a
+// mode against peers that never answer, then moves the client's clock
+// past the call's deadline, and the call must return that mode's
+// timeout error within two RTOs of wall time — not at the real
+// deadline, an hour away. The mesh rows run worker 0 of two, whose one
+// mesh peer is silent: the barrier of an already degraded client, and
+// the ring (reached directly, as no barrier completes without a live
+// peer).
 func TestClientModesFollowInjectedClock(t *testing.T) {
 	const rto = 50 * time.Millisecond
 	for _, tc := range []struct {
 		name  string
+		mesh  bool
 		enter func(c *Client) error
 		want  string
 	}{
-		{"fence-hold", func(c *Client) error {
+		{"fence-hold", false, func(c *Client) error {
 			c.fenceArmed, c.fenceGen = true, 1
 			_, err := c.AllReduceInt32(make([]int32, 8))
 			return err
 		}, "membership fence (generation 1) timed out"},
-		{"join", func(c *Client) error {
+		{"join", false, func(c *Client) error {
 			_, err := c.JoinCluster()
 			return err
 		}, "join timed out"},
-		{"adopt", func(c *Client) error {
+		{"adopt", false, func(c *Client) error {
 			return c.adoptAt(1, c.tick().Add(c.cfg.Timeout))
 		}, "adoption at ladder rung 1 timed out"},
+		{"mesh barrier", true, func(c *Client) error {
+			c.fb.degraded.Store(true)
+			_, err := c.AllReduceInt32(make([]int32, 8))
+			return err
+		}, "fallback barrier timed out"},
+		{"mesh ring", true, func(c *Client) error {
+			return c.meshRound(make([]int32, 600), 0, c.tick().Add(c.cfg.Timeout))
+		}, "mesh ring timed out"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			silent := func() string {
@@ -243,13 +255,18 @@ func TestClientModesFollowInjectedClock(t *testing.T) {
 				t.Cleanup(func() { sock.Close() })
 				return sock.LocalAddr().String()
 			}
-			c, err := NewClient(ClientConfig{
+			cfg := ClientConfig{
 				Aggregator: silent(),
 				Standbys:   []string{silent()},
 				Worker:     core.WorkerConfig{ID: 0, Workers: 1, PoolSize: 4, SlotElems: 8, LossRecovery: true},
 				RTO:        rto,
 				Timeout:    time.Hour,
-			})
+			}
+			if tc.mesh {
+				cfg.Worker.Workers = 2
+				cfg.Fallback = &FallbackConfig{Peers: []string{"", silent()}}
+			}
+			c, err := NewClient(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"net/netip"
-	"time"
 
 	"switchml/internal/packet"
 	"switchml/internal/telemetry"
@@ -110,7 +109,7 @@ func (a *Aggregator) commitJoinLocked(rc *rollCall) {
 	if a.installLocked(a.membersLocked(rc.joiner), rc.gen) != nil {
 		return
 	}
-	a.lv.tracker.MarkAlive(rc.joiner, time.Now().UnixNano())
+	a.lv.tracker.MarkAlive(rc.joiner, a.coarse.Load())
 	a.releaseLocked(rc, rc.hi)
 }
 

@@ -2,8 +2,7 @@ package transport
 
 import (
 	"errors"
-	"fmt"
-	"net"
+	"net/netip"
 	"time"
 
 	"switchml/internal/packet"
@@ -13,9 +12,11 @@ import (
 // Elastic membership: the worker-side half of graceful join and leave
 // (the aggregator half lives in elastic.go).
 //
-// The fence hold, the drain and the join below are modes of the client
-// loop (run, in client.go; DESIGN.md "The client loop"), which reads
-// the aggregator socket for them as it does for the window pump.
+// The fence hold, the drain, the join and the joiner's state fetch below
+// are modes of the client loop (run, in client.go; DESIGN.md "The
+// client loop"), which reads the aggregator socket for the first three
+// as it does for the window pump, and the mesh socket for the fetch and
+// for the mesh turns of a fence hold that serves state.
 //
 // An incumbent's whole obligation is the fence hold: when a Ver=1
 // KindReconfig announces a membership change, the client finishes its
@@ -23,9 +24,9 @@ import (
 // at the tensor boundary (the fence mode) — confirming the boundary
 // offset with a Ver=1 KindReport at its RTO, serving model-state
 // segments to the joiner over the fallback mesh if a state provider is
-// installed — until a KindResume releases it under the new generation.
-// All of that happens inside AllReduceInt32; callers see nothing but
-// a slightly longer step.
+// installed (to mesh peers only) — until a KindResume releases it under
+// the new generation. All of that happens inside AllReduceInt32;
+// callers see nothing but a slightly longer step.
 //
 // A leaver calls Drain between AllReduce calls (the drain mode): the
 // drain boundary (the worker's stream frontier) rides on a KindLeave
@@ -34,7 +35,8 @@ import (
 //
 // A joiner calls JoinCluster before its first AllReduce (the join
 // mode): KindJoin is retransmitted until the fence opens, model state
-// is fetched from an incumbent over the mesh (when one is configured),
+// is fetched from an incumbent over the mesh (the fetch mode, when a
+// mesh is configured; replies are taken from that incumbent only),
 // readiness is confirmed, and the commit's KindResume seeds the stream
 // cursor at the boundary every incumbent is holding at.
 
@@ -43,7 +45,8 @@ import (
 var ErrDrained = errors.New("transport: worker drained from job")
 
 // stateSegElems is the mesh state-transfer segment size in elements;
-// well under the 64 KiB datagram ceiling at 4 bytes per element.
+// well under the 64 KiB datagram ceiling at 4 bytes per element, and
+// within the mesh socket view's MTU (meshMTU).
 const stateSegElems = 1024
 
 // SetStateProvider installs the model-state snapshot callback served
@@ -75,17 +78,6 @@ func (c *Client) armFence(p *packet.Packet) error {
 	c.fenceArmed, c.fenceGen = true, p.JobID
 	c.confirms, c.nextTx = 0, time.Time{}
 	return nil
-}
-
-// meshBuf returns the pooled 64 KiB mesh receive buffer, allocated on
-// first use. It is owned by whichever single goroutine drives the
-// client (the client is documented as not safe for concurrent use);
-// see fetchState for the ownership note versus c.rbuf.
-func (c *Client) meshBuf() []byte {
-	if c.mbuf == nil {
-		c.mbuf = make([]byte, 65536)
-	}
-	return c.mbuf
 }
 
 // adoptEpoch installs a new job generation. The retransmission state
@@ -125,121 +117,67 @@ func (c *Client) JoinCluster() ([]int32, error) {
 	return c.snapshot, nil
 }
 
-// statePeer picks the incumbent to fetch model state from: the
-// lowest-id mesh peer that is not this worker.
-func (c *Client) statePeer() *net.UDPAddr {
+// stateFetch is a joiner's state fetch in flight: the incumbent asked,
+// the offset requested, the snapshot's length once the first reply
+// names it (-1 before), and the requests made at this offset.
+type stateFetch struct {
+	from              netip.AddrPort
+	off, total, tries int
+}
+
+// startFetch enters the fetch mode against the lowest-id mesh peer that
+// is not this worker, pulling the model snapshot one segment per request
+// (requester-driven ARQ: lost requests and replies are both repaired by
+// re-requesting). With no such peer the join proceeds stateless.
+func (c *Client) startFetch() {
 	for i, ap := range c.fb.peers {
-		if ap != nil && i != int(c.cfg.Worker.ID) {
-			return ap
-		}
-	}
-	return nil
-}
-
-// fetchState pulls the model snapshot from an incumbent holding at
-// the fence, one segment per request (requester-driven ARQ: lost
-// requests and replies are both repaired by re-requesting). The first
-// reply carries the total element count.
-func (c *Client) fetchState(deadline time.Time) ([]int32, error) {
-	peer := c.statePeer()
-	if peer == nil {
-		return nil, nil
-	}
-	var state []int32
-	total := -1
-	off := 0
-	// The mesh receive buffer and decoded packet are the client's
-	// pooled c.mbuf/c.mp rather than per-call allocations: fetchState
-	// (the joiner, before its first AllReduce) and serveState (an
-	// incumbent, inside its fence hold) are the only users, both on
-	// the single goroutine driving the client — they can never run
-	// concurrently on one client, so sharing the pool is safe. c.rbuf
-	// stays distinct: the degraded path's mesh loops read into it.
-	buf := c.meshBuf()
-	p := &c.mp
-	for total < 0 || off < total {
-		got := false
-		for try := 0; try < 16 && !got; try++ {
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("transport: state fetch timed out at offset %d", off)
-			}
-			c.cbuf = packet.NewControl(packet.KindStateReq, c.cfg.Worker.ID, 0, uint64(off), nil).AppendMarshal(c.cbuf[:0])
-			if _, err := c.fb.mesh.WriteToUDP(c.cbuf, peer); err != nil {
-				c.sendErrs.Inc()
-				continue
-			}
-			if err := c.fb.mesh.SetReadDeadline(time.Now().Add(c.cfg.RTO)); err != nil {
-				return nil, err
-			}
-			for {
-				n, _, err := c.fb.mesh.ReadFromUDP(buf)
-				if err != nil {
-					break
-				}
-				if packet.UnmarshalInto(p, buf[:n]) != nil {
-					continue
-				}
-				if p.Kind != packet.KindStateData || p.Off != uint64(off) {
-					continue
-				}
-				if total < 0 {
-					total = int(p.Idx)
-					state = make([]int32, 0, total)
-				}
-				state = append(state, p.Vector...)
-				off += len(p.Vector)
-				got = true
-				break
-			}
-		}
-		if !got {
-			return nil, fmt.Errorf("transport: state fetch got no reply at offset %d", off)
-		}
-		if total == 0 {
-			break
-		}
-	}
-	return state, nil
-}
-
-// serveState answers pending mesh state requests from the joiner with
-// segments of the boundary-aligned snapshot. Called from the fence
-// hold loop; the short poll deadline keeps the hold responsive.
-func (c *Client) serveState(state []int32) {
-	if err := c.fb.mesh.SetReadDeadline(time.Now().Add(time.Millisecond)); err != nil {
-		return
-	}
-	c.meshBuf()
-	for {
-		n, src, err := c.fb.mesh.ReadFromUDP(c.mbuf)
-		if err != nil {
+		if ap.IsValid() && i != int(c.cfg.Worker.ID) {
+			c.fetch = stateFetch{from: ap, total: -1}
+			c.mode, c.nextTx = modeFetch, time.Time{}
 			return
 		}
-		if packet.UnmarshalInto(&c.mp, c.mbuf[:n]) != nil {
-			continue
-		}
-		if c.mp.Kind != packet.KindStateReq {
-			continue // stale mesh-ring traffic
-		}
-		off := int(c.mp.Off)
-		if off < 0 || off > len(state) {
-			continue
-		}
-		seg := stateSegElems
-		if off+seg > len(state) {
-			seg = len(state) - off
-		}
-		out := packet.Packet{
-			Kind:     packet.KindStateData,
-			WorkerID: c.cfg.Worker.ID,
-			JobID:    c.mp.JobID,
-			Idx:      uint32(len(state)),
-			Off:      uint64(off),
-			Vector:   state[off : off+seg],
-		}
-		c.fb.sbuf = out.AppendMarshal(c.fb.sbuf[:0])
-		if _, err := c.fb.mesh.WriteToUDP(c.fb.sbuf, src); err != nil {
-			c.sendErrs.Inc()
-		}
 	}
+}
+
+// takeState takes the asked incumbent's reply: the segment at the
+// fetch's offset is appended (the first reply carries the total element
+// count) and the next is requested at once; the last one returns the
+// loop to the join mode, which confirms at once.
+func (c *Client) takeState(p *packet.Packet) {
+	f := &c.fetch
+	if p.Off != uint64(f.off) {
+		return // a duplicate of an earlier segment
+	}
+	if f.total < 0 {
+		f.total = int(p.Idx)
+		c.snapshot = make([]int32, 0, f.total)
+	}
+	c.snapshot = append(c.snapshot, p.Vector...)
+	f.off += len(p.Vector)
+	f.tries, c.nextTx = 0, time.Time{}
+	if f.off >= f.total {
+		c.mode = modeJoin
+	}
+}
+
+// serveState answers a mesh peer's state request from a fence hold with
+// the segment of the boundary-aligned snapshot at the requested offset.
+func (c *Client) serveState(p *packet.Packet, to netip.AddrPort) {
+	state := c.snapshot
+	c.meshEnd = c.now.Add(time.Millisecond) // the fence hold's mesh turn goes on
+	if p.Off > uint64(len(state)) {
+		return
+	}
+	off := int(p.Off)
+	seg := min(stateSegElems, len(state)-off)
+	out := packet.Packet{
+		Kind:     packet.KindStateData,
+		WorkerID: c.cfg.Worker.ID,
+		JobID:    p.JobID,
+		Idx:      uint32(len(state)),
+		Off:      p.Off,
+		Vector:   state[off : off+seg],
+	}
+	c.fb.sbuf = out.AppendMarshal(c.fb.sbuf[:0])
+	c.fb.nc.AppendTo(c.fb.sbuf, to)
 }

@@ -261,16 +261,27 @@ func (c *Client) failUpTick(deadline time.Time) error {
 	if prob < 0 {
 		return nil
 	}
-	if c.upConn.Load() == nil {
+	if c.upNC == nil {
 		uc, err := net.DialUDP("udp", nil, c.ladder[0])
 		if err != nil {
 			return nil // cannot probe; stay on the standby
 		}
+		nc, err := netio.Wrap(uc, netio.Config{Batch: 1}) // probe acks only
+		if err != nil {
+			uc.Close()
+			return nil
+		}
 		c.upConn.Store(uc)
+		c.upNC = nc
 	}
-	uc := c.upConn.Load()
-	if c.up.await && c.resolveUpProbe(uc, jitterDur(c.frng, c.cfg.RTO/8)) {
-		c.failProbeAcks.Inc()
+	if c.up.await {
+		acked, err := c.resolveProbe(&c.up, c.upNC, jitterDur(c.frng, c.cfg.RTO/8))
+		if err != nil {
+			return err
+		}
+		if acked {
+			c.failProbeAcks.Inc()
+		}
 	}
 	if c.up.streak >= prob {
 		prev := c.homeRank
@@ -286,7 +297,7 @@ func (c *Client) failUpTick(deadline time.Time) error {
 		return nil
 	}
 	c.failProbes.Inc()
-	return c.sendProbe(&c.up, uc, c.epoch)
+	return c.sendProbe(&c.up, c.upNC.UDP(), c.epoch)
 }
 
 // --- Aggregator half: the adoption roll call ---
@@ -305,7 +316,7 @@ func (a *Aggregator) handleAdopt(sh *aggShard, src netip.AddrPort) {
 		// detector wrote off while the job lived elsewhere is plainly
 		// back.
 		tr = a.lv.tracker
-		tr.MarkAlive(w, time.Now().UnixNano())
+		tr.MarkAlive(w, a.coarse.Load())
 	}
 	a.setPeer(p.WorkerID, src)
 	a.mu.Lock()

@@ -20,12 +20,21 @@
 // the simulator's host fabric (which models a reliable kernel
 // transport), real UDP loses mesh datagrams too — the ARQ is what
 // makes the barrier handoff exact.
+//
+// The barrier and the ring are modes of the client loop (run, in
+// client.go; DESIGN.md "The client loop") on the mesh socket, as are the
+// state transfer's fetch and the fence hold's serving passes
+// (elastic_client.go): every mesh datagram goes to one dispatch,
+// handleMesh, and every mesh send is staged on the mesh socket's view
+// and flushed by the loop.
 package transport
 
 import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -112,9 +121,11 @@ type FallbackStats struct {
 // atomic counters and the degraded flag belongs to the AllReduce
 // goroutine.
 type fallback struct {
-	cfg   FallbackConfig
-	mesh  *net.UDPConn
-	peers []*net.UDPAddr
+	cfg FallbackConfig
+	// peers holds each worker's mesh address (IPv4 unmapped, as
+	// meshAddr compares them), indexed by worker id; this worker's entry
+	// and unlisted ones are the zero AddrPort.
+	peers []netip.AddrPort
 	// degraded is atomic only so monitoring goroutines may read it;
 	// the AllReduce goroutine is the sole writer.
 	degraded atomic.Bool
@@ -127,21 +138,40 @@ type fallback struct {
 	// prob is the failback probation window, probing the aggregator
 	// over the main connection.
 	prob probation
-	// nc is the socket view over mesh, staging the ring's window-fill
-	// and go-back-N bursts for single-syscall flushes. Only segment
-	// sends go through it — mesh receives, acks and syncs stay on the
-	// plain socket — so the single-owner staging contract is the
-	// AllReduce goroutine's.
-	nc *netio.Conn
+	// nc is the view over the mesh socket: the client loop's mesh modes
+	// read it, and every mesh datagram is staged on it and flushed by the
+	// loop. unread is the rest of a burst a mode ended in the middle of,
+	// in nc's receive arena, for the next mesh pass.
+	nc     *netio.Conn
+	unread []netio.Message
 	// syncWire / prevSyncWire are the marshalled barrier syncs of the
 	// current and previous rounds, replayed whenever a peer shows it
-	// never received them.
-	syncWire, prevSyncWire []byte
-	// sbuf/abuf are the mesh send and ack wire buffers.
-	sbuf, abuf []byte
+	// never received them; sbuf is the wire buffer of every other mesh
+	// send (staging copies it out).
+	syncWire, prevSyncWire, sbuf []byte
+	// The barrier's roll (the sync mode): which peers' syncs are in, how
+	// many are still missing, and the running minima of their frontiers
+	// (F, the handoff boundary) and probe streaks (the failback vote).
+	got       []bool
+	remaining int
+	F         uint64
+	minStreak int
+	// ring is the mesh ring's round in flight (the ring mode).
+	ring ring
 
 	degrades, probes, probeAcks, failbacks atomic.Uint64
 	hostRounds, hostElems, meshRetx        atomic.Uint64
+}
+
+// meshMTU is the mesh socket view's datagram ceiling: its largest
+// datagram is a ring segment or a state-transfer reply, whichever
+// carries more elements.
+func meshMTU(segElems int) int { return aggWireMTU(max(segElems, stateSegElems)) }
+
+// meshAddr is the form mesh addresses are kept and compared in: a
+// dual-stack socket reports IPv4 senders IPv4-mapped.
+func meshAddr(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
 // MeshAddr returns the bound mesh socket address, or nil when the
@@ -151,7 +181,7 @@ func (c *Client) MeshAddr() *net.UDPAddr {
 	if c.fb == nil {
 		return nil
 	}
-	return c.fb.mesh.LocalAddr().(*net.UDPAddr)
+	return c.fb.nc.UDP().LocalAddr().(*net.UDPAddr)
 }
 
 // SetMeshPeers installs the worker-indexed mesh address table. Call
@@ -167,7 +197,7 @@ func (f *fallback) resolvePeers(addrs []string, self int) error {
 	if len(addrs) == 0 {
 		return nil
 	}
-	peers := make([]*net.UDPAddr, len(addrs))
+	peers := make([]netip.AddrPort, len(addrs))
 	for i, s := range addrs {
 		if i == self || s == "" {
 			continue
@@ -176,7 +206,7 @@ func (f *fallback) resolvePeers(addrs []string, self int) error {
 		if err != nil {
 			return fmt.Errorf("transport: resolve mesh peer %d %q: %w", i, s, err)
 		}
-		peers[i] = a
+		peers[i] = meshAddr(a.AddrPort())
 	}
 	f.peers = peers
 	return nil
@@ -211,7 +241,7 @@ func (f *fallback) checkPeers(n, self int) error {
 		return fmt.Errorf("transport: degraded with %d of %d mesh peers configured: %w", len(f.peers), n, ErrAggregatorSilent)
 	}
 	for i := 0; i < n; i++ {
-		if i != self && f.peers[i] == nil {
+		if i != self && !f.peers[i].IsValid() {
 			return fmt.Errorf("transport: degraded without a mesh address for worker %d: %w", i, ErrAggregatorSilent)
 		}
 	}
@@ -224,8 +254,7 @@ func (f *fallback) checkPeers(n, self int) error {
 // subsequent tensors until the probation verdict fails it back.
 func (c *Client) enterFallback(u []int32, deadline time.Time) ([]int32, error) {
 	fb := c.fb
-	n := c.cfg.Worker.Workers
-	if err := fb.checkPeers(n, int(c.cfg.Worker.ID)); err != nil {
+	if err := fb.checkPeers(c.cfg.Worker.Workers, int(c.cfg.Worker.ID)); err != nil {
 		return nil, err
 	}
 	fb.degraded.Store(true)
@@ -236,52 +265,47 @@ func (c *Client) enterFallback(u []int32, deadline time.Time) ([]int32, error) {
 	fb.degrades.Add(1)
 	c.gDegraded.Set(1)
 	c.trace(telemetry.EvDegrade, -1)
-	frontier := c.worker.FrontierOff()
-	F, _, err := c.syncRound(frontier, deadline)
-	if err != nil {
+	if err := c.syncRound(c.worker.FrontierOff(), deadline); err != nil {
 		return nil, err
 	}
-	local := F - c.worker.TensorBase()
-	return c.meshFinish(u, F, int(local), deadline)
+	return c.meshFinish(u, fb.F, int(fb.F-c.worker.TensorBase()), deadline)
 }
 
 // degradedAllReduce runs one tensor while the job lives on the mesh:
 // resolve last round's probe, send this round's, run the barrier sync
 // (which also carries the failback vote), then either fail back to the
-// switch or aggregate the whole tensor by mesh ring.
+// switch or aggregate the whole tensor by mesh ring. The degrade that
+// entered the mode checked the mesh address table.
 func (c *Client) degradedAllReduce(u []int32, deadline time.Time) ([]int32, error) {
 	fb := c.fb
-	n := c.cfg.Worker.Workers
-	if err := fb.checkPeers(n, int(c.cfg.Worker.ID)); err != nil {
-		return nil, err
-	}
-	// Resolve the previous round's probe: the client loop's probe mode
-	// drains the main connection for RTO/8, counting the ack and
-	// discarding whatever else piled up while the job lived on the mesh
+	// Resolve the previous round's probe, draining the main connection
+	// for RTO/8: whatever else piled up while the job lived on the mesh
 	// (stale results, recovery directives from the old generation — the
-	// probe fence makes them meaningless). The next probe proposes the
-	// post-failback generation.
-	if err := c.run(modeProbe, c.tick().Add(c.cfg.RTO/8)); err != nil {
+	// probe fence makes them meaningless) is discarded. The next probe
+	// proposes the post-failback generation.
+	acked, err := c.resolveProbe(&fb.prob, c.nc, c.cfg.RTO/8)
+	if err != nil {
 		return nil, err
 	}
-	fb.prob.resolve()
+	if acked {
+		fb.probeAcks.Add(1)
+	}
 	fb.probes.Add(1)
 	if err := c.sendProbe(&fb.prob, c.conn, c.epoch+1); err != nil {
 		return nil, err
 	}
 	c.worker.StartHosted(u)
 	frontier := c.worker.FrontierOff()
-	F, minStreak, err := c.syncRound(frontier, deadline)
-	if err != nil {
+	if err := c.syncRound(frontier, deadline); err != nil {
 		return nil, err
 	}
-	if F != frontier {
-		return nil, fmt.Errorf("transport: stream misaligned in degraded mode: local frontier %d, collective %d", frontier, F)
+	if fb.F != frontier {
+		return nil, fmt.Errorf("transport: stream misaligned in degraded mode: local frontier %d, collective %d", frontier, fb.F)
 	}
-	if fb.cfg.Probation >= 0 && minStreak >= fb.cfg.Probation {
+	if fb.cfg.Probation >= 0 && fb.minStreak >= fb.cfg.Probation {
 		return c.failback(u, deadline)
 	}
-	return c.meshFinish(u, F, 0, deadline)
+	return c.meshFinish(u, fb.F, 0, deadline)
 }
 
 // meshFinish aggregates the tensor suffix u[local:] (global offset F)
@@ -344,15 +368,6 @@ type probation struct {
 // restart forgets the streak and any probe in flight.
 func (pr *probation) restart() { pr.await, pr.streak = false, 0 }
 
-// resolve closes the round: a probe still unanswered means the
-// aggregator is still gone (or flapping); either way the probation
-// clock restarts.
-func (pr *probation) resolve() {
-	if pr.await {
-		pr.restart()
-	}
-}
-
 // sendProbe opens pr's next round: a KindProbe carrying the round's
 // sequence number and the proposed generation gen, sent on conn.
 func (c *Client) sendProbe(pr *probation, conn *net.UDPConn, gen uint16) error {
@@ -362,56 +377,31 @@ func (c *Client) sendProbe(pr *probation, conn *net.UDPConn, gen uint16) error {
 	return c.sendCtl(conn, packet.KindProbe, gen, pr.seq, 0, 0)
 }
 
-// ackProbe takes a KindProbeAck for pr: the ack answering its open
-// probe extends the streak. It reports whether it did.
-func (c *Client) ackProbe(pr *probation, seq uint32) bool {
-	if !pr.await || seq != pr.seq {
-		return false
+// resolveProbe closes pr's round in the client loop's probe mode: the
+// loop drains nc for wait, and the ack that answers the open probe
+// extends the streak (handleIncoming); everything else is discarded. A
+// probe still unanswered means the aggregator is still gone (or
+// flapping); either way the probation clock restarts. It reports
+// whether the probe was answered.
+func (c *Client) resolveProbe(pr *probation, nc *netio.Conn, wait time.Duration) (bool, error) {
+	c.prob, c.pnc = pr, nc
+	streak := pr.streak
+	err := c.run(modeProbe, c.tick().Add(wait))
+	if pr.await {
+		pr.restart()
 	}
-	pr.await = false
-	pr.streak++
-	c.trace(telemetry.EvProbeAck, int32(seq))
-	return true
+	return pr.streak > streak, err
 }
 
-// resolveUpProbe closes the fail-up round (failover.go) on its own
-// socket: it drains conn for up to wait, counting the ack that answers
-// the open probe, and resolves the round. It reports whether the probe
-// was answered.
-func (c *Client) resolveUpProbe(conn *net.UDPConn, wait time.Duration) bool {
-	// A short real deadline, not an expired one: Go fails reads on an
-	// already-passed deadline without delivering buffered datagrams, so
-	// a zero-length poll would never see the queued ack.
-	conn.SetReadDeadline(c.tick().Add(wait))
-	acked := false
-	for {
-		n, err := conn.Read(c.rbuf)
-		if err != nil {
-			break
-		}
-		c.recvd.Inc()
-		if packet.UnmarshalInto(&c.rp, c.rbuf[:n]) != nil {
-			c.corrupt.Inc()
-			continue
-		}
-		if c.rp.Kind == packet.KindProbeAck && c.ackProbe(&c.up, c.rp.Idx) {
-			acked = true
-		}
-	}
-	c.up.resolve()
-	return acked
-}
-
-// syncRound is the degraded path's barrier: every worker broadcasts
-// its frontier and probe streak for this round and collects all n-1
-// peers' syncs, retransmitting its own until then. All workers see
-// the same n values, so the frontier minimum (the handoff boundary)
-// and the streak minimum (the failback vote) are collective verdicts
-// with no extra agreement round.
-func (c *Client) syncRound(frontier uint64, deadline time.Time) (F uint64, minStreak int, err error) {
+// syncRound is the degraded path's barrier, the client loop's sync
+// mode: every worker broadcasts its frontier and probe streak for this
+// round and collects all n-1 peers' syncs, re-sending its own to the
+// silent ones every RTO. All workers see the same n values, so the
+// frontier minimum (fb.F, the handoff boundary) and the streak minimum
+// (fb.minStreak, the failback vote) are collective verdicts with no
+// extra agreement round.
+func (c *Client) syncRound(frontier uint64, deadline time.Time) error {
 	fb := c.fb
-	n := c.cfg.Worker.Workers
-	self := int(c.cfg.Worker.ID)
 	fb.round++
 	streak := min(fb.prob.streak, 255)
 	p := packet.NewControl(packet.KindFallbackSync, c.cfg.Worker.ID, fb.round, frontier, nil)
@@ -419,129 +409,85 @@ func (c *Client) syncRound(frontier uint64, deadline time.Time) (F uint64, minSt
 	fb.prevSyncWire = append(fb.prevSyncWire[:0], fb.syncWire...)
 	fb.syncWire = p.AppendMarshal(fb.syncWire[:0])
 
-	F, minStreak = frontier, streak
-	got := make([]bool, n)
-	got[self] = true
-	remaining := n - 1
-	for w := range got {
-		if w != self {
-			c.meshWrite(fb.syncWire, fb.peers[w])
-		}
+	n := c.cfg.Worker.Workers
+	fb.got = make([]bool, n)
+	fb.got[c.cfg.Worker.ID] = true
+	fb.remaining, fb.F, fb.minStreak = n-1, frontier, streak
+	if fb.remaining == 0 {
+		return nil
 	}
-	lastTx := time.Now()
-	for remaining > 0 {
-		if time.Now().After(deadline) {
-			return 0, 0, fmt.Errorf("transport: fallback barrier timed out with %d of %d peers silent: %w", remaining, n-1, ErrAggregatorSilent)
-		}
-		rd := lastTx.Add(c.cfg.RTO)
-		if rd.After(deadline) {
-			rd = deadline
-		}
-		fb.mesh.SetReadDeadline(rd)
-		nb, _, rerr := fb.mesh.ReadFromUDP(c.rbuf)
-		if rerr != nil {
-			if ne, ok := rerr.(net.Error); ok && ne.Timeout() {
-				for w := range got {
-					if !got[w] {
-						c.meshWrite(fb.syncWire, fb.peers[w])
-					}
-				}
-				lastTx = time.Now()
-				continue
-			}
-			return 0, 0, rerr
-		}
-		if packet.UnmarshalInto(&c.rp, c.rbuf[:nb]) != nil {
-			continue
-		}
-		rp := &c.rp
-		//switchml:dispatch
-		switch rp.Kind {
-		case packet.KindFallbackSync:
-			w := int(rp.WorkerID)
-			if w >= n || w == self {
-				continue
-			}
-			switch int16(rp.JobID - fb.round) {
-			case 0:
-				if !got[w] {
-					got[w] = true
-					remaining--
-					if rp.Off < F {
-						F = rp.Off
-					}
-					if int(rp.Ver) < minStreak {
-						minStreak = int(rp.Ver)
-					}
-				} else {
-					// A repeated sync means the peer never saw ours.
-					c.meshWrite(fb.syncWire, fb.peers[w])
-				}
-			case -1:
-				// The peer is still finishing the previous round's
-				// barrier and is missing our sync from back then.
-				if len(fb.prevSyncWire) > 0 {
-					c.meshWrite(fb.prevSyncWire, fb.peers[w])
-				}
-			}
-		case packet.KindFallbackData:
-			// Our ring predecessor finished the barrier already and
-			// started streaming. Current-round data is dropped (its ARQ
-			// re-sends once we join the ring); a stale round's straggler
-			// gets the round-complete ack that frees it.
-			if int16(rp.JobID-fb.round) < 0 {
-				c.sendMeshAck(rp.JobID, fb.prevRecvTotal, int(rp.WorkerID))
-			}
-		default:
-			// Stale or foreign traffic on the mesh socket; count the
-			// drop so a confused peer is visible.
-			c.unexpected.Inc()
-		}
-	}
-	return F, minStreak, nil
+	return c.run(modeSync, deadline)
 }
 
-// ringPlan precomputes one worker's mesh-ring schedule: which chunk
-// is sent and received at each of the 2(n-1) steps, and the global
-// segment sequence numbering on each side. Chunk boundaries are
-// c*L/n, so the tables are identical arithmetic on every worker and
-// the receive-side numbering matches the predecessor's send-side
-// numbering exactly.
-type ringPlan struct {
-	n, L, segElems       int
-	F                    uint64
-	G                    int
-	sendStart, recvStart []int // length G+1; [g] is step g's first seq
-	sendChunk, recvChunk []int
+// meshSync takes a peer's barrier sync: in the sync mode a first one
+// for this round joins the collective minima, and the last one missing
+// ends the barrier. A repeated one for this round — or any for this
+// round outside the barrier — means the peer never saw ours, and one
+// for the previous round means it is still finishing that barrier
+// without our sync from back then: either way ours is replayed.
+func (c *Client) meshSync(p *packet.Packet) bool {
+	fb := c.fb
+	w := int(p.WorkerID) // this worker's own got entry is set, and it has no peer address
+	switch int16(p.JobID - fb.round) {
+	case 0:
+		if c.mode == modeSync && w < len(fb.got) && !fb.got[w] {
+			fb.got[w] = true
+			fb.remaining--
+			fb.F = min(fb.F, p.Off)
+			fb.minStreak = min(fb.minStreak, int(p.Ver))
+			return fb.remaining == 0
+		}
+		c.meshSend(fb.syncWire, w)
+	case -1:
+		c.meshSend(fb.prevSyncWire, w)
+	}
+	return false
 }
 
-func newRingPlan(n, rank, L, segElems int, F uint64) *ringPlan {
+// ring is one worker's mesh-ring round: the schedule (which chunk is
+// sent and received at each of the G = 2(n-1) steps, and the global
+// segment numbering on each side), the buffer it reduces in place, the
+// neighbours' ranks, and the go-back-N cursors. Chunk boundaries are
+// c*L/n, so the tables are identical arithmetic on every worker and the
+// receive-side numbering matches the predecessor's send side exactly.
+type ring struct {
+	n, L, segElems, G                  int
+	F                                  uint64
+	sendStart, recvStart               []int // length G+1; [g] is step g's first seq
+	sendChunk, recvChunk               []int
+	buf                                []int32
+	next, prev                         int
+	cumAck, nextSend, recvSeq, dupAcks int
+}
+
+func newRing(n, rank, segElems int, buf []int32, F uint64) ring {
 	G := 2 * (n - 1)
-	pl := &ringPlan{
-		n: n, L: L, segElems: segElems, F: F, G: G,
+	r := ring{
+		n: n, L: len(buf), segElems: segElems, G: G, F: F,
 		sendStart: make([]int, G+1), recvStart: make([]int, G+1),
 		sendChunk: make([]int, G), recvChunk: make([]int, G),
+		buf: buf, next: (rank + 1) % n, prev: (rank + n - 1) % n,
 	}
 	mod := func(x int) int { return ((x % n) + n) % n }
 	for g := 0; g < G; g++ {
 		if g < n-1 {
-			pl.sendChunk[g] = mod(rank - g)
-			pl.recvChunk[g] = mod(rank - g - 1)
+			r.sendChunk[g] = mod(rank - g)
+			r.recvChunk[g] = mod(rank - g - 1)
 		} else {
 			j := g - (n - 1)
-			pl.sendChunk[g] = mod(rank + 1 - j)
-			pl.recvChunk[g] = mod(rank - j)
+			r.sendChunk[g] = mod(rank + 1 - j)
+			r.recvChunk[g] = mod(rank - j)
 		}
-		pl.sendStart[g+1] = pl.sendStart[g] + pl.segs(pl.sendChunk[g])
-		pl.recvStart[g+1] = pl.recvStart[g] + pl.segs(pl.recvChunk[g])
+		r.sendStart[g+1] = r.sendStart[g] + r.segs(r.sendChunk[g])
+		r.recvStart[g+1] = r.recvStart[g] + r.segs(r.recvChunk[g])
 	}
-	return pl
+	return r
 }
 
-func (pl *ringPlan) bound(c int) int    { return c * pl.L / pl.n }
-func (pl *ringPlan) chunkLen(c int) int { return pl.bound(c+1) - pl.bound(c) }
-func (pl *ringPlan) segs(c int) int {
-	return (pl.chunkLen(c) + pl.segElems - 1) / pl.segElems
+func (r *ring) bound(c int) int    { return c * r.L / r.n }
+func (r *ring) chunkLen(c int) int { return r.bound(c+1) - r.bound(c) }
+func (r *ring) segs(c int) int {
+	return (r.chunkLen(c) + r.segElems - 1) / r.segElems
 }
 
 // stepOf returns the step a sequence number belongs to. G is tiny
@@ -556,182 +502,186 @@ func stepOf(starts []int, seq int) int {
 
 // segSpan returns a segment's element range within its chunk-relative
 // schedule: buffer offset and length.
-func (pl *ringPlan) segSpan(starts, chunks []int, seq int) (g, off, length int) {
+func (r *ring) segSpan(starts, chunks []int, seq int) (g, off, length int) {
 	g = stepOf(starts, seq)
 	c := chunks[g]
 	seg := seq - starts[g]
-	off = pl.bound(c) + seg*pl.segElems
-	length = pl.chunkLen(c) - seg*pl.segElems
-	if length > pl.segElems {
-		length = pl.segElems
-	}
-	return g, off, length
+	off = r.bound(c) + seg*r.segElems
+	return g, off, min(r.chunkLen(c)-seg*r.segElems, r.segElems)
 }
 
-// meshRound runs the ring all-reduce over buf (global offset F),
-// leaving the full sum in buf on every worker. Reduce-scatter adds,
-// all-gather overwrites; a segment is applied exactly once because
-// the receiver only accepts the next expected sequence number.
+// done reports whether every segment is acked and every one received.
+func (r *ring) done() bool {
+	return r.cumAck >= r.sendStart[r.G] && r.recvSeq >= r.recvStart[r.G]
+}
+
+// meshRound runs the ring all-reduce over buf (global offset F) in the
+// client loop's ring mode, leaving the full sum in buf on every worker.
+// Reduce-scatter adds, all-gather overwrites; a segment is applied
+// exactly once because the receiver only accepts the next expected
+// sequence number.
 func (c *Client) meshRound(buf []int32, F uint64, deadline time.Time) error {
 	fb := c.fb
 	n := c.cfg.Worker.Workers
-	rank := int(c.cfg.Worker.ID)
 	if n == 1 || len(buf) == 0 {
 		fb.prevRecvTotal = 0
 		return nil
 	}
-	pl := newRingPlan(n, rank, len(buf), fb.cfg.SegElems, F)
-	nextID := (rank + 1) % n
-	prevID := (rank + n - 1) % n
-	totalSend := pl.sendStart[pl.G]
-	totalRecv := pl.recvStart[pl.G]
-	cumAck, nextSend, recvSeq := 0, 0, 0
-	dupAcks := 0
-	lastTx := time.Now()
-	for cumAck < totalSend || recvSeq < totalRecv {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("transport: mesh ring timed out (%d/%d sent-acked, %d/%d received): %w",
-				cumAck, totalSend, recvSeq, totalRecv, ErrAggregatorSilent)
-		}
-		for nextSend < totalSend && nextSend-cumAck < fb.cfg.Window && recvSeq >= pl.recvStart[stepOf(pl.sendStart, nextSend)] {
-			c.sendSeg(pl, buf, nextSend, nextID)
-			nextSend++
-			lastTx = time.Now()
-		}
-		c.flushMesh()
-		rd := lastTx.Add(c.cfg.RTO)
-		if rd.After(deadline) {
-			rd = deadline
-		}
-		fb.mesh.SetReadDeadline(rd)
-		nb, _, rerr := fb.mesh.ReadFromUDP(c.rbuf)
-		if rerr != nil {
-			if ne, ok := rerr.(net.Error); ok && ne.Timeout() {
-				if cumAck < nextSend {
-					// Go-back-N: replay from the ack point (capped, to
-					// keep a long outage from bursting).
-					end := nextSend
-					if end > cumAck+16 {
-						end = cumAck + 16
-					}
-					for s := cumAck; s < end; s++ {
-						c.sendSeg(pl, buf, s, nextID)
-						fb.meshRetx.Add(1)
-					}
-					c.flushMesh()
-				}
-				lastTx = time.Now()
-				continue
-			}
-			return rerr
-		}
-		if packet.UnmarshalInto(&c.rp, c.rbuf[:nb]) != nil {
-			continue
-		}
-		rp := &c.rp
-		//switchml:dispatch
-		switch rp.Kind {
-		case packet.KindFallbackData:
-			if rp.JobID != fb.round {
-				if int16(rp.JobID-fb.round) < 0 {
-					c.sendMeshAck(rp.JobID, fb.prevRecvTotal, int(rp.WorkerID))
-				}
-				continue
-			}
-			if int(rp.Idx) == recvSeq {
-				g, off, length := pl.segSpan(pl.recvStart, pl.recvChunk, recvSeq)
-				if len(rp.Vector) != length || rp.Off != F+uint64(off) {
-					return fmt.Errorf("transport: mesh segment %d malformed: off %d len %d, want %d len %d",
-						recvSeq, rp.Off, len(rp.Vector), F+uint64(off), length)
-				}
-				if g < n-1 {
-					for i, v := range rp.Vector {
-						buf[off+i] += v
-					}
-				} else {
-					copy(buf[off:off+length], rp.Vector)
-				}
-				recvSeq++
-			}
-			// Ack cumulatively — also for out-of-order data, where the
-			// repeated ack doubles as a NACK.
-			c.sendMeshAck(fb.round, recvSeq, prevID)
-		case packet.KindFallbackAck:
-			if rp.JobID != fb.round {
-				continue
-			}
-			k := int(rp.Idx)
-			switch {
-			case k > cumAck:
-				if k > nextSend {
-					k = nextSend
-				}
-				cumAck = k
-				dupAcks = 0
-			case k == cumAck && cumAck < nextSend:
-				dupAcks++
-				if dupAcks >= 2 {
-					c.sendSeg(pl, buf, cumAck, nextID)
-					fb.meshRetx.Add(1)
-					dupAcks = 0
-					lastTx = time.Now()
-				}
-			}
-		case packet.KindFallbackSync:
-			// A peer stuck in this round's barrier never got our sync.
-			if rp.JobID == fb.round && int(rp.WorkerID) < n && int(rp.WorkerID) != rank {
-				c.meshWrite(fb.syncWire, fb.peers[rp.WorkerID])
-			}
-		default:
-			// Stale or foreign traffic on the mesh socket; count the
-			// drop so a confused peer is visible.
-			c.unexpected.Inc()
-		}
+	fb.ring = newRing(n, int(c.cfg.Worker.ID), fb.cfg.SegElems, buf, F)
+	// The replay timer starts from a fresh reading: copying the tensor
+	// suffix took time since the barrier's last pass.
+	c.tick()
+	if err := c.run(modeRing, deadline); err != nil {
+		return err
 	}
-	fb.prevRecvTotal = totalRecv
+	fb.prevRecvTotal = fb.ring.recvStart[fb.ring.G]
 	return nil
 }
 
-// sendSeg stages one ring segment to the next rank for the window
-// pump's flush. The packet's vector aliases buf — safe, because
-// marshalling copies it out, and AppendTo copies sbuf in, before the
-// call returns.
-func (c *Client) sendSeg(pl *ringPlan, buf []int32, seq, nextID int) {
+// ringFill stages the window refill — every segment the go-back-N
+// window has room for whose step's input has arrived — and restarts the
+// replay timer if it staged any.
+func (c *Client) ringFill() {
+	for r := &c.fb.ring; r.nextSend < r.sendStart[r.G] && r.nextSend-r.cumAck < c.fb.cfg.Window && r.recvSeq >= r.recvStart[stepOf(r.sendStart, r.nextSend)]; r.nextSend++ {
+		c.sendSeg(r.nextSend)
+		c.nextTx = c.now.Add(c.cfg.RTO)
+	}
+}
+
+// ringData takes the ring's current-round segment: the next expected
+// one is applied, and every one is acked cumulatively — for
+// out-of-order data the repeated ack doubles as a NACK.
+func (c *Client) ringData(p *packet.Packet) (bool, error) {
+	r := &c.fb.ring
+	if int(p.Idx) == r.recvSeq {
+		g, off, length := r.segSpan(r.recvStart, r.recvChunk, r.recvSeq)
+		if len(p.Vector) != length || p.Off != r.F+uint64(off) {
+			return false, fmt.Errorf("transport: mesh segment %d malformed: off %d len %d, want %d len %d",
+				r.recvSeq, p.Off, len(p.Vector), r.F+uint64(off), length)
+		}
+		if g < r.n-1 {
+			for i, v := range p.Vector {
+				r.buf[off+i] += v
+			}
+		} else {
+			copy(r.buf[off:off+length], p.Vector)
+		}
+		r.recvSeq++
+	}
+	c.sendMeshAck(c.fb.round, r.recvSeq, r.prev)
+	return r.done(), nil
+}
+
+// ringAck takes the successor's cumulative ack: progress slides the
+// window and restarts the replay timer, and a second duplicate of the
+// ack point fast-retransmits the segment it names.
+func (c *Client) ringAck(p *packet.Packet) bool {
+	r := &c.fb.ring
+	switch k := int(p.Idx); {
+	case k > r.cumAck:
+		r.cumAck, r.dupAcks = min(k, r.nextSend), 0
+		c.nextTx = c.now.Add(c.cfg.RTO)
+	case k == r.cumAck && r.cumAck < r.nextSend:
+		if r.dupAcks++; r.dupAcks >= 2 {
+			c.sendSeg(r.cumAck)
+			c.fb.meshRetx.Add(1)
+			r.dupAcks = 0
+			c.nextTx = c.now.Add(c.cfg.RTO)
+		}
+	}
+	return r.done()
+}
+
+// handleMesh is the mesh's one dispatch: every datagram a mesh pass of
+// the client loop receives — barrier syncs, ring segments and acks,
+// state requests and replies — whatever mode the loop is in, reporting
+// whether the mode ended. Nothing here stamps lastProgress or counts a
+// datagram received or corrupt: mesh traffic says nothing about the
+// aggregator, and the datagram counters describe only its traffic.
+func (c *Client) handleMesh(m *netio.Message) (bool, error) {
+	p := &c.rp
+	if packet.UnmarshalInto(p, m.Buf) != nil {
+		return false, nil
+	}
 	fb := c.fb
-	_, off, length := pl.segSpan(pl.sendStart, pl.sendChunk, seq)
+	//switchml:dispatch
+	switch p.Kind {
+	case packet.KindFallbackSync:
+		return c.meshSync(p), nil
+	case packet.KindFallbackData:
+		if d := int16(p.JobID - fb.round); d < 0 {
+			// A straggler from a finished round: the round-complete ack
+			// frees it.
+			c.sendMeshAck(p.JobID, fb.prevRecvTotal, int(p.WorkerID))
+		} else if d == 0 && c.mode == modeRing {
+			return c.ringData(p)
+		}
+		// Current-round data ahead of our ring is dropped; its ARQ
+		// re-sends once we join.
+		return false, nil
+	case packet.KindFallbackAck:
+		if c.mode == modeRing && p.JobID == fb.round {
+			return c.ringAck(p), nil
+		}
+		return false, nil
+	case packet.KindStateReq:
+		// Served only from a fence hold, and only to a mesh peer: a reply
+		// is up to ~170 times the request's size.
+		if c.mode == modeFence && slices.Contains(fb.peers, meshAddr(m.Addr)) {
+			c.serveState(p, m.Addr)
+		}
+		return false, nil
+	case packet.KindStateData:
+		// Taken only by a fetch, and only from the incumbent it asked.
+		if c.mode == modeFetch && meshAddr(m.Addr) == c.fetch.from {
+			c.takeState(p)
+		}
+		return false, nil
+	default:
+		// Aggregator kinds on the mesh socket; count the drop so a
+		// confused peer is visible.
+		c.unexpected.Inc()
+		return false, nil
+	}
+}
+
+// sendSeg stages ring segment seq to the next rank. The packet's vector
+// aliases the ring's buffer — safe, because marshalling copies it out,
+// and staging copies sbuf in, before the call returns.
+func (c *Client) sendSeg(seq int) {
+	fb := c.fb
+	r := &fb.ring
+	_, off, length := r.segSpan(r.sendStart, r.sendChunk, seq)
 	p := packet.Packet{
 		Kind:     packet.KindFallbackData,
 		WorkerID: c.cfg.Worker.ID,
 		JobID:    fb.round,
 		Idx:      uint32(seq),
-		Off:      pl.F + uint64(off),
-		Vector:   buf[off : off+length],
+		Off:      r.F + uint64(off),
+		Vector:   r.buf[off : off+length],
 	}
 	fb.sbuf = p.AppendMarshal(fb.sbuf[:0])
-	fb.nc.AppendTo(fb.sbuf, fb.peers[nextID].AddrPort())
+	c.meshSend(fb.sbuf, r.next)
 }
 
-// flushMesh pushes any mesh datagrams staged by the window pump to
-// the kernel in one batched send.
-func (c *Client) flushMesh() { c.fb.nc.Flush() }
-
-// meshWrite sends one datagram on the mesh socket, counting (not
-// retrying) failures: the ring's go-back-N recovery owns repair.
-func (c *Client) meshWrite(wire []byte, to *net.UDPAddr) {
-	if _, err := c.fb.mesh.WriteToUDP(wire, to); err != nil {
-		c.sendErrs.Inc()
-	}
-}
-
-// sendMeshAck reports the cumulative receive progress of a round to
-// its sender.
+// sendMeshAck stages a round's cumulative receive progress to its
+// sender.
 func (c *Client) sendMeshAck(round uint16, cum, peerID int) {
 	fb := c.fb
-	if peerID < 0 || peerID >= len(fb.peers) || fb.peers[peerID] == nil {
-		return
-	}
 	p := packet.NewControl(packet.KindFallbackAck, c.cfg.Worker.ID, round, 0, nil)
 	p.Idx = uint32(cum)
-	fb.abuf = p.AppendMarshal(fb.abuf[:0])
-	c.meshWrite(fb.abuf, fb.peers[peerID])
+	fb.sbuf = p.AppendMarshal(fb.sbuf[:0])
+	c.meshSend(fb.sbuf, peerID)
+}
+
+// meshSend stages one datagram to worker w's mesh address for the
+// loop's next flush, counting (not retrying) a failed send: the mesh's
+// own repetition repairs it. A worker without a listed address (this
+// one included) and an empty wire are skipped.
+func (c *Client) meshSend(wire []byte, w int) {
+	fb := c.fb
+	if len(wire) == 0 || w < 0 || w >= len(fb.peers) || !fb.peers[w].IsValid() {
+		return
+	}
+	fb.nc.AppendTo(wire, fb.peers[w])
 }
