@@ -3,14 +3,12 @@ package core
 import (
 	"fmt"
 	"sort"
-
-	"switchml/internal/packet"
 )
 
 // MultiSwitch hosts several jobs' aggregation pools on one switch,
 // the multi-tenant scenario of §6 ("Multi-job"). Every job owns a
 // disjoint pool; an admission check bounds total register memory, the
-// scarce dataplane resource.
+// scarce dataplane resource. Routing by JobID is the host's.
 type MultiSwitch struct {
 	// memoryBudget caps the sum of per-job MemoryBytes; zero means
 	// unlimited.
@@ -73,20 +71,4 @@ func (m *MultiSwitch) MemoryBytes() int {
 		total += sw.MemoryBytes()
 	}
 	return total
-}
-
-// Handle routes a packet to its job's pool; packets for unknown jobs
-// are dropped, matching dataplane behaviour.
-func (m *MultiSwitch) Handle(p *packet.Packet) Response {
-	return m.HandleInto(p, nil)
-}
-
-// HandleInto routes a packet to its job's pool with caller-borrowed
-// response storage (see Switch.HandleInto).
-func (m *MultiSwitch) HandleInto(p *packet.Packet, out *packet.Packet) Response {
-	sw, ok := m.jobs[p.JobID]
-	if !ok {
-		return Response{}
-	}
-	return sw.HandleInto(p, out)
 }

@@ -2,36 +2,7 @@ package core
 
 import (
 	"testing"
-
-	"switchml/internal/packet"
 )
-
-func TestMultiSwitchRouting(t *testing.T) {
-	m := NewMultiSwitch(0)
-	for _, job := range []uint16{1, 2} {
-		if _, err := m.AdmitJob(SwitchConfig{
-			Workers: 2, PoolSize: 2, SlotElems: 2, LossRecovery: true, JobID: job,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Job 1 aggregates [1,1]+[2,2]; job 2 aggregates [10,10]+[20,20];
-	// interleaved deliveries must not mix.
-	m.Handle(packet.NewUpdate(0, 1, 0, 0, 0, []int32{1, 1}))
-	m.Handle(packet.NewUpdate(0, 2, 0, 0, 0, []int32{10, 10}))
-	r1 := m.Handle(packet.NewUpdate(1, 1, 0, 0, 0, []int32{2, 2}))
-	r2 := m.Handle(packet.NewUpdate(1, 2, 0, 0, 0, []int32{20, 20}))
-	if r1.Pkt == nil || r1.Pkt.Vector[0] != 3 || r1.Pkt.JobID != 1 {
-		t.Errorf("job 1 result = %v", r1.Pkt)
-	}
-	if r2.Pkt == nil || r2.Pkt.Vector[0] != 30 || r2.Pkt.JobID != 2 {
-		t.Errorf("job 2 result = %v", r2.Pkt)
-	}
-	// Unknown job: dropped.
-	if r := m.Handle(packet.NewUpdate(0, 9, 0, 0, 0, []int32{1})); r.Pkt != nil {
-		t.Error("unknown job produced a response")
-	}
-}
 
 func TestMultiSwitchAdmissionBudget(t *testing.T) {
 	cfg := SwitchConfig{Workers: 4, PoolSize: 64, SlotElems: 32, LossRecovery: true, JobID: 1}

@@ -58,12 +58,14 @@ type Pump struct {
 	// ackedAt is the latest send stamp a clean result has answered, the
 	// time-domain twin of Worker.acked. openedAt is when the switch
 	// first answered the tensor in progress, and probedAt when the tail
-	// was last probed if nothing has been answered since (else 0): the
-	// tail probe counts a packet's age from the latest of these and its
-	// send. How long the switch waited for the slowest worker to start
-	// says nothing about loss, and one probe a PTO is all that unbroken
-	// silence is evidence for.
+	// was last probed, slot probedIdx, until that slot is answered (then
+	// 0): the tail probe counts a packet's age from the latest of these
+	// and its send. How long the switch waited for the slowest worker to
+	// start says nothing about loss, and one probe a PTO is all that
+	// silence is evidence for, however many other slots a slow peer
+	// completes meanwhile.
 	ackedAt, openedAt, probedAt int64
+	probedIdx                   uint32
 	// sample is the smallest clean round trip of the burst in progress
 	// (0: none yet). One burst's results share one reading of now and
 	// every stamp errs early, so the smallest is the least wrong; Due
@@ -194,9 +196,9 @@ func (p *Pump) Result(h *packet.Header, payload []byte, now int64) (next *Send, 
 	if first {
 		p.openedAt = now
 	}
-	// The switch is answering: whichever packet is the tail now owes
-	// nothing to the silence the last probe was sent into.
-	p.probedAt = 0
+	if idx == p.probedIdx {
+		p.probedAt = 0 // the probe is answered: the next tail owes nothing to its silence
+	}
 	return next, done
 }
 
@@ -372,7 +374,7 @@ func (p *Pump) Due(now int64, dst []uint32) []uint32 {
 	// walk stopped.
 	if tail >= 0 && pto != 0 && !w.pend[tail].lapped {
 		if s := &p.slots[tail]; now-p.tailSince(s) >= pto<<s.probes {
-			p.probedAt = now
+			p.probedAt, p.probedIdx = now, uint32(tail)
 			s.probes++
 			w.pend[tail].probed = true
 			dst = append(dst, uint32(tail)) //switchml:allow hotpath -- as above, one more

@@ -149,7 +149,7 @@ func scanDue(p *Pump, now int64, dst []uint32) []uint32 {
 			continue
 		case p.ackedAt-s.sentAt >= d:
 		case i == tail && now-p.tailSince(s) >= d:
-			p.probedAt = now
+			p.probedAt, p.probedIdx = now, uint32(i)
 		default:
 			continue
 		}

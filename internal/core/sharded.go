@@ -50,16 +50,22 @@ func NewShardedSwitch(cfg SwitchConfig) (*ShardedSwitch, error) {
 	if err != nil {
 		return nil, err
 	}
+	return ShardSwitch(sw), nil
+}
+
+// ShardSwitch puts an existing switch, such as one MultiSwitch admitted,
+// behind the facade; sw must not handle packets directly afterwards.
+func ShardSwitch(sw *Switch) *ShardedSwitch {
 	ss := &ShardedSwitch{
 		sw:    sw,
-		locks: make([]slotLock, cfg.PoolSize),
+		locks: make([]slotLock, sw.cfg.PoolSize),
 	}
-	elems := sw.ratio() * cfg.SlotElems
+	elems := sw.ratio() * sw.cfg.SlotElems
 	ss.scratch.New = func() any {
 		b := make([]int32, elems)
 		return &b
 	}
-	return ss, nil
+	return ss
 }
 
 // Switch returns the wrapped state machine. Callers must not invoke

@@ -142,10 +142,10 @@ type AggregatorConfig struct {
 	Tracer telemetry.Tracer
 }
 
-// Aggregator is a UDP server hosting one job's aggregation pool. It
-// learns worker addresses from the source of their update packets,
-// so no registration step is needed; a worker must send before it
-// can receive, which the protocol guarantees.
+// Aggregator is a UDP server hosting one job's aggregation pool (or
+// several: NewMultiAggregator). It learns worker addresses from the
+// source of their update packets, so no registration step is needed; a
+// worker must send before it can receive, which the protocol guarantees.
 //
 // N shard goroutines drain the socket concurrently; each owns its
 // receive buffer, decoded packet, response packet and wire buffer, so
@@ -155,14 +155,19 @@ type AggregatorConfig struct {
 // and the recovery state machine — the only cross-shard state — is
 // guarded by mu and touched only on control traffic.
 type Aggregator struct {
-	cfg  AggregatorConfig
-	conn *net.UDPConn
-	// conns are every socket bound to the listen address: just conn,
-	// or one SO_REUSEPORT socket per shard where the platform allows.
-	// conn == conns[0] always; the control plane sends on it.
+	cfg AggregatorConfig
+	// conns are every socket bound to the listen address: one, or one
+	// SO_REUSEPORT socket per shard where the platform allows. The
+	// control plane sends on conns[0].
 	conns []*net.UDPConn
-	sw    *core.ShardedSwitch
 	reg   *telemetry.Registry
+
+	// job is the one job of an aggregator built by NewAggregator, which
+	// every datagram routes to whatever its JobID (the generation) and
+	// the control plane acts on. It is nil on an aggregator built for
+	// several jobs, which routes by JobID through jobs.
+	job  *job
+	jobs atomic.Pointer[jobTable]
 
 	recvd, corrupt, sent *telemetry.Counter
 	// unexpected counts well-formed datagrams whose kind the serve
@@ -202,19 +207,13 @@ type Aggregator struct {
 	clock  func() time.Time
 	coarse *atomic.Int64
 
-	// peers is the learned worker address table, indexed by worker
-	// id. Entries are written at most once per address change.
-	peers []atomic.Pointer[netip.AddrPort]
 	// down simulates the aggregation program dying while the host and
 	// its address stay up: every datagram is silently discarded, so
 	// workers see pure silence — the failure mode the client-side
 	// fallback detects. Toggled by SetDown from chaos tests.
 	down atomic.Bool
-	// epoch is the current job generation; read lock-free on the
-	// per-packet path, written under mu by recovery.
-	epoch atomic.Uint32
 
-	mu sync.Mutex // guards the control plane below and lv's bookkeeping
+	mu sync.Mutex // guards the control plane below, lv's bookkeeping and job-table swaps
 	lv *liveness  // nil unless cfg.Liveness is set
 
 	// The control plane (rollcall.go). evict, join and adopt are the
@@ -236,11 +235,52 @@ type Aggregator struct {
 	closed chan struct{}
 }
 
+// job is one pool the aggregator serves: what the data path reads for
+// a datagram routed to it. peers is the learned worker address table,
+// indexed by worker id and written at most once per address change;
+// pool is s. epoch is the generation, read lock-free per packet and
+// written under mu by recovery — never, on a multi-job aggregator,
+// where it stays the job id.
+type job struct {
+	sw    *core.ShardedSwitch
+	peers []atomic.Pointer[netip.AddrPort]
+	pool  int
+	epoch atomic.Uint32
+}
+
+func newJob(sw *core.ShardedSwitch) *job {
+	cfg := sw.Config()
+	j := &job{sw: sw, peers: make([]atomic.Pointer[netip.AddrPort], cfg.Workers), pool: cfg.PoolSize}
+	j.epoch.Store(uint32(cfg.JobID))
+	return j
+}
+
+func (j *job) gen() uint16 { return uint16(j.epoch.Load()) }
+
+// setPeer records the worker's address, writing only on change so
+// the steady-state path stays read-only and allocation-free.
+func (j *job) setPeer(w uint16, src netip.AddrPort) {
+	if cur := j.peers[w].Load(); cur != nil && *cur == src {
+		return
+	}
+	ap := src
+	j.peers[w].Store(&ap)
+}
+
+// jobTable is a multi-job aggregator's routing table, replaced whole
+// under mu and read without a lock; block is the multicast block the
+// largest admitted pool needs.
+type jobTable struct {
+	byID  map[uint16]*job
+	block int
+}
+
 // aggShard is one receive goroutine's private working set: with it,
 // the datagram-in/datagrams-out cycle touches no shared mutable
 // memory beyond the slot being aggregated.
 type aggShard struct {
 	pkt     packet.Packet // decoded request (vector storage reused)
+	job     *job          // the job pkt routes to
 	out     packet.Packet // response storage for HandleInto
 	ctrl    []byte        // marshalled one-off reply: control, or a result outside the block
 	mangled []byte        // injector corruption scratch
@@ -254,12 +294,14 @@ type aggShard struct {
 	// every peer as a segment train (the completed results of a burst
 	// are identical for all workers, so the block is built once and
 	// addressed W times).
-	// staged counts the datagrams handed to nc since the last flush,
-	// added to the sent counter once per flush.
+	// blockJob is the job whose results the block holds: it goes to that
+	// job's peers only. staged counts the datagrams handed to nc since
+	// the last flush, added to the sent counter once per flush.
 	nc       *netio.Conn
 	occ      *telemetry.Histogram
 	block    []byte
 	blockSeg int
+	blockJob *job
 	staged   uint64
 	// drops is nc's receive-buffer drop count as last folded into the
 	// aggregator's counter.
@@ -275,6 +317,72 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 // newAggregator is NewAggregator over a given wall clock, which has to
 // be in place before the shard goroutines start.
 func newAggregator(cfg AggregatorConfig, clock func() time.Time) (*Aggregator, error) {
+	a := newServer(cfg, clock)
+	sc := cfg.Switch
+	sc.Metrics, sc.Tracer = a.reg, cfg.Tracer
+	if sc.Now == nil {
+		sc.Now = a.coarse.Load
+	}
+	sw, err := core.NewShardedSwitch(sc)
+	if err != nil {
+		return nil, err
+	}
+	a.job = newJob(sw)
+	if cfg.Inject != nil {
+		if a.inj, err = faults.NewPacketInjector(*cfg.Inject); err != nil {
+			return nil, err
+		}
+	}
+	if len(cfg.Absent) > 0 && cfg.Liveness == nil {
+		return nil, fmt.Errorf("transport: Absent workers need Liveness (elastic membership rides on the failure detector)")
+	}
+	if cfg.Liveness != nil {
+		lc := *cfg.Liveness
+		lc.fillDefaults()
+		a.lv = &liveness{
+			cfg:       lc,
+			tracker:   faults.NewTracker(sc.Workers, int64(lc.SilenceAfter)),
+			leavePend: make([]bool, sc.Workers),
+			leaveOff:  make([]uint64, sc.Workers),
+			maxOff:    make([]atomic.Uint64, sc.Workers),
+		}
+		if len(cfg.Absent) > 0 {
+			active := make([]bool, sc.Workers)
+			for i := range active {
+				active[i] = true
+			}
+			for _, w := range cfg.Absent {
+				if w < 0 || w >= sc.Workers {
+					return nil, fmt.Errorf("transport: absent worker %d out of range [0,%d)", w, sc.Workers)
+				}
+				// Departed, not dead: the slot is empty by intent, and
+				// the graceful-join fence is how it gets filled.
+				a.lv.tracker.MarkDeparted(w)
+				active[w] = false
+			}
+			if err := sw.Reconfigure(active, sc.JobID); err != nil {
+				return nil, err
+			}
+		}
+	}
+	// One burst can complete every slot of the pool: the block holds
+	// them all, so they leave in one flush. Every worker's whole window
+	// can be in flight toward one socket: the kernel's flow hash may
+	// steer them all to the same shard.
+	k := sc.SlotElems
+	if err := a.listen(aggWireMTU(k), max(DefaultBatch, sc.PoolSize)*packet.WireLen(k), windowBytes(sc.Workers*sc.PoolSize, k)); err != nil {
+		return nil, err
+	}
+	if a.lv != nil {
+		a.wg.Add(1)
+		go a.sweepLoop()
+	}
+	return a, nil
+}
+
+// newServer builds the job-independent half of an aggregator: registry,
+// counters and burst clock, no socket yet.
+func newServer(cfg AggregatorConfig, clock func() time.Time) *Aggregator {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
 	}
@@ -282,38 +390,11 @@ func newAggregator(cfg AggregatorConfig, clock func() time.Time) (*Aggregator, e
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	cfg.Switch.Metrics = reg
-	cfg.Switch.Tracer = cfg.Tracer
-	coarse := new(atomic.Int64)
-	coarse.Store(clock().UnixNano())
-	if cfg.Switch.Now == nil {
-		cfg.Switch.Now = coarse.Load
-	}
-	sw, err := core.NewShardedSwitch(cfg.Switch)
-	if err != nil {
-		return nil, err
-	}
-	var inj *faults.PacketInjector
-	if cfg.Inject != nil {
-		inj, err = faults.NewPacketInjector(*cfg.Inject)
-		if err != nil {
-			return nil, err
-		}
-	}
-	conns, err := bindAggSockets(cfg.Addr, cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
-	conn := conns[0]
 	a := &Aggregator{
 		cfg:        cfg,
-		conn:       conn,
-		conns:      conns,
-		sw:         sw,
 		reg:        reg,
-		inj:        inj,
 		clock:      clock,
-		coarse:     coarse,
+		coarse:     new(atomic.Int64),
 		recvd:      reg.Counter("udp_datagrams_received_total", "role", "aggregator"),
 		corrupt:    reg.Counter("udp_datagrams_corrupted_total", "role", "aggregator"),
 		sent:       reg.Counter("udp_datagrams_sent_total", "role", "aggregator"),
@@ -322,60 +403,26 @@ func newAggregator(cfg AggregatorConfig, clock func() time.Time) (*Aggregator, e
 		rcvDrops:   reg.Counter("udp_rcvbuf_drops_total", "role", "aggregator"),
 		beyondPool: reg.Counter("udp_updates_beyond_pool_total", "role", "aggregator"),
 		adoptions:  reg.Counter("failover_adoptions_total", "role", "aggregator"),
-		peers:      make([]atomic.Pointer[netip.AddrPort], cfg.Switch.Workers),
 		closed:     make(chan struct{}),
 	}
-	a.epoch.Store(uint32(cfg.Switch.JobID))
-	// Every worker's whole window can be in flight toward one socket:
-	// the kernel's flow hash may steer them all to the same shard.
-	for i, conn := range conns {
-		b := sizeSocket(conn, cfg.Switch.Workers*cfg.Switch.PoolSize, cfg.Switch.SlotElems)
-		if i == 0 || b.rcv < a.bufs.rcv {
-			a.bufs = b
-		}
+	a.coarse.Store(clock().UnixNano())
+	return a
+}
+
+// listen binds the listen address, asks every socket for need bytes of
+// buffer, and starts the shard loops over views of mtu-byte datagrams,
+// each with a multicast block of the given capacity.
+func (a *Aggregator) listen(mtu, block, need int) error {
+	conns, err := bindAggSockets(a.cfg.Addr, a.cfg.Shards)
+	if err != nil {
+		return err
 	}
-	if len(cfg.Absent) > 0 && cfg.Liveness == nil {
-		closeAll(conns)
-		return nil, fmt.Errorf("transport: Absent workers need Liveness (elastic membership rides on the failure detector)")
-	}
-	if cfg.Liveness != nil {
-		lc := *cfg.Liveness
-		lc.fillDefaults()
-		a.lv = &liveness{
-			cfg:       lc,
-			tracker:   faults.NewTracker(cfg.Switch.Workers, int64(lc.SilenceAfter)),
-			leavePend: make([]bool, cfg.Switch.Workers),
-			leaveOff:  make([]uint64, cfg.Switch.Workers),
-			maxOff:    make([]atomic.Uint64, cfg.Switch.Workers),
-		}
-		if len(cfg.Absent) > 0 {
-			active := make([]bool, cfg.Switch.Workers)
-			for i := range active {
-				active[i] = true
-			}
-			for _, w := range cfg.Absent {
-				if w < 0 || w >= cfg.Switch.Workers {
-					closeAll(conns)
-					return nil, fmt.Errorf("transport: absent worker %d out of range [0,%d)", w, cfg.Switch.Workers)
-				}
-				// Departed, not dead: the slot is empty by intent, and
-				// the graceful-join fence is how it gets filled.
-				a.lv.tracker.MarkDeparted(w)
-				active[w] = false
-			}
-			if err := a.sw.Reconfigure(active, cfg.Switch.JobID); err != nil {
-				closeAll(conns)
-				return nil, err
-			}
-		}
-		a.wg.Add(1)
-		go a.sweepLoop()
-	}
-	a.shardCtrs = make([]*telemetry.Counter, cfg.Shards)
-	a.shardOcc = make([]*telemetry.Histogram, cfg.Shards)
-	mtu := aggWireMTU(cfg.Switch.SlotElems)
-	for i := 0; i < cfg.Shards; i++ {
-		a.shardCtrs[i] = reg.Counter("agg_shard_datagrams_total", "shard", fmt.Sprintf("%d", i))
+	a.conns = conns
+	a.sizeSockets(need)
+	a.shardCtrs = make([]*telemetry.Counter, a.cfg.Shards)
+	a.shardOcc = make([]*telemetry.Histogram, a.cfg.Shards)
+	for i := 0; i < a.cfg.Shards; i++ {
+		a.shardCtrs[i] = a.reg.Counter("agg_shard_datagrams_total", "shard", fmt.Sprintf("%d", i))
 		nc, err := netio.Wrap(conns[i%len(conns)], netio.Config{
 			Batch:       DefaultBatch,
 			MTU:         mtu,
@@ -383,27 +430,35 @@ func newAggregator(cfg AggregatorConfig, clock func() time.Time) (*Aggregator, e
 		})
 		if err != nil {
 			// A socket that cannot even expose its fd is broken; stop the
-			// shards already serving (and the sweeper) before returning.
+			// shards already serving before returning.
 			close(a.closed)
 			closeAll(conns)
 			a.wg.Wait()
-			return nil, err
+			return err
 		}
-		// One burst can complete every slot of the pool: the block holds
-		// them all, so they leave in one flush.
 		sh := &aggShard{
 			datagrams: a.shardCtrs[i],
 			mangled:   make([]byte, 0, mtu),
 			nc:        nc,
-			occ:       reg.Histogram("agg_batch_occupancy", BatchOccupancyBuckets, "shard", fmt.Sprintf("%d", i)),
-			block:     make([]byte, 0, max(DefaultBatch, cfg.Switch.PoolSize)*packet.WireLen(cfg.Switch.SlotElems)),
+			occ:       a.reg.Histogram("agg_batch_occupancy", BatchOccupancyBuckets, "shard", fmt.Sprintf("%d", i)),
+			block:     make([]byte, 0, block),
 		}
 		a.sncs = append(a.sncs, nc)
 		a.shardOcc[i] = sh.occ
 		a.wg.Add(1)
 		go a.serve(sh)
 	}
-	return a, nil
+	return nil
+}
+
+// sizeSockets sizes every shard socket for need bytes each way and
+// records the least grant.
+func (a *Aggregator) sizeSockets(need int) {
+	for i, conn := range a.conns {
+		if b := sizeSocket(conn, need); i == 0 || b.rcv < a.bufs.rcv {
+			a.bufs = b
+		}
+	}
 }
 
 // aggWireMTU sizes shard arenas from the largest result packet the
@@ -457,7 +512,7 @@ func bindAggSockets(addr string, shards int) ([]*net.UDPConn, error) {
 }
 
 // Addr returns the bound listen address (useful with ":0").
-func (a *Aggregator) Addr() *net.UDPAddr { return a.conn.LocalAddr().(*net.UDPAddr) }
+func (a *Aggregator) Addr() *net.UDPAddr { return a.conns[0].LocalAddr().(*net.UDPAddr) }
 
 // Registry returns the metrics registry backing this aggregator's
 // counters — the one from the config, or the private registry
@@ -468,7 +523,7 @@ func (a *Aggregator) Registry() *telemetry.Registry { return a.reg }
 // atomic, so this is safe to call concurrently with the serving
 // goroutines — no lock is taken and packet handling is never stalled
 // by monitoring reads.
-func (a *Aggregator) Stats() core.SwitchStats { return a.sw.Stats() }
+func (a *Aggregator) Stats() core.SwitchStats { return a.job.sw.Stats() }
 
 // Close shuts the server down and waits for the serving goroutines.
 func (a *Aggregator) Close() error {
@@ -478,7 +533,7 @@ func (a *Aggregator) Close() error {
 	default:
 	}
 	close(a.closed)
-	err := a.conn.Close()
+	err := a.conns[0].Close()
 	for _, c := range a.conns[1:] {
 		c.Close()
 	}
@@ -521,15 +576,24 @@ func (a *Aggregator) serve(sh *aggShard) {
 		if a.down.Load() {
 			continue // the aggregation program is "dead": pure silence
 		}
+		tab := a.jobs.Load() // nil on a single-job aggregator
+		if tab != nil && cap(sh.block) < tab.block {
+			sh.block = make([]byte, 0, tab.block) // a larger pool was admitted
+		}
 		for i := 0; i < n; i++ {
 			m := &sh.nc.Msgs[i]
 			if err := packet.UnmarshalInto(&sh.pkt, m.Buf); err != nil {
 				a.corrupt.Inc()
 				continue // corrupted datagram: drop (§3.4)
 			}
-			if int(sh.pkt.WorkerID) >= len(a.peers) {
-				continue
+			j := a.job
+			if j == nil {
+				j = tab.byID[sh.pkt.JobID] // several jobs: JobID names the job
 			}
+			if j == nil || int(sh.pkt.WorkerID) >= len(j.peers) {
+				continue // no such job, or no such worker
+			}
+			sh.job = j
 			//switchml:dispatch
 			switch sh.pkt.Kind {
 			case packet.KindUpdate:
@@ -558,30 +622,31 @@ func (a *Aggregator) serve(sh *aggShard) {
 
 // stageMulticast marshals a multicast result onto the tail of the
 // burst's block. Completed slot results are byte-identical for every
-// worker, so the shard builds the block once and flushShard addresses
-// it to each peer as one segment train. A segment-size change or a
-// full block flushes eagerly — correctness never depends on the burst
-// boundary.
+// worker of a job, so the shard builds the block once and flushShard
+// addresses it to each of the job's peers as one segment train. Another
+// job's result, a segment-size change or a full block flushes eagerly —
+// correctness never depends on the burst boundary.
 //
 //switchml:hotpath
 func (a *Aggregator) stageMulticast(sh *aggShard, p *packet.Packet) {
 	size := p.MarshalledSize()
-	if sh.blockSeg != 0 && (sh.blockSeg != size || len(sh.block)+size > cap(sh.block)) {
+	if sh.blockSeg != 0 && (sh.blockJob != sh.job || sh.blockSeg != size || len(sh.block)+size > cap(sh.block)) {
 		a.flushShard(sh)
 	}
-	sh.blockSeg = size
+	sh.blockJob, sh.blockSeg = sh.job, size
 	sh.block = p.AppendMarshal(sh.block)
 }
 
 // flushShard fans the accumulated multicast block out to every known
-// peer as a segment train and pushes all staged datagrams to the
-// kernel in one batched send.
+// peer of its job as a segment train and pushes all staged datagrams
+// to the kernel in one batched send.
 //
 //switchml:hotpath
 func (a *Aggregator) flushShard(sh *aggShard) {
 	if len(sh.block) > 0 {
-		for i := range a.peers {
-			ap := a.peers[i].Load()
+		peers := sh.blockJob.peers
+		for i := range peers {
+			ap := peers[i].Load()
 			if ap == nil {
 				continue
 			}
@@ -648,24 +713,11 @@ func (a *Aggregator) reply(sh *aggShard, wire []byte, to netip.AddrPort) {
 // are counted, not retried: UDP control traffic is already protected
 // by the sweep-period rebroadcast and worker retransmission.
 func (a *Aggregator) writeCtrl(wire []byte, to netip.AddrPort) {
-	if _, err := a.conn.WriteToUDPAddrPort(wire, to); err != nil {
+	if _, err := a.conns[0].WriteToUDPAddrPort(wire, to); err != nil {
 		a.sendErrs.Inc()
 		return
 	}
 	a.sent.Inc()
-}
-
-// epochNow returns the current job generation.
-func (a *Aggregator) epochNow() uint16 { return uint16(a.epoch.Load()) }
-
-// setPeer records the worker's address, writing only on change so
-// the steady-state path stays read-only and allocation-free.
-func (a *Aggregator) setPeer(w uint16, src netip.AddrPort) {
-	if cur := a.peers[w].Load(); cur != nil && *cur == src {
-		return
-	}
-	ap := src
-	a.peers[w].Store(&ap)
 }
 
 // handleUpdate feeds one model-update into the pool. With a liveness
@@ -681,14 +733,14 @@ func (a *Aggregator) setPeer(w uint16, src netip.AddrPort) {
 //
 //switchml:hotpath
 func (a *Aggregator) handleUpdate(sh *aggShard, src netip.AddrPort) {
-	p := &sh.pkt
+	p, j := &sh.pkt, sh.job
 	w := int(p.WorkerID)
 	if a.lv != nil {
 		if a.lv.tracker.Dead(w) {
 			a.mu.Lock()
 			vec := a.membersLocked(-1)
 			a.mu.Unlock()
-			sh.ctrl = packet.NewControl(packet.KindReconfig, p.WorkerID, a.epochNow(), 0, vec).AppendMarshal(sh.ctrl[:0])
+			sh.ctrl = packet.NewControl(packet.KindReconfig, p.WorkerID, j.gen(), 0, vec).AppendMarshal(sh.ctrl[:0])
 			a.reply(sh, sh.ctrl, src)
 			return
 		}
@@ -703,11 +755,11 @@ func (a *Aggregator) handleUpdate(sh *aggShard, src netip.AddrPort) {
 			return
 		}
 	}
-	a.setPeer(p.WorkerID, src)
-	if int(p.Idx) >= a.cfg.Switch.PoolSize {
+	j.setPeer(p.WorkerID, src)
+	if int(p.Idx) >= j.pool {
 		a.beyondPool.Inc() // and the switch rejects it
 	}
-	resp := a.sw.HandleInto(p, &sh.out)
+	resp := j.sw.HandleInto(p, &sh.out)
 	if resp.Pkt == nil {
 		return
 	}
@@ -719,8 +771,8 @@ func (a *Aggregator) handleUpdate(sh *aggShard, src netip.AddrPort) {
 		return
 	}
 	// Off the block: a unicast repair.
-	if int(resp.Pkt.WorkerID) < len(a.peers) {
-		if ap := a.peers[resp.Pkt.WorkerID].Load(); ap != nil {
+	if int(resp.Pkt.WorkerID) < len(j.peers) {
+		if ap := j.peers[resp.Pkt.WorkerID].Load(); ap != nil {
 			sh.ctrl = resp.Pkt.AppendMarshal(sh.ctrl[:0])
 			a.write(sh, sh.ctrl, *ap)
 		}
@@ -734,9 +786,10 @@ func (a *Aggregator) handleUpdate(sh *aggShard, src netip.AddrPort) {
 // wiped under the proposed generation before answering — the fence
 // that keeps anything aggregated before the outage from leaking into
 // post-failback slots. The ack echoes the probe sequence so the
-// worker can match it to its probation window.
+// worker can match it to its probation window. (A multi-job aggregator
+// routes a probe to the job whose generation its JobID already is.)
 func (a *Aggregator) handleProbe(sh *aggShard, src netip.AddrPort) {
-	p := &sh.pkt
+	p, j := &sh.pkt, sh.job
 	if a.lv != nil {
 		if a.lv.tracker.Dead(int(p.WorkerID)) {
 			return
@@ -745,15 +798,15 @@ func (a *Aggregator) handleProbe(sh *aggShard, src netip.AddrPort) {
 		// update path but very much alive.
 		a.lv.tracker.Touch(int(p.WorkerID), a.coarse.Load())
 	}
-	a.setPeer(p.WorkerID, src)
-	if int16(p.JobID-a.epochNow()) > 0 {
+	j.setPeer(p.WorkerID, src)
+	if int16(p.JobID-j.gen()) > 0 {
 		a.mu.Lock()
-		if int16(p.JobID-a.epochNow()) > 0 {
+		if int16(p.JobID-j.gen()) > 0 {
 			_ = a.installLocked(nil, p.JobID) // keeping the membership cannot fail
 		}
 		a.mu.Unlock()
 	}
-	ack := packet.NewControl(packet.KindProbeAck, p.WorkerID, a.epochNow(), 0, nil)
+	ack := packet.NewControl(packet.KindProbeAck, p.WorkerID, j.gen(), 0, nil)
 	ack.Idx = p.Idx
 	sh.ctrl = ack.AppendMarshal(sh.ctrl[:0])
 	a.reply(sh, sh.ctrl, src)
@@ -805,9 +858,9 @@ func (a *Aggregator) mangle(sh *aggShard, wire []byte) []byte {
 func (a *Aggregator) Reset() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.sw.Reset()
-	for i := range a.peers {
-		a.peers[i].Store(nil)
+	a.job.sw.Reset()
+	for i := range a.job.peers {
+		a.job.peers[i].Store(nil)
 	}
 	a.evict, a.join, a.adopt = nil, nil, nil
 	a.rel.Store(nil)

@@ -208,12 +208,13 @@ func TestShardStageFlushZeroAlloc(t *testing.T) {
 			a := &Aggregator{
 				sent:     reg.Counter("test_sent"),
 				sendErrs: reg.Counter("test_send_errors"),
-				peers:    make([]atomic.Pointer[netip.AddrPort], 2),
 				inj:      inj,
 			}
-			a.peers[0].Store(&ap)
-			a.peers[1].Store(&ap)
+			j := &job{peers: make([]atomic.Pointer[netip.AddrPort], 2)}
+			j.peers[0].Store(&ap)
+			j.peers[1].Store(&ap)
 			sh := &aggShard{
+				job:     j,
 				nc:      nc,
 				block:   make([]byte, 0, 8*2048),
 				mangled: make([]byte, 0, 2048),

@@ -181,6 +181,11 @@ type Client struct {
 	txb      []byte
 	txSeg    int
 	stageErr error
+	// unread is the rest of a burst on aggregator view unreadNC that a
+	// mode ended in the middle of (a fence directive behind a tensor's
+	// last result, say), for the next mode reading that view.
+	unread   []netio.Message
+	unreadNC *netio.Conn
 	// lastProgress is the last time the aggregator proved it was alive
 	// (a burst with a decodable datagram on the main connection),
 	// stamped once per burst; the fallback's silence detector measures
@@ -655,10 +660,9 @@ func (c *Client) run(m mode, deadline time.Time) error {
 				continue
 			}
 			if mesh {
-				// The rest of the burst is the next mesh mode's: the ring's
-				// first segments behind the barrier's last sync, a peer's
-				// next sync behind the ring's last ack.
 				c.fb.unread = msgs[i+1:]
+			} else {
+				c.unread = msgs[i+1:]
 			}
 			if c.mode == modeData {
 				// Nothing is left to retransmit, but the burst's round
@@ -685,9 +689,10 @@ func (c *Client) run(m mode, deadline time.Time) error {
 // recv returns the pass's burst from the socket the mode reads — the
 // mesh for the mesh modes and a state-serving fence hold's mesh turns,
 // the probed aggregator's for a probe wait, the home aggregator's for
-// the rest — and whether that is the mesh. The rest of a mesh burst an
-// earlier mode ended in the middle of comes first; otherwise the socket
-// is read under the wake deadline, and then the clock.
+// the rest — and whether that is the mesh. The rest of a burst an
+// earlier mode on the same view ended in the middle of comes first;
+// otherwise the socket is read under the wake deadline, and then the
+// clock.
 func (c *Client) recv(wake time.Time) ([]netio.Message, bool, error) {
 	nc := c.nc
 	switch c.mode {
@@ -701,10 +706,15 @@ func (c *Client) recv(wake time.Time) ([]netio.Message, bool, error) {
 		nc = c.pnc
 	}
 	mesh := c.fb != nil && nc == c.fb.nc
-	if mesh && len(c.fb.unread) > 0 {
-		msgs := c.fb.unread
-		c.fb.unread = nil
-		return msgs, true, nil
+	rest := &c.unread
+	if mesh {
+		rest = &c.fb.unread
+	} else if nc != c.unreadNC {
+		c.unread, c.unreadNC = nil, nc // another view's rest is stale
+	}
+	if msgs := *rest; len(msgs) > 0 {
+		*rest = nil
+		return msgs, mesh, nil
 	}
 	if err := nc.SetReadDeadline(wake); err != nil {
 		return nil, mesh, err

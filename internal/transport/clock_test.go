@@ -86,6 +86,40 @@ func TestClockReadsPerBurst(t *testing.T) {
 	}
 }
 
+// TestSweepFollowsInjectedClock extends the aggregator's clock seam from
+// the shard loops to the failure detector: the sweeper reads the same
+// clock, so moving it past SilenceAfter evicts a silent worker within a
+// few sweeps — not an hour of wall time later — while the worker still
+// beating, stamped by the moved burst clock, stays.
+func TestSweepFollowsInjectedClock(t *testing.T) {
+	const every = 20 * time.Millisecond
+	var skew atomic.Int64
+	agg, err := newAggregator(AggregatorConfig{
+		Addr:     "127.0.0.1:0",
+		Switch:   core.SwitchConfig{Workers: 2, PoolSize: 4, SlotElems: 8, LossRecovery: true},
+		Liveness: &LivenessConfig{SilenceAfter: time.Hour, CheckEvery: every},
+	}, func() time.Time { return time.Now().Add(time.Duration(skew.Load())) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+	w := []*rawWorker{dialRaw(t, agg, 0), dialRaw(t, agg, 1)}
+	awaitPeers(t, agg, w...)
+	skew.Store(int64(2 * time.Hour))
+	jumped := time.Now()
+	for agg.Alive(1) {
+		if waited := time.Since(jumped); waited > 10*every {
+			t.Fatalf("worker 1 still alive %v after the clock moved past its silence threshold (sweeps every %v)", waited, every)
+		}
+		w[0].send(packet.KindHeartbeat, 0, 0, 0)
+		time.Sleep(every / 4)
+	}
+	t.Logf("worker 1 evicted %v after the clock jump", time.Since(jumped))
+	if !agg.Alive(0) {
+		t.Error("the beating worker was evicted too")
+	}
+}
+
 // TestRetransmitTimerOnBurstClock pins the timer's semantics now that
 // a send is stamped with its pass's clock reading rather than its own:
 // a single-window tensor whose only update is lost is retransmitted no

@@ -81,7 +81,7 @@ type AggDebugState struct {
 func (a *Aggregator) DebugState(withSlots bool) AggDebugState {
 	st := AggDebugState{
 		Role:            "aggregator",
-		Epoch:           a.epochNow(),
+		Epoch:           a.job.gen(),
 		Down:            a.down.Load(),
 		Shards:          len(a.shardCtrs),
 		Batch:           a.sncs[0].Batch(),
@@ -96,10 +96,10 @@ func (a *Aggregator) DebugState(withSlots bool) AggDebugState {
 		RcvbufNeedBytes: a.bufs.need,
 		BeyondPool:      a.beyondPool.Value(),
 		Adoptions:       a.adoptions.Value(),
-		Switch:          a.sw.Stats(),
-		Pool:            a.sw.PoolState(withSlots),
-		Peers:           make([]string, len(a.peers)),
-		Alive:           make([]bool, len(a.peers)),
+		Switch:          a.job.sw.Stats(),
+		Pool:            a.job.sw.PoolState(withSlots),
+		Peers:           make([]string, len(a.job.peers)),
+		Alive:           make([]bool, len(a.job.peers)),
 	}
 	for i, c := range a.shardCtrs {
 		st.ShardDatagrams[i] = c.Value()
@@ -110,9 +110,9 @@ func (a *Aggregator) DebugState(withSlots bool) AggDebugState {
 	occ := a.occupancySnapshot()
 	st.BatchOccupancyP50 = occ.Quantile(0.5)
 	st.BatchOccupancyP99 = occ.Quantile(0.99)
-	st.Membership = make([]string, len(a.peers))
-	for i := range a.peers {
-		if ap := a.peers[i].Load(); ap != nil {
+	st.Membership = make([]string, len(a.job.peers))
+	for i := range a.job.peers {
+		if ap := a.job.peers[i].Load(); ap != nil {
 			st.Peers[i] = ap.String()
 		}
 		st.Alive[i] = a.Alive(i)

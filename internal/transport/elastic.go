@@ -41,9 +41,10 @@ import (
 // membership.
 
 // handleJoin processes a joiner's admission solicitation. Joins are
-// serialized: one fence at a time, never during §5.6 recovery and
-// never while a leave is draining (the joiner retransmits KindJoin at
-// its RTO, so a refused solicitation is simply retried).
+// serialized: one fence at a time, never during §5.6 recovery, never
+// while a leave is draining, never before a member is reachable (it
+// would hold for no incumbent and admit the joiner alone at offset 0);
+// the joiner retransmits KindJoin at its RTO, so a refusal is retried.
 func (a *Aggregator) handleJoin(sh *aggShard, src netip.AddrPort) {
 	if a.lv == nil {
 		return // membership is static without a failure detector
@@ -52,7 +53,7 @@ func (a *Aggregator) handleJoin(sh *aggShard, src netip.AddrPort) {
 	defer a.mu.Unlock()
 	lv := a.lv
 	w := int(sh.pkt.WorkerID)
-	a.setPeer(sh.pkt.WorkerID, src)
+	a.job.setPeer(sh.pkt.WorkerID, src)
 	if !lv.tracker.Dead(w) && lv.tracker.LastSeen(w) >= 0 && (a.join == nil || a.join.joiner != w) {
 		// Already a member: the commit's release was lost.
 		a.rerelease(sh, src)
@@ -62,11 +63,26 @@ func (a *Aggregator) handleJoin(sh *aggShard, src netip.AddrPort) {
 		return // recovery and drains first; the joiner retries
 	}
 	if a.join == nil {
-		a.join = newRollCall(a.epochNow()+1, len(a.peers), lv.tracker, false, w)
+		if !a.memberReachableLocked(w) {
+			return
+		}
+		a.join = newRollCall(a.job.gen()+1, len(a.job.peers), lv.tracker, false, w)
 	} else if a.join.joiner != w {
 		return
 	}
 	a.directLocked(a.join) // a fresh fence, or the joiner pushing it again
+}
+
+// memberReachableLocked reports whether a live member other than w has
+// been heard from and its address learned (a shard touches the tracker
+// first), so a directive reaches it now, not at the next sweep.
+func (a *Aggregator) memberReachableLocked(w int) bool {
+	for i := range a.job.peers {
+		if i != w && !a.lv.tracker.Dead(i) && a.lv.tracker.LastSeen(i) >= 0 && a.job.peers[i].Load() != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // handleLeave processes a drain announcement. The announcement is
@@ -95,8 +111,8 @@ func (a *Aggregator) handleLeave(sh *aggShard, src netip.AddrPort) {
 		lv.leaveArmed.Store(true)
 		a.traceCtrl(telemetry.EvDrainStart, int32(w), int64(p.Off))
 	}
-	a.setPeer(p.WorkerID, src)
-	sh.ctrl = packet.NewControl(packet.KindLeave, p.WorkerID, a.epochNow(), p.Off, nil).AppendMarshal(sh.ctrl[:0])
+	a.job.setPeer(p.WorkerID, src)
+	sh.ctrl = packet.NewControl(packet.KindLeave, p.WorkerID, a.job.gen(), p.Off, nil).AppendMarshal(sh.ctrl[:0])
 	a.reply(sh, sh.ctrl, src)
 }
 
@@ -160,7 +176,7 @@ func (a *Aggregator) elasticSweepLocked() {
 func (a *Aggregator) drainCommittableLocked(w int) bool {
 	lv := a.lv
 	rest := 0
-	for i := range a.peers {
+	for i := range a.job.peers {
 		if i == w || lv.tracker.Dead(i) || lv.tracker.Draining(i) || lv.tracker.LastSeen(i) < 0 {
 			continue
 		}

@@ -133,7 +133,7 @@ func (c *Client) wrapMain(conn *net.UDPConn) error {
 	c.ncDrops = 0
 	// A window of results can be in flight toward this socket, and a
 	// window of updates leaves it at once.
-	b := sizeSocket(conn, c.cfg.Worker.PoolSize, c.cfg.Worker.SlotElems)
+	b := sizeSocket(conn, windowBytes(c.cfg.Worker.PoolSize, c.cfg.Worker.SlotElems))
 	c.gRcvbuf.Set(int64(b.rcv))
 	c.gRcvbufNeed.Set(int64(b.need))
 	// The window block holds the whole window, so that it leaves in one
@@ -308,6 +308,9 @@ func (c *Client) failUpTick(deadline time.Time) error {
 // member arrives. A duplicate for the generation already released gets
 // the release again, so a lost KindResume never wedges a voter.
 func (a *Aggregator) handleAdopt(sh *aggShard, src netip.AddrPort) {
+	if a.job == nil {
+		return // a multi-job aggregator's generations are its job ids
+	}
 	p := &sh.pkt
 	w := int(p.WorkerID)
 	var tr *faults.Tracker
@@ -318,10 +321,10 @@ func (a *Aggregator) handleAdopt(sh *aggShard, src netip.AddrPort) {
 		tr = a.lv.tracker
 		tr.MarkAlive(w, a.coarse.Load())
 	}
-	a.setPeer(p.WorkerID, src)
+	a.job.setPeer(p.WorkerID, src)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if int16(p.JobID-a.epochNow()) <= 0 {
+	if int16(p.JobID-a.job.gen()) <= 0 {
 		// A stale proposal, or a duplicate whose release was lost.
 		if r := a.rel.Load(); r != nil && p.JobID == r.gen {
 			a.rerelease(sh, src)
@@ -332,7 +335,7 @@ func (a *Aggregator) handleAdopt(sh *aggShard, src netip.AddrPort) {
 		// A fresh roll call, or one for a strictly newer generation: its
 		// voters re-send at their RTO. A rung adopting a job has heard
 		// from no one, so every worker not retired must answer.
-		a.adopt = newRollCall(p.JobID, len(a.peers), tr, true, -1)
+		a.adopt = newRollCall(p.JobID, len(a.job.peers), tr, true, -1)
 	}
 	if a.adopt.vote(w, p.Off) {
 		a.commitAdoptLocked()

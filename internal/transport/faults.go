@@ -74,7 +74,7 @@ func (a *Aggregator) sweepLoop() {
 		case <-a.closed:
 			return
 		case <-t.C:
-			a.sweep(time.Now().UnixNano())
+			a.sweep(a.clock().UnixNano())
 		}
 	}
 }
@@ -93,7 +93,7 @@ func (a *Aggregator) sweep(now int64) {
 			break // never retire the last worker
 		}
 		a.lv.tracker.MarkDead(w)
-		a.peers[w].Store(nil) // evict the dead worker's session state
+		a.job.peers[w].Store(nil) // evict the dead worker's session state
 		a.traceCtrl(telemetry.EvFailureDetected, int32(w), -1)
 		verdict = true
 	}
@@ -114,7 +114,7 @@ func (a *Aggregator) sweep(now int64) {
 // opens the eviction roll call: every survivor the detector has heard
 // from reports its frontier, and all resume at the minimum.
 func (a *Aggregator) startRecoveryLocked() {
-	gen := a.epochNow() + 1
+	gen := a.job.gen() + 1
 	if a.installLocked(a.membersLocked(-1), gen) != nil {
 		return // unreachable: the sweep never retires the last worker
 	}
@@ -122,7 +122,7 @@ func (a *Aggregator) startRecoveryLocked() {
 	// joiner retransmits its solicitation and gets a fresh fence once
 	// the survivors have resumed).
 	a.join = nil
-	a.evict = newRollCall(gen, len(a.peers), a.lv.tracker, false, -1)
+	a.evict = newRollCall(gen, len(a.job.peers), a.lv.tracker, false, -1)
 	a.directLocked(a.evict)
 }
 
@@ -145,13 +145,13 @@ func (a *Aggregator) handleReport(sh *aggShard, src netip.AddrPort) {
 		rc = a.join
 	}
 	if rc == nil || p.JobID != rc.gen || (w != rc.joiner && a.lv.tracker.Dead(w)) {
-		if p.JobID == a.epochNow() && !a.lv.tracker.Dead(w) {
+		if p.JobID == a.job.gen() && !a.lv.tracker.Dead(w) {
 			a.rerelease(sh, src)
 		}
 		return
 	}
-	a.lv.tracker.Touch(w, time.Now().UnixNano())
-	a.setPeer(p.WorkerID, src)
+	a.lv.tracker.Touch(w, a.coarse.Load())
+	a.job.setPeer(p.WorkerID, src)
 	if p.Ver == 1 && w != rc.joiner {
 		// A confirm at the boundary proves everything before it is
 		// complete — it counts toward any pending drain commit, or a
@@ -180,13 +180,13 @@ func (a *Aggregator) touch(p *packet.Packet, src netip.AddrPort) {
 		return
 	}
 	a.lv.tracker.Touch(int(p.WorkerID), a.coarse.Load())
-	a.setPeer(p.WorkerID, src)
+	a.job.setPeer(p.WorkerID, src)
 }
 
 // Alive reports whether worker w is still part of the job. Without a
 // liveness detector every configured worker counts as alive.
 func (a *Aggregator) Alive(w int) bool {
-	if w < 0 || w >= len(a.peers) {
+	if w < 0 || w >= len(a.job.peers) {
 		return false
 	}
 	if a.lv == nil {
@@ -196,7 +196,7 @@ func (a *Aggregator) Alive(w int) bool {
 }
 
 // Epoch returns the current job generation.
-func (a *Aggregator) Epoch() uint16 { return a.epochNow() }
+func (a *Aggregator) Epoch() uint16 { return a.job.gen() }
 
 // traceCtrl emits a controller-scope event stamped with wall-clock
 // time.

@@ -75,11 +75,8 @@ func meshJoin(t *testing.T, state []int32, before func(joiner *Client)) ([]int32
 		before(clients[1])
 	}
 
-	// The joiner solicits once the incumbent has trained a step (a join
-	// solicited before any member was heard from commits without them).
 	// last is the final joint step once the joiner knows its first, and
 	// -1 if the join failed: the incumbent trains until then.
-	trained := make(chan struct{})
 	var last atomic.Int64
 	var fetched []int32
 	var took time.Duration
@@ -106,9 +103,6 @@ func meshJoin(t *testing.T, state []int32, before func(joiner *Client)) ([]int32
 			if errs[0] = step(0, s); errs[0] != nil {
 				return
 			}
-			if s == 1 {
-				close(trained)
-			}
 		}
 		errs[0] = fmt.Errorf("the joiner was never admitted")
 	}()
@@ -116,7 +110,6 @@ func meshJoin(t *testing.T, state []int32, before func(joiner *Client)) ([]int32
 		defer wg.Done()
 		sums[1] = map[int][]int32{}
 		c := clients[1]
-		<-trained
 		start := time.Now()
 		fetched, errs[1] = c.JoinCluster()
 		took = time.Since(start)

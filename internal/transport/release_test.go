@@ -68,8 +68,9 @@ func (r *rawWorker) awaitRelease(gen uint16, off uint64) {
 	}
 }
 
-// quiet fails the test if a KindResume reaches this worker within d.
-func (r *rawWorker) quiet(d time.Duration) {
+// quiet fails the test if a datagram of the given kind reaches this
+// worker within d.
+func (r *rawWorker) quiet(kind packet.Kind, d time.Duration) {
 	r.t.Helper()
 	buf := make([]byte, 2048)
 	var p packet.Packet
@@ -79,8 +80,8 @@ func (r *rawWorker) quiet(d time.Duration) {
 		if err != nil {
 			return
 		}
-		if packet.UnmarshalInto(&p, buf[:n]) == nil && p.Kind == packet.KindResume {
-			r.t.Fatalf("worker %d got KindResume (generation %d, offset %d) after Reset", r.id, p.JobID, p.Off)
+		if packet.UnmarshalInto(&p, buf[:n]) == nil && p.Kind == kind {
+			r.t.Fatalf("worker %d got %v (generation %d, offset %d), want none", r.id, kind, p.JobID, p.Off)
 		}
 	}
 }
@@ -190,6 +191,29 @@ func joinReleased(t *testing.T) released {
 	return released{agg: agg, w: w, gen: 1, off: 64}
 }
 
+// TestJoinWaitsForAMember: a join solicited before any member has been
+// heard from opens no fence. Such a fence would wait for no incumbent
+// and commit the joiner alone at offset 0, under an incumbent by then
+// tensors ahead (whose resume then fails as preceding its tensor). The
+// joiner retries at its RTO; once the incumbent has spoken, the retry
+// opens the fence for both.
+func TestJoinWaitsForAMember(t *testing.T) {
+	agg, w := releaseAggregator(t, 2, LivenessConfig{SilenceAfter: 5 * time.Second}, []int{1})
+	w[1].send(packet.KindJoin, 0, 0, 0)
+	w[1].quiet(packet.KindReconfig, 200*time.Millisecond)
+	agg.mu.Lock()
+	opened := agg.join != nil
+	agg.mu.Unlock()
+	if opened {
+		t.Fatal("a join fence opened before any member was heard from")
+	}
+	awaitPeers(t, agg, w[0])
+	w[1].send(packet.KindJoin, 0, 0, 0)
+	for _, r := range w {
+		r.await(packet.KindReconfig, 1)
+	}
+}
+
 // adoptionReleased adopts a two-worker job: the workers propose
 // generation 1 with frontiers 48 and 16, and the commit releases both at
 // 16.
@@ -248,7 +272,7 @@ func TestLostReleaseRepair(t *testing.T) {
 			t.Run(row.name, func(t *testing.T) {
 				r := row.setup(t)
 				r.agg.Reset()
-				row.lost(r).quiet(150 * time.Millisecond)
+				row.lost(r).quiet(packet.KindResume, 150*time.Millisecond)
 			})
 		}
 	})

@@ -98,16 +98,16 @@ func (r *release) resume(w uint16) *packet.Packet {
 func (a *Aggregator) installLocked(members []int32, gen uint16) error {
 	var active []bool
 	if members != nil {
-		active = make([]bool, len(a.peers))
+		active = make([]bool, len(a.job.peers))
 		for _, w := range members {
 			active[w] = true
 		}
 	}
-	if err := a.sw.Reconfigure(active, gen); err != nil {
+	if err := a.job.sw.Reconfigure(active, gen); err != nil {
 		return err
 	}
 	a.rel.Store(nil)
-	a.epoch.Store(uint32(gen))
+	a.job.epoch.Store(uint32(gen))
 	a.traceCtrl(telemetry.EvReconfigure, -1, int64(gen))
 	return nil
 }
@@ -148,8 +148,8 @@ func (a *Aggregator) directLocked(rc *rollCall) {
 // patched per peer.
 func (a *Aggregator) broadcastLocked(p *packet.Packet, to func(w int) bool) {
 	a.cbuf = p.AppendMarshal(a.cbuf[:0])
-	for w := range a.peers {
-		ap := a.peers[w].Load()
+	for w := range a.job.peers {
+		ap := a.job.peers[w].Load()
 		if ap == nil || !to(w) || packet.PatchWorkerID(a.cbuf, uint16(w)) != nil {
 			continue
 		}
@@ -164,7 +164,7 @@ func (a *Aggregator) broadcastLocked(p *packet.Packet, to func(w int) bool) {
 //switchml:allow hotpath -- recovery control plane: the update path calls it only to answer an evicted worker
 func (a *Aggregator) membersLocked(joiner int) []int32 {
 	var vec []int32
-	for w := range a.peers {
+	for w := range a.job.peers {
 		if w == joiner || !a.lv.tracker.Dead(w) {
 			vec = append(vec, int32(w))
 		}

@@ -32,22 +32,22 @@ type sockBuffers struct {
 	need, rcv int
 }
 
-// sizeSocket asks for socket buffers that hold datagrams packets of
-// slotElems elements in each direction — the window that can be in
-// flight toward this socket, and the burst it answers with — charged as
-// the kernel charges datagrams that were not coalesced, so that a peer
-// without segmentation offload, or a path that splits the trains, fits
-// as well. It returns the need beside what the kernel granted; a host
-// whose limits (rmem_max) hold the grant below the need can overrun,
-// which udp_rcvbuf_drops_total then shows.
-func sizeSocket(conn *net.UDPConn, datagrams, slotElems int) sockBuffers {
-	b := sockBuffers{need: windowBytes(datagrams, slotElems)}
-	b.rcv, _ = netio.SizeBuffers(conn, b.need, b.need)
+// sizeSocket asks for socket buffers of need bytes in each direction —
+// the windowBytes of the window that can be in flight toward this
+// socket, and of the burst it answers with. It returns the need beside
+// what the kernel granted; a host whose limits (rmem_max) hold the
+// grant below the need can overrun, which udp_rcvbuf_drops_total then
+// shows.
+func sizeSocket(conn *net.UDPConn, need int) sockBuffers {
+	b := sockBuffers{need: need}
+	b.rcv, _ = netio.SizeBuffers(conn, need, need)
 	return b
 }
 
-// windowBytes is what datagrams packets of slotElems elements, none of
-// them coalesced, are charged to a socket buffer.
+// windowBytes is what datagrams packets of slotElems elements are
+// charged to a socket buffer, as the kernel charges datagrams that were
+// not coalesced: a peer without segmentation offload, or a path that
+// splits the trains, fits as well.
 func windowBytes(datagrams, slotElems int) int {
 	return datagrams * skbCharge(packet.WireLen(slotElems))
 }
