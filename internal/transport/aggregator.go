@@ -163,9 +163,9 @@ type Aggregator struct {
 	reg   *telemetry.Registry
 
 	// job is the one job of an aggregator built by NewAggregator, which
-	// every datagram routes to whatever its JobID (the generation) and
-	// the control plane acts on. It is nil on an aggregator built for
-	// several jobs, which routes by JobID through jobs.
+	// every datagram routes to whatever its JobID (the generation); the
+	// control plane and the single-job-only Stats, Epoch, Alive,
+	// DebugState and Reset act on it. It is nil on a multi-job one.
 	job  *job
 	jobs atomic.Pointer[jobTable]
 
@@ -419,10 +419,7 @@ func (a *Aggregator) listen(mtu, block, need int) error {
 	}
 	a.conns = conns
 	a.sizeSockets(need)
-	a.shardCtrs = make([]*telemetry.Counter, a.cfg.Shards)
-	a.shardOcc = make([]*telemetry.Histogram, a.cfg.Shards)
 	for i := 0; i < a.cfg.Shards; i++ {
-		a.shardCtrs[i] = a.reg.Counter("agg_shard_datagrams_total", "shard", fmt.Sprintf("%d", i))
 		nc, err := netio.Wrap(conns[i%len(conns)], netio.Config{
 			Batch:       DefaultBatch,
 			MTU:         mtu,
@@ -431,20 +428,18 @@ func (a *Aggregator) listen(mtu, block, need int) error {
 		if err != nil {
 			// A socket that cannot even expose its fd is broken; stop the
 			// shards already serving before returning.
-			close(a.closed)
-			closeAll(conns)
-			a.wg.Wait()
+			a.Close()
 			return err
 		}
+		shard := fmt.Sprint(i)
 		sh := &aggShard{
-			datagrams: a.shardCtrs[i],
+			datagrams: a.reg.Counter("agg_shard_datagrams_total", "shard", shard),
 			mangled:   make([]byte, 0, mtu),
 			nc:        nc,
-			occ:       a.reg.Histogram("agg_batch_occupancy", BatchOccupancyBuckets, "shard", fmt.Sprintf("%d", i)),
+			occ:       a.reg.Histogram("agg_batch_occupancy", BatchOccupancyBuckets, "shard", shard),
 			block:     make([]byte, 0, block),
 		}
-		a.sncs = append(a.sncs, nc)
-		a.shardOcc[i] = sh.occ
+		a.sncs, a.shardCtrs, a.shardOcc = append(a.sncs, nc), append(a.shardCtrs, sh.datagrams), append(a.shardOcc, sh.occ)
 		a.wg.Add(1)
 		go a.serve(sh)
 	}
@@ -462,10 +457,17 @@ func (a *Aggregator) sizeSockets(need int) {
 }
 
 // aggWireMTU sizes shard arenas from the largest result packet the
-// pool can emit.
+// pool can emit, plus wireSlack bytes.
 func aggWireMTU(slotElems int) int {
-	return max(packet.WireLen(slotElems)+16, 2048)
+	return max(packet.WireLen(slotElems)+wireSlack, 2048)
 }
+
+// jobMTU is the largest datagram a multi-job aggregator carries: its
+// shard views exist before any job does, so they are sized for a jumbo
+// frame, and AdmitJob refuses packets of more than maxJobElems.
+const jobMTU, wireSlack = 9216, 16
+
+var maxJobElems = (jobMTU - wireSlack - packet.WireLen(0)) / packet.ElemBytes
 
 // closeAll releases every bound socket.
 func closeAll(conns []*net.UDPConn) {
@@ -786,10 +788,13 @@ func (a *Aggregator) handleUpdate(sh *aggShard, src netip.AddrPort) {
 // wiped under the proposed generation before answering — the fence
 // that keeps anything aggregated before the outage from leaking into
 // post-failback slots. The ack echoes the probe sequence so the
-// worker can match it to its probation window. (A multi-job aggregator
-// routes a probe to the job whose generation its JobID already is.)
+// worker can match it to its probation window. A multi-job aggregator
+// drops probes: the generation + 1 one proposes is another job's id.
 func (a *Aggregator) handleProbe(sh *aggShard, src netip.AddrPort) {
-	p, j := &sh.pkt, sh.job
+	if a.job == nil {
+		return
+	}
+	p, j := &sh.pkt, a.job
 	if a.lv != nil {
 		if a.lv.tracker.Dead(int(p.WorkerID)) {
 			return

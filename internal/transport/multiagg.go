@@ -20,11 +20,6 @@ type MultiAggregator struct {
 	ms  *core.MultiSwitch // guarded by agg.mu
 }
 
-// jobMTU is the largest datagram a multi-job aggregator carries. Its
-// shard views exist before any job is admitted, so they are sized for a
-// jumbo frame, and AdmitJob refuses a job whose packets would not fit.
-const jobMTU = 9216
-
 // SlotElemsError refuses a job whose packets of SlotElems elements
 // would not fit a multi-job aggregator's datagrams; Max is the largest
 // k it admits.
@@ -61,8 +56,8 @@ func (m *MultiAggregator) Registry() *telemetry.Registry { return m.agg.reg }
 // would be exceeded (the admission mechanism of §6) or its packets
 // would not fit (SlotElemsError).
 func (m *MultiAggregator) AdmitJob(cfg core.SwitchConfig) error {
-	if aggWireMTU(cfg.SlotElems) > jobMTU {
-		return &SlotElemsError{SlotElems: cfg.SlotElems, Max: (jobMTU - 16 - packet.WireLen(0)) / packet.ElemBytes}
+	if cfg.SlotElems > maxJobElems {
+		return &SlotElemsError{SlotElems: cfg.SlotElems, Max: maxJobElems}
 	}
 	a := m.agg
 	a.mu.Lock()
@@ -97,13 +92,12 @@ func (m *MultiAggregator) retableLocked() {
 	t := &jobTable{byID: make(map[uint16]*job)}
 	need := 0
 	for _, id := range m.ms.Jobs() {
-		sw := m.ms.Job(id)
 		j := old.byID[id]
 		if j == nil {
-			j = newJob(core.ShardSwitch(sw))
+			j = newJob(core.ShardSwitch(m.ms.Job(id)))
 		}
 		t.byID[id] = j
-		c := sw.Config()
+		c := j.sw.Config()
 		need += windowBytes(c.Workers*c.PoolSize, c.SlotElems)
 		t.block = max(t.block, max(DefaultBatch, c.PoolSize)*packet.WireLen(c.SlotElems))
 	}

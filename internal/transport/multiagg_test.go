@@ -411,33 +411,46 @@ func TestMultiJobIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		for _, job := range []uint16{1, 2} {
+		jobs := []uint16{1, 2}
+		clients := make([][]*Client, len(jobs))
+		for i, job := range jobs {
 			if err := m.AdmitJob(core.SwitchConfig{Workers: n, PoolSize: s, SlotElems: k, LossRecovery: true, JobID: job}); err != nil {
 				t.Fatal(err)
 			}
+			clients[i] = multiCluster(t, m, job, n, s, k)
 		}
-		clients := multiCluster(t, m, 1, n, s, k)
-		lockstep(t, clients, 4<<10, 1)
+		for _, cs := range clients {
+			lockstep(t, cs, 4<<10, 1)
+		}
+		tab := m.agg.jobs.Load()
+		peer2 := *tab.byID[2].peers[0].Load()
+		var before [2]core.SwitchStats
+		for i, job := range jobs {
+			before[i], _ = m.JobStats(job)
+		}
 		// Each job's id + 1 proposed as a new generation, by adoption and
-		// by probe: job 1's lands on job 2, job 2's on no job.
+		// by probe: job 1's names job 2, job 2's no job. Neither is
+		// answered, and job 2 keeps its worker's address.
 		r := dialRaw(t, m.agg, 0)
 		for _, gen := range []uint16{2, 3} {
 			for _, kind := range []packet.Kind{packet.KindAdoptJob, packet.KindProbe} {
 				r.conn.Write(packet.NewControl(kind, 0, gen, 0, nil).AppendMarshal(nil))
 			}
 		}
-		if p := r.await(packet.KindProbeAck, 0); p.JobID != 2 {
-			t.Errorf("job 2 acked a probe under generation %d", p.JobID)
+		r.quiet(packet.KindProbeAck, 200*time.Millisecond)
+		if ap := *tab.byID[2].peers[0].Load(); ap != peer2 {
+			t.Errorf("job 2's worker 0 moved from %v to %v", peer2, ap)
 		}
-		before, _ := m.JobStats(1)
-		lockstep(t, clients, 4<<10, 2)
-		for _, job := range []uint16{1, 2} {
+		for _, cs := range clients {
+			lockstep(t, cs, 4<<10, 2)
+		}
+		for i, job := range jobs {
 			if gen := m.agg.jobs.Load().byID[job].gen(); gen != job {
 				t.Errorf("job %d runs under generation %d", job, gen)
 			}
-		}
-		if after, _ := m.JobStats(1); after.StaleUpdates != before.StaleUpdates {
-			t.Errorf("job 1 turned away %d updates as stale after the proposals", after.StaleUpdates-before.StaleUpdates)
+			if after, _ := m.JobStats(job); after.StaleUpdates != before[i].StaleUpdates {
+				t.Errorf("job %d turned away %d updates as stale after the proposals", job, after.StaleUpdates-before[i].StaleUpdates)
+			}
 		}
 	})
 	for _, mode := range ioModes {
