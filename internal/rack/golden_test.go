@@ -79,6 +79,8 @@ type goldenScenario struct {
 	cfg   Config
 	elems int
 	steps int
+	// oddEmpty makes every odd step aggregate an empty tensor.
+	oddEmpty bool
 }
 
 func goldenMatrix() []goldenScenario {
@@ -153,6 +155,68 @@ func goldenMatrix() []goldenScenario {
 			}}, 1),
 			elems: 4096, steps: 8,
 		},
+		{
+			// Detached at construction, then a join and a leave committed
+			// at the same step boundary: one generation bump covering both.
+			name: "elastic_join_leave_same_boundary",
+			cfg: Config{
+				Workers: 6, LossRecovery: true, LossRate: 0.005, Seed: 17, RTO: rto,
+				Detached: []int{4, 5},
+				Faults: &faults.Scenario{Actions: []faults.Action{
+					{Kind: faults.JoinWorker, Worker: 4, Step: 2, At: 10 * netsim.Microsecond},
+					{Kind: faults.LeaveWorker, Worker: 1, Step: 2, At: 10 * netsim.Microsecond},
+					{Kind: faults.JoinWorker, Worker: 5, Step: 4, At: 0},
+					{Kind: faults.LeaveWorker, Worker: 4, Step: 4, At: 0},
+				}},
+			},
+			elems: 8000, steps: 6,
+		},
+		{
+			// The primary dies mid-step with no standby: the job degrades
+			// to the host mesh at the frontier and fails back after the
+			// probation window.
+			name: "mesh_degrade_failback",
+			cfg: healthTestConfig(&faults.Scenario{Actions: []faults.Action{
+				{Kind: faults.KillSwitch, Step: 2, At: 20 * netsim.Microsecond},
+				{Kind: faults.ReviveSwitch, Step: 2, At: 3 * netsim.Millisecond},
+			}}),
+			elems: 4096, steps: 6,
+		},
+		{
+			// Empty tensors on the switch path and on the host mesh, and a
+			// failback taken after an empty degraded step.
+			name: "mesh_empty_steps",
+			cfg: healthTestConfig(&faults.Scenario{Actions: []faults.Action{
+				{Kind: faults.KillSwitch, Step: 2, At: 20 * netsim.Microsecond},
+				{Kind: faults.ReviveSwitch, Step: 2, At: 3 * netsim.Millisecond},
+			}}),
+			elems: 4096, steps: 7, oddEmpty: true,
+		},
+		{
+			name: "switch_restart_recovery",
+			cfg: Config{
+				Workers: 8, LossRecovery: true, LossRate: 0.01, Seed: 19, RTO: rto,
+				Faults: &faults.Scenario{Actions: []faults.Action{
+					{Kind: faults.RestartSwitch, At: 80 * netsim.Microsecond},
+					{Kind: faults.RestartSwitch, Step: 2, At: 50 * netsim.Microsecond},
+				}},
+				Liveness: &LivenessConfig{
+					SilenceAfter: 1600 * netsim.Microsecond,
+					CheckEvery:   50 * netsim.Microsecond,
+				},
+			},
+			elems: 30000, steps: 3,
+		},
+		{
+			// The primary and the first standby die together: the job
+			// walks down to the second standby rung.
+			name: "standby_descent_two_rungs",
+			cfg: failoverTestConfig(&faults.Scenario{Actions: []faults.Action{
+				{Kind: faults.KillSwitch, Step: 2, At: 20 * netsim.Microsecond},
+				{Kind: faults.KillStandby, Worker: 1, Step: 2, At: 20 * netsim.Microsecond},
+			}}, 2),
+			elems: 4096, steps: 6,
+		},
 	}
 }
 
@@ -169,7 +233,11 @@ func runGolden(t *testing.T, sc goldenScenario) goldenStats {
 	var st goldenStats
 	agg := fnv.New64a()
 	for step := 1; step <= sc.steps; step++ {
-		us, _ := stepUpdates(cfg.Workers, sc.elems, step)
+		elems := sc.elems
+		if sc.oddEmpty && step%2 == 1 {
+			elems = 0
+		}
+		us, _ := stepUpdates(cfg.Workers, elems, step)
 		res, err := r.AllReduce(us)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
