@@ -31,3 +31,14 @@ func Check(h *Header) bool {
 
 // InRange compares against a fitting constant: fine.
 func InRange(h *Header) bool { return h.Ver == 1 && h.Kind <= 7 }
+
+// Classify seeds an overflow in a case clause of a switch on the field.
+func Classify(h *Header) int {
+	switch h.Kind {
+	case 7: // fits
+		return 1
+	case 8: // want "constant 8 overflows the 3-bit wire width of wire.Header.Kind"
+		return 2
+	}
+	return 0
+}

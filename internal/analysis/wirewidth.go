@@ -16,7 +16,8 @@ import (
 // enforces only the byte-level field widths of the Go struct;
 // //switchml:wire bits=N on a struct field declares the narrower
 // on-the-wire width, and the analyzer proves that every constant
-// stored into — or compared against — the field fits it. It also
+// stored into — or compared against, in an expression or a switch
+// case — the field fits it. It also
 // rejects annotations wider than the Go type can hold.
 func WireWidth() *Analyzer {
 	return &Analyzer{
@@ -150,6 +151,21 @@ func runWireWidth(m *Module) []Diagnostic {
 							obj = st.Field(i)
 						}
 						if wf, ok := fields[obj]; ok {
+							check(val.Pos(), info, val, wf)
+						}
+					}
+				case *ast.SwitchStmt:
+					// A case clause compares its values against the tag.
+					sel, ok := ast.Unparen(n.Tag).(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					wf, ok := fields[addressableObject(info, sel)]
+					if !ok {
+						return true
+					}
+					for _, stmt := range n.Body.List {
+						for _, val := range stmt.(*ast.CaseClause).List {
 							check(val.Pos(), info, val, wf)
 						}
 					}

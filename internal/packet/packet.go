@@ -221,7 +221,7 @@ var (
 type Packet struct {
 	// Kind says whether this is an update or a (possibly unicast)
 	// result.
-	Kind Kind //switchml:wire bits=4
+	Kind Kind //switchml:wire bits=5
 	// WorkerID identifies the sending worker for updates, and the
 	// destination worker for unicast results. It indexes the per-slot
 	// seen bitmap, whose words are sized by the worker count (§4).
@@ -252,7 +252,7 @@ type Packet struct {
 // a host can move elements between the wire and its own tensors with no
 // Packet in between. The field widths are Packet's.
 type Header struct {
-	Kind     Kind   //switchml:wire bits=4
+	Kind     Kind   //switchml:wire bits=5
 	Ver      uint8  //switchml:wire bits=1
 	WorkerID uint16 //switchml:wire bits=16
 	JobID    uint16 //switchml:wire bits=16

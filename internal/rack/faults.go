@@ -84,7 +84,7 @@ func (c *controller) sweep() {
 			break // never retire the last worker
 		}
 		c.tracker.MarkDead(w)
-		r.traceCtrl(telemetry.EvFailureDetected, "controller", int32(w), -1)
+		r.traceCtrl(telemetry.EvFailureDetected, "controller", int32(w), -1, -1)
 		verdict = true
 	}
 	if verdict {
@@ -103,45 +103,120 @@ func (c *controller) sweep() {
 // bitwise-identical aggregates.
 func (c *controller) recover() {
 	r := c.r
-	r.epoch++
-	active := make([]bool, r.cfg.Workers)
-	for i := range active {
-		active[i] = !c.tracker.Dead(i) && !r.hosts[i].detached
-	}
-	if err := r.homeSwitch().Reconfigure(active, r.epoch); err != nil {
-		if r.faultErr == nil {
-			r.faultErr = err
-		}
+	if !r.install(r.sw.home, undeclared) {
 		return
 	}
-	r.traceCtrl(telemetry.EvReconfigure, "controller", -1, int64(r.epoch))
+	r.traceCtrl(telemetry.EvReconfigure, "controller", -1, -1, int64(r.epoch))
+	at := atFrontier
+	if r.allLiveDone() {
+		// Nothing in flight: just install the new generation and reset
+		// the pool versions to match the wiped switch.
+		at = atBoundary
+	}
+	r.release(at, nil)
+}
 
-	resume := false
-	frontier := ^uint64(0)
+// A fence is install then release: the rack's one generation change.
+// Its member rule says whom the new generation's pool waits for, its
+// release point where the members resume; DESIGN.md "The simulator's
+// fences" tabulates both for every fence.
+type (
+	memberRule   uint8
+	releasePoint uint8
+)
+
+const (
+	// undeclared keeps a crashed host in the membership until the
+	// failure detector declares it: recovery fences exactly the
+	// verdicts the detector has reached, and the next sweep finds a
+	// crash it has not.
+	undeclared memberRule = iota
+	// live admits only hosts that can answer now: not crashed, not
+	// detached, not declared failed.
+	live
+)
+
+const (
+	atFrontier   releasePoint = iota // a tensor is in flight: re-open it at r.frontier()
+	atBoundary                       // nothing in flight: keep the cursors, reset the pool versions
+	atCheckpoint                     // the job restarts: fresh protocol state machines
+)
+
+// members is the membership vector a fence installs.
+func (r *Rack) members(rule memberRule) []bool {
+	active := make([]bool, r.cfg.Workers)
 	for i, h := range r.hosts {
-		if h.crashed || h.detached || c.tracker.Dead(i) {
-			continue
-		}
-		if !h.finished {
-			resume = true
-		}
-		if f := h.worker.FrontierOff(); f < frontier {
-			frontier = f
-		}
+		active[i] = !h.detached && !r.dead(i) && (rule == undeclared || !h.crashed)
+	}
+	return active
+}
+
+// install bumps the job generation and fences the membership into the
+// pool of rung (the home switch, a standby or the primary), wiping it,
+// so nothing aggregated under an older generation can mix with what
+// follows. A refusal is recorded as the run's fault and reported as
+// false.
+func (r *Rack) install(rung int, rule memberRule) bool {
+	r.epoch++
+	if err := r.sw.prog(rung).Reconfigure(r.members(rule), r.epoch); err != nil {
+		r.fail(err)
+		return false
+	}
+	return true
+}
+
+// release resumes every live member under the current generation.
+// Hosts marked in joined (an elastic commit's joiners) start their
+// cursors at the stream offset the incumbents reached instead.
+func (r *Rack) release(at releasePoint, joined []bool) {
+	var frontier uint64
+	if at == atFrontier {
+		frontier = r.frontier()
 	}
 	for i, h := range r.hosts {
-		if h.crashed || h.detached || c.tracker.Dead(i) {
-			continue
-		}
-		if !resume {
-			// Nothing in flight: just install the new generation and
-			// reset the pool versions to match the wiped switch.
+		switch {
+		case r.skip(i):
+		case joined != nil && joined[i]:
+			h.worker.JoinAt(r.epoch, r.streamOff)
+		case at == atFrontier:
+			r.fail(h.Resume(r.epoch, frontier))
+		case at == atBoundary:
 			h.worker.Resume(r.epoch, h.worker.ChunkCount())
-			continue
+		default:
+			h.resetWorker()
+			h.worker.SetJobID(r.epoch)
 		}
-		if err := h.Resume(r.epoch, frontier); err != nil && r.faultErr == nil {
-			r.faultErr = err
+	}
+}
+
+// frontier is the global recovery boundary: the minimum progress
+// frontier over live members. Every chunk below it is complete on
+// every member.
+func (r *Rack) frontier() uint64 {
+	frontier := ^uint64(0)
+	for i, h := range r.hosts {
+		if !r.skip(i) {
+			frontier = min(frontier, h.worker.FrontierOff())
 		}
+	}
+	return frontier
+}
+
+// disarm stops every live member's retransmission timers: the switch
+// path is being abandoned.
+func (r *Rack) disarm() {
+	for i, h := range r.hosts {
+		if !r.skip(i) {
+			h.cancelTimers()
+		}
+	}
+}
+
+// fail records an unrecoverable error raised inside the event loop;
+// AllReduce returns the first one. A nil error is ignored.
+func (r *Rack) fail(err error) {
+	if r.faultErr == nil {
+		r.faultErr = err
 	}
 }
 
@@ -149,10 +224,7 @@ func (c *controller) recover() {
 // aggregate.
 func (r *Rack) allLiveDone() bool {
 	for i, h := range r.hosts {
-		if r.skip(i) {
-			continue
-		}
-		if !h.finished {
+		if !r.skip(i) && !h.finished {
 			return false
 		}
 	}
@@ -162,15 +234,14 @@ func (r *Rack) allLiveDone() bool {
 // Epoch returns the current job generation.
 func (r *Rack) Epoch() uint16 { return r.epoch }
 
-// traceCtrl emits a controller- or switch-scope event.
-func (r *Rack) traceCtrl(t telemetry.EventType, actor string, worker int32, off int64) {
+// traceCtrl emits a controller-, health- or switch-scope event. Slot
+// carries a probe's sequence number or a ladder rung.
+func (r *Rack) traceCtrl(t telemetry.EventType, actor string, worker, slot int32, off int64) {
 	if r.cfg.Tracer == nil {
 		return
 	}
 	e := telemetry.Ev(t, int64(r.sim.Now()))
-	e.Actor = actor
-	e.Worker = worker
-	e.Off = off
+	e.Actor, e.Worker, e.Slot, e.Off = actor, worker, slot, off
 	r.cfg.Tracer.Emit(e)
 }
 
@@ -184,7 +255,7 @@ func (r *Rack) traceCtrl(t telemetry.EventType, actor string, worker int32, off 
 // before.
 func (r *Rack) RestartSwitch() {
 	r.sw.sw.Reset()
-	r.traceCtrl(telemetry.EvSwitchRestart, "switch", -1, -1)
+	r.traceCtrl(telemetry.EvSwitchRestart, "switch", -1, -1, -1)
 	if r.ctrl == nil {
 		return
 	}
@@ -202,26 +273,19 @@ func (r *Rack) RestartSwitch() {
 // generation, and old failure verdicts are forgotten.
 func (r *Rack) restartJob() {
 	r.rejoin = false
-	r.epoch++
 	// The whole job restarts from the checkpoint: the stream restarts
 	// at offset zero, so any later elastic joiner's cursor must too.
 	r.streamOff = 0
-	active := make([]bool, r.cfg.Workers)
 	for i, h := range r.hosts {
-		active[i] = !h.crashed && !h.detached
-		if h.crashed || h.detached {
-			continue
-		}
-		h.resetWorker()
-		h.worker.SetJobID(r.epoch)
-		if r.ctrl != nil {
+		if r.ctrl != nil && !h.crashed && !h.detached {
 			r.ctrl.tracker.MarkAlive(i, int64(r.sim.Now()))
 		}
 	}
-	if err := r.homeSwitch().Reconfigure(active, r.epoch); err != nil && r.faultErr == nil {
-		r.faultErr = err
+	if !r.install(r.sw.home, live) {
+		return
 	}
-	r.traceCtrl(telemetry.EvReconfigure, "controller", -1, int64(r.epoch))
+	r.release(atCheckpoint, nil)
+	r.traceCtrl(telemetry.EvReconfigure, "controller", -1, -1, int64(r.epoch))
 }
 
 // apply executes one scripted fault action at its trigger time.
@@ -252,7 +316,7 @@ func (r *Rack) apply(a faults.Action) {
 			r.sw.down = false
 			// The reinstalled program starts with wiped register state.
 			r.sw.sw.Reset()
-			r.traceCtrl(telemetry.EvSwitchRestart, "switch", -1, -1)
+			r.traceCtrl(telemetry.EvSwitchRestart, "switch", -1, -1, -1)
 		}
 	case faults.KillStandby:
 		// Action.Worker carries the standby rank (1-based); range
@@ -264,7 +328,7 @@ func (r *Rack) apply(a faults.Action) {
 			// The reinstalled program starts with wiped register state;
 			// the next adoption fences it under a fresh generation.
 			r.sw.standbys[a.Worker-1].Reset()
-			r.traceCtrl(telemetry.EvSwitchRestart, "standby", int32(a.Worker), -1)
+			r.traceCtrl(telemetry.EvSwitchRestart, "standby", int32(a.Worker), -1, -1)
 		}
 	case faults.LinkDown:
 		for _, l := range r.linksOf(a.Worker) {
@@ -284,9 +348,7 @@ func (r *Rack) apply(a faults.Action) {
 			// chain instance.
 			ge, err := netsim.NewGilbertElliott(a.Burst)
 			if err != nil {
-				if r.faultErr == nil {
-					r.faultErr = err
-				}
+				r.fail(err)
 				return
 			}
 			l.SetLossModel(ge)
@@ -333,7 +395,7 @@ func (r *Rack) requestLeave(w int) {
 	if r.ctrl != nil {
 		r.ctrl.tracker.MarkDraining(w)
 	}
-	r.traceCtrl(telemetry.EvDrainStart, "controller", int32(w), -1)
+	r.traceCtrl(telemetry.EvDrainStart, "controller", int32(w), -1, -1)
 }
 
 // commitMembership applies queued graceful joins and leaves at a step
@@ -348,19 +410,18 @@ func (r *Rack) commitMembership() {
 		return
 	}
 	r.membershipDirty = false
-	r.epoch++
 	now := int64(r.sim.Now())
-	active := make([]bool, r.cfg.Workers)
+	// Changes are traced under the generation install fences below.
+	gen := int64(r.epoch + 1)
 	joined := make([]bool, r.cfg.Workers)
 	for i, h := range r.hosts {
 		if r.pendingJoin[i] && !h.crashed {
 			h.detached = false
 			joined[i] = true
-			h.worker.JoinAt(r.epoch, r.streamOff)
 			if r.ctrl != nil {
 				r.ctrl.tracker.MarkAlive(i, now)
 			}
-			r.traceCtrl(telemetry.EvWorkerJoin, "controller", int32(i), int64(r.epoch))
+			r.traceCtrl(telemetry.EvWorkerJoin, "controller", int32(i), -1, gen)
 		}
 		if r.pendingLeave[i] {
 			h.detached = true
@@ -369,27 +430,17 @@ func (r *Rack) commitMembership() {
 				r.ctrl.tracker.MarkDeparted(i)
 			}
 			r.left = append(r.left, i)
-			r.traceCtrl(telemetry.EvWorkerLeave, "controller", int32(i), int64(r.epoch))
+			r.traceCtrl(telemetry.EvWorkerLeave, "controller", int32(i), -1, gen)
 		}
 		r.pendingJoin[i], r.pendingLeave[i] = false, false
-		active[i] = !h.crashed && !h.detached && !r.dead(i)
 	}
-	if err := r.homeSwitch().Reconfigure(active, r.epoch); err != nil {
-		if r.faultErr == nil {
-			r.faultErr = err
-		}
+	if !r.install(r.sw.home, live) {
 		return
 	}
-	for i, h := range r.hosts {
-		if !active[i] || joined[i] {
-			continue
-		}
-		// Incumbents: install the new generation and reset per-slot
-		// pool versions to match the freshly wiped switch. Nothing is
-		// in flight at a step boundary, so no frontier is needed.
-		h.worker.Resume(r.epoch, h.worker.ChunkCount())
-	}
-	r.traceCtrl(telemetry.EvReconfigure, "controller", -1, int64(r.epoch))
+	// Nothing is in flight at a step boundary, so no frontier is
+	// needed: incumbents keep their cursors.
+	r.release(atBoundary, joined)
+	r.traceCtrl(telemetry.EvReconfigure, "controller", -1, -1, int64(r.epoch))
 }
 
 // linksOf returns the access links touched by a link-scoped action:
@@ -410,9 +461,7 @@ func (h *WorkerHost) Crash() {
 	}
 	h.crashed = true
 	h.trace(telemetry.EvWorkerCrash, -1, -1)
-	for i := range h.timers {
-		h.timers[i].Stop()
-	}
+	h.cancelTimers()
 }
 
 // Crashed reports whether the host is currently down.
@@ -439,45 +488,34 @@ func (h *WorkerHost) resetWorker() {
 		panic(err)
 	}
 	h.worker = w
-	for i := range h.coreFree {
-		h.coreFree[i] = 0
-	}
-	for i := range h.timers {
-		h.timers[i].Stop()
-		h.backoff[i] = 0
-		h.retxed[i] = false
-		h.sentAt[i] = 0
-		h.stall[i] = 0
-	}
+	clear(h.coreFree)
+	clear(h.sentAt)
+	h.cancelTimers()
 	h.srtt, h.rttvar = 0, 0
 	h.finished = false
 }
 
 // Resume restarts the host's tensor from the global recovery frontier
-// under a new job generation: pending timers and backoff state are
-// cleared, the protocol state machine re-opens the tensor at the
-// frontier (see core.Worker.Resume for why every survivor uses the
-// same frontier), and the new initial window goes out. A host whose
-// tensor was already complete is re-opened and its completion
-// callback fires a second time.
+// under a new job generation: pending timers, backoff and stall counts
+// are cleared (a re-opened window is a new chunk for every slot, so a
+// NoFallback stall budget starts over), the protocol state machine
+// re-opens the tensor at the frontier (see core.Worker.Resume for why
+// every survivor uses the same frontier), and the new initial window
+// goes out. A host whose tensor was already complete is re-opened and
+// its completion callback fires a second time.
 func (h *WorkerHost) Resume(jobID uint16, off uint64) error {
 	if h.crashed {
 		return nil
 	}
-	for i := range h.timers {
-		h.timers[i].Stop()
-		h.backoff[i] = 0
-		h.retxed[i] = false
-	}
+	h.cancelTimers()
 	pkts, err := h.worker.ResumeAt(jobID, off)
 	if err != nil {
 		return err
 	}
 	h.trace(telemetry.EvResume, -1, int64(off))
-	if len(pkts) == 0 {
-		return nil
+	if len(pkts) > 0 {
+		h.finished = false
 	}
-	h.finished = false
 	for _, p := range pkts {
 		h.charge(p.Idx, work{op: opTransmit, p: p})
 	}

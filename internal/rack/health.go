@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"switchml/internal/allreduce"
+	"switchml/internal/faults"
 	"switchml/internal/netsim"
 	"switchml/internal/packet"
 	"switchml/internal/telemetry"
@@ -83,9 +84,6 @@ type healthMonitor struct {
 	cfg HealthConfig
 
 	mode int
-	// home is the switch rung the job lives on (0 = primary); while
-	// degraded to the mesh it is the last rung tried.
-	home int
 	// trying is the remaining descent queue of rungs to attempt after
 	// a silence verdict; nil when no descent is in progress. Any
 	// delivered result cancels the descent — the current rung answered.
@@ -99,12 +97,10 @@ type healthMonitor struct {
 	// watching guards the suspicion sweep chain.
 	watching bool
 
-	// probing guards the probe chain; probeSeq/awaitAck/streak drive
-	// the probation window.
-	probing  bool
-	probeSeq uint32
-	awaitAck bool
-	streak   int
+	// probing guards the probe chain; window is the probation window
+	// the chain's rounds feed.
+	probing bool
+	window  faults.Probation
 
 	// ring is the in-progress degraded-mode collective; ringRanks maps
 	// its ranks to worker ids, ringBufs holds each rank's private
@@ -162,7 +158,7 @@ func (m *healthMonitor) touch() {
 // step and the probation streak can grow.
 func (m *healthMonitor) watch() {
 	m.lastActivity = m.r.sim.Now()
-	if m.home != 0 {
+	if m.r.sw.home != 0 {
 		m.startProbing()
 	}
 	if m.watching {
@@ -181,7 +177,7 @@ func (m *healthMonitor) sweep() {
 		return
 	}
 	if r.sim.Now()-m.lastActivity >= m.cfg.SuspectAfter {
-		r.traceCtrl(telemetry.EvSwitchSuspect, "health", -1, -1)
+		r.traceCtrl(telemetry.EvSwitchSuspect, "health", -1, -1, -1)
 		m.descend()
 		return
 	}
@@ -200,7 +196,7 @@ func (m *healthMonitor) descend() {
 	r := m.r
 	if m.trying == nil {
 		for rung := 0; rung < r.sw.rungs(); rung++ {
-			if rung != m.home {
+			if rung != r.sw.home {
 				m.trying = append(m.trying, rung)
 			}
 		}
@@ -212,17 +208,11 @@ func (m *healthMonitor) descend() {
 			m.degrade()
 			return
 		}
-		if r.faultErr == nil {
-			r.faultErr = fmt.Errorf("rack: every aggregator rung silent (%d rungs): %w",
-				r.sw.rungs(), ErrSwitchDown)
-		}
+		r.fail(fmt.Errorf("rack: every aggregator rung silent (%d rungs): %w",
+			r.sw.rungs(), ErrSwitchDown))
 		// Disarm the hosts so the event loop drains and AllReduce can
 		// surface the verdict.
-		for i, h := range r.hosts {
-			if !r.skip(i) {
-				h.cancelTimers()
-			}
-		}
+		r.disarm()
 		return
 	}
 	next := m.trying[0]
@@ -241,61 +231,29 @@ func (m *healthMonitor) descend() {
 // KindAdoptJob votes.
 func (m *healthMonitor) rehome(rank int) {
 	r := m.r
-	r.epoch++
-	active := make([]bool, r.cfg.Workers)
-	for i, h := range r.hosts {
-		active[i] = !h.crashed && !h.detached && !r.dead(i)
-	}
-	if err := r.sw.prog(rank).Reconfigure(active, r.epoch); err != nil {
-		if r.faultErr == nil {
-			r.faultErr = err
-		}
+	if !r.install(rank, live) {
 		return
 	}
-	r.sw.home = rank
-	m.home = rank
-	if m.gHome != nil {
-		m.gHome.Set(int64(rank))
-	}
+	m.setHome(rank)
 	m.rehomes++
-	frontier := ^uint64(0)
-	for i, h := range r.hosts {
-		if r.skip(i) {
-			continue
-		}
-		if f := h.worker.FrontierOff(); f < frontier {
-			frontier = f
-		}
-	}
-	m.emitRung(telemetry.EvRehome, rank, int64(frontier))
-	m.emitRung(telemetry.EvAdopt, rank, int64(frontier))
-	for i, h := range r.hosts {
-		if r.skip(i) {
-			continue
-		}
-		if err := h.Resume(r.epoch, frontier); err != nil && r.faultErr == nil {
-			r.faultErr = err
-		}
-	}
+	frontier := int64(r.frontier())
+	r.traceCtrl(telemetry.EvRehome, "health", -1, int32(rank), frontier)
+	r.traceCtrl(telemetry.EvAdopt, "health", -1, int32(rank), frontier)
+	r.release(atFrontier, nil)
 	if rank != 0 {
 		// Start courting the primary for the climb back up.
-		m.streak, m.awaitAck = 0, false
+		m.window.Restart()
 		m.startProbing()
 	}
 }
 
-// emitRung traces a ladder transition: Slot carries the rung, Off the
-// resume frontier.
-func (m *healthMonitor) emitRung(t telemetry.EventType, rank int, off int64) {
-	r := m.r
-	if r.cfg.Tracer == nil {
-		return
+// setHome moves the job onto a ladder rung and mirrors it into the
+// registry gauge.
+func (m *healthMonitor) setHome(rank int) {
+	m.r.sw.home = rank
+	if m.gHome != nil {
+		m.gHome.Set(int64(rank))
 	}
-	e := telemetry.Ev(t, int64(r.sim.Now()))
-	e.Actor = "health"
-	e.Slot = int32(rank)
-	e.Off = off
-	r.cfg.Tracer.Emit(e)
 }
 
 // degrade is the SWITCH → DEGRADED transition, mid-step: the barrier
@@ -309,42 +267,24 @@ func (m *healthMonitor) degrade() {
 	r := m.r
 	m.setMode(modeDegraded)
 	m.degrades++
-	frontier := ^uint64(0)
-	for i, h := range r.hosts {
-		if r.skip(i) {
-			continue
-		}
-		if f := h.worker.FrontierOff(); f < frontier {
-			frontier = f
-		}
-		h.cancelTimers()
-	}
-	r.traceCtrl(telemetry.EvDegrade, "health", -1, int64(frontier))
+	frontier := r.frontier()
+	r.disarm()
+	r.traceCtrl(telemetry.EvDegrade, "health", -1, -1, int64(frontier))
 	m.startRing(frontier)
 }
 
 // stepHosted runs one whole aggregation step on the host fabric, the
-// steady state while degraded.
-func (m *healthMonitor) stepHosted(updates [][]int32, started []bool, res *Result) {
+// steady state while degraded, once every member has opened its tensor
+// (startHosted).
+func (m *healthMonitor) stepHosted(updates [][]int32) {
 	r := m.r
-	empty := true
-	var frontier uint64
 	for i, h := range r.hosts {
-		if r.skip(i) {
-			continue
-		}
-		started[i] = true
-		i, h := i, h
-		h.startHosted(updates[i], func(t netsim.Time) { res.Done[i] = t })
-		if len(updates[i]) != 0 {
-			empty = false
-			frontier = h.worker.TensorBase()
+		if !r.skip(i) && len(updates[i]) != 0 {
+			m.startRing(h.worker.TensorBase())
+			return
 		}
 	}
-	if empty {
-		return // startHosted completed the empty tensors immediately
-	}
-	m.startRing(frontier)
+	// Every tensor is empty: startHosted completed them immediately.
 }
 
 // startRing builds and launches the host ring all-reduce over the
@@ -378,9 +318,7 @@ func (m *healthMonitor) startRing(frontier uint64) {
 		bufs, m.sendPeer, r.sim.Now, m.ringDone,
 	)
 	if err != nil {
-		if r.faultErr == nil {
-			r.faultErr = err
-		}
+		r.fail(err)
 		return
 	}
 	m.ring = ring
@@ -427,17 +365,11 @@ func (m *healthMonitor) ringDone() {
 	for rk, w := range m.ringRanks {
 		h := r.hosts[w]
 		if err := h.worker.InstallHostAggregate(m.ringOff, m.ringBufs[rk]); err != nil {
-			if r.faultErr == nil {
-				r.faultErr = err
-			}
+			r.fail(err)
 			continue
 		}
 		if !h.finished {
-			h.finished = true
-			h.trace(telemetry.EvTensorDone, -1, -1)
-			if h.onDone != nil {
-				h.onDone(now)
-			}
+			h.complete(now)
 		}
 	}
 	m.ring = nil
@@ -460,15 +392,13 @@ func (m *healthMonitor) probeTick() {
 	// mesh, or homed on a standby rung. An unrecoverable verdict
 	// (NoFallback with every rung dark) must stop it too, or the
 	// self-arming chain would keep the event loop from draining.
-	if (m.mode != modeDegraded && m.home == 0) || m.r.allLiveDone() || m.r.faultErr != nil {
+	if !m.offPrimary() || m.r.allLiveDone() || m.r.faultErr != nil {
 		m.probing = false
 		return
 	}
-	if m.awaitAck {
-		// The previous probe went unanswered: the switch is still
-		// dark, restart the probation window.
-		m.streak = 0
-	}
+	// A previous probe still unanswered means the switch is still dark:
+	// the probation window restarts.
+	m.window.Close()
 	m.sendProbe()
 	m.armProbe()
 }
@@ -486,38 +416,22 @@ func (m *healthMonitor) sendProbe() {
 	if w < 0 {
 		return
 	}
-	m.probeSeq++
-	m.awaitAck = true
+	seq := m.window.Open()
 	m.probes++
 	p := packet.NewControl(packet.KindProbe, uint16(w), r.epoch, 0, nil)
-	p.Idx = m.probeSeq
-	if r.cfg.Tracer != nil {
-		e := telemetry.Ev(telemetry.EvProbe, int64(r.sim.Now()))
-		e.Actor = "health"
-		e.Worker = int32(w)
-		e.Slot = int32(m.probeSeq)
-		r.cfg.Tracer.Emit(e)
-	}
+	p.Idx = seq
+	r.traceCtrl(telemetry.EvProbe, "health", int32(w), int32(seq), -1)
 	r.uplink[w].Send(p)
 }
 
 // onProbeAck credits the probation window when the outstanding probe
 // is answered.
 func (m *healthMonitor) onProbeAck(p *packet.Packet) {
-	if (m.mode != modeDegraded && m.home == 0) || !m.awaitAck || p.Idx != m.probeSeq {
+	if !m.offPrimary() || !m.window.Ack(p.Idx) {
 		return
 	}
-	m.awaitAck = false
 	m.probeAcks++
-	m.streak++
-	r := m.r
-	if r.cfg.Tracer != nil {
-		e := telemetry.Ev(telemetry.EvProbeAck, int64(r.sim.Now()))
-		e.Actor = "health"
-		e.Worker = int32(p.WorkerID)
-		e.Slot = int32(p.Idx)
-		r.cfg.Tracer.Emit(e)
-	}
+	m.r.traceCtrl(telemetry.EvProbeAck, "health", int32(p.WorkerID), int32(p.Idx), -1)
 }
 
 // maybeFailback is the climb back to the primary, taken at a step
@@ -530,45 +444,33 @@ func (m *healthMonitor) onProbeAck(p *packet.Packet) {
 // pool versions, mirroring a §5.6 resume with an empty in-flight set.
 func (m *healthMonitor) maybeFailback() {
 	r := m.r
-	if m.cfg.Probation < 0 || m.streak < m.cfg.Probation {
+	if m.cfg.Probation < 0 || m.window.Streak() < m.cfg.Probation || !m.offPrimary() {
 		return
-	}
-	if m.mode != modeDegraded && m.home == 0 {
-		return // already on the primary
 	}
 	fromMesh := m.mode == modeDegraded
-	r.epoch++
-	active := make([]bool, r.cfg.Workers)
-	for i, h := range r.hosts {
-		active[i] = !h.crashed && !h.detached && !r.dead(i)
-	}
-	if err := r.sw.sw.Reconfigure(active, r.epoch); err != nil {
-		if r.faultErr == nil {
-			r.faultErr = err
-		}
+	if !r.install(0, live) {
 		return
 	}
-	for i, h := range r.hosts {
-		if r.skip(i) {
-			continue
-		}
-		h.worker.Resume(r.epoch, h.worker.ChunkCount())
-		h.cancelTimers()
-	}
+	// Between steps the event loop has drained: no timer is armed, and
+	// each slot's last answer (or the degrade) cleared its backoff and
+	// stall counts, so the members' host state needs no reset.
+	r.release(atBoundary, nil)
 	m.setMode(modeSwitch)
-	r.sw.home = 0
-	m.home = 0
-	if m.gHome != nil {
-		m.gHome.Set(0)
-	}
+	m.setHome(0)
 	m.trying = nil
-	m.streak = 0
-	m.awaitAck = false
+	m.window.Restart()
 	m.failbacks++
 	if !fromMesh {
-		m.emitRung(telemetry.EvRehome, 0, int64(r.epoch))
+		r.traceCtrl(telemetry.EvRehome, "health", -1, 0, int64(r.epoch))
 	}
-	r.traceCtrl(telemetry.EvFailback, "health", -1, int64(r.epoch))
+	r.traceCtrl(telemetry.EvFailback, "health", -1, -1, int64(r.epoch))
+}
+
+// offPrimary reports whether the job lives off the primary switch:
+// degraded to the mesh, or homed on a standby rung. Only then does the
+// probation window run.
+func (m *healthMonitor) offPrimary() bool {
+	return m.mode == modeDegraded || m.r.sw.home != 0
 }
 
 // Degraded reports whether the job is currently on the host fabric.

@@ -240,3 +240,46 @@ func TestFaultSwitchKillNoFallbackTypedError(t *testing.T) {
 		t.Fatalf("AllReduce error = %v, want ErrSwitchDown", err)
 	}
 }
+
+// TestFaultNoFallbackStallBudgetRestartsOnResume pins that a recovery
+// resume clears the per-slot stall counts along with the timers: a
+// re-opened window is a new chunk for every slot. Every link goes dark
+// long enough for six straight timeouts per slot, a switch restart
+// resumes the job at the frontier while the links are still down, and
+// the links return before the eighth timeout after the resume. Were
+// the budget carried across the resume, the second timeout after it
+// would exhaust the stall limit and abandon the step.
+func TestFaultNoFallbackStallBudgetRestartsOnResume(t *testing.T) {
+	ms := netsim.Millisecond
+	// With RTO 100 µs and doubling backoff, a slot's n-th straight
+	// timeout lands ≈ (2^n − 1) RTO after its last send.
+	sc := &faults.Scenario{Actions: []faults.Action{
+		{Kind: faults.LinkDown, Worker: -1, At: 20 * netsim.Microsecond},
+		// Between the sixth timeout (≈ 6.3 ms) and the seventh
+		// (≈ 12.7 ms); the recovery resume follows one sweep later.
+		{Kind: faults.RestartSwitch, At: 7 * ms},
+		// Between the resume's sixth timeout (≈ 13.4 ms) and its
+		// seventh (≈ 19.8 ms), whose retransmission gets through.
+		{Kind: faults.LinkUp, Worker: -1, At: 15 * ms},
+	}}
+	cfg := healthTestConfig(sc)
+	cfg.Health = nil
+	cfg.NoFallback = true
+	cfg.Liveness = &LivenessConfig{CheckEvery: 50 * netsim.Microsecond}
+	r, err := NewRack(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	us, want := stepUpdates(4, 4096, 1)
+	if _, err := r.AllReduce(us); err != nil {
+		t.Fatalf("AllReduce: %v", err)
+	}
+	if r.Epoch() == 0 {
+		t.Fatal("the switch restart never resumed the job")
+	}
+	for w := 0; w < 4; w++ {
+		if !reflect.DeepEqual(r.Aggregate(w), want) {
+			t.Fatalf("worker %d aggregate differs from the exact sum", w)
+		}
+	}
+}

@@ -13,6 +13,7 @@ package rack
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"switchml/internal/allreduce"
 	"switchml/internal/core"
@@ -185,17 +186,9 @@ func (c *Config) fillDefaults() {
 	if c.PoolSize == 0 {
 		c.PoolSize = TunePoolSize(c.LinkBitsPerSec, c.wireBytes(), c.rttEstimate())
 	}
-	if c.Liveness == nil && c.Faults != nil {
-		for _, a := range c.Faults.Actions {
-			switch a.Kind {
-			case faults.CrashWorker, faults.RestartWorker, faults.RestartSwitch,
-				faults.JoinWorker, faults.LeaveWorker:
-				c.Liveness = &LivenessConfig{}
-			}
-			if c.Liveness != nil {
-				break
-			}
-		}
+	if c.Liveness == nil && c.scripts(faults.CrashWorker, faults.RestartWorker,
+		faults.RestartSwitch, faults.JoinWorker, faults.LeaveWorker) {
+		c.Liveness = &LivenessConfig{}
 	}
 	if c.Liveness != nil {
 		lv := *c.Liveness
@@ -209,21 +202,9 @@ func (c *Config) fillDefaults() {
 	// a switch path: the health monitor runs it and raises the typed
 	// error only once every rung is silent.
 	wantHealth := !c.NoFallback || c.StandbySwitches > 0
-	if c.Health == nil && wantHealth {
-		if c.StartDegraded {
-			c.Health = &HealthConfig{}
-		} else if c.Faults != nil {
-			for _, a := range c.Faults.Actions {
-				switch a.Kind {
-				case faults.KillSwitch, faults.ReviveSwitch,
-					faults.KillStandby, faults.ReviveStandby:
-					c.Health = &HealthConfig{}
-				}
-				if c.Health != nil {
-					break
-				}
-			}
-		}
+	if c.Health == nil && wantHealth && (c.StartDegraded || c.scripts(faults.KillSwitch,
+		faults.ReviveSwitch, faults.KillStandby, faults.ReviveStandby)) {
+		c.Health = &HealthConfig{}
 	}
 	if c.Health != nil && wantHealth {
 		hc := *c.Health
@@ -232,6 +213,14 @@ func (c *Config) fillDefaults() {
 	} else {
 		c.Health = nil
 	}
+}
+
+// scripts reports whether the fault script holds an action of any of
+// the kinds.
+func (c *Config) scripts(kinds ...faults.ActionKind) bool {
+	return c.Faults != nil && slices.ContainsFunc(c.Faults.Actions, func(a faults.Action) bool {
+		return slices.Contains(kinds, a.Kind)
+	})
 }
 
 // wireBytes is the full wire size of one update packet.
@@ -407,24 +396,19 @@ func NewRack(cfg Config) (*Rack, error) {
 		h.uplink = up
 		h.release = sw.release
 		h.onStall = func(w uint16) {
-			if r.faultErr == nil {
-				r.faultErr = fmt.Errorf("rack: worker %d gave up after %d straight timeouts on one chunk: %w", w, stallLimit, ErrSwitchDown)
-			}
+			r.fail(fmt.Errorf("rack: worker %d gave up after %d straight timeouts on one chunk: %w", w, stallLimit, ErrSwitchDown))
 		}
 		sw.downlinks = append(sw.downlinks, down)
 		r.hosts = append(r.hosts, h)
 		r.uplink = append(r.uplink, up)
 	}
 	if len(cfg.Detached) > 0 {
-		active := make([]bool, cfg.Workers)
-		for i := range active {
-			active[i] = true
-		}
 		for _, w := range cfg.Detached {
 			r.hosts[w].detached = true
-			active[w] = false
 		}
-		if err := sw.sw.Reconfigure(active, r.epoch); err != nil {
+		// The job's first membership: installed at generation 0, with
+		// nothing to fence.
+		if err := sw.sw.Reconfigure(r.members(live), r.epoch); err != nil {
 			return nil, err
 		}
 	}
@@ -447,7 +431,6 @@ func NewRack(cfg Config) (*Rack, error) {
 	}
 	if cfg.Faults != nil {
 		for _, a := range cfg.Faults.Absolute() {
-			a := a
 			sim.At(a.At, func() { r.apply(a) })
 		}
 	}
@@ -542,7 +525,6 @@ func (r *Rack) AllReduce(updates [][]int32) (Result, error) {
 	if r.cfg.Faults != nil {
 		now := r.sim.Now()
 		for _, a := range r.cfg.Faults.ForStep(r.step) {
-			a := a
 			r.sim.At(now+a.At, func() { r.apply(a) })
 		}
 	}
@@ -551,25 +533,27 @@ func (r *Rack) AllReduce(updates [][]int32) (Result, error) {
 		Done:  make([]netsim.Time, r.cfg.Workers),
 	}
 	started := make([]bool, r.cfg.Workers)
-	if r.health != nil && r.health.mode == modeDegraded {
-		r.health.stepHosted(updates, started, &res)
-	} else {
-		for i, h := range r.hosts {
-			if r.skip(i) {
-				continue
-			}
-			started[i] = true
-			i := i
-			h.Start(updates[i], func(t netsim.Time) {
-				res.Done[i] = t
-			})
-			if r.ctrl != nil {
-				r.ctrl.tracker.Touch(i, int64(r.sim.Now()))
-			}
+	hosted := r.Degraded()
+	for i, h := range r.hosts {
+		if r.skip(i) {
+			continue
 		}
-		if r.health != nil {
-			r.health.watch()
+		started[i] = true
+		done := func(t netsim.Time) { res.Done[i] = t }
+		if hosted {
+			h.startHosted(updates[i], done)
+			continue
 		}
+		h.Start(updates[i], done)
+		if r.ctrl != nil {
+			r.ctrl.tracker.Touch(i, int64(r.sim.Now()))
+		}
+	}
+	switch {
+	case hosted:
+		r.health.stepHosted(updates)
+	case r.health != nil:
+		r.health.watch()
 	}
 	if r.ctrl != nil {
 		r.ctrl.begin()
@@ -649,9 +633,7 @@ func (r *Rack) Aggregate(i int) []int32 { return r.hosts[i].worker.Aggregate() }
 // trajectories carry protocol behaviour alongside timing.
 func (r *Rack) Counters() map[string]uint64 {
 	m := make(map[string]uint64)
-	links := append([]*netsim.Link(nil), r.uplink...)
-	links = append(links, r.sw.downlinks...)
-	for _, l := range links {
+	for _, l := range r.linksOf(-1) {
 		st := l.Stats()
 		m["packets_sent"] += st.Sent
 		m["packets_delivered"] += st.Delivered
@@ -778,7 +760,8 @@ type switchNode struct {
 	standbys []*core.Switch
 	sbDown   []bool
 	// home is the rung currently serving update traffic; the health
-	// monitor moves it.
+	// monitor moves it. While degraded to the mesh it is the last rung
+	// the job lived on.
 	home int
 	// seen, when set, observes the worker id of every arriving packet;
 	// the failure detector feeds its liveness tracker with it.
@@ -1128,16 +1111,24 @@ func (h *WorkerHost) trace(t telemetry.EventType, idx int32, off int64) {
 	h.cfg.Tracer.Emit(e)
 }
 
-// traceTensorStart marks the start of a tensor of n elements.
-func (h *WorkerHost) traceTensorStart(n int) {
-	if h.cfg.Tracer == nil {
-		return
+// open begins a tensor of n elements whose completion onDone reports;
+// complete is its other end.
+func (h *WorkerHost) open(n int, onDone func(netsim.Time)) {
+	h.onDone = onDone
+	h.finished = false
+	if h.cfg.Tracer != nil {
+		e := telemetry.Ev(telemetry.EvTensorStart, int64(h.sim.Now()))
+		e.Actor = h.actor
+		e.Worker = int32(h.wcfg.ID)
+		e.Size = int32(4 * n)
+		h.cfg.Tracer.Emit(e)
 	}
-	e := telemetry.Ev(telemetry.EvTensorStart, int64(h.sim.Now()))
-	e.Actor = h.actor
-	e.Worker = int32(h.wcfg.ID)
-	e.Size = int32(4 * n)
-	h.cfg.Tracer.Emit(e)
+	if n == 0 {
+		// An empty tensor completes at once, but from inside the event
+		// loop like every other completion.
+		t := h.sim.Now()
+		h.sim.At(t, func() { h.complete(t) })
+	}
 }
 
 // core returns the virtual core owning a slot.
@@ -1192,28 +1183,20 @@ func (h *WorkerHost) Worker() *core.Worker { return h.worker }
 // Start begins aggregating u; onDone fires when the aggregate is
 // complete on this worker.
 func (h *WorkerHost) Start(u []int32, onDone func(netsim.Time)) {
-	h.onDone = onDone
-	h.finished = false
-	h.traceTensorStart(len(u))
-	pkts := h.worker.Start(u)
-	if len(pkts) == 0 {
-		h.finishEmpty(onDone)
-		return
-	}
-	for _, p := range pkts {
+	h.open(len(u), onDone)
+	for _, p := range h.worker.Start(u) {
 		h.charge(p.Idx, work{op: opTransmit, p: p})
 	}
 }
 
-// finishEmpty completes an empty tensor: immediately, but from inside
-// the event loop like every other completion.
-func (h *WorkerHost) finishEmpty(onDone func(netsim.Time)) {
-	t := h.sim.Now()
-	h.sim.At(t, func() {
-		h.finished = true
-		h.trace(telemetry.EvTensorDone, -1, -1)
-		onDone(t)
-	})
+// complete marks the tensor's aggregate complete on this host at t and
+// reports it to the step.
+func (h *WorkerHost) complete(t netsim.Time) {
+	h.finished = true
+	h.trace(telemetry.EvTensorDone, -1, -1)
+	if h.onDone != nil {
+		h.onDone(t)
+	}
 }
 
 // transmit puts an update on the uplink and arms its retransmission
@@ -1304,18 +1287,14 @@ func (h *WorkerHost) observeRTT(sample netsim.Time) {
 // the sum and installs it via InstallHostAggregate. An empty tensor
 // completes immediately, as on the switch path.
 func (h *WorkerHost) startHosted(u []int32, onDone func(netsim.Time)) {
-	h.onDone = onDone
-	h.finished = false
-	h.traceTensorStart(len(u))
+	h.open(len(u), onDone)
 	h.worker.StartHosted(u)
-	if len(u) == 0 {
-		h.finishEmpty(onDone)
-	}
 }
 
 // cancelTimers disarms every retransmission timer and clears the
-// per-slot backoff state — the switch path is being abandoned (degrade
-// handoff) or rebuilt (failback, resume).
+// per-slot backoff, Karn and stall state: the host's one reset, for a
+// switch path being abandoned (degrade, stall give-up, crash) or
+// rebuilt (resume, restart).
 func (h *WorkerHost) cancelTimers() {
 	for i := range h.timers {
 		h.timers[i].Stop()
@@ -1399,10 +1378,6 @@ func (h *WorkerHost) absorb(p *packet.Packet) {
 		h.transmit(next, false)
 	}
 	if finished {
-		h.finished = true
-		h.trace(telemetry.EvTensorDone, -1, -1)
-		if h.onDone != nil {
-			h.onDone(h.sim.Now())
-		}
+		h.complete(h.sim.Now())
 	}
 }

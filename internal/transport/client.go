@@ -222,7 +222,7 @@ type Client struct {
 	fetch    stateFetch
 	snapshot []int32
 	meshEnd  time.Time
-	prob     *probation
+	prob     *faults.Probation
 	pnc      *netio.Conn
 
 	// Warm-standby failover state (failover.go). ladder holds the
@@ -240,7 +240,7 @@ type Client struct {
 	// retired by re-homes.
 	ladder         []*net.UDPAddr
 	homeRank       int
-	up             probation
+	up             faults.Probation
 	upNC           *netio.Conn
 	frng           *rand.Rand
 	hbConn         atomic.Pointer[net.UDPConn]
@@ -1063,9 +1063,7 @@ func (c *Client) handleIncoming(p *packet.Packet) (bool, error) {
 	case packet.KindProbeAck:
 		if pr := c.prob; c.mode != modeProbe {
 			c.unexpected.Inc()
-		} else if pr.await && p.Idx == pr.seq {
-			pr.await = false
-			pr.streak++
+		} else if pr.Ack(p.Idx) {
 			c.trace(telemetry.EvProbeAck, int32(p.Idx))
 		}
 		return false, nil

@@ -274,7 +274,7 @@ func (c *Client) failUpTick(deadline time.Time) error {
 		c.upConn.Store(uc)
 		c.upNC = nc
 	}
-	if c.up.await {
+	if c.up.Awaiting() {
 		acked, err := c.resolveProbe(&c.up, c.upNC, jitterDur(c.frng, c.cfg.RTO/8))
 		if err != nil {
 			return err
@@ -283,9 +283,9 @@ func (c *Client) failUpTick(deadline time.Time) error {
 			c.failProbeAcks.Inc()
 		}
 	}
-	if c.up.streak >= prob {
+	if c.up.Streak() >= prob {
 		prev := c.homeRank
-		c.up.restart()
+		c.up.Restart()
 		if err := c.adoptAt(0, deadline); err != nil {
 			if errors.Is(err, ErrAggregatorSilent) {
 				return c.rehome(prev)

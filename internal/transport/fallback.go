@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"switchml/internal/faults"
 	"switchml/internal/netio"
 	"switchml/internal/packet"
 	"switchml/internal/telemetry"
@@ -137,7 +138,7 @@ type fallback struct {
 	prevRecvTotal int
 	// prob is the failback probation window, probing the aggregator
 	// over the main connection.
-	prob probation
+	prob faults.Probation
 	// nc is the view over the mesh socket: the client loop's mesh modes
 	// read it, and every mesh datagram is staged on it and flushed by the
 	// loop. unread is the rest of a burst a mode ended in the middle of,
@@ -258,7 +259,7 @@ func (c *Client) enterFallback(u []int32, deadline time.Time) ([]int32, error) {
 		return nil, err
 	}
 	fb.degraded.Store(true)
-	fb.prob.restart()
+	fb.prob.Restart()
 	// A pending membership fence dies with the aggregator that
 	// proposed it; the joiner re-solicits after failback.
 	c.fenceArmed = false
@@ -336,7 +337,7 @@ func (c *Client) meshFinish(u []int32, F uint64, local int, deadline time.Time) 
 func (c *Client) failback(u []int32, deadline time.Time) ([]int32, error) {
 	fb := c.fb
 	fb.degraded.Store(false)
-	fb.prob.restart()
+	fb.prob.Restart()
 	fb.failbacks.Add(1)
 	c.gDegraded.Set(0)
 	newEpoch := c.epoch + 1
@@ -353,28 +354,15 @@ func (c *Client) failback(u []int32, deadline time.Time) ([]int32, error) {
 	return c.settle(u, deadline, c.run(modeData, deadline))
 }
 
-// probation is one failback probation window: each round, at a tensor
-// boundary, resolves the previous round's probe and sends the next; an
-// answered probe extends the streak and one still unanswered when its
-// round is resolved restarts it. The mesh failback and the standby
-// fail-up (failover.go) each run one, on their own socket and proposed
-// generation; loss is absorbed by the streak.
-type probation struct {
-	seq    uint32
-	await  bool
-	streak int
-}
-
-// restart forgets the streak and any probe in flight.
-func (pr *probation) restart() { pr.await, pr.streak = false, 0 }
-
 // sendProbe opens pr's next round: a KindProbe carrying the round's
-// sequence number and the proposed generation gen, sent on conn.
-func (c *Client) sendProbe(pr *probation, conn *net.UDPConn, gen uint16) error {
-	pr.seq++
-	pr.await = true
-	c.trace(telemetry.EvProbe, int32(pr.seq))
-	return c.sendCtl(conn, packet.KindProbe, gen, pr.seq, 0, 0)
+// sequence number and the proposed generation gen, sent on conn. Each
+// round runs at a tensor boundary. The mesh failback and the standby
+// fail-up (failover.go) each run a probation window, on their own
+// socket and proposed generation; loss is absorbed by the streak.
+func (c *Client) sendProbe(pr *faults.Probation, conn *net.UDPConn, gen uint16) error {
+	seq := pr.Open()
+	c.trace(telemetry.EvProbe, int32(seq))
+	return c.sendCtl(conn, packet.KindProbe, gen, seq, 0, 0)
 }
 
 // resolveProbe closes pr's round in the client loop's probe mode: the
@@ -383,14 +371,12 @@ func (c *Client) sendProbe(pr *probation, conn *net.UDPConn, gen uint16) error {
 // probe still unanswered means the aggregator is still gone (or
 // flapping); either way the probation clock restarts. It reports
 // whether the probe was answered.
-func (c *Client) resolveProbe(pr *probation, nc *netio.Conn, wait time.Duration) (bool, error) {
+func (c *Client) resolveProbe(pr *faults.Probation, nc *netio.Conn, wait time.Duration) (bool, error) {
 	c.prob, c.pnc = pr, nc
-	streak := pr.streak
+	streak := pr.Streak()
 	err := c.run(modeProbe, c.tick().Add(wait))
-	if pr.await {
-		pr.restart()
-	}
-	return pr.streak > streak, err
+	pr.Close()
+	return pr.Streak() > streak, err
 }
 
 // syncRound is the degraded path's barrier, the client loop's sync
@@ -403,7 +389,7 @@ func (c *Client) resolveProbe(pr *probation, nc *netio.Conn, wait time.Duration)
 func (c *Client) syncRound(frontier uint64, deadline time.Time) error {
 	fb := c.fb
 	fb.round++
-	streak := min(fb.prob.streak, 255)
+	streak := min(fb.prob.Streak(), 255)
 	p := packet.NewControl(packet.KindFallbackSync, c.cfg.Worker.ID, fb.round, frontier, nil)
 	p.Ver = uint8(streak)
 	fb.prevSyncWire = append(fb.prevSyncWire[:0], fb.syncWire...)
