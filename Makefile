@@ -17,8 +17,12 @@ RACE_PKGS = ./internal/transport ./internal/telemetry ./internal/rack \
 
 check: vet lint build test race chaos bench-smoke top-smoke flight-check elastic-smoke failover-smoke
 
+# gofmt drift in any tracked Go file fails vet (the analysis testdata
+# modules are fixtures, formatted or not on purpose).
 vet:
 	$(GO) vet ./...
+	@out=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 # Project-invariant static analysis (cmd/switchml-vet): hot-path
 # allocation freedom, simulation determinism, atomics discipline,

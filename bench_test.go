@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -20,6 +21,7 @@ import (
 	"switchml/internal/packet"
 	"switchml/internal/quant"
 	"switchml/internal/rack"
+	"switchml/internal/transport"
 )
 
 // benchExperiment runs one experiment id per iteration at a fast
@@ -326,7 +328,7 @@ func BenchmarkClusterAllReduce(b *testing.B) {
 //	go test -run '^$' -bench UDPBulk -benchtime 200x -cpuprofile cpu.out .
 //
 // DESIGN.md's "What a packet costs" table is read off such a profile.
-func BenchmarkUDPBulk(b *testing.B) { benchUDP(b, 2, 0, 1<<20, 0, 0) }
+func BenchmarkUDPBulk(b *testing.B) { benchUDP(b, 2, 0, 0, 1<<20, 0, 0) }
 
 // BenchmarkUDPLossy is BenchmarkUDPBulk's twin at the harness's
 // udp_lossy shape: 262,144 elements, 1 % of the datagrams dropped each
@@ -335,40 +337,66 @@ func BenchmarkUDPBulk(b *testing.B) { benchUDP(b, 2, 0, 1<<20, 0, 0) }
 // be noticed, it does not compute — so read its wall clock first.
 //
 //	go test -run '^$' -bench UDPLossy -benchtime 300x -cpuprofile cpu.out .
-func BenchmarkUDPLossy(b *testing.B) { benchUDP(b, 2, 0, 256<<10, 0.01, 5*time.Millisecond) }
+func BenchmarkUDPLossy(b *testing.B) { benchUDP(b, 2, 0, 0, 256<<10, 0.01, 5*time.Millisecond) }
 
 // BenchmarkUDPPool is Figure 2 on the UDP path: BenchmarkUDPBulk's
-// shape with the pool size set explicitly, 32 to 4096 slots, instead of
-// tuned — the sweep TunePoolSize's budget was read from (EXPERIMENTS.md
-// "Figure 2"). Beside MB/s it reports which recovery ran (all zero
-// until the window overruns a socket buffer) and drops/op, the
-// datagrams — whole coalesced trains, with segmentation offload — the
-// kernel dropped at full receive buffers. The rule's other axes are
-// sub-benchmarks too: 4 and 8 workers, and tensors of one 64-slot window
-// (2,048 elements) and of 262,144 elements.
+// shape at 32-element packets with the pool size set explicitly, 32 to
+// 4096 slots, instead of tuned — the sweep TunePoolSize's budget was
+// read from (EXPERIMENTS.md "Figure 2"). Beside MB/s it reports which
+// recovery ran (all zero until the window overruns a socket buffer) and
+// drops/op, the datagrams — whole coalesced trains, with segmentation
+// offload — the kernel dropped at full receive buffers. The rule's other
+// axes are sub-benchmarks too: 4 and 8 workers, and tensors of one
+// 64-slot window (2,048 elements) and of 262,144 elements.
 //
 //	go test -run '^$' -bench 'UDPPool/w=2/d=1048576' -benchtime 100x .
 func BenchmarkUDPPool(b *testing.B) {
 	for _, n := range []int{2, 4, 8} {
 		for _, d := range []int{1 << 20, 256 << 10, 2048} {
 			for s := 32; s <= 4096; s *= 2 {
-				b.Run(fmt.Sprintf("w=%d/d=%d/s=%d", n, d, s), func(b *testing.B) { benchUDP(b, n, s, d, 0, 0) })
+				b.Run(fmt.Sprintf("w=%d/d=%d/s=%d", n, d, s), func(b *testing.B) { benchUDP(b, n, packet.DefaultElems, s, d, 0, 0) })
 			}
 		}
 	}
 }
 
-// benchUDP steps an n-worker loopback job of d elements b.N times over
-// a pool of s slots (0: the tuned size), with every datagram dropped
-// with probability drop in each direction.
-func benchUDP(b *testing.B, n, s, d int, drop float64, rto time.Duration) {
+// BenchmarkUDPShape is Figure 7 on the UDP path: BenchmarkUDPBulk's and
+// BenchmarkUDPLossy's shapes with the packet size set explicitly, 32 to
+// 352 elements, each at its tuned pool — the sweep TuneShape's k was
+// checked against (EXPERIMENTS.md "Figure 7") — and a 4-worker job at
+// 32 elements and at the rule's k. It reports elements/s, the median
+// step, the update datagrams the aggregator received and the
+// retransmissions a step beside MB/s.
+//
+//	go test -run '^$' -bench 'UDPShape' -benchtime 40x .
+func BenchmarkUDPShape(b *testing.B) {
+	for _, sh := range []struct {
+		name string
+		d    int
+		drop float64
+		rto  time.Duration
+	}{{"bulk", 1 << 20, 0, 0}, {"lossy", 256 << 10, 0.01, 5 * time.Millisecond}} {
+		for _, k := range []int{32, 64, 128, 256, 312, 352} {
+			b.Run(fmt.Sprintf("%s/w=2/k=%d", sh.name, k), func(b *testing.B) { benchUDP(b, 2, k, 0, sh.d, sh.drop, sh.rto) })
+		}
+	}
+	tuned, _ := transport.TuneShape(4)
+	for _, k := range []int{packet.DefaultElems, tuned} {
+		b.Run(fmt.Sprintf("bulk/w=4/k=%d", k), func(b *testing.B) { benchUDP(b, 4, k, 0, 1<<20, 0, 0) })
+	}
+}
+
+// benchUDP steps an n-worker loopback job of d elements b.N times in
+// packets of k elements over a pool of s slots (0: the tuned sizes),
+// with every datagram dropped with probability drop in each direction.
+func benchUDP(b *testing.B, n, k, s, d int, drop float64, rto time.Duration) {
 	inject := func(seed int64) *FaultInjection {
 		if drop == 0 {
 			return nil
 		}
 		return &FaultInjection{Seed: seed, DropRate: drop}
 	}
-	agg, err := ListenAggregator("127.0.0.1:0", AggregatorParams{Workers: n, PoolSize: s, Inject: inject(1)})
+	agg, err := ListenAggregator("127.0.0.1:0", AggregatorParams{Workers: n, PoolSize: s, SlotElems: k, Inject: inject(1)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -376,15 +404,17 @@ func benchUDP(b *testing.B, n, s, d int, drop float64, rto time.Duration) {
 	peers := make([]*Peer, n)
 	updates := make([][]int32, n)
 	for i := range peers {
-		if peers[i], err = DialAggregator(agg.Addr(), PeerParams{ID: i, Workers: n, PoolSize: s, RTO: rto, Inject: inject(int64(2 + i))}); err != nil {
+		if peers[i], err = DialAggregator(agg.Addr(), PeerParams{ID: i, Workers: n, PoolSize: s, SlotElems: k, RTO: rto, Inject: inject(int64(2 + i))}); err != nil {
 			b.Fatal(err)
 		}
 		defer peers[i].Close()
 		updates[i] = make([]int32, d)
 	}
+	steps := make([]time.Duration, b.N)
 	b.SetBytes(int64(d * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
 		var wg sync.WaitGroup
 		for w := range peers {
 			w := w
@@ -397,10 +427,12 @@ func benchUDP(b *testing.B, n, s, d int, drop float64, rto time.Duration) {
 			}()
 		}
 		wg.Wait()
+		steps[i] = time.Since(t0)
 	}
 	b.StopTimer()
 	var st core.WorkerStats
-	drops := agg.inner.DebugState(false).RcvbufDrops
+	ds := agg.inner.DebugState(false)
+	drops := ds.RcvbufDrops
 	for _, p := range peers {
 		ws := p.inner.Stats()
 		st.Retransmissions += ws.Retransmissions
@@ -408,11 +440,16 @@ func benchUDP(b *testing.B, n, s, d int, drop float64, rto time.Duration) {
 		st.ProbeRetransmissions += ws.ProbeRetransmissions
 		drops += p.inner.DebugState().RcvbufDrops
 	}
-	steps := float64(b.N)
-	b.ReportMetric(float64(drops)/steps, "drops/op")
-	b.ReportMetric(float64(st.EarlyRetransmissions)/steps, "lap/op")
-	b.ReportMetric(float64(st.ProbeRetransmissions)/steps, "probe/op")
-	b.ReportMetric(float64(st.Retransmissions-st.EarlyRetransmissions-st.ProbeRetransmissions)/steps, "timer/op")
+	sort.Slice(steps, func(i, j int) bool { return steps[i] < steps[j] })
+	b.ReportMetric(float64(steps[len(steps)/2])/1e6, "p50-ms")
+	b.ReportMetric(float64(d)*float64(b.N)/b.Elapsed().Seconds(), "elem/s")
+	n64 := float64(b.N)
+	b.ReportMetric(float64(agg.Stats().Updates)/n64, "upd/op")
+	b.ReportMetric(float64(ds.BeyondPool)/n64, "beyond/op")
+	b.ReportMetric(float64(drops)/n64, "drops/op")
+	b.ReportMetric(float64(st.EarlyRetransmissions)/n64, "lap/op")
+	b.ReportMetric(float64(st.ProbeRetransmissions)/n64, "probe/op")
+	b.ReportMetric(float64(st.Retransmissions-st.EarlyRetransmissions-st.ProbeRetransmissions)/n64, "timer/op")
 }
 
 // BenchmarkRackSimulation measures simulator wall-clock speed on the

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	switchml-agg -listen :5555 -workers 4 [-pool 0] [-elems 32]
+//	switchml-agg -listen :5555 -workers 4 [-pool 0] [-elems 0]
 //	    [-jobs 1] [-job-base 0] [-metrics :9100] [-debug :6060]
 //	    [-liveness 500ms] [-absent 3] [-quorum 3] [-late-policy drop]
 //	    [-down-after 2s] [-down-for 2s]
@@ -53,8 +53,9 @@ func main() {
 	listen := flag.String("listen", ":5555", "UDP listen address")
 	workers := flag.Int("workers", 2, "number of workers per aggregation (n)")
 	pool := flag.Int("pool", 0,
-		"aggregator pool size (s); 0 = tuned to -workers and -elems (512 for 2 workers, 256 for 4, 128 for 8, 64 from 9 up)")
-	elems := flag.Int("elems", 32, "elements per packet (k)")
+		"aggregator pool size (s); 0 = tuned to -workers and -elems (64 at the tuned -elems; at -elems 32, 512 for 2 workers, 256 for 4, 128 for 8, 64 from 9 up)")
+	elems := flag.Int("elems", 0,
+		"elements per packet (k); 0 = tuned to -workers, as switchml-worker always is (352 for 1 worker, 312 for 2, 152 for 4, 72 for 8, 32 from 16 up)")
 	jobs := flag.Int("jobs", 1, "number of pools to serve (tenants or worker shards)")
 	jobBase := flag.Uint("job-base", 0, "first job id")
 	metrics := flag.String("metrics", "", "optional HTTP address exposing /stats")
@@ -115,7 +116,7 @@ func main() {
 	var statsFn func() any
 	var debugFn func(string) (string, error)
 	var addr string
-	var poolSize int
+	var poolSize, slotElems int
 	if *jobs <= 1 {
 		params.JobID = uint16(*jobBase)
 		agg, err := switchml.ListenAggregator(*listen, params)
@@ -123,7 +124,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer agg.Close()
-		addr, poolSize = agg.Addr(), agg.PoolSize()
+		addr, poolSize, slotElems = agg.Addr(), agg.PoolSize(), agg.SlotElems()
 		statsFn = func() any { return agg.Stats() }
 		debugFn = agg.ServeDebug
 		if *downAfter > 0 {
@@ -159,7 +160,7 @@ func main() {
 		if err := m.AdmitShardedJob(uint16(*jobBase), *jobs, params); err != nil {
 			log.Fatal(err)
 		}
-		addr, poolSize = m.Addr(), m.PoolSize(uint16(*jobBase))
+		addr, poolSize, slotElems = m.Addr(), m.PoolSize(uint16(*jobBase)), m.SlotElems(uint16(*jobBase))
 		debugFn = m.ServeDebug
 		statsFn = func() any {
 			out := map[string]any{}
@@ -173,7 +174,7 @@ func main() {
 		}
 	}
 	fmt.Printf("switchml-agg: serving %d pool(s) for %d-worker jobs on %s (pool %d, k=%d)\n",
-		*jobs, *workers, addr, poolSize, *elems)
+		*jobs, *workers, addr, poolSize, slotElems)
 
 	if *metrics != "" {
 		mux := http.NewServeMux()

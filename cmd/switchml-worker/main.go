@@ -185,8 +185,8 @@ func main() {
 		os.Exit(1)
 	}()
 
-	fmt.Printf("switchml-worker %d/%d: aggregating %d x %d elements via %s (pool %d)\n",
-		*id, *workers, *iters, *elems, *aggAddr, peer.PoolSize())
+	fmt.Printf("switchml-worker %d/%d: aggregating %d x %d elements via %s (pool %d, k=%d)\n",
+		*id, *workers, *iters, *elems, *aggAddr, peer.PoolSize(), peer.SlotElems())
 
 	var total time.Duration
 	completed := 0

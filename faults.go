@@ -187,7 +187,9 @@ func (l *LivenessParams) transport() *transport.LivenessConfig {
 // (or the UDP aggregator went silent) and no fallback was available
 // to ride it out. It is distinct from input errors — the tensors were
 // fine; retry once the fabric (or a Health fallback) is back. Test
-// with errors.Is.
+// with errors.Is. On a UDP Peer the retry is a call with the same
+// slice: it continues the failed call's tensor where it stopped, and a
+// call with any other slice returns ErrTensorOpen until it has.
 var ErrSwitchUnavailable = errors.New("switchml: switch unavailable")
 
 // fabricErr attaches ErrSwitchUnavailable to errors whose root cause

@@ -18,10 +18,10 @@ import (
 // buys: the non-straggler members' aggregation rate with 1–2 slow
 // workers, at full participation versus an N-of-M quorum.
 type ElasticReport struct {
-	Schema      string `json:"schema"`
-	Workers     int    `json:"workers"`
+	Schema      string  `json:"schema"`
+	Workers     int     `json:"workers"`
 	LinkGbps    float64 `json:"link_gbps"`
-	TensorElems int    `json:"tensor_elems"`
+	TensorElems int     `json:"tensor_elems"`
 	// SteadyStepNs is the pre-churn steady-state step time.
 	SteadyStepNs int64 `json:"steady_step_ns"`
 	// JoinCommitStepNs is the step in which the joiner's fence

@@ -147,7 +147,7 @@ func RunFig6(o Options) (*Table, error) {
 		})
 		r, err := rack.NewRack(rack.Config{
 			Workers: 8, LossRecovery: true, LossRate: loss, Seed: o.Seed,
-			RTO: netsim.Millisecond,
+			RTO:    netsim.Millisecond,
 			Tracer: telemetry.Fanout(tracer, o.Tracer),
 		})
 		if err != nil {

@@ -81,6 +81,11 @@ const (
 	// maxTrainSegs is the kernel's UDP_MAX_SEGMENTS: one GSO send may
 	// carry at most 64 segments, and GRO coalesces at most the same.
 	maxTrainSegs = 64
+	// maxTrainBytes is the most one GSO send may carry: a train is one
+	// UDP datagram until the kernel segments it, so its payload is
+	// bounded by the 16-bit UDP length less the UDP and IPv4 headers.
+	// A longer one fails whole with EMSGSIZE.
+	maxTrainBytes = 65535 - 8 - 20
 )
 
 // ErrPayloadTooLarge reports an Append of a datagram larger than the

@@ -344,14 +344,15 @@ func (c *Conn) sysAppendTo(payload []byte, to netip.AddrPort) {
 }
 
 // sysAppendTrain stages an equal-size run. With GSO the run rides as
-// UDP_SEGMENT super-datagrams (≤ maxTrainSegs segments each); without
-// it each segment gets its own vector entry, aliasing the block.
+// UDP_SEGMENT super-datagrams of at most trainSegs(seg) segments each;
+// without it each segment gets its own vector entry, aliasing the
+// block.
 //
 //switchml:hotpath
 func (c *Conn) sysAppendTrain(block []byte, seg int, to netip.AddrPort) {
 	p := &c.sys
 	if p.gso {
-		stride := seg * maxTrainSegs
+		stride := seg * trainSegs(seg)
 		for off := 0; off < len(block); off += stride {
 			end := off + stride
 			if end > len(block) {
@@ -380,6 +381,11 @@ func (c *Conn) sysAppendTrain(block []byte, seg int, to netip.AddrPort) {
 		c.stage(block[off:end], 0, 1, to)
 	}
 }
+
+// trainSegs is how many seg-byte segments one GSO send carries: the
+// kernel's segment ceiling, or fewer where that many would not fit one
+// UDP datagram (from 1,024-byte segments up).
+func trainSegs(seg int) int { return max(1, min(maxTrainSegs, maxTrainBytes/seg)) }
 
 // stage fills send vector entry scnt with one buffer (optionally a
 // GSO train of gsoSeg-byte segments) bound for to.

@@ -129,6 +129,36 @@ func TestTrainRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLongTrainRoundTrip: a train whose 64 segments together exceed
+// one UDP datagram's 65,507 bytes (here 64 update packets of 312
+// elements) still leaves, and every segment arrives whole, in every
+// mode. A single UDP_SEGMENT send of it fails with EMSGSIZE.
+func TestLongTrainRoundTrip(t *testing.T) {
+	for name, cfg := range modeConfigs() {
+		t.Run(name, func(t *testing.T) {
+			cfg.MTU = 2048
+			srv, cli := pair(t, cfg)
+			if err := srv.UDP().SetReadBuffer(1 << 20); err != nil {
+				t.Fatal(err)
+			}
+			const seg, nseg = 1272, maxTrainSegs
+			block := make([]byte, seg*nseg)
+			rand.New(rand.NewSource(3)).Read(block)
+			cli.AppendTrain(block, seg, netip.AddrPort{})
+			cli.Flush()
+			if se := cli.SendErrors(); se != 0 {
+				t.Fatalf("%d of %d datagrams failed to send", se, nseg)
+			}
+			got := collect(t, srv, nseg)
+			for i := 0; i < nseg; i++ {
+				if !bytes.Equal(got[i], block[i*seg:(i+1)*seg]) {
+					t.Fatalf("segment %d mismatch (%d bytes, want %d)", i, len(got[i]), seg)
+				}
+			}
+		})
+	}
+}
+
 // TestReplyAddressing checks the unconnected side can answer a burst
 // using the source addresses Recv decoded — the aggregator's reply
 // path.

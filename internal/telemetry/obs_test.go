@@ -276,7 +276,7 @@ func TestFlightRecorderDebounce(t *testing.T) {
 		Debounce: 100 * time.Millisecond,
 	})
 	fr.Emit(Ev(EvDegrade, 0))
-	fr.Emit(Ev(EvFailback, int64(50*time.Millisecond)))  // inside window
+	fr.Emit(Ev(EvFailback, int64(50*time.Millisecond))) // inside window
 	fr.Emit(Ev(EvDegrade, int64(200*time.Millisecond))) // outside
 	if dumped, _ := fr.Dumped(); dumped != 2 {
 		t.Errorf("dumped = %d, want 2 (middle trigger debounced)", dumped)

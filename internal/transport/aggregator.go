@@ -58,7 +58,8 @@ const (
 // power of two that keeps workers×s update datagrams of slotElems
 // elements inside inflightBudget, and never less than minPoolSize.
 // That is 512 for 2 workers of 32-element packets, 256 for 4, 128 for 8
-// — the paper's choice at 10 Gbps — and 64 from 9 workers up.
+// — the paper's choice at 10 Gbps — and 64 from 9 workers up; at the
+// packet size TuneShape selects it is 64 for every worker count.
 //
 // It is §3.6's tuning rule on this substrate's inputs. The pool must
 // cover the path's bandwidth-delay product or the workers idle (Fig. 2's
@@ -75,6 +76,39 @@ func TunePoolSize(workers, slotElems int) int {
 		s *= 2
 	}
 	return s
+}
+
+const (
+	// frameMTU and ipUDPHeaders bound an update datagram to one
+	// 1,500-byte Ethernet frame under IPv6's 40 header bytes and UDP's 8
+	// (IPv4's 20 leave more): the paper's MTU row (Fig. 7), and nothing
+	// fragments once the path leaves loopback.
+	frameMTU, ipUDPHeaders = 1500, 40 + 8
+	// elemAlign is the codec's eight-wide pass: k a multiple of it runs
+	// no scalar tail.
+	elemAlign = 8
+)
+
+// TuneShape is the packet shape both ends of the UDP transport select
+// when neither k nor s is configured, from Workers alone: k is the
+// largest multiple of elemAlign that is at least packet.DefaultElems,
+// keeps an update datagram inside one frame (frameMTU), and keeps
+// workers×minPoolSize such datagrams inside inflightBudget; s is
+// TunePoolSize(workers, k). That is k = 352 for 1 worker, 312 for 2,
+// 152 for 4, 72 for 8 and 32 from 16 up, each at s = 64.
+//
+// A software aggregator has no ALU budget: k = 32 is the Tofino's
+// (§5.5), and rack, p4sim and hier keep it. On sockets nearly all of a
+// datagram's cost is paid per datagram — the syscall share, the
+// checksum call, the aggregator's ingress, the worker's pump — so the
+// window's bytes stay where TunePoolSize's budget put them and the
+// datagram count falls instead. The budget binds from 2 workers up,
+// the frame below.
+func TuneShape(workers int) (slotElems, poolSize int) {
+	frame := (frameMTU - ipUDPHeaders - packet.WireLen(0)) / packet.ElemBytes
+	window := (inflightBudget/(max(workers, 1)*minPoolSize) - packet.WireLen(0)) / packet.ElemBytes
+	k := max(min(frame, window)&^(elemAlign-1), packet.DefaultElems)
+	return k, TunePoolSize(workers, k)
 }
 
 // BatchOccupancyBuckets bound the batch-occupancy histograms:

@@ -443,6 +443,11 @@ func (c *Client) Registry() *telemetry.Registry { return c.reg }
 // AllReduceInt32 runs.
 func (c *Client) Stats() core.WorkerStats { return c.worker.Stats() }
 
+// TensorOpen reports whether a tensor is open between calls: a failed
+// call left it for a retry with the same slice to continue. Call it
+// from the goroutine that makes the calls.
+func (c *Client) TensorOpen() bool { return c.worker.Busy() }
+
 // trace emits a protocol event stamped with wall-clock time.
 func (c *Client) trace(t telemetry.EventType, idx int32) {
 	if c.cfg.Tracer == nil {
@@ -456,6 +461,11 @@ func (c *Client) trace(t telemetry.EventType, idx int32) {
 	c.cfg.Tracer.Emit(e)
 }
 
+// ErrTensorOpen is returned by a call whose slice is not the one a
+// failed call left open: that tensor still holds its chunks in flight,
+// and only a call given the same slice — the retry — may continue it.
+var ErrTensorOpen = errors.New("transport: a failed call's tensor is still open; retry it with the same slice")
+
 // AllReduceInt32 aggregates u with the other workers and returns the
 // elementwise sum. It blocks until the aggregate is complete or the
 // configured timeout elapses. With a Fallback configured the call
@@ -464,6 +474,13 @@ func (c *Client) trace(t telemetry.EventType, idx int32) {
 // aggregator silent for SuspectAfter-equivalent (8×RTO) turns the
 // timeout into a typed, retryable ErrAggregatorSilent. u is borrowed
 // past the return; see AllReduceInt32View.
+//
+// A call that fails may leave its tensor open, part of it aggregated.
+// The next call given the same slice continues that tensor: every
+// outstanding chunk is sent again, and the aggregator's seen bitmaps
+// discard the contributions it already holds. A call given any other
+// slice while the tensor is open returns ErrTensorOpen and sends
+// nothing.
 func (c *Client) AllReduceInt32(u []int32) ([]int32, error) {
 	sum, err := c.AllReduceInt32View(u)
 	if err != nil || sum == nil {
@@ -493,6 +510,10 @@ func (c *Client) AllReduceInt32View(u []int32) ([]int32, error) {
 	if c.drained {
 		return nil, ErrDrained
 	}
+	retry := c.worker.Busy()
+	if retry && !sameSlice(u, c.worker.Update()) {
+		return nil, ErrTensorOpen
+	}
 	if c.cfg.Tracer != nil {
 		e := telemetry.Ev(telemetry.EvTensorStart, telemetry.WallClock())
 		e.Actor = c.actor
@@ -505,6 +526,17 @@ func (c *Client) AllReduceInt32View(u []int32) ([]int32, error) {
 		return c.degradedAllReduce(u, deadline)
 	}
 	c.lastProgress = c.now
+	if retry {
+		// A failed call left this tensor open: re-send what is still
+		// outstanding and drive it on. The probation and the fence hold
+		// below wait at a tensor boundary, which the retry is not at.
+		for idx := range uint32(c.cfg.Worker.PoolSize) {
+			if s := c.worker.RetransmitSend(idx); s != nil {
+				c.send(s)
+			}
+		}
+		return c.settle(u, deadline, c.run(modeData, deadline))
+	}
 	if c.homeRank > 0 {
 		// The job lives on a standby: run one round of the fail-up
 		// probation before starting the tensor (failover.go).
@@ -529,6 +561,12 @@ func (c *Client) AllReduceInt32View(u []int32) ([]int32, error) {
 		c.send(s)
 	}
 	return c.settle(u, deadline, c.run(modeData, deadline))
+}
+
+// sameSlice reports whether a and b are the same slice: one backing
+// array, the same start and the same length.
+func sameSlice(a, b []int32) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // settle turns the data mode's verdict on the open tensor into the

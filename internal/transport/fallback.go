@@ -295,7 +295,9 @@ func (c *Client) degradedAllReduce(u []int32, deadline time.Time) ([]int32, erro
 	if err := c.sendProbe(&fb.prob, c.conn, c.epoch+1); err != nil {
 		return nil, err
 	}
-	c.worker.StartHosted(u)
+	if !c.worker.Busy() { // a retry finds its tensor open already
+		c.worker.StartHosted(u)
+	}
 	frontier := c.worker.FrontierOff()
 	if err := c.syncRound(frontier, deadline); err != nil {
 		return nil, err

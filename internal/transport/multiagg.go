@@ -114,6 +114,15 @@ func (m *MultiAggregator) PoolSize(job uint16) int {
 	return 0
 }
 
+// SlotElems returns an admitted job's k, 0 for a job that was not
+// admitted.
+func (m *MultiAggregator) SlotElems(job uint16) int {
+	if j := m.agg.jobs.Load().byID[job]; j != nil {
+		return j.sw.Config().SlotElems
+	}
+	return 0
+}
+
 // MemoryBytes returns the admitted jobs' total register memory.
 func (m *MultiAggregator) MemoryBytes() int {
 	m.agg.mu.Lock()

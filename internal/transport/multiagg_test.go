@@ -482,3 +482,59 @@ func TestMultiJobIsolation(t *testing.T) {
 		})
 	}
 }
+
+// TestLargeSlotElemsEveryIOMode: 2-worker all-reduces through AdmitJob
+// at the tuned pool, with packets of 256 elements, of the rule's k, and
+// of 1,024, in every I/O mode. From 250 elements up a window of 64
+// datagrams no longer fits one UDP_SEGMENT send; a train that is not
+// cut to fit fails whole with EMSGSIZE and the job never finishes.
+func TestLargeSlotElemsEveryIOMode(t *testing.T) {
+	const n = 2
+	tuned, _ := TuneShape(n)
+	for _, mode := range ioModes {
+		t.Run(mode.mode.String(), func(t *testing.T) {
+			if mode.env != "" {
+				t.Setenv(mode.env, "1")
+			}
+			for _, k := range []int{256, tuned, 1024} {
+				s := TunePoolSize(n, k)
+				m, err := NewMultiAggregator("127.0.0.1:0", 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer m.Close()
+				if got := m.agg.sncs[0].Mode(); got < mode.mode {
+					t.Skipf("no %s mode here: the sockets selected %s", mode.mode, got)
+				}
+				if err := m.AdmitJob(core.SwitchConfig{Workers: n, PoolSize: s, SlotElems: k, LossRecovery: true, JobID: 1}); err != nil {
+					t.Fatal(err)
+				}
+				clients := make([]*Client, n)
+				for w := range clients {
+					c, err := NewClient(ClientConfig{
+						Aggregator: m.Addr().String(),
+						Worker:     core.WorkerConfig{ID: uint16(w), Workers: n, PoolSize: s, SlotElems: k, LossRecovery: true, JobID: 1},
+						RTO:        100 * time.Millisecond,
+						Timeout:    10 * time.Second,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer c.Close()
+					clients[w] = c
+				}
+				for step := 1; step <= 2; step++ {
+					lockstep(t, clients, 3*s*k+k/2, step) // checks every element of every worker's sum
+				}
+				if se := m.agg.sendErrs.Value(); se != 0 {
+					t.Errorf("k %d: the aggregator counted %d send errors", k, se)
+				}
+				for w, c := range clients {
+					if se := c.DebugState().SendErrors; se != 0 {
+						t.Errorf("k %d: worker %d counted %d send errors", k, w, se)
+					}
+				}
+			}
+		})
+	}
+}

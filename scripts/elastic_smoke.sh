@@ -21,7 +21,7 @@ MESH=$M0,$M1,$M2
 
 go build -o "$DIR" ./cmd/switchml-agg ./cmd/switchml-worker
 
-"$DIR/switchml-agg" -listen 127.0.0.1:$AGG_PORT -workers 3 -pool 16 -elems 32 \
+"$DIR/switchml-agg" -listen 127.0.0.1:$AGG_PORT -workers 3 -pool 16 \
     -liveness 2s -absent 2 > "$DIR/agg.log" 2>&1 &
 AGG=$!
 sleep 0.3

@@ -25,10 +25,10 @@ MESH=$M0,$M1,$M2
 
 go build -o "$DIR" ./cmd/switchml-agg ./cmd/switchml-worker
 
-"$DIR/switchml-agg" -listen 127.0.0.1:$PRI_PORT -workers 3 -pool 16 -elems 32 \
+"$DIR/switchml-agg" -listen 127.0.0.1:$PRI_PORT -workers 3 -pool 16 \
     -down-after 2s -down-for 2s > "$DIR/pri.log" 2>&1 &
 PRI=$!
-"$DIR/switchml-agg" -listen 127.0.0.1:$SBY_PORT -workers 3 -pool 16 -elems 32 \
+"$DIR/switchml-agg" -listen 127.0.0.1:$SBY_PORT -workers 3 -pool 16 \
     > "$DIR/sby.log" 2>&1 &
 SBY=$!
 sleep 0.3

@@ -14,8 +14,10 @@ import (
 // Implementations whose fabric can fail (a UDP Peer without an armed
 // fallback) report a dead aggregator as an error matching
 // ErrSwitchUnavailable: the tensor was fine and the call may be
-// retried once the fabric recovers. Sessions pass such errors through
-// to the submitting Future unchanged.
+// retried once the fabric recovers, with the same slice, which
+// continues the failed call's tensor; another slice returns
+// ErrTensorOpen while that tensor is open. Sessions pass such errors
+// through to the submitting Future unchanged.
 type Collective interface {
 	// AllReduceInt32 sums an int32 tensor across all workers.
 	AllReduceInt32(u []int32) ([]int32, error)

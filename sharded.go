@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"switchml/internal/core"
-	"switchml/internal/packet"
 	"switchml/internal/quant"
 	"switchml/internal/telemetry"
 	"switchml/internal/transport"
@@ -65,11 +64,11 @@ func (m *MultiAggregator) Close() error {
 	return m.inner.Close()
 }
 
-// AdmitJob allocates a pool for one job. A zero params.PoolSize
-// selects the size ListenAggregator does, so a Peer dialed with the
-// job's id and a zero PoolSize agrees with it; a ShardedPeer's 64 slots
-// a shard use the front of that pool, a worker's window only having to
-// fit inside its aggregator's.
+// AdmitJob allocates a pool for one job. A zero params.PoolSize or
+// params.SlotElems selects the size ListenAggregator does, so a Peer or
+// ShardedPeer dialed with the job's id and zero sizes agrees with it.
+// An explicit SlotElems above what the aggregator's datagrams carry
+// (2,294) is refused.
 func (m *MultiAggregator) AdmitJob(job uint16, params AggregatorParams) error {
 	params.fill()
 	return m.inner.AdmitJob(core.SwitchConfig{
@@ -99,6 +98,10 @@ func (m *MultiAggregator) AdmitShardedJob(jobBase uint16, shards int, params Agg
 // for a job that was not admitted.
 func (m *MultiAggregator) PoolSize(job uint16) int { return m.inner.PoolSize(job) }
 
+// SlotElems returns an admitted job's k, as configured or as tuned; 0
+// for a job that was not admitted.
+func (m *MultiAggregator) SlotElems(job uint16) int { return m.inner.SlotElems(job) }
+
 // ReleaseJob frees one job's pool.
 func (m *MultiAggregator) ReleaseJob(job uint16) error { return m.inner.ReleaseJob(job) }
 
@@ -124,6 +127,11 @@ func (m *MultiAggregator) JobStats(job uint16) (AggregatorStats, bool) {
 type ShardedPeer struct {
 	peers []*transport.Client
 	scale *quant.FixedPoint
+	// failed and failedQ are the float32 input of the last call that
+	// failed and its quantized copy, which shards may hold open for a
+	// retry.
+	failed  []float32
+	failedQ []int32
 }
 
 // ShardedPeerParams configures DialSharded.
@@ -138,10 +146,13 @@ type ShardedPeerParams struct {
 	// JobBase is the first shard's job id; shard s uses JobBase+s.
 	// Must match the aggregator's AdmitShardedJob call.
 	JobBase uint16
-	// PoolSize is s per shard (default 64), at most what the shards'
-	// jobs were admitted with.
+	// PoolSize is s per shard, at most what the shards' jobs were
+	// admitted with; zero selects the size AggregatorParams.PoolSize
+	// describes, which a shard job admitted with a zero PoolSize has.
 	PoolSize int
-	// SlotElems is k (default 32).
+	// SlotElems is k; zero selects the size AggregatorParams.SlotElems
+	// describes. It must equal the one the shards' jobs were admitted
+	// with.
 	SlotElems int
 	// Scale enables float32 all-reduce.
 	Scale float64
@@ -158,13 +169,7 @@ func DialSharded(addr string, params ShardedPeerParams) (*ShardedPeer, error) {
 	if params.Shards < 0 {
 		return nil, fmt.Errorf("switchml: shard count must be positive, got %d", params.Shards)
 	}
-	poolSize, slotElems := params.PoolSize, params.SlotElems
-	if poolSize == 0 {
-		poolSize = 64
-	}
-	if slotElems == 0 {
-		slotElems = packet.DefaultElems
-	}
+	slotElems, poolSize := tuneShape(params.Workers, params.SlotElems, params.PoolSize)
 	sp := &ShardedPeer{}
 	if params.Scale != 0 {
 		fx, err := quant.NewFixedPoint(params.Scale)
@@ -211,7 +216,10 @@ func (sp *ShardedPeer) Close() error {
 func (sp *ShardedPeer) Shards() int { return len(sp.peers) }
 
 // AllReduceInt32 sums u across all workers, splitting the tensor into
-// contiguous per-shard regions aggregated concurrently.
+// contiguous per-shard regions aggregated concurrently. A failed call
+// is retried as Peer.AllReduceInt32's is, with the same slice: each
+// shard whose region is still open continues it, and any other slice
+// fails with ErrTensorOpen there.
 func (sp *ShardedPeer) AllReduceInt32(u []int32) ([]int32, error) {
 	if len(u) == 0 {
 		return nil, nil
@@ -252,14 +260,19 @@ func (sp *ShardedPeer) AllReduceFloat32(u []float32) ([]float32, error) {
 	if sp.scale == nil {
 		return nil, errNoScale
 	}
-	q := make([]int32, len(u))
-	if sat := sp.scale.Quantize(q, u); sat > 0 {
-		return nil, fmt.Errorf("switchml: %d elements saturated during quantization; lower the scale (see MaxSafeScale)", sat)
+	q := sp.failedQ
+	if !sameSlice(u, sp.failed) {
+		q = make([]int32, len(u))
+		if sat := sp.scale.Quantize(q, u); sat > 0 {
+			return nil, fmt.Errorf("switchml: %d elements saturated during quantization; lower the scale (see MaxSafeScale)", sat)
+		}
 	}
 	sum, err := sp.AllReduceInt32(q)
 	if err != nil {
+		sp.failed, sp.failedQ = u, q
 		return nil, err
 	}
+	sp.failed, sp.failedQ = nil, nil
 	out := make([]float32, len(u))
 	sp.scale.Dequantize(out, sum)
 	return out, nil

@@ -146,12 +146,11 @@ func TestShardedPeerValidation(t *testing.T) {
 	}
 }
 
-// TestMultiAggregatorTunedPoolAgrees: a job admitted with PoolSize left
-// zero serves both kinds of worker that leave theirs zero — a Peer
-// dialed with the job's id, which selects the tuned window and reaches
-// its last slot in a tensor of more than two windows, and a ShardedPeer,
-// whose 64 slots a shard use the front of the larger pool — with exact
-// sums and nothing rejected.
+// TestMultiAggregatorTunedPoolAgrees: a job admitted with PoolSize and
+// SlotElems left zero serves both kinds of worker that leave theirs
+// zero — a Peer dialed with the job's id and a ShardedPeer, each of
+// which selects the tuned shape and reaches its last slot in a tensor
+// of more than two windows — with exact sums and nothing rejected.
 func TestMultiAggregatorTunedPoolAgrees(t *testing.T) {
 	for _, n := range []int{2, 3} {
 		m, err := ListenMultiAggregator("127.0.0.1:0", 0)
@@ -165,11 +164,13 @@ func TestMultiAggregatorTunedPoolAgrees(t *testing.T) {
 		if err := m.AdmitShardedJob(shardBase, shards, AggregatorParams{Workers: n}); err != nil {
 			t.Fatal(err)
 		}
-		tuned := transport.TunePoolSize(n, 32)
-		if got := m.PoolSize(job); got != tuned {
-			t.Fatalf("%d workers: admitted with %d slots, want the tuned %d", n, got, tuned)
+		k, tuned := transport.TuneShape(n)
+		for _, id := range []uint16{job, shardBase, shardBase + shards - 1} {
+			if got, gotK := m.PoolSize(id), m.SlotElems(id); got != tuned || gotK != k {
+				t.Fatalf("%d workers: job %d admitted with %d slots of %d elements, want the tuned %d of %d", n, id, got, gotK, tuned, k)
+			}
 		}
-		d := 2*32*tuned + 5
+		d := shards * (2*k*tuned + 5)
 		outs := make([][2][]int32, n)
 		errs := make([]error, n)
 		var wg sync.WaitGroup

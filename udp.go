@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"switchml/internal/core"
-	"switchml/internal/packet"
 	"switchml/internal/quant"
 	"switchml/internal/telemetry"
 	"switchml/internal/transport"
@@ -21,6 +20,7 @@ import (
 type Aggregator struct {
 	inner      *transport.Aggregator
 	poolSize   int
+	slotElems  int
 	rec        *telemetry.FlightRecorder
 	debugClose func() error
 }
@@ -33,10 +33,18 @@ type AggregatorParams struct {
 	// keeps in flight. Zero selects the tuned size — §3.6's rule on this
 	// transport: the largest power of two that keeps Workers×s datagrams
 	// of SlotElems elements inside what a stock socket buffer carries,
-	// 512 for 2 workers, 256 for 4, 128 for 8, 64 from 9 up (DESIGN.md
-	// "Pool size s vs BDP"). Workers leaving theirs zero select the same.
+	// and never under 64. At the tuned SlotElems that is 64 (DESIGN.md
+	// "Pool size s vs BDP"); at k = 32 it is 512 for 2 workers, 256 for
+	// 4, 128 for 8 and 64 from 9 up. Workers leaving theirs zero select
+	// the same.
 	PoolSize int
-	// SlotElems is k (default 32).
+	// SlotElems is k, the elements a packet carries. Zero selects the
+	// tuned size (transport.TuneShape): the largest multiple of 8 whose
+	// update datagram fits one 1,500-byte Ethernet frame and of which
+	// Workers×64 datagrams fit the same budget — 352 for 1 worker, 312
+	// for 2, 152 for 4, 72 for 8, and the Tofino's 32 from 16 up.
+	// Workers leaving theirs zero select the same; no handshake carries
+	// it, so an explicit k must be given to both ends alike.
 	SlotElems int
 	// JobID tags the pool for multi-tenancy.
 	JobID uint16
@@ -103,12 +111,19 @@ func (f *FlightParams) config(reg *telemetry.Registry, prefix string) telemetry.
 }
 
 func (p *AggregatorParams) fill() {
-	if p.SlotElems == 0 {
-		p.SlotElems = packet.DefaultElems
+	p.SlotElems, p.PoolSize = tuneShape(p.Workers, p.SlotElems, p.PoolSize)
+}
+
+// tuneShape fills a zero k and a zero s by the transport's rules, each
+// from Workers and the k in force; a nonzero value is taken as given.
+func tuneShape(workers, slotElems, poolSize int) (k, s int) {
+	if slotElems == 0 {
+		slotElems, _ = transport.TuneShape(workers)
 	}
-	if p.PoolSize == 0 {
-		p.PoolSize = transport.TunePoolSize(p.Workers, p.SlotElems)
+	if poolSize == 0 {
+		poolSize = transport.TunePoolSize(workers, slotElems)
 	}
+	return slotElems, poolSize
 }
 
 // ListenAggregator binds addr (e.g. ":5555" or "127.0.0.1:0") and
@@ -144,11 +159,14 @@ func ListenAggregator(addr string, params AggregatorParams) (*Aggregator, error)
 		inner := inner
 		rec.SetState(func() any { return inner.DebugState(true) })
 	}
-	return &Aggregator{inner: inner, poolSize: params.PoolSize, rec: rec}, nil
+	return &Aggregator{inner: inner, poolSize: params.PoolSize, slotElems: params.SlotElems, rec: rec}, nil
 }
 
 // PoolSize returns s, as configured or as tuned.
 func (a *Aggregator) PoolSize() int { return a.poolSize }
+
+// SlotElems returns k, as configured or as tuned.
+func (a *Aggregator) SlotElems() int { return a.slotElems }
 
 // Addr returns the bound address, "host:port".
 func (a *Aggregator) Addr() string { return a.inner.Addr().String() }
@@ -275,15 +293,18 @@ type Peer struct {
 	inner *transport.Client
 	scale *quant.FixedPoint
 	n     int
-	// poolSize is s, as configured or as tuned.
-	poolSize int
+	// poolSize and slotElems are s and k, as configured or as tuned.
+	poolSize, slotElems int
 	// qbuf holds the float32 path's quantized inputs, grown on demand
 	// (a Peer runs one all-reduce at a time). Two buffers alternate:
 	// the worker keeps the last completed tensor's update, qbuf[qi],
 	// for a recovery that re-opens it at the next call, so that one
 	// must survive quantizing this call's.
-	qbuf       [2][]int32
-	qi         int
+	qbuf [2][]int32
+	qi   int
+	// failed is the float32 input of the last call that failed, whose
+	// quantized copy qbuf[qi^1] may still be open for a retry.
+	failed     []float32
 	rec        *telemetry.FlightRecorder
 	debugClose func() error
 }
@@ -301,7 +322,8 @@ type PeerParams struct {
 	// workers that all leave it zero agree. A worker's must not exceed
 	// its aggregator's.
 	PoolSize int
-	// SlotElems is k (default 32).
+	// SlotElems is k; zero selects the size AggregatorParams.SlotElems
+	// describes, from Workers alone. It must equal the aggregator's.
 	SlotElems int
 	// JobID tags packets for multi-tenancy.
 	JobID uint16
@@ -438,13 +460,7 @@ type FallbackStats struct {
 
 // DialAggregator connects a worker to an aggregator.
 func DialAggregator(addr string, params PeerParams) (*Peer, error) {
-	poolSize, slotElems := params.PoolSize, params.SlotElems
-	if slotElems == 0 {
-		slotElems = packet.DefaultElems
-	}
-	if poolSize == 0 {
-		poolSize = transport.TunePoolSize(params.Workers, slotElems)
-	}
+	slotElems, poolSize := tuneShape(params.Workers, params.SlotElems, params.PoolSize)
 	var scale *quant.FixedPoint
 	if params.Scale != 0 {
 		var err error
@@ -486,11 +502,14 @@ func DialAggregator(addr string, params PeerParams) (*Peer, error) {
 		inner := inner
 		rec.SetState(func() any { return inner.DebugState() })
 	}
-	return &Peer{inner: inner, scale: scale, n: params.Workers, poolSize: poolSize, rec: rec}, nil
+	return &Peer{inner: inner, scale: scale, n: params.Workers, poolSize: poolSize, slotElems: slotElems, rec: rec}, nil
 }
 
 // PoolSize returns s, as configured or as tuned.
 func (p *Peer) PoolSize() int { return p.poolSize }
+
+// SlotElems returns k, as configured or as tuned.
+func (p *Peer) SlotElems() int { return p.slotElems }
 
 // ServeDebug starts an HTTP introspection listener on addr serving
 // /metrics (Prometheus text), /debug/vars, /debug/pprof/,
@@ -627,9 +646,21 @@ func (p *Peer) FallbackStats() FallbackStats {
 	}
 }
 
+// ErrTensorOpen is returned by an all-reduce call made, after a call
+// that failed, with a different tensor while the failed call's tensor
+// is still open on the peer: only a retry with the same slice may
+// continue it. Test with errors.Is.
+var ErrTensorOpen = transport.ErrTensorOpen
+
 // AllReduceInt32 sums u across all workers of the job. If the
 // aggregator dies mid-tensor and no fallback is armed, the error
 // matches ErrSwitchUnavailable (retryable — the input was fine).
+//
+// A failed call may leave its tensor open, part of it aggregated. Retry
+// it by calling again with the same slice, unchanged: the call
+// continues that tensor, re-sending every outstanding chunk, and the
+// aggregator discards the contributions it already holds. Any other
+// slice returns ErrTensorOpen while the tensor is open.
 //
 // u is borrowed, not copied, and past the return: the worker reads it
 // at every send and retransmission, and a membership recovery that
@@ -645,25 +676,36 @@ func (p *Peer) AllReduceInt32(u []int32) ([]int32, error) {
 }
 
 // AllReduceFloat32 sums u across all workers via fixed-point
-// quantization (requires PeerParams.Scale).
+// quantization (requires PeerParams.Scale). A failed call is retried
+// as AllReduceInt32's is: with the same slice, unchanged.
 func (p *Peer) AllReduceFloat32(u []float32) ([]float32, error) {
 	if p.scale == nil {
 		return nil, errNoScale
 	}
 	next := p.qi ^ 1
+	// A retry finds its quantized copy in qbuf[next], open in the
+	// worker; any other input must not overwrite it.
+	retry := p.inner.TensorOpen()
+	if retry && !sameSlice(u, p.failed) {
+		return nil, ErrTensorOpen
+	}
 	if cap(p.qbuf[next]) < len(u) {
 		p.qbuf[next] = make([]int32, len(u))
 	}
 	q := p.qbuf[next][:len(u)]
-	if sat := p.scale.Quantize(q, u); sat > 0 {
-		return nil, fmt.Errorf("switchml: %d elements saturated during quantization; lower the scale (see MaxSafeScale)", sat)
+	if !retry {
+		if sat := p.scale.Quantize(q, u); sat > 0 {
+			return nil, fmt.Errorf("switchml: %d elements saturated during quantization; lower the scale (see MaxSafeScale)", sat)
+		}
 	}
 	// The sum is the worker's own aggregate buffer: dequantized here,
 	// before the next call can overwrite it, it needs no copy.
 	sum, err := p.inner.AllReduceInt32View(q)
 	if err != nil {
+		p.failed = u
 		return nil, fabricErr(err)
 	}
+	p.failed = nil
 	p.qi = next // the worker now holds q as its last update
 	out := make([]float32, len(u))
 	p.scale.Dequantize(out, sum)
@@ -671,3 +713,9 @@ func (p *Peer) AllReduceFloat32(u []float32) ([]float32, error) {
 }
 
 var errNoScale = errors.New("switchml: float32 all-reduce needs PeerParams.Scale")
+
+// sameSlice reports whether a and b are the same slice: one backing
+// array, the same start and the same length.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}

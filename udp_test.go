@@ -1,6 +1,7 @@
 package switchml
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -145,23 +146,24 @@ func TestUDPFloatScratchReuse(t *testing.T) {
 }
 
 // TestUDPTunedPoolAgrees: an aggregator and its workers that all leave
-// PoolSize zero select the same pool from Workers alone — no handshake
-// carries it — and it is the tuned one; a tensor of more than two
-// windows, whose chunks reach the last slot, sums exactly. An explicit
-// PoolSize is taken as given on both ends.
+// PoolSize and SlotElems zero select the same shape from Workers alone —
+// no handshake carries it — and it is the tuned one (TuneShape); a
+// tensor of more than two windows, whose chunks reach the last slot,
+// sums exactly. An explicit PoolSize or SlotElems is taken as given on
+// both ends, and the other is tuned to it.
 func TestUDPTunedPoolAgrees(t *testing.T) {
-	for _, tc := range []struct{ n, explicit, want int }{
-		{2, 0, 512}, {3, 0, 256}, {8, 0, 128}, {2, 24, 24},
+	for _, tc := range []struct{ n, pool, k, wantPool, wantK int }{
+		{2, 0, 0, 64, 312}, {3, 0, 0, 64, 200}, {8, 0, 0, 64, 72}, {2, 24, 0, 24, 312}, {2, 0, 32, 512, 32},
 	} {
-		n, want := tc.n, tc.want
-		agg, err := ListenAggregator("127.0.0.1:0", AggregatorParams{Workers: n, PoolSize: tc.explicit})
+		n, want, k := tc.n, tc.wantPool, tc.wantK
+		agg, err := ListenAggregator("127.0.0.1:0", AggregatorParams{Workers: n, PoolSize: tc.pool, SlotElems: tc.k})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := agg.inner.DebugState(false).Pool.PoolSize; got != want || agg.PoolSize() != want {
-			t.Errorf("%d workers, PoolSize %d: the aggregator's pool has %d slots, want %d", n, tc.explicit, got, want)
+		if got := agg.inner.DebugState(false).Pool.PoolSize; got != want || agg.PoolSize() != want || agg.SlotElems() != k {
+			t.Errorf("%d workers, PoolSize %d, SlotElems %d: the aggregator's pool has %d slots of %d elements, want %d of %d", n, tc.pool, tc.k, got, agg.SlotElems(), want, k)
 		}
-		d := 2*want*32 + 5
+		d := 2*want*k + 5
 		outs := make([][]int32, n)
 		errs := make([]error, n)
 		var wg sync.WaitGroup
@@ -170,14 +172,14 @@ func TestUDPTunedPoolAgrees(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				peer, err := DialAggregator(agg.Addr(), PeerParams{ID: i, Workers: n, PoolSize: tc.explicit, Timeout: 20 * time.Second})
+				peer, err := DialAggregator(agg.Addr(), PeerParams{ID: i, Workers: n, PoolSize: tc.pool, SlotElems: tc.k, Timeout: 20 * time.Second})
 				if err != nil {
 					errs[i] = err
 					return
 				}
 				defer peer.Close()
-				if got := peer.inner.DebugState().PoolSize; got != want || peer.PoolSize() != want {
-					t.Errorf("%d workers, PoolSize %d: worker %d keeps %d slots in flight, want %d", n, tc.explicit, i, got, want)
+				if got := peer.inner.DebugState().PoolSize; got != want || peer.PoolSize() != want || peer.SlotElems() != k {
+					t.Errorf("%d workers, PoolSize %d, SlotElems %d: worker %d keeps %d slots of %d elements in flight, want %d of %d", n, tc.pool, tc.k, i, got, peer.SlotElems(), want, k)
 				}
 				u := make([]int32, d)
 				for j := range u {
@@ -201,5 +203,175 @@ func TestUDPTunedPoolAgrees(t *testing.T) {
 			t.Errorf("%d workers: %d updates beyond the pool, %d receive-buffer drops; want 0 and 0", n, ds.BeyondPool, ds.RcvbufDrops)
 		}
 		agg.Close()
+	}
+}
+
+// retryCluster is a 2-worker job at the tuned shape whose calls give up
+// after timeout, and each worker's 64K-element input.
+func retryCluster(t *testing.T, timeout time.Duration) (*Aggregator, []*Peer, [][]int32) {
+	t.Helper()
+	const n, d = 2, 64 << 10
+	agg, err := ListenAggregator("127.0.0.1:0", AggregatorParams{Workers: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { agg.Close() })
+	peers := make([]*Peer, n)
+	us := make([][]int32, n)
+	for i := range peers {
+		p, err := DialAggregator(agg.Addr(), PeerParams{ID: i, Workers: n, Scale: 1, RTO: 20 * time.Millisecond, Timeout: timeout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		peers[i] = p
+		us[i] = make([]int32, d)
+		for j := range us[i] {
+			us[i][j] = int32(i*d + j)
+		}
+	}
+	return agg, peers, us
+}
+
+// allReduceExact runs one call on every peer at once, peer i with
+// us[i], and checks every element of every sum.
+func allReduceExact(t *testing.T, peers []*Peer, us [][]int32) {
+	t.Helper()
+	outs := make([][]int32, len(peers))
+	errs := make([]error, len(peers))
+	var wg sync.WaitGroup
+	for i := range peers {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i], errs[i] = peers[i].AllReduceInt32(us[i])
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("peer %d: %v", i, err)
+		}
+		for j := range outs[i] {
+			var want int32
+			for _, u := range us {
+				want += u[j]
+			}
+			if outs[i][j] != want {
+				t.Fatalf("peer %d elem %d: got %d want %d", i, j, outs[i][j], want)
+			}
+		}
+	}
+}
+
+// TestFaultUDPRetryContinuesTensor: ErrSwitchUnavailable is retryable
+// on the same Peer. The aggregation program dies under a call, after
+// one worker's first window has reached it and before the other's
+// does; both calls fail with ErrSwitchUnavailable and leave their
+// tensors open. A call with another slice is refused with
+// ErrTensorOpen, and once the program is back the retries, given the
+// same slices, continue the tensors: the aggregator drops the
+// contributions it already holds and the sums are exact. The next step
+// runs as usual.
+func TestFaultUDPRetryContinuesTensor(t *testing.T) {
+	agg, peers, us := retryCluster(t, 500*time.Millisecond)
+	errs := make(chan error, len(peers))
+	go func() {
+		_, err := peers[0].AllReduceInt32(us[0])
+		errs <- err
+	}()
+	window := uint64(peers[0].PoolSize())
+	for deadline := time.Now().Add(5 * time.Second); agg.Stats().Updates < window; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of worker 0's %d-packet window reached the aggregator", agg.Stats().Updates, window)
+		}
+	}
+	agg.SetDown(true)
+	go func() {
+		_, err := peers[1].AllReduceInt32(us[1])
+		errs <- err
+	}()
+	for range peers {
+		if err := <-errs; !errors.Is(err, ErrSwitchUnavailable) {
+			t.Fatalf("a call under a dead aggregator returned %v, want ErrSwitchUnavailable", err)
+		}
+	}
+	other := make([]int32, len(us[0]))
+	if _, err := peers[0].AllReduceInt32(other); !errors.Is(err, ErrTensorOpen) {
+		t.Fatalf("a different slice while the failed tensor is open returned %v, want ErrTensorOpen", err)
+	}
+	agg.SetDown(false)
+	// Each of worker 0's re-sent updates finds its contribution held:
+	// ignored in a slot still waiting for worker 1, or answered from the
+	// slot's retained result once worker 1's has completed it.
+	held := func() uint64 { st := agg.Stats(); return st.IgnoredDuplicates + st.ResultRetransmissions }
+	before := held()
+	allReduceExact(t, peers, us)
+	if got := held() - before; got < window {
+		t.Errorf("the retry re-sent %d updates the aggregator already held, want worker 0's window of %d at least", got, window)
+	}
+	for i := range us {
+		us[i] = append([]int32(nil), us[i]...)
+		for j := range us[i] {
+			us[i][j] += 7
+		}
+	}
+	allReduceExact(t, peers, us)
+}
+
+// TestFaultUDPRetryAfterTimeout: a call that times out because another
+// worker never called leaves its tensor open. Calling again with the
+// same slice continues it (and times out again while the other worker
+// is away); another slice is refused with ErrTensorOpen; once the
+// other worker calls, the retry completes with the exact sum. The
+// float32 path keeps the same contract over its quantized copy: a
+// refused input must not overwrite the open tensor's.
+func TestFaultUDPRetryAfterTimeout(t *testing.T) {
+	_, peers, us := retryCluster(t, 200*time.Millisecond)
+	for try := 0; try < 2; try++ {
+		if _, err := peers[0].AllReduceInt32(us[0]); err == nil {
+			t.Fatalf("try %d: a call finished without the other worker", try)
+		}
+	}
+	if _, err := peers[0].AllReduceInt32(us[1]); !errors.Is(err, ErrTensorOpen) {
+		t.Fatalf("a different slice while the timed-out tensor is open returned %v, want ErrTensorOpen", err)
+	}
+	allReduceExact(t, peers, us)
+
+	fs := make([][]float32, len(peers))
+	for i := range fs {
+		fs[i] = make([]float32, 1000)
+		for j := range fs[i] {
+			fs[i][j] = float32(i*1000 + j)
+		}
+	}
+	if _, err := peers[0].AllReduceFloat32(fs[0]); err == nil {
+		t.Fatal("a float32 call finished without the other worker")
+	}
+	if _, err := peers[0].AllReduceFloat32(fs[1]); !errors.Is(err, ErrTensorOpen) {
+		t.Fatalf("a different float32 slice while the timed-out tensor is open returned %v, want ErrTensorOpen", err)
+	}
+	outs := make([][]float32, len(peers))
+	errs := make([]error, len(peers))
+	var wg sync.WaitGroup
+	for i := range peers {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i], errs[i] = peers[i].AllReduceFloat32(fs[i])
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("float32 retry, peer %d: %v", i, err)
+		}
+		for j, v := range outs[i] {
+			if want := fs[0][j] + fs[1][j]; v != want {
+				t.Fatalf("float32 retry, peer %d elem %d: got %v want %v", i, j, v, want)
+			}
+		}
 	}
 }
