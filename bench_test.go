@@ -380,7 +380,7 @@ func BenchmarkUDPShape(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/w=2/k=%d", sh.name, k), func(b *testing.B) { benchUDP(b, 2, k, 0, sh.d, sh.drop, sh.rto) })
 		}
 	}
-	tuned, _ := transport.TuneShape(4)
+	tuned := transport.TuneShape(4)
 	for _, k := range []int{packet.DefaultElems, tuned} {
 		b.Run(fmt.Sprintf("bulk/w=4/k=%d", k), func(b *testing.B) { benchUDP(b, 4, k, 0, 1<<20, 0, 0) })
 	}

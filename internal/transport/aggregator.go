@@ -89,13 +89,13 @@ const (
 	elemAlign = 8
 )
 
-// TuneShape is the packet shape both ends of the UDP transport select
-// when neither k nor s is configured, from Workers alone: k is the
-// largest multiple of elemAlign that is at least packet.DefaultElems,
-// keeps an update datagram inside one frame (frameMTU), and keeps
-// workers×minPoolSize such datagrams inside inflightBudget; s is
-// TunePoolSize(workers, k). That is k = 352 for 1 worker, 312 for 2,
-// 152 for 4, 72 for 8 and 32 from 16 up, each at s = 64.
+// TuneShape is the packet size k both ends of the UDP transport select
+// when none is configured, from Workers alone: the largest multiple of
+// elemAlign that is at least packet.DefaultElems, keeps an update
+// datagram inside one frame (frameMTU), and keeps workers×minPoolSize
+// such datagrams inside inflightBudget. That is k = 352 for 1 worker,
+// 312 for 2, 152 for 4, 72 for 8 and 32 from 16 up; TunePoolSize gives
+// each of them s = 64.
 //
 // A software aggregator has no ALU budget: k = 32 is the Tofino's
 // (§5.5), and rack, p4sim and hier keep it. On sockets nearly all of a
@@ -104,11 +104,10 @@ const (
 // window's bytes stay where TunePoolSize's budget put them and the
 // datagram count falls instead. The budget binds from 2 workers up,
 // the frame below.
-func TuneShape(workers int) (slotElems, poolSize int) {
+func TuneShape(workers int) int {
 	frame := (frameMTU - ipUDPHeaders - packet.WireLen(0)) / packet.ElemBytes
 	window := (inflightBudget/(max(workers, 1)*minPoolSize) - packet.WireLen(0)) / packet.ElemBytes
-	k := max(min(frame, window)&^(elemAlign-1), packet.DefaultElems)
-	return k, TunePoolSize(workers, k)
+	return max(min(frame, window)&^(elemAlign-1), packet.DefaultElems)
 }
 
 // BatchOccupancyBuckets bound the batch-occupancy histograms:

@@ -206,6 +206,10 @@ type Client struct {
 	fenceGen      uint16
 	drained       bool
 	stateProvider func() []int32
+	// retryOpen means the last call failed with its own tensor open: the
+	// next call must be its retry, given the same slice. It belongs to
+	// the AllReduce goroutine too.
+	retryOpen bool
 
 	// The client loop's mode (run): what it is doing, when it entered it,
 	// when its periodic send is next due, and the facts its exit rules
@@ -443,10 +447,10 @@ func (c *Client) Registry() *telemetry.Registry { return c.reg }
 // AllReduceInt32 runs.
 func (c *Client) Stats() core.WorkerStats { return c.worker.Stats() }
 
-// TensorOpen reports whether a tensor is open between calls: a failed
-// call left it for a retry with the same slice to continue. Call it
-// from the goroutine that makes the calls.
-func (c *Client) TensorOpen() bool { return c.worker.Busy() }
+// TensorOpen reports whether the last call failed with its tensor
+// open: only a retry with the same slice may follow, and it continues
+// that tensor. Call it from the goroutine that makes the calls.
+func (c *Client) TensorOpen() bool { return c.retryOpen }
 
 // trace emits a protocol event stamped with wall-clock time.
 func (c *Client) trace(t telemetry.EventType, idx int32) {
@@ -510,10 +514,16 @@ func (c *Client) AllReduceInt32View(u []int32) ([]int32, error) {
 	if c.drained {
 		return nil, ErrDrained
 	}
-	retry := c.worker.Busy()
-	if retry && !sameSlice(u, c.worker.Update()) {
+	if c.retryOpen && !SameSlice(u, c.worker.Update()) {
 		return nil, ErrTensorOpen
 	}
+	sum, err := c.allReduce(u)
+	c.retryOpen = err != nil && c.worker.Busy() && SameSlice(u, c.worker.Update())
+	return sum, err
+}
+
+// allReduce is AllReduceInt32View past its argument checks.
+func (c *Client) allReduce(u []int32) ([]int32, error) {
 	if c.cfg.Tracer != nil {
 		e := telemetry.Ev(telemetry.EvTensorStart, telemetry.WallClock())
 		e.Actor = c.actor
@@ -526,16 +536,26 @@ func (c *Client) AllReduceInt32View(u []int32) ([]int32, error) {
 		return c.degradedAllReduce(u, deadline)
 	}
 	c.lastProgress = c.now
-	if retry {
-		// A failed call left this tensor open: re-send what is still
-		// outstanding and drive it on. The probation and the fence hold
-		// below wait at a tensor boundary, which the retry is not at.
+	if c.worker.Busy() {
+		// A tensor is open at the call's start: a failed call left its
+		// own for this retry to continue, or a §5.6 recovery during a
+		// failed call's fence hold re-opened the one before it. Re-send
+		// what is outstanding and drive it to completion. The retry's
+		// result is this call's; the re-opened tensor's is the
+		// survivors', already superseded here, and this call's own
+		// tensor starts after it.
 		for idx := range uint32(c.cfg.Worker.PoolSize) {
 			if s := c.worker.RetransmitSend(idx); s != nil {
 				c.send(s)
 			}
 		}
-		return c.settle(u, deadline, c.run(modeData, deadline))
+		err := c.run(modeData, deadline)
+		if c.retryOpen {
+			return c.settle(u, deadline, err)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	if c.homeRank > 0 {
 		// The job lives on a standby: run one round of the fail-up
@@ -563,9 +583,10 @@ func (c *Client) AllReduceInt32View(u []int32) ([]int32, error) {
 	return c.settle(u, deadline, c.run(modeData, deadline))
 }
 
-// sameSlice reports whether a and b are the same slice: one backing
-// array, the same start and the same length.
-func sameSlice(a, b []int32) bool {
+// SameSlice reports whether a and b are the same slice: one backing
+// array, the same start and the same length. A retry is recognised by
+// it — the caller's slice, not a copy of its contents.
+func SameSlice[T any](a, b []T) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 

@@ -269,7 +269,13 @@ func (c *Client) enterFallback(u []int32, deadline time.Time) ([]int32, error) {
 	if err := c.syncRound(c.worker.FrontierOff(), deadline); err != nil {
 		return nil, err
 	}
-	return c.meshFinish(u, fb.F, int(fb.F-c.worker.TensorBase()), deadline)
+	base := c.worker.TensorBase()
+	if fb.F < base {
+		// A peer's stream is behind this tensor: no suffix of it can be
+		// finished on the mesh.
+		return nil, fmt.Errorf("transport: stream misaligned on degrade: collective frontier %d precedes this tensor at %d", fb.F, base)
+	}
+	return c.meshFinish(u, fb.F, int(fb.F-base), deadline)
 }
 
 // degradedAllReduce runs one tensor while the job lives on the mesh:

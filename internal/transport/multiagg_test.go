@@ -490,7 +490,7 @@ func TestMultiJobIsolation(t *testing.T) {
 // cut to fit fails whole with EMSGSIZE and the job never finishes.
 func TestLargeSlotElemsEveryIOMode(t *testing.T) {
 	const n = 2
-	tuned, _ := TuneShape(n)
+	tuned := TuneShape(n)
 	for _, mode := range ioModes {
 		t.Run(mode.mode.String(), func(t *testing.T) {
 			if mode.env != "" {

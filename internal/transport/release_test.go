@@ -2,7 +2,9 @@ package transport
 
 import (
 	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -276,4 +278,165 @@ func TestLostReleaseRepair(t *testing.T) {
 			})
 		}
 	})
+}
+
+// echoAggregator is a one-worker job's aggregator played by hand: while
+// echo is set it answers each update with its result, the update
+// itself, and otherwise it stays silent. It remembers where the worker
+// sends from, for the directives the test sends it.
+type echoAggregator struct {
+	conn *net.UDPConn
+	echo atomic.Bool
+	peer atomic.Pointer[net.UDPAddr]
+}
+
+func listenEcho(t *testing.T) *echoAggregator {
+	t.Helper()
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &echoAggregator{conn: conn}
+	done := make(chan struct{})
+	t.Cleanup(func() { conn.Close(); <-done })
+	go func() {
+		defer close(done)
+		buf := make([]byte, 64<<10)
+		var p packet.Packet
+		for {
+			n, from, err := conn.ReadFromUDP(buf)
+			if err != nil {
+				return
+			}
+			e.peer.Store(from)
+			if packet.UnmarshalInto(&p, buf[:n]) != nil || p.Kind != packet.KindUpdate || !e.echo.Load() {
+				continue
+			}
+			p.Kind = packet.KindResult
+			conn.WriteToUDP(p.AppendMarshal(nil), from)
+		}
+	}()
+	return e
+}
+
+// TestResumeInFenceHoldThenTimeout: a §5.6 recovery during a call's
+// fence hold re-opens the tensor before it, and the call times out
+// driving that tensor with the aggregator silent. The open tensor is
+// not the failed call's own, so the next call, given the failed call's
+// slice, must not be refused as one with another tensor's slice: it
+// drives the re-opened tensor to completion and then aggregates its
+// own, with the exact sum.
+func TestResumeInFenceHoldThenTimeout(t *testing.T) {
+	agg := listenEcho(t)
+	agg.echo.Store(true)
+	c, err := NewClient(ClientConfig{
+		Aggregator: agg.conn.LocalAddr().String(),
+		Worker:     core.WorkerConfig{ID: 0, Workers: 1, PoolSize: 4, SlotElems: 8, LossRecovery: true},
+		RTO:        20 * time.Millisecond,
+		Timeout:    300 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tensor := func(base int32) []int32 {
+		u := make([]int32, 20)
+		for j := range u {
+			u[j] = base + int32(j)
+		}
+		return u
+	}
+	exact := func(what string, got, u []int32) {
+		t.Helper()
+		for j := range u {
+			if got[j] != u[j] {
+				t.Fatalf("%s: elem %d: got %d want %d", what, j, got[j], u[j])
+			}
+		}
+	}
+	first, second := tensor(100), tensor(200)
+	out, err := c.AllReduceInt32(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact("first tensor", out, first)
+
+	// A membership fence is pending; the recovery that supersedes it
+	// resumes generation 1 at offset 0, inside the first tensor.
+	agg.echo.Store(false)
+	c.fenceArmed, c.fenceGen = true, 1
+	resume := packet.NewControl(packet.KindResume, 0, 1, 0, nil)
+	if _, err := agg.conn.WriteToUDP(resume.AppendMarshal(nil), agg.peer.Load()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AllReduceInt32(second); err == nil {
+		t.Fatal("the call finished with the aggregator silent")
+	}
+	if !c.worker.Busy() || !SameSlice(c.worker.Update(), first) {
+		t.Fatal("the recovery did not re-open the first tensor")
+	}
+	if c.TensorOpen() {
+		t.Fatal("the re-opened tensor is taken for the failed call's own")
+	}
+
+	agg.echo.Store(true)
+	out, err = c.AllReduceInt32(second)
+	if err != nil {
+		t.Fatalf("the call after the timeout: %v", err)
+	}
+	exact("second tensor", out, second)
+	third := tensor(300)
+	if out, err = c.AllReduceInt32(third); err != nil {
+		t.Fatal(err)
+	}
+	exact("third tensor", out, third)
+}
+
+// TestDegradeBehindTensorBase: a worker whose tensor goes silent
+// degrades to the mesh, and the barrier finds a peer a whole tensor
+// behind it. That is a misaligned stream, not a suffix to finish on the
+// mesh: the call fails with the misalignment instead of slicing the
+// tensor at a negative offset.
+func TestDegradeBehindTensorBase(t *testing.T) {
+	const d = 20
+	agg := listenEcho(t)
+	agg.echo.Store(true)
+	peer := listenLoopback(t)
+	c, err := NewClient(ClientConfig{
+		Aggregator: agg.conn.LocalAddr().String(),
+		Worker:     core.WorkerConfig{ID: 0, Workers: 2, PoolSize: 4, SlotElems: 8, LossRecovery: true},
+		RTO:        10 * time.Millisecond,
+		Timeout:    5 * time.Second,
+		Fallback:   &FallbackConfig{Listen: "127.0.0.1:0", SuspectAfter: 100 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.SetMeshPeers([]string{c.MeshAddr().String(), peer.LocalAddr().String()}); err != nil {
+		t.Fatal(err)
+	}
+	// The peer answers every barrier sync from offset 0.
+	go func() {
+		buf := make([]byte, 2048)
+		var p packet.Packet
+		for {
+			n, from, err := peer.ReadFromUDP(buf)
+			if err != nil {
+				return
+			}
+			if packet.UnmarshalInto(&p, buf[:n]) != nil || p.Kind != packet.KindFallbackSync {
+				continue
+			}
+			peer.WriteToUDP(packet.NewControl(packet.KindFallbackSync, 1, p.JobID, 0, nil).AppendMarshal(nil), from)
+		}
+	}()
+	if _, err := c.AllReduceInt32(make([]int32, d)); err != nil {
+		t.Fatal(err)
+	}
+	agg.echo.Store(false)
+	_, err = c.AllReduceInt32(make([]int32, d))
+	if err == nil || !strings.Contains(err.Error(), "stream misaligned") {
+		t.Fatalf("the degrade behind the tensor returned %v, want the misalignment", err)
+	}
 }

@@ -127,11 +127,18 @@ func (m *MultiAggregator) JobStats(job uint16) (AggregatorStats, bool) {
 type ShardedPeer struct {
 	peers []*transport.Client
 	scale *quant.FixedPoint
-	// failed and failedQ are the float32 input of the last call that
-	// failed and its quantized copy, which shards may hold open for a
-	// retry.
-	failed  []float32
-	failedQ []int32
+	// retry is what the last call left for its retry when it failed
+	// with a region finished or open; nil otherwise.
+	retry *shardedRetry
+}
+
+// shardedRetry is a failed ShardedPeer call's per-shard outcome. Its
+// retry calls only the shards in !done, and holds the others' results.
+type shardedRetry struct {
+	u    []int32   // the call's input
+	f    []float32 // the float32 input u quantizes, on that path
+	out  []int32   // the result, filled where a shard finished
+	done []bool    // the shards whose region finished
 }
 
 // ShardedPeerParams configures DialSharded.
@@ -147,8 +154,11 @@ type ShardedPeerParams struct {
 	// Must match the aggregator's AdmitShardedJob call.
 	JobBase uint16
 	// PoolSize is s per shard, at most what the shards' jobs were
-	// admitted with; zero selects the size AggregatorParams.PoolSize
-	// describes, which a shard job admitted with a zero PoolSize has.
+	// admitted with. Zero divides the size AggregatorParams.PoolSize
+	// describes among the shards, 16 slots a shard for 2 workers of 4
+	// shards: every shard's window reaches the aggregator's sockets at
+	// once, so between them they keep one job's window in flight. A
+	// shard job admitted with a zero PoolSize has room for it.
 	PoolSize int
 	// SlotElems is k; zero selects the size AggregatorParams.SlotElems
 	// describes. It must equal the one the shards' jobs were admitted
@@ -170,6 +180,9 @@ func DialSharded(addr string, params ShardedPeerParams) (*ShardedPeer, error) {
 		return nil, fmt.Errorf("switchml: shard count must be positive, got %d", params.Shards)
 	}
 	slotElems, poolSize := tuneShape(params.Workers, params.SlotElems, params.PoolSize)
+	if params.PoolSize == 0 {
+		poolSize = max(poolSize/params.Shards, 1)
+	}
 	sp := &ShardedPeer{}
 	if params.Scale != 0 {
 		fx, err := quant.NewFixedPoint(params.Scale)
@@ -216,52 +229,83 @@ func (sp *ShardedPeer) Close() error {
 func (sp *ShardedPeer) Shards() int { return len(sp.peers) }
 
 // AllReduceInt32 sums u across all workers, splitting the tensor into
-// contiguous per-shard regions aggregated concurrently. A failed call
-// is retried as Peer.AllReduceInt32's is, with the same slice: each
-// shard whose region is still open continues it, and any other slice
-// fails with ErrTensorOpen there.
+// contiguous per-shard regions aggregated concurrently.
+//
+// A failed call is retried as Peer.AllReduceInt32's is, with the same
+// slice. The retry calls only the shards whose region did not finish
+// and takes the rest from the failed call: calling a finished shard
+// again would open a tensor the other workers never join. While a
+// failed call has a region finished or open, any other slice returns
+// ErrTensorOpen.
 func (sp *ShardedPeer) AllReduceInt32(u []int32) ([]int32, error) {
 	if len(u) == 0 {
 		return nil, nil
 	}
-	out := make([]int32, len(u))
 	shards := len(sp.peers)
+	r := sp.retry
+	if r == nil {
+		r = &shardedRetry{u: u, out: make([]int32, len(u)), done: make([]bool, shards)}
+	} else if !transport.SameSlice(u, r.u) {
+		return nil, ErrTensorOpen
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, shards)
 	for s := 0; s < shards; s++ {
 		lo, hi := s*len(u)/shards, (s+1)*len(u)/shards
-		if lo == hi {
+		if lo == hi || r.done[s] {
 			continue
 		}
 		s := s
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := sp.peers[s].AllReduceInt32(u[lo:hi])
+			res, err := sp.peers[s].AllReduceInt32View(u[lo:hi])
 			if err != nil {
 				errs[s] = fmt.Errorf("switchml: shard %d: %w", s, err)
 				return
 			}
-			copy(out[lo:hi], res)
+			copy(r.out[lo:hi], res)
+			r.done[s] = true
 		}()
 	}
 	wg.Wait()
+	sp.retry = nil
 	for _, err := range errs {
 		if err != nil {
+			if sp.leftOpen(r) {
+				sp.retry = r
+			}
 			return nil, err
 		}
 	}
-	return out, nil
+	return r.out, nil
+}
+
+// leftOpen reports whether a failed call leaves anything a retry must
+// finish: a region finished, or a shard's tensor open.
+func (sp *ShardedPeer) leftOpen(r *shardedRetry) bool {
+	for s, p := range sp.peers {
+		if r.done[s] || p.TensorOpen() {
+			return true
+		}
+	}
+	return false
 }
 
 // AllReduceFloat32 sums u across all workers via fixed-point
-// quantization (requires Scale).
+// quantization (requires Scale). A failed call is retried as
+// AllReduceInt32's is: with the same slice, unchanged.
 func (sp *ShardedPeer) AllReduceFloat32(u []float32) ([]float32, error) {
 	if sp.scale == nil {
 		return nil, errNoScale
 	}
-	q := sp.failedQ
-	if !sameSlice(u, sp.failed) {
+	var q []int32
+	if r := sp.retry; r != nil {
+		if !transport.SameSlice(u, r.f) {
+			return nil, ErrTensorOpen
+		}
+		q = r.u
+	} else {
 		q = make([]int32, len(u))
 		if sat := sp.scale.Quantize(q, u); sat > 0 {
 			return nil, fmt.Errorf("switchml: %d elements saturated during quantization; lower the scale (see MaxSafeScale)", sat)
@@ -269,10 +313,11 @@ func (sp *ShardedPeer) AllReduceFloat32(u []float32) ([]float32, error) {
 	}
 	sum, err := sp.AllReduceInt32(q)
 	if err != nil {
-		sp.failed, sp.failedQ = u, q
+		if sp.retry != nil {
+			sp.retry.f = u
+		}
 		return nil, err
 	}
-	sp.failed, sp.failedQ = nil, nil
 	out := make([]float32, len(u))
 	sp.scale.Dequantize(out, sum)
 	return out, nil

@@ -1,6 +1,8 @@
 package switchml
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -148,9 +150,10 @@ func TestShardedPeerValidation(t *testing.T) {
 
 // TestMultiAggregatorTunedPoolAgrees: a job admitted with PoolSize and
 // SlotElems left zero serves both kinds of worker that leave theirs
-// zero — a Peer dialed with the job's id and a ShardedPeer, each of
-// which selects the tuned shape and reaches its last slot in a tensor
-// of more than two windows — with exact sums and nothing rejected.
+// zero — a Peer dialed with the job's id and a ShardedPeer, whose
+// shards share the tuned window, each of which selects the tuned shape
+// and reaches its last slot in a tensor of more than two windows —
+// with exact sums and nothing rejected.
 func TestMultiAggregatorTunedPoolAgrees(t *testing.T) {
 	for _, n := range []int{2, 3} {
 		m, err := ListenMultiAggregator("127.0.0.1:0", 0)
@@ -164,7 +167,8 @@ func TestMultiAggregatorTunedPoolAgrees(t *testing.T) {
 		if err := m.AdmitShardedJob(shardBase, shards, AggregatorParams{Workers: n}); err != nil {
 			t.Fatal(err)
 		}
-		k, tuned := transport.TuneShape(n)
+		k := transport.TuneShape(n)
+		tuned := transport.TunePoolSize(n, k)
 		for _, id := range []uint16{job, shardBase, shardBase + shards - 1} {
 			if got, gotK := m.PoolSize(id), m.SlotElems(id); got != tuned || gotK != k {
 				t.Fatalf("%d workers: job %d admitted with %d slots of %d elements, want the tuned %d of %d", n, id, got, gotK, tuned, k)
@@ -198,6 +202,10 @@ func TestMultiAggregatorTunedPoolAgrees(t *testing.T) {
 				if outs[i][0], errs[i] = peer.AllReduceInt32(u); errs[i] != nil {
 					return
 				}
+				if got, want := sp.peers[0].DebugState().PoolSize, tuned/shards; got != want {
+					errs[i] = fmt.Errorf("a shard keeps %d slots in flight, want the tuned %d shared by %d shards", got, tuned, shards)
+					return
+				}
 				outs[i][1], errs[i] = sp.AllReduceInt32(u)
 			}()
 		}
@@ -220,5 +228,146 @@ func TestMultiAggregatorTunedPoolAgrees(t *testing.T) {
 			}
 		}
 		m.Close()
+	}
+}
+
+// TestFaultShardedRetryOneWorkerLate: a ShardedPeer call in which one
+// shard finishes and another times out, worker 1 having called only
+// the first shard. The retry with the same slice calls only the
+// unfinished shard and keeps the finished one's sum; calling that
+// shard again would open a tensor worker 1 never joins, and a later
+// step would pair it with worker 1's next data. Another slice is
+// refused with ErrTensorOpen while the call is open, on both paths;
+// every sum, the retry's and the next step's, is exact.
+func TestFaultShardedRetryOneWorkerLate(t *testing.T) {
+	const n, shards, d, base = 2, 2, 3000, 30
+	m, err := ListenMultiAggregator("127.0.0.1:0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.AdmitShardedJob(base, shards, AggregatorParams{Workers: n}); err != nil {
+		t.Fatal(err)
+	}
+	sps := make([]*ShardedPeer, n)
+	step := func(s int) [][]int32 {
+		us := make([][]int32, n)
+		for i := range us {
+			us[i] = make([]int32, d)
+			for j := range us[i] {
+				us[i][j] = int32(s*1_000_000 + i*d + j)
+			}
+		}
+		return us
+	}
+	for i := range sps {
+		sp, err := DialSharded(m.Addr(), ShardedPeerParams{ID: i, Workers: n, Shards: shards, JobBase: base, Scale: 1, RTO: 20 * time.Millisecond, Timeout: 300 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sp.Close()
+		sps[i] = sp
+	}
+	exact := func(what string, out []int32, us [][]int32, lo, hi int) {
+		t.Helper()
+		for j := lo; j < hi; j++ {
+			if want := us[0][j] + us[1][j]; out[j-lo] != want {
+				t.Fatalf("%s: elem %d: got %d want %d", what, j, out[j-lo], want)
+			}
+		}
+	}
+	// shardCall starts worker 1's call of one shard's region alone; the
+	// returned wait checks its sum.
+	shardCall := func(us [][]int32, s int) (wait func()) {
+		lo, hi := s*d/shards, (s+1)*d/shards
+		var out []int32
+		var err error
+		ch := make(chan struct{})
+		go func() {
+			defer close(ch)
+			out, err = sps[1].peers[s].AllReduceInt32(us[1][lo:hi])
+		}()
+		return func() {
+			<-ch
+			if err != nil {
+				t.Fatalf("worker 1, shard %d: %v", s, err)
+			}
+			exact(fmt.Sprintf("worker 1, shard %d", s), out, us, lo, hi)
+		}
+	}
+
+	us := step(0)
+	wait0 := shardCall(us, 0)
+	if _, err := sps[0].AllReduceInt32(us[0]); err == nil {
+		t.Fatal("a call finished without worker 1's second shard")
+	}
+	wait0()
+	if _, err := sps[0].AllReduceInt32(step(9)[0]); !errors.Is(err, ErrTensorOpen) {
+		t.Fatalf("a different slice while the failed call is open returned %v, want ErrTensorOpen", err)
+	}
+	wait1 := shardCall(us, 1)
+	out, err := sps[0].AllReduceInt32(us[0])
+	if err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	wait1()
+	exact("worker 0's retry", out, us, 0, d)
+
+	// The next step finds every shard at the same tensor on both workers.
+	us = step(1)
+	outs := make([][]int32, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range sps {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i], errs[i] = sps[i].AllReduceInt32(us[i])
+		}()
+	}
+	wg.Wait()
+	for i := range sps {
+		if errs[i] != nil {
+			t.Fatalf("next step, worker %d: %v", i, errs[i])
+		}
+		exact(fmt.Sprintf("next step, worker %d", i), outs[i], us, 0, d)
+	}
+
+	// The float32 path: a call worker 1 misses leaves every shard open;
+	// another input is refused without overwriting the open one's
+	// quantized copy, and the retry completes exactly.
+	fs := make([][]float32, n)
+	for i := range fs {
+		fs[i] = make([]float32, d)
+		for j := range fs[i] {
+			fs[i][j] = float32(i*d + j)
+		}
+	}
+	if _, err := sps[0].AllReduceFloat32(fs[0]); err == nil {
+		t.Fatal("a float32 call finished without worker 1")
+	}
+	if _, err := sps[0].AllReduceFloat32(fs[1]); !errors.Is(err, ErrTensorOpen) {
+		t.Fatalf("a different float32 slice while the failed call is open returned %v, want ErrTensorOpen", err)
+	}
+	fouts := make([][]float32, n)
+	for i := range sps {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fouts[i], errs[i] = sps[i].AllReduceFloat32(fs[i])
+		}()
+	}
+	wg.Wait()
+	for i := range sps {
+		if errs[i] != nil {
+			t.Fatalf("float32 retry, worker %d: %v", i, errs[i])
+		}
+		for j, v := range fouts[i] {
+			if want := fs[0][j] + fs[1][j]; v != want {
+				t.Fatalf("float32 retry, worker %d elem %d: got %v want %v", i, j, v, want)
+			}
+		}
 	}
 }

@@ -118,7 +118,7 @@ func (p *AggregatorParams) fill() {
 // from Workers and the k in force; a nonzero value is taken as given.
 func tuneShape(workers, slotElems, poolSize int) (k, s int) {
 	if slotElems == 0 {
-		slotElems, _ = transport.TuneShape(workers)
+		slotElems = transport.TuneShape(workers)
 	}
 	if poolSize == 0 {
 		poolSize = transport.TunePoolSize(workers, slotElems)
@@ -686,7 +686,7 @@ func (p *Peer) AllReduceFloat32(u []float32) ([]float32, error) {
 	// A retry finds its quantized copy in qbuf[next], open in the
 	// worker; any other input must not overwrite it.
 	retry := p.inner.TensorOpen()
-	if retry && !sameSlice(u, p.failed) {
+	if retry && !transport.SameSlice(u, p.failed) {
 		return nil, ErrTensorOpen
 	}
 	if cap(p.qbuf[next]) < len(u) {
@@ -713,9 +713,3 @@ func (p *Peer) AllReduceFloat32(u []float32) ([]float32, error) {
 }
 
 var errNoScale = errors.New("switchml: float32 all-reduce needs PeerParams.Scale")
-
-// sameSlice reports whether a and b are the same slice: one backing
-// array, the same start and the same length.
-func sameSlice[T any](a, b []T) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
