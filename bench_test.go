@@ -404,7 +404,7 @@ func benchUDP(b *testing.B, n, k, s, d int, drop float64, rto time.Duration) {
 	peers := make([]*Peer, n)
 	updates := make([][]int32, n)
 	for i := range peers {
-		if peers[i], err = DialAggregator(agg.Addr(), PeerParams{ID: i, Workers: n, PoolSize: s, SlotElems: k, RTO: rto, Inject: inject(int64(2 + i))}); err != nil {
+		if peers[i], err = DialAggregator(agg.Addr(), PeerParams{ID: i, Workers: n, RTO: rto, Inject: inject(int64(2 + i))}); err != nil {
 			b.Fatal(err)
 		}
 		defer peers[i].Close()

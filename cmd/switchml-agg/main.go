@@ -17,9 +17,11 @@
 // With -jobs 1 it serves a single pool (switchml.ListenAggregator);
 // with -jobs N it serves N pools with job ids job-base..job-base+N-1,
 // which multi-tenant deployments and sharded multi-core workers
-// (switchml.DialSharded) both use. Workers connect with matching
-// parameters; the aggregator learns their addresses from their first
-// packets, so no registration is needed.
+// (switchml.DialSharded) both use; a tuned pool (-pool 0) is divided
+// among the N, as for the shards of one worker. Each worker is told
+// the pool size and packet size when it connects, and gives only
+// -workers and its job id; the aggregator learns its address from its
+// first update, so no registration is needed.
 //
 // Elastic membership (single-pool mode, needs -liveness): -absent
 // lists worker ids that start outside the job and may join later
@@ -53,9 +55,9 @@ func main() {
 	listen := flag.String("listen", ":5555", "UDP listen address")
 	workers := flag.Int("workers", 2, "number of workers per aggregation (n)")
 	pool := flag.Int("pool", 0,
-		"aggregator pool size (s); 0 = tuned to -workers and -elems (64 at the tuned -elems; at -elems 32, 512 for 2 workers, 256 for 4, 128 for 8, 64 from 9 up)")
+		"aggregator pool size (s), told to every worker; 0 = tuned to -workers and -elems (64 at the tuned -elems; at -elems 32, 512 for 2 workers, 256 for 4, 128 for 8, 64 from 9 up), divided among the pools with -jobs N")
 	elems := flag.Int("elems", 0,
-		"elements per packet (k); 0 = tuned to -workers, as switchml-worker always is (352 for 1 worker, 312 for 2, 152 for 4, 72 for 8, 32 from 16 up)")
+		"elements per packet (k), told to every worker; 0 = tuned to -workers (352 for 1 worker, 312 for 2, 152 for 4, 72 for 8, 32 from 16 up)")
 	jobs := flag.Int("jobs", 1, "number of pools to serve (tenants or worker shards)")
 	jobBase := flag.Uint("job-base", 0, "first job id")
 	metrics := flag.String("metrics", "", "optional HTTP address exposing /stats")

@@ -4,13 +4,15 @@
 //
 // Usage:
 //
-//	switchml-worker -agg host:5555 -id 0 -workers 4 [-pool 0]
+//	switchml-worker -agg host:5555 -id 0 -workers 4
 //	    [-elems-per-tensor 1000000] [-iters 10] [-job 0] [-debug :6061]
 //	    [-adaptive-rto] [-mesh-listen :7001] [-mesh h0:7001,h1:7001,...]
 //	    [-standby host:5556,host2:5555] [-degraded-mode] [-join]
 //	    [-drain-after 5]
 //
-// Every participating worker must use a distinct -id in [0,workers).
+// Every participating worker must use a distinct -id in [0,workers),
+// and -workers must be the aggregator's: the pool size and packet size
+// are the aggregator's, which it tells each worker when it connects.
 // -debug starts an HTTP introspection listener serving /metrics,
 // /debug/vars and /debug/pprof/ for the live worker. -mesh arms the
 // host-all-reduce fallback: if the aggregator dies mid-job the
@@ -50,8 +52,6 @@ func main() {
 	aggAddr := flag.String("agg", "127.0.0.1:5555", "aggregator UDP address")
 	id := flag.Int("id", 0, "this worker's id")
 	workers := flag.Int("workers", 2, "number of workers (n)")
-	pool := flag.Int("pool", 0,
-		"pool size (s), at most the aggregator's; 0 selects the size a 0 there does, tuned from -workers")
 	elems := flag.Int("elems-per-tensor", 1_000_000, "tensor length per iteration")
 	iters := flag.Int("iters", 10, "number of all-reduce iterations")
 	job := flag.Uint("job", 0, "job id")
@@ -95,7 +95,6 @@ func main() {
 	params := switchml.PeerParams{
 		ID:          *id,
 		Workers:     *workers,
-		PoolSize:    *pool,
 		JobID:       uint16(*job),
 		RTO:         *rto,
 		Heartbeat:   *heartbeat,

@@ -11,7 +11,9 @@
 //     all-reduce in one process. See NewCluster.
 //   - A UDP deployment runs the same protocol over real sockets: a
 //     software "parameter aggregator" (the §6 deployment model) and
-//     worker clients. See ListenAggregator and DialAggregator.
+//     worker clients. The aggregator owns the job's pool size and
+//     packet size and tells each worker when it dials. See
+//     ListenAggregator and DialAggregator.
 //   - A deterministic simulation reproduces the paper's testbed —
 //     rack topologies, programmable-switch constraints, packet loss,
 //     and the baseline systems (ring all-reduce, halving-doubling,

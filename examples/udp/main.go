@@ -45,7 +45,7 @@ func main() {
 		go func() {
 			defer wg.Done()
 			peer, err := switchml.DialAggregator(agg.Addr(), switchml.PeerParams{
-				ID: i, Workers: workers, PoolSize: 16, Scale: scale,
+				ID: i, Workers: workers, Scale: scale,
 			})
 			if err != nil {
 				log.Fatalf("worker %d: %v", i, err)

@@ -108,17 +108,16 @@ type AggView struct {
 	// shard socket's full receive buffer; RcvbufBytes the buffer it
 	// granted and RcvbufNeedBytes what every worker's window in flight
 	// can occupy. Drops during a poll interval raise the overrun flag.
-	// BeyondPool counts updates for slots the pool does not have — a
-	// worker configured with a larger pool — and raises pool-mismatch.
+	// BeyondPool counts updates for slots the pool does not have, which
+	// the workers' dial hello keeps at 0.
 	PoolSize        int    `json:"pool_size"`
 	RcvbufDrops     uint64 `json:"udp_rcvbuf_drops"`
 	RcvbufBytes     int    `json:"rcvbuf_bytes"`
 	RcvbufNeedBytes int    `json:"rcvbuf_need_bytes"`
 	BeyondPool      uint64 `json:"updates_beyond_pool"`
-	// NewRcvbufDrops and NewBeyondPool are the two counters' growth
-	// over the poll interval, what the flags fire on.
+	// NewRcvbufDrops is the drop counter's growth over the poll
+	// interval, what the overrun flag fires on.
 	NewRcvbufDrops uint64 `json:"udp_rcvbuf_drops_new"`
-	NewBeyondPool  uint64 `json:"updates_beyond_pool_new"`
 }
 
 // WorkerView is one worker's row of the cluster view.
@@ -294,7 +293,6 @@ func (p *Poller) Poll() (*ClusterView, error) {
 				av.TxRate = rate(st.Sent, p.prevAgg.Sent)
 				av.ShardImbalance = shardImbalance(st.ShardDatagrams, p.prevAgg.ShardDatagrams)
 				av.NewRcvbufDrops = delta(st.RcvbufDrops, p.prevAgg.RcvbufDrops)
-				av.NewBeyondPool = delta(st.BeyondPool, p.prevAgg.BeyondPool)
 			}
 			v.Agg = av
 		}
@@ -421,10 +419,6 @@ func (p *Poller) flag(v *ClusterView) {
 		if w.NewRcvbufDrops > 0 {
 			v.Flags = append(v.Flags, fmt.Sprintf("overrun(w%d %d drops)", w.Worker, w.NewRcvbufDrops))
 		}
-	}
-	if a := v.Agg; a != nil && a.NewBeyondPool > 0 {
-		v.Flags = append(v.Flags,
-			fmt.Sprintf("pool-mismatch(%d updates beyond the aggregator's %d slots)", a.NewBeyondPool, a.PoolSize))
 	}
 	for _, w := range v.Workers {
 		var transitions uint64

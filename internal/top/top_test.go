@@ -97,12 +97,10 @@ func TestPollerRatesAndFlags(t *testing.T) {
 		NetMode:        "mmsg",
 		SendErrors:     7,
 		// 2 workers × 2,048 slots against a stock receive buffer: the
-		// kernel shed 40 trains, and one worker was started with -pool
-		// 4096.
+		// kernel shed 40 trains.
 		RcvbufDrops:     40,
 		RcvbufBytes:     212992,
 		RcvbufNeedBytes: 5242880,
-		BeyondPool:      2048,
 	}))
 	w0Doc.Store(ptrAny(transport.ClientDebugState{
 		Role: "worker", Worker: 0, Epoch: 8, Degraded: true,
@@ -159,10 +157,9 @@ func TestPollerRatesAndFlags(t *testing.T) {
 	if !strings.Contains(joined, "shard-imbalance") {
 		t.Errorf("flags %v missing shard imbalance", v2.Flags)
 	}
-	// Drops at full receive buffers during the interval, on both roles,
-	// and updates for slots the aggregator does not have.
+	// Drops at full receive buffers during the interval, on both roles.
 	for _, want := range []string{
-		"overrun(agg 40 drops, rcvbuf 212992 of 5242880 needed)", "overrun(w0 5 drops)", "pool-mismatch(2048 updates",
+		"overrun(agg 40 drops, rcvbuf 212992 of 5242880 needed)", "overrun(w0 5 drops)",
 	} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("flags %v missing %q", v2.Flags, want)

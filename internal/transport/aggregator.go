@@ -53,8 +53,8 @@ const (
 	inflightBudget = 160 << 10
 )
 
-// TunePoolSize is the pool size s both ends of the UDP transport select
-// when none is configured, from what both already know: the largest
+// TunePoolSize is the pool size s an aggregator selects when none is
+// configured, from the job's worker count and packet size: the largest
 // power of two that keeps workers×s update datagrams of slotElems
 // elements inside inflightBudget, and never less than minPoolSize.
 // That is 512 for 2 workers of 32-element packets, 256 for 4, 128 for 8
@@ -89,8 +89,8 @@ const (
 	elemAlign = 8
 )
 
-// TuneShape is the packet size k both ends of the UDP transport select
-// when none is configured, from Workers alone: the largest multiple of
+// TuneShape is the packet size k an aggregator selects when none is
+// configured, from Workers alone: the largest multiple of
 // elemAlign that is at least packet.DefaultElems, keeps an update
 // datagram inside one frame (frameMTU), and keeps workers×minPoolSize
 // such datagrams inside inflightBudget. That is k = 352 for 1 worker,
@@ -110,6 +110,18 @@ func TuneShape(workers int) int {
 	return max(min(frame, window)&^(elemAlign-1), packet.DefaultElems)
 }
 
+// fillShape fills a pool's zero k and s by the rules, the tuned s
+// shared among shards (at least one slot each). Only the aggregator
+// decides the shape: a worker adopts it at dial (Client.hello).
+func fillShape(c *core.SwitchConfig, shards int) {
+	if c.SlotElems == 0 {
+		c.SlotElems = TuneShape(c.Workers)
+	}
+	if c.PoolSize == 0 {
+		c.PoolSize = max(TunePoolSize(c.Workers, c.SlotElems)/shards, 1)
+	}
+}
+
 // BatchOccupancyBuckets bound the batch-occupancy histograms:
 // datagrams drained per receive wakeup, up to the two workers' tuned
 // windows landing on one shard in one burst and beyond.
@@ -121,7 +133,8 @@ type AggregatorConfig struct {
 	// ":5555".
 	Addr string
 	// Switch is the aggregation pool configuration; LossRecovery
-	// should be true on any real network. A nil Switch.Now selects the
+	// should be true on any real network. A zero PoolSize or SlotElems
+	// selects the tuned one (fillShape). A nil Switch.Now selects the
 	// aggregator's burst clock: wall-clock nanoseconds read once per
 	// receive wakeup by each shard, so slot start times and switch
 	// trace events resolve to a burst (tens of microseconds), and a
@@ -212,9 +225,9 @@ type Aggregator struct {
 	// buffer (netio.Conn.RcvbufDrops, summed over the shard sockets): a
 	// window larger than the buffer holds, rather than a lossy path.
 	// beyondPool counts updates for a slot index the pool does not have
-	// — a worker configured with a larger pool than this aggregator's,
-	// whose job would otherwise just never finish. bufs is what the
-	// sockets were sized to (the least grant among them).
+	// — from a worker that took no shape from the dial hello, since the
+	// hello refuses a larger pool. bufs is what the sockets were sized
+	// to (the least grant among them).
 	rcvDrops, beyondPool *telemetry.Counter
 	bufs                 sockBuffers
 	// sendErrs counts result/control datagrams whose socket send
@@ -350,6 +363,7 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 // newAggregator is NewAggregator over a given wall clock, which has to
 // be in place before the shard goroutines start.
 func newAggregator(cfg AggregatorConfig, clock func() time.Time) (*Aggregator, error) {
+	fillShape(&cfg.Switch, 1)
 	a := newServer(cfg, clock)
 	sc := cfg.Switch
 	sc.Metrics, sc.Tracer = a.reg, cfg.Tracer
@@ -554,6 +568,9 @@ func (a *Aggregator) Addr() *net.UDPAddr { return a.conns[0].LocalAddr().(*net.U
 // allocated when none was supplied.
 func (a *Aggregator) Registry() *telemetry.Registry { return a.reg }
 
+// Config returns the served pool's configuration, its shape filled in.
+func (a *Aggregator) Config() core.SwitchConfig { return a.job.sw.Config() }
+
 // Stats returns the switch state machine counters. The counters are
 // atomic, so this is safe to call concurrently with the serving
 // goroutines — no lock is taken and packet handling is never stalled
@@ -625,8 +642,8 @@ func (a *Aggregator) serve(sh *aggShard) {
 			if j == nil {
 				j = tab.byID[sh.pkt.JobID] // several jobs: JobID names the job
 			}
-			if j == nil || int(sh.pkt.WorkerID) >= len(j.peers) {
-				continue // no such job, or no such worker
+			if j == nil || (int(sh.pkt.WorkerID) >= len(j.peers) && sh.pkt.Kind != packet.KindProbe) {
+				continue // no such job, or no such worker (whose hello is answered)
 			}
 			sh.job = j
 			//switchml:dispatch
@@ -814,38 +831,48 @@ func (a *Aggregator) handleUpdate(sh *aggShard, src netip.AddrPort) {
 	}
 }
 
-// handleProbe answers a degraded worker asking whether the aggregator
-// is back. The probe carries the generation the workers will fail
-// back under; seeing a newer generation than our own means an outage
-// happened (possibly a restart that lost the bump), so the pool is
-// wiped under the proposed generation before answering — the fence
-// that keeps anything aggregated before the outage from leaking into
-// post-failback slots. The ack echoes the probe sequence so the
-// worker can match it to its probation window. A multi-job aggregator
-// drops probes: the generation + 1 one proposes is another job's id.
+// handleProbe answers a probe. A hello (Ver 1) is a worker dialing: the
+// ack carries the job's s, k and n (Client.hello), and answering only
+// reads — no member, generation or liveness clock moves.
+//
+// Any other probe is a degraded worker asking whether the aggregator
+// is back. It carries the generation the workers will fail back under;
+// seeing a newer generation than our own means an outage happened
+// (possibly a restart that lost the bump), so the pool is wiped under
+// the proposed generation before answering — the fence that keeps
+// anything aggregated before the outage from leaking into post-failback
+// slots. The ack echoes the probe sequence so the worker can match it
+// to its probation window. A multi-job aggregator drops these: the
+// generation + 1 one proposes is another job's id.
 func (a *Aggregator) handleProbe(sh *aggShard, src netip.AddrPort) {
-	if a.job == nil {
+	p, j := &sh.pkt, sh.job
+	var shape []int32
+	switch {
+	case p.Ver == 1:
+		c := j.sw.Config()
+		shape = []int32{int32(j.pool), int32(c.SlotElems), int32(c.Workers)}
+	case a.job == nil || int(p.WorkerID) >= len(j.peers):
 		return
-	}
-	p, j := &sh.pkt, a.job
-	if a.lv != nil {
-		if a.lv.tracker.Dead(int(p.WorkerID)) {
-			return
+	default:
+		if a.lv != nil {
+			if a.lv.tracker.Dead(int(p.WorkerID)) {
+				return
+			}
+			// Probes are liveness: a worker on the mesh is silent on the
+			// update path but very much alive.
+			a.lv.tracker.Touch(int(p.WorkerID), a.coarse.Load())
 		}
-		// Probes are liveness: a worker on the mesh is silent on the
-		// update path but very much alive.
-		a.lv.tracker.Touch(int(p.WorkerID), a.coarse.Load())
-	}
-	j.setPeer(p.WorkerID, src)
-	if int16(p.JobID-j.gen()) > 0 {
-		a.mu.Lock()
+		j.setPeer(p.WorkerID, src)
 		if int16(p.JobID-j.gen()) > 0 {
-			_ = a.installLocked(nil, p.JobID) // keeping the membership cannot fail
+			a.mu.Lock()
+			if int16(p.JobID-j.gen()) > 0 {
+				_ = a.installLocked(nil, p.JobID) // keeping the membership cannot fail
+			}
+			a.mu.Unlock()
 		}
-		a.mu.Unlock()
 	}
-	ack := packet.NewControl(packet.KindProbeAck, p.WorkerID, j.gen(), 0, nil)
-	ack.Idx = p.Idx
+	ack := packet.NewControl(packet.KindProbeAck, p.WorkerID, j.gen(), 0, shape)
+	ack.Idx, ack.Ver = p.Idx, p.Ver
 	sh.ctrl = ack.AppendMarshal(sh.ctrl[:0])
 	a.reply(sh, sh.ctrl, src)
 }

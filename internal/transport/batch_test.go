@@ -256,13 +256,14 @@ func TestClientWindowPumpZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sink.Close() // never read: loopback drops on a full buffer without erroring the sender
+	defer sink.Close() // read only for the hello: loopback drops on a full buffer without erroring the sender
 	const s, k, runs = 8, 32, 100
 	for name, inj := range map[string]*faults.InjectorConfig{
 		"clean":    nil,
 		"injected": {Seed: 3, DropRate: 0.2, DupRate: 0.2, CorruptRate: 0.2},
 	} {
 		t.Run(name, func(t *testing.T) {
+			answerHello(sink, s, k, 1)
 			c, err := NewClient(ClientConfig{
 				Aggregator: sink.LocalAddr().String(),
 				Worker:     core.WorkerConfig{ID: 0, Workers: 1, PoolSize: s, SlotElems: k, LossRecovery: true},
@@ -323,8 +324,9 @@ func TestClientResultDatagramZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sink.Close() // never read: loopback drops on a full buffer without erroring the sender
+	defer sink.Close() // read only for the hello: loopback drops on a full buffer without erroring the sender
 	const s, k, runs = 8, 32, 100
+	answerHello(sink, s, k, 1)
 	c, err := NewClient(ClientConfig{
 		Aggregator: sink.LocalAddr().String(),
 		Worker:     core.WorkerConfig{ID: 0, Workers: 1, PoolSize: s, SlotElems: k, LossRecovery: true},

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -38,9 +39,10 @@ type ClientConfig struct {
 	// aggregator. Zero derives a deterministic seed from the worker id;
 	// replay harnesses set it explicitly.
 	JitterSeed int64
-	// Worker is the protocol configuration; it must agree with the
-	// aggregator's SwitchConfig on Workers, PoolSize, SlotElems and
-	// LossRecovery.
+	// Worker is the protocol configuration. A zero PoolSize or SlotElems
+	// adopts the job's, which the aggregator tells at dial; a smaller
+	// PoolSize keeps a smaller window, and any other disagreement fails
+	// the dial with ErrShape. LossRecovery must agree.
 	Worker core.WorkerConfig
 	// RTO is the retransmission timeout; zero selects 50 ms, generous
 	// for a LAN (the paper's testbed uses 1 ms; over real kernels a
@@ -257,9 +259,15 @@ type Client struct {
 	wg        sync.WaitGroup
 }
 
-// NewClient binds a local UDP socket and prepares the worker state
-// machine.
-func NewClient(cfg ClientConfig) (*Client, error) {
+// ErrShape fails a dial whose worker cannot take the job's shape: its k
+// or Workers differ, its s is larger, or the aggregator told no shape
+// (it predates the hello). Test with errors.Is.
+var ErrShape = errors.New("transport: the worker's shape disagrees with the aggregator's")
+
+// NewClient binds a local UDP socket, asks the primary aggregator for
+// the job's shape (hello: a Timeout of silence fails the dial, standbys
+// wait for the first call) and prepares the worker state machine.
+func NewClient(cfg ClientConfig) (_ *Client, err error) {
 	if cfg.RTO == 0 {
 		cfg.RTO = 50 * time.Millisecond
 	}
@@ -271,40 +279,32 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		reg = telemetry.NewRegistry()
 	}
 	cfg.Worker.Metrics = reg
-	w, err := core.NewWorker(cfg.Worker)
-	if err != nil {
-		return nil, err
-	}
 	raddr, err := net.ResolveUDPAddr("udp", cfg.Aggregator)
 	if err != nil {
 		return nil, fmt.Errorf("transport: resolve %q: %w", cfg.Aggregator, err)
-	}
-	conn, err := net.DialUDP("udp", nil, raddr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial: %w", err)
 	}
 	ladder := []*net.UDPAddr{raddr}
 	for i, s := range cfg.Standbys {
 		sa, err := net.ResolveUDPAddr("udp", s)
 		if err != nil {
-			conn.Close()
 			return nil, fmt.Errorf("transport: resolve standby %d %q: %w", i, s, err)
 		}
 		ladder = append(ladder, sa)
 	}
 	var inj *faults.PacketInjector
 	if cfg.Inject != nil {
-		inj, err = faults.NewPacketInjector(*cfg.Inject)
-		if err != nil {
-			conn.Close()
+		if inj, err = faults.NewPacketInjector(*cfg.Inject); err != nil {
 			return nil, err
 		}
+	}
+	conn, err := net.DialUDP("udp", nil, raddr)
+	if err != nil {
+		return nil, fmt.Errorf("transport: dial: %w", err)
 	}
 	id := fmt.Sprintf("%d", cfg.Worker.ID)
 	c := &Client{
 		cfg:         cfg,
 		conn:        conn,
-		worker:      w,
 		reg:         reg,
 		actor:       "w" + id,
 		inj:         inj,
@@ -326,9 +326,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		gDegraded:   reg.Gauge("worker_degraded", "worker", id),
 		gHome:       reg.Gauge("worker_home_rank", "worker", id),
 		clock:       time.Now,
-		pump:        core.NewPump(w, int64(cfg.RTO), cfg.AdaptiveRTO),
 		t0:          time.Now(),
-		due:         make([]uint32, 0, cfg.Worker.PoolSize),
 		epoch:       cfg.Worker.JobID,
 		ladder:      ladder,
 		frng:        rand.New(rand.NewSource(jitterSeed(&cfg, 1))),
@@ -340,43 +338,50 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	c.failProbeAcks = reg.Counter("failover_probe_acks_total", "worker", id)
 	c.failFailbacks = reg.Counter("failover_failbacks_total", "worker", id)
 	c.hbConn.Store(conn)
-	if err := c.wrapMain(conn); err != nil {
-		conn.Close()
-		return nil, err
-	}
+	defer func() {
+		if err != nil {
+			c.Close()
+		}
+	}()
 	if cfg.Fallback != nil {
-		fc := *cfg.Fallback
-		fc.fillDefaults(cfg.RTO)
+		fb := &fallback{cfg: *cfg.Fallback}
+		fb.cfg.SuspectAfter, fb.cfg.Probation = cmp.Or(fb.cfg.SuspectAfter, 8*cfg.RTO), cmp.Or(fb.cfg.Probation, 3)
 		var laddr *net.UDPAddr
-		if fc.Listen != "" {
-			laddr, err = net.ResolveUDPAddr("udp", fc.Listen)
-			if err != nil {
-				conn.Close()
+		if fb.cfg.Listen != "" {
+			if laddr, err = net.ResolveUDPAddr("udp", fb.cfg.Listen); err != nil {
 				return nil, fmt.Errorf("transport: mesh listen address: %w", err)
 			}
 		}
-		c.fb = &fallback{cfg: fc}
-		if err := c.fb.resolvePeers(fc.Peers, int(cfg.Worker.ID)); err != nil {
-			conn.Close()
+		if err := fb.resolvePeers(fb.cfg.Peers, int(cfg.Worker.ID)); err != nil {
 			return nil, err
 		}
 		mesh, err := net.ListenUDP("udp", laddr)
 		if err != nil {
-			conn.Close()
 			return nil, fmt.Errorf("transport: bind mesh socket: %w", err)
 		}
-		c.fb.nc, err = netio.Wrap(mesh, netio.Config{
+		fb.nc, err = netio.Wrap(mesh, netio.Config{
 			Batch: DefaultBatch,
-			MTU:   meshMTU(fc.SegElems),
+			MTU:   meshMTU,
 			OnSendError: func(err error, n int) {
 				c.sendErrs.Add(uint64(n))
 			},
 		})
 		if err != nil {
 			mesh.Close()
-			conn.Close()
 			return nil, fmt.Errorf("transport: wrap mesh socket: %w", err)
 		}
+		c.fb = fb
+	}
+	if err := c.hello(); err != nil {
+		return nil, err
+	}
+	if c.worker, err = core.NewWorker(c.cfg.Worker); err != nil {
+		return nil, err
+	}
+	c.pump = core.NewPump(c.worker, int64(cfg.RTO), cfg.AdaptiveRTO)
+	c.due = make([]uint32, 0, c.cfg.Worker.PoolSize)
+	if err := c.wrapMain(conn); err != nil {
+		return nil, err
 	}
 	c.gRTO.Set(int64(cfg.RTO))
 	c.gEpoch.Set(int64(cfg.Worker.JobID))
@@ -385,6 +390,52 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		go c.heartbeatLoop()
 	}
 	return c, nil
+}
+
+// hello is the dial handshake: a KindProbe with Ver 1, sent clean every
+// RTO until the ack, whose vector is the job's s, k and n, or Timeout.
+func (c *Client) hello() error {
+	w := &c.cfg.Worker
+	buf := make([]byte, aggWireMTU(0))
+	var p packet.Packet
+	deadline := time.Now().Add(c.cfg.Timeout)
+	for next := time.Now(); ; {
+		now := time.Now()
+		if now.After(deadline) {
+			return fmt.Errorf("transport: dial: %s silent for %v: %w", c.cfg.Aggregator, c.cfg.Timeout, ErrAggregatorSilent)
+		}
+		if !now.Before(next) {
+			if err := c.sendCtl(c.conn, packet.KindProbe, w.JobID, 0, 0, 1); err != nil {
+				return err
+			}
+			next = now.Add(c.cfg.RTO)
+		}
+		if err := c.conn.SetReadDeadline(next); err != nil {
+			return err
+		}
+		n, err := c.conn.Read(buf)
+		if err != nil {
+			// With a standby or mesh to take over, a refused primary waits.
+			if ne, ok := err.(net.Error); (ok && ne.Timeout()) || (c.canDegrade() && deadDestination(err)) {
+				continue
+			}
+			return fmt.Errorf("transport: dial: %w", err)
+		}
+		c.recvd.Inc()
+		if packet.UnmarshalInto(&p, buf[:n]) != nil || p.Kind != packet.KindProbeAck {
+			continue
+		}
+		if len(p.Vector) < 3 {
+			return fmt.Errorf("transport: dial: %s answered without the job's shape: %w", c.cfg.Aggregator, ErrShape)
+		}
+		s, k, workers := int(p.Vector[0]), int(p.Vector[1]), int(p.Vector[2])
+		if (w.SlotElems != 0 && w.SlotElems != k) || w.PoolSize > s || w.Workers != workers {
+			return fmt.Errorf("transport: dial: a worker of %d workers with k %d and s %d against a job of %d workers with k %d and s %d: %w",
+				w.Workers, w.SlotElems, w.PoolSize, workers, k, s, ErrShape)
+		}
+		w.SlotElems, w.PoolSize = k, cmp.Or(w.PoolSize, s)
+		return c.conn.SetReadDeadline(time.Time{})
+	}
 }
 
 // Close stops the heartbeat beacon and releases the sockets. The
@@ -446,6 +497,9 @@ func (c *Client) Registry() *telemetry.Registry { return c.reg }
 // atomic, so this is safe to call from a monitoring goroutine while
 // AllReduceInt32 runs.
 func (c *Client) Stats() core.WorkerStats { return c.worker.Stats() }
+
+// WorkerConfig returns the worker's configuration, shape as told at dial.
+func (c *Client) WorkerConfig() core.WorkerConfig { return c.cfg.Worker }
 
 // TensorOpen reports whether the last call failed with its tensor
 // open: only a retry with the same slice may follow, and it continues

@@ -144,7 +144,14 @@ func TestRetransmitTimerOnBurstClock(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if packet.UnmarshalInto(&p, buf[:n]) != nil || p.Kind != packet.KindUpdate {
+			if packet.UnmarshalInto(&p, buf[:n]) != nil {
+				continue
+			}
+			if ack := helloAck(&p, 4, k, 1); ack != nil {
+				sock.WriteToUDPAddrPort(ack, src)
+				continue
+			}
+			if p.Kind != packet.KindUpdate {
 				continue
 			}
 			arrivals <- time.Now()
@@ -281,24 +288,32 @@ func TestClientModesFollowInjectedClock(t *testing.T) {
 		}, "mesh ring timed out"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			silent := func() string {
+			// helloFor, when nonzero, is the worker count of the job whose
+			// shape the socket tells the dial before it falls silent.
+			silent := func(helloFor int) string {
 				sock, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { sock.Close() })
+				if helloFor > 0 {
+					answerHello(sock, 4, 8, helloFor)
+				}
 				return sock.LocalAddr().String()
 			}
+			workers := 1
+			if tc.mesh {
+				workers = 2
+			}
 			cfg := ClientConfig{
-				Aggregator: silent(),
-				Standbys:   []string{silent()},
-				Worker:     core.WorkerConfig{ID: 0, Workers: 1, PoolSize: 4, SlotElems: 8, LossRecovery: true},
+				Aggregator: silent(workers),
+				Standbys:   []string{silent(0)},
+				Worker:     core.WorkerConfig{ID: 0, Workers: workers, PoolSize: 4, SlotElems: 8, LossRecovery: true},
 				RTO:        rto,
 				Timeout:    time.Hour,
 			}
 			if tc.mesh {
-				cfg.Worker.Workers = 2
-				cfg.Fallback = &FallbackConfig{Peers: []string{"", silent()}}
+				cfg.Fallback = &FallbackConfig{Peers: []string{"", silent(0)}}
 			}
 			c, err := NewClient(cfg)
 			if err != nil {

@@ -49,8 +49,8 @@ type AggDebugState struct {
 	RcvbufBytes     int    `json:"rcvbuf_bytes"`
 	RcvbufNeedBytes int    `json:"rcvbuf_need_bytes"`
 	// BeyondPool counts updates for a slot index at or past the pool
-	// size: some worker was configured with a larger pool than this
-	// aggregator, and its job cannot finish.
+	// size. The dial hello refuses a worker with a larger pool, so it
+	// stays 0 unless a peer skipped the hello.
 	BeyondPool uint64 `json:"updates_beyond_pool"`
 	// Adoptions counts warm-standby adoption roll calls this
 	// aggregator has committed: jobs it inherited from a dead rung
@@ -178,8 +178,8 @@ type ClientDebugState struct {
 	// absorbed by netio's bounded backoff instead of dropping, summed
 	// across socket views retired by re-homes.
 	SendRetries uint64 `json:"udp_send_retries"`
-	// PoolSize is s, configured or tuned (TunePoolSize): the window this
-	// worker keeps in flight. RcvbufDrops, RcvbufBytes and
+	// PoolSize is s, configured or taken from the aggregator at dial:
+	// the window this worker keeps in flight. RcvbufDrops, RcvbufBytes and
 	// RcvbufNeedBytes are the aggregator-side fields' twins for the
 	// result datagrams flowing back: drops at this socket's full receive
 	// buffer, the buffer granted, and what one window can occupy.

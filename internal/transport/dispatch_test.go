@@ -115,7 +115,14 @@ func TestPreviousLayoutCountedCorrupted(t *testing.T) {
 				if err != nil {
 					return
 				}
-				if packet.UnmarshalInto(&p, buf[:n]) != nil || p.Kind != packet.KindUpdate {
+				if packet.UnmarshalInto(&p, buf[:n]) != nil {
+					continue
+				}
+				if ack := helloAck(&p, 4, 8, 1); ack != nil {
+					sock.WriteToUDPAddrPort(ack, src)
+					continue
+				}
+				if p.Kind != packet.KindUpdate {
 					continue
 				}
 				sock.WriteToUDPAddrPort(old, src)

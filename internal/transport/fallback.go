@@ -79,27 +79,12 @@ type FallbackConfig struct {
 	// aggregator probe answered before the collective fails back; zero
 	// selects 3. Negative pins the job on the mesh forever.
 	Probation int
-	// SegElems is the mesh datagram payload in elements; zero selects
-	// 256 (a 1048-byte datagram, safely under any MTU worth using).
-	SegElems int
-	// Window is the go-back-N window in segments; zero selects 32.
-	Window int
 }
 
-func (c *FallbackConfig) fillDefaults(rto time.Duration) {
-	if c.SuspectAfter == 0 {
-		c.SuspectAfter = 8 * rto
-	}
-	if c.Probation == 0 {
-		c.Probation = 3
-	}
-	if c.SegElems == 0 {
-		c.SegElems = 256
-	}
-	if c.Window == 0 {
-		c.Window = 32
-	}
-}
+// meshSegElems is the mesh ring's datagram payload in elements (a
+// 1,048-byte datagram, safely under any MTU worth using), and
+// meshWindow its go-back-N window in segments.
+const meshSegElems, meshWindow = 256, 32
 
 // FallbackStats is a snapshot of the degraded-path counters. All
 // counters are maintained atomically, so the snapshot is safe to take
@@ -167,7 +152,7 @@ type fallback struct {
 // meshMTU is the mesh socket view's datagram ceiling: its largest
 // datagram is a ring segment or a state-transfer reply, whichever
 // carries more elements.
-func meshMTU(segElems int) int { return aggWireMTU(max(segElems, stateSegElems)) }
+var meshMTU = aggWireMTU(max(meshSegElems, stateSegElems))
 
 // meshAddr is the form mesh addresses are kept and compared in: a
 // dual-stack socket reports IPv4 senders IPv4-mapped.
@@ -445,7 +430,7 @@ func (c *Client) meshSync(p *packet.Packet) bool {
 // c*L/n, so the tables are identical arithmetic on every worker and the
 // receive-side numbering matches the predecessor's send side exactly.
 type ring struct {
-	n, L, segElems, G                  int
+	n, L, G                            int
 	F                                  uint64
 	sendStart, recvStart               []int // length G+1; [g] is step g's first seq
 	sendChunk, recvChunk               []int
@@ -454,10 +439,10 @@ type ring struct {
 	cumAck, nextSend, recvSeq, dupAcks int
 }
 
-func newRing(n, rank, segElems int, buf []int32, F uint64) ring {
+func newRing(n, rank int, buf []int32, F uint64) ring {
 	G := 2 * (n - 1)
 	r := ring{
-		n: n, L: len(buf), segElems: segElems, G: G, F: F,
+		n: n, L: len(buf), G: G, F: F,
 		sendStart: make([]int, G+1), recvStart: make([]int, G+1),
 		sendChunk: make([]int, G), recvChunk: make([]int, G),
 		buf: buf, next: (rank + 1) % n, prev: (rank + n - 1) % n,
@@ -481,7 +466,7 @@ func newRing(n, rank, segElems int, buf []int32, F uint64) ring {
 func (r *ring) bound(c int) int    { return c * r.L / r.n }
 func (r *ring) chunkLen(c int) int { return r.bound(c+1) - r.bound(c) }
 func (r *ring) segs(c int) int {
-	return (r.chunkLen(c) + r.segElems - 1) / r.segElems
+	return (r.chunkLen(c) + meshSegElems - 1) / meshSegElems
 }
 
 // stepOf returns the step a sequence number belongs to. G is tiny
@@ -500,8 +485,8 @@ func (r *ring) segSpan(starts, chunks []int, seq int) (g, off, length int) {
 	g = stepOf(starts, seq)
 	c := chunks[g]
 	seg := seq - starts[g]
-	off = r.bound(c) + seg*r.segElems
-	return g, off, min(r.chunkLen(c)-seg*r.segElems, r.segElems)
+	off = r.bound(c) + seg*meshSegElems
+	return g, off, min(r.chunkLen(c)-seg*meshSegElems, meshSegElems)
 }
 
 // done reports whether every segment is acked and every one received.
@@ -521,7 +506,7 @@ func (c *Client) meshRound(buf []int32, F uint64, deadline time.Time) error {
 		fb.prevRecvTotal = 0
 		return nil
 	}
-	fb.ring = newRing(n, int(c.cfg.Worker.ID), fb.cfg.SegElems, buf, F)
+	fb.ring = newRing(n, int(c.cfg.Worker.ID), buf, F)
 	// The replay timer starts from a fresh reading: copying the tensor
 	// suffix took time since the barrier's last pass.
 	c.tick()
@@ -536,7 +521,7 @@ func (c *Client) meshRound(buf []int32, F uint64, deadline time.Time) error {
 // window has room for whose step's input has arrived — and restarts the
 // replay timer if it staged any.
 func (c *Client) ringFill() {
-	for r := &c.fb.ring; r.nextSend < r.sendStart[r.G] && r.nextSend-r.cumAck < c.fb.cfg.Window && r.recvSeq >= r.recvStart[stepOf(r.sendStart, r.nextSend)]; r.nextSend++ {
+	for r := &c.fb.ring; r.nextSend < r.sendStart[r.G] && r.nextSend-r.cumAck < meshWindow && r.recvSeq >= r.recvStart[stepOf(r.sendStart, r.nextSend)]; r.nextSend++ {
 		c.sendSeg(r.nextSend)
 		c.nextTx = c.now.Add(c.cfg.RTO)
 	}

@@ -205,7 +205,6 @@ func TestFaultUDPNoFallbackTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer agg.Close()
-	agg.SetDown(true)
 	c, err := NewClient(ClientConfig{
 		Aggregator: agg.Addr().String(),
 		Worker:     core.WorkerConfig{ID: 0, Workers: 1, PoolSize: 4, SlotElems: 16, LossRecovery: true},
@@ -216,6 +215,7 @@ func TestFaultUDPNoFallbackTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	agg.SetDown(true)
 	u := make([]int32, 256)
 	for i := range u {
 		u[i] = int32(i)

@@ -54,22 +54,36 @@ func (m *MultiAggregator) Registry() *telemetry.Registry { return m.agg.reg }
 
 // AdmitJob allocates a pool for a job, failing when the memory budget
 // would be exceeded (the admission mechanism of §6) or its packets
-// would not fit (SlotElemsError).
+// would not fit (SlotElemsError), its zero shape tuned as NewAggregator's.
 func (m *MultiAggregator) AdmitJob(cfg core.SwitchConfig) error {
+	return m.AdmitShardedJob(cfg.JobID, 1, cfg)
+}
+
+// AdmitShardedJob admits the jobs jobBase..jobBase+shards-1 a ShardedPeer
+// streams through at once, each with its share of a tuned PoolSize: every
+// shard's window reaches the aggregator's sockets at once.
+func (m *MultiAggregator) AdmitShardedJob(jobBase uint16, shards int, cfg core.SwitchConfig) error {
+	if shards <= 0 {
+		return fmt.Errorf("transport: shard count must be positive, got %d", shards)
+	}
+	fillShape(&cfg, shards)
 	if cfg.SlotElems > maxJobElems {
 		return &SlotElemsError{SlotElems: cfg.SlotElems, Max: maxJobElems}
 	}
 	a := m.agg
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	defer m.retableLocked()
 	cfg.Metrics = a.reg
 	if cfg.Now == nil {
 		cfg.Now = a.coarse.Load
 	}
-	if _, err := m.ms.AdmitJob(cfg); err != nil {
-		return err
+	for s := range shards {
+		cfg.JobID = jobBase + uint16(s)
+		if _, err := m.ms.AdmitJob(cfg); err != nil {
+			return err
+		}
 	}
-	m.retableLocked()
 	return nil
 }
 

@@ -280,17 +280,18 @@ func TestLostReleaseRepair(t *testing.T) {
 	})
 }
 
-// echoAggregator is a one-worker job's aggregator played by hand: while
-// echo is set it answers each update with its result, the update
-// itself, and otherwise it stays silent. It remembers where the worker
-// sends from, for the directives the test sends it.
+// echoAggregator is a one-worker job's aggregator played by hand: it
+// tells a dialing worker a job of n workers with 4 slots of 8 elements,
+// and while echo is set it answers each update with its result, the
+// update itself, and otherwise it stays silent. It remembers where the
+// worker sends from, for the directives the test sends it.
 type echoAggregator struct {
 	conn *net.UDPConn
 	echo atomic.Bool
 	peer atomic.Pointer[net.UDPAddr]
 }
 
-func listenEcho(t *testing.T) *echoAggregator {
+func listenEcho(t *testing.T, n int) *echoAggregator {
 	t.Helper()
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -304,12 +305,19 @@ func listenEcho(t *testing.T) *echoAggregator {
 		buf := make([]byte, 64<<10)
 		var p packet.Packet
 		for {
-			n, from, err := conn.ReadFromUDP(buf)
+			nr, from, err := conn.ReadFromUDP(buf)
 			if err != nil {
 				return
 			}
 			e.peer.Store(from)
-			if packet.UnmarshalInto(&p, buf[:n]) != nil || p.Kind != packet.KindUpdate || !e.echo.Load() {
+			if packet.UnmarshalInto(&p, buf[:nr]) != nil {
+				continue
+			}
+			if ack := helloAck(&p, 4, 8, n); ack != nil {
+				conn.WriteToUDP(ack, from)
+				continue
+			}
+			if p.Kind != packet.KindUpdate || !e.echo.Load() {
 				continue
 			}
 			p.Kind = packet.KindResult
@@ -327,7 +335,7 @@ func listenEcho(t *testing.T) *echoAggregator {
 // drives the re-opened tensor to completion and then aggregates its
 // own, with the exact sum.
 func TestResumeInFenceHoldThenTimeout(t *testing.T) {
-	agg := listenEcho(t)
+	agg := listenEcho(t, 1)
 	agg.echo.Store(true)
 	c, err := NewClient(ClientConfig{
 		Aggregator: agg.conn.LocalAddr().String(),
@@ -399,7 +407,7 @@ func TestResumeInFenceHoldThenTimeout(t *testing.T) {
 // tensor at a negative offset.
 func TestDegradeBehindTensorBase(t *testing.T) {
 	const d = 20
-	agg := listenEcho(t)
+	agg := listenEcho(t, 2)
 	agg.echo.Store(true)
 	peer := listenLoopback(t)
 	c, err := NewClient(ClientConfig{

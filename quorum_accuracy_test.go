@@ -53,7 +53,7 @@ func trainQuorumOverUDP(t *testing.T, quorum int, policy LatePolicy, lag time.Du
 	peers := make([]*Peer, workers)
 	for i := range peers {
 		peers[i], err = DialAggregator(agg.Addr(), PeerParams{
-			ID: i, Workers: workers, PoolSize: 16,
+			ID: i, Workers: workers,
 			RTO: 20 * time.Millisecond, Timeout: 20 * time.Second,
 		})
 		if err != nil {

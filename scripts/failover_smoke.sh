@@ -13,7 +13,12 @@
 set -eu
 
 DIR=$(mktemp -d)
-trap 'kill $PRI $SBY 2>/dev/null || true; rm -rf "$DIR"' EXIT
+# Every process the script starts is killed on exit, with SIGKILL (a
+# worker takes SIGTERM as a request to drain, which a dead aggregator
+# never lets finish): workers left running when one fails would hold
+# the mesh ports, and the next run would fail to bind.
+PIDS=""
+trap 'kill -9 $PIDS 2>/dev/null || true; wait; rm -rf "$DIR"' EXIT
 
 PRI_PORT=${FAILOVER_SMOKE_PRI_PORT:-15755}
 SBY_PORT=${FAILOVER_SMOKE_SBY_PORT:-15756}
@@ -27,24 +32,26 @@ go build -o "$DIR" ./cmd/switchml-agg ./cmd/switchml-worker
 
 "$DIR/switchml-agg" -listen 127.0.0.1:$PRI_PORT -workers 3 -pool 16 \
     -down-after 2s -down-for 2s > "$DIR/pri.log" 2>&1 &
-PRI=$!
+PIDS="$PIDS $!"
 "$DIR/switchml-agg" -listen 127.0.0.1:$SBY_PORT -workers 3 -pool 16 \
     > "$DIR/sby.log" 2>&1 &
-SBY=$!
+PIDS="$PIDS $!"
 sleep 0.3
 
 # Workers: short RTO so the default silence window (8x RTO) trips well
 # inside the 2 s outage; enough iterations to span outage + probation.
 # A 2,048-element step takes ~0.3 ms on loopback, so 4,000 of them were
-# over before the drill fired; 40,000 run well past it.
+# over before the drill fired; 40,000 run well past it. Workers take
+# the pool size from the primary when they connect.
 WPIDS=""
 for id in 0 1 2; do
     eval "LISTEN=\$M$id"
-    "$DIR/switchml-worker" -agg 127.0.0.1:$PRI_PORT -id $id -workers 3 -pool 16 \
+    "$DIR/switchml-worker" -agg 127.0.0.1:$PRI_PORT -id $id -workers 3 \
         -elems-per-tensor 2048 -iters 40000 -rto 50ms \
         -standby 127.0.0.1:$SBY_PORT -mesh "$MESH" -mesh-listen "$LISTEN" \
         > "$DIR/w$id.log" 2>&1 &
     WPIDS="$WPIDS $!"
+    PIDS="$PIDS $!"
 done
 
 fail() {

@@ -172,7 +172,7 @@ func TestSessionOverUDP(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			peer, err := DialAggregator(agg.Addr(), PeerParams{
-				ID: i, Workers: n, PoolSize: 8, Scale: 1e5,
+				ID: i, Workers: n, Scale: 1e5,
 				RTO: 20 * time.Millisecond,
 			})
 			if err != nil {

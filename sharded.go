@@ -65,33 +65,24 @@ func (m *MultiAggregator) Close() error {
 }
 
 // AdmitJob allocates a pool for one job. A zero params.PoolSize or
-// params.SlotElems selects the size ListenAggregator does, so a Peer or
-// ShardedPeer dialed with the job's id and zero sizes agrees with it.
-// An explicit SlotElems above what the aggregator's datagrams carry
-// (2,294) is refused.
+// params.SlotElems selects the size ListenAggregator does; a Peer dialed
+// with the job's id is told the shape. An explicit SlotElems above what
+// the aggregator's datagrams carry (2,294) is refused.
 func (m *MultiAggregator) AdmitJob(job uint16, params AggregatorParams) error {
-	params.fill()
-	return m.inner.AdmitJob(core.SwitchConfig{
+	return m.AdmitShardedJob(job, 1, params)
+}
+
+// AdmitShardedJob allocates the pools of a ShardedPeer of shards shards,
+// job ids jobBase..jobBase+shards-1. A zero params.PoolSize gives each
+// its share of ListenAggregator's, at least one slot (16 a shard for 2
+// workers of 4), so that the shards keep one job's window in flight.
+func (m *MultiAggregator) AdmitShardedJob(jobBase uint16, shards int, params AggregatorParams) error {
+	return m.inner.AdmitShardedJob(jobBase, shards, core.SwitchConfig{
 		Workers:      params.Workers,
 		PoolSize:     params.PoolSize,
 		SlotElems:    params.SlotElems,
 		LossRecovery: true,
-		JobID:        job,
 	})
-}
-
-// AdmitShardedJob allocates the shards pools a ShardedPeer set with
-// the same parameters will use: job ids jobBase..jobBase+shards-1.
-func (m *MultiAggregator) AdmitShardedJob(jobBase uint16, shards int, params AggregatorParams) error {
-	if shards <= 0 {
-		return fmt.Errorf("switchml: shard count must be positive, got %d", shards)
-	}
-	for s := 0; s < shards; s++ {
-		if err := m.AdmitJob(jobBase+uint16(s), params); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // PoolSize returns an admitted job's s, as configured or as tuned; 0
@@ -108,17 +99,7 @@ func (m *MultiAggregator) ReleaseJob(job uint16) error { return m.inner.ReleaseJ
 // JobStats returns one admitted job's protocol counters.
 func (m *MultiAggregator) JobStats(job uint16) (AggregatorStats, bool) {
 	st, ok := m.inner.JobStats(job)
-	if !ok {
-		return AggregatorStats{}, false
-	}
-	return AggregatorStats{
-		Updates:               st.Updates,
-		Completions:           st.Completions,
-		IgnoredDuplicates:     st.IgnoredDuplicates,
-		ResultRetransmissions: st.ResultRetransmissions,
-		StaleUpdates:          st.StaleUpdates,
-		Rejected:              st.Rejected,
-	}, true
+	return aggregatorStats(st), ok
 }
 
 // ShardedPeer is a multi-core worker endpoint: the tensor is
@@ -150,20 +131,9 @@ type ShardedPeerParams struct {
 	// Shards is the core count; each shard gets its own socket,
 	// worker state machine and pool. Zero selects 4 (§5.1).
 	Shards int
-	// JobBase is the first shard's job id; shard s uses JobBase+s.
-	// Must match the aggregator's AdmitShardedJob call.
+	// JobBase is the first shard's job id (AdmitShardedJob's jobBase);
+	// shard s dials JobBase+s and is told that job's shape.
 	JobBase uint16
-	// PoolSize is s per shard, at most what the shards' jobs were
-	// admitted with. Zero divides the size AggregatorParams.PoolSize
-	// describes among the shards, 16 slots a shard for 2 workers of 4
-	// shards: every shard's window reaches the aggregator's sockets at
-	// once, so between them they keep one job's window in flight. A
-	// shard job admitted with a zero PoolSize has room for it.
-	PoolSize int
-	// SlotElems is k; zero selects the size AggregatorParams.SlotElems
-	// describes. It must equal the one the shards' jobs were admitted
-	// with.
-	SlotElems int
 	// Scale enables float32 all-reduce.
 	Scale float64
 	// RTO and Timeout as in PeerParams.
@@ -179,10 +149,6 @@ func DialSharded(addr string, params ShardedPeerParams) (*ShardedPeer, error) {
 	if params.Shards < 0 {
 		return nil, fmt.Errorf("switchml: shard count must be positive, got %d", params.Shards)
 	}
-	slotElems, poolSize := tuneShape(params.Workers, params.SlotElems, params.PoolSize)
-	if params.PoolSize == 0 {
-		poolSize = max(poolSize/params.Shards, 1)
-	}
 	sp := &ShardedPeer{}
 	if params.Scale != 0 {
 		fx, err := quant.NewFixedPoint(params.Scale)
@@ -197,8 +163,6 @@ func DialSharded(addr string, params ShardedPeerParams) (*ShardedPeer, error) {
 			Worker: core.WorkerConfig{
 				ID:           uint16(params.ID),
 				Workers:      params.Workers,
-				PoolSize:     poolSize,
-				SlotElems:    slotElems,
 				LossRecovery: true,
 				JobID:        params.JobBase + uint16(s),
 			},
@@ -207,7 +171,7 @@ func DialSharded(addr string, params ShardedPeerParams) (*ShardedPeer, error) {
 		})
 		if err != nil {
 			sp.Close()
-			return nil, err
+			return nil, fabricErr(err)
 		}
 		sp.peers = append(sp.peers, c)
 	}

@@ -46,7 +46,7 @@ func TestShardedPeerAllReduce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			sp, err := DialSharded(m.Addr(), ShardedPeerParams{
-				ID: i, Workers: n, Shards: shards, PoolSize: 8,
+				ID: i, Workers: n, Shards: shards,
 				RTO: 20 * time.Millisecond, Timeout: 10 * time.Second,
 			})
 			if err != nil {
@@ -89,7 +89,7 @@ func TestShardedPeerFloat32(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			sp, err := DialSharded(m.Addr(), ShardedPeerParams{
-				ID: i, Workers: n, Shards: shards, JobBase: 10, PoolSize: 4, Scale: 1e5,
+				ID: i, Workers: n, Shards: shards, JobBase: 10, Scale: 1e5,
 				RTO: 20 * time.Millisecond,
 			})
 			if err != nil {
@@ -126,6 +126,9 @@ func TestShardedPeerValidation(t *testing.T) {
 	if err := m.AdmitShardedJob(0, 0, AggregatorParams{Workers: 1}); err == nil {
 		t.Error("zero shards admitted")
 	}
+	if err := m.AdmitShardedJob(0, 2, AggregatorParams{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := DialSharded(m.Addr(), ShardedPeerParams{ID: 0, Workers: 1, Shards: -1}); err == nil {
 		t.Error("negative shards accepted")
 	}
@@ -148,12 +151,12 @@ func TestShardedPeerValidation(t *testing.T) {
 	}
 }
 
-// TestMultiAggregatorTunedPoolAgrees: a job admitted with PoolSize and
-// SlotElems left zero serves both kinds of worker that leave theirs
-// zero — a Peer dialed with the job's id and a ShardedPeer, whose
-// shards share the tuned window, each of which selects the tuned shape
-// and reaches its last slot in a tensor of more than two windows —
-// with exact sums and nothing rejected.
+// TestMultiAggregatorTunedPoolAgrees: jobs admitted with PoolSize and
+// SlotElems left zero serve both kinds of worker — a Peer dialed with
+// the job's id, which is told the tuned shape, and a ShardedPeer, each
+// of whose shards is told its share of the tuned window — and each
+// reaches its last slot in a tensor of more than two windows, with
+// exact sums and nothing rejected.
 func TestMultiAggregatorTunedPoolAgrees(t *testing.T) {
 	for _, n := range []int{2, 3} {
 		m, err := ListenMultiAggregator("127.0.0.1:0", 0)
@@ -169,9 +172,9 @@ func TestMultiAggregatorTunedPoolAgrees(t *testing.T) {
 		}
 		k := transport.TuneShape(n)
 		tuned := transport.TunePoolSize(n, k)
-		for _, id := range []uint16{job, shardBase, shardBase + shards - 1} {
-			if got, gotK := m.PoolSize(id), m.SlotElems(id); got != tuned || gotK != k {
-				t.Fatalf("%d workers: job %d admitted with %d slots of %d elements, want the tuned %d of %d", n, id, got, gotK, tuned, k)
+		for id, want := range map[uint16]int{job: tuned, shardBase: tuned / shards, shardBase + shards - 1: tuned / shards} {
+			if got, gotK := m.PoolSize(id), m.SlotElems(id); got != want || gotK != k {
+				t.Fatalf("%d workers: job %d admitted with %d slots of %d elements, want %d of %d", n, id, got, gotK, want, k)
 			}
 		}
 		d := shards * (2*k*tuned + 5)
@@ -202,6 +205,10 @@ func TestMultiAggregatorTunedPoolAgrees(t *testing.T) {
 				if outs[i][0], errs[i] = peer.AllReduceInt32(u); errs[i] != nil {
 					return
 				}
+				if got, want := peer.PoolSize(), tuned; got != want {
+					errs[i] = fmt.Errorf("a peer keeps %d slots in flight, want the tuned %d", got, want)
+					return
+				}
 				if got, want := sp.peers[0].DebugState().PoolSize, tuned/shards; got != want {
 					errs[i] = fmt.Errorf("a shard keeps %d slots in flight, want the tuned %d shared by %d shards", got, tuned, shards)
 					return
@@ -228,6 +235,40 @@ func TestMultiAggregatorTunedPoolAgrees(t *testing.T) {
 			}
 		}
 		m.Close()
+	}
+}
+
+// TestShardedPeerWindows pins the windows a ShardedPeer keeps in flight
+// against a sharded job admitted with a zero PoolSize: for 2 workers of
+// 4 shards, each shard takes the 16 slots its job was admitted with from
+// the aggregator, and the 4 shards together keep the 64 of one tuned
+// window — what DialSharded divided among its shards itself when each
+// end computed the shape.
+func TestShardedPeerWindows(t *testing.T) {
+	const n, shards, base = 2, 4, 40
+	m, err := ListenMultiAggregator("127.0.0.1:0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.AdmitShardedJob(base, shards, AggregatorParams{Workers: n}); err != nil {
+		t.Fatal(err)
+	}
+	sp, err := DialSharded(m.Addr(), ShardedPeerParams{ID: 0, Workers: n, Shards: shards, JobBase: base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	sum := 0
+	for s, c := range sp.peers {
+		cfg := c.WorkerConfig()
+		if cfg.PoolSize != 16 || cfg.SlotElems != transport.TuneShape(n) || m.PoolSize(base+uint16(s)) != 16 {
+			t.Errorf("shard %d keeps %d slots of %d elements against a pool of %d, want 16 of %d against 16", s, cfg.PoolSize, cfg.SlotElems, m.PoolSize(base+uint16(s)), transport.TuneShape(n))
+		}
+		sum += cfg.PoolSize
+	}
+	if sum != 64 {
+		t.Errorf("the shards keep %d slots in flight between them, want one tuned window of 64", sum)
 	}
 }
 

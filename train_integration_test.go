@@ -46,7 +46,7 @@ func TestDistributedTrainingOverUDP(t *testing.T) {
 	peers := make([]*Peer, workers)
 	for i := range peers {
 		peers[i], err = DialAggregator(agg.Addr(), PeerParams{
-			ID: i, Workers: workers, PoolSize: 16,
+			ID: i, Workers: workers,
 			RTO: 20 * time.Millisecond, Timeout: 20 * time.Second,
 		})
 		if err != nil {
@@ -143,7 +143,7 @@ func trainOverUDP(t *testing.T, iters int, chaos func(iter int, agg *Aggregator)
 	peers := make([]*Peer, workers)
 	for i := range peers {
 		peers[i], err = DialAggregator(agg.Addr(), PeerParams{
-			ID: i, Workers: workers, PoolSize: 16,
+			ID: i, Workers: workers,
 			RTO: 10 * time.Millisecond, Timeout: 20 * time.Second,
 			AdaptiveRTO: true,
 			Fallback:    &FallbackParams{Probation: 2},

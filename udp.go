@@ -19,8 +19,6 @@ import (
 // Aggregator is a UDP software aggregator hosting one job's pool.
 type Aggregator struct {
 	inner      *transport.Aggregator
-	poolSize   int
-	slotElems  int
 	rec        *telemetry.FlightRecorder
 	debugClose func() error
 }
@@ -35,16 +33,14 @@ type AggregatorParams struct {
 	// of SlotElems elements inside what a stock socket buffer carries,
 	// and never under 64. At the tuned SlotElems that is 64 (DESIGN.md
 	// "Pool size s vs BDP"); at k = 32 it is 512 for 2 workers, 256 for
-	// 4, 128 for 8 and 64 from 9 up. Workers leaving theirs zero select
-	// the same.
+	// 4, 128 for 8 and 64 from 9 up. Workers are told it when they dial.
 	PoolSize int
 	// SlotElems is k, the elements a packet carries. Zero selects the
 	// tuned size (transport.TuneShape): the largest multiple of 8 whose
 	// update datagram fits one 1,500-byte Ethernet frame and of which
 	// Workers×64 datagrams fit the same budget — 352 for 1 worker, 312
 	// for 2, 152 for 4, 72 for 8, and the Tofino's 32 from 16 up.
-	// Workers leaving theirs zero select the same; no handshake carries
-	// it, so an explicit k must be given to both ends alike.
+	// Workers are told it when they dial.
 	SlotElems int
 	// JobID tags the pool for multi-tenancy.
 	JobID uint16
@@ -83,53 +79,28 @@ type AggregatorParams struct {
 // FlightParams configures a fault flight recorder on a daemon (see
 // AggregatorParams.Flight and PeerParams.Flight).
 type FlightParams struct {
-	// Dir receives one uniquely named incident file per dump.
+	// Dir receives one uniquely named incident file per dump. The
+	// recorder keeps the last 4,096 events, and dumps at most one
+	// incident a second: a fault cascade yields one, not one per
+	// transition.
 	Dir string
-	// Capacity is the event ring size (default 4096).
-	Capacity int
-	// Debounce suppresses dumps closer than this to the previous one
-	// (default 1 s; fault cascades then yield one incident, not one
-	// per transition).
-	Debounce time.Duration
 }
 
 // config builds the recorder configuration; prefix names the emitting
 // process in Dir-mode filenames so an aggregator and its workers can
 // share one incident directory without overwriting each other.
 func (f *FlightParams) config(reg *telemetry.Registry, prefix string) telemetry.FlightConfig {
-	debounce := f.Debounce
-	if debounce == 0 {
-		debounce = time.Second
-	}
 	return telemetry.FlightConfig{
 		Dir:        f.Dir,
 		FilePrefix: prefix,
-		Capacity:   f.Capacity,
-		Debounce:   debounce,
+		Debounce:   time.Second,
 		Registry:   reg,
 	}
-}
-
-func (p *AggregatorParams) fill() {
-	p.SlotElems, p.PoolSize = tuneShape(p.Workers, p.SlotElems, p.PoolSize)
-}
-
-// tuneShape fills a zero k and a zero s by the transport's rules, each
-// from Workers and the k in force; a nonzero value is taken as given.
-func tuneShape(workers, slotElems, poolSize int) (k, s int) {
-	if slotElems == 0 {
-		slotElems = transport.TuneShape(workers)
-	}
-	if poolSize == 0 {
-		poolSize = transport.TunePoolSize(workers, slotElems)
-	}
-	return slotElems, poolSize
 }
 
 // ListenAggregator binds addr (e.g. ":5555" or "127.0.0.1:0") and
 // serves aggregation until Close.
 func ListenAggregator(addr string, params AggregatorParams) (*Aggregator, error) {
-	params.fill()
 	cfg := transport.AggregatorConfig{
 		Addr: addr,
 		Switch: core.SwitchConfig{
@@ -159,14 +130,14 @@ func ListenAggregator(addr string, params AggregatorParams) (*Aggregator, error)
 		inner := inner
 		rec.SetState(func() any { return inner.DebugState(true) })
 	}
-	return &Aggregator{inner: inner, poolSize: params.PoolSize, slotElems: params.SlotElems, rec: rec}, nil
+	return &Aggregator{inner: inner, rec: rec}, nil
 }
 
 // PoolSize returns s, as configured or as tuned.
-func (a *Aggregator) PoolSize() int { return a.poolSize }
+func (a *Aggregator) PoolSize() int { return a.inner.Config().PoolSize }
 
 // SlotElems returns k, as configured or as tuned.
-func (a *Aggregator) SlotElems() int { return a.slotElems }
+func (a *Aggregator) SlotElems() int { return a.inner.Config().SlotElems }
 
 // Addr returns the bound address, "host:port".
 func (a *Aggregator) Addr() string { return a.inner.Addr().String() }
@@ -214,8 +185,10 @@ func (a *Aggregator) Close() error {
 }
 
 // Stats returns the aggregation pool's protocol counters.
-func (a *Aggregator) Stats() AggregatorStats {
-	st := a.inner.Stats()
+func (a *Aggregator) Stats() AggregatorStats { return aggregatorStats(a.inner.Stats()) }
+
+// aggregatorStats is the public view of a pool's counters.
+func aggregatorStats(st core.SwitchStats) AggregatorStats {
 	return AggregatorStats{
 		Updates:               st.Updates,
 		Completions:           st.Completions,
@@ -292,9 +265,6 @@ type AggregatorStats struct {
 type Peer struct {
 	inner *transport.Client
 	scale *quant.FixedPoint
-	n     int
-	// poolSize and slotElems are s and k, as configured or as tuned.
-	poolSize, slotElems int
 	// qbuf holds the float32 path's quantized inputs, grown on demand
 	// (a Peer runs one all-reduce at a time). Two buffers alternate:
 	// the worker keeps the last completed tensor's update, qbuf[qi],
@@ -309,23 +279,16 @@ type Peer struct {
 	debugClose func() error
 }
 
-// PeerParams configures DialAggregator. Workers, PoolSize, SlotElems
-// and JobID must match the aggregator's parameters.
+// PeerParams configures DialAggregator. The pool size s and the packet
+// size k are the aggregator's: DialAggregator asks it for them.
 type PeerParams struct {
 	// ID is this worker's rank in [0, Workers).
 	ID int
-	// Workers is n.
+	// Workers is n; a dial to a job of another size fails with
+	// ErrShape.
 	Workers int
-	// PoolSize is s; zero selects the size AggregatorParams.PoolSize
-	// describes, which depends on Workers and SlotElems only, so an
-	// aggregator (ListenAggregator or MultiAggregator.AdmitJob) and its
-	// workers that all leave it zero agree. A worker's must not exceed
-	// its aggregator's.
-	PoolSize int
-	// SlotElems is k; zero selects the size AggregatorParams.SlotElems
-	// describes, from Workers alone. It must equal the aggregator's.
-	SlotElems int
-	// JobID tags packets for multi-tenancy.
+	// JobID names the job on the aggregator and tags packets for
+	// multi-tenancy.
 	JobID uint16
 	// Scale is the fixed-point factor for float32 all-reduce; zero
 	// disables the float32 methods.
@@ -386,7 +349,7 @@ type PeerParams struct {
 // (see PeerParams.Fallback). The mesh listens on an ephemeral UDP
 // port (Peer.MeshAddr); exchange the addresses out of band and
 // install them with Peer.SetMeshPeers before the first all-reduce, or
-// list them here.
+// list them here. The ring sends 256-element segments, 32 in flight.
 type FallbackParams struct {
 	// Listen is the mesh socket's listen address (e.g. ":7001");
 	// empty binds a wildcard ephemeral port. Multi-machine deployments
@@ -406,12 +369,6 @@ type FallbackParams struct {
 	// before failing back; zero selects 3, negative pins the job on
 	// the mesh forever.
 	Probation int
-	// SegElems is the mesh ring's segment size in elements; zero
-	// selects 256.
-	SegElems int
-	// Window is the mesh ring's go-back-N send window in segments;
-	// zero selects 32.
-	Window int
 }
 
 func (f *FallbackParams) transport() *transport.FallbackConfig {
@@ -423,8 +380,6 @@ func (f *FallbackParams) transport() *transport.FallbackConfig {
 		Peers:        append([]string(nil), f.Peers...),
 		SuspectAfter: f.SuspectAfter,
 		Probation:    f.Probation,
-		SegElems:     f.SegElems,
-		Window:       f.Window,
 	}
 }
 
@@ -458,9 +413,15 @@ type FallbackStats struct {
 	MeshRetransmits uint64
 }
 
-// DialAggregator connects a worker to an aggregator.
+// ErrShape is returned by a dial whose worker the aggregator's job
+// cannot serve: its Workers differ, or the aggregator answered without a
+// shape (a release older than the dial's hello). Test with errors.Is.
+var ErrShape = transport.ErrShape
+
+// DialAggregator connects a worker to an aggregator and takes the job's
+// pool size and packet size from it; one silent for the Timeout fails
+// the dial with ErrSwitchUnavailable (standbys wait for the first call).
 func DialAggregator(addr string, params PeerParams) (*Peer, error) {
-	slotElems, poolSize := tuneShape(params.Workers, params.SlotElems, params.PoolSize)
 	var scale *quant.FixedPoint
 	if params.Scale != 0 {
 		var err error
@@ -474,8 +435,6 @@ func DialAggregator(addr string, params PeerParams) (*Peer, error) {
 		Worker: core.WorkerConfig{
 			ID:           uint16(params.ID),
 			Workers:      params.Workers,
-			PoolSize:     poolSize,
-			SlotElems:    slotElems,
 			LossRecovery: true,
 			JobID:        params.JobID,
 		},
@@ -496,20 +455,20 @@ func DialAggregator(addr string, params PeerParams) (*Peer, error) {
 	}
 	inner, err := transport.NewClient(cfg)
 	if err != nil {
-		return nil, err
+		return nil, fabricErr(err)
 	}
 	if rec != nil {
 		inner := inner
 		rec.SetState(func() any { return inner.DebugState() })
 	}
-	return &Peer{inner: inner, scale: scale, n: params.Workers, poolSize: poolSize, slotElems: slotElems, rec: rec}, nil
+	return &Peer{inner: inner, scale: scale, rec: rec}, nil
 }
 
-// PoolSize returns s, as configured or as tuned.
-func (p *Peer) PoolSize() int { return p.poolSize }
+// PoolSize returns s, as the aggregator told it at dial.
+func (p *Peer) PoolSize() int { return p.inner.WorkerConfig().PoolSize }
 
-// SlotElems returns k, as configured or as tuned.
-func (p *Peer) SlotElems() int { return p.slotElems }
+// SlotElems returns k, as the aggregator told it at dial.
+func (p *Peer) SlotElems() int { return p.inner.WorkerConfig().SlotElems }
 
 // ServeDebug starts an HTTP introspection listener on addr serving
 // /metrics (Prometheus text), /debug/vars, /debug/pprof/,

@@ -32,7 +32,7 @@ func TestUDPDeployment(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			peer, err := DialAggregator(agg.Addr(), PeerParams{
-				ID: i, Workers: n, PoolSize: 8, Scale: scale,
+				ID: i, Workers: n, Scale: scale,
 				RTO: 20 * time.Millisecond, Timeout: 10 * time.Second,
 			})
 			if err != nil {
@@ -68,7 +68,20 @@ func TestUDPPeerValidation(t *testing.T) {
 	if _, err := DialAggregator("127.0.0.1:1", PeerParams{ID: 0, Workers: 1, Scale: -1}); err == nil {
 		t.Error("negative scale accepted")
 	}
-	peer, err := DialAggregator("127.0.0.1:1", PeerParams{ID: 0, Workers: 1})
+	// The dial asks the aggregator for the job's shape: a closed port
+	// fails it, and so does a job of another size.
+	if _, err := DialAggregator("127.0.0.1:1", PeerParams{ID: 0, Workers: 1}); err == nil {
+		t.Error("dial to a closed port accepted")
+	}
+	agg, err := ListenAggregator("127.0.0.1:0", AggregatorParams{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+	if _, err := DialAggregator(agg.Addr(), PeerParams{ID: 0, Workers: 2}); !errors.Is(err, ErrShape) {
+		t.Errorf("a 2-worker dial to a 1-worker job returned %v, want ErrShape", err)
+	}
+	peer, err := DialAggregator(agg.Addr(), PeerParams{ID: 0, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +158,12 @@ func TestUDPFloatScratchReuse(t *testing.T) {
 	step(4096, 7)
 }
 
-// TestUDPTunedPoolAgrees: an aggregator and its workers that all leave
-// PoolSize and SlotElems zero select the same shape from Workers alone —
-// no handshake carries it — and it is the tuned one (TuneShape); a
-// tensor of more than two windows, whose chunks reach the last slot,
-// sums exactly. An explicit PoolSize or SlotElems is taken as given on
-// both ends, and the other is tuned to it.
+// TestUDPTunedPoolAgrees: an aggregator that leaves PoolSize and
+// SlotElems zero selects the tuned shape (TuneShape) from Workers alone,
+// and its workers take it from the aggregator when they dial; a tensor
+// of more than two windows, whose chunks reach the last slot, sums
+// exactly. An explicit PoolSize or SlotElems is taken as given, the
+// other is tuned to it, and the workers are told both.
 func TestUDPTunedPoolAgrees(t *testing.T) {
 	for _, tc := range []struct{ n, pool, k, wantPool, wantK int }{
 		{2, 0, 0, 64, 312}, {3, 0, 0, 64, 200}, {8, 0, 0, 64, 72}, {2, 24, 0, 24, 312}, {2, 0, 32, 512, 32},
@@ -172,7 +185,7 @@ func TestUDPTunedPoolAgrees(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				peer, err := DialAggregator(agg.Addr(), PeerParams{ID: i, Workers: n, PoolSize: tc.pool, SlotElems: tc.k, Timeout: 20 * time.Second})
+				peer, err := DialAggregator(agg.Addr(), PeerParams{ID: i, Workers: n, Timeout: 20 * time.Second})
 				if err != nil {
 					errs[i] = err
 					return
