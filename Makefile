@@ -2,7 +2,7 @@
 # (the project's own static-analysis suite), build, the full test
 # suite, and the race detector over every package with real
 # concurrency — the UDP transport, the telemetry registry, the rack
-# host timers, the sharded aggregation core, the event scheduler and
+# simulator, the sharded aggregation core, the event scheduler and
 # the public session/cluster API. CI and pre-commit should run
 # `make check`.
 
@@ -13,7 +13,7 @@ GO ?= go
 RACE_PKGS = ./internal/transport ./internal/telemetry ./internal/rack \
 	./internal/core ./internal/netsim ./internal/netio .
 
-.PHONY: check vet lint lint-one lint-allows lint-sarif build test race chaos fuzz bench bench-smoke top-smoke flight-check elastic-smoke failover-smoke examples clean
+.PHONY: check vet lint lint-one lint-allows lint-sarif build test race chaos fuzz bench bench-smoke top-smoke flight-check elastic-smoke failover-smoke clean
 
 check: vet lint build test race chaos bench-smoke top-smoke flight-check elastic-smoke failover-smoke
 
@@ -116,10 +116,6 @@ failover-smoke:
 	$(GO) run ./cmd/switchml-sim -workers 4 -mb 1 -steps 12 -standby 1 \
 		-switch-kill 100us -switch-revive 10ms | grep "home rank now 0"
 	./scripts/failover_smoke.sh
-
-# Build every example program.
-examples:
-	$(GO) build ./examples/...
 
 clean:
 	$(GO) clean ./...

@@ -41,6 +41,7 @@ func newSwitchSummer(n int) (*switchSummer, error) {
 // Sum aggregates ints through the switch into out.
 func (s *switchSummer) Sum(out []int32, ints [][]int32) error {
 	queue := make([]*packet.Packet, 0, len(s.workers)*4)
+	var rp packet.Packet // reused: every worker copies a result out before the next update
 	done := make([]bool, len(s.workers))
 	for i, w := range s.workers {
 		queue = append(queue, w.Start(ints[i])...)
@@ -49,7 +50,7 @@ func (s *switchSummer) Sum(out []int32, ints [][]int32) error {
 	for len(queue) > 0 {
 		p := queue[0]
 		queue = queue[1:]
-		resp := s.sw.Handle(p)
+		resp := s.sw.HandleInto(p, &rp)
 		if resp.Pkt == nil {
 			continue
 		}
@@ -57,7 +58,7 @@ func (s *switchSummer) Sum(out []int32, ints [][]int32) error {
 			return fmt.Errorf("bench: unexpected unicast on lossless path")
 		}
 		for i, w := range s.workers {
-			next, fin := w.HandleResult(resp.Pkt.Clone())
+			next, fin := w.HandleResult(resp.Pkt)
 			if next != nil {
 				queue = append(queue, next)
 			}

@@ -50,6 +50,7 @@ type Pump struct {
 	w        *Worker
 	rto      int64
 	adaptive bool
+	ladder   bool
 	// window is the Worker window generation the slots belong to; the
 	// Worker bumps its own whenever it discards what is in flight
 	// (Resume, JoinAt, InstallHostAggregate), which resets the slots.
@@ -121,9 +122,10 @@ const (
 // NewPump returns the recovery machine for w. rto is the base timeout
 // in the host's nanoseconds; with adaptive set it is the floor of
 // SRTT + 4*RTTVAR (and 64*rto the ceiling) instead of the operating
-// point.
-func NewPump(w *Worker, rto int64, adaptive bool) *Pump {
-	return &Pump{w: w, rto: rto, adaptive: adaptive, window: w.window, slots: make([]pumpSlot, len(w.pend))}
+// point. ladder climbs the whole evidence ladder; without it Due
+// returns timed-out slots only, Lapped is never asked and PTO is 0.
+func NewPump(w *Worker, rto int64, adaptive, ladder bool) *Pump {
+	return &Pump{w: w, rto: rto, adaptive: adaptive, ladder: ladder, window: w.window, slots: make([]pumpSlot, len(w.pend))}
 }
 
 // sync forgets per-slot state that belonged to a window the Worker has
@@ -142,13 +144,22 @@ func (p *Pump) sync() {
 
 // Sent stamps slot idx's in-flight packet — first transmission or
 // retransmission — as sent at now. The host calls it for every update
-// it transmits, before it next calls Result.
+// it transmits, before it next calls Result, and a host that transmits
+// later than the Worker decides (a simulated one, behind its cores'
+// backlogs) at the decision too. The walks read the pending packets in
+// stamp order, the Worker queues them in decision order: Sent moves a
+// packet stamped out of that order to the newest end.
 //
 //switchml:hotpath
 func (p *Pump) Sent(idx uint32, now int64) {
 	p.sync()
-	if int(idx) < len(p.slots) {
-		p.slots[idx].sentAt = now
+	if int(idx) >= len(p.slots) {
+		return
+	}
+	p.slots[idx].sentAt = now
+	if w := p.w; w.newest != int32(idx) && w.pend[idx].active {
+		w.unlink(int32(idx))
+		w.enqueue(int32(idx))
 	}
 }
 
@@ -168,20 +179,43 @@ func (p *Pump) Sent(idx uint32, now int64) {
 //
 //switchml:hotpath
 func (p *Pump) Result(h *packet.Header, payload []byte, now int64) (next *Send, done bool) {
+	dst, next, done := p.result(h.Kind, h.JobID, h.Idx, h.Off, h.Ver, len(payload)/packet.ElemBytes, now)
+	packet.DecodeElems(dst, payload)
+	return next, done
+}
+
+// HandleResult is Result for a host that holds the result as a decoded
+// packet, as Worker.HandleResult is beside it: the elements are copied
+// into the aggregate, and the follow-up comes back as a pooled packet.
+//
+//switchml:hotpath
+func (p *Pump) HandleResult(r *packet.Packet, now int64) (next *packet.Packet, done bool) {
+	dst, s, done := p.result(r.Kind, r.JobID, r.Idx, r.Off, r.Ver, len(r.Vector), now)
+	copy(dst, r.Vector)
+	return s.Packet(), done
+}
+
+// result is what Result and HandleResult share: the Worker's checks on
+// the result, the slot's retirement, the pump's books. It returns the
+// span of the aggregate the caller writes the elements to, nil if none.
+//
+//switchml:hotpath
+func (p *Pump) result(kind packet.Kind, job uint16, idx uint32, off uint64, ver uint8, n int, now int64) (dst []int32, next *Send, done bool) {
 	p.sync()
-	w, idx := p.w, h.Idx
-	clean := w.Pending(idx) && !w.pend[idx].retx
+	w := p.w
+	// Karn's rule: a packet that was retransmitted, or that Due has
+	// told the host to retransmit (backoff, probes), answers ambiguously.
+	clean := w.Pending(idx) && !w.pend[idx].retx && p.slots[idx].backoff == 0 && p.slots[idx].probes == 0
 	first := w.remaining == len(w.u)
-	dst, ok := w.admit(h.Kind, h.JobID, idx, h.Off, h.Ver, len(payload)/packet.ElemBytes)
+	dst, ok := w.admit(kind, job, idx, off, ver, n)
 	if ok {
 		// Retire the slot first: its counters are atomic adds, which
 		// would otherwise wait for the elements' stores to the aggregate
 		// to drain. complete reads nothing of the span admit returned.
 		next, done = w.complete(idx)
-		packet.DecodeElems(dst, payload)
 	}
 	if int(idx) >= len(p.slots) || (!ok && w.Pending(idx)) {
-		return next, done
+		return dst, next, done
 	}
 	s := &p.slots[idx]
 	if clean {
@@ -199,7 +233,7 @@ func (p *Pump) Result(h *packet.Header, payload []byte, now int64) (next *Send, 
 	if idx == p.probedIdx {
 		p.probedAt = 0 // the probe is answered: the next tail owes nothing to its silence
 	}
-	return next, done
+	return dst, next, done
 }
 
 // fold feeds the burst's sample, if it produced one, to the
@@ -219,6 +253,9 @@ func (p *Pump) fold() {
 		}
 		p.rttvar += (diff - p.rttvar) / 4
 		p.srtt += (s - p.srtt) / 8
+	}
+	if !p.ladder {
+		return // the mean serves the PTO only
 	}
 	if p.seen < meanSpan {
 		p.seen++
@@ -258,6 +295,9 @@ func (p *Pump) RTO() int64 {
 // ptoRTTs mean round trips, never above the RTO — where it means no
 // probing, as does 0, its value until a clean result has been seen.
 func (p *Pump) PTO() int64 {
+	if !p.ladder {
+		return 0
+	}
 	pto, rto := ptoRTTs*p.mean, p.RTO()
 	if pto > rto {
 		return rto
@@ -269,23 +309,23 @@ func (p *Pump) PTO() int64 {
 // slot's backoff applied.
 func (p *Pump) Timeout(idx uint32) int64 { return p.RTO() << p.slots[idx].backoff }
 
-// tail returns the slot the tail probe watches — of the pending
-// packets probed least often, the one sent last — or -1 while there is
-// none to watch: nothing is pending but what has timed out (which is
-// the timer's from then on, on the timer's own backoff), or the window
-// has not begun to drain. Until some slot has been answered and found
-// no chunk left to send, every result still triggers a send that can
-// overtake or lap whatever is lost, so no packet is the tail; and a
-// switch that has answered nothing of the tensor more likely waits for
-// a worker that has not started it than lost a whole window. Both are
-// the timeout's to decide.
+// tail returns the slot the tail probe watches — of the pending packets
+// probed least often, the one sent last — or -1 while there is none to
+// watch: the ladder is off, nothing is pending but what has timed out
+// (which is the timer's from then on, on the timer's own backoff), or
+// the window has not begun to drain. Until some slot has been answered
+// and found no chunk left to send, every result still triggers a send
+// that can overtake or lap whatever is lost, so no packet is the tail;
+// and a switch that has answered nothing of the tensor more likely waits
+// for a worker that has not started it than lost a whole window. Both
+// are the timeout's to decide.
 //
 // The walk runs from the newest packet back and ends at the first one
 // never probed: a probe renumbers its packet as the newest, so the
 // probed ones are the few it passes on the way.
 func (p *Pump) tail() int {
 	w := p.w
-	if w.remaining == len(w.u) || w.inflight == len(w.pend) {
+	if !p.ladder || w.remaining == len(w.u) || w.inflight == len(w.pend) {
 		return -1
 	}
 	n := -1
@@ -325,22 +365,26 @@ func (p *Pump) tailSince(s *pumpSlot) int64 {
 // overtake ride the ack clock — and whenever Deadline passes. It
 // allocates only if dst must grow beyond PoolSize entries.
 //
+// Due stamps each slot it returns as sent at now, so a host that
+// transmits later (see Sent) is not told again meanwhile.
+//
 // Every rule asks which pending packets are old enough, in sends or in
-// time, and the Worker keeps the pending packets in the order they were
-// sent (the host stamps them in that order, on a clock that does not
-// run backwards): Due walks from the oldest and stops at the first
-// packet too young for the timeout and for overtaking, which in a
-// lossless run is the first. Its cost follows what is overdue, not the
-// pool size.
+// time, and the pending packets are queued in the order they were
+// stamped (see Sent), on a clock that does not run backwards: Due
+// walks from the oldest and stops at the first packet too young for
+// the timeout and for overtaking, which in a lossless run is the
+// first. Its cost follows what is overdue, not the pool size.
 //
 //switchml:hotpath
 func (p *Pump) Due(now int64, dst []uint32) []uint32 {
 	p.sync()
 	p.fold()
-	w := p.w
-	dst = w.Lapped(dst)
-	rto, pto := p.RTO(), p.PTO()
-	tail := p.tail()
+	w, n := p.w, len(dst)
+	rto, pto, tail := p.RTO(), int64(0), -1
+	if p.ladder {
+		dst = w.Lapped(dst)
+		pto, tail = p.PTO(), p.tail()
+	}
 	for i := w.oldest; i >= 0; i = w.pend[i].next {
 		w.examined++
 		pd, s := &w.pend[i], &p.slots[i]
@@ -380,7 +424,33 @@ func (p *Pump) Due(now int64, dst []uint32) []uint32 {
 			dst = append(dst, uint32(tail)) //switchml:allow hotpath -- as above, one more
 		}
 	}
+	for _, idx := range dst[n:] {
+		p.Sent(idx, now)
+	}
 	return dst
+}
+
+// NextTimeout returns the soonest timeout in flight, math.MaxInt64 if
+// none, and its slot (the first stamped of several due together): the
+// oldest packet's that has not backed off, or a backed-off one's ahead.
+//
+//switchml:hotpath
+func (p *Pump) NextTimeout() (at int64, idx uint32) {
+	p.sync()
+	w := p.w
+	at = never
+	rto := p.RTO()
+	for i := w.oldest; i >= 0; i = w.pend[i].next {
+		w.examined++
+		s := &p.slots[i]
+		if t := s.sentAt + rto<<s.backoff; t < at {
+			at, idx = t, uint32(i)
+		}
+		if s.backoff == 0 {
+			break
+		}
+	}
+	return at, idx
 }
 
 // TimedOut reports whether slot idx, as just returned by Due, was
@@ -394,26 +464,11 @@ func (p *Pump) TimedOut(idx uint32) bool {
 // Deadline returns the earliest time at which Due can return a slot
 // without a further result arriving: the soonest timeout, or the tail
 // probe. Nothing else is worth waking for — lap and overtake fire on
-// results. It returns math.MaxInt64 with nothing in flight. The soonest
-// timeout is that of the oldest packet that has not backed off, or of
-// one of the backed-off packets still ahead of it in the queue.
+// results. It returns math.MaxInt64 with nothing in flight.
 //
 //switchml:hotpath
 func (p *Pump) Deadline() int64 {
-	p.sync()
-	w := p.w
-	d := int64(never)
-	rto := p.RTO()
-	for i := w.oldest; i >= 0; i = w.pend[i].next {
-		w.examined++
-		s := &p.slots[i]
-		if t := s.sentAt + rto<<s.backoff; t < d {
-			d = t
-		}
-		if s.backoff == 0 {
-			break
-		}
-	}
+	d, _ := p.NextTimeout()
 	if tail := p.tail(); tail >= 0 {
 		s := &p.slots[tail]
 		if t := p.tailSince(s) + p.PTO()<<s.probes; p.PTO() != 0 && t < d {

@@ -24,7 +24,7 @@ func TestPumpCostIndependentOfPoolSize(t *testing.T) {
 	}
 	drive := func(s int) run {
 		w := newTestWorker(t, 0, 1, s, 1)
-		p := NewPump(w, prto, false)
+		p := NewPump(w, prto, false, true)
 		u := make([]int32, chunks)
 		due := make([]uint32, 0, s)
 		sent := make([]packet.Packet, chunks)
@@ -201,7 +201,7 @@ func TestPumpQueueMatchesFullScan(t *testing.T) {
 		var tw [2]twin
 		for i := range tw {
 			w := newTestWorker(t, 0, 1, s, 1)
-			tw[i] = twin{w, NewPump(w, prto, seed%2 == 0)}
+			tw[i] = twin{w, NewPump(w, prto, seed%2 == 0, true)}
 		}
 		now := int64(0)
 		// flight holds, per slot, the packet a result may still answer:

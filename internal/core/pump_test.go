@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"maps"
 	"math/bits"
+	"slices"
 	"sort"
 	"testing"
 
@@ -49,7 +52,7 @@ type pumpSend struct {
 func newPumpDriver(t *testing.T, s, chunks int) *pumpDriver {
 	t.Helper()
 	w := newTestWorker(t, 0, 1, s, 1)
-	d := &pumpDriver{t: t, w: w, p: NewPump(w, prto, false), flight: make(map[uint32]*packet.Packet)}
+	d := &pumpDriver{t: t, w: w, p: NewPump(w, prto, false, true), flight: make(map[uint32]*packet.Packet)}
 	if got := d.p.PTO(); got != 0 {
 		t.Fatalf("PTO = %d before any sample, want 0 (no probing)", got)
 	}
@@ -527,7 +530,7 @@ func TestPumpRecoveryLadder(t *testing.T) {
 // approach the RTO gets no probes, only the timer.
 func TestPumpPTONeverAboveRTO(t *testing.T) {
 	w := newTestWorker(t, 0, 1, 4, 1)
-	d := &pumpDriver{t: t, w: w, p: NewPump(w, prto, false), flight: make(map[uint32]*packet.Packet)}
+	d := &pumpDriver{t: t, w: w, p: NewPump(w, prto, false, true), flight: make(map[uint32]*packet.Packet)}
 	d.start(16)
 	for len(d.flight) > 0 {
 		d.now += prto / 2
@@ -546,6 +549,160 @@ func TestPumpPTONeverAboveRTO(t *testing.T) {
 	}
 	if st := d.w.Stats(); st.ProbeRetransmissions != 0 || st.Retransmissions == 0 {
 		t.Errorf("probe/all retransmissions = %d/%d, want 0 probes and some timeouts", st.ProbeRetransmissions, st.Retransmissions)
+	}
+}
+
+// TestPumpAdaptiveRTOClampBounds pins the adaptive timeout's clamp:
+// the estimate never undercuts the configured RTO and never exceeds
+// 64x it.
+func TestPumpAdaptiveRTOClampBounds(t *testing.T) {
+	w := newTestWorker(t, 0, 2, 4, 1)
+	p := NewPump(w, prto, true, false)
+	for _, c := range []struct {
+		name         string
+		srtt, rttvar int64
+		want         int64
+	}{
+		{"no sample yet", 0, 0, prto},
+		{"tiny estimate, up to the floor", us, 0, prto},
+		{"mid-range, srtt + 4*rttvar unclamped", 10 * prto, prto, 14 * prto},
+		{"huge estimate, down to the ceiling", 10000 * prto, 1000 * prto, 64 * prto},
+	} {
+		p.srtt, p.rttvar = c.srtt, c.rttvar
+		if got := p.RTO(); got != c.want {
+			t.Errorf("%s: RTO = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// TestPumpTimeoutOnly runs the pump with the ladder off, as Algorithm 4
+// states the worker's recovery, over a scripted schedule with loss and
+// reordering: Due must return only timed-out slots, each exactly when
+// its stamp plus the RTO doubled per consecutive expiry passes — also
+// where the host transmits the window in another order than the Worker
+// decided it, as a simulated host with uneven core backlogs does. The
+// pump wakes only at its own Deadline, so a timeout found late shows as
+// a retransmission stamped after its due time.
+func TestPumpTimeoutOnly(t *testing.T) {
+	const s = 8
+	cases := []struct {
+		name string
+		// order permutes the initial window's transmissions (nil: the
+		// order decided); lost counts the sends lost per chunk, the first
+		// ones; reorder answers the rest out of order.
+		order   []int
+		lost    map[uint64]int
+		reorder bool
+	}{
+		{name: "lossless"},
+		{name: "lossless, reordered", reorder: true},
+		{name: "two losses, reordered", lost: map[uint64]int{2: 1, 12: 1}, reorder: true},
+		{name: "every chunk of the window lost once", lost: map[uint64]int{0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1}},
+		{name: "one chunk lost eight times, past the backoff's ceiling", lost: map[uint64]int{9: 8}, reorder: true},
+		{name: "stamped out of decision order", order: []int{3, 0, 7, 1, 6, 2, 5, 4}, lost: map[uint64]int{0: 1, 3: 2}},
+		{name: "stamped in reverse, the first and last decided lost", order: []int{7, 6, 5, 4, 3, 2, 1, 0}, lost: map[uint64]int{0: 1, 7: 1}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			w := newTestWorker(t, 0, 1, s, 1)
+			p := NewPump(w, prto, false, false)
+			var wire onWire
+			var now int64
+			stamp := map[uint32]int64{}
+			backoff := map[uint32]uint{}
+			flight := map[uint32]*packet.Packet{}
+			lost, retx := maps.Clone(c.lost), 0
+			// send stamps q as sent now and puts it in flight, unless it is
+			// one of the sends lost.
+			send := func(q *packet.Packet) {
+				p.Sent(q.Idx, now)
+				stamp[q.Idx] = now
+				if lost[q.Off] > 0 {
+					lost[q.Off]--
+					return
+				}
+				flight[q.Idx] = q
+			}
+			pkts := w.Start(make([]int32, 2*s))
+			// Every packet is stamped as decided, then again as its core
+			// transmits it, one every microsecond in the scripted order.
+			for _, q := range pkts {
+				p.Sent(q.Idx, now)
+			}
+			order := c.order
+			if order == nil {
+				order = []int{0, 1, 2, 3, 4, 5, 6, 7}
+			}
+			for _, i := range order {
+				now += us
+				send(pkts[i])
+			}
+			// Each packet is answered a round trip after its stamp, or with
+			// reorder at the second round-trip boundary after it, newest
+			// first.
+			answerAt := func(idx uint32) int64 {
+				if c.reorder {
+					return (stamp[idx]/rtt + 2) * rtt
+				}
+				return stamp[idx] + rtt
+			}
+			for w.Busy() {
+				want := int64(never)
+				for idx, at := range stamp {
+					if w.Pending(idx) {
+						want = min(want, at+prto<<backoff[idx])
+					}
+				}
+				if d := p.Deadline(); d != want {
+					t.Fatalf("t=%d: Deadline = %d, want the soonest stamp plus its timeout, %d", now, d, want)
+				}
+				ans := int64(never)
+				for idx := range flight {
+					ans = min(ans, answerAt(idx))
+				}
+				now = min(ans, want)
+				if ans < want {
+					var batch []uint32
+					for idx := range flight {
+						if answerAt(idx) == ans {
+							batch = append(batch, idx)
+						}
+					}
+					slices.SortFunc(batch, func(a, b uint32) int { return cmp.Compare(stamp[a], stamp[b]) })
+					if c.reorder {
+						slices.Reverse(batch)
+					}
+					for _, idx := range batch {
+						q := flight[idx]
+						delete(flight, idx)
+						next, _ := wire.result(p, result(q, q.Vector), now)
+						backoff[idx] = 0
+						if next != nil {
+							send(next)
+						}
+					}
+				}
+				for _, idx := range p.Due(now, nil) {
+					if !p.TimedOut(idx) {
+						t.Fatalf("t=%d: Due returned slot %d on evidence other than its timeout", now, idx)
+					}
+					if at := stamp[idx] + prto<<backoff[idx]; at != now {
+						t.Fatalf("t=%d: Due returned slot %d, whose timeout expires at %d", now, idx, at)
+					}
+					backoff[idx] = min(backoff[idx]+1, maxBackoff)
+					retx++
+					send(w.Retransmit(idx))
+				}
+			}
+			want := 0
+			for _, n := range c.lost {
+				want += n
+			}
+			if st := w.Stats(); retx != want || st.EarlyRetransmissions+st.ProbeRetransmissions != 0 {
+				t.Errorf("retransmissions = %d (%d early, %d probes), want %d timeouts only",
+					retx, st.EarlyRetransmissions, st.ProbeRetransmissions, want)
+			}
+		})
 	}
 }
 
@@ -671,7 +828,7 @@ func TestPumpDueZeroAlloc(t *testing.T) {
 func TestPumpIgnoredResultWritesNothing(t *testing.T) {
 	const s, k = 2, 4
 	w := newTestWorker(t, 0, 1, s, k)
-	p := NewPump(w, prto, false)
+	p := NewPump(w, prto, false, true)
 	var wire onWire
 	// Three chunks on two slots: chunk 0 answered moves slot 0 on to
 	// chunk 2 (version 1); chunk 1 answered leaves slot 1 idle.

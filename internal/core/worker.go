@@ -62,7 +62,7 @@ type pendingSlot struct {
 	// elems is the in-flight chunk length.
 	elems int
 	// prev and next link the active slots into the worker's send queue
-	// (Worker.oldest, Worker.newest), in seq order; -1 ends it.
+	// (Worker.oldest, Worker.newest); -1 ends it.
 	prev, next int32
 	active     bool
 	// ver is the pool version the chunk was sent with.
@@ -168,12 +168,13 @@ type Worker struct {
 	// highest number a result has vouched for (see Lapped).
 	seq, acked uint64
 	// oldest and newest end the send queue: the active slots linked in
-	// the order of their packets' numbers (-1: nothing in flight). Every
-	// send joins at the newest end and a result unlinks its slot wherever
-	// it stands, so the rules that ask which pending packets are old
-	// enough — Lapped here, a Pump's timeout, overtake and tail probe —
-	// walk in from one end and stop at the first that is not: they cost
-	// what is overdue, never what the pool could hold.
+	// the order of their packets' numbers, or of their stamps where a
+	// host stamps out of that order (Pump.Sent); -1: nothing in flight.
+	// Every send joins at the newest end and a result unlinks its slot
+	// wherever it stands, so the rules that ask which pending packets
+	// are old enough — Lapped here, a Pump's timeout, overtake and tail
+	// probe — walk in from one end and stop at the first that is not:
+	// they cost what is overdue, never what the pool could hold.
 	oldest, newest int32
 	// initNext and initEnd are the slots of the initial window that Next
 	// has yet to hand out (Open).
@@ -817,8 +818,7 @@ func (w *Worker) InstallHostAggregate(off uint64, vals []int32) error {
 	return nil
 }
 
-// Pending reports whether slot idx has an in-flight chunk; hosts use
-// it to decide whether to re-arm timers.
+// Pending reports whether slot idx has an in-flight chunk.
 func (w *Worker) Pending(idx uint32) bool {
 	return int(idx) < len(w.pend) && w.pend[idx].active
 }

@@ -10,9 +10,11 @@ package netsim
 // period instead of once per packet. Only re-arming *earlier* than the
 // queued key moves the entry at once.
 //
-// An alarm fires at exactly the position in the simulation's total
-// order that Cancel followed by After would have given it: Set draws
-// its tie-break from the same counter at the moment it is called.
+// Set takes the alarm's tie-break from the simulation's one counter
+// (Sim.Draw). Drawn as Set is called, the alarm fires at exactly the
+// position in the total order that Cancel followed by After would have
+// given it; drawn earlier, where a timer armed then would have fired —
+// so one alarm can stand for many timers, set under the soonest's draw.
 type Alarm struct {
 	s  *Sim
 	id int32
@@ -41,27 +43,29 @@ func (s *Sim) NewAlarm(fn func()) Alarm {
 	return Alarm{s: s, id: int32(len(s.alarms) - 1)}
 }
 
-// Set arms the alarm for absolute virtual time at, replacing any
-// earlier deadline. Setting it in the past panics.
+// Set arms the alarm for absolute virtual time at under tie-break seq,
+// replacing any earlier deadline. Setting it in the past panics.
 //
 //switchml:hotpath
-func (a Alarm) Set(at Time) {
+func (a Alarm) Set(at Time, seq uint64) {
 	s := a.s
 	s.checkFuture(at)
 	st := &s.alarms[a.id]
-	st.at, st.seq, st.armed = at, s.nextSeq(), true
+	st.at, st.seq, st.armed = at, seq, true
 	if st.heapIdx == noSlot {
 		//switchml:allow hotpath -- alarm-heap growth: one entry per alarm at most, so the slice stops growing once every alarm has been set
 		s.alarmHeap = append(s.alarmHeap, alarmEntry{})
-		s.alarmUp(len(s.alarmHeap)-1, alarmEntry{at: at, seq: st.seq, id: a.id})
+		s.alarmUp(len(s.alarmHeap)-1, alarmEntry{at: at, seq: seq, id: a.id})
 		return
 	}
-	// A fresh seq is larger than any queued one, so the new key
-	// undercuts the queued key only through an earlier time.
-	if at < s.alarmHeap[st.heapIdx].at {
-		s.alarmUp(int(st.heapIdx), alarmEntry{at: at, seq: st.seq, id: a.id})
+	if e := &s.alarmHeap[st.heapIdx]; before(at, seq, e.at, e.seq) {
+		s.alarmUp(int(st.heapIdx), alarmEntry{at: at, seq: seq, id: a.id})
 	}
 }
+
+// Draw takes the next tie-break from the simulation's counter, as
+// scheduling an event now would, for Alarm.Set.
+func (s *Sim) Draw() uint64 { return s.nextSeq() }
 
 // Stop disarms the alarm and reports whether it was armed.
 //
@@ -135,7 +139,7 @@ func (s *Sim) settleAlarmHead() bool {
 	case !st.armed:
 		s.popAlarm()
 		return false
-	case st.seq != e.seq:
+	case st.at != e.at || st.seq != e.seq:
 		s.alarmDown(0, alarmEntry{at: st.at, seq: st.seq, id: e.id})
 		return false
 	}

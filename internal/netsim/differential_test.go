@@ -59,6 +59,8 @@ type diffDriver struct {
 	queueTail []Time
 	alarms    []Alarm
 	alarmRef  []*refEntry // nil while the alarm is not armed
+	// draws are tie-breaks taken by Draw that no alarm is set under.
+	draws []uint64
 }
 
 type diffTimer struct {
@@ -140,15 +142,50 @@ func (d *diffDriver) op() {
 			d.queueTail[q] = at
 		}
 		d.queues[q].Push(at, d.add(at).id)
-	case r < 90: // (re-)arm an alarm: later, earlier or the same time
+	case r < 80: // (re-)arm an alarm: later, earlier or the same time
 		a := d.rng.Intn(len(d.alarms))
 		if e := d.alarmRef[a]; e != nil {
 			heap.Remove(&d.ref, e.index)
 		}
 		at := now + d.delta(40)
-		e := d.add(at)
+		d.alarmRef[a] = d.add(at)
+		d.alarms[a].Set(at, d.s.Draw())
+	case r < 85: // draw a tie-break for a later Set
+		if got := d.s.Draw(); got != d.seq {
+			d.t.Fatalf("Draw = %d, reference counter at %d", got, d.seq)
+		}
+		d.draws = append(d.draws, d.seq)
+		d.seq++
+	case r < 90: // (re-)arm an alarm under a tie-break drawn earlier
+		if len(d.draws) == 0 {
+			return
+		}
+		i := d.rng.Intn(len(d.draws))
+		seq := d.draws[i]
+		d.draws = append(d.draws[:i], d.draws[i+1:]...)
+		a := d.rng.Intn(len(d.alarms))
+		if e := d.alarmRef[a]; e != nil {
+			heap.Remove(&d.ref, e.index)
+		}
+		at := now + d.delta(40)
+		e := &refEntry{at: at, seq: seq, id: d.ids}
+		d.ids++
+		heap.Push(&d.ref, e)
 		d.alarmRef[a] = e
-		d.alarms[a].Set(at)
+		d.alarms[a].Set(at, seq)
+	case r < 93: // move an armed alarm, keeping its tie-break
+		a := d.rng.Intn(len(d.alarms))
+		old := d.alarmRef[a]
+		if old == nil {
+			return
+		}
+		heap.Remove(&d.ref, old.index)
+		at := now + d.delta(40)
+		e := &refEntry{at: at, seq: old.seq, id: d.ids}
+		d.ids++
+		heap.Push(&d.ref, e)
+		d.alarmRef[a] = e
+		d.alarms[a].Set(at, old.seq)
 	default: // stop an alarm
 		a := d.rng.Intn(len(d.alarms))
 		e := d.alarmRef[a]
@@ -163,8 +200,8 @@ func (d *diffDriver) op() {
 }
 
 // TestSimMatchesReferenceHeap is the differential test for the event
-// queue: 10^5 seeded random At / Cancel / Queue.Push / Alarm.Set / Stop
-// operations, many at equal timestamps and many issued from inside
+// queue: 10^5 seeded random At / Cancel / Queue.Push / Sim.Draw /
+// Alarm.Set / Stop operations, many at equal timestamps and many issued from inside
 // callbacks, drive the Sim and a reference container/heap keyed by
 // (at, seq). Every event must fire exactly when it is the reference's
 // minimum; Pending, Cancel and Stop must answer as the

@@ -136,24 +136,6 @@ func TestPacketPoolResets(t *testing.T) {
 	}
 }
 
-// TestBufPool checks wire buffers come back empty with capacity.
-func TestBufPool(t *testing.T) {
-	b := GetBuf()
-	if len(*b) != 0 {
-		t.Errorf("pooled buf has len %d, want 0", len(*b))
-	}
-	if cap(*b) < marshalHeaderBytes+ElemBytes*MTUElems {
-		t.Errorf("pooled buf cap %d below one MTU packet", cap(*b))
-	}
-	*b = append(*b, 1, 2, 3)
-	PutBuf(b)
-	c := GetBuf()
-	defer PutBuf(c)
-	if len(*c) != 0 {
-		t.Errorf("reused buf has len %d, want 0", len(*c))
-	}
-}
-
 // TestPatchWorkerID checks the in-place rewrite keeps the packet
 // valid and only changes the worker id.
 func TestPatchWorkerID(t *testing.T) {

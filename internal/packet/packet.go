@@ -550,19 +550,13 @@ func ParseHeader(h *Header, buf []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// Packet and buffer pools for the hot path. Senders get a packet (or
-// a wire buffer), fill it, transmit, and put it back; steady-state
-// traffic then recycles storage instead of allocating per packet.
-// Putting is optional — paths that hand packets to asynchronous
-// consumers (the simulator's in-flight links) simply never return
-// them, and the pool falls back to allocation.
-var (
-	pktPool = sync.Pool{New: func() any { return &Packet{Vector: make([]int32, 0, DefaultElems)} }}
-	bufPool = sync.Pool{New: func() any {
-		b := make([]byte, 0, marshalHeaderBytes+ElemBytes*MTUElems)
-		return &b
-	}}
-)
+// The packet pool for the hot path. Senders get a packet, fill it,
+// transmit, and put it back; steady-state traffic then recycles storage
+// instead of allocating per packet. Putting is optional — paths that
+// hand packets to asynchronous consumers (the simulator's in-flight
+// links) simply never return them, and the pool falls back to
+// allocation.
+var pktPool = sync.Pool{New: func() any { return &Packet{Vector: make([]int32, 0, DefaultElems)} }}
 
 // GetPacket returns a pooled packet with zeroed protocol fields and
 // an empty vector (capacity retained from prior use).
@@ -584,24 +578,4 @@ func PutPacket(p *Packet) {
 		return
 	}
 	pktPool.Put(p)
-}
-
-// GetBuf returns a pooled, empty wire buffer with at least one
-// MTU-sized packet of capacity.
-//
-//switchml:acquire
-func GetBuf() *[]byte {
-	b := bufPool.Get().(*[]byte)
-	*b = (*b)[:0]
-	return b
-}
-
-// PutBuf returns a wire buffer to the pool.
-//
-//switchml:release
-func PutBuf(b *[]byte) {
-	if b == nil {
-		return
-	}
-	bufPool.Put(b)
 }

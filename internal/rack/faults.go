@@ -488,10 +488,9 @@ func (h *WorkerHost) resetWorker() {
 		panic(err)
 	}
 	h.worker = w
+	h.pump = newPump(w, h.cfg)
 	clear(h.coreFree)
-	clear(h.sentAt)
 	h.cancelTimers()
-	h.srtt, h.rttvar = 0, 0
 	h.finished = false
 }
 
@@ -516,8 +515,6 @@ func (h *WorkerHost) Resume(jobID uint16, off uint64) error {
 	if len(pkts) > 0 {
 		h.finished = false
 	}
-	for _, p := range pkts {
-		h.charge(p.Idx, work{op: opTransmit, p: p})
-	}
+	h.launch(pkts)
 	return nil
 }

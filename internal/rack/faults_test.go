@@ -419,39 +419,6 @@ func TestFaultDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestFaultAdaptiveRTOClampBounds pins the adaptive timeout's clamp:
-// the estimate never undercuts the configured RTO and never exceeds
-// 64× it.
-func TestFaultAdaptiveRTOClampBounds(t *testing.T) {
-	sim := netsim.NewSim(0)
-	base := netsim.Millisecond
-	h, err := NewWorkerHost(sim, Config{
-		Workers: 2, PoolSize: 4, AdaptiveRTO: true, RTO: base, LossRecovery: true,
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No samples yet: the configured RTO.
-	if got := h.rto(); got != base {
-		t.Fatalf("rto with no samples = %v, want %v", got, base)
-	}
-	// Tiny estimate: clamped up to the floor.
-	h.srtt, h.rttvar = netsim.Microsecond, 0
-	if got := h.rto(); got != base {
-		t.Fatalf("rto floor = %v, want %v", got, base)
-	}
-	// Mid-range estimate: srtt + 4·rttvar, unclamped.
-	h.srtt, h.rttvar = 10*base, base
-	if got, want := h.rto(), 14*base; got != want {
-		t.Fatalf("rto mid = %v, want %v", got, want)
-	}
-	// Huge estimate: clamped down to the 64× ceiling.
-	h.srtt, h.rttvar = 10000*base, 1000*base
-	if got, want := h.rto(), 64*base; got != want {
-		t.Fatalf("rto ceiling = %v, want %v", got, want)
-	}
-}
-
 // TestFaultRejectsWithoutRecovery mirrors the LossRate guard for the
 // fault-injection knobs: none of them make sense with Algorithm 1.
 func TestFaultRejectsWithoutRecovery(t *testing.T) {

@@ -13,6 +13,7 @@ package rack
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"switchml/internal/allreduce"
@@ -955,12 +956,22 @@ func (s *switchNode) emit(e egress) {
 	}
 }
 
-// WorkerHost adapts core.Worker to netsim: it owns the uplink,
-// retransmission timers, and the multi-core processing model.
+// WorkerHost adapts core.Worker to netsim: it owns the uplink, the
+// loss-recovery machine and its alarm, and the multi-core processing
+// model.
 type WorkerHost struct {
 	sim    *netsim.Sim
 	cfg    Config
 	worker *core.Worker
+	// pump is the worker's loss recovery, Algorithm 4's timeout alone.
+	// alarm wakes the host for the soonest timeout, under the tie-break
+	// its packet drew as it went out (tie, per slot): timeouts due in one
+	// nanosecond fire in the order their packets left, on every host.
+	// due holds the expired slots, for the alarm to act on one a firing.
+	pump   *core.Pump
+	alarm  netsim.Alarm
+	tie    []uint64
+	due    []uint32
 	uplink *netsim.Link
 	// coreFree[c] is when virtual core c next becomes idle. Slots are
 	// sharded to cores by idx % Cores, mirroring Flow Director
@@ -972,25 +983,7 @@ type WorkerHost struct {
 	cores []*netsim.Queue[work]
 	// actor names the host in trace events.
 	actor string
-	// timers holds the per-slot retransmission timer, its timeout
-	// callback bound once.
-	timers []netsim.Alarm
-	// backoff counts consecutive timeouts per slot; the RTO doubles
-	// with each (capped), preventing retransmission storms when the
-	// timeout is set below the loaded RTT — the adaptation §6 calls
-	// for ("take care to adapt the retransmission timeout according
-	// to variations in end-to-end RTT").
-	backoff []uint8
-	// sentAt records each slot's last transmission time for RTT
-	// sampling.
-	sentAt []netsim.Time
-	// retxed marks slots whose in-flight chunk has been retransmitted
-	// (Karn's rule: their RTT samples are ambiguous and discarded).
-	retxed []bool
-	// srtt/rttvar are the Jacobson estimator state when AdaptiveRTO
-	// is on; srtt == 0 means no sample yet.
-	srtt, rttvar netsim.Time
-	rtts         []netsim.Time
+	rtts  []netsim.Time
 	// rttHist receives every clean RTT sample when Config.Metrics is
 	// set, shared by all hosts in the rack.
 	rttHist *telemetry.Histogram
@@ -1074,27 +1067,28 @@ func NewWorkerHost(sim *netsim.Sim, cfg Config, id uint16) (*WorkerHost, error) 
 		sim:      sim,
 		cfg:      cfg,
 		worker:   w,
+		pump:     newPump(w, cfg),
+		due:      make([]uint32, 0, cfg.PoolSize),
+		tie:      make([]uint64, cfg.PoolSize),
 		wcfg:     wcfg,
 		coreFree: make([]netsim.Time, cfg.Cores),
 		cores:    make([]*netsim.Queue[work], cfg.Cores),
 		actor:    fmt.Sprintf("w%d", id),
-		timers:   make([]netsim.Alarm, cfg.PoolSize),
-		backoff:  make([]uint8, cfg.PoolSize),
-		sentAt:   make([]netsim.Time, cfg.PoolSize),
-		retxed:   make([]bool, cfg.PoolSize),
 		stall:    make([]uint8, cfg.PoolSize),
 	}
+	h.alarm = sim.NewAlarm(h.expire)
 	for c := range h.cores {
 		h.cores[c] = netsim.NewQueue(sim, h.run)
-	}
-	for i := range h.timers {
-		idx := uint32(i)
-		h.timers[i] = sim.NewAlarm(func() { h.timeout(idx) })
 	}
 	if cfg.Metrics != nil {
 		h.rttHist = cfg.Metrics.Histogram("rack_rtt_ns", telemetry.LatencyBuckets)
 	}
 	return h, nil
+}
+
+// newPump returns w's loss recovery, with the ladder off.
+func newPump(w *core.Worker, cfg Config) *core.Pump {
+	return core.NewPump(w, int64(cfg.RTO), cfg.AdaptiveRTO, false)
 }
 
 // trace emits a host-level event for slot idx (-1 when not
@@ -1155,6 +1149,7 @@ func (h *WorkerHost) run(w work) {
 	switch w.op {
 	case opTransmit:
 		h.transmit(w.p, false)
+		h.arm()
 	case opResult:
 		h.absorb(w.p)
 		if w.f != nil {
@@ -1168,6 +1163,7 @@ func (h *WorkerHost) run(w work) {
 		// update, violating the FIFO ordering the protocol relies on.
 		if rt := h.worker.Retransmit(w.idx); rt != nil {
 			h.transmit(rt, true)
+			h.arm()
 		}
 	}
 }
@@ -1184,7 +1180,16 @@ func (h *WorkerHost) Worker() *core.Worker { return h.worker }
 // complete on this worker.
 func (h *WorkerHost) Start(u []int32, onDone func(netsim.Time)) {
 	h.open(len(u), onDone)
-	for _, p := range h.worker.Start(u) {
+	h.launch(h.worker.Start(u))
+}
+
+// launch queues a window the Worker has just decided on the cores,
+// stamping each packet now and again when its core transmits it, so
+// none is read as overdue by its slot's previous stamp meanwhile.
+func (h *WorkerHost) launch(pkts []*packet.Packet) {
+	now := int64(h.sim.Now())
+	for _, p := range pkts {
+		h.pump.Sent(p.Idx, now)
 		h.charge(p.Idx, work{op: opTransmit, p: p})
 	}
 }
@@ -1199,9 +1204,9 @@ func (h *WorkerHost) complete(t netsim.Time) {
 	}
 }
 
-// transmit puts an update on the uplink and arms its retransmission
-// timer. The uplink takes the packet over; a crashed host returns it
-// to the pool instead.
+// transmit stamps an update and puts it on the uplink, which takes the
+// packet over; a crashed host returns it to the pool instead. The
+// caller re-arms the alarm.
 //
 //switchml:hotpath
 func (h *WorkerHost) transmit(p *packet.Packet, retransmit bool) {
@@ -1209,32 +1214,66 @@ func (h *WorkerHost) transmit(p *packet.Packet, retransmit bool) {
 		packet.PutPacket(p)
 		return
 	}
-	idx := p.Idx
 	if retransmit {
-		h.trace(telemetry.EvRetransmit, int32(idx), int64(p.Off))
+		h.trace(telemetry.EvRetransmit, int32(p.Idx), int64(p.Off))
 	}
-	h.sentAt[idx] = h.sim.Now()
-	h.retxed[idx] = retransmit
+	h.pump.Sent(p.Idx, int64(h.sim.Now()))
 	h.uplink.Send(p)
-	h.armTimer(idx)
+	h.tie[p.Idx] = h.sim.Draw()
 }
 
-// armTimer (re)starts slot idx's retransmission timer.
+// arm sets the alarm for the next expired slot, at once, or else the
+// pump's soonest timeout, and stops it with nothing in flight. A
+// crashed host arms nothing.
 //
 //switchml:hotpath
-func (h *WorkerHost) armTimer(idx uint32) {
-	h.timers[idx].Set(h.sim.Now() + h.rto()<<h.backoff[idx])
-}
-
-// timeout is slot idx's retransmission timer firing.
-func (h *WorkerHost) timeout(idx uint32) {
-	if !h.worker.Pending(idx) {
+func (h *WorkerHost) arm() {
+	if h.crashed {
 		return
 	}
-	h.trace(telemetry.EvTimeoutFired, int32(idx), -1)
-	if h.backoff[idx] < 6 {
-		h.backoff[idx]++
+	if len(h.due) > 0 {
+		h.alarm.Set(h.sim.Now(), h.tie[h.due[0]])
+		return
 	}
+	at, idx := h.pump.NextTimeout()
+	if at == math.MaxInt64 {
+		h.alarm.Stop()
+		return
+	}
+	h.alarm.Set(max(netsim.Time(at), h.sim.Now()), h.tie[idx])
+}
+
+// poll queues the slots whose timeouts the pump finds expired, and
+// publishes the round trip it sampled from a clean result just
+// absorbed. The alarm calls it with nothing queued, and a result where
+// the round trip is read.
+//
+//switchml:hotpath
+func (h *WorkerHost) poll() {
+	h.due = h.pump.Due(int64(h.sim.Now()), h.due)
+	if rtt := netsim.Time(h.pump.Sample()); rtt != 0 {
+		if h.rttHist != nil {
+			h.rttHist.Observe(float64(rtt))
+		}
+		if h.cfg.SampleRTT && h.wcfg.ID == 0 {
+			//switchml:allow hotpath -- opt-in RTT sampling (Figure 2) collects every sample by design
+			h.rtts = append(h.rtts, rtt)
+		}
+	}
+}
+
+// expire is the alarm: it charges the next expired slot's core with
+// its retransmission (Algorithm 4 lines 20-23). With NoFallback, a slot
+// that times out stallLimit times in a row abandons the step.
+//
+//switchml:hotpath
+func (h *WorkerHost) expire() {
+	if len(h.due) == 0 {
+		h.poll()
+	}
+	idx := h.due[0]
+	h.due = h.due[:copy(h.due, h.due[1:])]
+	h.trace(telemetry.EvTimeoutFired, int32(idx), -1)
 	if h.cfg.NoFallback {
 		if h.stall[idx]++; h.stall[idx] >= stallLimit {
 			// Fallback was declined; abandon the step so the
@@ -1247,38 +1286,7 @@ func (h *WorkerHost) timeout(idx uint32) {
 		}
 	}
 	h.charge(idx, work{op: opRetransmit, idx: idx})
-}
-
-// rto returns the base retransmission timeout, adapted to the
-// estimated RTT when configured.
-func (h *WorkerHost) rto() netsim.Time {
-	if !h.cfg.AdaptiveRTO || h.srtt == 0 {
-		return h.cfg.RTO
-	}
-	rto := h.srtt + 4*h.rttvar
-	if rto < h.cfg.RTO {
-		rto = h.cfg.RTO
-	}
-	if max := h.cfg.RTO * 64; rto > max {
-		rto = max
-	}
-	return rto
-}
-
-// observeRTT folds a clean (never-retransmitted) chunk's round trip
-// into the Jacobson estimator.
-func (h *WorkerHost) observeRTT(sample netsim.Time) {
-	if h.srtt == 0 {
-		h.srtt = sample
-		h.rttvar = sample / 2
-		return
-	}
-	diff := h.srtt - sample
-	if diff < 0 {
-		diff = -diff
-	}
-	h.rttvar += (diff - h.rttvar) / 4
-	h.srtt += (sample - h.srtt) / 8
+	h.arm()
 }
 
 // startHosted begins aggregating u in degraded mode: the tensor opens
@@ -1291,17 +1299,13 @@ func (h *WorkerHost) startHosted(u []int32, onDone func(netsim.Time)) {
 	h.worker.StartHosted(u)
 }
 
-// cancelTimers disarms every retransmission timer and clears the
-// per-slot backoff, Karn and stall state: the host's one reset, for a
-// switch path being abandoned (degrade, stall give-up, crash) or
-// rebuilt (resume, restart).
+// cancelTimers stops the retransmission alarm and clears the stall
+// counts: the host's one reset, for a switch path being abandoned
+// (degrade, stall give-up, crash) or rebuilt (resume, restart).
 func (h *WorkerHost) cancelTimers() {
-	for i := range h.timers {
-		h.timers[i].Stop()
-		h.backoff[i] = 0
-		h.retxed[i] = false
-		h.stall[i] = 0
-	}
+	h.alarm.Stop()
+	h.due = h.due[:0]
+	clear(h.stall)
 }
 
 // Deliver receives a result packet from the switch, a probe answer, or
@@ -1349,27 +1353,10 @@ func (h *WorkerHost) absorb(p *packet.Packet) {
 		return
 	}
 	idx := p.Idx
-	next, finished := h.worker.HandleResult(p)
-	if next == nil && !finished && h.worker.Pending(idx) {
-		// Stale result: the slot is still in flight; leave the
-		// timer armed.
-		return
-	}
-	h.timers[idx].Stop()
-	h.backoff[idx] = 0
-	h.stall[idx] = 0
-	sample := h.sim.Now() - h.sentAt[idx]
-	if h.cfg.AdaptiveRTO && !h.retxed[idx] {
-		// Karn's rule: only unambiguous samples train the
-		// estimator.
-		h.observeRTT(sample)
-	}
-	if h.rttHist != nil && !h.retxed[idx] {
-		h.rttHist.Observe(float64(sample))
-	}
-	if h.cfg.SampleRTT && h.wcfg.ID == 0 {
-		//switchml:allow hotpath -- opt-in RTT sampling (Figure 2) collects every sample by design
-		h.rtts = append(h.rtts, sample)
+	next, finished := h.pump.HandleResult(p, int64(h.sim.Now()))
+	if next != nil || finished || !h.worker.Pending(idx) {
+		// The result moved the slot on: its stall budget starts over.
+		h.stall[idx] = 0
 	}
 	if next != nil {
 		// Self-clocked follow-up (Algorithm 4 line 17); the CPU
@@ -1377,6 +1364,12 @@ func (h *WorkerHost) absorb(p *packet.Packet) {
 		// send.
 		h.transmit(next, false)
 	}
+	if h.cfg.AdaptiveRTO || h.rttHist != nil || (h.cfg.SampleRTT && h.wcfg.ID == 0) {
+		// Due folds the result's round trip into the estimate and
+		// samples; a timeout it would find is the alarm's either way.
+		h.poll()
+	}
+	h.arm()
 	if finished {
 		h.complete(h.sim.Now())
 	}

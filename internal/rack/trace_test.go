@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"switchml/internal/netsim"
+	"switchml/internal/packet"
 	"switchml/internal/telemetry"
 )
 
@@ -85,6 +86,42 @@ func TestTraceCountersAgree(t *testing.T) {
 	// And the RTT histogram saw the clean round trips.
 	if h := reg.Histogram("rack_rtt_ns", telemetry.LatencyBuckets).Snapshot(); h.Count == 0 {
 		t.Error("rack_rtt_ns histogram is empty")
+	}
+}
+
+// TestTraceDuplicateResultIsNoRTTSample hand-delivers a result to a
+// slot with nothing in flight — a duplicate, or a unicast repair that
+// arrives after its chunk completed — a millisecond after the tensor
+// finished. It answers no send of this worker's, so it is no round
+// trip: rack_rtt_ns must not see it, nor the adaptive RTO's estimate.
+func TestTraceDuplicateResultIsNoRTTSample(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	r, err := NewRack(Config{Workers: 2, LossRecovery: true, AdaptiveRTO: true, Seed: 1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	us, _ := stepUpdates(2, 4096, 1)
+	if _, err := r.AllReduce(us); err != nil {
+		t.Fatal(err)
+	}
+	h := r.hosts[0]
+	rtts := reg.Histogram("rack_rtt_ns", telemetry.LatencyBuckets)
+	samples, srtt, stale := rtts.Snapshot().Count, h.pump.SRTT(), h.worker.Stats().StaleResults
+	if samples == 0 || srtt == 0 {
+		t.Fatalf("the step left %d RTT samples and an SRTT of %d: nothing to compare with", samples, srtt)
+	}
+	r.Sim().After(netsim.Millisecond, func() {
+		h.Deliver(&packet.Packet{Kind: packet.KindResult, JobID: h.worker.JobID(), Vector: make([]int32, r.Config().SlotElems)})
+	})
+	r.Sim().Run()
+	if got := h.worker.Stats().StaleResults; got != stale+1 {
+		t.Fatalf("stale results = %d, want %d: the duplicate never reached the worker", got, stale+1)
+	}
+	if got := rtts.Snapshot().Count; got != samples {
+		t.Errorf("rack_rtt_ns counted %d samples after the duplicate, %d before", got, samples)
+	}
+	if got := h.pump.SRTT(); got != srtt {
+		t.Errorf("SRTT = %d after the duplicate, %d before", got, srtt)
 	}
 }
 

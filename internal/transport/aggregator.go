@@ -642,8 +642,8 @@ func (a *Aggregator) serve(sh *aggShard) {
 			if j == nil {
 				j = tab.byID[sh.pkt.JobID] // several jobs: JobID names the job
 			}
-			if j == nil || (int(sh.pkt.WorkerID) >= len(j.peers) && sh.pkt.Kind != packet.KindProbe) {
-				continue // no such job, or no such worker (whose hello is answered)
+			if sh.pkt.Kind != packet.KindProbe && (j == nil || int(sh.pkt.WorkerID) >= len(j.peers)) {
+				continue // no such job or worker; handleProbe answers or drops a probe
 			}
 			sh.job = j
 			//switchml:dispatch
@@ -848,6 +848,9 @@ func (a *Aggregator) handleProbe(sh *aggShard, src netip.AddrPort) {
 	p, j := &sh.pkt, sh.job
 	var shape []int32
 	switch {
+	case p.Ver == 1 && j == nil:
+		// A hello for a job never admitted: the ack without a shape fails
+		// the dial with ErrShape at once, not after the dial's timeout.
 	case p.Ver == 1:
 		c := j.sw.Config()
 		shape = []int32{int32(j.pool), int32(c.SlotElems), int32(c.Workers)}
@@ -871,7 +874,11 @@ func (a *Aggregator) handleProbe(sh *aggShard, src netip.AddrPort) {
 			a.mu.Unlock()
 		}
 	}
-	ack := packet.NewControl(packet.KindProbeAck, p.WorkerID, j.gen(), 0, shape)
+	gen := p.JobID
+	if j != nil {
+		gen = j.gen()
+	}
+	ack := packet.NewControl(packet.KindProbeAck, p.WorkerID, gen, 0, shape)
 	ack.Idx, ack.Ver = p.Idx, p.Ver
 	sh.ctrl = ack.AppendMarshal(sh.ctrl[:0])
 	a.reply(sh, sh.ctrl, src)

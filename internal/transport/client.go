@@ -378,7 +378,7 @@ func NewClient(cfg ClientConfig) (_ *Client, err error) {
 	if c.worker, err = core.NewWorker(c.cfg.Worker); err != nil {
 		return nil, err
 	}
-	c.pump = core.NewPump(c.worker, int64(cfg.RTO), cfg.AdaptiveRTO)
+	c.pump = core.NewPump(c.worker, int64(cfg.RTO), cfg.AdaptiveRTO, true)
 	c.due = make([]uint32, 0, c.cfg.Worker.PoolSize)
 	if err := c.wrapMain(conn); err != nil {
 		return nil, err

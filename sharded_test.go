@@ -151,6 +151,28 @@ func TestShardedPeerValidation(t *testing.T) {
 	}
 }
 
+// TestDialShardedUnadmittedJob dials a job the aggregator never
+// admitted: the hello is answered without a shape, so the dial fails
+// with ErrShape at once instead of waiting out its timeout.
+func TestDialShardedUnadmittedJob(t *testing.T) {
+	m, err := ListenMultiAggregator("127.0.0.1:0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	start := time.Now()
+	sp, err := DialSharded(m.Addr(), ShardedPeerParams{ID: 0, Workers: 1, Shards: 2, Timeout: 5 * time.Second})
+	if err == nil {
+		sp.Close()
+	}
+	if !errors.Is(err, ErrShape) {
+		t.Fatalf("dial to an empty aggregator returned %v, want ErrShape", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("the refused dial took %v", took)
+	}
+}
+
 // TestMultiAggregatorTunedPoolAgrees: jobs admitted with PoolSize and
 // SlotElems left zero serve both kinds of worker — a Peer dialed with
 // the job's id, which is told the tuned shape, and a ShardedPeer, each
