@@ -13,9 +13,9 @@ GO ?= go
 RACE_PKGS = ./internal/transport ./internal/telemetry ./internal/rack \
 	./internal/core ./internal/netsim ./internal/netio .
 
-.PHONY: check vet lint lint-one lint-allows lint-sarif build test race chaos fuzz bench bench-smoke top-smoke flight-check elastic-smoke failover-smoke clean
+.PHONY: check vet cross lint lint-one lint-allows lint-sarif build test race chaos fuzz bench bench-smoke top-smoke flight-check elastic-smoke failover-smoke clean
 
-check: vet lint build test race chaos bench-smoke top-smoke flight-check elastic-smoke failover-smoke
+check: vet cross lint build test race chaos bench-smoke top-smoke flight-check elastic-smoke failover-smoke
 
 # gofmt drift in any tracked Go file fails vet (the analysis testdata
 # modules are fixtures, formatted or not on purpose).
@@ -23,6 +23,15 @@ vet:
 	$(GO) vet ./...
 	@out=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l); \
 	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
+
+# Big-endian build: the wire payload is little-endian, copied on
+# little-endian hosts and swapped elsewhere (internal/packet's
+# elems_swap.go). No emulator is installed, so the swapping path is
+# vetted and compiled for s390x here, not run; its encoder and decoder
+# run on every host in TestPortableCodecMatchesReferences.
+cross:
+	GOARCH=s390x $(GO) vet ./...
+	GOARCH=s390x $(GO) test -c -o /dev/null ./internal/packet ./internal/core ./internal/transport
 
 # Project-invariant static analysis (cmd/switchml-vet): hot-path
 # allocation freedom, simulation determinism, atomics discipline,
@@ -62,12 +71,14 @@ chaos:
 	$(GO) test -race -run Fault ./internal/rack ./internal/transport .
 
 # Short fuzz pass over the wire-format codec; corrupted and adversarial
-# datagrams must never crash or round-trip incorrectly, and the worker's
-# header-first decode must agree with the whole-packet one. Go fuzzes
-# one target per invocation.
+# datagrams must never crash or round-trip incorrectly, the worker's
+# header-first decode must agree with the whole-packet one, and the
+# aggregator's ingress from the datagram must leave the switch exactly
+# as the decoded ingress does. Go fuzzes one target per invocation.
 fuzz:
 	$(GO) test -fuzz=FuzzCodec -fuzztime=10s ./internal/packet
 	$(GO) test -fuzz=FuzzParseHeader -fuzztime=10s ./internal/packet
+	$(GO) test -fuzz=FuzzWireIngress -fuzztime=10s ./internal/core
 
 # Quick-look evaluation run (scaled-down tensors).
 bench:

@@ -173,9 +173,12 @@ func (p *Pump) Sent(idx uint32, now int64) {
 // lie in the datagram. The Worker makes every check HandleResult makes
 // on the header and the payload's length first; only a result that
 // passes them all is decoded, straight into the aggregate, so an
-// ignored one writes nothing. The follow-up is the Worker's Send, nil
-// when there is none, for the host to encode from the tensor before it
-// next calls the Worker.
+// ignored one writes nothing. The aggregate is the buffer the host lent
+// for the tensor (Worker.Lend) — the slice its caller gets back, so the
+// decode is the result's only pass on this side of the wire — or the
+// Worker's own. The follow-up is the Worker's Send, nil when there is
+// none, for the host to encode from the tensor before it next calls
+// the Worker.
 //
 //switchml:hotpath
 func (p *Pump) Result(h *packet.Header, payload []byte, now int64) (next *Send, done bool) {

@@ -60,7 +60,7 @@ func ShardSwitch(sw *Switch) *ShardedSwitch {
 		sw:    sw,
 		locks: make([]slotLock, sw.cfg.PoolSize),
 	}
-	elems := sw.ratio() * sw.cfg.SlotElems
+	elems := scratchLen(&sw.cfg, sw.ratio())
 	ss.scratch.New = func() any {
 		b := make([]int32, elems)
 		return &b
@@ -89,19 +89,54 @@ func (ss *ShardedSwitch) HandleInto(p *packet.Packet, out *packet.Packet) Respon
 	// Admission rejects out-of-range indices inside handleWith; the
 	// modulus only keeps the lock lookup in bounds until it does.
 	lk := &ss.locks[int(p.Idx)%len(ss.locks)]
-	var scratch []int32
-	var sp *[]int32
-	if ss.sw.cfg.Codec != nil {
-		sp = ss.scratch.Get().(*[]int32)
-		scratch = *sp
-	}
+	scratch, sp := ss.getScratch()
 	lk.mu.Lock()
 	resp := ss.sw.handleWith(p, scratch, out)
 	lk.mu.Unlock()
+	ss.putScratch(sp)
+	return resp
+}
+
+// HandleWire is HandleInto for an update still in its datagram, the
+// form the UDP aggregator holds: h is the header packet.ParseHeader
+// decoded and payload the elements it returned, where they lie. The
+// elements move once, from the payload into the slot's registers, and
+// a reply, if the update produces one, is appended to dst in wire form
+// straight from the registers; the extended slice comes back, with
+// multicast true for a completion's result and false for a unicast
+// reply to h.WorkerID (dst is returned as given when there is none).
+// Nothing else is staged, and with capacity in dst nothing allocates.
+// The reply is appended inside the slot's critical section: it reads
+// the slot's registers, which the next update for the slot may
+// overwrite the moment the lock is released.
+//
+//switchml:hotpath
+func (ss *ShardedSwitch) HandleWire(h *packet.Header, payload, dst []byte) ([]byte, bool) {
+	ss.mu.RLock()
+	defer ss.mu.RUnlock()
+	lk := &ss.locks[int(h.Idx)%len(ss.locks)]
+	scratch, sp := ss.getScratch()
+	lk.mu.Lock()
+	dst, multicast := ss.sw.handleWire(h, payload, dst, scratch)
+	lk.mu.Unlock()
+	ss.putScratch(sp)
+	return dst, multicast
+}
+
+// getScratch takes a codec buffer from the pool, none without a codec.
+func (ss *ShardedSwitch) getScratch() ([]int32, *[]int32) {
+	if ss.sw.cfg.Codec == nil {
+		return nil, nil
+	}
+	sp := ss.scratch.Get().(*[]int32)
+	return *sp, sp
+}
+
+// putScratch returns getScratch's buffer to the pool.
+func (ss *ShardedSwitch) putScratch(sp *[]int32) {
 	if sp != nil {
 		ss.scratch.Put(sp)
 	}
-	return resp
 }
 
 // Stats returns a snapshot of the switch counters (atomic; no lock).

@@ -245,9 +245,38 @@ type Switch struct {
 	// the job resumes among survivors).
 	active   bitset
 	required int
-	// scratch holds one packet's ingress-expanded values.
+	// scratch holds one packet's codec-expanded values, and past them
+	// one packet's wire elements (scratchLen).
 	scratch []int32
 }
+
+// step is the switch's decision on one update, made on its header and
+// element count alone (decide): where the elements go, and the reply
+// that leaves once they are in. The caller that holds the elements —
+// decoded in a Packet, or still in their datagram — moves them
+// (ingress, ingressWire) and writes the reply (respond, appendReply),
+// so one protocol serves both forms. A step lives on its caller's
+// stack and is written and read field by field.
+type step struct {
+	// into is the registers the elements go to, nil for nowhere: a
+	// slot's accumulator, or its late-update carry, r·n values for n
+	// elements under a codec of ratio r. set overwrites them (a phase
+	// opens); otherwise the elements are added.
+	into []int32
+	set  bool
+	// reply is whether a reply leaves, of kind kind — KindResult is a
+	// multicast, KindResultUnicast a repair to the sender — carrying
+	// slot from's registers at offset off; from is nil for the empty
+	// "gone" reply.
+	reply bool
+	kind  packet.Kind
+	from  *slot
+	off   uint64
+}
+
+// scratchLen is the length of a switch's scratch buffer: one packet's
+// codec-expanded values, then one packet's wire elements.
+func scratchLen(cfg *SwitchConfig, ratio int) int { return (ratio + 1) * cfg.SlotElems }
 
 // now returns the tracer timestamp.
 func (sw *Switch) now() int64 {
@@ -257,16 +286,17 @@ func (sw *Switch) now() int64 {
 	return sw.cfg.Now()
 }
 
-// trace emits a slot-level event for packet p.
-func (sw *Switch) trace(t telemetry.EventType, p *packet.Packet) {
+// trace emits a slot-level event for worker's update to slot idx at
+// offset off.
+func (sw *Switch) trace(t telemetry.EventType, worker uint16, idx uint32, off uint64) {
 	if sw.cfg.Tracer == nil {
 		return
 	}
 	e := telemetry.Ev(t, sw.now())
 	e.Actor = "switch"
-	e.Worker = int32(p.WorkerID)
-	e.Slot = int32(p.Idx)
-	e.Off = int64(p.Off)
+	e.Worker = int32(worker)
+	e.Slot = int32(idx)
+	e.Off = int64(off)
 	sw.cfg.Tracer.Emit(e)
 }
 
@@ -278,27 +308,26 @@ func (sw *Switch) ratio() int {
 	return sw.cfg.Codec.Ratio()
 }
 
-// ingressOverwrite decodes p's vector into the slot accumulator,
-// replacing its contents. A pending late-straggler carry (quorum mode
-// with LateReconcile) is folded into the opening phase here, so the
-// straggler's gradient lands exactly one slot reuse late.
-func (sw *Switch) ingressOverwrite(sl *slot, p *packet.Packet) {
-	sl.elems = len(p.Vector)
-	sl.off = int64(p.Off)
-	if sw.cfg.Codec == nil {
-		copy(sl.vector[:sl.elems], p.Vector)
-	} else {
-		sw.cfg.Codec.Ingress(sl.vector[:sw.ratio()*sl.elems], p.Vector)
-	}
+// open starts a new aggregation phase of n elements at offset off on
+// sl: the elements will overwrite the accumulator. A pending
+// late-straggler carry (quorum mode with LateReconcile) is folded into
+// the opening phase instead — the accumulator starts from the carry
+// and the elements are added — so the straggler's gradient lands
+// exactly one slot reuse late.
+func (sw *Switch) open(sl *slot, n int, off uint64, st *step) {
+	sl.elems = n
+	sl.off = int64(off)
+	st.into, st.set = sl.vector[:sw.ratio()*n], true
 	if sl.carried {
 		// The carried chunk and the opening one share a slot but may
 		// differ in length (tensor tail); the overlap is reconciled and
 		// the excess dropped with the rest of the carry.
-		addVec(sl.vector[:sw.ratio()*sl.elems], sl.carry[:sw.ratio()*sl.elems])
+		copy(st.into, sl.carry)
 		for i := range sl.carry {
 			sl.carry[i] = 0
 		}
 		sl.carried = false
+		st.set = false
 	}
 	if sl.lateSeen != nil {
 		for w := 0; w < sw.cfg.Workers; w++ {
@@ -308,15 +337,15 @@ func (sw *Switch) ingressOverwrite(sl *slot, p *packet.Packet) {
 }
 
 // lateUpdate applies the configured LatePolicy to a straggler's
-// update that arrived after its slot completed at quorum. Under
-// LateReconcile the gradient is folded into the slot's carry, to be
-// added when the next phase opens; lateSeen suppresses
+// update of n elements that arrived after its slot completed at
+// quorum. Under LateReconcile the gradient is folded into the slot's
+// carry, to be added when the next phase opens; lateSeen suppresses
 // double-counting when the straggler retransmits.
-func (sw *Switch) lateUpdate(sl *slot, p *packet.Packet, scratch []int32) {
+func (sw *Switch) lateUpdate(sl *slot, worker uint16, n int, st *step) {
 	if !sw.quorumActive() {
 		return
 	}
-	wid := int(p.WorkerID)
+	wid := int(worker)
 	if sl.carry == nil || sw.cfg.LatePolicy != LateReconcile {
 		sw.ctr.lateDropped.Inc()
 		return
@@ -325,20 +354,20 @@ func (sw *Switch) lateUpdate(sl *slot, p *packet.Packet, scratch []int32) {
 		sw.ctr.ignoredDuplicates.Inc()
 		return
 	}
-	if len(p.Vector) != sl.elems {
+	if n != sl.elems {
 		sw.ctr.staleUpdates.Inc()
 		return
 	}
 	sl.lateSeen.set(wid)
-	if sw.cfg.Codec == nil {
-		addVec(sl.carry[:sl.elems], p.Vector)
-	} else {
-		vals := scratch[:sw.ratio()*sl.elems]
-		sw.cfg.Codec.Ingress(vals, p.Vector)
-		addVec(sl.carry[:sw.ratio()*sl.elems], vals)
-	}
+	st.into = sl.carry[:sw.ratio()*sl.elems]
 	sl.carried = true
 	sw.ctr.lateReconciled.Inc()
+}
+
+// replyWith sets st's reply: kind, carrying sl's registers (nil: none,
+// the empty "gone" reply) at offset off.
+func replyWith(st *step, kind packet.Kind, sl *slot, off uint64) {
+	st.reply, st.kind, st.from, st.off = true, kind, sl, off
 }
 
 // goneReply answers a straggler whose phase's retained value was
@@ -347,23 +376,22 @@ func (sw *Switch) lateUpdate(sl *slot, p *packet.Packet, scratch []int32) {
 // from its local update — its gradient is lost for that step (it was
 // already excluded by the quorum completion), but it stays in
 // lockstep with the stream.
-func (sw *Switch) goneReply(p *packet.Packet, out *packet.Packet) Response {
+func (sw *Switch) goneReply(off uint64, st *step) {
 	sw.ctr.goneReplies.Inc()
-	if out == nil {
-		//switchml:allow hotpath -- nil-out fallback mirrors respond's allocating path
-		out = &packet.Packet{}
+	replyWith(st, packet.KindResultUnicast, nil, off)
+}
+
+// ingressCodec moves an update's decoded wire elements vec into the
+// registers st chose (non-nil) through the codec: expanded in place
+// when they overwrite, else into scratch and added.
+func (sw *Switch) ingressCodec(st *step, vec []int32, scratch []int32) {
+	if st.set {
+		sw.cfg.Codec.Ingress(st.into, vec)
+		return
 	}
-	vec := out.Vector
-	*out = packet.Packet{
-		Kind:     packet.KindResultUnicast,
-		WorkerID: p.WorkerID,
-		JobID:    p.JobID,
-		Ver:      p.Ver,
-		Idx:      p.Idx,
-		Off:      p.Off,
-		Vector:   vec[:0],
-	}
-	return Response{Pkt: out}
+	vals := scratch[:len(st.into)]
+	sw.cfg.Codec.Ingress(vals, vec)
+	addVec(st.into, vals)
 }
 
 // egressInto encodes the slot accumulator into dst, reusing dst's
@@ -384,25 +412,46 @@ func (sw *Switch) egressInto(dst []int32, sl *slot) []int32 {
 	return dst
 }
 
-// respond builds the switch's reply into out (allocating a fresh
-// packet when out is nil), copying the request's routing fields and
-// encoding the slot accumulator into out's reused vector.
-func (sw *Switch) respond(out *packet.Packet, p *packet.Packet, kind packet.Kind, off uint64, sl *slot) *packet.Packet {
+// respond writes st's reply (st.reply set) into out (allocating a fresh
+// packet when out is nil): the request's routing fields — worker, job,
+// ver, idx — and the slot accumulator encoded into out's reused vector.
+func (sw *Switch) respond(out *packet.Packet, worker, job uint16, ver uint8, idx uint32, st *step) Response {
 	if out == nil {
 		//switchml:allow hotpath -- nil-out fallback serves the allocating Handle wrapper; HandleInto callers always pass out
 		out = &packet.Packet{}
 	}
-	vec := out.Vector
+	vec := out.Vector[:0]
 	*out = packet.Packet{
-		Kind:     kind,
-		WorkerID: p.WorkerID,
-		JobID:    p.JobID,
-		Ver:      p.Ver,
-		Idx:      p.Idx,
-		Off:      off,
+		Kind:     st.kind,
+		WorkerID: worker,
+		JobID:    job,
+		Ver:      ver,
+		Idx:      idx,
+		Off:      st.off,
 	}
-	out.Vector = sw.egressInto(vec[:0], sl)
-	return out
+	if st.from != nil {
+		vec = sw.egressInto(vec, st.from)
+	}
+	out.Vector = vec
+	return Response{Pkt: out, Multicast: st.kind == packet.KindResult}
+}
+
+// appendReply appends st's reply to the update with header h to dst in
+// wire form: the header, and the elements straight from the slot's
+// registers — one pass and one checksum. A codec compresses them into
+// scratch first.
+func (sw *Switch) appendReply(dst []byte, h *packet.Header, st *step, scratch []int32) []byte {
+	var r packet.Header
+	r.Kind, r.Ver, r.WorkerID, r.JobID, r.Idx, r.Off = st.kind, h.Ver, h.WorkerID, h.JobID, h.Idx, st.off
+	var vec []int32
+	if sl := st.from; sl != nil {
+		vec = sl.vector[:sl.elems]
+		if sw.cfg.Codec != nil {
+			vec = scratch[:sl.elems]
+			sw.cfg.Codec.Egress(vec, sl.vector[:sw.ratio()*sl.elems])
+		}
+	}
+	return packet.AppendWire(dst, &r, vec)
 }
 
 // NewSwitch allocates the pools for one job.
@@ -434,7 +483,7 @@ func NewSwitch(cfg SwitchConfig) (*Switch, error) {
 			}
 		}
 	}
-	sw.scratch = make([]int32, sw.ratio()*cfg.SlotElems)
+	sw.scratch = make([]int32, scratchLen(&cfg, sw.ratio()))
 	return sw, nil
 }
 
@@ -492,39 +541,94 @@ func (sw *Switch) HandleInto(p *packet.Packet, out *packet.Packet) Response {
 	return sw.handleWith(p, sw.scratch, out)
 }
 
-// handleWith is the dataplane entry point; scratch is the
-// codec-expansion buffer (unused when Codec is nil) and out the
-// optional borrowed response packet.
+// handleWith is the dataplane entry point for a decoded packet;
+// scratch is the codec buffer (scratchLen; unused when Codec is nil)
+// and out the optional borrowed response packet.
 func (sw *Switch) handleWith(p *packet.Packet, scratch []int32, out *packet.Packet) Response {
-	if !sw.admit(p) {
-		sw.ctr.rejected.Inc()
+	var st step
+	if !sw.decide(p.Kind, p.Ver, p.WorkerID, p.JobID, p.Idx, p.Off, len(p.Vector), &st) {
 		return Response{}
+	}
+	switch {
+	case st.into == nil:
+	case sw.cfg.Codec != nil:
+		sw.ingressCodec(&st, p.Vector, scratch)
+	case st.set:
+		copy(st.into, p.Vector)
+	default:
+		addVec(st.into, p.Vector)
+	}
+	if !st.reply {
+		return Response{}
+	}
+	return sw.respond(out, p.WorkerID, p.JobID, p.Ver, p.Idx, &st)
+}
+
+// handleWire is ShardedSwitch.HandleWire's body over a given scratch
+// buffer: one pass from the payload into the registers. A codec expands
+// the elements from their wire values, decoded into scratch past its
+// expansion values.
+func (sw *Switch) handleWire(h *packet.Header, payload, dst []byte, scratch []int32) ([]byte, bool) {
+	var st step
+	if !sw.decide(h.Kind, h.Ver, h.WorkerID, h.JobID, h.Idx, h.Off, len(payload)/packet.ElemBytes, &st) {
+		return dst, false
+	}
+	switch {
+	case st.into == nil:
+	case sw.cfg.Codec != nil:
+		k := sw.ratio() * sw.cfg.SlotElems
+		vec := scratch[k : k+len(st.into)/sw.ratio()]
+		packet.DecodeElems(vec, payload)
+		sw.ingressCodec(&st, vec, scratch)
+	case st.set:
+		packet.DecodeElems(st.into, payload)
+	default:
+		packet.AddElems(st.into, payload)
+	}
+	if !st.reply {
+		return dst, false
+	}
+	return sw.appendReply(dst, h, &st, scratch), st.kind == packet.KindResult
+}
+
+// decide runs the protocol on an update's header fields and element
+// count n, and leaves in st where the elements go and what reply
+// follows. It reports whether the update was admitted; st is untouched
+// if not. The fields come as arguments, in registers, rather than as a
+// packet.Header: a decoded Packet would have to copy its fields into
+// one per packet.
+func (sw *Switch) decide(kind packet.Kind, ver uint8, worker, job uint16, idx uint32, off uint64, n int, st *step) bool {
+	if !sw.admit(kind, ver, worker, job, idx, n) {
+		sw.ctr.rejected.Inc()
+		return false
 	}
 	sw.ctr.updates.Inc()
 	if !sw.cfg.LossRecovery {
-		return sw.handleSimple(p, scratch, out)
+		sw.decideSimple(worker, idx, off, n, st)
+	} else {
+		sw.decideRecovering(ver, worker, idx, off, n, st)
 	}
-	return sw.handleRecovering(p, scratch, out)
+	return true
 }
 
 // admit performs the dataplane sanity checks.
-func (sw *Switch) admit(p *packet.Packet) bool {
-	if p.Kind != packet.KindUpdate {
+func (sw *Switch) admit(kind packet.Kind, ver uint8, worker, job uint16, idx uint32, n int) bool {
+	if kind != packet.KindUpdate {
 		return false
 	}
-	if int(p.WorkerID) >= sw.cfg.Workers || !sw.active.get(int(p.WorkerID)) {
+	if int(worker) >= sw.cfg.Workers || !sw.active.get(int(worker)) {
 		return false
 	}
-	if p.JobID != sw.cfg.JobID {
+	if job != sw.cfg.JobID {
 		return false
 	}
-	if int(p.Idx) >= sw.cfg.PoolSize {
+	if int(idx) >= sw.cfg.PoolSize {
 		return false
 	}
-	if len(p.Vector) == 0 || len(p.Vector) > sw.cfg.SlotElems {
+	if n == 0 || n > sw.cfg.SlotElems {
 		return false
 	}
-	if p.Ver > 1 || (!sw.cfg.LossRecovery && p.Ver != 0) {
+	if ver > 1 || (!sw.cfg.LossRecovery && ver != 0) {
 		return false
 	}
 	return true
@@ -544,47 +648,47 @@ func (sw *Switch) needed() int {
 // full membership.
 func (sw *Switch) quorumActive() bool { return sw.needed() < sw.required }
 
-// handleSimple is Algorithm 1: no duplicate suppression, no shadow
+// decideSimple is Algorithm 1: no duplicate suppression, no shadow
 // copy. Correct only when the network never drops or duplicates.
-func (sw *Switch) handleSimple(p *packet.Packet, scratch []int32, out *packet.Packet) Response {
-	sl := &sw.pools[0][p.Idx]
+func (sw *Switch) decideSimple(worker uint16, idx uint32, off uint64, n int, st *step) {
+	sl := &sw.pools[0][idx]
 	if sl.count == 0 {
-		sw.ingressOverwrite(sl, p)
+		sw.open(sl, n, off, st)
 		sl.start = sw.now()
 	} else {
-		if !sw.accumulate(sl, p, scratch) {
-			return Response{}
+		if !sw.accumulate(sl, off, n, st) {
+			return
 		}
 	}
-	sw.trace(telemetry.EvSlotAggregated, p)
+	sw.trace(telemetry.EvSlotAggregated, worker, idx, off)
 	sl.count++
 	if sl.count < sw.required {
-		return Response{}
+		return
 	}
 	// Complete: emit the aggregate and release the slot (Algorithm 1
-	// lines 8-10).
-	resp := sw.respond(out, p, packet.KindResult, p.Off, sl)
+	// lines 8-10). The reply reads the registers after the elements are
+	// in; the release touches only the count and the offset.
+	replyWith(st, packet.KindResult, sl, off)
 	sl.count = 0
 	sl.off = -1
 	sw.ctr.completions.Inc()
-	sw.observeCompletion(sl, int(p.WorkerID))
-	sw.trace(telemetry.EvSlotComplete, p)
-	return Response{Pkt: resp, Multicast: true}
+	sw.observeCompletion(sl, int(worker))
+	sw.trace(telemetry.EvSlotComplete, worker, idx, off)
 }
 
-// handleRecovering is Algorithm 3, extended with quorum-based
+// decideRecovering is Algorithm 3, extended with quorum-based
 // straggler mitigation: a slot may complete at needed() < required
 // contributions, in which case the stragglers' late updates are
 // served the retained result and handled per LatePolicy, and
 // stragglers whose phase has already been evicted get an empty
 // "gone" unicast telling them to self-complete from their local
 // update.
-func (sw *Switch) handleRecovering(p *packet.Packet, scratch []int32, out *packet.Packet) Response {
-	sl := &sw.pools[p.Ver][p.Idx]
-	other := &sw.pools[1-p.Ver][p.Idx]
-	wid := int(p.WorkerID)
+func (sw *Switch) decideRecovering(ver uint8, worker uint16, idx uint32, off uint64, n int, st *step) {
+	sl := &sw.pools[ver][idx]
+	other := &sw.pools[1-ver][idx]
+	wid := int(worker)
 
-	if sw.cfg.Quorum > 0 && sl.seen.get(wid) && sl.count == 0 && int64(p.Off) != sl.off {
+	if sw.cfg.Quorum > 0 && sl.seen.get(wid) && sl.count == 0 && int64(off) != sl.off {
 		// Stale seen bit: the worker contributed to a phase other than
 		// the one retained here. Quorum completions reuse slots without
 		// the stragglers whose contributions would have cleared this
@@ -610,33 +714,36 @@ func (sw *Switch) handleRecovering(p *packet.Packet, scratch []int32, out *packe
 			// distinguish). Serve the retained result if it matches
 			// this pool's completed aggregation; otherwise drop it
 			// rather than corrupt the slot.
-			if int64(p.Off) <= sl.off || int64(p.Off) <= other.off {
-				if int64(p.Off) == sl.off {
+			if int64(off) <= sl.off || int64(off) <= other.off {
+				if int64(off) == sl.off {
 					// Under quorum this is a straggler whose slot
 					// completed without it: apply the late-update
 					// policy, then serve the retained result so it
 					// keeps pace.
-					sw.lateUpdate(sl, p, scratch)
+					sw.lateUpdate(sl, worker, n, st)
 					sw.ctr.resultRetransmissions.Inc()
-					sw.trace(telemetry.EvShadowRead, p)
-					return Response{Pkt: sw.respond(out, p, packet.KindResultUnicast, uint64(sl.off), sl)}
+					sw.trace(telemetry.EvShadowRead, worker, idx, off)
+					replyWith(st, packet.KindResultUnicast, sl, uint64(sl.off))
+					return
 				}
-				if sw.quorumActive() && int64(p.Off) < sl.off && int64(p.Off) != other.off {
-					return sw.goneReply(p, out)
+				if sw.quorumActive() && int64(off) < sl.off && int64(off) != other.off {
+					sw.goneReply(off, st)
+					return
 				}
 				sw.ctr.staleUpdates.Inc()
-				return Response{}
+				return
 			}
-		} else if int64(p.Off) < sl.off && int64(p.Off) != other.off {
+		} else if int64(off) < sl.off && int64(off) != other.off {
 			// A newer phase is already aggregating on this pool: the
 			// straggler's phase was evicted before it contributed.
 			// Only reachable under quorum, where fast workers reuse a
 			// slot before a straggler's chunk resolves.
 			if sw.quorumActive() {
-				return sw.goneReply(p, out)
+				sw.goneReply(off, st)
+				return
 			}
 			sw.ctr.staleUpdates.Inc()
-			return Response{}
+			return
 		}
 		if sl.count == 0 && sw.cfg.Quorum > 0 {
 			// Opening a new phase: reset the roll. Under full
@@ -657,36 +764,37 @@ func (sw *Switch) handleRecovering(p *packet.Packet, scratch []int32, out *packe
 		if sl.count == 0 {
 			// First contribution overall: overwrite, which doubles as
 			// the slot reset (line 10).
-			sw.ingressOverwrite(sl, p)
+			sw.open(sl, n, off, st)
 			sl.start = sw.now()
 		} else {
-			if !sw.accumulate(sl, p, scratch) {
+			if !sw.accumulate(sl, off, n, st) {
 				// Inconsistent chunk from a misbehaving worker: undo
 				// the seen-bit changes and drop.
 				sl.seen.clear(wid)
 				if otherHad {
 					other.seen.set(wid)
 				}
-				return Response{}
+				return
 			}
 		}
-		sw.trace(telemetry.EvSlotAggregated, p)
+		sw.trace(telemetry.EvSlotAggregated, worker, idx, off)
 		sl.count++
 		if sl.count < sw.needed() {
-			return Response{}
+			return
 		}
 		// Aggregation complete (lines 13-15): the slot becomes the
-		// shadow copy, retaining its value for retransmissions.
-		resp := sw.respond(out, p, packet.KindResult, p.Off, sl)
+		// shadow copy, retaining its value for retransmissions. The
+		// reply reads the registers once the elements are in.
+		replyWith(st, packet.KindResult, sl, off)
 		if sl.count < sw.required {
 			sw.ctr.quorumCompletions.Inc()
-			sw.trace(telemetry.EvQuorumComplete, p)
+			sw.trace(telemetry.EvQuorumComplete, worker, idx, off)
 		}
 		sl.count = 0
 		sw.ctr.completions.Inc()
 		sw.observeCompletion(sl, wid)
-		sw.trace(telemetry.EvSlotComplete, p)
-		return Response{Pkt: resp, Multicast: true}
+		sw.trace(telemetry.EvSlotComplete, worker, idx, off)
+		return
 	}
 
 	// Retransmission (lines 18-23).
@@ -694,30 +802,25 @@ func (sw *Switch) handleRecovering(p *packet.Packet, scratch []int32, out *packe
 		// The slot already completed; reply to just this worker with
 		// the retained result (lines 19-21).
 		sw.ctr.resultRetransmissions.Inc()
-		sw.trace(telemetry.EvShadowRead, p)
-		return Response{Pkt: sw.respond(out, p, packet.KindResultUnicast, uint64(sl.off), sl)}
+		sw.trace(telemetry.EvShadowRead, worker, idx, off)
+		replyWith(st, packet.KindResultUnicast, sl, uint64(sl.off))
+		return
 	}
 	// Still aggregating: the update was already applied, ignore.
 	sw.ctr.ignoredDuplicates.Inc()
-	return Response{}
 }
 
-// accumulate adds p's vector into the slot, verifying the chunk is
-// consistent with the aggregation in progress.
-func (sw *Switch) accumulate(sl *slot, p *packet.Packet, scratch []int32) bool {
-	if len(p.Vector) != sl.elems || int64(p.Off) != sl.off {
+// accumulate directs an update of n elements to be added into the
+// slot, verifying the chunk is consistent with the aggregation in
+// progress.
+func (sw *Switch) accumulate(sl *slot, off uint64, n int, st *step) bool {
+	if n != sl.elems || int64(off) != sl.off {
 		// The packet passed admission but does not belong to the
 		// aggregation in progress: a stale or inconsistent chunk.
 		sw.ctr.staleUpdates.Inc()
 		return false
 	}
-	if sw.cfg.Codec == nil {
-		addVec(sl.vector, p.Vector)
-		return true
-	}
-	vals := scratch[:sw.ratio()*sl.elems]
-	sw.cfg.Codec.Ingress(vals, p.Vector)
-	addVec(sl.vector, vals)
+	st.into = sl.vector[:sw.ratio()*n]
 	return true
 }
 

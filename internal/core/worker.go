@@ -146,8 +146,12 @@ type Worker struct {
 	cfg WorkerConfig
 	// u is the tensor being aggregated (the local model update).
 	u []int32
-	// a receives the aggregated values.
-	a []int32
+	// a receives the aggregated values: own, the Worker's buffer, or
+	// while lent is set a buffer the host lent for the tensor (Lend).
+	// loan is the buffer lent for the next tensor opened, not yet
+	// taken.
+	a, own, loan []int32
+	lent         bool
 	// base is the stream offset of u[0]; offsets carried in packets
 	// are stream-global so stale packets can never alias.
 	base uint64
@@ -233,6 +237,39 @@ func (w *Worker) Busy() bool { return w.remaining > 0 }
 // Aggregate returns the output buffer of the last completed (or
 // in-progress) aggregation.
 func (w *Worker) Aggregate() []int32 { return w.a }
+
+// Lend makes a the aggregate buffer of the next tensor Open or
+// StartHosted opens, if a is that tensor's length: results are written
+// straight into it, and the Worker's own buffer is not touched. A nil a
+// withdraws a loan not yet taken. A loan taken lasts until Reclaim,
+// across a failed call's retry and any §5.6 re-open meanwhile.
+func (w *Worker) Lend(a []int32) { w.loan = a }
+
+// Reclaim ends a loan: one not yet taken is withdrawn, and a buffer the
+// aggregate is in is given back — the Worker keeps no reference to it
+// and takes its own buffer again, sized to the tensor. A §5.6 recovery
+// that re-opens the tensor afterwards (Resume) re-aggregates from its
+// frontier into the Worker's own buffer, so it never writes a slice the
+// host has handed on; the chunks before the frontier are not restored
+// there, and such a re-open's Aggregate holds them only from the
+// frontier on.
+func (w *Worker) Reclaim() {
+	w.loan = nil
+	if w.lent {
+		w.lent = false
+		w.a = w.ownSized(len(w.a))
+	}
+}
+
+// ownSized returns the Worker's own aggregate buffer at length n,
+// grown if it is shorter.
+func (w *Worker) ownSized(n int) []int32 {
+	if cap(w.own) < n {
+		w.own = make([]int32, n)
+	}
+	w.own = w.own[:n]
+	return w.own
+}
 
 // Start begins aggregating the tensor u and returns the initial
 // window of update packets (Algorithm 4 lines 1-8): one packet per
@@ -709,7 +746,7 @@ func (w *Worker) JoinAt(jobID uint16, off uint64) {
 	w.cfg.JobID = jobID
 	w.base = off
 	w.u = nil
-	w.a = w.a[:0]
+	w.a, w.lent = w.own[:0], false
 	w.chunkDone = w.chunkDone[:0]
 	w.discardWindow()
 	for i := range w.ver {
@@ -754,11 +791,12 @@ func (w *Worker) StartHosted(u []int32) {
 		return
 	}
 	w.u = u
-	if cap(w.a) >= len(u) {
-		w.a = w.a[:len(u)]
+	if w.lent = len(w.loan) == len(u); w.lent {
+		w.a = w.loan
 	} else {
-		w.a = make([]int32, len(u))
+		w.a = w.ownSized(len(u))
 	}
+	w.loan = nil
 	w.remaining = len(u)
 	chunks := (len(u) + w.cfg.SlotElems - 1) / w.cfg.SlotElems
 	if cap(w.chunkDone) >= chunks {

@@ -8,9 +8,10 @@ import (
 )
 
 // refMarshal is the codec's reference encoder: the layout documented
-// on Marshal written out one field and one element at a time, the way
-// AppendMarshal did before its element loop was unrolled. Tests hold
-// the fast paths to it byte for byte.
+// on Marshal written out one field and one element at a time — header
+// fields big-endian, elements little-endian — with encoding/binary and
+// no knowledge of the host's byte order. Tests hold the fast paths to
+// it byte for byte.
 func refMarshal(p *Packet) []byte {
 	buf := make([]byte, marshalHeaderBytes+ElemBytes*len(p.Vector))
 	binary.BigEndian.PutUint16(buf[4:6], magic)
@@ -21,7 +22,7 @@ func refMarshal(p *Packet) []byte {
 	binary.BigEndian.PutUint32(buf[12:16], p.Idx)
 	binary.BigEndian.PutUint64(buf[16:24], p.Off)
 	for i, v := range p.Vector {
-		binary.BigEndian.PutUint32(buf[marshalHeaderBytes+ElemBytes*i:], uint32(v))
+		binary.LittleEndian.PutUint32(buf[marshalHeaderBytes+ElemBytes*i:], uint32(v))
 	}
 	binary.BigEndian.PutUint32(buf[0:4], crc32.ChecksumIEEE(buf[4:]))
 	return buf
@@ -33,7 +34,7 @@ func refVector(buf []byte) []int32 {
 	payload := buf[marshalHeaderBytes:]
 	vec := make([]int32, len(payload)/ElemBytes)
 	for i := range vec {
-		vec[i] = int32(binary.BigEndian.Uint32(payload[ElemBytes*i:]))
+		vec[i] = int32(binary.LittleEndian.Uint32(payload[ElemBytes*i:]))
 	}
 	return vec
 }
@@ -132,6 +133,89 @@ func TestCodecMatchesReference(t *testing.T) {
 	for _, p := range pkts {
 		for _, offset := range []int{0, 1, 2, 3, 5, 152} {
 			checkAgainstReference(t, p, offset)
+		}
+	}
+}
+
+// TestPayloadIsHostOrder holds the codec to its byte-order claim on the
+// hosts the software path runs on: on a little-endian host an encoded
+// payload is the vector's in-memory bytes, so the worker's encode and
+// decode and the aggregator's ingress and egress swap no element (four
+// swaps a round trip in the big-endian layout, zero now), and the
+// build takes the copy path (elems_native.go).
+func TestPayloadIsHostOrder(t *testing.T) {
+	littleHost := binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+	if littleHost != nativeOrder {
+		t.Fatalf("host little-endian %v, but the build's copy path is %v: the elems_native.go build list is wrong", littleHost, nativeOrder)
+	}
+	if !littleHost {
+		t.Skip("big-endian host: the payload is swapped by design (TestPortableCodecMatchesReferences covers it)")
+	}
+	for _, n := range []int{1, 7, 8, 9, DefaultElems, 312, MTUElems} {
+		vec := seedVector(n, -1<<31+5)
+		var mem []byte
+		for _, v := range vec {
+			mem = binary.NativeEndian.AppendUint32(mem, uint32(v))
+		}
+		h := Header{Kind: KindUpdate, Idx: 3}
+		wire := AppendWire(nil, &h, vec)
+		if !bytes.Equal(wire[marshalHeaderBytes:], mem) {
+			t.Fatalf("n=%d: payload %x is not the vector's memory %x", n, wire[marshalHeaderBytes:], mem)
+		}
+		back := make([]int32, n)
+		DecodeElems(back, wire[marshalHeaderBytes:])
+		for i := range vec {
+			if back[i] != vec[i] {
+				t.Fatalf("n=%d: element %d decoded %d, want %d", n, i, back[i], vec[i])
+			}
+		}
+	}
+}
+
+// TestPortableCodecMatchesReferences runs the byte-swapping pair that a
+// big-endian build uses, on every host, against encoding/binary: it
+// writes exactly the little-endian reference, which is not the
+// big-endian one, and reads both back as the reference says. AddElems
+// (the switch's ingress add) is held to the decoded sum.
+func TestPortableCodecMatchesReferences(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 8, 9, 31, 32, 33, 312, MTUElems} {
+		vec := seedVector(n, 0x01020304)
+		if n > 1 {
+			vec[0], vec[n-1] = -1<<31, 1<<31-1
+		}
+		var le, be []byte
+		for _, v := range vec {
+			le = binary.LittleEndian.AppendUint32(le, uint32(v))
+			be = binary.BigEndian.AppendUint32(be, uint32(v))
+		}
+		got := make([]byte, ElemBytes*n+3)
+		putElemsPortable(got, vec)
+		if !bytes.Equal(got[:ElemBytes*n], le) {
+			t.Fatalf("n=%d: portable encoder %x, little-endian reference %x", n, got[:ElemBytes*n], le)
+		}
+		if n > 0 && bytes.Equal(got[:ElemBytes*n], be) {
+			t.Fatalf("n=%d: portable encoder wrote the big-endian reference", n)
+		}
+		for _, b := range got[ElemBytes*n:] {
+			if b != 0 {
+				t.Fatalf("n=%d: portable encoder wrote past its elements", n)
+			}
+		}
+		fromLE, fromBE := make([]int32, n), make([]int32, n)
+		decodeElemsPortable(fromLE, le)
+		decodeElemsPortable(fromBE, be)
+		sum := seedVector(n, 1000)
+		AddElems(sum, le)
+		for i, v := range vec {
+			if fromLE[i] != v {
+				t.Fatalf("n=%d: element %d decoded %d from the little-endian reference, want %d", n, i, fromLE[i], v)
+			}
+			if want := int32(binary.LittleEndian.Uint32(be[ElemBytes*i:])); fromBE[i] != want {
+				t.Fatalf("n=%d: element %d decoded %d from big-endian bytes, the reference reads %d", n, i, fromBE[i], want)
+			}
+			if want := 1000 + int32(i) + v; sum[i] != want {
+				t.Fatalf("n=%d: AddElems element %d = %d, want %d", n, i, sum[i], want)
+			}
 		}
 	}
 }

@@ -38,15 +38,17 @@ func FuzzUnmarshal(f *testing.F) {
 // accept and yield identical fields and elements. The destination is
 // filled with a marker and has one guard element past its end, so a
 // decode that writes too little or too much shows. Seeded from
-// codecSeeds' wire images, the previous layout's golden and a few
+// codecSeeds' wire images, the earlier layouts' goldens and a few
 // malformed buffers.
 func FuzzParseHeader(f *testing.F) {
 	for _, s := range codecSeeds {
 		p := &Packet{Kind: s.kind, WorkerID: s.worker, JobID: s.job, Ver: s.ver, Idx: s.idx, Off: s.off, Vector: seedVector(s.n, s.fill)}
 		f.Add(p.Marshal())
 	}
-	if old, err := hex.DecodeString(goldenFullUpdateOldLayout); err == nil {
-		f.Add(old)
+	for _, old := range []string{goldenFullUpdateOldLayout, goldenFullUpdateBigEndian} {
+		if b, err := hex.DecodeString(old); err == nil {
+			f.Add(b)
+		}
 	}
 	f.Add([]byte{})
 	f.Add(make([]byte, marshalHeaderBytes-1))

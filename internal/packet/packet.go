@@ -61,8 +61,11 @@ const (
 	// every byte after it.
 	crcBytes = 4
 
-	// magic identifies marshalled SwitchML packets.
-	magic = 0x534D // "SM"
+	// magic identifies marshalled SwitchML packets in the current
+	// layout: "SL", SwitchML with a little-endian payload. The layout
+	// before it, the same header over a big-endian payload, carried
+	// "SM" here.
+	magic = 0x534C // "SL"
 )
 
 // Kind discriminates the direction and role of a packet.
@@ -341,7 +344,8 @@ func (p *Packet) MarshalledSize() int { return WireLen(len(p.Vector)) }
 func WireLen(elems int) int { return marshalHeaderBytes + ElemBytes*elems }
 
 // Marshal serializes the packet into the self-describing byte format
-// used by the real transport. The layout is fixed-width, big-endian:
+// used by the real transport. The layout is fixed-width; the header
+// fields are big-endian, the vector elements little-endian:
 //
 //	offset size field
 //	0      4    crc32 (IEEE) of bytes [4,len): the header below and the payload
@@ -352,13 +356,21 @@ func WireLen(elems int) int { return marshalHeaderBytes + ElemBytes*elems }
 //	10     2    job id
 //	12     4    idx
 //	16     8    off
-//	24     4*n  vector elements
+//	24     4*n  vector elements, little-endian
 //
 // The checksum leads so that what it covers is one contiguous run of
-// bytes: one crc32 call per datagram. A datagram from an endpoint on
-// the earlier layout, which kept the magic at [0,2) and the checksum at
-// [20,24), fails the magic check (ErrBadMagic), so a mixed-version
-// deployment counts it corrupted instead of misparsing it.
+// bytes: one crc32 call per datagram. The elements are in the byte
+// order of the hosts that run the software path, not the network
+// order the paper's switch parses: on a little-endian host the encoder
+// and decoder copy them (elems_native.go), and every hop moves each
+// element once. p4sim models the Tofino's parser and is unaffected; it
+// carries Packet values, never these bytes.
+//
+// A datagram from an endpoint on an earlier layout fails the magic
+// check (ErrBadMagic), so a mixed-version deployment counts it
+// corrupted instead of misparsing it: the big-endian-payload layout
+// carried "SM" at [4,6), and the one before it kept the magic at [0,2)
+// and the checksum at [20,24).
 func (p *Packet) Marshal() []byte {
 	return p.AppendMarshal(make([]byte, 0, p.MarshalledSize()))
 }
@@ -408,53 +420,6 @@ func appendWire(dst []byte, kind Kind, ver uint8, worker, job uint16, idx uint32
 	putElems(buf[marshalHeaderBytes:], vec)
 	binary.BigEndian.PutUint32(buf[0:crcBytes], bodyChecksum(buf))
 	return dst
-}
-
-// putElems writes vec big-endian into dst, which holds exactly
-// ElemBytes·len(vec) bytes. Elements move eight to a pass through
-// fixed-size array views, so the pass itself carries no bounds check:
-// slicing and checking per element costs more than the byte swap it
-// guards.
-func putElems(dst []byte, vec []int32) {
-	dst = dst[:ElemBytes*len(vec)]
-	for len(vec) >= 8 && len(dst) >= 8*ElemBytes {
-		s, d := (*[8]int32)(vec), (*[8 * ElemBytes]byte)(dst)
-		binary.BigEndian.PutUint32(d[0:4], uint32(s[0]))
-		binary.BigEndian.PutUint32(d[4:8], uint32(s[1]))
-		binary.BigEndian.PutUint32(d[8:12], uint32(s[2]))
-		binary.BigEndian.PutUint32(d[12:16], uint32(s[3]))
-		binary.BigEndian.PutUint32(d[16:20], uint32(s[4]))
-		binary.BigEndian.PutUint32(d[20:24], uint32(s[5]))
-		binary.BigEndian.PutUint32(d[24:28], uint32(s[6]))
-		binary.BigEndian.PutUint32(d[28:32], uint32(s[7]))
-		vec, dst = vec[8:], dst[8*ElemBytes:]
-	}
-	for i, v := range vec {
-		binary.BigEndian.PutUint32(dst[ElemBytes*i:], uint32(v))
-	}
-}
-
-// DecodeElems is putElems' inverse: it fills vec from the first
-// ElemBytes·len(vec) big-endian bytes of src, which must hold that
-// many — a payload ParseHeader returned holds exactly its packet's
-// elements.
-func DecodeElems(vec []int32, src []byte) {
-	src = src[:ElemBytes*len(vec)]
-	for len(vec) >= 8 && len(src) >= 8*ElemBytes {
-		d, s := (*[8]int32)(vec), (*[8 * ElemBytes]byte)(src)
-		d[0] = int32(binary.BigEndian.Uint32(s[0:4]))
-		d[1] = int32(binary.BigEndian.Uint32(s[4:8]))
-		d[2] = int32(binary.BigEndian.Uint32(s[8:12]))
-		d[3] = int32(binary.BigEndian.Uint32(s[12:16]))
-		d[4] = int32(binary.BigEndian.Uint32(s[16:20]))
-		d[5] = int32(binary.BigEndian.Uint32(s[20:24]))
-		d[6] = int32(binary.BigEndian.Uint32(s[24:28]))
-		d[7] = int32(binary.BigEndian.Uint32(s[28:32]))
-		vec, src = vec[8:], src[8*ElemBytes:]
-	}
-	for i := range vec {
-		vec[i] = int32(binary.BigEndian.Uint32(src[ElemBytes*i:]))
-	}
 }
 
 // bodyChecksum computes the packet checksum of a marshalled buffer:
@@ -518,11 +483,12 @@ func UnmarshalInto(p *Packet, buf []byte) error {
 // ParseHeader is UnmarshalInto up to the vector: the same checks in the
 // same order — length, magic, payload alignment, checksum, kind — with
 // the same sentinels, then the header decoded into h and the payload,
-// the vector's ElemBytes-aligned big-endian elements, returned where
+// the vector's ElemBytes-aligned little-endian elements, returned where
 // they lie in buf. On error h is left unmodified. A receiver that must
 // check a packet's fields before it knows where the elements belong (a
 // worker's result) decodes them afterwards with DecodeElems, straight
-// into their destination, or not at all.
+// into their destination, or not at all; one that aggregates them adds
+// them where they lie (AddElems).
 //
 //switchml:hotpath
 func ParseHeader(h *Header, buf []byte) ([]byte, error) {

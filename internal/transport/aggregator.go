@@ -156,10 +156,10 @@ type AggregatorConfig struct {
 	// the kernel supports them.
 	Shards int
 	// DropResult, when non-nil, is consulted before each result send
-	// and drops the packet when it returns true. It exists for loss
-	// testing on loopback networks that never drop. The packet is
-	// only valid for the duration of the call.
-	DropResult func(p *packet.Packet) bool
+	// with the result's header, and drops the result when it returns
+	// true. It exists for loss testing on loopback networks that never
+	// drop. The header is only valid for the duration of the call.
+	DropResult func(h *packet.Header) bool
 	// Liveness, when non-nil, enables the failure detector: silent
 	// workers are evicted and the survivors are resumed under a new job
 	// generation (§5.6). It is also the prerequisite for elastic
@@ -194,8 +194,8 @@ type AggregatorConfig struct {
 // worker must send before it can receive, which the protocol guarantees.
 //
 // N shard goroutines drain the socket concurrently; each owns its
-// receive buffer, decoded packet, response packet and wire buffer, so
-// the steady-state datagram path performs no heap allocation. Worker
+// receive buffer, decoded header and wire buffers, so the steady-state
+// datagram path performs no heap allocation. Worker
 // addresses live in an atomic table (compare-before-store keeps the
 // common case write-free), the liveness tracker is internally atomic,
 // and the recovery state machine — the only cross-shard state — is
@@ -292,11 +292,14 @@ type job struct {
 	peers []atomic.Pointer[netip.AddrPort]
 	pool  int
 	epoch atomic.Uint32
+	// maxReply is the wire length of the largest reply the pool sends,
+	// a result of k elements: the room a shard's block keeps for one.
+	maxReply int
 }
 
 func newJob(sw *core.ShardedSwitch) *job {
 	cfg := sw.Config()
-	j := &job{sw: sw, peers: make([]atomic.Pointer[netip.AddrPort], cfg.Workers), pool: cfg.PoolSize}
+	j := &job{sw: sw, peers: make([]atomic.Pointer[netip.AddrPort], cfg.Workers), pool: cfg.PoolSize, maxReply: packet.WireLen(cfg.SlotElems)}
 	j.epoch.Store(uint32(cfg.JobID))
 	return j
 }
@@ -325,10 +328,9 @@ type jobTable struct {
 // the datagram-in/datagrams-out cycle touches no shared mutable
 // memory beyond the slot being aggregated.
 type aggShard struct {
-	pkt     packet.Packet // decoded request (vector storage reused)
-	job     *job          // the job pkt routes to
-	out     packet.Packet // response storage for HandleInto
-	ctrl    []byte        // marshalled one-off reply: control, or a result outside the block
+	hdr     packet.Header // the request's header; its elements stay in the receive buffer
+	job     *job          // the job hdr routes to
+	ctrl    []byte        // marshalled one-off control reply
 	mangled []byte        // injector corruption scratch
 	// datagrams is this shard's share of the drain load (atomic; one
 	// captured pointer, so counting stays allocation-free).
@@ -336,10 +338,10 @@ type aggShard struct {
 
 	// nc is the shard's socket view; occ its burst-occupancy histogram.
 	// block accumulates the burst's equal-size multicast results, each
-	// marshalled straight into it, so one flush sends the same bytes to
-	// every peer as a segment train (the completed results of a burst
-	// are identical for all workers, so the block is built once and
-	// addressed W times).
+	// written into it by the switch straight from the slot's registers,
+	// so one flush sends the same bytes to every peer as a segment train
+	// (the completed results of a burst are identical for all workers,
+	// so the block is built once and addressed W times).
 	// blockJob is the job whose results the block holds: it goes to that
 	// job's peers only. staged counts the datagrams handed to nc since
 	// the last flush, added to the sent counter once per flush.
@@ -598,7 +600,8 @@ func (a *Aggregator) Close() error {
 // per wakeup (one recvmmsg on Linux, with GRO coalescing where the
 // kernel offers it; one datagram in netio's portable mode), every
 // packet run to completion against the shard's private arena with zero
-// channel hops, and all replies flushed in one batched send — the
+// channel hops — only its header decoded, its elements read where they
+// lie — and all replies flushed in one batched send — the
 // burst's equal-size multicast results riding a single
 // segmentation-offload train per peer. Control handlers (join/leave/
 // report/heartbeat) send immediately on the control socket; only the
@@ -634,24 +637,25 @@ func (a *Aggregator) serve(sh *aggShard) {
 		}
 		for i := 0; i < n; i++ {
 			m := &sh.nc.Msgs[i]
-			if err := packet.UnmarshalInto(&sh.pkt, m.Buf); err != nil {
+			payload, err := packet.ParseHeader(&sh.hdr, m.Buf)
+			if err != nil {
 				a.corrupt.Inc()
 				continue // corrupted datagram: drop (§3.4)
 			}
 			j := a.job
 			if j == nil {
-				j = tab.byID[sh.pkt.JobID] // several jobs: JobID names the job
+				j = tab.byID[sh.hdr.JobID] // several jobs: JobID names the job
 			}
-			if sh.pkt.Kind != packet.KindProbe && (j == nil || int(sh.pkt.WorkerID) >= len(j.peers)) {
+			if sh.hdr.Kind != packet.KindProbe && (j == nil || int(sh.hdr.WorkerID) >= len(j.peers)) {
 				continue // no such job or worker; handleProbe answers or drops a probe
 			}
 			sh.job = j
 			//switchml:dispatch
-			switch sh.pkt.Kind {
+			switch sh.hdr.Kind {
 			case packet.KindUpdate:
-				a.handleUpdate(sh, m.Addr)
+				a.handleUpdate(sh, payload, m.Addr)
 			case packet.KindHeartbeat:
-				a.touch(&sh.pkt, m.Addr)
+				a.touch(&sh.hdr, m.Addr)
 			case packet.KindReport:
 				a.handleReport(sh, m.Addr)
 			case packet.KindProbe:
@@ -672,21 +676,28 @@ func (a *Aggregator) serve(sh *aggShard) {
 	}
 }
 
-// stageMulticast marshals a multicast result onto the tail of the
-// burst's block. Completed slot results are byte-identical for every
-// worker of a job, so the shard builds the block once and flushShard
-// addresses it to each of the job's peers as one segment train. Another
-// job's result, a segment-size change or a full block flushes eagerly —
-// correctness never depends on the burst boundary.
+// stageMulticast keeps the multicast result the switch just wrote at
+// block[start:] on the burst's block. Completed slot results are
+// byte-identical for every worker of a job, so the shard builds the
+// block once and flushShard addresses it to each of the job's peers as
+// one segment train. A result of another job or another size cannot
+// ride the block's train: the block before it is flushed first and the
+// result moved to the front — correctness never depends on the burst
+// boundary.
 //
 //switchml:hotpath
-func (a *Aggregator) stageMulticast(sh *aggShard, p *packet.Packet) {
-	size := p.MarshalledSize()
-	if sh.blockSeg != 0 && (sh.blockJob != sh.job || sh.blockSeg != size || len(sh.block)+size > cap(sh.block)) {
+func (a *Aggregator) stageMulticast(sh *aggShard, start int) {
+	size := len(sh.block) - start
+	if sh.blockSeg != 0 && (sh.blockJob != sh.job || sh.blockSeg != size) {
+		seg := sh.block[start:]
+		sh.block = sh.block[:start]
 		a.flushShard(sh)
+		// A move within the block's storage, which the flush left
+		// untouched past start.
+		sh.block = sh.block[:size]
+		copy(sh.block, seg)
 	}
 	sh.blockJob, sh.blockSeg = sh.job, size
-	sh.block = p.AppendMarshal(sh.block)
 }
 
 // flushShard fans the accumulated multicast block out to every known
@@ -772,27 +783,29 @@ func (a *Aggregator) writeCtrl(wire []byte, to netip.AddrPort) {
 	a.sent.Inc()
 }
 
-// handleUpdate feeds one model-update into the pool. With a liveness
-// detector attached it also polices membership: traffic from a
-// retired worker is answered with the reconfigure directive (so a
+// handleUpdate feeds one model-update into the pool: sh.hdr is its
+// header and payload its elements, still in the receive buffer. With a
+// liveness detector attached it also polices membership: traffic from
+// a retired worker is answered with the reconfigure directive (so a
 // merely-slow worker learns it was evicted and can fail fast), and
 // traffic from a live worker under another generation than the last
 // release's means that release was lost — it is re-sent instead of
-// feeding the pool. The clean path — touch the tracker, aggregate,
-// marshal the result into the shard's block — takes no lock beyond the
-// packet's slot and reads no clock: liveness and the switch stamp from
-// the burst clock, and the release is read lock-free.
+// feeding the pool. The clean path — touch the tracker, aggregate from
+// the payload, and take the result the switch wrote onto the shard's
+// block — takes no lock beyond the packet's slot and reads no clock:
+// liveness and the switch stamp from the burst clock, and the release
+// is read lock-free.
 //
 //switchml:hotpath
-func (a *Aggregator) handleUpdate(sh *aggShard, src netip.AddrPort) {
-	p, j := &sh.pkt, sh.job
-	w := int(p.WorkerID)
+func (a *Aggregator) handleUpdate(sh *aggShard, payload []byte, src netip.AddrPort) {
+	h, j := &sh.hdr, sh.job
+	w := int(h.WorkerID)
 	if a.lv != nil {
 		if a.lv.tracker.Dead(w) {
 			a.mu.Lock()
 			vec := a.membersLocked(-1)
 			a.mu.Unlock()
-			sh.ctrl = packet.NewControl(packet.KindReconfig, p.WorkerID, j.gen(), 0, vec).AppendMarshal(sh.ctrl[:0])
+			sh.ctrl = packet.NewControl(packet.KindReconfig, h.WorkerID, j.gen(), 0, vec).AppendMarshal(sh.ctrl[:0])
 			a.reply(sh, sh.ctrl, src)
 			return
 		}
@@ -800,35 +813,52 @@ func (a *Aggregator) handleUpdate(sh *aggShard, src netip.AddrPort) {
 		if a.lv.leaveArmed.Load() {
 			// A drain is pending: this update is the progress evidence
 			// its commit waits on (elastic.go).
-			a.lv.bumpMaxOff(w, p.Off)
+			a.lv.bumpMaxOff(w, h.Off)
 		}
-		if r := a.rel.Load(); r != nil && p.JobID != r.gen {
+		if r := a.rel.Load(); r != nil && h.JobID != r.gen {
 			a.rerelease(sh, src)
 			return
 		}
 	}
-	j.setPeer(p.WorkerID, src)
-	if int(p.Idx) >= j.pool {
+	j.setPeer(h.WorkerID, src)
+	if int(h.Idx) >= j.pool {
 		a.beyondPool.Inc() // and the switch rejects it
 	}
-	resp := j.sw.HandleInto(p, &sh.out)
-	if resp.Pkt == nil {
+	// The switch appends its reply to the block; room for the largest
+	// one the pool can send is made first, so the append never grows it.
+	if len(sh.block)+j.maxReply > cap(sh.block) {
+		a.flushShard(sh)
+	}
+	start := len(sh.block)
+	var multicast bool
+	sh.block, multicast = j.sw.HandleWire(h, payload, sh.block)
+	if len(sh.block) == start {
 		return
 	}
-	if a.cfg.DropResult != nil && a.cfg.DropResult(resp.Pkt) {
+	if a.cfg.DropResult != nil && a.dropResult(sh.block[start:]) {
+		sh.block = sh.block[:start]
 		return
 	}
-	if resp.Multicast {
-		a.stageMulticast(sh, resp.Pkt)
+	if multicast {
+		a.stageMulticast(sh, start)
 		return
 	}
-	// Off the block: a unicast repair.
-	if int(resp.Pkt.WorkerID) < len(j.peers) {
-		if ap := j.peers[resp.Pkt.WorkerID].Load(); ap != nil {
-			sh.ctrl = resp.Pkt.AppendMarshal(sh.ctrl[:0])
-			a.write(sh, sh.ctrl, *ap)
-		}
+	// Off the block: a unicast repair, staged by copy before anything
+	// else is appended where it lies.
+	wire := sh.block[start:]
+	sh.block = sh.block[:start]
+	if ap := j.peers[h.WorkerID].Load(); ap != nil {
+		a.write(sh, wire, *ap)
 	}
+}
+
+// dropResult asks cfg.DropResult about the result datagram wire.
+func (a *Aggregator) dropResult(wire []byte) bool {
+	var h packet.Header
+	if _, err := packet.ParseHeader(&h, wire); err != nil {
+		return false
+	}
+	return a.cfg.DropResult(&h)
 }
 
 // handleProbe answers a probe. A hello (Ver 1) is a worker dialing: the
@@ -845,7 +875,7 @@ func (a *Aggregator) handleUpdate(sh *aggShard, src netip.AddrPort) {
 // to its probation window. A multi-job aggregator drops these: the
 // generation + 1 one proposes is another job's id.
 func (a *Aggregator) handleProbe(sh *aggShard, src netip.AddrPort) {
-	p, j := &sh.pkt, sh.job
+	p, j := &sh.hdr, sh.job
 	var shape []int32
 	switch {
 	case p.Ver == 1 && j == nil:

@@ -175,10 +175,10 @@ func TestFaultBatchedUnbatchedEquivalence(t *testing.T) {
 
 // TestShardStageFlushZeroAlloc is the AllocsPerRun gate behind the
 // //switchml:hotpath annotations on stageMulticast, flushShard and its
-// injected branch: a shard marshalling a burst's multicast results
-// into its block and fanning them out to every peer must not touch the
-// heap — nor when an injector splits the block into runs, mangled
-// copies and duplicates.
+// injected branch: a shard keeping a burst's multicast results on its
+// block and fanning them out to every peer must not touch the heap —
+// nor when an injector splits the block into runs, mangled copies and
+// duplicates.
 func TestShardStageFlushZeroAlloc(t *testing.T) {
 	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -224,7 +224,9 @@ func TestShardStageFlushZeroAlloc(t *testing.T) {
 			wire := res.Marshal()
 			step := func() {
 				for k := 0; k < 4; k++ {
-					a.stageMulticast(sh, res)
+					start := len(sh.block)
+					sh.block = append(sh.block, wire...) // as the switch writes a result
+					a.stageMulticast(sh, start)
 				}
 				a.write(sh, wire, ap) // a unicast result rides the same flush
 				a.flushShard(sh)
@@ -239,6 +241,63 @@ func TestShardStageFlushZeroAlloc(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestShardUpdateResultZeroAlloc is the AllocsPerRun gate on the shard
+// loop's data path: updates taken from their datagrams (ParseHeader,
+// then handleUpdate) into a one-worker job whose every update completes
+// its slot, each result written by the switch onto the shard's block
+// and flushed to the peer, must not touch the heap — the path
+// TestShardStageFlushZeroAlloc covers from the block on, here from the
+// receive buffer.
+func TestShardUpdateResultZeroAlloc(t *testing.T) {
+	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close() // never read: loopback drops on a full buffer without erroring the sender
+	ap := sink.LocalAddr().(*net.UDPAddr).AddrPort()
+	send, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
+	const s, k = 4, 312
+	nc, err := netio.Wrap(send, netio.Config{Batch: 8, MTU: aggWireMTU(k)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := core.NewShardedSwitch(core.SwitchConfig{Workers: 1, PoolSize: s, SlotElems: k, LossRecovery: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	a := &Aggregator{sent: reg.Counter("test_sent"), sendErrs: reg.Counter("test_send_errors")}
+	j := newJob(sw)
+	sh := &aggShard{job: j, nc: nc, block: make([]byte, 0, s*packet.WireLen(k))}
+	vec := make([]int32, k)
+	wire := make([]byte, 0, packet.WireLen(k))
+	round := 0
+	step := func() {
+		for idx := range uint32(s) {
+			h := packet.Header{Kind: packet.KindUpdate, Ver: uint8(round % 2), Idx: idx, Off: uint64((round*s + int(idx)) * k)}
+			wire = packet.AppendWire(wire[:0], &h, vec)
+			payload, err := packet.ParseHeader(&sh.hdr, wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.handleUpdate(sh, payload, ap)
+		}
+		if len(sh.block) != s*packet.WireLen(k) {
+			t.Fatalf("round %d staged %d bytes, want %d results", round, len(sh.block), s)
+		}
+		a.flushShard(sh)
+		round++
+	}
+	step() // learn the peer, warm the staging arena
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("update→result→flush cycle allocates %.2f/op in mode %v, want 0", allocs, nc.Mode())
 	}
 }
 

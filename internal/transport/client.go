@@ -533,6 +533,10 @@ var ErrTensorOpen = errors.New("transport: a failed call's tensor is still open;
 // timeout into a typed, retryable ErrAggregatorSilent. u is borrowed
 // past the return; see AllReduceInt32View.
 //
+// The returned slice is allocated for the call and is the caller's: it
+// is AllReduceInt32Into's destination, every result decoded straight
+// into it, and nothing writes it after the return.
+//
 // A call that fails may leave its tensor open, part of it aggregated.
 // The next call given the same slice continues that tensor: every
 // outstanding chunk is sent again, and the aggregator's seen bitmaps
@@ -540,21 +544,52 @@ var ErrTensorOpen = errors.New("transport: a failed call's tensor is still open;
 // slice while the tensor is open returns ErrTensorOpen and sends
 // nothing.
 func (c *Client) AllReduceInt32(u []int32) ([]int32, error) {
-	sum, err := c.AllReduceInt32View(u)
-	if err != nil || sum == nil {
+	if len(u) == 0 {
+		return nil, nil
+	}
+	out := make([]int32, len(u))
+	if err := c.AllReduceInt32Into(out, u); err != nil {
 		return nil, err
 	}
-	out := make([]int32, len(sum))
-	copy(out, sum)
 	return out, nil
 }
 
-// AllReduceInt32View is AllReduceInt32 without the result copy: the
-// returned slice is the worker's own aggregate buffer, valid until the
-// next call on this client. Callers that convert the sum on the spot
-// (the float32 path dequantizes it) save a tensor-sized allocation.
+// AllReduceInt32Into is AllReduceInt32 with the sum written into dst,
+// which must be u's length and share no storage with it (the worker
+// reads u while it writes dst): dst is lent to the worker as the call's
+// aggregate buffer, and core.Pump.Result decodes each result straight
+// into it — no result is copied. The loan ends when the call returns
+// the sum: a §5.6 re-open during a later call writes the worker's own
+// buffer, never dst. A call that fails with its tensor open (TensorOpen)
+// keeps dst for the chunks already in it: leave dst alone until the
+// retry, which continues the tensor, returns; the retry may pass dst or
+// another slice. u is borrowed as by AllReduceInt32View.
+func (c *Client) AllReduceInt32Into(dst, u []int32) error {
+	if len(dst) != len(u) {
+		return fmt.Errorf("transport: destination of %d elements for a tensor of %d", len(dst), len(u))
+	}
+	c.worker.Lend(dst)
+	sum, err := c.AllReduceInt32View(u)
+	if err != nil {
+		c.worker.Lend(nil) // withdraw it if the call never opened its tensor; a taken loan stays with the open tensor
+		return err
+	}
+	if !SameSlice(sum, dst) {
+		// A retry's sum: the tensor was opened by the failed call, into
+		// that call's slice or the worker's own buffer.
+		copy(dst, sum)
+	}
+	return nil
+}
+
+// AllReduceInt32View is AllReduceInt32 without the result allocation:
+// the returned slice is the worker's own aggregate buffer, valid until
+// the next call on this client (or, for a retry of a failed
+// AllReduceInt32Into, that call's destination, which is the caller's). Callers that convert the sum on the
+// spot (the float32 path dequantizes it) save a tensor-sized
+// allocation.
 //
-// Both forms borrow u past their return (core.Worker.Open): it is read
+// Every form borrows u past its return (core.Worker.Open): it is read
 // at every send and retransmission of the call, and a §5.6 recovery
 // that re-opens the tensor after it completed locally re-reads it
 // during the next call, whose fence hold drives the re-opened tensor to
@@ -573,6 +608,10 @@ func (c *Client) AllReduceInt32View(u []int32) ([]int32, error) {
 	}
 	sum, err := c.allReduce(u)
 	c.retryOpen = err != nil && c.worker.Busy() && SameSlice(u, c.worker.Update())
+	if err == nil {
+		// A sum in a lent buffer is the caller's from here on.
+		c.worker.Reclaim()
+	}
 	return sum, err
 }
 
@@ -645,7 +684,8 @@ func SameSlice[T any](a, b []T) bool {
 }
 
 // settle turns the data mode's verdict on the open tensor into the
-// call's result: the worker's aggregate buffer (not a copy) or, on the
+// call's result: the worker's aggregate buffer (not a copy; the
+// caller's own slice when AllReduceInt32Into lent it) or, on the
 // silence verdict, the next rung of the failover ladder.
 func (c *Client) settle(u []int32, deadline time.Time, err error) ([]int32, error) {
 	if errors.Is(err, errSilence) {

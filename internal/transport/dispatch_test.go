@@ -46,27 +46,40 @@ func TestAggregatorCountsUnexpectedKinds(t *testing.T) {
 	}
 }
 
-// previousLayoutUpdate is a full update in the wire layout before the
-// checksum moved to the front (magic at [0,2), checksum at [20,24)):
-// internal/packet's frozen goldenFullUpdateOldLayout.
-const previousLayoutUpdate = "534d0001000100070000000500000001000000a0a9bccfe2ffffff9cffffff9d" +
-	"ffffffa0ffffffa5ffffffacffffffb5ffffffc0ffffffcdffffffdcffffffed" +
-	"00000000000000150000002c00000045000000600000007d0000009c000000bd" +
-	"000000e0000001050000012c0000015500000180000001ad000001dc0000020d" +
-	"0000024000000275000002ac000002e50000032080000000"
+// previousLayouts are a full update in each wire layout before the
+// current one, internal/packet's frozen goldens: the one before the
+// checksum moved to the front (magic at [0,2), checksum at [20,24)),
+// and the one before the payload became little-endian (magic "SM", the
+// elements big-endian).
+var previousLayouts = []string{
+	"534d0001000100070000000500000001000000a0a9bccfe2ffffff9cffffff9d" +
+		"ffffffa0ffffffa5ffffffacffffffb5ffffffc0ffffffcdffffffdcffffffed" +
+		"00000000000000150000002c00000045000000600000007d0000009c000000bd" +
+		"000000e0000001050000012c0000015500000180000001ad000001dc0000020d" +
+		"0000024000000275000002ac000002e50000032080000000",
+	"a9bccfe2534d0001000100070000000500000001000000a0ffffff9cffffff9d" +
+		"ffffffa0ffffffa5ffffffacffffffb5ffffffc0ffffffcdffffffdcffffffed" +
+		"00000000000000150000002c00000045000000600000007d0000009c000000bd" +
+		"000000e0000001050000012c0000015500000180000001ad000001dc0000020d" +
+		"0000024000000275000002ac000002e50000032080000000",
+}
 
 // TestPreviousLayoutCountedCorrupted pins what a mixed-version
-// deployment looks like: a datagram from an endpoint still on the
-// previous wire layout fails the codec's magic check at either end, is
+// deployment looks like: a datagram from an endpoint still on an
+// earlier wire layout fails the codec's magic check at either end, is
 // counted in udp_datagrams_corrupted_total and dropped — never
 // misparsed as an update or a result.
 func TestPreviousLayoutCountedCorrupted(t *testing.T) {
-	old, err := hex.DecodeString(previousLayoutUpdate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := packet.Unmarshal(old); !errors.Is(err, packet.ErrBadMagic) {
-		t.Fatalf("Unmarshal(previous layout) = %v, want %v", err, packet.ErrBadMagic)
+	var olds [][]byte
+	for _, l := range previousLayouts {
+		old, err := hex.DecodeString(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := packet.Unmarshal(old); !errors.Is(err, packet.ErrBadMagic) {
+			t.Fatalf("Unmarshal(%x) = %v, want %v", old[:8], err, packet.ErrBadMagic)
+		}
+		olds = append(olds, old)
 	}
 
 	t.Run("aggregator", func(t *testing.T) {
@@ -84,15 +97,17 @@ func TestPreviousLayoutCountedCorrupted(t *testing.T) {
 		}
 		defer conn.Close()
 		ctr := agg.Registry().Counter("udp_datagrams_corrupted_total", "role", "aggregator")
-		deadline := time.Now().Add(5 * time.Second)
-		for ctr.Value() == 0 {
-			if time.Now().After(deadline) {
-				t.Fatal("the aggregator never counted the previous layout's datagram as corrupted")
+		for i, old := range olds {
+			deadline := time.Now().Add(5 * time.Second)
+			for ctr.Value() <= uint64(i) {
+				if time.Now().After(deadline) {
+					t.Fatalf("the aggregator never counted layout %d's datagram as corrupted", i)
+				}
+				if _, err := conn.Write(old); err != nil {
+					t.Fatal(err)
+				}
+				time.Sleep(time.Millisecond)
 			}
-			if _, err := conn.Write(old); err != nil {
-				t.Fatal(err)
-			}
-			time.Sleep(time.Millisecond)
 		}
 		if st := agg.Stats(); st.Updates != 0 {
 			t.Errorf("aggregator accepted %d updates from previous-layout datagrams", st.Updates)
@@ -100,8 +115,8 @@ func TestPreviousLayoutCountedCorrupted(t *testing.T) {
 	})
 
 	t.Run("worker", func(t *testing.T) {
-		// A one-worker "aggregator" answers every update with the
-		// previous layout's datagram first, then the real result.
+		// A one-worker "aggregator" answers every update with each
+		// earlier layout's datagram first, then the real result.
 		sock, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 		if err != nil {
 			t.Fatal(err)
@@ -125,7 +140,9 @@ func TestPreviousLayoutCountedCorrupted(t *testing.T) {
 				if p.Kind != packet.KindUpdate {
 					continue
 				}
-				sock.WriteToUDPAddrPort(old, src)
+				for _, old := range olds {
+					sock.WriteToUDPAddrPort(old, src)
+				}
 				p.Kind = packet.KindResult
 				sock.WriteToUDPAddrPort(p.Marshal(), src)
 			}
@@ -139,7 +156,7 @@ func TestPreviousLayoutCountedCorrupted(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		u := make([]int32, 16) // two chunks, two previous-layout datagrams ahead of their results
+		u := make([]int32, 16) // two chunks, each result behind the earlier layouts' datagrams
 		for i := range u {
 			u[i] = int32(3*i) - 20
 		}
@@ -152,8 +169,8 @@ func TestPreviousLayoutCountedCorrupted(t *testing.T) {
 				t.Fatalf("element %d = %d, want %d", i, got[i], u[i])
 			}
 		}
-		if n := c.Registry().Counter("udp_datagrams_corrupted_total", "role", "worker", "worker", "0").Value(); n < 2 {
-			t.Errorf("worker counted %d corrupted datagrams, want at least the 2 sent ahead of the results", n)
+		if n, want := c.Registry().Counter("udp_datagrams_corrupted_total", "role", "worker", "worker", "0").Value(), uint64(2*len(olds)); n < want {
+			t.Errorf("worker counted %d corrupted datagrams, want at least the %d sent ahead of the results", n, want)
 		}
 	})
 }

@@ -52,8 +52,8 @@ func (a *Aggregator) handleJoin(sh *aggShard, src netip.AddrPort) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	lv := a.lv
-	w := int(sh.pkt.WorkerID)
-	a.job.setPeer(sh.pkt.WorkerID, src)
+	w := int(sh.hdr.WorkerID)
+	a.job.setPeer(sh.hdr.WorkerID, src)
 	if !lv.tracker.Dead(w) && lv.tracker.LastSeen(w) >= 0 && (a.join == nil || a.join.joiner != w) {
 		// Already a member: the commit's release was lost.
 		a.rerelease(sh, src)
@@ -97,7 +97,7 @@ func (a *Aggregator) handleLeave(sh *aggShard, src netip.AddrPort) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	lv := a.lv
-	p := &sh.pkt
+	p := &sh.hdr
 	w := int(p.WorkerID)
 	switch {
 	case lv.tracker.Dead(w) || lv.tracker.Draining(w):

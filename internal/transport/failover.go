@@ -311,7 +311,7 @@ func (a *Aggregator) handleAdopt(sh *aggShard, src netip.AddrPort) {
 	if a.job == nil {
 		return // a multi-job aggregator's generations are its job ids
 	}
-	p := &sh.pkt
+	p := &sh.hdr
 	w := int(p.WorkerID)
 	var tr *faults.Tracker
 	if a.lv != nil {

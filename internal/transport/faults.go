@@ -136,7 +136,7 @@ func (a *Aggregator) handleReport(sh *aggShard, src netip.AddrPort) {
 	if a.lv == nil {
 		return
 	}
-	p := &sh.pkt
+	p := &sh.hdr
 	w := int(p.WorkerID)
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -172,7 +172,7 @@ func (a *Aggregator) handleReport(sh *aggShard, src netip.AddrPort) {
 // touch records liveness from a heartbeat (or other control traffic)
 // and keeps the sender's address fresh. Lock-free: the tracker and
 // the address table are atomic.
-func (a *Aggregator) touch(p *packet.Packet, src netip.AddrPort) {
+func (a *Aggregator) touch(p *packet.Header, src netip.AddrPort) {
 	if a.lv == nil {
 		return
 	}

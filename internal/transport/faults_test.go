@@ -3,6 +3,7 @@ package transport
 import (
 	"math/bits"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -244,7 +245,7 @@ func TestFaultRetainedSliceReopen(t *testing.T) {
 				Absent:   []int{3},
 				// Generation 0's results for slot 3 reach only the leader's own
 				// retransmission.
-				DropResult: func(p *packet.Packet) bool {
+				DropResult: func(p *packet.Header) bool {
 					return p.JobID == 0 && p.Idx == 3 && (p.Kind != packet.KindResultUnicast || p.WorkerID != 0)
 				},
 			})
@@ -330,6 +331,10 @@ func TestFaultRetainedSliceReopen(t *testing.T) {
 				}
 			}
 			// The leader's caller moves on, and the next call holds at the fence.
+			// The §5.6 recovery re-opens the returned tensor from chunk 3 and
+			// re-aggregates it without the ghost: the slice already returned
+			// must not see it (see the check after the next step).
+			returned, kept := r.sum, slices.Clone(r.sum)
 			// A training loop reuses its gradient buffer for the next step.
 			if tc.reuse {
 				for j := range us[0] {
@@ -363,6 +368,13 @@ func TestFaultRetainedSliceReopen(t *testing.T) {
 			for j, v := range stepSum([]int{0, 1}, 2, d) {
 				if r.sum[j] != v || laggardSum[j] != v {
 					t.Fatalf("next step elem %d: leader %d, laggard %d, want %d", j, r.sum[j], laggardSum[j], v)
+				}
+			}
+			// The re-open ran during that next call, after the first sum was
+			// returned: it went to the worker's own buffer, not the caller's.
+			for j := range kept {
+				if returned[j] != kept[j] {
+					t.Fatalf("the leader's returned sum was written after the return: elem %d = %d, was %d", j, returned[j], kept[j])
 				}
 			}
 		})

@@ -126,7 +126,7 @@ func (a *Aggregator) releaseLocked(rc *rollCall, off uint64) {
 // release again, and answers nothing while none stands.
 func (a *Aggregator) rerelease(sh *aggShard, src netip.AddrPort) {
 	if r := a.rel.Load(); r != nil {
-		sh.ctrl = r.resume(sh.pkt.WorkerID).AppendMarshal(sh.ctrl[:0])
+		sh.ctrl = r.resume(sh.hdr.WorkerID).AppendMarshal(sh.ctrl[:0])
 		a.reply(sh, sh.ctrl, src)
 	}
 }

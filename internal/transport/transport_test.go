@@ -2,6 +2,7 @@ package transport
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +13,7 @@ import (
 
 // runCluster aggregates one tensor per worker through a local
 // aggregator and returns the per-worker results.
-func runCluster(t *testing.T, n, s, k int, updates [][]int32, drop func(*packet.Packet) bool) ([][]int32, *Aggregator) {
+func runCluster(t *testing.T, n, s, k int, updates [][]int32, drop func(*packet.Header) bool) ([][]int32, *Aggregator) {
 	t.Helper()
 	agg, err := NewAggregator(AggregatorConfig{
 		Addr: "127.0.0.1:0",
@@ -87,7 +88,7 @@ func TestUDPAllReduceWithResultLoss(t *testing.T) {
 	const n, d = 3, 1200
 	var mu sync.Mutex
 	dropped := map[uint64]bool{}
-	drop := func(p *packet.Packet) bool {
+	drop := func(p *packet.Header) bool {
 		if p.Kind != packet.KindResult {
 			return false
 		}
@@ -325,5 +326,54 @@ func TestAggregatorResetRestartsJob(t *testing.T) {
 	agg.Reset()
 	if err := run(); err != nil {
 		t.Fatalf("restarted job: %v", err)
+	}
+}
+
+// TestAllReduceDecodesIntoResult counts the result copies of a call:
+// none. Each result is decoded straight into the slice the call
+// returns (AllReduceInt32, or AllReduceInt32Into's destination), and
+// the worker's own aggregate buffer, which a copying drain would decode
+// into first, is never written: it stays zero over calls whose sums are
+// not.
+func TestAllReduceDecodesIntoResult(t *testing.T) {
+	agg, err := NewAggregator(AggregatorConfig{
+		Addr:   "127.0.0.1:0",
+		Switch: core.SwitchConfig{Workers: 1, PoolSize: 4, SlotElems: 8, LossRecovery: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+	c, err := NewClient(ClientConfig{Aggregator: agg.Addr().String(), Worker: core.WorkerConfig{ID: 0, Workers: 1, LossRecovery: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const d = 100 // 13 chunks: the pool's window and then some
+	u := make([]int32, d)
+	for i := range u {
+		u[i] = int32(7*i) - 300
+	}
+	dst := make([]int32, d)
+	for call := 0; call < 3; call++ {
+		var got []int32
+		if call == 1 {
+			if err := c.AllReduceInt32Into(dst, u); err != nil {
+				t.Fatal(err)
+			}
+			got = dst
+		} else if got, err = c.AllReduceInt32(u); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, u) {
+			t.Fatalf("call %d: sum %v, want %v", call, got, u)
+		}
+		own := c.worker.Aggregate()
+		if len(own) != d || slices.ContainsFunc(own, func(v int32) bool { return v != 0 }) {
+			t.Fatalf("call %d: the worker's own buffer holds %v: results were decoded there, not into the returned slice", call, own)
+		}
+	}
+	if err := c.AllReduceInt32Into(make([]int32, d-1), u); err == nil {
+		t.Error("a destination shorter than the tensor was accepted")
 	}
 }

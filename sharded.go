@@ -223,12 +223,11 @@ func (sp *ShardedPeer) AllReduceInt32(u []int32) ([]int32, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := sp.peers[s].AllReduceInt32View(u[lo:hi])
-			if err != nil {
+			// Each shard's results are decoded straight into its region.
+			if err := sp.peers[s].AllReduceInt32Into(r.out[lo:hi], u[lo:hi]); err != nil {
 				errs[s] = fmt.Errorf("switchml: shard %d: %w", s, err)
 				return
 			}
-			copy(r.out[lo:hi], res)
 			r.done[s] = true
 		}()
 	}
