@@ -74,11 +74,14 @@ chaos:
 # datagrams must never crash or round-trip incorrectly, the worker's
 # header-first decode must agree with the whole-packet one, and the
 # aggregator's ingress from the datagram must leave the switch exactly
-# as the decoded ingress does. Go fuzzes one target per invocation.
+# as the decoded ingress does. The host collective's step schedule must
+# sum exactly, each segment applied once, under any delivery order on
+# both of its hosts. Go fuzzes one target per invocation.
 fuzz:
 	$(GO) test -fuzz=FuzzCodec -fuzztime=10s ./internal/packet
 	$(GO) test -fuzz=FuzzParseHeader -fuzztime=10s ./internal/packet
 	$(GO) test -fuzz=FuzzWireIngress -fuzztime=10s ./internal/core
+	$(GO) test -fuzz=FuzzCollectiveSchedule -fuzztime=10s ./internal/allreduce
 
 # Quick-look evaluation run (scaled-down tensors).
 bench:

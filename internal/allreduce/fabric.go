@@ -181,5 +181,5 @@ func newTopo(cfg *Config, nodes []netsim.Node) *topo {
 	return t
 }
 
-// send transmits a burst from its source node's uplink.
-func (t *topo) send(b *burst) { t.uplinks[b.src].Send(b) }
+// send transmits a message from its source node's uplink.
+func (t *topo) send(m PeerMsg) { t.uplinks[m.PeerSrc()].Send(m) }

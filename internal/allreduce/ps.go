@@ -292,3 +292,7 @@ func (s *psServer) ingest(b *burst) {
 func (s *psServer) pktsOf(bytes int) int {
 	return (bytes + s.cfg.PacketBytes - 1) / s.cfg.PacketBytes
 }
+
+func totalBursts(elems, burstElems int) int {
+	return (elems + burstElems - 1) / burstElems
+}

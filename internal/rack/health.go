@@ -105,7 +105,7 @@ type healthMonitor struct {
 	// ring is the in-progress degraded-mode collective; ringRanks maps
 	// its ranks to worker ids, ringBufs holds each rank's private
 	// suffix copy, ringOff the handoff frontier as a stream offset.
-	ring      *allreduce.InlineRing
+	ring      *allreduce.Collective
 	ringRanks []int
 	ringBufs  [][]int32
 	ringOff   uint64
@@ -313,9 +313,9 @@ func (m *healthMonitor) startRing(frontier uint64) {
 		bufs = append(bufs, buf)
 	}
 	m.ringBufs = bufs
-	ring, err := allreduce.NewInlineRing(
-		allreduce.Config{BurstBytes: m.cfg.BurstBytes},
-		bufs, m.sendPeer, r.sim.Now, m.ringDone,
+	ring, err := allreduce.NewCollective(
+		allreduce.Config{Workers: len(bufs), BurstBytes: m.cfg.BurstBytes},
+		bufs, allreduce.Ring, m.sendPeer, r.sim.Now, m.ringDone,
 	)
 	if err != nil {
 		r.fail(err)

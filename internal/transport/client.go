@@ -1010,7 +1010,7 @@ func (c *Client) expired() error {
 	case modeRing:
 		r := &c.fb.ring
 		return fmt.Errorf("transport: mesh ring timed out (%d/%d sent-acked, %d/%d received): %w",
-			r.cumAck, r.sendStart[r.G], r.recvSeq, r.recvStart[r.G], ErrAggregatorSilent)
+			r.cumAck, r.s.Sends(), r.s.Applied(), r.s.Recvs(), ErrAggregatorSilent)
 	}
 	return nil
 }
@@ -1037,9 +1037,8 @@ func (c *Client) announce() (time.Duration, error) {
 		}
 		return c.cfg.RTO, nil
 	case modeRing:
-		// Go-back-N: replay from the ack point, capped to keep a long
-		// outage from bursting.
-		for r, s := &c.fb.ring, c.fb.ring.cumAck; s < min(r.nextSend, r.cumAck+16); s++ {
+		// Go-back-N: replay from the ack point.
+		for r, s := &c.fb.ring, c.fb.ring.cumAck; s < min(r.nextSend, r.cumAck+meshReplay); s++ {
 			c.sendSeg(s)
 			c.fb.meshRetx.Add(1)
 		}

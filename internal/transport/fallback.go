@@ -13,13 +13,14 @@
 // newer generation wipes its pool before answering, so nothing
 // aggregated before the outage can leak into post-failback slots.
 //
-// The mesh ring is reduce-scatter + all-gather with go-back-N ARQ:
-// segments carry a per-round global sequence number, the receiver
-// accepts them strictly in order and acks cumulatively, and the sender
-// retransmits the window head on timeout or duplicate acks. Unlike
-// the simulator's host fabric (which models a reliable kernel
-// transport), real UDP loses mesh datagrams too — the ARQ is what
-// makes the barrier handoff exact.
+// The mesh ring runs allreduce.Ring's step schedule, the one the
+// simulator's host fabric runs, with go-back-N ARQ: segments carry a
+// per-round global sequence number, the receiver accepts them strictly
+// in order and acks cumulatively, and the sender goes back to the ack
+// point on timeout or duplicate acks. Unlike the simulator's host
+// fabric (which models a reliable kernel transport), real UDP loses
+// mesh datagrams too — the ARQ is what makes the barrier handoff
+// exact (DESIGN.md "The host collective").
 //
 // The barrier and the ring are modes of the client loop (run, in
 // client.go; DESIGN.md "The client loop") on the mesh socket, as are the
@@ -38,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"switchml/internal/allreduce"
 	"switchml/internal/faults"
 	"switchml/internal/netio"
 	"switchml/internal/packet"
@@ -82,9 +84,11 @@ type FallbackConfig struct {
 }
 
 // meshSegElems is the mesh ring's datagram payload in elements (a
-// 1,048-byte datagram, safely under any MTU worth using), and
-// meshWindow its go-back-N window in segments.
-const meshSegElems, meshWindow = 256, 32
+// 1,048-byte datagram, safely under any MTU worth using), meshWindow
+// its go-back-N window in segments, and meshReplay how many segments
+// from the ack point a replay re-sends, capped to keep a long outage
+// from bursting.
+const meshSegElems, meshWindow, meshReplay = 256, 32, 16
 
 // FallbackStats is a snapshot of the degraded-path counters. All
 // counters are maintained atomically, so the snapshot is safe to take
@@ -423,76 +427,19 @@ func (c *Client) meshSync(p *packet.Packet) bool {
 	return false
 }
 
-// ring is one worker's mesh-ring round: the schedule (which chunk is
-// sent and received at each of the G = 2(n-1) steps, and the global
-// segment numbering on each side), the buffer it reduces in place, the
-// neighbours' ranks, and the go-back-N cursors. Chunk boundaries are
-// c*L/n, so the tables are identical arithmetic on every worker and the
-// receive-side numbering matches the predecessor's send side exactly.
+// ring is one worker's mesh-ring round: the ring schedule over the
+// buffer it reduces in place (allreduce.Ring in meshSegElems segments,
+// whose receive numbering matches the predecessor's send numbering
+// exactly), the buffer's global offset F, and the go-back-N cursors.
 type ring struct {
-	n, L, G                            int
-	F                                  uint64
-	sendStart, recvStart               []int // length G+1; [g] is step g's first seq
-	sendChunk, recvChunk               []int
-	buf                                []int32
-	next, prev                         int
-	cumAck, nextSend, recvSeq, dupAcks int
-}
-
-func newRing(n, rank int, buf []int32, F uint64) ring {
-	G := 2 * (n - 1)
-	r := ring{
-		n: n, L: len(buf), G: G, F: F,
-		sendStart: make([]int, G+1), recvStart: make([]int, G+1),
-		sendChunk: make([]int, G), recvChunk: make([]int, G),
-		buf: buf, next: (rank + 1) % n, prev: (rank + n - 1) % n,
-	}
-	mod := func(x int) int { return ((x % n) + n) % n }
-	for g := 0; g < G; g++ {
-		if g < n-1 {
-			r.sendChunk[g] = mod(rank - g)
-			r.recvChunk[g] = mod(rank - g - 1)
-		} else {
-			j := g - (n - 1)
-			r.sendChunk[g] = mod(rank + 1 - j)
-			r.recvChunk[g] = mod(rank - j)
-		}
-		r.sendStart[g+1] = r.sendStart[g] + r.segs(r.sendChunk[g])
-		r.recvStart[g+1] = r.recvStart[g] + r.segs(r.recvChunk[g])
-	}
-	return r
-}
-
-func (r *ring) bound(c int) int    { return c * r.L / r.n }
-func (r *ring) chunkLen(c int) int { return r.bound(c+1) - r.bound(c) }
-func (r *ring) segs(c int) int {
-	return (r.chunkLen(c) + meshSegElems - 1) / meshSegElems
-}
-
-// stepOf returns the step a sequence number belongs to. G is tiny
-// (2(n-1)), so a linear scan beats anything clever.
-func stepOf(starts []int, seq int) int {
-	g := 0
-	for g+1 < len(starts)-1 && seq >= starts[g+1] {
-		g++
-	}
-	return g
-}
-
-// segSpan returns a segment's element range within its chunk-relative
-// schedule: buffer offset and length.
-func (r *ring) segSpan(starts, chunks []int, seq int) (g, off, length int) {
-	g = stepOf(starts, seq)
-	c := chunks[g]
-	seg := seq - starts[g]
-	off = r.bound(c) + seg*meshSegElems
-	return g, off, min(r.chunkLen(c)-seg*meshSegElems, meshSegElems)
+	s                         *allreduce.Schedule
+	buf                       []int32
+	F                         uint64
+	cumAck, nextSend, dupAcks int
 }
 
 // done reports whether every segment is acked and every one received.
-func (r *ring) done() bool {
-	return r.cumAck >= r.sendStart[r.G] && r.recvSeq >= r.recvStart[r.G]
-}
+func (r *ring) done() bool { return r.cumAck >= r.s.Sends() && r.s.Done() }
 
 // meshRound runs the ring all-reduce over buf (global offset F) in the
 // client loop's ring mode, leaving the full sum in buf on every worker.
@@ -506,14 +453,14 @@ func (c *Client) meshRound(buf []int32, F uint64, deadline time.Time) error {
 		fb.prevRecvTotal = 0
 		return nil
 	}
-	fb.ring = newRing(n, int(c.cfg.Worker.ID), buf, F)
+	fb.ring = ring{s: allreduce.Ring(n, int(c.cfg.Worker.ID), buf, meshSegElems), buf: buf, F: F}
 	// The replay timer starts from a fresh reading: copying the tensor
 	// suffix took time since the barrier's last pass.
 	c.tick()
 	if err := c.run(modeRing, deadline); err != nil {
 		return err
 	}
-	fb.prevRecvTotal = fb.ring.recvStart[fb.ring.G]
+	fb.prevRecvTotal = fb.ring.s.Recvs()
 	return nil
 }
 
@@ -521,51 +468,49 @@ func (c *Client) meshRound(buf []int32, F uint64, deadline time.Time) error {
 // window has room for whose step's input has arrived — and restarts the
 // replay timer if it staged any.
 func (c *Client) ringFill() {
-	for r := &c.fb.ring; r.nextSend < r.sendStart[r.G] && r.nextSend-r.cumAck < meshWindow && r.recvSeq >= r.recvStart[stepOf(r.sendStart, r.nextSend)]; r.nextSend++ {
+	for r := &c.fb.ring; r.nextSend < r.s.Sends() && r.nextSend-r.cumAck < meshWindow && r.s.Ready(r.nextSend); r.nextSend++ {
 		c.sendSeg(r.nextSend)
 		c.nextTx = c.now.Add(c.cfg.RTO)
 	}
 }
 
 // ringData takes the ring's current-round segment: the next expected
-// one is applied, and every one is acked cumulatively — for
-// out-of-order data the repeated ack doubles as a NACK.
+// one is applied, and every one is acked cumulatively, the ack carrying
+// the segment that drew it — for out-of-order data the repeated ack
+// doubles as a NACK.
 func (c *Client) ringData(p *packet.Packet) (bool, error) {
 	r := &c.fb.ring
-	if int(p.Idx) == r.recvSeq {
-		g, off, length := r.segSpan(r.recvStart, r.recvChunk, r.recvSeq)
-		if len(p.Vector) != length || p.Off != r.F+uint64(off) {
-			return false, fmt.Errorf("transport: mesh segment %d malformed: off %d len %d, want %d len %d",
-				r.recvSeq, p.Off, len(p.Vector), r.F+uint64(off), length)
+	if seq := r.s.Applied(); int(p.Idx) == seq && seq < r.s.Recvs() {
+		if _, lo, _ := r.s.RecvSpan(seq); p.Off != r.F+uint64(lo) {
+			return false, fmt.Errorf("transport: mesh segment %d malformed: off %d, want %d", seq, p.Off, r.F+uint64(lo))
 		}
-		if g < r.n-1 {
-			for i, v := range p.Vector {
-				r.buf[off+i] += v
-			}
-		} else {
-			copy(r.buf[off:off+length], p.Vector)
+		if err := r.s.Apply(seq, p.Vector); err != nil {
+			return false, fmt.Errorf("transport: mesh segment malformed: %w", err)
 		}
-		r.recvSeq++
 	}
-	c.sendMeshAck(c.fb.round, r.recvSeq, r.prev)
+	c.sendMeshAck(c.fb.round, r.s.Applied(), int(p.Idx), int(p.WorkerID))
 	return r.done(), nil
 }
 
 // ringAck takes the successor's cumulative ack: progress slides the
 // window and restarts the replay timer, and a second duplicate of the
-// ack point fast-retransmits the segment it names.
+// ack point goes back N — the window is re-sent from the ack point, in
+// order, once per ack point, since the successor dropped everything
+// after the gap. Only an ack drawn by data beyond the ack point is a
+// duplicate: a gap says a segment was lost, while an ack drawn by a
+// segment the successor already had (a replay's copy) says nothing.
 func (c *Client) ringAck(p *packet.Packet) bool {
 	r := &c.fb.ring
 	switch k := int(p.Idx); {
 	case k > r.cumAck:
-		r.cumAck, r.dupAcks = min(k, r.nextSend), 0
+		r.cumAck, r.dupAcks = min(k, r.s.Sends()), 0
+		r.nextSend = max(r.nextSend, r.cumAck)
 		c.nextTx = c.now.Add(c.cfg.RTO)
-	case k == r.cumAck && r.cumAck < r.nextSend:
-		if r.dupAcks++; r.dupAcks >= 2 {
-			c.sendSeg(r.cumAck)
-			c.fb.meshRetx.Add(1)
-			r.dupAcks = 0
-			c.nextTx = c.now.Add(c.cfg.RTO)
+	case k == r.cumAck && r.cumAck < r.nextSend && p.Off > uint64(k):
+		if r.dupAcks++; r.dupAcks == 2 {
+			c.fb.meshRetx.Add(uint64(r.nextSend - r.cumAck))
+			r.nextSend = r.cumAck
+			c.ringFill()
 		}
 	}
 	return r.done()
@@ -591,7 +536,7 @@ func (c *Client) handleMesh(m *netio.Message) (bool, error) {
 		if d := int16(p.JobID - fb.round); d < 0 {
 			// A straggler from a finished round: the round-complete ack
 			// frees it.
-			c.sendMeshAck(p.JobID, fb.prevRecvTotal, int(p.WorkerID))
+			c.sendMeshAck(p.JobID, fb.prevRecvTotal, int(p.Idx), int(p.WorkerID))
 		} else if d == 0 && c.mode == modeRing {
 			return c.ringData(p)
 		}
@@ -630,24 +575,24 @@ func (c *Client) handleMesh(m *netio.Message) (bool, error) {
 func (c *Client) sendSeg(seq int) {
 	fb := c.fb
 	r := &fb.ring
-	_, off, length := r.segSpan(r.sendStart, r.sendChunk, seq)
+	to, lo, hi := r.s.Span(seq)
 	p := packet.Packet{
 		Kind:     packet.KindFallbackData,
 		WorkerID: c.cfg.Worker.ID,
 		JobID:    fb.round,
 		Idx:      uint32(seq),
-		Off:      r.F + uint64(off),
-		Vector:   r.buf[off : off+length],
+		Off:      r.F + uint64(lo),
+		Vector:   r.buf[lo:hi],
 	}
 	fb.sbuf = p.AppendMarshal(fb.sbuf[:0])
-	c.meshSend(fb.sbuf, r.next)
+	c.meshSend(fb.sbuf, to)
 }
 
 // sendMeshAck stages a round's cumulative receive progress to its
-// sender.
-func (c *Client) sendMeshAck(round uint16, cum, peerID int) {
+// sender, with the segment that drew it in Off.
+func (c *Client) sendMeshAck(round uint16, cum, trigger, peerID int) {
 	fb := c.fb
-	p := packet.NewControl(packet.KindFallbackAck, c.cfg.Worker.ID, round, 0, nil)
+	p := packet.NewControl(packet.KindFallbackAck, c.cfg.Worker.ID, round, uint64(trigger), nil)
 	p.Idx = uint32(cum)
 	fb.sbuf = p.AppendMarshal(fb.sbuf[:0])
 	c.meshSend(fb.sbuf, peerID)

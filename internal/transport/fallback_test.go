@@ -3,11 +3,14 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"switchml/internal/core"
+	"switchml/internal/packet"
 )
 
 // fallbackCluster binds an aggregator and n fallback-armed clients
@@ -166,6 +169,70 @@ func TestFaultUDPDegradedSteadyState(t *testing.T) {
 	}
 	if agg.Stats().Completions != 0 {
 		t.Error("dead aggregator completed slots")
+	}
+}
+
+// TestFaultUDPMeshRingLoss runs the mesh ring through relays that lose
+// every 50th ring segment between workers: the go-back-N must repair
+// every loss with each sum exact, and a loss may cost at most two
+// windows of re-sends. Acks and barrier syncs pass: a lost final ack of
+// the last round is never repaired, because the receiver has returned
+// from its last call and no later round's ack frees the sender (see
+// CHANGES.md), so a test that lost acks would end on a timeout.
+func TestFaultUDPMeshRingLoss(t *testing.T) {
+	const n, elems, rounds, every = 3, 100000, 4, 50
+	agg, clients := fallbackCluster(t, n, -1, 20*time.Second)
+	defer agg.Close()
+	agg.SetDown(true)
+	var seen, lost atomic.Uint64
+	var relaying sync.WaitGroup
+	t.Cleanup(relaying.Wait) // after every relay socket's Close below
+	relays := make([]string, n)
+	for i, c := range clients {
+		to := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: c.MeshAddr().Port}
+		conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		relays[i] = conn.LocalAddr().String()
+		relaying.Add(1)
+		go func() {
+			defer relaying.Done()
+			buf := make([]byte, 64<<10)
+			for {
+				m, _, err := conn.ReadFromUDP(buf)
+				if err != nil {
+					return
+				}
+				var h packet.Header
+				if _, err := packet.ParseHeader(&h, buf[:m]); err == nil && h.Kind == packet.KindFallbackData && seen.Add(1)%every == 0 {
+					lost.Add(1)
+					continue
+				}
+				// A failed forward is one more loss for the ARQ to repair.
+				_, _ = conn.WriteToUDP(buf[:m], to)
+			}
+		}()
+	}
+	for _, c := range clients {
+		if err := c.SetMeshPeers(relays); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for step := 1; step <= rounds; step++ {
+		lockstep(t, clients, elems, step)
+	}
+	var retx uint64
+	for _, c := range clients {
+		retx += c.FallbackStats().MeshRetransmits
+	}
+	t.Logf("%d of %d ring segments lost, %d retransmissions", lost.Load(), seen.Load(), retx)
+	if lost.Load() == 0 || retx == 0 {
+		t.Fatalf("%d datagrams lost, %d retransmissions: the relays did not exercise the ARQ", lost.Load(), retx)
+	}
+	if limit := lost.Load() * 2 * meshWindow; retx > limit {
+		t.Errorf("%d retransmissions for %d lost datagrams, want at most %d (two windows a loss)", retx, lost.Load(), limit)
 	}
 }
 
