@@ -76,7 +76,9 @@ chaos:
 # aggregator's ingress from the datagram must leave the switch exactly
 # as the decoded ingress does. The host collective's step schedule must
 # sum exactly, each segment applied once, under any delivery order on
-# both of its hosts. Go fuzzes one target per invocation.
+# its netsim host, and so must the mesh's shipped ARQ under loss of data
+# and acks, with every rank finishing its round. Go fuzzes one target
+# per invocation.
 fuzz:
 	$(GO) test -fuzz=FuzzCodec -fuzztime=10s ./internal/packet
 	$(GO) test -fuzz=FuzzParseHeader -fuzztime=10s ./internal/packet

@@ -15,8 +15,8 @@ import (
 // sequence across the steps, so a host moves segments, not steps: it
 // sends segment seq once Ready(seq) holds and applies received segments
 // strictly in order. Ring and HalvingDoubling build the two schedules;
-// the package's netsim host (Collective) and the UDP transport's mesh
-// drive them.
+// the package's netsim host (Collective) drives them, and the UDP
+// transport's mesh drives Ring under an ARQ.
 type Schedule struct {
 	buf        []int32
 	seg        int
@@ -101,20 +101,6 @@ func (sd *side) segment(seq, size int) (g, peer, lo, hi int) {
 	st := sd.steps[g]
 	lo = st.lo + (seq-sd.start[g])*size
 	return g, st.peer, lo, min(lo+size, st.hi)
-}
-
-// Span returns send segment seq: the rank it goes to and its element
-// range [lo, hi) in the buffer.
-func (s *Schedule) Span(seq int) (to, lo, hi int) {
-	_, to, lo, hi = s.send.segment(seq, s.seg)
-	return to, lo, hi
-}
-
-// RecvSpan returns receive segment seq: the rank it comes from and its
-// element range [lo, hi) in the buffer.
-func (s *Schedule) RecvSpan(seq int) (from, lo, hi int) {
-	_, from, lo, hi = s.recv.segment(seq, s.seg)
-	return from, lo, hi
 }
 
 // Sends returns the send side's segment count.

@@ -1,11 +1,15 @@
 package allreduce
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"switchml/internal/netsim"
+	"switchml/internal/packet"
 )
 
 // TestBaselineTimesPinned pins the simulated completion time of the
@@ -109,23 +113,26 @@ func TestBaselineTimesPinned(t *testing.T) {
 }
 
 // FuzzCollectiveSchedule runs a fuzz-chosen schedule — kind, ranks,
-// tensor length, segment size — on two hosts under a fuzz-chosen
-// delivery order: interleaved arbitrarily across links but FIFO on each
-// (sender, receiver) link. The first is Collective itself, which holds
-// segments that arrive ahead of their turn. The second drops them, as
-// the UDP mesh does, and recovers by go-back-N: acks are cumulative per
-// link, a duplicate ack drawn by data beyond the ack point re-sends from
-// it, some segments are lost in flight, and a timeout with nothing in
-// flight replays every link from its ack point. Every rank must end
-// with the exact sum, checked in int64, having applied every receive
-// segment exactly once.
+// tensor length, segment size — under a fuzz-chosen delivery order,
+// interleaved arbitrarily across links but FIFO on each (sender,
+// receiver) link, on two hosts. The first is Collective itself, which
+// holds segments that arrive ahead of their turn. The second is the UDP
+// mesh's ARQ, driven over the ring schedule of the same ranks for two
+// rounds numbered from a fuzz-chosen round, with fuzz-chosen loss of
+// data and acks (arqRun). Every rank must end every round with the
+// exact sum, checked in int64, having applied every receive segment
+// exactly once, and every ARQ rank must finish.
 func FuzzCollectiveSchedule(f *testing.F) {
-	f.Add(uint8(3), uint16(10), uint8(2), false, []byte{0, 1, 2, 3, 0x81})
-	f.Add(uint8(4), uint16(33), uint8(3), true, []byte{7, 0x80, 5, 1, 9})
-	f.Add(uint8(8), uint16(5), uint8(1), true, []byte{})
-	f.Add(uint8(1), uint16(7), uint8(4), false, []byte{1})
-	f.Add(uint8(5), uint16(0), uint8(1), false, []byte{})
-	f.Fuzz(func(t *testing.T, nRaw uint8, lRaw uint16, segRaw uint8, hd bool, order []byte) {
+	f.Add(uint8(3), uint16(10), uint8(2), false, uint16(1), []byte{0, 1, 2, 3, 0x81})
+	f.Add(uint8(4), uint16(33), uint8(3), true, uint16(0xFFFF), []byte{7, 0x80, 5, 1, 9})
+	f.Add(uint8(8), uint16(5), uint8(1), true, uint16(7), []byte{})
+	f.Add(uint8(1), uint16(7), uint8(4), false, uint16(0), []byte{1})
+	f.Add(uint8(5), uint16(0), uint8(1), false, uint16(0xFFFF), []byte{})
+	// Loss of segments and acks: bytes with the high bit set lose the
+	// head of the link they pick.
+	f.Add(uint8(2), uint16(9), uint8(4), false, uint16(0xFFFF), []byte{0, 0x81, 1, 0x80, 0x81, 2, 0x83, 0x80, 0x81})
+	f.Add(uint8(3), uint16(300), uint8(1), false, uint16(0xFFFE), []byte{0x85, 3, 0x82, 0x81, 4, 0x80, 0x83, 1, 0x82})
+	f.Fuzz(func(t *testing.T, nRaw uint8, lRaw uint16, segRaw uint8, hd bool, round uint16, order []byte) {
 		n, L, seg := int(nRaw%9)+1, int(lRaw%400), int(segRaw%32)+1
 		build := Ring
 		if hd {
@@ -155,9 +162,7 @@ func FuzzCollectiveSchedule(f *testing.F) {
 		}
 		checkSums(t, "hold host", bufs, want)
 
-		bufs, want = fuzzBuffers(n, L)
-		gbnRun(t, n, build, seg, bufs, &fuzzNet{order: order})
-		checkSums(t, "go-back-N host", bufs, want)
+		arqRun(t, n, L, seg, round, &fuzzNet{order: order})
 	})
 }
 
@@ -191,6 +196,7 @@ func checkSums(t *testing.T, host string, bufs [][]int32, want []int64) {
 type fuzzNet struct {
 	links map[[2]int][]any
 	order []byte
+	lost  map[arqKind]bool
 }
 
 func (nw *fuzzNet) push(src, dst int, m any) {
@@ -208,8 +214,10 @@ func (nw *fuzzNet) pop(l [2]int) any {
 
 // pick returns the link to deliver from next, chosen among the
 // non-empty ones in a fixed order by the next fuzz byte (the first
-// once the input runs out); with lossy set, a byte's high bit also
-// loses the link's head.
+// once the input runs out). With lossy set, a byte's high bit also
+// loses the link's head, unless the last datagram of the same kind on
+// that link was lost: never two in a row, the loss a bounded linger is
+// built for.
 func (nw *fuzzNet) pick(lossy bool) ([2]int, bool) {
 	var ready [][2]int
 	for l, q := range nw.links {
@@ -229,135 +237,100 @@ func (nw *fuzzNet) pick(lossy bool) ([2]int, bool) {
 	b := nw.order[0]
 	nw.order = nw.order[1:]
 	l := ready[int(b&0x7f)%len(ready)]
-	if lossy && b&0x80 != 0 {
-		nw.pop(l)
-		return nw.pick(lossy)
+	if lossy {
+		kind := arqKind{l, nw.links[l][0].(packet.Packet).Kind}
+		if nw.lost == nil {
+			nw.lost = map[arqKind]bool{}
+		}
+		if nw.lost[kind] = b&0x80 != 0 && !nw.lost[kind]; nw.lost[kind] {
+			nw.pop(l)
+			return nw.pick(lossy)
+		}
 	}
 	return l, true
 }
 
-// gbnSeg is a segment on the go-back-N host's wire: its position in
-// its link's stream and its data.
-type gbnSeg struct {
-	idx  int
-	data []int32
+// arqKind is a link and a datagram kind on it, segments or acks.
+type arqKind struct {
+	link [2]int
+	kind packet.Kind
 }
 
-// gbnRank is one rank of the go-back-N host. Segments are numbered per
-// link: the k-th segment a rank sends to a peer is the k-th that peer
-// receives from it, since both walk the same steps in order.
-type gbnRank struct {
-	s *Schedule
-	// sendIdx/recvIdx give each segment's position in its link's
-	// stream; out[p] lists the send segments to peer p in order.
-	sendIdx, recvIdx []int
-	out              map[int][]int
-	// Per peer: segments acked, sent, and received; duplicate acks of
-	// the ack point.
-	acked, sent, got, dups map[int]int
-	next                   int
-	applies                []int
-}
-
-func (r *gbnRank) from(q int) int {
-	from, _, _ := r.s.RecvSpan(q)
-	return from
-}
-
-func gbnRun(t *testing.T, n int, build Builder, seg int, bufs [][]int32, nw *fuzzNet) {
+// arqRun drives the mesh's ARQ, one machine a rank over the ring
+// schedule, through two rounds numbered from round (so 0xFFFF wraps to
+// 0) over nw's lossy links. Time stands still while anything is in
+// flight and jumps to the earliest deadline when nothing is. A round
+// starts once every rank has finished the one before, as the mesh's
+// barrier has it; until then a finished rank still answers its round,
+// and after the last round it is deaf. An empty ring has nothing to
+// recover.
+func arqRun(t *testing.T, n, L, seg int, round uint16, nw *fuzzNet) {
 	t.Helper()
-	ranks := make([]*gbnRank, n)
-	for i := range ranks {
-		s := build(n, i, bufs[i], seg)
-		r := &gbnRank{s: s, out: map[int][]int{}, acked: map[int]int{}, sent: map[int]int{},
-			got: map[int]int{}, dups: map[int]int{}, applies: make([]int, s.Recvs())}
-		for q := 0; q < s.Sends(); q++ {
-			to, _, _ := s.Span(q)
-			r.sendIdx = append(r.sendIdx, len(r.out[to]))
-			r.out[to] = append(r.out[to], q)
-		}
-		perPeer := map[int]int{}
-		for q := 0; q < s.Recvs(); q++ {
-			from, _, _ := s.RecvSpan(q)
-			r.recvIdx = append(r.recvIdx, perPeer[from])
-			perPeer[from]++
-		}
-		ranks[i] = r
+	if n == 1 || L == 0 {
+		return
 	}
-	send := func(id, q int) {
-		to, lo, hi := ranks[id].s.Span(q)
-		nw.push(id, to, gbnSeg{ranks[id].sendIdx[q], append([]int32(nil), bufs[id][lo:hi]...)})
-	}
-	// fill sends every ready segment not yet sent, in order.
-	fill := func(id int) {
-		r := ranks[id]
-		for ; r.next < r.s.Sends() && r.s.Ready(r.next); r.next++ {
-			to, _, _ := r.s.Span(r.next)
-			r.sent[to]++
-			send(id, r.next)
+	const rto = 1000
+	var now int64
+	for r := 0; r < 2; r, round = r+1, round+1 {
+		bufs, want := fuzzBuffers(n, L)
+		arqs, over, applies := make([]*ARQ, n), make([]bool, n), make([][]int, n)
+		for i := range arqs {
+			s := Ring(n, i, bufs[i], seg)
+			arqs[i] = NewARQ(round, s, rto, now, func(to int, p packet.Packet) {
+				p.WorkerID, p.Vector = uint16(i), slices.Clone(p.Vector)
+				nw.push(i, to, p)
+			})
+			applies[i] = make([]int, s.Recvs())
 		}
-	}
-	// resend goes back to a link's ack point.
-	resend := func(id, to int) {
-		r := ranks[id]
-		for k := r.acked[to]; k < r.sent[to]; k++ {
-			send(id, r.out[to][k])
+		// pace is the ring mode's pass for rank i: unless its round is
+		// over, it sends what the ARQ has due, which may end the round.
+		pace := func(i int) {
+			if !arqs[i].Finished() {
+				arqs[i].Send(now)
+			}
+			over[i] = arqs[i].Finished()
 		}
-	}
-	for id := range ranks {
-		fill(id)
-	}
-	for rounds := 0; ; rounds++ {
-		if rounds > 1<<16 {
-			t.Fatal("go-back-N host made no progress")
+		for i := range arqs {
+			pace(i)
 		}
-		l, ok := nw.pick(true)
-		if !ok {
-			done := true
-			for id, r := range ranks {
-				if !r.s.Done() || r.next < r.s.Sends() {
-					done = false
+		// A loss costs a jump or two, and a rank's lost notice its linger.
+		for jumps, limit := 0, 4*len(nw.order)+8*n+64; slices.Contains(over, false); {
+			l, ok := nw.pick(true)
+			if !ok {
+				if jumps++; jumps > limit {
+					t.Fatalf("ARQ round %d: ranks still running (finished: %v) at time %d", r, over, now)
 				}
-				for to := range r.out {
-					if r.acked[to] < r.sent[to] {
-						done = false
-						resend(id, to)
+				now = math.MaxInt64
+				for i, a := range arqs {
+					if !over[i] {
+						now = min(now, a.Deadline())
 					}
 				}
+				for i := range arqs {
+					pace(i)
+				}
+				continue
 			}
-			if done {
-				break
+			p, dst := nw.pop(l).(packet.Packet), l[1]
+			a, applied := arqs[dst], arqs[dst].s.Applied()
+			if over[dst] && r == 1 {
+				continue // returned from its last round: nothing reads its socket
 			}
-			continue
+			if !a.In(now, &p) {
+				t.Fatalf("ARQ round %d rank %d: refused %+v", r, dst, p)
+			}
+			if a.s.Applied() > applied {
+				applies[dst][p.Idx]++
+			}
+			pace(dst)
 		}
-		src, dst := l[0], l[1]
-		m, r := nw.pop(l).(gbnSeg), ranks[dst]
-		// Only the segment next in order is taken; the rest is dropped.
-		if q := r.s.Applied(); q < r.s.Recvs() && r.recvIdx[q] == m.idx && r.from(q) == src {
-			if err := r.s.Apply(q, m.data); err != nil {
-				t.Fatal(err)
-			}
-			r.applies[q]++
-			r.got[src]++
-			fill(dst)
-		}
-		// The cumulative ack of the link, delivered at once; data beyond
-		// the ack point makes it a duplicate, and the second goes back N.
-		sr := ranks[src]
-		switch ack := r.got[src]; {
-		case ack > sr.acked[dst]:
-			sr.acked[dst], sr.dups[dst] = ack, 0
-		case m.idx > ack:
-			if sr.dups[dst]++; sr.dups[dst] == 2 {
-				resend(src, dst)
+		for i, a := range applies {
+			for q, k := range a {
+				if k != 1 {
+					t.Fatalf("ARQ round %d rank %d: segment %d applied %d times", r, i, q, k)
+				}
 			}
 		}
-	}
-	for id, r := range ranks {
-		for q, k := range r.applies {
-			if k != 1 {
-				t.Fatalf("go-back-N host rank %d: segment %d applied %d times", id, q, k)
-			}
-		}
+		checkSums(t, fmt.Sprintf("ARQ round %d", r), bufs, want)
 	}
 }

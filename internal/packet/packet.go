@@ -116,13 +116,15 @@ const (
 	// peer. A round's ring all-reduce starts only when all n
 	// announcements agree on the boundary.
 	KindFallbackSync
-	// KindFallbackData is one burst of ring all-reduce payload between
-	// mesh peers while degraded: Idx packs the round sequence and ring
-	// step, Off is the global element offset of the burst.
+	// KindFallbackData is one segment of ring all-reduce payload
+	// between mesh peers while degraded: JobID is the degraded round,
+	// Idx the segment's sequence number in the round's ring schedule,
+	// Off its element offset in the round's buffer.
 	KindFallbackData
-	// KindFallbackAck is the mesh ARQ control for KindFallbackData:
-	// Off 0 carries a cumulative ack (Idx = highest ring step fully
-	// received), Off 1 a retransmission request for step Idx.
+	// KindFallbackAck is the mesh ARQ's control for KindFallbackData
+	// (allreduce.ARQ): a cumulative ack, Idx the round's receive segments
+	// applied and Off the segment that drew it; with Ver 1, the sender's
+	// end-of-round notice that every segment it sent is acked.
 	KindFallbackAck
 	// KindJoin is a graceful-join handshake from a worker that wants to
 	// enter a running job. The aggregator queues it, fences the job at

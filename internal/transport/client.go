@@ -737,7 +737,7 @@ const (
 	modeAdopt             // vote the job onto a ladder rung until it releases it
 	modeProbe             // drain a probed aggregator's socket for the probe's ack
 	modeSync              // the mesh barrier: collect every peer's frontier and streak
-	modeRing              // the mesh ring: go-back-N over the ring schedule
+	modeRing              // the mesh ring: the ring schedule under its ARQ
 	modeFetch             // a joiner's model-state fetch from an incumbent
 )
 
@@ -758,13 +758,14 @@ func (c *Client) run(m mode, deadline time.Time) error {
 	c.mode, c.modeAt, c.nextTx = m, c.now, time.Time{}
 	c.echoed, c.fetch, c.meshEnd, c.snapshot = false, stateFetch{}, time.Time{}, nil
 	for {
+		// What is staged — the previous sweep's retransmissions, a prior
+		// burst's sends, the mode's own — must reach the wire before the
+		// loop blocks or the mode ends.
 		wake, done, err := c.pace(deadline)
-		if done || err != nil {
-			return err
+		if err == nil {
+			err = c.flushTx()
 		}
-		// Retransmissions staged by the previous sweep (and any sends a
-		// prior burst generated) must reach the wire before blocking.
-		if err := c.flushTx(); err != nil {
+		if done || err != nil {
 			return err
 		}
 		msgs, mesh, err := c.recv(wake)
@@ -887,10 +888,10 @@ func (c *Client) recv(wake time.Time) ([]netio.Message, bool, error) {
 // pace applies the mode's rules at the pass's clock reading, before the
 // loop blocks: the silence verdict (data), the deadline, the give-up
 // rules (fence silence, adoption patience, an unanswered state fetch),
-// the mode switches no datagram makes (an admitted joiner's fetch), the
-// ring's window refill, then the periodic send. It returns when the loop
-// must next wake — at least every RTO — and done when the mode ended
-// without a datagram to end it.
+// the mode switches no datagram makes (an admitted joiner's fetch), then
+// the periodic send, or what the ring's ARQ has due. It returns when the
+// loop must next wake — at least every RTO — and done when the mode
+// ended without a datagram to end it.
 func (c *Client) pace(deadline time.Time) (wake time.Time, done bool, err error) {
 	now := c.now
 	if silence := now.Sub(c.lastProgress); c.mode == modeData && silence >= c.silenceAfter() {
@@ -974,7 +975,9 @@ func (c *Client) pace(deadline time.Time) (wake time.Time, done bool, err error)
 			return now, false, fmt.Errorf("transport: ladder rung %d silent through the adoption handshake (echoed=%v): %w", c.homeRank, c.echoed, ErrAggregatorSilent)
 		}
 	case modeRing:
-		c.ringFill()
+		// The ARQ keeps the mode's clock, and its end.
+		c.fb.meshRetx.Add(uint64(c.fb.ring.Send(c.nowNs)))
+		return c.t0.Add(time.Duration(c.fb.ring.Deadline())), c.fb.ring.Finished(), nil
 	}
 	if !now.Before(c.nextTx) {
 		period, err := c.announce()
@@ -1008,9 +1011,7 @@ func (c *Client) expired() error {
 	case modeSync:
 		return fmt.Errorf("transport: fallback barrier timed out with %d of %d peers silent: %w", c.fb.remaining, c.cfg.Worker.Workers-1, ErrAggregatorSilent)
 	case modeRing:
-		r := &c.fb.ring
-		return fmt.Errorf("transport: mesh ring timed out (%d/%d sent-acked, %d/%d received): %w",
-			r.cumAck, r.s.Sends(), r.s.Applied(), r.s.Recvs(), ErrAggregatorSilent)
+		return fmt.Errorf("transport: mesh ring timed out (%v): %w", c.fb.ring, ErrAggregatorSilent)
 	}
 	return nil
 }
@@ -1018,8 +1019,8 @@ func (c *Client) expired() error {
 // announce makes the mode's periodic send and returns the period to the
 // next one: the fence confirm (Ver=1 KindReport at the boundary) or the
 // joiner's solicit, the leave announcement, the adoption request at a
-// jittered RTO, and on the mesh the barrier sync to every silent peer,
-// the ring's go-back-N replay and the state fetch's request. A joiner
+// jittered RTO, and on the mesh the barrier sync to every silent peer
+// and the state fetch's request. A joiner
 // whose fence stays quiet for 16 confirms was aborted by a crash
 // recovery and solicits a fresh one.
 func (c *Client) announce() (time.Duration, error) {
@@ -1034,13 +1035,6 @@ func (c *Client) announce() (time.Duration, error) {
 			if !got {
 				c.meshSend(c.fb.syncWire, w)
 			}
-		}
-		return c.cfg.RTO, nil
-	case modeRing:
-		// Go-back-N: replay from the ack point.
-		for r, s := &c.fb.ring, c.fb.ring.cumAck; s < min(r.nextSend, r.cumAck+meshReplay); s++ {
-			c.sendSeg(s)
-			c.fb.meshRetx.Add(1)
 		}
 		return c.cfg.RTO, nil
 	case modeFetch:

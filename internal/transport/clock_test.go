@@ -284,7 +284,8 @@ func TestClientModesFollowInjectedClock(t *testing.T) {
 			return err
 		}, "fallback barrier timed out"},
 		{"mesh ring", true, func(c *Client) error {
-			return c.meshRound(make([]int32, 600), 0, c.tick().Add(c.cfg.Timeout))
+			_, err := c.meshFinish(make([]int32, 600), 0, c.tick().Add(c.cfg.Timeout))
+			return err
 		}, "mesh ring timed out"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -14,13 +14,16 @@
 // aggregated before the outage can leak into post-failback slots.
 //
 // The mesh ring runs allreduce.Ring's step schedule, the one the
-// simulator's host fabric runs, with go-back-N ARQ: segments carry a
-// per-round global sequence number, the receiver accepts them strictly
-// in order and acks cumulatively, and the sender goes back to the ack
-// point on timeout or duplicate acks. Unlike the simulator's host
-// fabric (which models a reliable kernel transport), real UDP loses
-// mesh datagrams too — the ARQ is what makes the barrier handoff
-// exact (DESIGN.md "The host collective").
+// simulator's host fabric runs, under allreduce.ARQ, a go-back-N machine
+// without I/O: segments carry a per-round sequence number, the receiver
+// accepts them strictly in order and acks cumulatively, the sender goes
+// back to the ack point on timeout or duplicate acks, and a rank that
+// has finished its part keeps answering until its predecessor says it
+// holds every ack, or a bounded linger runs out. Unlike the simulator's
+// host fabric (which models a reliable kernel transport), real UDP
+// loses mesh datagrams too — the ARQ is what makes the barrier handoff
+// exact (DESIGN.md "The host collective"). The ring mode is its host:
+// the socket, the clock, and the datagrams the machine hands out.
 //
 // The barrier and the ring are modes of the client loop (run, in
 // client.go; DESIGN.md "The client loop") on the mesh socket, as are the
@@ -84,11 +87,8 @@ type FallbackConfig struct {
 }
 
 // meshSegElems is the mesh ring's datagram payload in elements (a
-// 1,048-byte datagram, safely under any MTU worth using), meshWindow
-// its go-back-N window in segments, and meshReplay how many segments
-// from the ack point a replay re-sends, capped to keep a long outage
-// from bursting.
-const meshSegElems, meshWindow, meshReplay = 256, 32, 16
+// 1,048-byte datagram, safely under any MTU worth using).
+const meshSegElems = 256
 
 // FallbackStats is a snapshot of the degraded-path counters. All
 // counters are maintained atomically, so the snapshot is safe to take
@@ -122,9 +122,6 @@ type fallback struct {
 	// round numbers the degraded collectives; it stamps every mesh
 	// datagram so stragglers from a finished round are recognized.
 	round uint16
-	// prevRecvTotal is the previous round's receive-schedule length,
-	// echoed as a "round complete" ack to a stuck stale sender.
-	prevRecvTotal int
 	// prob is the failback probation window, probing the aggregator
 	// over the main connection.
 	prob faults.Probation
@@ -146,8 +143,11 @@ type fallback struct {
 	remaining int
 	F         uint64
 	minStreak int
-	// ring is the mesh ring's round in flight (the ring mode).
-	ring ring
+	// ring is the ARQ of the latest mesh-ring round (the ring mode), over
+	// allreduce.Ring's schedule in meshSegElems segments, whose receive
+	// numbering is the predecessor's send numbering; it answers the
+	// predecessor until the next round replaces it.
+	ring *allreduce.ARQ
 
 	degrades, probes, probeAcks, failbacks atomic.Uint64
 	hostRounds, hostElems, meshRetx        atomic.Uint64
@@ -264,7 +264,7 @@ func (c *Client) enterFallback(u []int32, deadline time.Time) ([]int32, error) {
 		// finished on the mesh.
 		return nil, fmt.Errorf("transport: stream misaligned on degrade: collective frontier %d precedes this tensor at %d", fb.F, base)
 	}
-	return c.meshFinish(u, fb.F, int(fb.F-base), deadline)
+	return c.meshFinish(u, int(fb.F-base), deadline)
 }
 
 // degradedAllReduce runs one tensor while the job lives on the mesh:
@@ -303,20 +303,26 @@ func (c *Client) degradedAllReduce(u []int32, deadline time.Time) ([]int32, erro
 	if fb.cfg.Probation >= 0 && fb.minStreak >= fb.cfg.Probation {
 		return c.failback(u, deadline)
 	}
-	return c.meshFinish(u, fb.F, 0, deadline)
+	return c.meshFinish(u, 0, deadline)
 }
 
-// meshFinish aggregates the tensor suffix u[local:] (global offset F)
-// by mesh ring and installs the result through the barrier-handoff
-// write.
-func (c *Client) meshFinish(u []int32, F uint64, local int, deadline time.Time) ([]int32, error) {
-	fb := c.fb
+// meshFinish aggregates the tensor suffix u[local:] (global offset
+// fb.F) by ring all-reduce in the client loop's ring mode and installs
+// the result through the barrier-handoff write.
+func (c *Client) meshFinish(u []int32, local int, deadline time.Time) ([]int32, error) {
+	fb, n := c.fb, c.cfg.Worker.Workers
 	buf := make([]int32, len(u)-local)
 	copy(buf, u[local:])
-	if err := c.meshRound(buf, F, deadline); err != nil {
-		return nil, err
+	if n > 1 && len(buf) > 0 {
+		// The replay timer starts from a fresh reading: copying the tensor
+		// suffix took time since the barrier's last pass.
+		c.tick()
+		fb.ring = allreduce.NewARQ(fb.round, allreduce.Ring(n, int(c.cfg.Worker.ID), buf, meshSegElems), int64(c.cfg.RTO), c.nowNs, c.sendRing)
+		if err := c.run(modeRing, deadline); err != nil {
+			return nil, err
+		}
 	}
-	if err := c.worker.InstallHostAggregate(F, buf); err != nil {
+	if err := c.worker.InstallHostAggregate(fb.F, buf); err != nil {
 		return nil, err
 	}
 	fb.hostRounds.Add(1)
@@ -427,95 +433,6 @@ func (c *Client) meshSync(p *packet.Packet) bool {
 	return false
 }
 
-// ring is one worker's mesh-ring round: the ring schedule over the
-// buffer it reduces in place (allreduce.Ring in meshSegElems segments,
-// whose receive numbering matches the predecessor's send numbering
-// exactly), the buffer's global offset F, and the go-back-N cursors.
-type ring struct {
-	s                         *allreduce.Schedule
-	buf                       []int32
-	F                         uint64
-	cumAck, nextSend, dupAcks int
-}
-
-// done reports whether every segment is acked and every one received.
-func (r *ring) done() bool { return r.cumAck >= r.s.Sends() && r.s.Done() }
-
-// meshRound runs the ring all-reduce over buf (global offset F) in the
-// client loop's ring mode, leaving the full sum in buf on every worker.
-// Reduce-scatter adds, all-gather overwrites; a segment is applied
-// exactly once because the receiver only accepts the next expected
-// sequence number.
-func (c *Client) meshRound(buf []int32, F uint64, deadline time.Time) error {
-	fb := c.fb
-	n := c.cfg.Worker.Workers
-	if n == 1 || len(buf) == 0 {
-		fb.prevRecvTotal = 0
-		return nil
-	}
-	fb.ring = ring{s: allreduce.Ring(n, int(c.cfg.Worker.ID), buf, meshSegElems), buf: buf, F: F}
-	// The replay timer starts from a fresh reading: copying the tensor
-	// suffix took time since the barrier's last pass.
-	c.tick()
-	if err := c.run(modeRing, deadline); err != nil {
-		return err
-	}
-	fb.prevRecvTotal = fb.ring.s.Recvs()
-	return nil
-}
-
-// ringFill stages the window refill — every segment the go-back-N
-// window has room for whose step's input has arrived — and restarts the
-// replay timer if it staged any.
-func (c *Client) ringFill() {
-	for r := &c.fb.ring; r.nextSend < r.s.Sends() && r.nextSend-r.cumAck < meshWindow && r.s.Ready(r.nextSend); r.nextSend++ {
-		c.sendSeg(r.nextSend)
-		c.nextTx = c.now.Add(c.cfg.RTO)
-	}
-}
-
-// ringData takes the ring's current-round segment: the next expected
-// one is applied, and every one is acked cumulatively, the ack carrying
-// the segment that drew it — for out-of-order data the repeated ack
-// doubles as a NACK.
-func (c *Client) ringData(p *packet.Packet) (bool, error) {
-	r := &c.fb.ring
-	if seq := r.s.Applied(); int(p.Idx) == seq && seq < r.s.Recvs() {
-		if _, lo, _ := r.s.RecvSpan(seq); p.Off != r.F+uint64(lo) {
-			return false, fmt.Errorf("transport: mesh segment %d malformed: off %d, want %d", seq, p.Off, r.F+uint64(lo))
-		}
-		if err := r.s.Apply(seq, p.Vector); err != nil {
-			return false, fmt.Errorf("transport: mesh segment malformed: %w", err)
-		}
-	}
-	c.sendMeshAck(c.fb.round, r.s.Applied(), int(p.Idx), int(p.WorkerID))
-	return r.done(), nil
-}
-
-// ringAck takes the successor's cumulative ack: progress slides the
-// window and restarts the replay timer, and a second duplicate of the
-// ack point goes back N — the window is re-sent from the ack point, in
-// order, once per ack point, since the successor dropped everything
-// after the gap. Only an ack drawn by data beyond the ack point is a
-// duplicate: a gap says a segment was lost, while an ack drawn by a
-// segment the successor already had (a replay's copy) says nothing.
-func (c *Client) ringAck(p *packet.Packet) bool {
-	r := &c.fb.ring
-	switch k := int(p.Idx); {
-	case k > r.cumAck:
-		r.cumAck, r.dupAcks = min(k, r.s.Sends()), 0
-		r.nextSend = max(r.nextSend, r.cumAck)
-		c.nextTx = c.now.Add(c.cfg.RTO)
-	case k == r.cumAck && r.cumAck < r.nextSend && p.Off > uint64(k):
-		if r.dupAcks++; r.dupAcks == 2 {
-			c.fb.meshRetx.Add(uint64(r.nextSend - r.cumAck))
-			r.nextSend = r.cumAck
-			c.ringFill()
-		}
-	}
-	return r.done()
-}
-
 // handleMesh is the mesh's one dispatch: every datagram a mesh pass of
 // the client loop receives — barrier syncs, ring segments and acks,
 // state requests and replies — whatever mode the loop is in, reporting
@@ -532,22 +449,15 @@ func (c *Client) handleMesh(m *netio.Message) (bool, error) {
 	switch p.Kind {
 	case packet.KindFallbackSync:
 		return c.meshSync(p), nil
-	case packet.KindFallbackData:
-		if d := int16(p.JobID - fb.round); d < 0 {
-			// A straggler from a finished round: the round-complete ack
-			// frees it.
-			c.sendMeshAck(p.JobID, fb.prevRecvTotal, int(p.Idx), int(p.WorkerID))
-		} else if d == 0 && c.mode == modeRing {
-			return c.ringData(p)
+	case packet.KindFallbackData, packet.KindFallbackAck:
+		// Both go to the latest round's ARQ, which answers its round's and
+		// drops the rest (current-round data ahead of our ring too: its
+		// sender re-sends once we join); one from a rank off the ring's
+		// link, or malformed, is counted and dropped.
+		if !fb.ring.In(c.nowNs, p) {
+			c.unexpected.Inc()
 		}
-		// Current-round data ahead of our ring is dropped; its ARQ
-		// re-sends once we join.
-		return false, nil
-	case packet.KindFallbackAck:
-		if c.mode == modeRing && p.JobID == fb.round {
-			return c.ringAck(p), nil
-		}
-		return false, nil
+		return c.mode == modeRing && fb.ring.Finished(), nil
 	case packet.KindStateReq:
 		// Served only from a fence hold, and only to a mesh peer: a reply
 		// is up to ~170 times the request's size.
@@ -569,33 +479,13 @@ func (c *Client) handleMesh(m *netio.Message) (bool, error) {
 	}
 }
 
-// sendSeg stages ring segment seq to the next rank. The packet's vector
+// sendRing stages the ring's datagram p to worker w. A segment's vector
 // aliases the ring's buffer — safe, because marshalling copies it out,
 // and staging copies sbuf in, before the call returns.
-func (c *Client) sendSeg(seq int) {
-	fb := c.fb
-	r := &fb.ring
-	to, lo, hi := r.s.Span(seq)
-	p := packet.Packet{
-		Kind:     packet.KindFallbackData,
-		WorkerID: c.cfg.Worker.ID,
-		JobID:    fb.round,
-		Idx:      uint32(seq),
-		Off:      r.F + uint64(lo),
-		Vector:   r.buf[lo:hi],
-	}
-	fb.sbuf = p.AppendMarshal(fb.sbuf[:0])
-	c.meshSend(fb.sbuf, to)
-}
-
-// sendMeshAck stages a round's cumulative receive progress to its
-// sender, with the segment that drew it in Off.
-func (c *Client) sendMeshAck(round uint16, cum, trigger, peerID int) {
-	fb := c.fb
-	p := packet.NewControl(packet.KindFallbackAck, c.cfg.Worker.ID, round, uint64(trigger), nil)
-	p.Idx = uint32(cum)
-	fb.sbuf = p.AppendMarshal(fb.sbuf[:0])
-	c.meshSend(fb.sbuf, peerID)
+func (c *Client) sendRing(w int, p packet.Packet) {
+	p.WorkerID = c.cfg.Worker.ID
+	c.fb.sbuf = p.AppendMarshal(c.fb.sbuf[:0])
+	c.meshSend(c.fb.sbuf, w)
 }
 
 // meshSend stages one datagram to worker w's mesh address for the

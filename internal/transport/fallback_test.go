@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"switchml/internal/allreduce"
 	"switchml/internal/core"
+	"switchml/internal/netio"
 	"switchml/internal/packet"
 )
 
@@ -173,12 +175,10 @@ func TestFaultUDPDegradedSteadyState(t *testing.T) {
 }
 
 // TestFaultUDPMeshRingLoss runs the mesh ring through relays that lose
-// every 50th ring segment between workers: the go-back-N must repair
-// every loss with each sum exact, and a loss may cost at most two
-// windows of re-sends. Acks and barrier syncs pass: a lost final ack of
-// the last round is never repaired, because the receiver has returned
-// from its last call and no later round's ack frees the sender (see
-// CHANGES.md), so a test that lost acks would end on a timeout.
+// every 50th mesh datagram between workers, of any kind — segments, acks,
+// end-of-round notices and barrier syncs: the ARQ and the barrier must
+// repair every loss with each sum exact, and a loss may cost at most two
+// windows of re-sends.
 func TestFaultUDPMeshRingLoss(t *testing.T) {
 	const n, elems, rounds, every = 3, 100000, 4, 50
 	agg, clients := fallbackCluster(t, n, -1, 20*time.Second)
@@ -205,8 +205,7 @@ func TestFaultUDPMeshRingLoss(t *testing.T) {
 				if err != nil {
 					return
 				}
-				var h packet.Header
-				if _, err := packet.ParseHeader(&h, buf[:m]); err == nil && h.Kind == packet.KindFallbackData && seen.Add(1)%every == 0 {
+				if seen.Add(1)%every == 0 {
 					lost.Add(1)
 					continue
 				}
@@ -227,12 +226,116 @@ func TestFaultUDPMeshRingLoss(t *testing.T) {
 	for _, c := range clients {
 		retx += c.FallbackStats().MeshRetransmits
 	}
-	t.Logf("%d of %d ring segments lost, %d retransmissions", lost.Load(), seen.Load(), retx)
+	t.Logf("%d of %d mesh datagrams lost, %d retransmissions", lost.Load(), seen.Load(), retx)
 	if lost.Load() == 0 || retx == 0 {
 		t.Fatalf("%d datagrams lost, %d retransmissions: the relays did not exercise the ARQ", lost.Load(), retx)
 	}
-	if limit := lost.Load() * 2 * meshWindow; retx > limit {
+	if limit := lost.Load() * 2 * allreduce.ARQWindow; retx > limit {
 		t.Errorf("%d retransmissions for %d lost datagrams, want at most %d (two windows a loss)", retx, lost.Load(), limit)
+	}
+}
+
+// TestMeshRingDispatch feeds worker 0 of a three-worker mesh one ring
+// datagram at a time and reads what it answers on its two peers'
+// sockets. Worker 1 is its successor and worker 2 its predecessor, and
+// the round counter has just wrapped from 0xFFFF to 0: the previous
+// round's sync and segments are still answered under their own round,
+// the current round's are taken, and data or acks from the wrong rank
+// are counted in udp_unexpected_kind_total, unanswered.
+func TestMeshRingDispatch(t *testing.T) {
+	const rto = 10 * time.Millisecond
+	agg, peers := listenLoopback(t), []*net.UDPConn{nil, listenLoopback(t), listenLoopback(t)}
+	answerHello(agg, 4, 8, 3)
+	c, err := NewClient(ClientConfig{
+		Aggregator: agg.LocalAddr().String(),
+		Worker:     core.WorkerConfig{ID: 0, Workers: 3, PoolSize: 4, SlotElems: 8, LossRecovery: true},
+		RTO:        rto,
+		Timeout:    time.Minute,
+		Fallback:   &FallbackConfig{Peers: []string{"", peers[1].LocalAddr().String(), peers[2].LocalAddr().String()}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	data := func(round uint16, from uint16) packet.Packet {
+		// Worker 0's first receive segment is chunk 2 of the 9 elements.
+		return packet.Packet{Kind: packet.KindFallbackData, WorkerID: from, JobID: round, Off: 6, Vector: []int32{1, 2, 3}}
+	}
+	ack := func(round uint16, from uint16, cum uint32) packet.Packet {
+		return packet.Packet{Kind: packet.KindFallbackAck, WorkerID: from, JobID: round, Idx: cum}
+	}
+	unexpected := c.Registry().Counter("udp_unexpected_kind_total", "role", "worker", "worker", "0")
+	for _, tc := range []struct {
+		name string
+		mode mode
+		ring uint16 // the round of the ring's ARQ
+		in   packet.Packet
+		// The reply: its destination (0 for none), kind, round, Idx and Ver.
+		to       int
+		kind     packet.Kind
+		round    uint16
+		idx      uint32
+		ver      uint8
+		foreign  bool
+		progress string
+	}{
+		{"previous round's sync", modeSync, 0xFFFF, packet.Packet{Kind: packet.KindFallbackSync, WorkerID: 1, JobID: 0xFFFF},
+			1, packet.KindFallbackSync, 0xFFFF, 0, 0, false, "0/4 sent-acked, 0/4 received"},
+		{"previous round's straggler", modeSync, 0xFFFF, data(0xFFFF, 2),
+			2, packet.KindFallbackAck, 0xFFFF, 1, 0, false, "0/4 sent-acked, 1/4 received"},
+		{"current round's data", modeRing, 0, data(0, 2),
+			2, packet.KindFallbackAck, 0, 1, 0, false, "0/4 sent-acked, 1/4 received"},
+		{"current round's ack", modeRing, 0, ack(0, 1, 1),
+			0, 0, 0, 0, 0, false, "1/4 sent-acked, 0/4 received"},
+		{"current round's last ack sends the notice", modeRing, 0, ack(0, 1, 4),
+			1, packet.KindFallbackAck, 0, 0, 1, false, "4/4 sent-acked, 0/4 received"},
+		{"previous round's data in the current ring", modeRing, 0, data(0xFFFF, 2),
+			0, 0, 0, 0, 0, false, "0/4 sent-acked, 0/4 received"},
+		{"data from the successor", modeRing, 0, data(0, 1),
+			0, 0, 0, 0, 0, true, "0/4 sent-acked, 0/4 received"},
+		{"ack from the predecessor", modeRing, 0, ack(0, 2, 1),
+			0, 0, 0, 0, 0, true, "0/4 sent-acked, 0/4 received"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fb := c.fb
+			buf := make([]int32, 9)
+			s := allreduce.Ring(3, 0, buf, meshSegElems)
+			fb.ring = allreduce.NewARQ(tc.ring, s, int64(rto), c.nowNs, c.sendRing)
+			fb.round, c.mode = 0, tc.mode
+			fb.prevSyncWire = packet.NewControl(packet.KindFallbackSync, 0, 0xFFFF, 0, nil).Marshal()
+			before := unexpected.Value()
+			if _, err := c.handleMesh(&netio.Message{Buf: tc.in.Marshal()}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.flushTx(); err != nil {
+				t.Fatal(err)
+			}
+			for w := 1; w <= 2; w++ {
+				peers[w].SetReadDeadline(time.Now().Add(2 * rto))
+				b := make([]byte, 2048)
+				n, err := peers[w].Read(b)
+				if w != tc.to {
+					if err == nil {
+						t.Errorf("worker %d was sent %d bytes, want nothing", w, n)
+					}
+					continue
+				}
+				var p packet.Packet
+				if err != nil || packet.UnmarshalInto(&p, b[:n]) != nil {
+					t.Fatalf("worker %d: no reply (%v)", w, err)
+				}
+				if p.Kind != tc.kind || p.JobID != tc.round || p.Idx != tc.idx || p.Ver != tc.ver {
+					t.Errorf("worker %d got kind %v round %#x idx %d ver %d, want kind %v round %#x idx %d ver %d",
+						w, p.Kind, p.JobID, p.Idx, p.Ver, tc.kind, tc.round, tc.idx, tc.ver)
+				}
+			}
+			if got := unexpected.Value() - before; got != map[bool]uint64{true: 1}[tc.foreign] {
+				t.Errorf("udp_unexpected_kind_total grew by %d, want it to count a foreign datagram only", got)
+			}
+			if got := fb.ring.String(); got != tc.progress {
+				t.Errorf("ring progress %q, want %q", got, tc.progress)
+			}
+		})
 	}
 }
 
