@@ -28,10 +28,17 @@ vet:
 # little-endian hosts and swapped elsewhere (internal/packet's
 # elems_swap.go). No emulator is installed, so the swapping path is
 # vetted and compiled for s390x here, not run; its encoder and decoder
-# run on every host in TestPortableCodecMatchesReferences.
+# run on every host in TestPortableCodecMatchesReferences. The arm64
+# leg compiles the quantizer where Go may fuse a multiply and an add
+# into one FMA, which rounds once where quant.ToFixed must round twice;
+# its explicit float64 conversion forbids that, and the leg fails if
+# the arm64 assembly of internal/quant holds a fused instruction.
 cross:
 	GOARCH=s390x $(GO) vet ./...
-	GOARCH=s390x $(GO) test -c -o /dev/null ./internal/packet ./internal/core ./internal/transport
+	GOARCH=s390x $(GO) test -c -o /dev/null ./internal/packet ./internal/core ./internal/transport ./internal/quant
+	GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/quant ./internal/core
+	@if GOARCH=arm64 $(GO) build -gcflags=-S ./internal/quant 2>&1 | grep -E 'FN?M(ADD|SUB)D'; then \
+		echo "internal/quant: fused multiply-add on arm64 (see quant.ToFixed)"; exit 1; fi
 
 # Project-invariant static analysis (cmd/switchml-vet): hot-path
 # allocation freedom, simulation determinism, atomics discipline,
@@ -77,13 +84,15 @@ chaos:
 # as the decoded ingress does. The host collective's step schedule must
 # sum exactly, each segment applied once, under any delivery order on
 # its netsim host, and so must the mesh's shipped ARQ under loss of data
-# and acks, with every rank finishing its round. Go fuzzes one target
-# per invocation.
+# and acks, with every rank finishing its round. The quantizer must
+# match its RoundToEven reference bit for bit at any factor and on any
+# float32 bit pattern. Go fuzzes one target per invocation.
 fuzz:
 	$(GO) test -fuzz=FuzzCodec -fuzztime=10s ./internal/packet
 	$(GO) test -fuzz=FuzzParseHeader -fuzztime=10s ./internal/packet
 	$(GO) test -fuzz=FuzzWireIngress -fuzztime=10s ./internal/core
 	$(GO) test -fuzz=FuzzCollectiveSchedule -fuzztime=10s ./internal/allreduce
+	$(GO) test -fuzz=FuzzQuantize -fuzztime=10s ./internal/quant
 
 # Quick-look evaluation run (scaled-down tensors).
 bench:

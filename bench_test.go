@@ -224,9 +224,10 @@ func BenchmarkWorkerPipeline(b *testing.B) {
 }
 
 // BenchmarkQuantize measures the float32 -> int32 conversion path
-// (the workers' SSE/AVX loop in the paper, §4).
+// (the workers' SSE/AVX loop in the paper, §4) at the benchmark
+// harness's scale, 2¹⁶, and reports it per element.
 func BenchmarkQuantize(b *testing.B) {
-	q, err := quant.NewFixedPoint(1 << 20)
+	q, err := quant.NewFixedPoint(1 << 16)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -240,6 +241,7 @@ func BenchmarkQuantize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q.Quantize(dst, src)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(src)), "ns/elem")
 }
 
 // BenchmarkDequantize measures the int32 -> float32 path.
@@ -329,6 +331,86 @@ func BenchmarkClusterAllReduce(b *testing.B) {
 //
 // DESIGN.md's "What a packet costs" table is read off such a profile.
 func BenchmarkUDPBulk(b *testing.B) { benchUDP(b, 2, 0, 0, 1<<20, 0, 0) }
+
+// BenchmarkUDPFloatStream is the benchmark harness's udp_float_stream
+// shape as a testing.B: 2 workers, each streaming one step's 16 float32
+// tensors (12 × 4,096, 3 × 65,536 and 524,288 elements) through a
+// Session at scale 2¹⁶ against one aggregator over loopback UDP, all
+// submitted and then all waited. It profiles the float path, quantize
+// and dequantize included, the way BenchmarkUDPBulk profiles udp_bulk:
+//
+//	go test -run '^$' -bench UDPFloatStream -benchtime 100x -cpuprofile cpu.out .
+func BenchmarkUDPFloatStream(b *testing.B) {
+	const n = 2
+	var sizes []int
+	for i := 0; i < 12; i++ {
+		sizes = append(sizes, 4096)
+	}
+	sizes = append(sizes, 65536, 65536, 65536, 524288)
+	elems := 0
+	for _, d := range sizes {
+		elems += d
+	}
+	agg, err := ListenAggregator("127.0.0.1:0", AggregatorParams{Workers: n})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer agg.Close()
+	sessions := make([]*Session, n)
+	tensors := make([][][]float32, n)
+	for w := range sessions {
+		p, err := DialAggregator(agg.Addr(), PeerParams{ID: w, Workers: n, Scale: 1 << 16})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer p.Close()
+		if sessions[w], err = NewSession(p, len(sizes)); err != nil {
+			b.Fatal(err)
+		}
+		defer sessions[w].Close()
+		for _, d := range sizes {
+			t := make([]float32, d)
+			for i := range t {
+				t[i] = float32((i*7+w)%2001-1000) / 1000
+			}
+			tensors[w] = append(tensors[w], t)
+		}
+	}
+	steps := make([]time.Duration, b.N)
+	b.SetBytes(int64(elems * 4))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		var wg sync.WaitGroup
+		for w := range sessions {
+			w := w
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				futs := make([]*Future, len(sizes))
+				for j, t := range tensors[w] {
+					f, err := sessions[w].SubmitFloat32(t)
+					if err != nil {
+						b.Error(err)
+						return
+					}
+					futs[j] = f
+				}
+				for _, f := range futs {
+					if _, err := f.Wait(); err != nil {
+						b.Error(err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		steps[i] = time.Since(t0)
+	}
+	b.StopTimer()
+	sort.Slice(steps, func(i, j int) bool { return steps[i] < steps[j] })
+	b.ReportMetric(float64(steps[len(steps)/2])/1e6, "p50-ms")
+	b.ReportMetric(float64(elems)*float64(b.N)/b.Elapsed().Seconds(), "elem/s")
+}
 
 // BenchmarkUDPLossy is BenchmarkUDPBulk's twin at the harness's
 // udp_lossy shape: 262,144 elements, 1 % of the datagrams dropped each

@@ -289,7 +289,7 @@ func (w *Worker) AllReduceFloat32(u []float32) ([]float32, error) {
 	}
 	q := make([]int32, len(u))
 	if sat := w.cluster.quant.Quantize(q, u); sat > 0 {
-		return nil, fmt.Errorf("switchml: %d elements saturated during quantization; lower the scale (see MaxSafeScale)", sat)
+		return nil, errQuantize(sat)
 	}
 	sum, err := w.AllReduceInt32(q)
 	if err != nil {
@@ -302,19 +302,30 @@ func (w *Worker) AllReduceFloat32(u []float32) ([]float32, error) {
 
 // allReduceHalf runs the float16 packed pipeline: pack pairs of
 // halves into wire elements, aggregate through the codec-equipped
-// switch, unpack.
+// switch, unpack. A tensor holding a NaN is refused before anything is
+// sent, as the fixed-point path refuses it.
 func (w *Worker) allReduceHalf(u []float32) ([]float32, error) {
 	if len(u) == 0 {
 		return nil, nil
 	}
 	wire := make([]int32, (len(u)+1)/2)
+	nan := 0
 	for i := range wire {
 		lo := quant.Float16FromFloat32(u[2*i])
 		hi := quant.Float16(0)
 		if 2*i+1 < len(u) {
 			hi = quant.Float16FromFloat32(u[2*i+1])
 		}
+		if lo.IsNaN() {
+			nan++
+		}
+		if hi.IsNaN() {
+			nan++
+		}
 		wire[i] = core.PackHalves(lo, hi)
+	}
+	if nan > 0 { // the switch would add a NaN half as 0
+		return nil, errQuantize(nan)
 	}
 	sum, err := w.AllReduceInt32(wire)
 	if err != nil {

@@ -3,6 +3,7 @@ package switchml
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -178,6 +179,34 @@ func TestClusterSaturationError(t *testing.T) {
 	defer c.Close()
 	if _, err := c.Worker(0).AllReduceFloat32([]float32{1e6}); err == nil {
 		t.Error("saturating input did not error")
+	}
+}
+
+func TestClusterFloat32NaNRefused(t *testing.T) {
+	// One NaN element: once quantized as int32(NaN) (−2³¹ on amd64) and
+	// summed with a nil error; now refused before anything is sent, on
+	// the fixed-point and the float16 path, and the next call is exact.
+	for _, opt := range []Option{WithScale(1 << 16), WithFloat16(1 << 16)} {
+		c, err := NewCluster(1, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := c.Worker(0)
+		u := []float32{1, 2, float32(math.NaN()), 4, 5}
+		if out, err := w.AllReduceFloat32(u); err == nil || !strings.Contains(err.Error(), "NaN") {
+			t.Errorf("NaN tensor = %v, %v; want a refusal naming NaN", out, err)
+		}
+		u[2] = 3
+		out, err := w.AllReduceFloat32(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range out {
+			if v != u[i] {
+				t.Errorf("after the refusal: element %d = %v, want %v", i, v, u[i])
+			}
+		}
+		c.Close()
 	}
 }
 

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"switchml/internal/quant"
-)
+import "switchml/internal/quant"
 
 // Codec converts between the wire representation of a packet's vector
 // and the switch's internal integer accumulator representation. The
@@ -61,16 +57,16 @@ func UnpackHalves(w int32) (lo, hi quant.Float16) {
 	return quant.Float16(uint32(w) & 0xFFFF), quant.Float16(uint32(w) >> 16)
 }
 
-// Ingress implements Codec: halves become saturating fixed-point
-// values.
+// Ingress implements Codec: halves become fixed-point values by
+// quant.ToFixed, saturating at the int32 bounds; a NaN half becomes 0.
 func (c *PackedHalfCodec) Ingress(dst []int32, wire []int32) {
 	if len(dst) != 2*len(wire) {
 		panic("core: PackedHalfCodec.Ingress length mismatch")
 	}
 	for i, w := range wire {
 		lo, hi := UnpackHalves(w)
-		dst[2*i] = c.toFixed(lo)
-		dst[2*i+1] = c.toFixed(hi)
+		dst[2*i], _ = quant.ToFixed(lo.Float32(), c.factor)
+		dst[2*i+1], _ = quant.ToFixed(hi.Float32(), c.factor)
 	}
 }
 
@@ -84,17 +80,5 @@ func (c *PackedHalfCodec) Egress(dst []int32, acc []int32) {
 		lo := quant.Float16FromFloat32(float32(float64(acc[2*i]) * inv))
 		hi := quant.Float16FromFloat32(float32(float64(acc[2*i+1]) * inv))
 		dst[i] = PackHalves(lo, hi)
-	}
-}
-
-func (c *PackedHalfCodec) toFixed(h quant.Float16) int32 {
-	s := math.RoundToEven(float64(h.Float32()) * c.factor)
-	switch {
-	case s > math.MaxInt32:
-		return math.MaxInt32
-	case s < math.MinInt32:
-		return math.MinInt32
-	default:
-		return int32(s)
 	}
 }

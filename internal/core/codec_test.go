@@ -58,6 +58,85 @@ func TestPackedHalfCodecSaturation(t *testing.T) {
 	}
 }
 
+func TestPackedHalfCodecIngressMatchesReference(t *testing.T) {
+	// Every half, at factors exact, inexact and saturating, against the
+	// conversion Ingress ran before quant.ToFixed: RoundToEven and two
+	// clamps. A NaN half, which that rule stored as int32(NaN), must
+	// ingest as 0.
+	for _, f := range []float64{1, 3.7, 1 << 16, 1 << 20, 1e9} {
+		c, err := NewPackedHalfCodec(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire := make([]int32, 1<<15)
+		for i := range wire {
+			wire[i] = PackHalves(quant.Float16(2*i), quant.Float16(2*i+1))
+		}
+		acc := make([]int32, 1<<16)
+		c.Ingress(acc, wire)
+		for h := range acc {
+			v := quant.Float16(h)
+			var want int32
+			switch s := math.RoundToEven(float64(v.Float32()) * f); {
+			case v.IsNaN():
+				want = 0
+			case s > math.MaxInt32:
+				want = math.MaxInt32
+			case s < math.MinInt32:
+				want = math.MinInt32
+			default:
+				want = int32(s)
+			}
+			if acc[h] != want {
+				t.Fatalf("f=%v half %#04x (%v): ingress %d, want %d", f, h, v.Float32(), acc[h], want)
+			}
+		}
+	}
+}
+
+func TestPackedHalfCodecErrorBound(t *testing.T) {
+	// Random gradients through the switch's float16 conversions stay
+	// within the combined envelope: the half-precision ulp of the
+	// aggregate (egress re-rounds to half) plus Theorem 1's n/f.
+	c, err := NewPackedHalfCodec(1 << 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	const n, d = 4, 256
+	exact := make([]float64, d)
+	agg := make([]int32, d)
+	for w := 0; w < n; w++ {
+		wire := make([]int32, d/2)
+		for i := range wire {
+			lo := quant.Float16FromFloat32((rng.Float32() - 0.5) * 8)
+			hi := quant.Float16FromFloat32((rng.Float32() - 0.5) * 8)
+			// Half-precision loss happens before the network, so the
+			// exact reference sums the rounded halves.
+			exact[2*i] += float64(lo.Float32())
+			exact[2*i+1] += float64(hi.Float32())
+			wire[i] = PackHalves(lo, hi)
+		}
+		acc := make([]int32, d)
+		c.Ingress(acc, wire)
+		for i := range agg {
+			agg[i] += acc[i]
+		}
+	}
+	out := make([]int32, d/2)
+	c.Egress(out, agg)
+	for i, v := range out {
+		lo, hi := UnpackHalves(v)
+		for j, h := range []quant.Float16{lo, hi} {
+			want := exact[2*i+j]
+			tol := math.Abs(want)/1024 + float64(n)/(1<<16) + 1e-3
+			if err := math.Abs(float64(h.Float32()) - want); err > tol {
+				t.Fatalf("element %d: error %v exceeds tolerance %v", 2*i+j, err, tol)
+			}
+		}
+	}
+}
+
 func TestSwitchWithPackedHalfCodec(t *testing.T) {
 	// End-to-end aggregation through a float16 switch: two workers,
 	// values aggregated as fixed point internally, results returned

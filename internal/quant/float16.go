@@ -6,17 +6,16 @@ import "math"
 // The switch-side float16 pipeline (paper §3.7, Appendix C: "it turns
 // out to be possible to implement 16-bit floating point conversion on
 // a Barefoot Network's Tofino chip using lookup tables") is emulated
-// by converting halves to 32-bit fixed point at the switch ingress and
-// back at egress.
+// by core.PackedHalfCodec, which converts halves to 32-bit fixed point
+// at the switch ingress and back at egress.
 type Float16 uint16
 
 const (
-	f16SignMask  = 0x8000
-	f16ExpMask   = 0x7C00
-	f16FracMask  = 0x03FF
-	f16ExpBias   = 15
-	f32ExpBias   = 127
-	f16MaxFinite = 65504.0
+	f16SignMask = 0x8000
+	f16ExpMask  = 0x7C00
+	f16FracMask = 0x03FF
+	f16ExpBias  = 15
+	f32ExpBias  = 127
 )
 
 // Float16FromFloat32 converts a float32 to the nearest half-precision
@@ -108,88 +107,4 @@ func (h Float16) IsNaN() bool {
 // IsInf reports whether the half-precision value is an infinity.
 func (h Float16) IsInf() bool {
 	return h&f16ExpMask == f16ExpMask && h&f16FracMask == 0
-}
-
-// Half16 converts between float32 gradient vectors and packed int32
-// wire vectors holding one float16 per element, combined with an
-// in-switch fixed-point conversion. It models the paper's 16-bit
-// floating point deployment: the wire carries halves (so a tensor
-// needs half as many packets), while aggregation inside the switch is
-// integer addition on values scaled by the converter's factor.
-type Half16 struct {
-	fixed *FixedPoint
-}
-
-// NewHalf16 returns a converter whose in-switch fixed-point
-// representation uses scaling factor f.
-func NewHalf16(f float64) (*Half16, error) {
-	fx, err := NewFixedPoint(f)
-	if err != nil {
-		return nil, err
-	}
-	return &Half16{fixed: fx}, nil
-}
-
-// Factor returns the in-switch scaling factor.
-func (h *Half16) Factor() float64 { return h.fixed.Factor() }
-
-// EncodeWire converts float32 values to their float16 bit patterns,
-// widened to int32 for the common wire vector type. Two halves could
-// be packed per element; keeping one per element and halving the
-// element count, as this implementation does at the session layer,
-// gives identical wire volume with simpler addressing.
-func (h *Half16) EncodeWire(dst []int32, src []float32) {
-	if len(dst) != len(src) {
-		panic("quant: EncodeWire length mismatch")
-	}
-	for i, v := range src {
-		dst[i] = int32(Float16FromFloat32(v))
-	}
-}
-
-// SwitchIngest converts a wire vector of float16 bit patterns into
-// the switch's internal fixed-point representation, as the Tofino
-// lookup tables do on packet ingress.
-func (h *Half16) SwitchIngest(dst []int32, wire []int32) (saturated int) {
-	if len(dst) != len(wire) {
-		panic("quant: SwitchIngest length mismatch")
-	}
-	f := h.fixed.Factor()
-	for i, w := range wire {
-		v := Float16(uint16(w)).Float32()
-		s := math.RoundToEven(float64(v) * f)
-		switch {
-		case s > math.MaxInt32:
-			dst[i] = math.MaxInt32
-			saturated++
-		case s < math.MinInt32:
-			dst[i] = math.MinInt32
-			saturated++
-		default:
-			dst[i] = int32(s)
-		}
-	}
-	return saturated
-}
-
-// SwitchEgress converts the switch's fixed-point aggregate back into
-// float16 bit patterns for the result packet.
-func (h *Half16) SwitchEgress(dst []int32, agg []int32) {
-	if len(dst) != len(agg) {
-		panic("quant: SwitchEgress length mismatch")
-	}
-	inv := 1 / h.fixed.Factor()
-	for i, v := range agg {
-		dst[i] = int32(Float16FromFloat32(float32(float64(v) * inv)))
-	}
-}
-
-// DecodeWire converts received float16 bit patterns to float32.
-func (h *Half16) DecodeWire(dst []float32, wire []int32) {
-	if len(dst) != len(wire) {
-		panic("quant: DecodeWire length mismatch")
-	}
-	for i, w := range wire {
-		dst[i] = Float16(uint16(w)).Float32()
-	}
 }

@@ -130,115 +130,3 @@ func TestFloat16RelativeError(t *testing.T) {
 		}
 	}
 }
-
-func TestHalf16Pipeline(t *testing.T) {
-	// End-to-end: encode on workers, ingest+aggregate+egress in the
-	// switch, decode on workers. With two workers contributing 1.5 and
-	// 2.5, the aggregate must be 4 (exactly representable).
-	h, err := NewHalf16(1 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1, w2 := []float32{1.5}, []float32{2.5}
-	wire1, wire2 := make([]int32, 1), make([]int32, 1)
-	h.EncodeWire(wire1, w1)
-	h.EncodeWire(wire2, w2)
-	fx1, fx2 := make([]int32, 1), make([]int32, 1)
-	if h.SwitchIngest(fx1, wire1) != 0 || h.SwitchIngest(fx2, wire2) != 0 {
-		t.Fatal("unexpected saturation")
-	}
-	agg := []int32{fx1[0] + fx2[0]}
-	out := make([]int32, 1)
-	h.SwitchEgress(out, agg)
-	res := make([]float32, 1)
-	h.DecodeWire(res, out)
-	if res[0] != 4 {
-		t.Errorf("aggregate = %v, want 4", res[0])
-	}
-}
-
-func TestHalf16PipelineApproximation(t *testing.T) {
-	// Random gradients through the half pipeline stay within the
-	// combined half-precision + fixed-point error envelope.
-	h, err := NewHalf16(1 << 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	const n, d = 4, 256
-	exact := make([]float64, d)
-	agg := make([]int32, d)
-	for w := 0; w < n; w++ {
-		grad := make([]float32, d)
-		for i := range grad {
-			grad[i] = (rng.Float32() - 0.5) * 8
-		}
-		wire := make([]int32, d)
-		h.EncodeWire(wire, grad)
-		// The exact reference uses the half-rounded values, since
-		// half-precision loss happens before the network.
-		for i := range grad {
-			exact[i] += float64(Float16(uint16(wire[i])).Float32())
-		}
-		fx := make([]int32, d)
-		if h.SwitchIngest(fx, wire) != 0 {
-			t.Fatal("saturated")
-		}
-		for i := range agg {
-			agg[i] += fx[i]
-		}
-	}
-	out := make([]int32, d)
-	h.SwitchEgress(out, agg)
-	res := make([]float32, d)
-	h.DecodeWire(res, out)
-	for i := range res {
-		// Egress re-rounds to half, so tolerance is half-precision ULP
-		// of the aggregate plus the fixed-point bound n/f.
-		tol := math.Abs(exact[i])/1024 + float64(n)/(1<<16) + 1e-3
-		if err := math.Abs(float64(res[i]) - exact[i]); err > tol {
-			t.Fatalf("element %d: error %v exceeds tolerance %v", i, err, tol)
-		}
-	}
-}
-
-func TestNewHalf16Validation(t *testing.T) {
-	if _, err := NewHalf16(0); err == nil {
-		t.Error("NewHalf16(0) accepted")
-	}
-}
-
-func TestHalf16Accessors(t *testing.T) {
-	h, err := NewHalf16(1 << 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Factor() != 1<<12 {
-		t.Errorf("Factor = %v", h.Factor())
-	}
-	// Saturation path in SwitchIngest.
-	wire := make([]int32, 1)
-	h2, _ := NewHalf16(1e9)
-	h2.EncodeWire(wire, []float32{1000})
-	fx := make([]int32, 1)
-	if sat := h2.SwitchIngest(fx, wire); sat != 1 {
-		t.Errorf("saturated = %d, want 1", sat)
-	}
-	// Length mismatch panics.
-	for name, fn := range map[string]func(){
-		"encode":  func() { h.EncodeWire(make([]int32, 1), make([]float32, 2)) },
-		"ingest":  func() { h.SwitchIngest(make([]int32, 1), make([]int32, 2)) },
-		"egress":  func() { h.SwitchEgress(make([]int32, 1), make([]int32, 2)) },
-		"decode":  func() { h.DecodeWire(make([]float32, 1), make([]int32, 2)) },
-		"dequant": func() { fxp, _ := NewFixedPoint(1); fxp.Dequantize(make([]float32, 1), make([]int32, 2)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s mismatch did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}

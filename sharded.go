@@ -271,7 +271,7 @@ func (sp *ShardedPeer) AllReduceFloat32(u []float32) ([]float32, error) {
 	} else {
 		q = make([]int32, len(u))
 		if sat := sp.scale.Quantize(q, u); sat > 0 {
-			return nil, fmt.Errorf("switchml: %d elements saturated during quantization; lower the scale (see MaxSafeScale)", sat)
+			return nil, errQuantize(sat)
 		}
 	}
 	sum, err := sp.AllReduceInt32(q)

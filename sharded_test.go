@@ -3,7 +3,9 @@ package switchml
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -101,6 +103,14 @@ func TestShardedPeerFloat32(t *testing.T) {
 			for j := range u {
 				u[j] = float32(i) + 0.5
 			}
+			// A NaN is refused before anything is sent: the next call
+			// runs as if it had not been made.
+			u[5] = float32(math.NaN())
+			if _, err := sp.AllReduceFloat32(u); err == nil || !strings.Contains(err.Error(), "NaN") {
+				errs[i] = fmt.Errorf("NaN tensor: err %v, want a refusal naming NaN", err)
+				return
+			}
+			u[5] = float32(i) + 0.5
 			outs[i], errs[i] = sp.AllReduceFloat32(u)
 		}()
 	}

@@ -654,7 +654,7 @@ func (p *Peer) AllReduceFloat32(u []float32) ([]float32, error) {
 	q := p.qbuf[next][:len(u)]
 	if !retry {
 		if sat := p.scale.Quantize(q, u); sat > 0 {
-			return nil, fmt.Errorf("switchml: %d elements saturated during quantization; lower the scale (see MaxSafeScale)", sat)
+			return nil, errQuantize(sat)
 		}
 	}
 	// The sum is the worker's own aggregate buffer: dequantized here,
@@ -672,3 +672,10 @@ func (p *Peer) AllReduceFloat32(u []float32) ([]float32, error) {
 }
 
 var errNoScale = errors.New("switchml: float32 all-reduce needs PeerParams.Scale")
+
+// errQuantize is the float entry points' refusal of a tensor in which
+// n elements did not quantize: out of the int32 range at the scale, or
+// NaN. Nothing has been sent when it is returned.
+func errQuantize(n int) error {
+	return fmt.Errorf("switchml: %d elements saturated or NaN during quantization; lower the scale (see MaxSafeScale) or drop the NaNs", n)
+}

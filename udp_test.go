@@ -3,6 +3,7 @@ package switchml
 import (
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -95,9 +96,9 @@ func TestUDPPeerValidation(t *testing.T) {
 // loop does — tensor after tensor of changing size through the same
 // peers — since its quantized inputs now live in per-peer scratch and
 // its sums are read out of the worker's own buffer: every step must
-// still return the exact fixed-point sum, and a saturating input must
-// fail before a single update reaches the aggregator, leaving the next
-// step unharmed.
+// still return the exact fixed-point sum, and a saturating input or a
+// NaN must fail before a single update reaches the aggregator, leaving
+// the next step unharmed.
 func TestUDPFloatScratchReuse(t *testing.T) {
 	const n = 2
 	agg, err := ListenAggregator("127.0.0.1:0", AggregatorParams{Workers: n})
@@ -154,6 +155,12 @@ func TestUDPFloatScratchReuse(t *testing.T) {
 	}
 	if got := agg.Stats().Updates; got != before {
 		t.Fatalf("saturating call sent %d updates before failing", got-before)
+	}
+	if _, err := peers[0].AllReduceFloat32([]float32{1, float32(math.NaN()), 2}); err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Fatalf("NaN input: err %v, want a refusal naming NaN", err)
+	}
+	if got := agg.Stats().Updates; got != before {
+		t.Fatalf("NaN call sent %d updates before failing", got-before)
 	}
 	step(4096, 7)
 }
