@@ -130,3 +130,29 @@ func TestFloat16RelativeError(t *testing.T) {
 		}
 	}
 }
+
+func TestHalf16Pipeline(t *testing.T) {
+	// End-to-end float16 aggregation from this package's pieces, the
+	// path core.PackedHalfCodec ships: workers send halves, the switch
+	// turns each into fixed point by ToFixed and sums, then sends the
+	// dequantized sum back as a half. With two workers contributing 1.5
+	// and 2.5, the aggregate must be 4 (exactly representable).
+	q, err := NewFixedPoint(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := []Float16{Float16FromFloat32(1.5), Float16FromFloat32(2.5)}
+	var agg int32
+	for _, h := range wire {
+		fx, saturated := ToFixed(h.Float32(), q.Factor())
+		if saturated {
+			t.Fatalf("ToFixed(%v) saturated", h.Float32())
+		}
+		agg += fx
+	}
+	sum := make([]float32, 1)
+	q.Dequantize(sum, []int32{agg})
+	if res := Float16FromFloat32(sum[0]).Float32(); res != 4 {
+		t.Errorf("aggregate = %v, want 4", res)
+	}
+}
